@@ -7,9 +7,10 @@ geometric, power means and the Karcher mean), Moebius transformations, and
 two deliberately broken negative controls.
 
 Evaluators are batched: each accepts a tuple of stacked Hermitian arguments
-``(..., n, n)`` and broadcasts over the leading axes.  The mean iterations
-run all batch elements in lockstep, which is what makes the randomized
-certification batteries affordable.
+``(..., n, n)`` and broadcasts over the leading axes.  Two-argument power and
+Karcher means are evaluated in closed form with two eigendecompositions of the
+whole stack; with three or more arguments the fixed-point iterations run all
+batch elements in lockstep.
 """
 
 from __future__ import annotations
@@ -281,10 +282,21 @@ def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
     )
 
 
+def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2}, two eigendecompositions per stack."""
+    zr, zir = _roots(z)
+    return herm_part(zr @ _eigh_fun(f, zir @ x @ zir) @ zr)
+
+
 def weighted_geo(z: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     """t-weighted geometric mean Z #_t X = Z^{1/2}(Z^{-1/2} X Z^{-1/2})^t Z^{1/2}."""
+    return _congruence_fun(z, x, lambda m: np.power(m, t))
+
+
+def _geo_step(z: np.ndarray, xs: MatTuple, w: np.ndarray, t: float) -> np.ndarray:
+    """sum_i w_i (Z #_t X_i) with Z factored once: k + 1 eigendecompositions."""
     zr, zir = _roots(z)
-    inner = _herm_pow(zir @ x @ zir, t)
+    inner = sum(wi * _herm_pow(zir @ xi @ zir, t) for wi, xi in zip(w, xs))
     return herm_part(zr @ inner @ zr)
 
 
@@ -325,14 +337,22 @@ def power_mean(
     t: float,
     weights: tuple[float, ...],
     rtol: float = 1e-12,
-    damping: float = 1.0,
     max_iter: int = 10_000,
 ) -> np.ndarray:
-    """Matrix power mean P_t: the fixed point of Z -> sum w_i (Z #_t X_i).
+    """Matrix power mean P_t: the solution of Z = sum w_i (Z #_t X_i).
 
-    Damped fixed-point iteration from the arithmetic mean; the map is a
-    Thompson-metric contraction with ratio (1 - t), so plain iteration
-    (damping 1) converges for every t in (0, 1].
+    Two arguments have a closed form.  Congruence by A^{-1/2} turns the
+    equation into Y = w_1 Y^{1-t} + w_2 (Y #_t M) with M = A^{-1/2} B A^{-1/2},
+    whose unique solution commutes with M, so
+
+        P_t(w_1, w_2; A, B) = A^{1/2} (w_1 I + w_2 M^t)^{1/t} A^{1/2},
+
+    two eigendecompositions per stack.  Three or more arguments use plain
+    fixed-point iteration from the arithmetic mean: the map is a
+    Thompson-metric contraction with ratio (1 - t) (Lim & Palfia 2012), so it
+    converges for every t in (0, 1].  Each step factors Z once and costs
+    k + 1 eigendecompositions; ``rtol`` and ``max_iter`` govern this
+    iteration only.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
@@ -341,11 +361,13 @@ def power_mean(
         raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
     for xi in xs:
         _spd_check(xi, "power mean argument")
+    if len(xs) == 2:
+        w1, w2 = w
+        return _congruence_fun(xs[0], xs[1], lambda mu: np.power(w1 + w2 * np.power(mu, t), 1.0 / t))
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(z))))
     for _ in range(max_iter):
-        step = sum(wi * weighted_geo(z, xi, t) for wi, xi in zip(w, xs))
-        new = herm_part((1.0 - damping) * z + damping * step)
+        new = _geo_step(z, xs, w, t)
         delta = float(np.max(np.atleast_1d(fro_norm(new - z))))
         z = new
         if delta <= rtol * scale:
@@ -397,26 +419,38 @@ def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
 _KARCHER_LADDER = (1 / 2, 1 / 4)
 
 
+def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Z^{1/2}, the Karcher gradient sum w_i log(Z^{-1/2} X_i Z^{-1/2}) and its worst norm."""
+    zr, zir = _roots(z)
+    grad = sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, xs))
+    return zr, grad, float(np.max(np.atleast_1d(fro_norm(grad))))
+
+
 def karcher_mean(
     xs: MatTuple,
     weights: tuple[float, ...],
     rtol: float = 1e-13,
     max_iter: int = 10_000,
-    ladder: tuple[float, ...] = _KARCHER_LADDER,
     return_info: bool = False,
 ):
     """Karcher (least-squares) mean of a positive definite tuple.
 
-    The power means P_t decrease to the Karcher mean as t -> 0+, so the
-    ladder values are computed with warm starts and Richardson-extrapolated
-    to t = 0 as the initializer.  Extrapolation alone carries an O(prod t_j)
-    bias, far above the accuracy the downstream order checks need, so the
-    extrapolant is polished by the fixed-point form of the Karcher equation
+    Two arguments have a closed form, Karcher(w_1, w_2; A, B) = A #_{w_2} B,
+    the t -> 0+ limit of the two-argument power-mean formula: two
+    eigendecompositions per stack, and ``return_info`` reports zero
+    iterations with the Karcher-equation residual measured at the value.
+
+    For three or more arguments, the power means P_t decrease to the Karcher
+    mean as t -> 0+, so the ``_KARCHER_LADDER`` values are computed with warm
+    starts and Richardson-extrapolated to t = 0 as the initializer.
+    Extrapolation alone carries an O(prod t_j) bias, far above the accuracy
+    the downstream order checks need, so the extrapolant is polished by the
+    fixed-point form of the Karcher equation
 
         Z <- Z^{1/2} exp( sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
 
     until the equation residual drops below ``rtol`` relative.  The polish
-    makes the ladder choice immaterial to the value, so the default keeps
+    makes the ladder choice immaterial to the value, so the ladder keeps
     only two nodes.
     """
     w = _check_weights(weights)
@@ -425,15 +459,21 @@ def karcher_mean(
     for xi in xs:
         _spd_check(xi, "Karcher mean argument")
 
+    if len(xs) == 2:
+        z = weighted_geo(xs[0], xs[1], w[1])
+        if return_info:
+            return z, {"iterations": 0, "residual": _karcher_gradient(z, xs, w)[2]}
+        return z
+
     # warm-started ladder, loose inner tolerance: this is only the initializer
     vals = []
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
-    for t in ladder:
+    for t in _KARCHER_LADDER:
         scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(z))))
         for _ in range(max_iter):
-            step = sum(wi * weighted_geo(z, xi, t) for wi, xi in zip(w, xs))
+            step = _geo_step(z, xs, w, t)
             delta = float(np.max(np.atleast_1d(fro_norm(step - z))))
-            z = herm_part(step)
+            z = step
             if delta <= 1e-7 * scale:
                 break
         else:
@@ -441,7 +481,7 @@ def karcher_mean(
         vals.append(z)
 
     # Neville extrapolation of the matrix ladder to t = 0
-    ts = list(ladder)
+    ts = _KARCHER_LADDER
     table = list(vals)
     for lvl in range(1, len(ts)):
         for i in range(len(ts) - lvl):
@@ -454,9 +494,7 @@ def karcher_mean(
     prev_res = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        zr, zir = _roots(z)
-        grad = sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, xs))
-        res = float(np.max(np.atleast_1d(fro_norm(grad))))
+        zr, grad, res = _karcher_gradient(z, xs, w)
         if res <= rtol * scale:
             break
         if res > prev_res:
@@ -565,8 +603,8 @@ def frechet_many(
     """Richardson-refined central differences along many directions at once.
 
     Stacks X +- h H and X +- (h/2) H for every direction into one batched
-    evaluation, so iterative evaluators (the means) run a single lockstep
-    solve for the whole family.
+    evaluation, so the means run a single batched solve for the whole
+    family.
     """
     n = x[0].shape[-1]
     k = len(x)

@@ -7,6 +7,7 @@ from opmono.freefun import (
     arithmetic_mean,
     fake_trace_fn,
     frechet_derivative,
+    frechet_many,
     geometric_mean_2,
     harmonic_mean,
     karcher_mean,
@@ -16,10 +17,28 @@ from opmono.freefun import (
     mobius_fn,
     nc_axiom_check,
     power_mean,
+    power_mean_fn,
     resolve_function,
+    weighted_geo,
 )
+from opmono.gradients import hermitian_basis
 from opmono.matcore import fro_norm, funcalc, herm_part, im_part, min_eig
-from opmono.sampling import rand_psd, rand_spd_interval, rand_tuple_interval
+from opmono.sampling import rand_herm, rand_psd, rand_spd_interval, rand_tuple_interval
+
+
+def stacked_pair(rng, m, n):
+    """Two (m, n, n) stacks of positive definite matrices with spectra in [0.5, 2]."""
+    rows = [rand_tuple_interval(rng, 2, n, 0.5, 2.0) for _ in range(m)]
+    return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+
+
+def worst_rel(x, y):
+    return float(np.max(fro_norm(x - y) / (1.0 + fro_norm(y))))
+
+
+def mean_of(xs, w, t):
+    """Power mean P_t of the tuple, or its Karcher mean when t is None."""
+    return karcher_mean(xs, w) if t is None else power_mean(xs, t, w)
 
 
 class TestLiftScalar:
@@ -126,8 +145,6 @@ class TestPowerMean:
         assert np.allclose(out, expect, atol=1e-10)
 
     def test_fixed_point_residual(self):
-        from opmono.freefun import weighted_geo
-
         rng = np.random.default_rng(6)
         x = rand_tuple_interval(rng, 2, 4, 0.5, 2.0)
         w = (0.5, 0.5)
@@ -181,6 +198,112 @@ class TestKarcherMean:
             a = arithmetic_mean(w)(x)
             assert min_eig(g - h) >= -1e-8 * (1 + fro_norm(a))
             assert min_eig(a - g) >= -1e-8 * (1 + fro_norm(a))
+
+
+class TestTwoArgumentClosedForms:
+    """The k = 2 power and Karcher means are closed forms; k >= 3 iterates."""
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, None])
+    def test_matches_three_argument_iteration(self, t):
+        # (A, B) with weights (w1, w2) is (A, B, B) with (w1, w2/2, w2/2)
+        rng = np.random.default_rng(20)
+        a, b = stacked_pair(rng, 6, 3)
+        w1, w2 = 0.35, 0.65
+        two = mean_of((a, b), (w1, w2), t)
+        three = mean_of((a, b, b), (w1, w2 / 2, w2 / 2), t)
+        assert two.shape == (6, 3, 3)
+        assert worst_rel(two, three) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, None])
+    def test_argument_swap_symmetry(self, t):
+        rng = np.random.default_rng(21)
+        a, b = stacked_pair(rng, 8, 4)
+        assert worst_rel(mean_of((a, b), (0.3, 0.7), t), mean_of((b, a), (0.7, 0.3), t)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+    def test_power_fixed_point_residual(self, t):
+        rng = np.random.default_rng(22)
+        a, b = stacked_pair(rng, 16, 4)
+        w = (0.4, 0.6)
+        z = power_mean((a, b), t, w)
+        res = w[0] * weighted_geo(z, a, t) + w[1] * weighted_geo(z, b, t) - z
+        assert np.all(fro_norm(res) <= 1e-12 * (1 + fro_norm(z)))
+
+    def test_karcher_info_is_measured(self):
+        from opmono.freefun import _herm_log, _roots
+
+        rng = np.random.default_rng(23)
+        a, b = stacked_pair(rng, 16, 4)
+        w = (0.4, 0.6)
+        z, info = karcher_mean((a, b), w, return_info=True)
+        zr, zir = _roots(z)
+        grad = w[0] * _herm_log(zir @ a @ zir) + w[1] * _herm_log(zir @ b @ zir)
+        assert info["iterations"] == 0
+        assert info["residual"] == float(np.max(fro_norm(grad)))
+        assert np.all(fro_norm(grad) <= 1e-12 * (1 + fro_norm(z)))
+
+    def test_eigh_count_independent_of_t(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        a, b = stacked_pair(rng, 512, 3)
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(m, *args, **kwargs):
+            calls.append(m.shape)
+            return real_eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = {}
+        for label, fn in [
+            ("power:t=0.25", power_mean_fn(0.25, (0.5, 0.5))),
+            ("power:t=0.5", power_mean_fn(0.5, (0.5, 0.5))),
+            ("power:t=1", power_mean_fn(1.0, (0.5, 0.5))),
+            ("karcher", karcher_mean_fn((0.5, 0.5))),
+        ]:
+            calls.clear()
+            fn(a, b)
+            counts[label] = len(calls)
+            assert all(shape == (512, 3, 3) for shape in calls)
+        assert set(counts.values()) == {2}, counts
+
+
+# (catalogue identifier, argument sizes) for the exact adjoint checks
+ADJOINT_CASES = [
+    ("sqrt", (2, 3)),
+    ("log1p", (2, 3)),
+    ("pow:0.7", (2, 3)),
+    ("mobius:1,0,1,1", (2, 3)),
+    ("harmonic", (2, 3)),
+    ("geomean2", (2, 3)),
+    ("power:t=0.25", (2, 3)),
+    ("power:t=0.5", (2, 3)),
+    ("karcher", (2, 3)),
+    ("power:t=0.5:w=0.2,0.3,0.5", (2,)),
+    ("karcher:w=0.2,0.3,0.5", (2,)),
+]
+
+
+class TestExactAdjoints:
+    """vgrad against Richardson-refined differences on the Hermitian basis."""
+
+    @pytest.mark.parametrize("ident,sizes", ADJOINT_CASES)
+    def test_vgrad_matches_frechet(self, ident, sizes):
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(25)
+        for n in sizes:
+            x = rand_tuple_interval(rng, fn.arity, n, 0.5, 2.0)
+            seed = rand_herm(rng, n)
+            grads = fn.vgrad(x, seed)
+            basis = hermitian_basis(n)
+            zero = np.zeros((n, n), dtype=complex)
+            for slot in range(fn.arity):
+                directions = [
+                    tuple(e if i == slot else zero for i in range(fn.arity)) for e in basis
+                ]
+                derivs = frechet_many(fn, x, directions, 1e-3)
+                coeffs = [float(np.trace(seed @ d).real) for d in derivs]
+                fd = sum(c * e for c, e in zip(coeffs, basis))
+                assert fro_norm(grads[slot] - fd) <= 1e-9 * (1 + fro_norm(fd)), (ident, n, slot)
 
 
 class TestMobius:
