@@ -61,7 +61,6 @@ from .represent import (
     PencilRepresentation,
     SupportCertificate,
     direct_sum_rep,
-    partition_coeffs,
     reconstruct,
     rep_eval,
     rep_eval_complex,
@@ -124,7 +123,6 @@ __all__ = [
     "chain_semicontinuity_test",
     "SupportCertificate",
     "support_pencil",
-    "partition_coeffs",
     "reconstruct",
     "direct_sum_rep",
     "PencilRepresentation",

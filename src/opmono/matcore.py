@@ -57,6 +57,20 @@ class Tolerances:
     herm: Hermitian-defect acceptance, psd: semidefiniteness slack,
     rank: pseudoinverse truncation and range-inclusion residuals,
     eq: generic equality comparisons.
+
+    One elimination policy serves every Schur complement of a pencil
+    evaluation (``schur.SchurCore``).  An eliminated block D is inverted by
+    LU when ``rank * ||D||_F ||D^{-1}||_F < 1``, so that no singular value
+    lies at or below ``rank * sigma_max``, and through the pseudoinverse
+    truncated there otherwise.  Either inverse takes two steps of iterative
+    refinement, and the residual ||D sol - rhs||_F must then stay within
+    ``rank * (1 + ||rhs||_F)``, else EliminatedBlockDefective.  The
+    condition test, not an LU residual, picks the route: on a numerically
+    singular block a small LU residual holds for any right-hand side and
+    does not show range inclusion.  The essential subspace of a set of PSD
+    coefficients is the range of their sum cut at ``rank * lambda_max``
+    (``pencil.range_basis``); coefficient entries at or below ``rank``
+    times the largest do not couple two directions.
     """
 
     herm: float = 1e-9
@@ -77,9 +91,10 @@ DEFAULT_TOL = Tolerances()
 class SectorEstimate:
     """Certified sector of the numerical range.
 
-    alpha: half-angle in [0, pi/2) such that all sampled numerical-range
-    boundary points lie in {Re z > 0, |Im z| <= Re z * tan(alpha)};
-    margin: smallest real part found among the sampled points.
+    alpha: half-angle in [0, pi/2) such that the numerical range lies in
+    {Re z > 0, |Im z| <= Re z * tan(alpha)}: an upper bound on the
+    smallest such angle, the safe side for sec^2(alpha) bounds;
+    margin: lambda_min(Re A), the smallest real part in the numerical range.
     """
 
     alpha: float
@@ -238,35 +253,25 @@ def sector_estimate(
     theta_grid_size: int = 256,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SectorEstimate:
-    """Estimate the smallest sector containing the numerical range.
+    """Certified sector of the numerical range of one matrix.
 
-    Samples boundary points of W(A) as Rayleigh quotients of extremal
-    eigenvectors of Re(e^{i theta} A) over a uniform theta grid.  The grid
-    is exact for the support function of W(A) up to its angular resolution.
-    Raises NotSectorial when a sampled point has nonpositive real part
-    (within the relative PSD tolerance).
+    ``alpha`` is the upper bound of ``sector_certified_alpha`` on the given
+    grid and ``margin`` is lambda_min(Re A).  Raises NotSectorial when the
+    margin is not positive (within the relative PSD tolerance): W(A) then
+    meets the closed left half-plane.
     """
     a = np.asarray(a, dtype=complex)
     _require_square(a)
     if theta_grid_size < 8:
         raise ValueError("theta_grid_size must be at least 8")
-    thetas = np.linspace(0.0, 2 * np.pi, theta_grid_size, endpoint=False)
-    phases = np.exp(1j * thetas)
-    rotated = herm_part(phases[:, None, None] * a[None, :, :])
-    w, u = np.linalg.eigh(rotated)
-    top = u[:, :, -1]  # eigenvector of the largest eigenvalue, per angle
-    points = np.einsum("ti,ij,tj->t", np.conj(top), a, top)
-    re = points.real
-    im = points.imag
-    scale = 1.0 + float(fro_norm(a))
-    margin = float(re.min())
-    if margin <= tol.psd * scale:
+    alphas, margins = sector_certified_alpha(a[None], theta_grid_size)
+    margin = float(margins[0])
+    if margin <= tol.psd * (1.0 + float(fro_norm(a))):
         raise NotSectorial(
-            f"sampled numerical-range point with real part {margin:.3e} "
-            "meets the closed left half-plane"
+            f"numerical range has real part down to {margin:.3e}; "
+            "it meets the closed left half-plane"
         )
-    alpha = float(np.max(np.arctan2(np.abs(im), re)))
-    return SectorEstimate(alpha=alpha, margin=margin)
+    return SectorEstimate(alpha=float(alphas[0]), margin=margin)
 
 
 def psd_project_sqrt(
@@ -291,12 +296,12 @@ def psd_project_sqrt(
 
 
 def truncated_pinv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """SVD pseudoinverse with singular values <= tol.rank * sigma_max dropped."""
+    """SVD pseudoinverse with singular values <= tol.rank * sigma_max dropped, batched."""
     a = np.asarray(a, dtype=complex)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cut = tol.rank * (s[0] if s.size else 0.0)
+    cut = tol.rank * s[..., :1]
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return dagger(vh) @ (inv[:, None] * dagger(u))
+    return dagger(vh) @ (inv[..., :, None] * dagger(u))
 
 
 def douglas_factor(

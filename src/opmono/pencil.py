@@ -7,6 +7,8 @@ matrices.  It evaluates at a k-tuple of ``n x n`` arguments as
 
 with the coefficient space always the *first* tensor factor, so block
 (r, s) of the evaluation is the n x n matrix ``sum_i B_i[r, s] X_i``.
+``kron_sum`` computes every such sum, over stacks of coefficients and of
+arguments at once.
 
 Validated pencils carry the semidefiniteness invariants: every B_i is PSD
 and B_0 dominates the coefficient sum.  ``RawPencil`` skips validation for
@@ -35,13 +37,14 @@ from .matcore import (
     herm_part,
     min_eig,
     sector_estimate,
-    tensor,
 )
 
 __all__ = [
     "RawPencil",
     "LinearPencil",
     "pencil_new",
+    "kron_sum",
+    "pencil_arguments",
     "pencil_eval",
     "pencil_eval_shifted",
     "pencil_direct_sum",
@@ -121,36 +124,44 @@ def pencil_new(
     return LinearPencil(hermed, coeff_margin=float(coeff_margin), dominance_margin=float(dom))
 
 
-def _check_arity(pencil: RawPencil, x: tuple[np.ndarray, ...] | list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_i C_i (x) M_i for stacks C of shape (..., K, d, d) and M of shape (..., K, n, n).
+
+    The leading axes broadcast against each other; the result has shape
+    (..., d n, d n), and its block (r, s) is sum_i C_i[r, s] M_i.  Every
+    pencil evaluation in the package is one call to this.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    m = np.asarray(mats, dtype=complex)
+    out = np.einsum("...irs,...iab->...rasb", c, m)
+    size = c.shape[-1] * m.shape[-1]
+    return out.reshape(out.shape[:-4] + (size, size))
+
+
+def pencil_arguments(pencil: RawPencil, x, shifted: bool) -> np.ndarray:
+    """The stack (I, X_1, ..., X_k), or (I, X_1 - I, ..., X_k - I) when shifted.
+
+    Arguments may be stacked on leading axes; the stack axis is third from last.
+    """
     xs = tuple(np.asarray(m, dtype=complex) for m in x)
     if len(xs) != pencil.arity:
         raise ArityMismatch(f"pencil arity {pencil.arity}, argument tuple has {len(xs)}")
     n = xs[0].shape[-1]
-    for m in xs:
-        if m.shape[-1] != m.shape[-2] or m.shape[-1] != n:
-            raise DimensionMismatch("tuple members must be square of equal dimension")
-    return xs
+    if any(m.shape[-1] != m.shape[-2] or m.shape[-1] != n for m in xs):
+        raise DimensionMismatch("tuple members must be square of equal dimension")
+    eye = np.eye(n)
+    terms = (xi - eye for xi in xs) if shifted else xs
+    return np.stack(np.broadcast_arrays(eye, *terms), axis=-3)
 
 
 def pencil_eval(pencil: RawPencil, x: tuple[np.ndarray, ...]) -> np.ndarray:
     """L(X) = B_0 (x) I + sum B_i (x) X_i."""
-    xs = _check_arity(pencil, x)
-    n = xs[0].shape[-1]
-    out = tensor(pencil.b0, np.eye(n))
-    for b, xi in zip(pencil.bi, xs):
-        out = out + tensor(b, xi)
-    return out
+    return kron_sum(np.stack(pencil.coeffs), pencil_arguments(pencil, x, shifted=False))
 
 
 def pencil_eval_shifted(pencil: RawPencil, x: tuple[np.ndarray, ...]) -> np.ndarray:
     """B_0 (x) I + sum B_i (x) (X_i - I)."""
-    xs = _check_arity(pencil, x)
-    n = xs[0].shape[-1]
-    eye = np.eye(n)
-    out = tensor(pencil.b0, eye)
-    for b, xi in zip(pencil.bi, xs):
-        out = out + tensor(b, xi - eye)
-    return out
+    return kron_sum(np.stack(pencil.coeffs), pencil_arguments(pencil, x, shifted=True))
 
 
 def pencil_direct_sum(pencils: list[LinearPencil] | list[RawPencil]) -> LinearPencil:
@@ -193,21 +204,17 @@ def pencil_sectorial_check(
 ) -> SectorEstimate:
     """Sector estimate of L(X) compressed to ran(sum B_i) (x) E.
 
-    Every argument must itself be sectorial; the common certified angle is
-    the max over the components, and the compressed evaluation cannot exceed
-    it by more than the grid resolution.  Raises InputNotSectorial when some
-    X_i fails its own sector estimate.
+    Every argument must itself be sectorial: raises InputNotSectorial when
+    some X_i fails its own sector estimate.  The angle of the compressed
+    evaluation cannot exceed the largest argument angle by more than the
+    grid resolution.
     """
-    xs = _check_arity(pencil, x)
-    common = 0.0
-    for idx, xi in enumerate(xs):
+    args = pencil_arguments(pencil, x, shifted=False)
+    for idx, xi in enumerate(args[1:]):
         try:
-            est = sector_estimate(xi, theta_grid_size, tol)
+            sector_estimate(xi, theta_grid_size, tol)
         except Exception as exc:  # noqa: BLE001 - rewrap with the argument index
             raise InputNotSectorial(f"argument {idx + 1} is not sectorial: {exc}") from exc
-        common = max(common, est.alpha)
     q = range_basis(pencil.coeff_sum(), tol)
-    n = xs[0].shape[-1]
-    iso = tensor(q, np.eye(n))
-    compressed = dagger(iso) @ pencil_eval(pencil, xs) @ iso
+    compressed = kron_sum(dagger(q) @ np.stack(pencil.coeffs) @ q, args)
     return sector_estimate(compressed, theta_grid_size, tol)

@@ -8,9 +8,9 @@ tightness forces a Schur-complement identity that reconstructs F(A)v from
 the pencil alone, direct sums of base points give finite-dimensional
 conditional-expectation representations of F itself, and quadrature on the
 one-variable integral form gives representations with certified accuracy.
-All representations evaluate through the same block-elimination machinery,
-which splits the eliminated space into decoupled components so that large
-quadrature pencils cost a loop of small solves.
+Reconstruction and every representation evaluate through ``schur``'s one
+``SchurCore``, which splits the eliminated space into decoupled components
+so that large quadrature pencils cost a few stacked solves.
 """
 
 from __future__ import annotations
@@ -21,44 +21,26 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ArityMismatch,
     DimensionMismatch,
     DomainViolation,
-    EliminatedBlockDefective,
     GradientNotPSD,
     HalfPlaneViolated,
     NegativeNormalization,
     NegativeSlack,
     QuadratureInaccurate,
-    RotationNotFound,
-    SectorBoundViolated,
     SupportViolated,
     VerificationFailed,
 )
 from .freefun import FreeFn, frechet_many, lift_scalar
 from .gradients import hermitian_basis
-from .matcore import (
-    DEFAULT_TOL,
-    Tolerances,
-    dagger,
-    fro_norm,
-    herm_part,
-    im_part,
-    min_eig,
-    re_part,
-    sector_certified_alpha,
-    tensor,
-    truncated_pinv,
-)
-from .pencil import LinearPencil, pencil_new
+from .matcore import DEFAULT_TOL, Tolerances, fro_norm, herm_part, im_part, min_eig
+from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import rand_psd, rand_tuple_interval
-from .schur import PivotSubspace, in_right_halfspace, in_upper_halfspace
+from .schur import PivotSubspace, SchurCore, in_right_halfspace
 
 __all__ = [
     "SupportCertificate",
     "support_pencil",
-    "PartitionedCoeffs",
-    "partition_coeffs",
     "ReconstructionResult",
     "reconstruct",
     "DirectSumRepresentation",
@@ -100,19 +82,22 @@ class SupportCertificate:
     samples: int
     seed: int
 
-    @property
-    def arity(self) -> int:
-        return len(self.gradients)
-
 
 def support_eval(cert: SupportCertificate, y: np.ndarray, x: MatTuple) -> np.ndarray:
     """Evaluate the certificate pencil at a hypograph point (Y, X)."""
-    n = y.shape[0]
-    vv = np.outer(cert.v, np.conj(cert.v))
-    out = tensor(cert.pencil.b0, np.eye(n)) - tensor(vv, y)
-    for g, xi in zip(cert.gradients, x):
-        out = out + tensor(g, xi - np.eye(n))
-    return out
+    return _support_eval(cert.pencil.b0, cert.gradients, cert.v, y, x)
+
+
+def _support_eval(b0, grads, v, y, x) -> np.ndarray:
+    """B_0 (x) I - vv* (x) Y + sum G_i (x) (X_i - I), broadcast over stacked (Y, X)."""
+    eye = np.eye(y.shape[-1])
+    mats = np.stack(np.broadcast_arrays(eye, -y, *(xi - eye for xi in x)), axis=-3)
+    return kron_sum(np.stack([b0, np.outer(v, np.conj(v)), *grads]), mats)
+
+
+def _support_margin(b0, grads, v, sets) -> float:
+    """Smallest eigenvalue of the supporting pencil over sets of stacked (X, Y)."""
+    return min(float(np.min(min_eig(_support_eval(b0, grads, v, ys, xs)))) for xs, ys in sets)
 
 
 def _grad_matrices_fd(fn: FreeFn, a: MatTuple, v: np.ndarray) -> list[np.ndarray]:
@@ -132,31 +117,6 @@ def _grad_matrices_fd(fn: FreeFn, a: MatTuple, v: np.ndarray) -> list[np.ndarray
         g = sum(float(np.trace(vv @ d).real) * s for d, s in zip(derivs, basis))
         grads.append(herm_part(g))
     return grads
-
-
-def _scalar_support_margin(
-    fn: FreeFn,
-    b0: np.ndarray,
-    grads: list[np.ndarray],
-    v: np.ndarray,
-    interval: tuple[float, float],
-    grid: int = 9,
-) -> float:
-    """Worst margin of B_0 + sum (x_i - 1) G_i - f(x) vv* over scalar tuples."""
-    c1, c2 = interval
-    k = len(grads)
-    pts = np.linspace(c1, c2, grid)
-    tuples = np.stack(np.meshgrid(*([pts] * k)), axis=-1).reshape(-1, k)
-    stacked = tuple(tuples[:, i].reshape(-1, 1, 1).astype(complex) for i in range(k))
-    fvals = fn(stacked)[..., 0, 0].real
-    vv = np.outer(v, np.conj(v))
-    worst = np.inf
-    for row, fx in zip(tuples, fvals):
-        m = b0 - fx * vv
-        for xi, g in zip(row, grads):
-            m = m + (xi - 1.0) * g
-        worst = min(worst, min_eig(m))
-    return float(worst)
 
 
 def support_pencil(
@@ -245,6 +205,11 @@ def support_pencil(
     gate = -max(1e-8, 10 * tol.psd)
     best: tuple[float, None | tuple] = (-np.inf, None)
     per_size = max(validation_samples // 2, 1)
+    # the scalar grid: 9 points per slot on the interval, with Y = F(x)
+    pts = np.linspace(c1, c2, 9)
+    grid = np.stack(np.meshgrid(*([pts] * fn.arity)), axis=-1).reshape(-1, fn.arity)
+    scalars = tuple(grid[:, i].reshape(-1, 1, 1).astype(complex) for i in range(fn.arity))
+    scalar_set = (scalars, fn(scalars))
     sample_sets = []
     for ns in (n, 2 * n):
         draws = [rand_tuple_interval(rng, fn.arity, ns, c1, c2) for _ in range(per_size)]
@@ -253,14 +218,7 @@ def support_pencil(
             [abs(float(rng.normal(0.0, 0.4))) * rand_psd(rng, ns) for _ in range(per_size)]
         )
         ys = herm_part(fn(xs)) - slacks
-        sample_sets.append((ns, xs, ys))
-
-    def _bkron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # kron of a fixed (d, d) against a batch (m, ns, ns)
-        m, ns, _ = b.shape
-        d = a.shape[0]
-        out = a[None, :, None, :, None] * b[:, None, :, None, :]
-        return out.reshape(m, d * ns, d * ns)
+        sample_sets.append((xs, ys))
 
     for b0 in candidates:
         if min_eig(b0) < -tol.psd * (1.0 + fro_norm(b0)):
@@ -268,18 +226,11 @@ def support_pencil(
         dom = b0 - gsum
         if min_eig(dom) < -tol.psd * (1.0 + fro_norm(dom)):
             continue
-        scalar_margin = _scalar_support_margin(fn, b0, grads, v, interval)
+        scalar_margin = _support_margin(b0, grads, v, [scalar_set])
         if scalar_margin < gate:
             best = max(best, (scalar_margin, None))
             continue
-        support_margin = np.inf
-        for ns, xs, ys in sample_sets:
-            eye_s = np.eye(ns)
-            lx = _bkron(b0, np.broadcast_to(eye_s, ys.shape).copy()) - _bkron(vv, ys)
-            for g, xi in zip(grads, xs):
-                lx = lx + _bkron(g, xi - eye_s)
-            lam = np.linalg.eigvalsh(herm_part(lx))[:, 0]
-            support_margin = min(support_margin, float(lam.min()))
+        support_margin = _support_margin(b0, grads, v, sample_sets)
         if support_margin < gate:
             best = max(best, (support_margin, None))
             continue
@@ -306,52 +257,6 @@ def support_pencil(
 
 
 # ---------------------------------------------------------------------------
-# coefficient partitions
-
-
-@dataclass(frozen=True)
-class PartitionedCoeffs:
-    """Compressions of pencil coefficients against a pivot subspace.
-
-    Blocks are stored in the coordinates of the pivot basis and its
-    complement; ``reassemble`` zero-pads them back into the ambient space.
-    """
-
-    pivot: PivotSubspace
-    b11: tuple[np.ndarray, ...]
-    b12: tuple[np.ndarray, ...]
-    b21: tuple[np.ndarray, ...]
-    b22: tuple[np.ndarray, ...]
-
-    def reassemble(self, i: int) -> np.ndarray:
-        q = self.pivot.basis
-        qp = self.pivot.perp_basis()
-        return (
-            q @ self.b11[i] @ dagger(q)
-            + q @ self.b12[i] @ dagger(qp)
-            + qp @ self.b21[i] @ dagger(q)
-            + qp @ self.b22[i] @ dagger(qp)
-        )
-
-
-def partition_coeffs(pencil: LinearPencil, pivot: PivotSubspace) -> PartitionedCoeffs:
-    """The four compressions of every coefficient against the pivot."""
-    if pivot.ambient_dim != pencil.size:
-        raise DimensionMismatch("pivot must live on the pencil coefficient space")
-    q = pivot.basis
-    qp = pivot.perp_basis()
-    b11, b12, b21, b22 = [], [], [], []
-    for b in pencil.coeffs:
-        b11.append(dagger(q) @ b @ q)
-        b12.append(dagger(q) @ b @ qp)
-        b21.append(dagger(qp) @ b @ q)
-        b22.append(dagger(qp) @ b @ qp)
-    return PartitionedCoeffs(
-        pivot=pivot, b11=tuple(b11), b12=tuple(b12), b21=tuple(b21), b22=tuple(b22)
-    )
-
-
-# ---------------------------------------------------------------------------
 # reconstruction at the base point
 
 
@@ -362,53 +267,21 @@ class ReconstructionResult:
     value_op: np.ndarray
 
 
-def _pinv_solve(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Rank-truncated pseudoinverse solve with a range-inclusion check.
-
-    Two steps of iterative refinement recover the accuracy lost to the
-    conditioning of nearly-tight eliminated blocks; the remaining residual
-    certifies the range inclusion.
-    """
-    if d.size == 0:
-        return np.zeros_like(rhs)
-    pinv = truncated_pinv(d, tol)
-    sol = pinv @ rhs
-    for _ in range(2):
-        sol = sol + pinv @ (rhs - d @ sol)
-    residual = float(np.linalg.norm(d @ sol - rhs))
-    bound = 100 * tol.rank * (1.0 + float(np.linalg.norm(rhs)))
-    if residual > bound:
-        raise EliminatedBlockDefective(
-            f"eliminated block fails range inclusion: residual {residual:.3e} > {bound:.3e}"
-        )
-    return sol
-
-
 def reconstruct(
     cert: SupportCertificate, tol: Tolerances = DEFAULT_TOL
 ) -> ReconstructionResult:
     """Recover F(A)v from the certificate by pivot elimination at span(v).
 
-    Partitions the coefficients against span(v), eliminates the complement
-    block of the shifted pencil through a rank-truncated pseudoinverse, and
-    reports the tightness residual: the pivot-compressed defect of the
-    support identity, computable from the certificate alone.  Values are
-    trustworthy when the residual is small.
+    Eliminates the complement of span(v) (x) I from the shifted pencil at
+    the base point (``SchurCore``) and reports the tightness residual: the
+    pivot-compressed defect of the support identity, computable from the
+    certificate alone.  Values are trustworthy when the residual is small.
     """
     a = cert.base_point
     v = cert.v
-    n = v.size
-    eye = np.eye(n)
-    pivot = PivotSubspace.from_vector(v)
-    parts = partition_coeffs(cert.pencil, pivot)
-    shifted = [eye] + [ai - eye for ai in a]
-
-    top = sum(float(p11[0, 0].real) * s for p11, s in zip(parts.b11, shifted))
-    p12 = sum(tensor(r, s) for r, s in zip(parts.b12, shifted))
-    p21 = sum(tensor(c, s) for c, s in zip(parts.b21, shifted))
-    d = sum(tensor(c, s) for c, s in zip(parts.b22, shifted))
-    cross = p12 @ _pinv_solve(d, p21, tol)
-    value_op = herm_part(top - cross)
+    eye = np.eye(v.size)
+    core = SchurCore(cert.pencil, PivotSubspace.from_vector(v), tol)
+    value_op = herm_part(core.evaluate(a))
     value = value_op @ v
 
     anchor = cert.c + sum(
@@ -455,202 +328,18 @@ class PencilRepresentation:
         return self.pencil.arity
 
     @cached_property
-    def _prepared(self) -> dict:
-        """Adapted-basis coefficient blocks and decoupled elimination components."""
-        q = self.pivot.basis
-        qp = self.pivot.perp_basis()
-        u = np.hstack([q, qp])
-        m0 = q.shape[1]
-        kdim = self.pencil.size
-        coeffs = [dagger(u) @ b @ u for b in self.pencil.coeffs]
-        t_ad = dagger(u) @ self.state @ u
-        support = sum(np.abs(c) for c in coeffs)
-        scale = max(float(support.max()), 1e-300)
-        adj = support > 1e-13 * scale
-        np.fill_diagonal(adj, True)
-        # connected components of the coefficient support graph
-        seen = np.zeros(kdim, dtype=bool)
-        comps = []
-        for start in range(kdim):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                node = stack.pop()
-                comp.append(node)
-                for nbr in np.nonzero(adj[node])[0]:
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        stack.append(int(nbr))
-            comp = np.array(sorted(comp))
-            comps.append(comp)
-        prepared = []
-        for comp in comps:
-            k0 = comp[comp < m0]
-            perp = comp[comp >= m0]
-            if k0.size == 0:
-                continue  # invisible to the pivot block
-            comp_coeffs = [c[np.ix_(comp, comp)] for c in coeffs]
-            total = herm_part(sum(comp_coeffs))
-            w_t, u_t = np.linalg.eigh(total)
-            ess = u_t[:, w_t > 1e-13 * max(float(w_t[-1]), 1e-300)]
-            entry = {
-                "k0": k0,
-                "c11": [c[np.ix_(k0, k0)] for c in coeffs],
-                "c12": [c[np.ix_(k0, perp)] for c in coeffs],
-                "c21": [c[np.ix_(perp, k0)] for c in coeffs],
-                "c22": [c[np.ix_(perp, perp)] for c in coeffs],
-                "cfull": comp_coeffs,
-                "essential": ess,
-                "has_perp": perp.size > 0,
-                "scalar_cell": k0.size == 1 and perp.size == 1,
-                "ess_full": ess.shape[1] == comp.size,
-            }
-            prepared.append(entry)
-        t11 = t_ad[:m0, :m0]
+    def _cores(self) -> dict[Tolerances, SchurCore]:
+        return {}
 
-        # singleton 2 x 2 cells with full-rank totals vectorize into one
-        # batched solve per call; everything else takes the generic loop
-        cells = [c for c in prepared if c["scalar_cell"] and c["ess_full"]]
-        cell_data = None
-        if cells:
-            n_coeff = len(coeffs)
-            s = np.empty((4, n_coeff, len(cells)), dtype=complex)
-            for j, c in enumerate(cells):
-                for i in range(n_coeff):
-                    s[0, i, j] = c["c11"][i][0, 0]
-                    s[1, i, j] = c["c12"][i][0, 0]
-                    s[2, i, j] = c["c21"][i][0, 0]
-                    s[3, i, j] = c["c22"][i][0, 0]
-            cell_data = {
-                "s11": s[0], "s12": s[1], "s21": s[2], "s22": s[3],
-                "t": np.array([t11[c["k0"][0], c["k0"][0]].real for c in cells]),
-            }
-        return {
-            "t11": t11,
-            "m0": m0,
-            "components": prepared,
-            "generic": [
-                c for c in prepared
-                if c["has_perp"] and not (c["scalar_cell"] and c["ess_full"])
-            ],
-            "cells": cell_data,
-        }
+    def core(self, tol: Tolerances = DEFAULT_TOL) -> SchurCore:
+        """The pencil partitioned against the pivot, built once per tolerance."""
+        if tol not in self._cores:
+            self._cores[tol] = SchurCore(self.pencil, self.pivot, tol)
+        return self._cores[tol]
 
 
-def _rep_apply(
-    rep: PencilRepresentation,
-    x: MatTuple,
-    tol: Tolerances,
-    theta: float = 0.0,
-    check_bound: bool = False,
-    theta_grid: int = 256,
-) -> np.ndarray:
-    """Shared evaluation core: state-weighted pivot block minus eliminations.
-
-    ``theta`` rotates the eliminated blocks for sectorial stability (the
-    cross term itself is rotation invariant).  With ``check_bound`` every
-    eliminated component is certified sectorial and its Schur complement
-    checked against the sec^2(alpha) norm bound.
-    """
-    xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    if len(xs) != rep.arity:
-        raise ArityMismatch(f"representation arity {rep.arity}, got {len(xs)}")
-    n = xs[0].shape[-1]
-    eye = np.eye(n)
-    shifted = [eye] + [xi - eye for xi in xs]
-    prep = rep._prepared
-    t11 = prep["t11"]
-
-    out = np.zeros((n, n), dtype=complex)
-    for entry_i, s in enumerate(shifted):
-        weight = 0.0j
-        for comp in prep["components"]:
-            k0 = comp["k0"]
-            weight += np.trace(t11[np.ix_(k0, k0)] @ comp["c11"][entry_i])
-        out = out + weight * s
-
-    phase = np.exp(1j * theta)
-    bound_queue: list[tuple[np.ndarray, float]] = []  # (compressed full, ||S_c||)
-
-    cells = prep["cells"]
-    if cells is not None:
-        # batched elimination of all scalar cells: the rotation cancels in
-        # the solve, and the residual check certifies the inversion
-        sh = np.stack(shifted)  # (k+1, n, n)
-        d = np.einsum("ir,iab->rab", cells["s22"], sh)
-        r21 = np.einsum("ir,iab->rab", cells["s21"], sh)
-        p12 = np.einsum("ir,iab->rab", cells["s12"], sh)
-        try:
-            sol = np.linalg.solve(d, r21)
-            residual = np.sqrt(np.sum(np.abs(d @ sol - r21) ** 2, axis=(-1, -2)))
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is None or np.any(
-            residual > 100 * tol.rank * (1.0 + np.sqrt(np.sum(np.abs(r21) ** 2, axis=(-1, -2))))
-        ):
-            sol = np.stack(
-                [
-                    _pinv_solve(phase * d[r], phase * r21[r], tol)
-                    for r in range(d.shape[0])
-                ]
-            )
-        cross = p12 @ sol
-        out = out - np.einsum("r,rab->ab", cells["t"], cross)
-        if check_bound:
-            p11 = np.einsum("ir,iab->rab", cells["s11"], sh)
-            full = np.block([[p11, p12], [r21, d]])
-            alphas, margins = sector_certified_alpha(phase * full, theta_grid)
-            scales = 1.0 + np.sqrt(np.sum(np.abs(full) ** 2, axis=(-1, -2)))
-            if np.any(margins <= tol.psd * scales):
-                raise SectorBoundViolated(
-                    "an eliminated cell is not sectorial after rotation"
-                )
-            lhs = np.linalg.svd(p11 - cross, compute_uv=False)[:, 0]
-            rhs = np.linalg.svd(full, compute_uv=False)[:, 0] / np.cos(alphas) ** 2
-            if np.any(lhs > rhs * (1.0 + tol.eq)):
-                raise SectorBoundViolated("an eliminated cell violates the sector bound")
-
-    for comp in prep["generic"]:
-        p12 = sum(tensor(c, s) for c, s in zip(comp["c12"], shifted))
-        p21 = sum(tensor(c, s) for c, s in zip(comp["c21"], shifted))
-        d = sum(tensor(c, s) for c, s in zip(comp["c22"], shifted))
-        sol = _pinv_solve(phase * d, phase * p21, tol)
-        cross = p12 @ sol  # rotation cancels between the two factors
-        if check_bound:
-            full = sum(tensor(c, s) for c, s in zip(comp["cfull"], shifted))
-            iso = tensor(comp["essential"], eye)
-            p11 = sum(tensor(c, s) for c, s in zip(comp["c11"], shifted))
-            bound_queue.append(
-                (dagger(iso) @ full @ iso, float(np.linalg.norm(p11 - cross, 2)))
-            )
-        k0 = comp["k0"]
-        m_c = k0.size
-        cross4 = cross.reshape(m_c, n, m_c, n)
-        t_c = t11[np.ix_(k0, k0)]
-        out = out - np.einsum("sr,risj->ij", t_c, cross4)
-
-    if check_bound and bound_queue:
-        # batch the sector estimates over equal-dimension components
-        by_dim: dict[int, list[tuple[np.ndarray, float]]] = {}
-        for full_c, lhs in bound_queue:
-            by_dim.setdefault(full_c.shape[0], []).append((full_c, lhs))
-        for group in by_dim.values():
-            stack = np.stack([phase * f for f, _ in group])
-            alphas, margins = sector_certified_alpha(stack, theta_grid)
-            for (full_c, lhs), alpha, margin in zip(group, alphas, margins):
-                scale = 1.0 + float(fro_norm(full_c))
-                if margin <= tol.psd * scale:
-                    raise SectorBoundViolated(
-                        "an eliminated component is not sectorial after rotation"
-                    )
-                rhs = float(np.linalg.norm(full_c, 2)) / np.cos(alpha) ** 2
-                if lhs > rhs * (1.0 + tol.eq):
-                    raise SectorBoundViolated(
-                        f"eliminated component violates the sector bound: {lhs:.4g} > {rhs:.4g}"
-                    )
-    return out
+# Angle grid of sector_certified_alpha in rep_eval_complex's sec^2(alpha) check.
+REP_SECTOR_GRID = 96
 
 
 def rep_eval(
@@ -661,90 +350,21 @@ def rep_eval(
     for xi in xs:
         if min_eig(xi) <= 0:
             raise DomainViolation("representation arguments must be positive definite")
-    return herm_part(_rep_apply(rep, xs, tol))
+    return herm_part(rep.core(tol).evaluate(xs, state=rep.state))
 
 
 def rep_eval_complex(
-    rep: PencilRepresentation,
-    x: MatTuple,
-    theta_grid: int = 96,
-    theta_search: int = 180,
-    tol: Tolerances = DEFAULT_TOL,
+    rep: PencilRepresentation, x: MatTuple, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Analytic continuation of the representation into the half-spaces.
 
-    Arguments must lie in the right or upper operator poly-halfspace.  Upper
-    half-space inputs go through a rotation e^{i theta} chosen so every
-    eliminated component has positive definite rotated real part; each
-    eliminated component is checked against the sec^2(alpha) bound and the
+    Arguments must lie in the right or upper operator poly-halfspace; the
+    rotation and the sec^2(alpha) check are ``SchurCore.evaluate``'s.  The
     output of upper half-space inputs must keep a PSD imaginary part.
     """
     xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    if len(xs) != rep.arity:
-        raise ArityMismatch(f"representation arity {rep.arity}, got {len(xs)}")
-    sigma = in_right_halfspace(xs, tol)
-    pi_dom = in_upper_halfspace(xs, tol)
-    if not (sigma or pi_dom):
-        raise DomainViolation("tuple lies in neither operator half-space")
-
-    if sigma:
-        theta = 0.0
-    else:
-        n = xs[0].shape[-1]
-        eye = np.eye(n)
-        shifted = [eye] + [xi - eye for xi in xs]
-        prep = rep._prepared
-        blocks = []
-        cells = prep["cells"]
-        if cells is not None:
-            sh = np.stack(shifted)
-            full = np.block(
-                [
-                    [np.einsum("ir,iab->rab", cells["s11"], sh),
-                     np.einsum("ir,iab->rab", cells["s12"], sh)],
-                    [np.einsum("ir,iab->rab", cells["s21"], sh),
-                     np.einsum("ir,iab->rab", cells["s22"], sh)],
-                ]
-            )
-            blocks.extend(full[r] for r in range(full.shape[0]))
-        for comp in prep["generic"]:
-            comp_full = sum(tensor(c, s) for c, s in zip(comp["cfull"], shifted))
-            iso = tensor(comp["essential"], eye)
-            blocks.append(dagger(iso) @ comp_full @ iso)
-        theta = None
-        if not blocks:
-            theta = 0.0
-        else:
-            candidates = np.linspace(0.0, -np.pi / 2, theta_search, endpoint=False)
-            by_dim: dict[int, list[np.ndarray]] = {}
-            for blk in blocks:
-                by_dim.setdefault(blk.shape[0], []).append(blk)
-            groups = [
-                (np.stack(blks), np.array([tol.psd * (1.0 + float(fro_norm(b))) for b in blks]))
-                for blks in by_dim.values()
-            ]
-            chunk = 24
-            for lo in range(0, candidates.size, chunk):
-                cand = candidates[lo : lo + chunk]
-                phases = np.exp(1j * cand)
-                passes = np.ones(cand.size, dtype=bool)
-                for stack, thr in groups:
-                    rotated = herm_part(
-                        phases[:, None, None, None] * stack[None, :, :, :]
-                    )
-                    lam = np.linalg.eigvalsh(rotated)[..., 0]  # (chunk, m)
-                    passes &= np.all(lam > thr[None, :], axis=1)
-                hits = np.nonzero(passes)[0]
-                if hits.size:
-                    theta = float(cand[hits[0]])
-                    break
-            if theta is None:
-                raise RotationNotFound(
-                    "no rotation in (-pi/2, 0] stabilizes the pencil evaluation"
-                )
-
-    out = _rep_apply(rep, xs, tol, theta=theta, check_bound=True, theta_grid=theta_grid)
-    if pi_dom and not sigma:
+    out = rep.core(tol).evaluate(xs, state=rep.state, sector_grid=REP_SECTOR_GRID)
+    if not in_right_halfspace(xs, tol):
         lam = min_eig(im_part(out))
         if lam < -tol.psd * (1.0 + fro_norm(out)):
             raise HalfPlaneViolated(

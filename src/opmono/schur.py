@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotSectorial,
     DomainViolation,
+    EliminatedBlockDefective,
     EliminatedBlockSingular,
     NotPSD,
+    NotSectorial,
     RotationNotFound,
     SectorBoundViolated,
 )
@@ -38,11 +39,9 @@ from .matcore import (
     min_eig,
     re_part,
     sector_certified_alpha,
-    sector_estimate,
-    tensor,
     truncated_pinv,
 )
-from .pencil import RawPencil, pencil_eval_shifted
+from .pencil import RawPencil, kron_sum, pencil_arguments, range_basis
 
 __all__ = [
     "PivotSubspace",
@@ -51,6 +50,7 @@ __all__ = [
     "schur_generic",
     "sector_bound_check",
     "SectorBoundReport",
+    "SchurCore",
     "schur_pencil",
 ]
 
@@ -231,27 +231,6 @@ def sector_bound_check(
     )
 
 
-def _pinv_eliminate(
-    kept: np.ndarray,
-    cross_kr: np.ndarray,
-    cross_rk: np.ndarray,
-    removed: np.ndarray,
-    tol: Tolerances,
-) -> np.ndarray:
-    """Eliminate through a rank-truncated pseudoinverse with a range check."""
-    if removed.size == 0:
-        return kept
-    pinv = truncated_pinv(removed, tol)
-    sol = pinv @ cross_rk
-    residual = float(np.linalg.norm(removed @ sol - cross_rk))
-    bound = tol.rank * (1.0 + float(np.linalg.norm(cross_rk)))
-    if residual > bound:
-        raise EliminatedBlockSingular(
-            f"pseudoinverse elimination residual {residual:.3e} exceeds {bound:.3e}"
-        )
-    return kept - cross_kr @ sol
-
-
 def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> bool:
     """All components have positive definite real part."""
     return all(min_eig(re_part(xi)) > tol.psd * (1.0 + fro_norm(xi)) for xi in x)
@@ -262,74 +241,166 @@ def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL)
     return all(min_eig(im_part(xi)) > tol.psd * (1.0 + fro_norm(xi)) for xi in x)
 
 
+# Rotations tried for upper half-space arguments: a uniform grid on (-pi/2, 0].
+ROTATION_CANDIDATES = 180
+# Angle grid of sector_certified_alpha in schur_pencil's sec^2(alpha) check.
+SCHUR_SECTOR_GRID = 256
+
+
+def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Solve the stacked systems D sol = rhs under the policy in ``Tolerances``."""
+    try:
+        inv = np.linalg.inv(d)
+        full = tol.rank * fro_norm(d) * fro_norm(inv) < 1.0  # no singular value to truncate
+    except np.linalg.LinAlgError:
+        inv, full = np.zeros_like(d), np.zeros(len(d), dtype=bool)
+    if not full.all():
+        inv[~full] = truncated_pinv(d[~full], tol)
+    sol = inv @ rhs
+    for _ in range(2):
+        sol = sol + inv @ (rhs - d @ sol)
+    residual = fro_norm(d @ sol - rhs)
+    bound = tol.rank * (1.0 + fro_norm(rhs))
+    if not np.all(residual <= bound):
+        worst = int(np.argmax(residual / bound))
+        raise EliminatedBlockDefective(
+            f"eliminated block fails range inclusion: residual "
+            f"{residual[worst]:.3e} > {bound[worst]:.3e}"
+        )
+    return sol
+
+
+def _find_rotation(blocks: list[np.ndarray], tol: Tolerances) -> float:
+    """First candidate angle at which every block has a positive definite rotated real part."""
+    candidates = np.linspace(0.0, -np.pi / 2, ROTATION_CANDIDATES, endpoint=False)
+    chunk = 24
+    for lo in range(0, candidates.size, chunk):
+        phases = np.exp(1j * candidates[lo : lo + chunk])[:, None, None, None]
+        passes = np.ones(phases.shape[0], dtype=bool)
+        for stack in blocks:
+            lam = np.linalg.eigvalsh(herm_part(phases * stack))[..., 0]
+            passes &= np.all(lam > tol.psd * (1.0 + fro_norm(stack)), axis=1)
+        if passes.any():
+            return float(candidates[lo + int(np.argmax(passes))])
+    raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
+
+
+def _check_sector_bound(
+    rotated: np.ndarray, comp: np.ndarray, grid: int, tol: Tolerances
+) -> None:
+    """||S_c|| <= sec^2(alpha_c) ||L_c|| for rotated essential blocks L_c and complements S_c.
+
+    alpha_c is certified on ``grid`` angles by ``sector_certified_alpha``.
+    """
+    alphas, margins = sector_certified_alpha(rotated, grid)
+    if np.any(margins <= tol.psd * (1.0 + fro_norm(rotated))):
+        raise NotSectorial("an eliminated component is not sectorial after rotation")
+    lhs = np.linalg.svd(comp, compute_uv=False)[:, 0]
+    rhs = np.linalg.svd(rotated, compute_uv=False)[:, 0] / np.cos(alphas) ** 2
+    if np.any(lhs > rhs * (1.0 + tol.eq)):
+        worst = int(np.argmax(lhs / rhs))
+        raise SectorBoundViolated(
+            f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
+        )
+
+
+class SchurCore:
+    """A pencil partitioned once against a pivot subspace S, for the Schur
+    complements of its shifted evaluations that keep S (x) I.
+
+    In the basis [Q, Q_perp] adapted to S two directions are coupled when a
+    coefficient entry between them exceeds ``tol.rank`` times the largest.
+    The complement is block diagonal over the connected components; those
+    without a pivot direction drop out, the others are stacked by their
+    numbers of pivot directions, of directions and of essential ones into
+    ``groups`` of (kept, index, coeffs, essential): each member's directions
+    (g, c), ``kept`` pivot ones first, its coefficients (g, K, c, c) and
+    those compressed to the range of their sum (g, K, r, r), or None when
+    nothing is eliminated.
+    """
+
+    def __init__(self, pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL):
+        if pivot.ambient_dim != pencil.size:
+            raise DimensionMismatch("pivot subspace must live on the coefficient space")
+        self.pencil, self.basis, self.tol = pencil, pivot.basis, tol
+        u = np.hstack([pivot.basis, pivot.perp_basis()])
+        coeffs = dagger(u) @ np.stack(pencil.coeffs) @ u
+        support = np.abs(coeffs).sum(axis=0)
+        reach = (support > tol.rank * support.max()) | np.eye(pencil.size, dtype=bool)
+        while not np.array_equal(grown := reach @ reach, reach):  # transitive closure
+            reach = grown
+        shapes: dict[tuple[int, int, int], list] = {}
+        for first in np.unique(reach.argmax(axis=1)):
+            comp = np.flatnonzero(reach[first])  # sorted, so pivot directions come first
+            kept = int(np.count_nonzero(comp < pivot.dim))
+            if kept:
+                c = coeffs[:, comp[:, None], comp]
+                e = range_basis(c.sum(axis=0), tol) if comp.size > kept else np.zeros((comp.size, 0))
+                shapes.setdefault((kept, comp.size, e.shape[1]), []).append((comp, c, e))
+        self.groups = []
+        for (kept, _, rank), members in shapes.items():
+            index, c, e = (np.stack(z) for z in zip(*members))
+            essential = dagger(e)[:, None] @ c @ e[:, None] if rank else None
+            self.groups.append((kept, index, c, essential))
+
+    def evaluate(
+        self,
+        x: tuple[np.ndarray, ...],
+        state: np.ndarray | None = None,
+        sector_grid: int | None = None,
+    ) -> np.ndarray:
+        """Schur complement of the shifted evaluation at ``x``, keeping S (x) I.
+
+        Returned whole in the coordinates of ``pivot.basis (x) I``, or with
+        ``state`` as its partial trace against the state compressed to S.
+        With ``sector_grid`` the tuple must lie in an operator half-space;
+        upper half-space tuples rotate the eliminated components by the
+        first candidate angle making all their essential real parts
+        positive definite (the complement does not depend on it), and each
+        component is checked against the sec^2(alpha) bound.
+        """
+        tol = self.tol
+        args = pencil_arguments(self.pencil, x, shifted=True)
+        n = args.shape[-1]
+        if sector_grid:
+            right = in_right_halfspace(x, tol)
+            if not (right or in_upper_halfspace(x, tol)):
+                raise DomainViolation("tuple lies in neither operator half-space")
+        m = self.basis.shape[1]
+        out = np.zeros((m, n, m, n) if state is None else (n, n), dtype=complex)
+        t = None if state is None else dagger(self.basis) @ state @ self.basis
+        checks = []
+        for kept, index, coeffs, essential in self.groups:
+            full = kron_sum(coeffs, args)
+            k = kept * n
+            comp = full[:, :k, :k]
+            if essential is not None:
+                comp = comp - full[:, :k, k:] @ _eliminate(full[:, k:, k:], full[:, k:, :k], tol)
+                if sector_grid:
+                    checks.append((kron_sum(essential, args), comp))
+            comp = comp.reshape(-1, kept, n, kept, n)
+            rows, cols = index[:, :kept, None], index[:, None, :kept]
+            if state is None:
+                out[rows, :, cols, :] = comp.transpose(0, 1, 3, 2, 4)
+            else:
+                out += np.einsum("gsr,grisj->ij", t[rows, cols], comp)
+        if sector_grid:
+            theta = 0.0 if right else _find_rotation([blk for blk, _ in checks], tol)
+            for blk, comp in checks:
+                _check_sector_bound(np.exp(1j * theta) * blk, comp, sector_grid, tol)
+        return out.reshape(m * n, m * n) if state is None else out
+
+
 def schur_pencil(
     pencil: RawPencil,
     x: tuple[np.ndarray, ...],
     s: PivotSubspace,
-    theta_grid_size: int = 256,
-    theta_search: int = 180,
     tol: Tolerances = DEFAULT_TOL,
-    check_bound: bool = True,
 ) -> np.ndarray:
     """Schur complement of the shifted pencil evaluation, keeping P = P_S (x) I.
 
     Arguments must lie in one of the operator half-spaces: all Re X_i > 0 or
-    all Im X_i > 0.  In the second case the matrix is rotated by e^{i theta}
-    (theta searched on a uniform grid in (-pi/2, 0]) until its compressed
-    real part is positive definite, complemented, then unrotated.  The
-    sec^2(alpha) norm bound is asserted on the rotated matrix.
+    all Im X_i > 0.  The rotation and the sec^2(alpha) check are those of
+    ``SchurCore.evaluate``, alpha certified on ``SCHUR_SECTOR_GRID`` angles.
     """
-    xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    if s.ambient_dim != pencil.size:
-        raise DimensionMismatch("pivot subspace must live on the coefficient space")
-    sigma = in_right_halfspace(xs, tol)
-    pi = in_upper_halfspace(xs, tol)
-    if not (sigma or pi):
-        raise DomainViolation("tuple lies in neither operator half-space")
-
-    n = xs[0].shape[-1]
-    m = pencil_eval_shifted(pencil, xs)
-    big = PivotSubspace.from_basis(tensor(s.basis, np.eye(n)))
-
-    if s.dim == s.ambient_dim:
-        return m  # trivial pivot: nothing to eliminate
-
-    # essential subspace of the coefficient matrices; outside it the pencil is 0
-    total = herm_part(pencil.b0 + pencil.coeff_sum())
-    w, u = np.linalg.eigh(total)
-    essential = u[:, w > tol.rank * max(float(w[-1]), 0.0)]
-    ess = tensor(essential, np.eye(n))
-    m_ess = dagger(ess) @ m @ ess
-
-    if sigma:
-        theta = 0.0
-    else:
-        theta = None
-        for cand in np.linspace(0.0, -np.pi / 2, theta_search, endpoint=False):
-            rotated = re_part(np.exp(1j * cand) * m_ess)
-            if min_eig(rotated) > tol.psd * (1.0 + fro_norm(m_ess)):
-                theta = float(cand)
-                break
-        if theta is None:
-            raise RotationNotFound(
-                "no rotation in (-pi/2, 0] makes the compressed real part positive"
-            )
-
-    phase = np.exp(1j * theta)
-    rotated = phase * m
-    a11, a12, a21, a22 = _blocks(rotated, big)
-    comp_rot = _pinv_eliminate(a11, a12, a21, a22, tol)
-    comp = np.conj(phase) * comp_rot
-
-    if check_bound:
-        alphas, margins = sector_certified_alpha((phase * m_ess)[None, :, :], theta_grid_size)
-        if margins[0] <= tol.psd * (1.0 + fro_norm(m_ess)):
-            raise NotSectorial("rotated pencil evaluation is not sectorial")
-        sec2 = 1.0 / np.cos(float(alphas[0])) ** 2
-        lhs = float(np.linalg.norm(comp, 2))
-        rhs = sec2 * float(np.linalg.norm(m, 2))
-        if lhs > rhs * (1.0 + tol.eq):
-            raise SectorBoundViolated(
-                f"||S(L(X))|| = {lhs:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs:.6g}"
-            )
-    return comp
+    return SchurCore(pencil, s, tol).evaluate(x, sector_grid=SCHUR_SECTOR_GRID)

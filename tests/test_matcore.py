@@ -186,6 +186,21 @@ class TestSectorEstimate:
         with pytest.raises(errors.NotSectorial):
             sector_estimate(np.diag([0.0, 1.0]))
 
+    def test_alpha_bounds_the_numerical_range(self):
+        # Rayleigh quotients of the top eigenvectors of Re(e^{it} A) are points
+        # of W(A), so their largest argument on a fine grid is a lower bound
+        # for the true angle, which the certified alpha must not undercut
+        rng = np.random.default_rng(24)
+        phases = np.exp(1j * np.linspace(0.0, 2 * np.pi, 4096, endpoint=False))
+        for _ in range(50):
+            a = rand_psd(rng, 4) + 0.5 * np.eye(4)
+            s = rand_herm(rng, 4)
+            a = a + 1j * s * rng.uniform(0.2, 2.0) * np.linalg.eigvalsh(a)[0] / np.linalg.norm(s, 2)
+            est = sector_estimate(a)
+            top = np.linalg.eigh(herm_part(phases[:, None, None] * a))[1][..., -1]
+            points = np.einsum("ti,ij,tj->t", top.conj(), a, top)
+            assert est.alpha >= np.max(np.abs(np.angle(points)))
+
 
 class TestDouglasFactor:
     def test_identity_block(self):

@@ -14,7 +14,6 @@ from opmono.pencil import pencil_new
 from opmono.represent import (
     PencilRepresentation,
     direct_sum_rep,
-    partition_coeffs,
     reconstruct,
     rep_eval,
     rep_eval_complex,
@@ -87,6 +86,21 @@ class TestSupportPencil:
         with pytest.raises(errors.GradientNotPSD):
             support_pencil(bad, a, v, seed=7)
 
+    @pytest.mark.parametrize("fn", [lift_scalar("sqrt"), harmonic_mean((0.5, 0.5))],
+                             ids=["sqrt", "harmonic"])
+    def test_finite_difference_gradients(self, fn):
+        # without vgrad the gradients come from central differences
+        from dataclasses import replace
+
+        rng = np.random.default_rng(30)
+        a = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0)
+        v = rand_unit_vector(rng, 3)
+        cert = support_pencil(replace(fn, vgrad=None), a, v, seed=31, validation_samples=40)
+        exact = fn.vgrad(a, np.outer(cert.v, cert.v.conj()))
+        for g, e in zip(cert.gradients, exact):
+            assert np.linalg.norm(g - herm_part(e)) <= 1e-8 * np.linalg.norm(e)
+        assert reconstruct(cert).residual <= 1e-6
+
     def test_trace_bound(self):
         rng = np.random.default_rng(6)
         fn = lift_scalar("sqrt")
@@ -96,36 +110,6 @@ class TestSupportPencil:
         bound = np.sqrt(2.0) / 0.5
         assert abs(cert.trace_bound - bound) <= 1e-12
         assert np.trace(cert.pencil.b0).real <= bound + 1e-8
-
-
-class TestPartition:
-    def test_full_pivot(self):
-        rng = np.random.default_rng(7)
-        bi = [rand_psd(rng, 3) for _ in range(2)]
-        p = pencil_new([sum(bi) + np.eye(3)] + bi)
-        pivot = PivotSubspace.from_indices(3, [0, 1, 2])
-        parts = partition_coeffs(p, pivot)
-        for i, b in enumerate(p.coeffs):
-            assert np.allclose(parts.b11[i], b, atol=1e-12)
-            assert parts.b22[i].size == 0
-
-    def test_blocks_reassemble(self):
-        rng = np.random.default_rng(8)
-        bi = [rand_psd(rng, 4) for _ in range(2)]
-        p = pencil_new([sum(bi) + np.eye(4)] + bi)
-        pivot = PivotSubspace.from_basis(np.linalg.qr(rng.normal(size=(4, 2)))[0])
-        parts = partition_coeffs(p, pivot)
-        for i, b in enumerate(p.coeffs):
-            assert np.linalg.norm(parts.reassemble(i) - b) <= 1e-12 * (1 + np.linalg.norm(b))
-
-    def test_cross_blocks_adjoint(self):
-        rng = np.random.default_rng(9)
-        bi = [rand_psd(rng, 4)]
-        p = pencil_new([bi[0] + np.eye(4)] + bi)
-        pivot = PivotSubspace.from_vector(rand_unit_vector(rng, 4))
-        parts = partition_coeffs(p, pivot)
-        for b12, b21 in zip(parts.b12, parts.b21):
-            assert np.allclose(b12, b21.conj().T, atol=1e-12)
 
 
 class TestReconstruct:
