@@ -1,37 +1,31 @@
 """Randomized certification and counterexample search.
 
 Each tester draws seeded random inputs, checks a Loewner-order property of
-a free function, and reports either a clean pass, the first counterexample
-found (with the inputs stored for replay), or inconclusive when evaluation
-itself failed.  Identical seeds reproduce identical reports.
+a free function, and reports a clean pass, the first counterexample found
+(with the inputs stored for replay), or inconclusive when evaluation failed
+or gave a non-finite value.  Identical seeds give byte-identical reports.
 
-Trial inputs are generated sequentially from one generator (so the draw
-order is pinned by the seed) and evaluated in stacked chunks, which keeps
-the iterative means affordable at four-digit trial budgets.
+All testers share one pipeline.  Trials are drawn one after another from
+one generator, so the seed pins the draw order; the inputs are stacked and
+evaluated in chunks of 512 rows (the derivative stencil in blocks of 256
+trials).  The differences that must be positive semidefinite form
+``(T, C, d, d)`` stacks, C checks per trial, and one scan (``_scan``) takes
+their smallest eigenvalues and norms in one batched call per stack.  It
+stops at the first violation in trial-major order; ``worst_margin`` is the
+minimum margin over every check up to and including that one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ChainNotIncreasing, OpmonoError
 from .freefun import FreeFn, frechet_many
-from .matcore import (
-    DEFAULT_TOL,
-    Tolerances,
-    fro_norm,
-    herm_part,
-    min_eig,
-)
-from .sampling import (
-    ordered_pair_interval,
-    rand_isometry,
-    rand_psd,
-    rand_tuple_interval,
-)
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig
+from .sampling import ordered_pair_interval, rand_isometry, rand_psd, rand_tuple_interval
 
 __all__ = [
     "CertReport",
@@ -84,9 +78,9 @@ def hypograph_member(
 class CertReport:
     """Outcome of one randomized property test.
 
-    ``worst_margin`` is the most negative (or smallest) eigenvalue margin
-    encountered across all trials; a counterexample stores the violating
-    inputs so the verdict can be replayed without the seed.
+    ``worst_margin`` is the smallest eigenvalue margin the scan took (see
+    ``_scan``); a counterexample stores the violating inputs so the verdict
+    can be replayed without the seed.
     """
 
     property_name: str
@@ -106,33 +100,56 @@ class CertReport:
         return self.verdict == "pass"
 
 
-def _chunked_eval(fn: FreeFn, tuples: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
-    """Evaluate fn on many argument tuples via stacked chunks."""
-    out: list[np.ndarray] = []
-    for lo in range(0, len(tuples), _CHUNK):
-        batch = tuples[lo : lo + _CHUNK]
-        stacked = tuple(
-            np.stack([t[i] for t in batch]) for i in range(fn.arity)
-        )
-        vals = fn(stacked)
-        out.extend(vals[j] for j in range(len(batch)))
+def _stack(tuples: list[tuple[np.ndarray, ...]], k: int, n: int) -> tuple[np.ndarray, ...]:
+    """Per-trial argument k-tuples as k stacks of shape (T, n, n)."""
+    return tuple(np.reshape([t[i] for t in tuples], (-1, n, n)) for i in range(k))
+
+
+def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Evaluate fn on stacked argument tuples, _CHUNK rows per call."""
+    out = np.empty(xs[0].shape, dtype=complex)
+    for lo in range(0, len(out), _CHUNK):
+        out[lo : lo + _CHUNK] = fn(tuple(x[lo : lo + _CHUNK] for x in xs))
     return out
 
 
-def _margin_scale(diff: np.ndarray) -> float:
-    return 1.0 + float(fro_norm(diff))
+def _inconclusive(name: str, seed: int, error: str) -> CertReport:
+    return CertReport(name, "inconclusive", 0, float(np.nan), seed, details={"error": error})
 
 
-def _report(name, verdict, trials, worst, seed, counter=None, details=None) -> CertReport:
-    return CertReport(
-        property_name=name,
-        verdict=verdict,
-        trials_run=trials,
-        worst_margin=float(worst),
-        seed=seed,
-        counterexample=counter,
-        details=details or {},
-    )
+def _scan(
+    name: str,
+    seed: int,
+    threshold: float,
+    checks: list[np.ndarray],
+    counter: Callable[[int, int, float], dict[str, Any]],
+    details: dict[str, np.ndarray] | None = None,
+) -> CertReport:
+    """Report on stacked differences that must be positive semidefinite.
+
+    ``checks`` holds one ``(T, C_s, d_s, d_s)`` stack per matrix size.  The
+    checks of a trial are taken stack by stack, the trials in order; check
+    (t, c) fails when lambda_min < -threshold (1 + ||difference||_F).  The
+    scan stops at the first failure: ``trials_run`` is t + 1 and
+    ``counter(t, c, lambda_min)`` builds the counterexample, c counting
+    across the stacks.  ``worst_margin`` is the minimum of lambda_min over
+    all checks up to and including the one where the scan stops (all
+    checks on a pass).  ``details`` maps names to per-trial values, each
+    reported as its maximum over the trials run.  A non-finite difference
+    gives an inconclusive report before any eigenvalue is taken.
+    """
+    if not all(np.isfinite(c).all() for c in checks):
+        return _inconclusive(name, seed, "non-finite value in a checked difference")
+    margins = np.concatenate([min_eig(c) for c in checks], axis=1)
+    bounds = np.concatenate([-threshold * (1.0 + fro_norm(c)) for c in checks], axis=1)
+    flat, fails = margins.ravel(), np.flatnonzero(margins < bounds)
+    stop = int(fails[0]) if fails.size else flat.size - 1
+    worst = float(flat[np.argmin(flat[: stop + 1])]) if flat.size else np.inf
+    t, c = divmod(stop, margins.shape[1])
+    det = {key: float(np.max(v[: t + 1], initial=0.0)) for key, v in (details or {}).items()}
+    if not fails.size:
+        return CertReport(name, "pass", len(margins), worst, seed, details=det)
+    return CertReport(name, "counterexample", t + 1, worst, seed, counter(t, c, float(flat[stop])), det)
 
 
 def monotone_test(
@@ -147,20 +164,16 @@ def monotone_test(
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     pairs = [ordered_pair_interval(rng, fn.arity, n, c1, c2) for _ in range(trials)]
+    a, b = (_stack([p[s] for p in pairs], fn.arity, n) for s in (0, 1))
     try:
-        fa = _chunked_eval(fn, [p[0] for p in pairs])
-        fb = _chunked_eval(fn, [p[1] for p in pairs])
+        fa = _chunked_eval(fn, a)
+        diff = _chunked_eval(fn, b) - fa
     except OpmonoError as exc:
-        return _report("monotone", "inconclusive", 0, np.nan, seed, details={"error": str(exc)})
-    worst = np.inf
-    for idx, (a, b) in enumerate(pairs):
-        diff = fb[idx] - fa[idx]
-        lam = min_eig(diff)
-        worst = min(worst, lam)
-        if lam < -tol.psd * _margin_scale(diff):
-            counter = {"A": a, "B": b, "margin": float(lam)}
-            return _report("monotone", "counterexample", idx + 1, worst, seed, counter)
-    return _report("monotone", "pass", trials, worst, seed)
+        return _inconclusive("monotone", seed, str(exc))
+    return _scan(
+        "monotone", seed, tol.psd, [diff[:, None]],
+        lambda t, c, m: {"A": pairs[t][0], "B": pairs[t][1], "margin": m},
+    )
 
 
 def concave_test(
@@ -174,37 +187,28 @@ def concave_test(
     """Check the matrix Jensen inequality on random pairs and mixing weights."""
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    grid = (0.25, 0.5, 0.75)
     cases = []
     for _ in range(trials):
         a = rand_tuple_interval(rng, fn.arity, n, c1, c2)
         b = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        lam = float(rng.uniform(0.05, 0.95))
-        cases.append((a, b, grid + (lam,)))
-    evals: list[tuple[np.ndarray, ...]] = []
-    for a, b, lams in cases:
-        evals.append(a)
-        evals.append(b)
-        for lam in lams:
-            evals.append(tuple((1 - lam) * ai + lam * bi for ai, bi in zip(a, b)))
+        cases.append((a, b, float(rng.uniform(0.05, 0.95))))
+    a, b = (_stack([c[s] for c in cases], fn.arity, n) for s in (0, 1))
+    lams = np.reshape([(0.25, 0.5, 0.75, c[2]) for c in cases], (-1, 4))
+    w = lams[..., None, None]
+    # per trial, in this order: A, B and the four mixtures, 6 rows
+    rows = tuple(
+        np.concatenate([ai[:, None], bi[:, None], (1 - w) * ai[:, None] + w * bi[:, None]], axis=1)
+        for ai, bi in zip(a, b)
+    )
     try:
-        values = _chunked_eval(fn, evals)
+        vals = _chunked_eval(fn, tuple(r.reshape(-1, n, n) for r in rows)).reshape(-1, 6, n, n)
     except OpmonoError as exc:
-        return _report("concave", "inconclusive", 0, np.nan, seed, details={"error": str(exc)})
-    worst = np.inf
-    per_case = 2 + len(grid) + 1
-    for idx, (a, b, lams) in enumerate(cases):
-        base = idx * per_case
-        fa, fb = values[base], values[base + 1]
-        for j, lam in enumerate(lams):
-            fmix = values[base + 2 + j]
-            diff = fmix - ((1 - lam) * fa + lam * fb)
-            m = min_eig(diff)
-            worst = min(worst, m)
-            if m < -tol.psd * _margin_scale(diff):
-                counter = {"A": a, "B": b, "lambda": lam, "margin": float(m)}
-                return _report("concave", "counterexample", idx + 1, worst, seed, counter)
-    return _report("concave", "pass", trials, worst, seed)
+        return _inconclusive("concave", seed, str(exc))
+    diff = vals[:, 2:] - ((1 - w) * vals[:, :1] + w * vals[:, 1:2])
+    return _scan(
+        "concave", seed, tol.psd, [diff],
+        lambda t, c, m: {"A": cases[t][0], "B": cases[t][1], "lambda": float(lams[t, c]), "margin": m},
+    )
 
 
 def derivative_monotone_test(
@@ -224,39 +228,20 @@ def derivative_monotone_test(
         x = rand_tuple_interval(rng, fn.arity, n, c1 + pad, c2 - pad)
         h = tuple(rand_psd(rng, n) for _ in range(fn.arity))
         nh = max(float(fro_norm(hi)) for hi in h)
-        h = tuple(hi / nh for hi in h)
-        cases.append((x, h))
+        cases.append((x, tuple(hi / nh for hi in h)))
+    x = _stack([c[0] for c in cases], fn.arity, n)
     step = 1e-3 * (1.0 + c2)
-    worst = np.inf
+    deriv = np.empty((trials, 1, n, n), dtype=complex)
     try:
-        for lo in range(0, trials, 256):
-            block = cases[lo : lo + 256]
-            # one batched Richardson stencil per block of trials
-            n_dim = n
-            stacks = []
-            for i in range(fn.arity):
-                rows = np.empty((4 * len(block), n_dim, n_dim), dtype=complex)
-                for j, (x, h) in enumerate(block):
-                    rows[4 * j + 0] = x[i] + step * h[i]
-                    rows[4 * j + 1] = x[i] - step * h[i]
-                    rows[4 * j + 2] = x[i] + (step / 2) * h[i]
-                    rows[4 * j + 3] = x[i] - (step / 2) * h[i]
-                stacks.append(rows)
-            vals = fn(tuple(stacks))
-            for j, (x, h) in enumerate(block):
-                d_h = (vals[4 * j] - vals[4 * j + 1]) / (2 * step)
-                d_h2 = (vals[4 * j + 2] - vals[4 * j + 3]) / step
-                deriv = herm_part((4.0 * d_h2 - d_h) / 3.0)
-                lam = min_eig(deriv)
-                worst = min(worst, lam)
-                if lam < -10 * tol.psd * _margin_scale(deriv):
-                    counter = {"X": x, "H": h, "margin": float(lam)}
-                    return _report(
-                        "derivative", "counterexample", lo + j + 1, worst, seed, counter
-                    )
+        for lo in range(0, trials, 256):  # one batched stencil, 1024 rows, per 256 trials
+            block = tuple(xi[lo : lo + 256] for xi in x)
+            deriv[lo : lo + 256, 0] = frechet_many(fn, block, [c[1] for c in cases[lo : lo + 256]], step)
     except OpmonoError as exc:
-        return _report("derivative", "inconclusive", 0, np.nan, seed, details={"error": str(exc)})
-    return _report("derivative", "pass", trials, worst, seed)
+        return _inconclusive("derivative", seed, str(exc))
+    return _scan(
+        "derivative", seed, 10 * tol.psd, [deriv],
+        lambda t, c, m: {"X": cases[t][0], "H": cases[t][1], "margin": m},
+    )
 
 
 def doubling_concavity_check(
@@ -278,64 +263,38 @@ def doubling_concavity_check(
     and verifies (i) V is unitary, (ii) the conjugation V* diag(A, B) V has
     the mixed block form, (iii) the dominance by diag(mix + eps I, 2Z) for
     Z = (1-lam) A + lam B + D^2 / eps, and (iv) the shifted Jensen
-    inequality that follows by monotonicity at doubled size.
+    inequality that follows by monotonicity at doubled size.  A trial is
+    one pair at one weight, ``trials`` per weight, weights in grid order.
     """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    eye = np.eye(n)
-    worst = np.inf
-    unit_defect = 0.0
-    block_defect = 0.0
-    trials_run = 0
-    for lam in lambda_grid:
-        s_mix = np.sqrt(lam * (1 - lam))
-        v = np.block(
-            [
-                [np.sqrt(lam) * eye, -np.sqrt(1 - lam) * eye],
-                [np.sqrt(1 - lam) * eye, np.sqrt(lam) * eye],
-            ]
-        )
-        unit_defect = max(unit_defect, float(np.linalg.norm(v.conj().T @ v - np.eye(2 * n))))
-        for _ in range(trials):
-            a = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-            b = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-            trials_run += 1
-            for ai, bi in zip(a, b):
-                big = np.block([[ai, np.zeros((n, n))], [np.zeros((n, n)), bi]])
-                conj = v.conj().T @ big @ v
-                mix = lam * ai + (1 - lam) * bi
-                anti = (1 - lam) * ai + lam * bi
-                d = -s_mix * (bi - ai)
-                expected = np.block([[mix, -d], [-d, anti]])
-                block_defect = max(block_defect, float(np.linalg.norm(conj - expected)))
-                for eps in eps_ladder:
-                    z = anti + (d @ d) / eps
-                    dom = np.block(
-                        [[mix + eps * eye, np.zeros((n, n))], [np.zeros((n, n)), 2 * z]]
-                    ) - conj
-                    m = min_eig(dom)
-                    worst = min(worst, m)
-                    if m < -tol.psd * _margin_scale(dom):
-                        counter = {"A": a, "B": b, "lambda": lam, "eps": eps, "margin": float(m)}
-                        return _report(
-                            "doubling", "counterexample", trials_run, worst, seed, counter,
-                            {"unitarity_defect": unit_defect, "block_defect": block_defect},
-                        )
-            fa, fb = fn(a), fn(b)
-            for eps in eps_ladder:
-                shifted = fn(tuple(lam * ai + (1 - lam) * bi + eps * eye for ai, bi in zip(a, b)))
-                diff = shifted - (lam * fa + (1 - lam) * fb)
-                m = min_eig(diff)
-                worst = min(worst, m)
-                if m < -tol.psd * _margin_scale(diff):
-                    counter = {"A": a, "B": b, "lambda": lam, "eps": eps, "margin": float(m)}
-                    return _report(
-                        "doubling", "counterexample", trials_run, worst, seed, counter,
-                        {"unitarity_defect": unit_defect, "block_defect": block_defect},
-                    )
-    return _report(
-        "doubling", "pass", trials_run, worst, seed,
-        details={"unitarity_defect": unit_defect, "block_defect": block_defect},
+    k, eye = fn.arity, np.eye(n)
+    draws = [rand_tuple_interval(rng, k, n, c1, c2) for _ in range(2 * len(lambda_grid) * trials)]
+    a, b = _stack(draws[0::2], k, n), _stack(draws[1::2], k, n)
+    g = np.asarray(lambda_grid, dtype=float)[:, None, None]
+    rot = np.block([[np.sqrt(g) * eye, -np.sqrt(1 - g) * eye], [np.sqrt(1 - g) * eye, np.sqrt(g) * eye]])
+    unit_defect = fro_norm(dagger(rot) @ rot - np.eye(2 * n))
+    v, lam = np.repeat(rot, trials, axis=0), np.repeat(g, trials, axis=0)
+    block_defect, dom = np.zeros(len(lam)), []
+    for ai, bi in zip(a, b):
+        conj = dagger(v) @ block_diag(ai, bi) @ v
+        mix = lam * ai + (1 - lam) * bi
+        anti = (1 - lam) * ai + lam * bi
+        d = -np.sqrt(lam * (1 - lam)) * (bi - ai)
+        block_defect = np.maximum(block_defect, fro_norm(conj - np.block([[mix, -d], [-d, anti]])))
+        dom += [block_diag(mix + eps * eye, 2 * (anti + (d @ d) / eps)) - conj for eps in eps_ladder]
+    eps = np.asarray(eps_ladder, dtype=float)[:, None, None]
+    shifted = tuple((lam * ai + (1 - lam) * bi)[:, None] + eps * eye for ai, bi in zip(a, b))
+    fa, fb = _chunked_eval(fn, a), _chunked_eval(fn, b)
+    fs = _chunked_eval(fn, tuple(s.reshape(-1, n, n) for s in shifted))
+    jensen = fs.reshape(len(lam), -1, n, n) - (lam * fa + (1 - lam) * fb)[:, None]
+    return _scan(
+        "doubling", seed, tol.psd, [np.stack(dom, axis=1), jensen],
+        lambda t, c, m: {
+            "A": draws[2 * t], "B": draws[2 * t + 1], "lambda": lambda_grid[t // trials],
+            "eps": eps_ladder[c % len(eps_ladder)], "margin": m,
+        },
+        {"unitarity_defect": np.repeat(unit_defect, trials), "block_defect": block_defect},
     )
 
 
@@ -367,41 +326,27 @@ def hypograph_convexity_test(
         v = rand_isometry(rng, n, m)
         lam = float(rng.uniform(0.0, 1.0))
         cases.append((x, x2, slack_scale, slack2, rand_psd(rng, n), rand_psd(rng, n), v, lam))
+    x, x2 = (_stack([c[s] for c in cases], fn.arity, n) for s in (0, 1))
+    s1, s2, lam = (np.reshape([c[s] for c in cases], (-1, 1, 1)) for s in (2, 3, 7))
+    r1, r2 = (np.reshape([c[s] for c in cases], (-1, n, n)) for s in (4, 5))
+    v = np.reshape([c[6] for c in cases], (-1, n, m))
     try:
-        fx = _chunked_eval(fn, [c[0] for c in cases])
-        fx2 = _chunked_eval(fn, [c[1] for c in cases])
-        fcomp = _chunked_eval(
-            fn,
-            [tuple(c[6].conj().T @ xi @ c[6] for xi in c[0]) for c in cases],
-        )
-        fmix = _chunked_eval(
-            fn,
-            [
-                tuple((1 - c[7]) * ai + c[7] * bi for ai, bi in zip(c[0], c[1]))
-                for c in cases
-            ],
-        )
+        fx, fx2 = _chunked_eval(fn, x), _chunked_eval(fn, x2)
+        fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
+        fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
     except OpmonoError as exc:
-        return _report("hypograph", "inconclusive", 0, np.nan, seed, details={"error": str(exc)})
-    worst = np.inf
-    for idx, (x, x2, s1, s2, r1, r2, v, lam) in enumerate(cases):
-        y = fx[idx] - s1 * r1
-        y2 = fx2[idx] - s2 * r2
-        comp_diff = fcomp[idx] - v.conj().T @ y @ v
-        m1 = min_eig(comp_diff)
-        mix_diff = fmix[idx] - ((1 - lam) * y + lam * y2)
-        m2 = min_eig(mix_diff)
-        worst = min(worst, m1, m2)
-        if m1 < -tol.psd * _margin_scale(comp_diff):
-            counter = {"X": x, "Y": y, "V": v, "margin": float(m1), "kind": "isometry"}
-            return _report("hypograph", "counterexample", idx + 1, worst, seed, counter)
-        if m2 < -tol.psd * _margin_scale(mix_diff):
-            counter = {
-                "X": x, "Y": y, "X2": x2, "Y2": y2, "lambda": lam,
-                "margin": float(m2), "kind": "combination",
-            }
-            return _report("hypograph", "counterexample", idx + 1, worst, seed, counter)
-    return _report("hypograph", "pass", trials, worst, seed)
+        return _inconclusive("hypograph", seed, str(exc))
+    y, y2 = fx - s1 * r1, fx2 - s2 * r2
+    comp_diff = fcomp - dagger(v) @ y @ v
+    mix_diff = fmix - ((1 - lam) * y + lam * y2)
+    return _scan(
+        "hypograph", seed, tol.psd, [comp_diff[:, None], mix_diff[:, None]],
+        lambda t, c, m: [
+            {"X": cases[t][0], "Y": y[t], "V": cases[t][6], "margin": m, "kind": "isometry"},
+            {"X": cases[t][0], "Y": y[t], "X2": cases[t][1], "Y2": y2[t], "lambda": cases[t][7],
+             "margin": m, "kind": "combination"},
+        ][c],
+    )
 
 
 @dataclass(frozen=True)
@@ -469,18 +414,13 @@ def chain_semicontinuity_test(
     """F(A_j) <= F(A_last) along a finite increasing chain of tuples."""
     if len(chain) < 2:
         raise ValueError("chain needs at least two tuples")
-    for j in range(len(chain) - 1):
-        for ai, bi in zip(chain[j], chain[j + 1]):
-            gap = bi - ai
-            if min_eig(gap) < -tol.psd * _margin_scale(gap):
-                raise ChainNotIncreasing(f"chain decreases between steps {j} and {j + 1}")
-    top = fn(chain[-1])
-    worst = np.inf
-    for j, a in enumerate(chain[:-1]):
-        diff = top - fn(a)
-        m = min_eig(diff)
-        worst = min(worst, m)
-        if m < -tol.psd * _margin_scale(diff):
-            counter = {"index": j, "margin": float(m)}
-            return _report("chain", "counterexample", j + 1, worst, 0, counter)
-    return _report("chain", "pass", len(chain) - 1, worst, 0)
+    xs = _stack(chain, len(chain[0]), np.shape(chain[0][0])[-1])
+    gaps = np.stack([xi[1:] - xi[:-1] for xi in xs], axis=1)
+    down = np.flatnonzero(np.any(min_eig(gaps) < -tol.psd * (1.0 + fro_norm(gaps)), axis=1))
+    if down.size:
+        raise ChainNotIncreasing(f"chain decreases between steps {down[0]} and {down[0] + 1}")
+    vals = _chunked_eval(fn, xs)
+    return _scan(
+        "chain", 0, tol.psd, [(vals[-1] - vals[:-1])[:, None]],
+        lambda t, c, m: {"index": t, "margin": m},
+    )

@@ -33,6 +33,7 @@ from .gradients import dk_map, solve_linear_map
 from .matcore import (
     DEFAULT_TOL,
     Tolerances,
+    block_diag,
     dagger,
     fro_norm,
     herm_part,
@@ -604,29 +605,21 @@ def frechet_many(
 
     Stacks X +- h H and X +- (h/2) H for every direction into one batched
     evaluation, so the means run a single batched solve for the whole
-    family.
+    family.  Each slot of ``x`` is one base point ``(n, n)`` shared by all
+    directions or a stack ``(m, n, n)`` with one base point per direction.
     """
     n = x[0].shape[-1]
-    k = len(x)
     m = len(directions)
     stacked = []
-    for i in range(k):
-        rows = np.empty((4 * m, n, n), dtype=complex)
-        for j, hh in enumerate(directions):
-            base = np.asarray(x[i], dtype=complex)
-            d = np.asarray(hh[i], dtype=complex)
-            rows[4 * j + 0] = base + h * d
-            rows[4 * j + 1] = base - h * d
-            rows[4 * j + 2] = base + (h / 2) * d
-            rows[4 * j + 3] = base - (h / 2) * d
-        stacked.append(rows)
-    out = fn(tuple(stacked))
-    results = []
-    for j in range(m):
-        d_h = (out[4 * j] - out[4 * j + 1]) / (2 * h)
-        d_h2 = (out[4 * j + 2] - out[4 * j + 3]) / h
-        results.append(herm_part((4.0 * d_h2 - d_h) / 3.0))
-    return results
+    for i, base in enumerate(x):
+        base = np.asarray(base, dtype=complex)
+        d = np.stack([np.asarray(hh[i], dtype=complex) for hh in directions])
+        rows = np.stack([base + h * d, base - h * d, base + (h / 2) * d, base - (h / 2) * d], axis=1)
+        stacked.append(rows.reshape(4 * m, n, n))
+    out = fn(tuple(stacked)).reshape(m, 4, n, n)
+    d_h = (out[:, 0] - out[:, 1]) / (2 * h)
+    d_h2 = (out[:, 2] - out[:, 3]) / h
+    return list(herm_part((4.0 * d_h2 - d_h) / 3.0))
 
 
 def frechet_derivative(
@@ -698,15 +691,8 @@ def nc_axiom_check(
         scale = 1.0 + float(fro_norm(fx))
         conj = fn(tuple(dagger(u) @ xi @ u for xi in x))
         worst_u = max(worst_u, float(fro_norm(conj - dagger(u) @ fx @ u)) / scale)
-        z = tuple(
-            np.block(
-                [[xi, np.zeros((n, n))], [np.zeros((n, n)), yi]]
-            )
-            for xi, yi in zip(x, y)
-        )
-        fz = fn(z)
-        fy = fn(y)
-        direct = np.block([[fx, np.zeros((n, n))], [np.zeros((n, n)), fy]])
+        fz = fn(tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
+        direct = block_diag(fx, fn(y))
         worst_ds = max(worst_ds, float(fro_norm(fz - direct)) / scale)
     passed = worst_u <= tol.eq and worst_ds <= tol.eq
     return NCAxiomReport(

@@ -40,6 +40,7 @@ __all__ = [
     "min_eig",
     "funcalc",
     "tensor",
+    "block_diag",
     "re_part",
     "im_part",
     "sector_estimate",
@@ -198,6 +199,22 @@ def funcalc(
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i, j) equals A[i, j] * B."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of square blocks, broadcast over leading axes."""
+    blocks = [np.asarray(b) for b in blocks]
+    for b in blocks:
+        _require_square(b)
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    total = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(lead + (total, total), dtype=complex)
+    off = 0
+    for b in blocks:
+        d = b.shape[-1]
+        out[..., off : off + d, off : off + d] = b
+        off += d
+    return out
 
 
 def re_part(a: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .matcore import (
     DEFAULT_TOL,
     SectorEstimate,
     Tolerances,
+    block_diag,
     dagger,
     fro_norm,
     herm_part,
@@ -172,18 +173,7 @@ def pencil_direct_sum(pencils: list[LinearPencil] | list[RawPencil]) -> LinearPe
     for p in pencils:
         if p.arity != k:
             raise ArityMismatch("direct sum requires a common arity")
-    coeffs = []
-    for i in range(k + 1):
-        blocks = [p.coeffs[i] for p in pencils]
-        total = sum(b.shape[0] for b in blocks)
-        big = np.zeros((total, total), dtype=complex)
-        off = 0
-        for b in blocks:
-            d = b.shape[0]
-            big[off : off + d, off : off + d] = b
-            off += d
-        coeffs.append(big)
-    return pencil_new(coeffs)
+    return pencil_new([block_diag(*(p.coeffs[i] for p in pencils)) for i in range(k + 1)])
 
 
 def range_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

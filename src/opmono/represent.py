@@ -33,7 +33,7 @@ from .errors import (
 )
 from .freefun import FreeFn, frechet_many, lift_scalar
 from .gradients import hermitian_basis
-from .matcore import DEFAULT_TOL, Tolerances, fro_norm, herm_part, im_part, min_eig
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, im_part, min_eig
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import rand_psd, rand_tuple_interval
 from .schur import PivotSubspace, SchurCore, in_right_halfspace
@@ -409,15 +409,7 @@ def direct_sum_rep(
     n = sizes[0]
     if any(s != n for s in sizes):
         raise DimensionMismatch("all base points must share one dimension")
-    j_count = len(points)
-    big_n = n * j_count
-
-    big_a = []
-    for i in range(k):
-        blk = np.zeros((big_n, big_n), dtype=complex)
-        for j, (a_j, _) in enumerate(points):
-            blk[j * n : (j + 1) * n, j * n : (j + 1) * n] = a_j[i]
-        big_a.append(blk)
+    big_a = [block_diag(*(a_j[i] for a_j, _ in points)) for i in range(k)]
     w = np.concatenate([np.asarray(vj, dtype=complex).reshape(-1) for _, vj in points])
     w = w / np.linalg.norm(w)
 
@@ -428,7 +420,7 @@ def direct_sum_rep(
         pencil=cert.pencil,
         pivot=PivotSubspace.from_vector(w),
         state=np.outer(w, np.conj(w)),
-        meta={"kind": "direct_sum", "function": fn.name, "points": j_count},
+        meta={"kind": "direct_sum", "function": fn.name, "points": len(points)},
     )
     residuals = []
     for a_j, v_j in points:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opmono import errors
+from opmono import serialize as io
 from opmono.cert import (
     chain_semicontinuity_test,
     concave_test,
@@ -18,6 +19,7 @@ from opmono.freefun import (
     lift_scalar,
 )
 from opmono.matcore import herm_part
+from opmono.sampling import ordered_pair_interval, rand_spd_interval
 
 
 def affine_plus_one():
@@ -30,6 +32,32 @@ def affine_plus_one():
 
 def double_fn():
     return FreeFn(name="2x", arity=1, evaluator=lambda xs: 2 * xs[0])
+
+
+def nan_above_trace(limit):
+    """The identity, except NaN wherever tr X > limit."""
+
+    def ev(xs):
+        tr = np.trace(xs[0], axis1=-2, axis2=-1).real
+        return np.where((tr > limit)[..., None, None], np.nan, xs[0])
+
+    return FreeFn(name="nan-above-trace", arity=1, evaluator=ev)
+
+
+TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph", "chain")
+
+
+def run_tester(name, fn, n, trials, seed):
+    """One call of the named tester; the chain is three seeded steps of 0.5 I."""
+    if name == "chain":
+        a = rand_spd_interval(np.random.default_rng(seed), n, 0.5, 1.5)
+        return chain_semicontinuity_test(fn, [(a + s * np.eye(n),) for s in (0.0, 0.5, 1.0)])
+    if name == "doubling":
+        return doubling_concavity_check(fn, n=n, trials=trials, seed=seed)
+    if name == "hypograph":
+        return hypograph_convexity_test(fn, n=n, m=n - 1, trials=trials, seed=seed)
+    tester = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test}
+    return tester[name](fn, n=n, trials=trials, seed=seed)
 
 
 class TestMonotone:
@@ -56,11 +84,12 @@ class TestMonotone:
         diff = b @ b - a @ a
         assert np.linalg.det(diff) < 0  # eigenvalue of each sign
 
-    def test_deterministic(self):
-        r1 = monotone_test(lift_scalar("sqrt"), n=3, trials=50, seed=11)
-        r2 = monotone_test(lift_scalar("sqrt"), n=3, trials=50, seed=11)
-        assert r1.worst_margin == r2.worst_margin
-        assert r1.verdict == r2.verdict
+    @pytest.mark.parametrize("tester", TESTERS)
+    def test_deterministic(self, tester):
+        r1 = run_tester(tester, lift_scalar("sqrt"), n=3, trials=50, seed=11)
+        r2 = run_tester(tester, lift_scalar("sqrt"), n=3, trials=50, seed=11)
+        assert r1.verdict == "pass"
+        assert io.dumps(io.report_payload(r1)) == io.dumps(io.report_payload(r2))
 
 
 class TestConcave:
@@ -218,3 +247,58 @@ class TestHypographMember:
             gap = fn(sample.x) - sample.y
             assert np.linalg.eigvalsh(herm_part(gap))[0] >= -1e-12
             assert sample.slack_margin >= -1e-12
+
+
+class TestScan:
+    @pytest.mark.parametrize("bad", [(), (37, 120, 300)])
+    def test_reference_first_violation_and_worst_margin(self, bad):
+        # the same seeded pairs the tester draws; F lowers B by (1 + t/100) I
+        # on the listed pairs only, so monotonicity fails there and nowhere else
+        n, trials, seed = 3, 400, 23
+        rng = np.random.default_rng(seed)
+        pairs = [ordered_pair_interval(rng, 1, n, 0.5, 2.0) for _ in range(trials)]
+        dip = {pairs[t][1][0].tobytes(): 1.0 + t / 100 for t in bad}
+
+        def ev(xs):
+            x = xs[0].reshape(-1, n, n)
+            shift = np.array([dip.get(m.tobytes(), 0.0) for m in x])
+            return (x - shift[:, None, None] * np.eye(n)).reshape(xs[0].shape)
+
+        rep = monotone_test(FreeFn(name="dips", arity=1, evaluator=ev), n=n, trials=trials, seed=seed)
+        margins = [
+            np.linalg.eigvalsh(herm_part(b[0] - dip.get(b[0].tobytes(), 0.0) * np.eye(n) - a[0]))[0]
+            for a, b in pairs
+        ]
+        stop = bad[0] if bad else trials - 1
+        assert rep.verdict == ("counterexample" if bad else "pass")
+        assert rep.trials_run == stop + 1
+        # worst_margin: the minimum over every check up to and including the stop
+        assert abs(rep.worst_margin - min(margins[: stop + 1])) <= 1e-12
+        if bad:
+            assert np.array_equal(rep.counterexample["B"][0], pairs[stop][1][0])
+            assert rep.worst_margin > min(margins) + 1.0  # the deeper later dips are not scanned
+
+    def test_one_eigvalsh_call_per_chunk(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        fn = lift_scalar("sqrt")
+        assert concave_test(fn, n=3, trials=512, seed=0).passed
+        # six 512-row chunks (A, B and four mixtures per trial), one positivity
+        # check each inside sqrt, and one scan of the (512, 4, 3, 3) stack
+        assert len(shapes) == 6 + 1 and shapes[-1] == (512, 4, 3, 3)
+        shapes.clear()
+        assert hypograph_convexity_test(fn, n=3, m=2, trials=512, seed=0).passed
+        # four 512-row evaluations, then one scan call per matrix size
+        assert len(shapes) == 4 + 2 and shapes[-2:] == [(512, 1, 2, 2), (512, 1, 3, 3)]
+
+    @pytest.mark.parametrize("tester", TESTERS)
+    def test_non_finite_values_are_inconclusive(self, tester):
+        rep = run_tester(tester, nan_above_trace(4.0), n=3, trials=200, seed=0)
+        assert rep.verdict == "inconclusive" and rep.trials_run == 0
+        assert "non-finite" in rep.details["error"]

@@ -46,6 +46,25 @@ class TestCheck:
         code, out = run_cli("check", "harmonic", "nc-axioms", "--n", "3", "--trials", "30")
         assert code == 0
 
+    def test_non_finite_values_exit_inconclusive(self, monkeypatch, tmp_path):
+        from opmono import cli
+        from opmono.freefun import FreeFn
+
+        def ev(xs):  # the identity, NaN wherever tr X > 4
+            tr = np.trace(xs[0], axis1=-2, axis2=-1).real
+            return np.where((tr > 4.0)[..., None, None], np.nan, xs[0])
+
+        monkeypatch.setattr(cli, "resolve_function", lambda ident: FreeFn("nan", 1, ev))
+        out_file = tmp_path / "report.json"
+        code, _ = run_cli(
+            "check", "sqrt", "concave", "--n", "3", "--trials", "200", "--seed", "0",
+            "--out", str(out_file),
+        )
+        assert code == 3
+        _, payload = io.load(str(out_file))
+        assert payload["verdict"] == "inconclusive"
+        assert "non-finite" in payload["details"]["error"]
+
     def test_json_determinism(self):
         args = ("check", "sqrt", "monotone", "--n", "3", "--trials", "50",
                 "--seed", "11", "--format", "json")

@@ -376,6 +376,17 @@ class TestFrechetDerivative:
                     phi[i, j] = (np.sqrt(lam[i]) - np.sqrt(lam[j])) / (lam[i] - lam[j])
         assert np.allclose(out, phi * h[0], atol=1e-8)
 
+    def test_stacked_base_points_match_single_points(self):
+        fn = power_mean_fn(0.5, (0.5, 0.5))
+        rng = np.random.default_rng(15)
+        points = [rand_tuple_interval(rng, 2, 3, 0.5, 2.0) for _ in range(4)]
+        directions = [(rand_psd(rng, 3), rand_psd(rng, 3)) for _ in range(4)]
+        x = tuple(np.stack([p[i] for p in points]) for i in range(2))
+        stacked = frechet_many(fn, x, directions, 1e-3)
+        for p, d, out in zip(points, directions, stacked):
+            single = frechet_many(fn, p, [d], 1e-3)[0]
+            assert np.linalg.norm(out - single) <= 1e-12 * (1 + np.linalg.norm(single))
+
 
 class TestNCAxioms:
     def test_identity_passes(self):

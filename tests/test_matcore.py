@@ -4,6 +4,7 @@ import pytest
 from opmono import errors
 from opmono.matcore import (
     DEFAULT_TOL,
+    block_diag,
     douglas_factor,
     fro_norm,
     funcalc,
@@ -148,6 +149,22 @@ class TestTensor:
         assert np.allclose(tensor(a + c, b), tensor(a, b) + tensor(c, b))
         assert np.allclose(tensor(a, b + d), tensor(a, b) + tensor(a, d))
         assert np.allclose(tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d))
+
+
+class TestBlockDiag:
+    def test_stacked_blocks_broadcast(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        b = rand_herm(rng, 3)  # one block shared by the whole stack
+        out = block_diag(a, b)
+        assert out.shape == (5, 5, 5)
+        for j in range(5):
+            expected = np.block([[a[j], np.zeros((2, 3))], [np.zeros((3, 2)), b]])
+            assert np.array_equal(out[j], expected)
+
+    def test_rejects_non_square_block(self):
+        with pytest.raises(errors.DimensionMismatch):
+            block_diag(np.eye(2), np.ones((2, 3)))
 
 
 class TestReImParts:
