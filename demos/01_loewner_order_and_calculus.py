@@ -37,7 +37,7 @@ print("|| sqrt(A)^2 - A || =", f"{np.linalg.norm(root @ root - spd):.2e}")
 
 # Sector estimate: a normal matrix with eigenvalues 1 and 1+i sits in the
 # quarter-plane sector.
-est = sector_estimate(np.diag([1.0, 1.0 + 1.0j]), theta_grid_size=720)
+est = sector_estimate(np.diag([1.0, 1.0 + 1.0j]))
 print(f"sector half-angle: {np.degrees(est.alpha):.2f} deg (expected 45)")
 print(f"real-part margin:  {est.margin:.3f}")
 

@@ -51,5 +51,5 @@ print("direct sum size:", double.size, "(arity", double.arity, ")")
 # with an angle no larger than the worst argument angle.
 raw = RawPencil((np.zeros((3, 3)), b1, b2))
 args = (np.diag([1.0, 1.0 + 1.0j]), np.eye(2) + 0.2j * np.eye(2))
-est = pencil_sectorial_check(raw, args, theta_grid_size=720)
+est = pencil_sectorial_check(raw, args)
 print(f"pencil evaluation sector: {np.degrees(est.alpha):.2f} deg (inputs at 45)")

@@ -43,6 +43,6 @@ print("Im(Schur complement) min eigenvalue:", f"{min_eig(im_part(comp)):.2e}")
 
 # The sec^2(alpha) bound for a sectorial matrix.
 sector_mat = np.diag([1.0, 1.0 + 1.0j])
-report = sector_bound_check(sector_mat, PivotSubspace.from_indices(2, [0]), 720)
+report = sector_bound_check(sector_mat, PivotSubspace.from_indices(2, [0]))
 sv, bound = report.singular_value_pairs[0]
 print(f"sigma(S(A)) = {sv:.4f} <= sec^2(alpha) sigma(A22) = {bound:.4f}: {report.passed}")

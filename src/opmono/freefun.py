@@ -37,6 +37,7 @@ from .matcore import (
     dagger,
     fro_norm,
     herm_part,
+    min_eig,
 )
 from .sampling import rand_tuple_interval, rand_unitary
 
@@ -75,8 +76,7 @@ def _eigh_fun(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarra
 
 
 def _spd_check(a: np.ndarray, what: str, exc=NotPositiveDefinite) -> None:
-    w = np.linalg.eigvalsh(herm_part(a))
-    lam = float(w[..., 0].min())
+    lam = float(np.min(min_eig(a)))
     if lam <= 0.0:
         raise exc(f"{what} has minimum eigenvalue {lam:.3e}")
 

@@ -92,9 +92,9 @@ DEFAULT_TOL = Tolerances()
 class SectorEstimate:
     """Certified sector of the numerical range.
 
-    alpha: half-angle in [0, pi/2) such that the numerical range lies in
-    {Re z > 0, |Im z| <= Re z * tan(alpha)}: an upper bound on the
-    smallest such angle, the safe side for sec^2(alpha) bounds;
+    alpha: the smallest half-angle with W(A) in {Re z > 0, |Im z| <= Re z
+    tan(alpha)}, exact up to rounding and certified by the rotated real
+    parts it implies, else pi/2 (a vacuous sec^2(alpha) bound);
     margin: lambda_min(Re A), the smallest real part in the numerical range.
     """
 
@@ -144,9 +144,11 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def min_eig(a: np.ndarray) -> np.ndarray | float:
-    """Smallest eigenvalue of the Hermitian part, batched."""
-    w = np.linalg.eigvalsh(herm_part(np.asarray(a, dtype=complex)))
-    out = w[..., 0]
+    """Smallest eigenvalue of the Hermitian part, batched; -inf where an entry is not finite."""
+    a = np.asarray(a, dtype=complex)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    a = np.where(finite[..., None, None], a, np.eye(a.shape[-1]))
+    out = np.where(finite, np.linalg.eigvalsh(herm_part(a))[..., 0], -np.inf)
     return float(out) if out.ndim == 0 else out
 
 
@@ -231,59 +233,48 @@ def im_part(a: np.ndarray) -> np.ndarray:
     return (a - dagger(a)) / 2j
 
 
-def sector_certified_alpha(
-    mats: np.ndarray, theta_grid_size: int = 256
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified sector angles and real-part margins of a matrix stack.
+def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified sector angles and real-part margins of a stack (..., n, n).
 
-    The sector of half-angle alpha is exactly the intersection of the two
-    rotated half-planes {Re(e^{+-i(pi/2 - alpha)} z) >= 0}, so containment
-    of the numerical range is certified by lambda_min of the two rotated
-    real parts.  Scanning a grid of rotations gives the smallest angle
-    certified at a grid node: an upper bound on the true sector angle, the
-    safe direction for sec^2(alpha) norm estimates.  Returns (alphas,
-    margins) with margin = lambda_min(Re A); margin <= 0 flags a
-    non-sectorial matrix (alpha is then pi/2).
+    For A = H + iK with H = Re A > 0 the numerical range lies in the sector
+    of half-angle alpha exactly when |<Kx, x>| <= tan(alpha) <Hx, x>, so the
+    smallest such angle is arctan rho(H^{-1/2} K H^{-1/2}): one ``eigh`` of
+    H and one ``eigvalsh`` of the congruence.  The sector is the
+    intersection of the rotated half-planes {Re(e^{+-i(pi/2 - alpha)} z)
+    >= 0}, so alpha is certified when lambda_min of both rotated real parts
+    is at least -1e-12 (1 + ||A||_F).  Returns (alphas, margins) with
+    margin = lambda_min(H); a member with margin <= 0 or an uncertified
+    angle gets alpha = pi/2, and one with a non-finite entry margin -inf
+    (the identity is factored in its place).
     """
-    mats = np.atleast_3d(np.asarray(mats, dtype=complex))
-    half = max(theta_grid_size // 2, 4)
-    phis = np.linspace(0.0, np.pi / 2, half, endpoint=True)
-    angles = np.concatenate([phis, -phis[1:]])
-    phases = np.exp(1j * angles)
-    rotated = herm_part(phases[:, None, None, None] * mats[None, :, :, :])
-    g = np.linalg.eigvalsh(rotated)[..., 0]  # (n_angles, m)
-    g_pos = g[:half]
-    g_neg = np.vstack([g[:1], g[half:]])
-    margins = g[0]
-    floor = -1e-12 * (1.0 + np.atleast_1d(fro_norm(mats)))
-    feasible = (g_pos >= floor[None, :]) & (g_neg >= floor[None, :])
-    alphas = np.full(mats.shape[0], np.pi / 2)
-    for m in range(mats.shape[0]):
-        idx = np.nonzero(feasible[:, m])[0]
-        if idx.size:
-            alphas[m] = np.pi / 2 - phis[idx.max()]
-    return alphas, margins
+    mats = np.asarray(mats, dtype=complex)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    a = np.where(finite[..., None, None], mats, np.eye(mats.shape[-1]))
+    w, u = np.linalg.eigh(herm_part(a))
+    margins = np.where(finite, w[..., 0], -np.inf)
+    v = u / np.sqrt(np.where(w > 0, w, 1.0))[..., None, :]
+    congruence = dagger(v) @ im_part(a) @ v
+    congruence[~np.isfinite(congruence)] = 0.0  # overflow at a vanishing margin
+    alphas = np.arctan(np.abs(np.linalg.eigvalsh(congruence)).max(axis=-1))
+    phases = np.exp(1j * np.multiply.outer([1.0, -1.0], np.pi / 2 - alphas))
+    edges = np.linalg.eigvalsh(herm_part(phases[..., None, None] * a))[..., 0].min(axis=0)
+    certified = (margins > 0) & (edges >= -1e-12 * (1.0 + fro_norm(a)))
+    return np.where(certified, alphas, np.pi / 2), margins
 
 
-def sector_estimate(
-    a: np.ndarray,
-    theta_grid_size: int = 256,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SectorEstimate:
+def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstimate:
     """Certified sector of the numerical range of one matrix.
 
-    ``alpha`` is the upper bound of ``sector_certified_alpha`` on the given
-    grid and ``margin`` is lambda_min(Re A).  Raises NotSectorial when the
-    margin is not positive (within the relative PSD tolerance): W(A) then
-    meets the closed left half-plane.
+    ``alpha`` and ``margin`` = lambda_min(Re A) are those of
+    ``sector_certified_alpha``.  Raises NotSectorial when the margin is not
+    positive (within the relative PSD tolerance): W(A) then meets the
+    closed left half-plane.
     """
     a = np.asarray(a, dtype=complex)
     _require_square(a)
-    if theta_grid_size < 8:
-        raise ValueError("theta_grid_size must be at least 8")
-    alphas, margins = sector_certified_alpha(a[None], theta_grid_size)
+    alphas, margins = sector_certified_alpha(a[None])
     margin = float(margins[0])
-    if margin <= tol.psd * (1.0 + float(fro_norm(a))):
+    if not margin > tol.psd * (1.0 + float(fro_norm(a))):  # false for a non-finite A
         raise NotSectorial(
             f"numerical range has real part down to {margin:.3e}; "
             "it meets the closed left half-plane"

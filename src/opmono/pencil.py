@@ -189,22 +189,21 @@ def range_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def pencil_sectorial_check(
     pencil: RawPencil,
     x: tuple[np.ndarray, ...],
-    theta_grid_size: int = 256,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SectorEstimate:
     """Sector estimate of L(X) compressed to ran(sum B_i) (x) E.
 
     Every argument must itself be sectorial: raises InputNotSectorial when
     some X_i fails its own sector estimate.  The angle of the compressed
-    evaluation cannot exceed the largest argument angle by more than the
-    grid resolution.
+    evaluation cannot exceed the largest argument angle (up to rounding):
+    each B_i (x) X_i lies in the sector of X_i.
     """
     args = pencil_arguments(pencil, x, shifted=False)
     for idx, xi in enumerate(args[1:]):
         try:
-            sector_estimate(xi, theta_grid_size, tol)
+            sector_estimate(xi, tol)
         except Exception as exc:  # noqa: BLE001 - rewrap with the argument index
             raise InputNotSectorial(f"argument {idx + 1} is not sectorial: {exc}") from exc
     q = range_basis(pencil.coeff_sum(), tol)
     compressed = kron_sum(dagger(q) @ np.stack(pencil.coeffs) @ q, args)
-    return sector_estimate(compressed, theta_grid_size, tol)
+    return sector_estimate(compressed, tol)

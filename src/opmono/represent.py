@@ -338,10 +338,6 @@ class PencilRepresentation:
         return self._cores[tol]
 
 
-# Angle grid of sector_certified_alpha in rep_eval_complex's sec^2(alpha) check.
-REP_SECTOR_GRID = 96
-
-
 def rep_eval(
     rep: PencilRepresentation, x: MatTuple, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
@@ -363,7 +359,7 @@ def rep_eval_complex(
     output of upper half-space inputs must keep a PSD imaginary part.
     """
     xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    out = rep.core(tol).evaluate(xs, state=rep.state, sector_grid=REP_SECTOR_GRID)
+    out = rep.core(tol).evaluate(xs, state=rep.state, halfspace=True)
     if not in_right_halfspace(xs, tol):
         lam = min_eig(im_part(out))
         if lam < -tol.psd * (1.0 + fro_norm(out)):

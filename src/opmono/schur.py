@@ -39,6 +39,7 @@ from .matcore import (
     min_eig,
     re_part,
     sector_certified_alpha,
+    sector_estimate,
     truncated_pinv,
 )
 from .pencil import RawPencil, kron_sum, pencil_arguments, range_basis
@@ -199,31 +200,26 @@ class SectorBoundReport:
 def sector_bound_check(
     a: np.ndarray,
     s: PivotSubspace,
-    theta_grid_size: int = 256,
     tol: Tolerances = DEFAULT_TOL,
 ) -> SectorBoundReport:
     """Check the sec^2(alpha) singular-value bound for sectorial matrices.
 
-    Certifies W(A) within a sector of half-angle alpha, eliminates the S
-    block (keeping its complement, whose raw block is A_22), and compares
-    sigma_j of the complement against sec^2(alpha) * sigma_j(A_22), plus the
-    norm form ||S(A)|| <= sec^2(alpha) ||A||.
+    Certifies W(A) within a sector of half-angle alpha by ``sector_estimate``
+    (NotSectorial otherwise), eliminates the S block (keeping its
+    complement, whose raw block is A_22), and compares sigma_j of the
+    complement against sec^2(alpha) * sigma_j(A_22), plus the norm form
+    ||S(A)|| <= sec^2(alpha) ||A||.
     """
     a = np.asarray(a, dtype=complex)
-    alphas, margins = sector_certified_alpha(a[None, :, :], theta_grid_size)
-    if margins[0] <= tol.psd * (1.0 + fro_norm(a)):
-        raise NotSectorial(f"matrix real part has minimum eigenvalue {margins[0]:.3e}")
-    alpha = float(alphas[0])
+    alpha = sector_estimate(a, tol).alpha
     comp = schur_generic(a, s, keep="perp", tol=tol)
     _, _, _, a22 = _blocks(a, s)
     sec2 = 1.0 / np.cos(alpha) ** 2
     sv_s = np.linalg.svd(comp, compute_uv=False)
     sv_a22 = np.linalg.svd(a22, compute_uv=False)
     pairs = tuple((float(x), float(sec2 * y)) for x, y in zip(sv_s, sv_a22))
-    norm_pair = (
-        float(np.linalg.norm(comp, 2)),
-        float(sec2 * np.linalg.norm(np.asarray(a, dtype=complex), 2)),
-    )
+    norm_a = np.linalg.svd(a, compute_uv=False)[0]
+    norm_pair = (float(np.max(sv_s, initial=0.0)), float(sec2 * norm_a))
     ok = all(x <= y * (1.0 + tol.eq) for x, y in pairs)
     ok = ok and norm_pair[0] <= norm_pair[1] * (1.0 + tol.eq)
     return SectorBoundReport(
@@ -239,12 +235,6 @@ def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL)
 def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> bool:
     """All components have positive definite imaginary part."""
     return all(min_eig(im_part(xi)) > tol.psd * (1.0 + fro_norm(xi)) for xi in x)
-
-
-# Rotations tried for upper half-space arguments: a uniform grid on (-pi/2, 0].
-ROTATION_CANDIDATES = 180
-# Angle grid of sector_certified_alpha in schur_pencil's sec^2(alpha) check.
-SCHUR_SECTOR_GRID = 256
 
 
 def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -271,29 +261,49 @@ def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _find_rotation(blocks: list[np.ndarray], tol: Tolerances) -> float:
-    """First candidate angle at which every block has a positive definite rotated real part."""
-    candidates = np.linspace(0.0, -np.pi / 2, ROTATION_CANDIDATES, endpoint=False)
-    chunk = 24
-    for lo in range(0, candidates.size, chunk):
-        phases = np.exp(1j * candidates[lo : lo + chunk])[:, None, None, None]
-        passes = np.ones(phases.shape[0], dtype=bool)
-        for stack in blocks:
-            lam = np.linalg.eigvalsh(herm_part(phases * stack))[..., 0]
-            passes &= np.all(lam > tol.psd * (1.0 + fro_norm(stack)), axis=1)
-        if passes.any():
-            return float(candidates[lo + int(np.argmax(passes))])
-    raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
+    """Angle in (-pi/2, 0] maximising the worst margin of the rotated blocks.
+
+    A block B has margin lambda_min(Re(e^{i theta} B)) - tol.psd (1 + ||B||_F)
+    at theta.  W(B) is convex and lies in the closed upper half-plane, so
+    each margin is unimodal on (-pi/2, 0] and so is their minimum.  theta = 0
+    is tried first, then 48 golden-section steps bracket the maximum to
+    1.5e-10 rad.  Raises RotationNotFound when the maximum is not positive.
+    """
+    floors = [tol.psd * (1.0 + fro_norm(b)) for b in blocks]
+
+    def margin(theta: float) -> float:
+        rotated = (herm_part(np.exp(1j * theta) * b) for b in blocks)
+        lams = (np.linalg.eigvalsh(r)[..., 0] - f for r, f in zip(rotated, floors))
+        return min((float(np.min(lam)) for lam in lams), default=np.inf)
+
+    if margin(0.0) > 0:
+        return 0.0
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -np.pi / 2, 0.0
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = margin(a), margin(b)
+    for _ in range(48):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = margin(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = margin(a)
+    theta, best = (a, fa) if fa >= fb else (b, fb)
+    if not best > 0:
+        raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
+    return float(theta)
 
 
-def _check_sector_bound(
-    rotated: np.ndarray, comp: np.ndarray, grid: int, tol: Tolerances
-) -> None:
+def _check_sector_bound(rotated: np.ndarray, comp: np.ndarray, tol: Tolerances) -> None:
     """||S_c|| <= sec^2(alpha_c) ||L_c|| for rotated essential blocks L_c and complements S_c.
 
-    alpha_c is certified on ``grid`` angles by ``sector_certified_alpha``.
+    alpha_c is the exact sector angle of ``sector_certified_alpha``.
     """
-    alphas, margins = sector_certified_alpha(rotated, grid)
-    if np.any(margins <= tol.psd * (1.0 + fro_norm(rotated))):
+    alphas, margins = sector_certified_alpha(rotated)
+    if not np.all(margins > tol.psd * (1.0 + fro_norm(rotated))):
         raise NotSectorial("an eliminated component is not sectorial after rotation")
     lhs = np.linalg.svd(comp, compute_uv=False)[:, 0]
     rhs = np.linalg.svd(rotated, compute_uv=False)[:, 0] / np.cos(alphas) ** 2
@@ -347,22 +357,22 @@ class SchurCore:
         self,
         x: tuple[np.ndarray, ...],
         state: np.ndarray | None = None,
-        sector_grid: int | None = None,
+        halfspace: bool = False,
     ) -> np.ndarray:
         """Schur complement of the shifted evaluation at ``x``, keeping S (x) I.
 
         Returned whole in the coordinates of ``pivot.basis (x) I``, or with
         ``state`` as its partial trace against the state compressed to S.
-        With ``sector_grid`` the tuple must lie in an operator half-space;
+        With ``halfspace`` the tuple must lie in an operator half-space;
         upper half-space tuples rotate the eliminated components by the
-        first candidate angle making all their essential real parts
-        positive definite (the complement does not depend on it), and each
-        component is checked against the sec^2(alpha) bound.
+        angle of ``_find_rotation``, which makes all their essential real
+        parts positive definite (the complement does not depend on it), and
+        each component is checked against the sec^2(alpha) bound.
         """
         tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True)
         n = args.shape[-1]
-        if sector_grid:
+        if halfspace:
             right = in_right_halfspace(x, tol)
             if not (right or in_upper_halfspace(x, tol)):
                 raise DomainViolation("tuple lies in neither operator half-space")
@@ -376,7 +386,7 @@ class SchurCore:
             comp = full[:, :k, :k]
             if essential is not None:
                 comp = comp - full[:, :k, k:] @ _eliminate(full[:, k:, k:], full[:, k:, :k], tol)
-                if sector_grid:
+                if halfspace:
                     checks.append((kron_sum(essential, args), comp))
             comp = comp.reshape(-1, kept, n, kept, n)
             rows, cols = index[:, :kept, None], index[:, None, :kept]
@@ -384,10 +394,10 @@ class SchurCore:
                 out[rows, :, cols, :] = comp.transpose(0, 1, 3, 2, 4)
             else:
                 out += np.einsum("gsr,grisj->ij", t[rows, cols], comp)
-        if sector_grid:
+        if halfspace:
             theta = 0.0 if right else _find_rotation([blk for blk, _ in checks], tol)
             for blk, comp in checks:
-                _check_sector_bound(np.exp(1j * theta) * blk, comp, sector_grid, tol)
+                _check_sector_bound(np.exp(1j * theta) * blk, comp, tol)
         return out.reshape(m * n, m * n) if state is None else out
 
 
@@ -401,6 +411,6 @@ def schur_pencil(
 
     Arguments must lie in one of the operator half-spaces: all Re X_i > 0 or
     all Im X_i > 0.  The rotation and the sec^2(alpha) check are those of
-    ``SchurCore.evaluate``, alpha certified on ``SCHUR_SECTOR_GRID`` angles.
+    ``SchurCore.evaluate``.
     """
-    return SchurCore(pencil, s, tol).evaluate(x, sector_grid=SCHUR_SECTOR_GRID)
+    return SchurCore(pencil, s, tol).evaluate(x, halfspace=True)

@@ -156,7 +156,7 @@ def test_criterion_03_sector_bound():
         sk = sk / np.linalg.norm(sk, 2) * np.tan(alpha_t) * lam_min * 0.95
         a = r + 1j * sk
         s = rand_pivot(rng, n)
-        rep = sector_bound_check(a, s, theta_grid_size=512)
+        rep = sector_bound_check(a, s)
         sec2 = 1.0 / np.cos(rep.alpha) ** 2
         ok = all(x <= y * (1 + 1e-8) for x, y in rep.singular_value_pairs)
         ok = ok and rep.norm_pair[0] <= rep.norm_pair[1] * (1 + 1e-8)

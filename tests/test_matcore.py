@@ -13,7 +13,9 @@ from opmono.matcore import (
     im_part,
     loewner_leq,
     loewner_margin,
+    min_eig,
     re_part,
+    sector_certified_alpha,
     sector_estimate,
     tensor,
 )
@@ -84,6 +86,22 @@ class TestLoewnerOrder:
             assert loewner_leq(a, b) and loewner_leq(b, c)
             # transitivity with additively compounded tolerance
             assert loewner_margin(a, c) >= -2 * DEFAULT_TOL.psd * (1 + fro_norm(c - a))
+
+    def test_non_finite_member_reads_minus_inf(self, monkeypatch):
+        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0]), np.full((2, 2), np.inf)])
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            assert np.all(np.isfinite(a))
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert list(min_eig(stack)) == [1.0, -np.inf, -np.inf]
+        assert shapes == [(3, 2, 2)]
+        assert min_eig(np.diag([np.nan, 1.0]) + 1j * np.eye(2)) == -np.inf
+        assert not loewner_leq(np.zeros((2, 2)), np.diag([np.nan, 1.0]))
 
 
 class TestFuncalc:
@@ -191,8 +209,8 @@ class TestSectorEstimate:
         assert abs(est.margin - 1.0) <= 1e-9
 
     def test_normal_matrix_quarter_angle(self):
-        est = sector_estimate(np.diag([1.0, 1.0 + 1.0j]), theta_grid_size=720)
-        assert abs(est.alpha - np.pi / 4) <= 2 * np.pi / 720 + 1e-6
+        est = sector_estimate(np.diag([1.0, 1.0 + 1.0j]))
+        assert abs(est.alpha - np.pi / 4) <= 1e-10
 
     def test_negative_scalar_rejected(self):
         with pytest.raises(errors.NotSectorial):
@@ -202,6 +220,33 @@ class TestSectorEstimate:
         # 0 is in the numerical range, which is outside the open sector
         with pytest.raises(errors.NotSectorial):
             sector_estimate(np.diag([0.0, 1.0]))
+
+    def test_exact_on_normal_matrices(self):
+        # W(A) of a normal matrix is the convex hull of its eigenvalues, so
+        # the sector half-angle is the largest eigenvalue argument
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            lam = rng.uniform(0.1, 3.0, n) * np.exp(1j * rng.uniform(-1.5, 1.5, n))
+            u = rand_unitary(rng, n)
+            est = sector_estimate(u @ np.diag(lam) @ u.conj().T)
+            assert abs(est.alpha - np.max(np.abs(np.angle(lam)))) <= 1e-10
+
+    def test_few_factorizations_per_member(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        stack = np.stack([rand_psd(rng, 4) + np.eye(4) + 0.3j * rand_herm(rng, 4) for _ in range(64)])
+        factored = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "solve", "inv", "cholesky", "qr"):
+            kernel = getattr(np.linalg, name)
+
+            def counted(a, *args, _kernel=kernel, **kwargs):
+                factored.append(int(np.prod(np.shape(a)[:-2])))
+                return _kernel(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        alphas, margins = sector_certified_alpha(stack)
+        assert np.all(alphas < np.pi / 2) and np.all(margins > 0)
+        assert sum(factored) <= 4 * 64
 
     def test_alpha_bounds_the_numerical_range(self):
         # Rayleigh quotients of the top eigenvectors of Re(e^{it} A) are points

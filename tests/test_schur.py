@@ -9,10 +9,13 @@ from opmono.matcore import (
     im_part,
     min_eig,
     re_part,
+    sector_estimate,
 )
-from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new
+from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new, pencil_sectorial_check
+from opmono.represent import rep_eval, rep_eval_complex, rep_from_quadrature
 from opmono.schur import (
     PivotSubspace,
+    _find_rotation,
     schur_generic,
     schur_pencil,
     sector_bound_check,
@@ -210,7 +213,7 @@ class TestSectorBound:
     def test_hand_example_diag(self):
         a = np.diag([1.0, 1.0 + 1.0j])
         s = PivotSubspace.from_indices(2, [0])
-        rep = sector_bound_check(a, s, theta_grid_size=720)
+        rep = sector_bound_check(a, s)
         comp_sigma = rep.singular_value_pairs[0][0]
         assert abs(comp_sigma - np.sqrt(2.0)) <= 1e-9
         # bound value sec^2(pi/4) * sqrt(2) = 2 sqrt 2
@@ -223,8 +226,12 @@ class TestSectorBound:
             n = int(rng.integers(2, 9))
             a = rand_sectorial(rng, n)
             s = rand_pivot(rng, n)
-            rep = sector_bound_check(a, s, theta_grid_size=512)
+            rep = sector_bound_check(a, s)
             assert rep.passed
+
+    def test_full_pivot_leaves_empty_complement(self):
+        rep = sector_bound_check(np.diag([1.0, 1.0 + 1.0j]), PivotSubspace.from_indices(2, [0, 1]))
+        assert rep.singular_value_pairs == () and rep.norm_pair[0] == 0.0 and rep.passed
 
     def test_not_sectorial_rejected(self):
         s = PivotSubspace.from_indices(2, [0])
@@ -286,3 +293,48 @@ class TestSchurPencil:
             )
             out = schur_pencil(p, x, s)
             assert min_eig(im_part(out)) >= -1e-8 * (1 + np.linalg.norm(out))
+
+    def test_rotation_found_on_a_narrow_arc(self):
+        # The shifted evaluation of (P, P) with P = [[1, 1], [1, 1]] has the
+        # essential block 2 X, and W(X) is the segment from 1 + 1e-4 i to
+        # e^{i(pi - 0.005)}: only rotations within 0.005 of -pi/2 make its
+        # real part positive definite
+        x = np.diag([1.0 + 1e-4j, np.exp(1j * (np.pi - 0.005))])
+        p = pencil_new([np.ones((2, 2)), np.ones((2, 2))])
+        out = schur_pencil(p, (x,), PivotSubspace.from_indices(2, [0]))
+        assert np.linalg.norm(out) <= 1e-12
+        theta = _find_rotation([2 * x[None]], DEFAULT_TOL)
+        assert -np.pi / 2 < theta < -np.pi / 2 + 0.005
+        assert min_eig(np.exp(1j * theta) * 2 * x) > DEFAULT_TOL.psd * (1 + fro_norm(2 * x))
+
+
+@pytest.fixture(scope="module")
+def small_rep():
+    return rep_from_quadrature("sqrt", nodes=16, interval=(0.5, 2.0))
+
+
+NON_FINITE = {
+    "nan_entry": np.diag([np.nan, 1.0]) + 1j * np.eye(2),
+    "all_nan": np.full((2, 2), np.nan + 0j),
+    "inf_entry": np.diag([np.inf, 1.0]) + 1j * np.eye(2),
+}
+CALLS = {
+    "sector_estimate": lambda a, rep: sector_estimate(a),
+    "pencil_sectorial_check": lambda a, rep: pencil_sectorial_check(
+        RawPencil((np.zeros((1, 1)), np.ones((1, 1)))), (a,)
+    ),
+    "sector_bound_check": lambda a, rep: sector_bound_check(a, PivotSubspace.from_indices(2, [0])),
+    "rep_eval": lambda a, rep: rep_eval(rep, (a,)),
+    "rep_eval_complex": lambda a, rep: rep_eval_complex(rep, (a,)),
+    "schur_pencil": lambda a, rep: schur_pencil(
+        pencil_new([2 * np.eye(2), np.eye(2)]), (a,), PivotSubspace.from_indices(2, [0])
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("matrix", NON_FINITE, ids=str)
+@pytest.mark.parametrize("call", CALLS, ids=str)
+def test_non_finite_input_raises_typed_error(call, matrix, small_rep):
+    with pytest.raises(errors.OpmonoError):
+        CALLS[call](NON_FINITE[matrix], small_rep)
