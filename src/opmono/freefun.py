@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
+    DomainViolation,
     NoConvergence,
     NotPositiveDefinite,
     PoleHit,
@@ -147,15 +148,21 @@ class FreeFn:
 
 
 def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[[MatTuple], np.ndarray]:
-    """Principal-branch matrix function through diagonalization.
+    """Principal-branch matrix function through diagonalization X = V diag(w) V^{-1}.
 
     Adequate for the catalogue's complex probes, whose arguments are
-    diagonalizable with spectra off the branch cut.
+    diagonalizable with spectra off the branch cut.  Rounding in V is
+    amplified by up to cond(V), so a stack with some member whose
+    cond(V) 2^-52 exceeds ``DEFAULT_TOL.eq`` (near-defective, as a Jordan
+    block is) raises DomainViolation instead of returning a wrong value.
     """
 
     def apply(xs: MatTuple) -> np.ndarray:
         (x,) = xs
         w, v = np.linalg.eig(x)
+        cond = np.max(np.linalg.cond(v))
+        if not cond * 2.0**-52 <= DEFAULT_TOL.eq:
+            raise DomainViolation(f"argument is near-defective: eigenvector condition {cond:.3e}")
         return v @ ((f_scalar(w))[..., :, None] * np.linalg.inv(v))
 
     return apply

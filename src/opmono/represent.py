@@ -16,7 +16,7 @@ so that large quadrature pencils cost a few stacked solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import (
     HalfPlaneViolated,
     NegativeNormalization,
     NegativeSlack,
+    NotPSD,
     QuadratureInaccurate,
     SupportViolated,
     VerificationFailed,
@@ -83,13 +84,11 @@ class SupportCertificate:
     seed: int
 
 
-def support_eval(cert: SupportCertificate, y: np.ndarray, x: MatTuple) -> np.ndarray:
-    """Evaluate the certificate pencil at a hypograph point (Y, X)."""
-    return _support_eval(cert.pencil.b0, cert.gradients, cert.v, y, x)
-
-
 def _support_eval(b0, grads, v, y, x) -> np.ndarray:
-    """B_0 (x) I - vv* (x) Y + sum G_i (x) (X_i - I), broadcast over stacked (Y, X)."""
+    """B_0 (x) I - vv* (x) Y + sum G_i (x) (X_i - I) at stacked (Y, X).
+
+    B_0, the G_i and v are a certificate's ``pencil.b0``, ``gradients`` and ``v``.
+    """
     eye = np.eye(y.shape[-1])
     mats = np.stack(np.broadcast_arrays(eye, -y, *(xi - eye for xi in x)), axis=-3)
     return kron_sum(np.stack([b0, np.outer(v, np.conj(v)), *grads]), mats)
@@ -303,7 +302,9 @@ class PencilRepresentation:
 
     The state is a PSD trace-one density matrix T on the coefficient space;
     the conditional expectation (w (x) I) acts as the partial trace of
-    (T (x) I) against the coefficient tensor factor.
+    (T (x) I) against the coefficient tensor factor.  ``fn`` is the realized
+    function as a ``FreeFn``, declared operator monotone and concave, as is
+    every function with a pencil representation.
     """
 
     pencil: LinearPencil
@@ -316,9 +317,9 @@ class PencilRepresentation:
         if state.shape != (self.pencil.size, self.pencil.size):
             raise DimensionMismatch("state must act on the coefficient space")
         if min_eig(state) < -DEFAULT_TOL.psd * (1.0 + fro_norm(state)):
-            raise ValueError("state must be positive semidefinite")
+            raise NotPSD("state must be positive semidefinite")
         if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
-            raise ValueError("state must have unit trace")
+            raise DomainViolation("state must have unit trace")
         if self.pivot.ambient_dim != self.pencil.size:
             raise DimensionMismatch("pivot must live on the coefficient space")
         object.__setattr__(self, "state", state)
@@ -326,6 +327,13 @@ class PencilRepresentation:
     @property
     def arity(self) -> int:
         return self.pencil.arity
+
+    @cached_property
+    def fn(self) -> FreeFn:
+        """``rep_eval``, continued by ``rep_eval_complex``."""
+        name = f"{self.meta.get('function', 'pencil')}-rep"
+        return FreeFn(name, self.arity, partial(rep_eval, self), partial(rep_eval_complex, self),
+                      monotone=True, concave=True)
 
     @cached_property
     def _cores(self) -> dict[Tolerances, SchurCore]:
@@ -341,11 +349,15 @@ class PencilRepresentation:
 def rep_eval(
     rep: PencilRepresentation, x: MatTuple, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Evaluate the representation at a positive definite Hermitian tuple."""
+    """Evaluate the representation at positive definite Hermitian tuples.
+
+    As for every ``FreeFn``, components are stacked ``(..., n, n)`` and the
+    output has one value per member; a member that is not positive definite
+    raises DomainViolation.
+    """
     xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    for xi in xs:
-        if min_eig(xi) <= 0:
-            raise DomainViolation("representation arguments must be positive definite")
+    if any(np.any(min_eig(xi) <= 0) for xi in xs):
+        raise DomainViolation("representation arguments must be positive definite")
     return herm_part(rep.core(tol).evaluate(xs, state=rep.state))
 
 
@@ -354,18 +366,19 @@ def rep_eval_complex(
 ) -> np.ndarray:
     """Analytic continuation of the representation into the half-spaces.
 
-    Arguments must lie in the right or upper operator poly-halfspace; the
+    Takes stacked tuples as ``rep_eval`` does.  Every member must lie in the
+    right or upper operator poly-halfspace (else DomainViolation); the
     rotation and the sec^2(alpha) check are ``SchurCore.evaluate``'s.  The
-    output of upper half-space inputs must keep a PSD imaginary part.
+    output of each member outside the right half-space must keep a PSD
+    imaginary part (else HalfPlaneViolated).
     """
     xs = tuple(np.asarray(m, dtype=complex) for m in x)
     out = rep.core(tol).evaluate(xs, state=rep.state, halfspace=True)
-    if not in_right_halfspace(xs, tol):
-        lam = min_eig(im_part(out))
-        if lam < -tol.psd * (1.0 + fro_norm(out)):
-            raise HalfPlaneViolated(
-                f"imaginary part of the output dips to {lam:.3e}; representation broken"
-            )
+    lam = np.where(in_right_halfspace(xs, tol), np.inf, min_eig(im_part(out)))
+    if np.any(lam < -tol.psd * (1.0 + fro_norm(out))):
+        raise HalfPlaneViolated(
+            f"imaginary part of the output dips to {np.min(lam):.3e}; representation broken"
+        )
     return out
 
 
@@ -418,20 +431,17 @@ def direct_sum_rep(
         state=np.outer(w, np.conj(w)),
         meta={"kind": "direct_sum", "function": fn.name, "points": len(points)},
     )
-    residuals = []
-    for a_j, v_j in points:
-        v_j = np.asarray(v_j, dtype=complex).reshape(-1)
-        v_j = v_j / np.linalg.norm(v_j)
-        lhs = herm_part(fn(a_j)) @ v_j
-        rhs = rep_eval(rep, a_j, tol) @ v_j
-        res = float(np.linalg.norm(rhs - lhs))
-        if res > eq_tol * (1.0 + float(np.linalg.norm(lhs))):
-            raise VerificationFailed(
-                f"direct-sum representation misses F(A_j)v_j by {res:.3e}"
-            )
-        residuals.append(res)
+    xs = tuple(np.stack([a_j[i] for a_j, _ in points]) for i in range(k))
+    vs = np.stack([np.asarray(v_j, dtype=complex).reshape(-1) for _, v_j in points])
+    vs = (vs / np.linalg.norm(vs, axis=-1, keepdims=True))[..., None]
+    lhs = herm_part(fn(xs)) @ vs
+    residuals = fro_norm(rep_eval(rep, xs, tol) @ vs - lhs)
+    if np.any(residuals > eq_tol * (1.0 + fro_norm(lhs))):
+        raise VerificationFailed(
+            f"direct-sum representation misses F(A_j)v_j by {np.max(residuals):.3e}"
+        )
     return DirectSumRepresentation(
-        rep=rep, w_vector=w, certificate=cert, residuals=tuple(residuals)
+        rep=rep, w_vector=w, certificate=cert, residuals=tuple(map(float, residuals))
     )
 
 
@@ -496,50 +506,31 @@ def rep_from_quadrature(
     """
     if nodes < 4:
         raise QuadratureInaccurate("need at least four quadrature nodes")
-    if name == "pow" and p is not None:
-        fn = lift_scalar("pow", p)
-    else:
-        fn = lift_scalar(name) if name != "pow" else lift_scalar("pow", p)
+    fn = lift_scalar(name, p)
     lam, wts, a0, b0 = _quad_rational_weights(name, p, nodes, interval)
     if np.any(wts <= 0):
         raise QuadratureInaccurate("quadrature produced nonpositive weights")
 
-    n_cells = lam.size
+    n_cells, u_weight = lam.size, 1.0 / (lam.size + 1)
     kdim = 2 * n_cells + 1
-    u_weight = 1.0 / (n_cells + 1)
-    b0_mat = np.zeros((kdim, kdim))
-    b1_mat = np.zeros((kdim, kdim))
-    pivot_cols = []
-    for r in range(n_cells):
-        gamma = wts[r] / u_weight
-        pr, qr = 2 * r, 2 * r + 1
-        b0_mat[pr, pr] = gamma * lam[r]
-        b0_mat[pr, qr] = b0_mat[qr, pr] = gamma * lam[r]
-        b0_mat[qr, qr] = gamma * (lam[r] + 1.0)
-        b1_mat[qr, qr] = gamma
-        pivot_cols.append(pr)
-    aff = kdim - 1
-    gamma_aff = 1.0 / u_weight
-    b0_mat[aff, aff] = gamma_aff * (a0 + b0)
-    b1_mat[aff, aff] = gamma_aff * b0
-    pivot_cols.append(aff)
-
-    state = np.zeros((kdim, kdim))
-    for idx in pivot_cols:
-        state[idx, idx] = u_weight
+    gamma, gamma_aff = (wts / u_weight)[:, None, None], 1.0 / u_weight
+    e22 = np.diag([0.0, 1.0])  # cell r: gamma_r (lam_r 1 1* + e22) in B_0, gamma_r e22 in B_1
+    b0_mat = block_diag(*(gamma * (lam[:, None, None] + e22)), [[gamma_aff * (a0 + b0)]])
+    b1_mat = block_diag(*(gamma * e22), [[gamma_aff * b0]])
+    pivot_cols = list(range(0, kdim, 2))  # each cell's first slot, then the affine slot
+    state = np.zeros(kdim)
+    state[pivot_cols] = u_weight
 
     rep = PencilRepresentation(
         pencil=pencil_new([b0_mat, b1_mat], tol),
         pivot=PivotSubspace.from_indices(kdim, pivot_cols),
-        state=state,
+        state=np.diag(state),
         meta={"kind": "quadrature", "function": fn.name, "nodes": int(n_cells)},
     )
 
-    xs = np.linspace(interval[0], interval[1], grid)
-    approx = np.array(
-        [float(rep_eval(rep, (np.array([[x]], dtype=complex),), tol)[0, 0].real) for x in xs]
-    )
-    exact = np.array([float(fn(np.array([[x]], dtype=complex))[0, 0].real) for x in xs])
+    xs = np.linspace(interval[0], interval[1], grid).reshape(-1, 1, 1)
+    approx = rep_eval(rep, (xs,), tol)[:, 0, 0].real
+    exact = fn(xs)[:, 0, 0].real
     rel = float(np.max(np.abs(approx - exact) / np.abs(exact)))
     if rel > target:
         raise QuadratureInaccurate(

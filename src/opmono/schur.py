@@ -227,14 +227,14 @@ def sector_bound_check(
     )
 
 
-def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> bool:
-    """All components have positive definite real part."""
-    return all(min_eig(re_part(xi)) > tol.psd * (1.0 + fro_norm(xi)) for xi in x)
+def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Per member of the stacked tuple: all components have positive definite real part."""
+    return np.logical_and.reduce([min_eig(re_part(m)) > tol.psd * (1 + fro_norm(m)) for m in x])
 
 
-def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> bool:
-    """All components have positive definite imaginary part."""
-    return all(min_eig(im_part(xi)) > tol.psd * (1.0 + fro_norm(xi)) for xi in x)
+def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Per member of the stacked tuple: all components have positive definite imaginary part."""
+    return np.logical_and.reduce([min_eig(im_part(m)) > tol.psd * (1 + fro_norm(m)) for m in x])
 
 
 def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -243,7 +243,7 @@ def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
         inv = np.linalg.inv(d)
         full = tol.rank * fro_norm(d) * fro_norm(inv) < 1.0  # no singular value to truncate
     except np.linalg.LinAlgError:
-        inv, full = np.zeros_like(d), np.zeros(len(d), dtype=bool)
+        inv, full = np.zeros_like(d), np.zeros(d.shape[:-2], dtype=bool)
     if not full.all():
         inv[~full] = truncated_pinv(d[~full], tol)
     sol = inv @ rhs
@@ -252,7 +252,7 @@ def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
     residual = fro_norm(d @ sol - rhs)
     bound = tol.rank * (1.0 + fro_norm(rhs))
     if not np.all(residual <= bound):
-        worst = int(np.argmax(residual / bound))
+        worst = np.unravel_index(np.argmax(residual / bound), residual.shape)
         raise EliminatedBlockDefective(
             f"eliminated block fails range inclusion: residual "
             f"{residual[worst]:.3e} > {bound[worst]:.3e}"
@@ -305,10 +305,10 @@ def _check_sector_bound(rotated: np.ndarray, comp: np.ndarray, tol: Tolerances) 
     alphas, margins = sector_certified_alpha(rotated)
     if not np.all(margins > tol.psd * (1.0 + fro_norm(rotated))):
         raise NotSectorial("an eliminated component is not sectorial after rotation")
-    lhs = np.linalg.svd(comp, compute_uv=False)[:, 0]
-    rhs = np.linalg.svd(rotated, compute_uv=False)[:, 0] / np.cos(alphas) ** 2
+    lhs = np.linalg.svd(comp, compute_uv=False)[..., 0]
+    rhs = np.linalg.svd(rotated, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
     if np.any(lhs > rhs * (1.0 + tol.eq)):
-        worst = int(np.argmax(lhs / rhs))
+        worst = np.unravel_index(np.argmax(lhs / rhs), lhs.shape)
         raise SectorBoundViolated(
             f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
         )
@@ -361,43 +361,49 @@ class SchurCore:
     ) -> np.ndarray:
         """Schur complement of the shifted evaluation at ``x``, keeping S (x) I.
 
-        Returned whole in the coordinates of ``pivot.basis (x) I``, or with
-        ``state`` as its partial trace against the state compressed to S.
-        With ``halfspace`` the tuple must lie in an operator half-space;
-        upper half-space tuples rotate the eliminated components by the
-        angle of ``_find_rotation``, which makes all their essential real
-        parts positive definite (the complement does not depend on it), and
-        each component is checked against the sec^2(alpha) bound.
+        Returned whole in the coordinates of ``pivot.basis (x) I`` for one
+        tuple, or with ``state`` as its partial trace against the state
+        compressed to S, shape ``(..., n, n)`` for a tuple stacked on leading
+        axes.  With ``halfspace`` every member must lie in an operator
+        half-space; each upper half-space member rotates its eliminated
+        components by its own angle from ``_find_rotation``, which makes all
+        their essential real parts positive definite (the complement does
+        not depend on it), and each component is checked against the
+        sec^2(alpha) bound.  Right half-space members keep angle 0.
         """
         tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True)
-        n = args.shape[-1]
+        lead, n = args.shape[:-3], args.shape[-1]
         if halfspace:
-            right = in_right_halfspace(x, tol)
-            if not (right or in_upper_halfspace(x, tol)):
+            right = np.broadcast_to(in_right_halfspace(x, tol), lead)
+            if not np.all(right | in_upper_halfspace(x, tol)):
                 raise DomainViolation("tuple lies in neither operator half-space")
+        args = args[..., None, :, :, :]  # against the members of each group
         m = self.basis.shape[1]
-        out = np.zeros((m, n, m, n) if state is None else (n, n), dtype=complex)
+        out = np.zeros((m, n, m, n) if state is None else lead + (n, n), dtype=complex)
         t = None if state is None else dagger(self.basis) @ state @ self.basis
         checks = []
         for kept, index, coeffs, essential in self.groups:
             full = kron_sum(coeffs, args)
             k = kept * n
-            comp = full[:, :k, :k]
+            comp = full[..., :k, :k]
             if essential is not None:
-                comp = comp - full[:, :k, k:] @ _eliminate(full[:, k:, k:], full[:, k:, :k], tol)
+                comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k], tol)
                 if halfspace:
                     checks.append((kron_sum(essential, args), comp))
-            comp = comp.reshape(-1, kept, n, kept, n)
+            comp = comp.reshape(comp.shape[:-2] + (kept, n, kept, n))
             rows, cols = index[:, :kept, None], index[:, None, :kept]
             if state is None:
                 out[rows, :, cols, :] = comp.transpose(0, 1, 3, 2, 4)
             else:
-                out += np.einsum("gsr,grisj->ij", t[rows, cols], comp)
+                out += np.einsum("gsr,...grisj->...ij", t[rows, cols], comp)
         if halfspace:
-            theta = 0.0 if right else _find_rotation([blk for blk, _ in checks], tol)
+            theta = np.zeros(lead)
+            for i in np.ndindex(lead):
+                if not right[i]:
+                    theta[i] = _find_rotation([blk[i] for blk, _ in checks], tol)
             for blk, comp in checks:
-                _check_sector_bound(np.exp(1j * theta) * blk, comp, tol)
+                _check_sector_bound(np.exp(1j * theta)[..., None, None, None] * blk, comp, tol)
         return out.reshape(m * n, m * n) if state is None else out
 
 

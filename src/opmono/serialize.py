@@ -9,6 +9,7 @@ envelope {"schema_version": "1", "kind": ..., "payload": ...}.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict
 from typing import Any
@@ -16,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .cert import CertReport
-from .errors import DataError
+from .errors import DataError, DimensionMismatch, OpmonoError
 from .pencil import LinearPencil, pencil_new
 from .represent import PencilRepresentation, SupportCertificate
 from .schur import PivotSubspace
@@ -87,10 +88,31 @@ def decode_tuple(obj: Any) -> tuple[np.ndarray, ...]:
     return tuple(decode_matrix(m) for m in obj)
 
 
+def _decoder(build):
+    """Re-raise what a malformed payload triggers while it is decoded as DataError.
+
+    That covers missing keys, wrong shapes or types, and the typed errors of
+    the object the payload fails to build.
+    """
+
+    @functools.wraps(build)
+    def decode(obj: Any):
+        try:
+            return build(obj)
+        except DataError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError, OpmonoError) as exc:
+            raise DataError(f"malformed {build.__name__.removesuffix('_from_payload')} payload: "
+                            f"{type(exc).__name__}: {exc}") from exc
+
+    return decode
+
+
 def pencil_payload(p: LinearPencil) -> dict:
     return {"coefficients": [encode_matrix(b) for b in p.coeffs]}
 
 
+@_decoder
 def pencil_from_payload(obj: Any) -> LinearPencil:
     return pencil_new([decode_matrix(b) for b in obj["coefficients"]])
 
@@ -113,8 +135,9 @@ def certificate_payload(cert: SupportCertificate) -> dict:
     }
 
 
+@_decoder
 def certificate_from_payload(obj: Any) -> SupportCertificate:
-    return SupportCertificate(
+    cert = SupportCertificate(
         function=obj["function"],
         base_point=decode_tuple(obj["base_point"]),
         v=decode_vector(obj["v"]),
@@ -129,6 +152,11 @@ def certificate_from_payload(obj: Any) -> SupportCertificate:
         samples=int(obj["samples"]),
         seed=int(obj["seed"]),
     )
+    sizes = {cert.v.size, cert.pencil.size, *(m.shape[0] for m in cert.base_point + cert.gradients)}
+    arities = {len(cert.base_point), len(cert.gradients), cert.pencil.arity}
+    if len(sizes) != 1 or len(arities) != 1:
+        raise DimensionMismatch("v, base point, gradients and pencil must share dimension and arity")
+    return cert
 
 
 def representation_payload(rep: PencilRepresentation) -> dict:
@@ -140,6 +168,7 @@ def representation_payload(rep: PencilRepresentation) -> dict:
     }
 
 
+@_decoder
 def representation_from_payload(obj: Any) -> PencilRepresentation:
     pencil = pencil_from_payload(obj["pencil"])
     basis = decode_matrix(obj["pivot_basis"])

@@ -298,15 +298,7 @@ def test_criterion_09_quadrature_round_trip(sqrt_rep):
         out = rep_eval(sqrt_rep, a)
         truth = funcalc(np.sqrt, a[0])
         worst = max(worst, np.linalg.norm(out - truth) / np.linalg.norm(truth))
-    from opmono.freefun import FreeFn
-
-    def _ev(xs):
-        x = xs[0]
-        if x.ndim == 2:
-            return rep_eval(sqrt_rep, (x,))
-        return np.stack([rep_eval(sqrt_rep, (x[i],)) for i in range(x.shape[0])])
-
-    black_box = FreeFn(name="sqrt-rep", arity=1, evaluator=_ev)
+    black_box = sqrt_rep.fn
     mono = monotone_test(black_box, n=3, trials=1000, seed=118, interval=(0.2, 8.0))
     conc = concave_test(black_box, n=3, trials=1000, seed=119, interval=(0.2, 8.0))
     ok = worst <= 1e-3 and mono.passed and conc.passed

@@ -190,6 +190,58 @@ class TestMean:
         assert code == 1
 
 
+def _edit(payload, path, value):
+    """Set payload[path] to value, or delete the key when value is None."""
+    for key in path[:-1]:
+        payload = payload[key]
+    if value is None:
+        del payload[path[-1]]
+    else:
+        payload[path[-1]] = value
+
+
+MALFORMED = {
+    # name: (file kind, path into the payload, new value or None to delete)
+    "negative_state": ("representation", ("state", 0, 0), [-0.5, 0.0]),
+    "no_pencil": ("representation", ("pencil",), None),
+    "state_1x1": ("representation", ("state",), [[[1.0, 0.0]]]),
+    "no_c": ("certificate", ("c",), None),
+    "v_one_entry": ("certificate", ("v",), [[1.0, 0.0]]),
+}
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("files")
+    tuple_path = root / "a.json"
+    io.save(str(tuple_path), "tuple", io.encode_tuple((np.diag([1.0, 1.5]),)))
+    paths = {"tuple": tuple_path, "representation": root / "rep.json",
+             "certificate": root / "cert.json"}
+    assert run_cli("quadrep", "sqrt", "--nodes", "16", "--interval", "0.5,2",
+                   "--out", str(paths["representation"]))[0] == 0
+    assert run_cli("support", "sqrt", str(tuple_path), "--interval", "0.5,2",
+                   "--samples", "20", "--out", str(paths["certificate"]))[0] == 0
+    return paths
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", MALFORMED, ids=str)
+    def test_data_error_exit_65(self, case, good_files, tmp_path, capsys):
+        kind, path, value = MALFORMED[case]
+        obj = json.loads(good_files[kind].read_text())
+        _edit(obj["payload"], path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        if kind == "representation":
+            code, _ = run_cli("repeval", str(bad), str(good_files["tuple"]))
+        else:
+            code, _ = run_cli("reconstruct", str(bad))
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith("error: DataError")
+        assert "Traceback" not in err
+
+
 class TestEndToEndSubprocess:
     def test_module_invocation(self, tmp_path):
         # one true end-to-end check through the interpreter

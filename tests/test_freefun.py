@@ -75,6 +75,18 @@ class TestLiftScalar:
         out = fn.eval_complex(z)
         assert np.allclose(out, np.sqrt(1 + 1j) * np.eye(2))
 
+    def test_complex_evaluator_near_defective(self):
+        # [[z, 1], [0, z + eps]] has eigenvector condition about 2 / eps
+        fn = lift_scalar("sqrt")
+        z = 1 + 1j
+        with pytest.raises(errors.DomainViolation):
+            fn.eval_complex(np.array([[z, 1.0], [0.0, z]]))
+        with pytest.raises(errors.DomainViolation):
+            fn.eval_complex(np.stack([np.eye(2) * z, np.array([[z, 1.0], [0.0, z + 1e-10]])]))
+        x = np.array([[z, 1.0], [0.0, z + 1e-6]])
+        y = fn.eval_complex(x)
+        assert np.linalg.norm(y @ y - x) <= 1e-8
+
 
 class TestHarmonicMean:
     def test_idempotent(self):

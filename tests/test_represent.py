@@ -13,12 +13,12 @@ from opmono.matcore import fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.pencil import pencil_new
 from opmono.represent import (
     PencilRepresentation,
+    _support_eval,
     direct_sum_rep,
     reconstruct,
     rep_eval,
     rep_eval_complex,
     rep_from_quadrature,
-    support_eval,
     support_pencil,
 )
 from opmono.sampling import (
@@ -73,7 +73,7 @@ class TestSupportPencil:
             ns = int(rng.choice([3, 6]))
             x = rand_tuple_interval(rng, 1, ns, 0.5, 2.0)
             y = herm_part(fn(x)) - abs(rng.normal(0, 0.4)) * rand_psd(rng, ns)
-            lx = support_eval(cert, y, x)
+            lx = _support_eval(cert.pencil.b0, cert.gradients, cert.v, y, x)
             assert min_eig(lx) >= -1e-7 * (1 + fro_norm(lx))
 
     def test_gradient_not_psd_for_square(self):
@@ -279,17 +279,8 @@ class TestRepEvalComplex:
 class TestRepAsFreeFunction:
     def test_monotone_and_concave_black_box(self):
         from opmono.cert import concave_test, monotone_test
-        from opmono.freefun import FreeFn
 
-        rep = rep_from_quadrature("sqrt", nodes=48, interval=(0.1, 10.0))
-
-        def _ev(xs):
-            x = xs[0]
-            if x.ndim == 2:
-                return rep_eval(rep, (x,))
-            return np.stack([rep_eval(rep, (x[i],)) for i in range(x.shape[0])])
-
-        fn = FreeFn(name="sqrt-rep", arity=1, evaluator=_ev)
+        fn = rep_from_quadrature("sqrt", nodes=48, interval=(0.1, 10.0)).fn
         assert monotone_test(fn, n=3, trials=80, seed=21, interval=(0.2, 8.0)).passed
         assert concave_test(fn, n=3, trials=60, seed=22, interval=(0.2, 8.0)).passed
 
@@ -304,3 +295,74 @@ class TestSupportPreconditions:
     def test_undeclared_function_rejected(self):
         with pytest.raises(ValueError):
             support_pencil(lift_scalar("xsq"), (np.eye(2),), np.array([1.0, 0.0]))
+
+
+def per_row(evaluate, rep, x):
+    """The reference: ``evaluate`` called on one tuple at a time, member by member."""
+    return np.stack([evaluate(rep, tuple(xi[t] for xi in x)) for t in range(len(x[0]))])
+
+
+@pytest.fixture(scope="module")
+def contract_reps():
+    rng = np.random.default_rng(40)
+    pts = [(rand_tuple_interval(rng, 2, 2, 0.5, 2.0), rand_unit_vector(rng, 2)) for _ in range(2)]
+    return {
+        "quadrature": rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2),
+        "direct_sum": direct_sum_rep(harmonic_mean((0.5, 0.5)), pts, validation_samples=40,
+                                     seed=41).rep,
+    }
+
+
+def stacks(rng, k, n, size=4):
+    """Positive definite, right, upper and mixed half-space stacks of k-tuples."""
+    def draw(make):
+        return tuple(np.stack([make() for _ in range(size)]) for _ in range(k))
+
+    pd = draw(lambda: rand_psd(rng, n) + 0.3 * np.eye(n))
+    right = draw(lambda: rand_psd(rng, n) + 0.3 * np.eye(n) + 1j * rand_herm(rng, n))
+    upper = draw(lambda: rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.2 * np.eye(n)))
+    take = rng.permutation(2 * size)[:size]
+    mixed = tuple(np.concatenate([r, u])[take] for r, u in zip(right, upper))
+    return pd, right, upper, mixed
+
+
+class TestStackedContract:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("which", ["quadrature", "direct_sum"])
+    def test_stack_equals_per_row_loop(self, which, n, contract_reps):
+        rep = contract_reps[which]
+        pd, right, upper, mixed = stacks(np.random.default_rng(42 + n), rep.arity, n)
+        assert np.array_equal(rep_eval(rep, pd), per_row(rep_eval, rep, pd))
+        for z in (right, upper, mixed):
+            assert np.array_equal(rep_eval_complex(rep, z), per_row(rep_eval_complex, rep, z))
+
+    def test_several_leading_axes(self, contract_reps):
+        rep = contract_reps["quadrature"]
+        _, _, _, mixed = stacks(np.random.default_rng(50), 1, 3, size=6)
+        out = rep_eval_complex(rep, tuple(z.reshape(2, 3, 3, 3) for z in mixed))
+        assert out.shape == (2, 3, 3, 3)
+        assert np.array_equal(out.reshape(6, 3, 3), rep_eval_complex(rep, mixed))
+
+    def test_one_bad_member_raises(self, contract_reps):
+        rep = contract_reps["quadrature"]
+        pd, right, _, _ = stacks(np.random.default_rng(51), 1, 2)
+        bad = pd[0].copy()
+        bad[2] = np.diag([1.0, -0.5])
+        with pytest.raises(errors.DomainViolation):
+            rep_eval(rep, (bad,))
+        bad = right[0].copy()
+        bad[1] = -np.eye(2) - 1j * np.eye(2)  # in neither half-space
+        with pytest.raises(errors.DomainViolation):
+            rep_eval_complex(rep, (bad,))
+
+    @pytest.mark.parametrize("which", ["quadrature", "direct_sum"])
+    def test_fn_certified_by_the_testers(self, which, contract_reps):
+        # a function with a pencil representation is operator monotone and
+        # concave: the library's own testers find no counterexample
+        from opmono.cert import concave_test, hypograph_convexity_test, monotone_test
+
+        fn = contract_reps[which].fn
+        assert fn.monotone and fn.concave and fn.arity == contract_reps[which].arity
+        assert monotone_test(fn, n=3, trials=60, seed=43).passed
+        assert concave_test(fn, n=3, trials=40, seed=44).passed
+        assert hypograph_convexity_test(fn, n=3, m=2, trials=40, seed=45).passed
