@@ -5,8 +5,10 @@ a free function, and reports a clean pass, the first counterexample found
 (with the inputs stored for replay), or inconclusive when evaluation failed
 or gave a non-finite value.  Identical seeds give byte-identical reports.
 
-All testers share one pipeline.  Trials are drawn one after another from
-one generator, so the seed pins the draw order; the inputs are stacked and
+All testers share one pipeline.  The generator calls are made trial by
+trial and matrix by matrix, so the seed pins the draw order; the linear
+algebra of the draws then runs once over the whole stack (``sampling``):
+one ``qr`` per tester call, two for the hypograph test.  The inputs are
 evaluated in chunks of 512 rows (the derivative stencil in blocks of 256
 trials).  The differences that must be positive semidefinite form
 ``(T, C, d, d)`` stacks, C checks per trial, and one scan (``_scan``) takes
@@ -22,10 +24,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ChainNotIncreasing, OpmonoError
+from .errors import BadConfig, ChainNotIncreasing, OpmonoError
 from .freefun import FreeFn, frechet_many
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig
-from .sampling import ordered_pair_interval, rand_isometry, rand_psd, rand_tuple_interval
+from .sampling import (draw_gaussian, draw_pair, draw_spd, finish_isometry, finish_pair, finish_psd,
+                       finish_spd, rand_psd, rand_tuple_interval, slots, stack_draws)
 
 __all__ = [
     "CertReport",
@@ -100,9 +103,9 @@ class CertReport:
         return self.verdict == "pass"
 
 
-def _stack(tuples: list[tuple[np.ndarray, ...]], k: int, n: int) -> tuple[np.ndarray, ...]:
-    """Per-trial argument k-tuples as k stacks of shape (T, n, n)."""
-    return tuple(np.reshape([t[i] for t in tuples], (-1, n, n)) for i in range(k))
+def _at(xs: tuple[np.ndarray, ...], t: int) -> tuple[np.ndarray, ...]:
+    """Trial t of per-slot stacks as the argument tuple it was, copied out of the stacks."""
+    return tuple(x[t].copy() for x in xs)
 
 
 def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -163,8 +166,8 @@ def monotone_test(
     """Sample ordered pairs A <= B inside the interval and check F(A) <= F(B)."""
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    pairs = [ordered_pair_interval(rng, fn.arity, n, c1, c2) for _ in range(trials)]
-    a, b = (_stack([p[s] for p in pairs], fn.arity, n) for s in (0, 1))
+    draws = [draw_pair(rng, n, c1, c2) for _ in range(trials * fn.arity)]
+    a, b = (slots(x, fn.arity) for x in finish_pair(*stack_draws(draws), c2))
     try:
         fa = _chunked_eval(fn, a)
         diff = _chunked_eval(fn, b) - fa
@@ -172,7 +175,7 @@ def monotone_test(
         return _inconclusive("monotone", seed, str(exc))
     return _scan(
         "monotone", seed, tol.psd, [diff[:, None]],
-        lambda t, c, m: {"A": pairs[t][0], "B": pairs[t][1], "margin": m},
+        lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "margin": m},
     )
 
 
@@ -187,13 +190,13 @@ def concave_test(
     """Check the matrix Jensen inequality on random pairs and mixing weights."""
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    cases = []
+    k, draws, mix = fn.arity, [], []
     for _ in range(trials):
-        a = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        b = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        cases.append((a, b, float(rng.uniform(0.05, 0.95))))
-    a, b = (_stack([c[s] for c in cases], fn.arity, n) for s in (0, 1))
-    lams = np.reshape([(0.25, 0.5, 0.75, c[2]) for c in cases], (-1, 4))
+        draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
+        mix.append(rng.uniform(0.05, 0.95))
+    ab = slots(finish_spd(*stack_draws(draws)), 2 * k)
+    a, b = ab[:k], ab[k:]
+    lams = np.reshape([(0.25, 0.5, 0.75, w) for w in mix], (-1, 4))
     w = lams[..., None, None]
     # per trial, in this order: A, B and the four mixtures, 6 rows
     rows = tuple(
@@ -207,7 +210,7 @@ def concave_test(
     diff = vals[:, 2:] - ((1 - w) * vals[:, :1] + w * vals[:, 1:2])
     return _scan(
         "concave", seed, tol.psd, [diff],
-        lambda t, c, m: {"A": cases[t][0], "B": cases[t][1], "lambda": float(lams[t, c]), "margin": m},
+        lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "lambda": float(lams[t, c]), "margin": m},
     )
 
 
@@ -223,24 +226,24 @@ def derivative_monotone_test(
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     pad = 0.15 * (c2 - c1)
-    cases = []
+    k, draws, gs = fn.arity, [], []
     for _ in range(trials):
-        x = rand_tuple_interval(rng, fn.arity, n, c1 + pad, c2 - pad)
-        h = tuple(rand_psd(rng, n) for _ in range(fn.arity))
-        nh = max(float(fro_norm(hi)) for hi in h)
-        cases.append((x, tuple(hi / nh for hi in h)))
-    x = _stack([c[0] for c in cases], fn.arity, n)
+        draws += [draw_spd(rng, n, c1 + pad, c2 - pad) for _ in range(k)]
+        gs += [draw_gaussian(rng, n, n) for _ in range(k)]
+    x = slots(finish_spd(*stack_draws(draws)), k)
+    h = finish_psd(np.array(gs)).reshape(trials, k, n, n)
+    h = h / np.max(fro_norm(h), axis=1)[:, None, None, None]
     step = 1e-3 * (1.0 + c2)
     deriv = np.empty((trials, 1, n, n), dtype=complex)
     try:
         for lo in range(0, trials, 256):  # one batched stencil, 1024 rows, per 256 trials
             block = tuple(xi[lo : lo + 256] for xi in x)
-            deriv[lo : lo + 256, 0] = frechet_many(fn, block, [c[1] for c in cases[lo : lo + 256]], step)
+            deriv[lo : lo + 256, 0] = frechet_many(fn, block, h[lo : lo + 256], step)
     except OpmonoError as exc:
         return _inconclusive("derivative", seed, str(exc))
     return _scan(
         "derivative", seed, 10 * tol.psd, [deriv],
-        lambda t, c, m: {"X": cases[t][0], "H": cases[t][1], "margin": m},
+        lambda t, c, m: {"X": _at(x, t), "H": tuple(h[t].copy()), "margin": m},
     )
 
 
@@ -269,8 +272,9 @@ def doubling_concavity_check(
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     k, eye = fn.arity, np.eye(n)
-    draws = [rand_tuple_interval(rng, k, n, c1, c2) for _ in range(2 * len(lambda_grid) * trials)]
-    a, b = _stack(draws[0::2], k, n), _stack(draws[1::2], k, n)
+    draws = [draw_spd(rng, n, c1, c2) for _ in range(2 * len(lambda_grid) * trials * k)]
+    ab = slots(finish_spd(*stack_draws(draws)), 2 * k)
+    a, b = ab[:k], ab[k:]
     g = np.asarray(lambda_grid, dtype=float)[:, None, None]
     rot = np.block([[np.sqrt(g) * eye, -np.sqrt(1 - g) * eye], [np.sqrt(1 - g) * eye, np.sqrt(g) * eye]])
     unit_defect = fro_norm(dagger(rot) @ rot - np.eye(2 * n))
@@ -291,7 +295,7 @@ def doubling_concavity_check(
     return _scan(
         "doubling", seed, tol.psd, [np.stack(dom, axis=1), jensen],
         lambda t, c, m: {
-            "A": draws[2 * t], "B": draws[2 * t + 1], "lambda": lambda_grid[t // trials],
+            "A": _at(a, t), "B": _at(b, t), "lambda": lambda_grid[t // trials],
             "eps": eps_ladder[c % len(eps_ladder)], "margin": m,
         },
         {"unitarity_defect": np.repeat(unit_defect, trials), "block_defect": block_defect},
@@ -313,23 +317,22 @@ def hypograph_convexity_test(
     isometries V : C^m -> C^n must stay members, and scalar convex
     combinations of two members must stay members.
     """
-    if m > n:
-        raise ValueError("isometry target dimension m must not exceed n")
+    if not 0 < m <= n:
+        raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    cases = []
-    for _ in range(trials):
-        x = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        x2 = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        slack_scale = abs(float(rng.normal(0.0, 0.3)))
-        slack2 = abs(float(rng.normal(0.0, 0.3)))
-        v = rand_isometry(rng, n, m)
-        lam = float(rng.uniform(0.0, 1.0))
-        cases.append((x, x2, slack_scale, slack2, rand_psd(rng, n), rand_psd(rng, n), v, lam))
-    x, x2 = (_stack([c[s] for c in cases], fn.arity, n) for s in (0, 1))
-    s1, s2, lam = (np.reshape([c[s] for c in cases], (-1, 1, 1)) for s in (2, 3, 7))
-    r1, r2 = (np.reshape([c[s] for c in cases], (-1, n, n)) for s in (4, 5))
-    v = np.reshape([c[6] for c in cases], (-1, n, m))
+    k, draws, iso, gs, scalars = fn.arity, [], [], [], []
+    for _ in range(trials):  # per trial, in stream order: X, X2, two slack scales, V, lambda, two slacks
+        draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
+        slacks = [abs(rng.normal(0.0, 0.3)), abs(rng.normal(0.0, 0.3))]
+        iso.append(draw_gaussian(rng, n, m))
+        scalars.append((*slacks, rng.uniform(0.0, 1.0)))
+        gs += [draw_gaussian(rng, n, n), draw_gaussian(rng, n, n)]
+    both = slots(finish_spd(*stack_draws(draws)), 2 * k)
+    x, x2 = both[:k], both[k:]
+    s1, s2, lam = np.reshape(scalars, (-1, 3)).T[..., None, None]
+    r1, r2 = slots(finish_psd(np.array(gs)), 2)
+    v = finish_isometry(np.array(iso))
     try:
         fx, fx2 = _chunked_eval(fn, x), _chunked_eval(fn, x2)
         fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
@@ -342,8 +345,8 @@ def hypograph_convexity_test(
     return _scan(
         "hypograph", seed, tol.psd, [comp_diff[:, None], mix_diff[:, None]],
         lambda t, c, m: [
-            {"X": cases[t][0], "Y": y[t], "V": cases[t][6], "margin": m, "kind": "isometry"},
-            {"X": cases[t][0], "Y": y[t], "X2": cases[t][1], "Y2": y2[t], "lambda": cases[t][7],
+            {"X": _at(x, t), "Y": y[t], "V": v[t].copy(), "margin": m, "kind": "isometry"},
+            {"X": _at(x, t), "Y": y[t], "X2": _at(x2, t), "Y2": y2[t], "lambda": float(lam[t, 0, 0]),
              "margin": m, "kind": "combination"},
         ][c],
     )
@@ -414,7 +417,7 @@ def chain_semicontinuity_test(
     """F(A_j) <= F(A_last) along a finite increasing chain of tuples."""
     if len(chain) < 2:
         raise ValueError("chain needs at least two tuples")
-    xs = _stack(chain, len(chain[0]), np.shape(chain[0][0])[-1])
+    xs = slots(np.asarray(chain), len(chain[0]))
     gaps = np.stack([xi[1:] - xi[:-1] for xi in xs], axis=1)
     down = np.flatnonzero(np.any(min_eig(gaps) < -tol.psd * (1.0 + fro_norm(gaps)), axis=1))
     if down.size:

@@ -40,7 +40,7 @@ from .matcore import (
     herm_part,
     min_eig,
 )
-from .sampling import rand_tuple_interval, rand_unitary
+from .sampling import draw_gaussian, draw_spd, finish_spd, finish_unitary, stack_draws
 
 __all__ = [
     "FreeFn",
@@ -688,12 +688,15 @@ def nc_axiom_check(
     """Test unitary equivariance and direct-sum respect on random inputs."""
     rng = np.random.default_rng(seed)
     c1, c2 = interval
+    k, draws, gs = fn.arity, [], []
+    for _ in range(trials):
+        draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
+        gs.append(draw_gaussian(rng, n, n))
+    xys = finish_spd(*stack_draws(draws)).reshape(trials, 2, k, n, n)
     worst_u = 0.0
     worst_ds = 0.0
-    for _ in range(trials):
-        x = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        y = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-        u = rand_unitary(rng, n)
+    for (x, y), u in zip(xys, finish_unitary(np.array(gs))):
+        x, y = tuple(x), tuple(y)
         fx = fn(x)
         scale = 1.0 + float(fro_norm(fx))
         conj = fn(tuple(dagger(u) @ xi @ u for xi in x))

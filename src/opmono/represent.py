@@ -21,6 +21,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     DomainViolation,
     GradientNotPSD,
@@ -36,7 +37,7 @@ from .freefun import FreeFn, frechet_many, lift_scalar
 from .gradients import hermitian_basis
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, im_part, min_eig
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import rand_psd, rand_tuple_interval
+from .sampling import draw_gaussian, draw_spd, finish_psd, finish_spd, slots, stack_draws
 from .schur import PivotSubspace, SchurCore, in_right_halfspace
 
 __all__ = [
@@ -142,7 +143,7 @@ def support_pencil(
     hypograph samples at sizes n and 2n before a certificate is issued.
     """
     if not (fn.monotone and fn.concave):
-        raise ValueError(f"{fn.name} is not declared monotone and concave")
+        raise BadConfig(f"{fn.name} is not declared monotone and concave")
     a = tuple(np.asarray(m, dtype=complex) for m in a)
     n = a[0].shape[0]
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -211,12 +212,11 @@ def support_pencil(
     scalar_set = (scalars, fn(scalars))
     sample_sets = []
     for ns in (n, 2 * n):
-        draws = [rand_tuple_interval(rng, fn.arity, ns, c1, c2) for _ in range(per_size)]
-        xs = tuple(np.stack([d[i] for d in draws]) for i in range(fn.arity))
-        slacks = np.stack(
-            [abs(float(rng.normal(0.0, 0.4))) * rand_psd(rng, ns) for _ in range(per_size)]
-        )
-        ys = herm_part(fn(xs)) - slacks
+        draws = [draw_spd(rng, ns, c1, c2) for _ in range(per_size * fn.arity)]
+        xs = slots(finish_spd(*stack_draws(draws)), fn.arity)
+        slack = [(abs(rng.normal(0.0, 0.4)), draw_gaussian(rng, ns, ns)) for _ in range(per_size)]
+        s, z = stack_draws(slack)
+        ys = herm_part(fn(xs)) - s[:, None, None] * finish_psd(z)
         sample_sets.append((xs, ys))
 
     for b0 in candidates:

@@ -242,6 +242,29 @@ class TestMalformedFiles:
         assert "Traceback" not in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("check", "sqrt", "hypograph", "--n", "2", "--m", "3"),
+        ("check", "sqrt", "hypograph", "--n", "2", "--m", "0"),
+        ("check", "sqrt", "monotone", "--n", "2", "--trials", "0"),
+    ], ids=["m-above-n", "m-zero", "no-trials"])
+    def test_bad_check_options_exit_64(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("error: BadConfig")
+        assert "Traceback" not in err
+
+    def test_support_on_undeclared_function_exits_64(self, tmp_path, capsys):
+        tuple_path = tmp_path / "x.json"
+        io.save(str(tuple_path), "tuple", io.encode_tuple((np.eye(2),)))
+        code, _ = run_cli("support", "xsq", str(tuple_path))
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("error: BadConfig")
+        assert "Traceback" not in err
+
+
 class TestEndToEndSubprocess:
     def test_module_invocation(self, tmp_path):
         # one true end-to-end check through the interpreter

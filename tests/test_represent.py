@@ -293,7 +293,7 @@ class TestSupportPreconditions:
                            interval=(0.5, 2.0), seed=0)
 
     def test_undeclared_function_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadConfig):
             support_pencil(lift_scalar("xsq"), (np.eye(2),), np.array([1.0, 0.0]))
 
 
