@@ -152,7 +152,10 @@ def _pivot_from_args(args, dim: int) -> PivotSubspace:
         return PivotSubspace.from_basis(io.decode_matrix(payload))
     if args.pivot is None:
         raise BadConfig("schur needs --pivot or --pivot-file")
-    idx = [int(s) for s in args.pivot.split(",")]
+    try:
+        idx = [int(s) for s in args.pivot.split(",")]
+    except ValueError as exc:
+        raise BadConfig(f"bad pivot {args.pivot!r}; expected comma-separated indices") from exc
     return PivotSubspace.from_indices(dim, idx)
 
 
@@ -283,6 +286,8 @@ def _cmd_support(args) -> int:
         _, payload = io.load(args.v_file, expect="matrix")
         v = io.decode_matrix(payload).reshape(-1)
     else:
+        if not 0 <= args.v_index < n:
+            raise BadConfig(f"--v-index {args.v_index} must lie in 0..{n - 1}")
         v = np.zeros(n)
         v[args.v_index] = 1.0
     interval = _parse_interval(args.interval)
@@ -374,7 +379,10 @@ def _cmd_quadrep(args) -> int:
     name = args.function
     p = None
     if name.startswith("pow:"):
-        p = float(name.split(":", 1)[1])
+        try:
+            p = float(name.split(":", 1)[1])
+        except ValueError as exc:
+            raise BadConfig(f"bad exponent in {name!r}; expected pow:P") from exc
         name = "pow"
     rep = rep_from_quadrature(name, nodes=args.nodes, interval=interval, p=p, target=args.target)
     if args.out:

@@ -7,10 +7,11 @@ geometric, power means and the Karcher mean), Moebius transformations, and
 two deliberately broken negative controls.
 
 Evaluators are batched: each accepts a tuple of stacked Hermitian arguments
-``(..., n, n)`` and broadcasts over the leading axes.  Two-argument power and
-Karcher means are evaluated in closed form with two eigendecompositions of the
-whole stack; with three or more arguments the fixed-point iterations run all
-batch elements in lockstep.
+``(..., n, n)`` and broadcasts over the leading axes.  Every two-argument
+mean but the harmonic and arithmetic ones is defined by its representing
+function (``_pair_function``), which gives both its closed form, two
+eigendecompositions of the whole stack, and its exact adjoint; with three or
+more arguments the fixed-point iterations run all batch elements in lockstep.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.n
 
 def weighted_geo(z: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     """t-weighted geometric mean Z #_t X = Z^{1/2}(Z^{-1/2} X Z^{-1/2})^t Z^{1/2}."""
-    return _congruence_fun(z, x, lambda m: np.power(m, t))
+    return _congruence_fun(z, x, _pair_function(0.0, 1.0 - t, t)[0])
 
 
 def _geo_step(z: np.ndarray, xs: MatTuple, w: np.ndarray, t: float) -> np.ndarray:
@@ -308,35 +309,57 @@ def _geo_step(z: np.ndarray, xs: MatTuple, w: np.ndarray, t: float) -> np.ndarra
     return herm_part(zr @ inner @ zr)
 
 
+def _pair_function(t: float, w1: float, w2: float) -> tuple[Callable, Callable]:
+    """Representing function f of a two-argument mean, and its derivative.
+
+    The two-argument power, Karcher and geometric means are Kubo-Ando
+    congruences A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} (Kubo & Ando 1980)
+    with f(x) = (w1 + w2 x^t)^{1/t}: P_t for t in (0, 1], and at t = 0 the
+    t -> 0+ limit x^{w2}, Karcher (``geomean2`` when w2 = 1/2).  The
+    transpose x f(1/x), which represents the same mean with its arguments
+    swapped, is this family with w1 and w2 swapped.
+    """
+    if t == 0:
+        return (lambda x: np.power(x, w2)), (lambda x: w2 * np.power(x, w2 - 1))
+    return (
+        lambda x: np.power(w1 + w2 * np.power(x, t), 1.0 / t),
+        lambda x: w2 * np.power(x, t - 1) * np.power(w1 + w2 * np.power(x, t), 1.0 / t - 1),
+    )
+
+
+def _pair_vgrad(xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray) -> list[np.ndarray]:
+    """Exact adjoint of the two-argument mean represented by ``_pair_function(t, *w)``.
+
+    The second slot is the Daleckii-Krein sandwich
+    A^{-1/2} Df(M)[A^{1/2} W A^{1/2}] A^{-1/2} with M = A^{-1/2} B A^{-1/2}.
+    The first slot is the same sandwich on the swapped pair (B, A) with the
+    transpose of f, that is with the weights swapped.
+    """
+    a, b = xs
+    w1, w2 = w
+
+    def second_slot(a: np.ndarray, b: np.ndarray, f: Callable, fprime: Callable) -> np.ndarray:
+        ar, air = _roots(a)
+        df = dk_map(air @ b @ air, f, fprime)
+        return herm_part(air @ df(ar @ seed @ ar) @ air)
+
+    return [second_slot(b, a, *_pair_function(t, w2, w1)), second_slot(a, b, *_pair_function(t, w1, w2))]
+
+
 def geometric_mean_2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-variable geometric mean A # B."""
     _spd_check(a, "first argument")
     _spd_check(b, "second argument")
-    return weighted_geo(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex), 0.5)
-
-
-def _geo_second_slot_adjoint(a: np.ndarray, b: np.ndarray, seed: np.ndarray, t: float) -> np.ndarray:
-    """Adjoint of H -> d/ds (A #_t (B + sH)) applied to a Hermitian seed."""
-    ar, air = _roots(a)
-    m = air @ b @ air
-    dp = dk_map(m, lambda x: np.power(x, t), lambda x: t * np.power(x, t - 1))
-    return herm_part(air @ dp(ar @ seed @ ar) @ air)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _congruence_fun(a, b, _pair_function(0.0, 0.5, 0.5)[0])
 
 
 def geometric_mean_2_fn() -> FreeFn:
-    def _vgrad(xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
-        a, b = xs
-        # A # B = B # A, so the first-slot adjoint is the second-slot one swapped
-        return [
-            _geo_second_slot_adjoint(b, a, seed, 0.5),
-            _geo_second_slot_adjoint(a, b, seed, 0.5),
-        ]
-
     return FreeFn(
         name="geomean2",
         arity=2,
         evaluator=lambda xs: geometric_mean_2(xs[0], xs[1]),
-        vgrad=_vgrad,
+        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, (0.5, 0.5)),
     )
 
 
@@ -355,12 +378,12 @@ def power_mean(
 
         P_t(w_1, w_2; A, B) = A^{1/2} (w_1 I + w_2 M^t)^{1/t} A^{1/2},
 
-    two eigendecompositions per stack.  Three or more arguments use plain
-    fixed-point iteration from the arithmetic mean: the map is a
-    Thompson-metric contraction with ratio (1 - t) (Lim & Palfia 2012), so it
-    converges for every t in (0, 1].  Each step factors Z once and costs
-    k + 1 eigendecompositions; ``rtol`` and ``max_iter`` govern this
-    iteration only.
+    the congruence of ``_pair_function(t, w_1, w_2)``: two eigendecompositions
+    per stack.  Three or more arguments use plain fixed-point iteration from
+    the arithmetic mean: the map is a Thompson-metric contraction with ratio
+    (1 - t) (Lim & Palfia 2012), so it converges for every t in (0, 1].  Each
+    step factors Z once and costs k + 1 eigendecompositions; ``rtol`` and
+    ``max_iter`` govern this iteration only.
     """
     if not (0.0 < t <= 1.0):
         raise ValueError("t must lie in (0, 1]")
@@ -370,8 +393,7 @@ def power_mean(
     for xi in xs:
         _spd_check(xi, "power mean argument")
     if len(xs) == 2:
-        w1, w2 = w
-        return _congruence_fun(xs[0], xs[1], lambda mu: np.power(w1 + w2 * np.power(mu, t), 1.0 / t))
+        return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(z))))
     for _ in range(max_iter):
@@ -386,11 +408,12 @@ def power_mean(
 def _power_mean_vgrad(
     xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray
 ) -> list[np.ndarray]:
-    """Implicit adjoint gradient of the power mean.
+    """Implicit adjoint gradient of the power mean of three or more arguments.
 
     With Phi(Z, X) = sum w_i Z #_t X_i and Z the fixed point, the chain rule
     gives G_i = Phi_{X_i}* (Id - Phi_Z*)^{-1} seed; the partial adjoints are
-    combinations of Daleckii-Krein sandwiches at the solved Z.
+    combinations of Daleckii-Krein sandwiches at the solved Z.  Two arguments
+    take the closed form ``_pair_vgrad`` instead.
     """
     xs_flat = tuple(np.asarray(x, dtype=complex) for x in xs)
     z = power_mean(xs_flat, t, tuple(w))
@@ -415,16 +438,16 @@ def _power_mean_vgrad(
 
 
 def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
+    if not (0.0 < t <= 1.0):
+        raise UnknownFunction(f"power mean requires t in (0, 1], got {t:g}")
     w = _check_weights(weights)
+    vgrad = _pair_vgrad if w.size == 2 else _power_mean_vgrad
     return FreeFn(
         name=f"power:t={t:g}",
         arity=w.size,
         evaluator=lambda xs: power_mean(xs, t, tuple(w)),
-        vgrad=lambda xs, seed: _power_mean_vgrad(xs, seed, t, w),
+        vgrad=lambda xs, seed: vgrad(xs, seed, t, w),
     )
-
-
-_KARCHER_LADDER = (1 / 2, 1 / 4)
 
 
 def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -444,22 +467,17 @@ def karcher_mean(
     """Karcher (least-squares) mean of a positive definite tuple.
 
     Two arguments have a closed form, Karcher(w_1, w_2; A, B) = A #_{w_2} B,
-    the t -> 0+ limit of the two-argument power-mean formula: two
-    eigendecompositions per stack, and ``return_info`` reports zero
-    iterations with the Karcher-equation residual measured at the value.
+    the congruence of ``_pair_function(0, w_1, w_2)``: two eigendecompositions
+    per stack, and ``return_info`` reports zero iterations with the
+    Karcher-equation residual measured at the value.
 
-    For three or more arguments, the power means P_t decrease to the Karcher
-    mean as t -> 0+, so the ``_KARCHER_LADDER`` values are computed with warm
-    starts and Richardson-extrapolated to t = 0 as the initializer.
-    Extrapolation alone carries an O(prod t_j) bias, far above the accuracy
-    the downstream order checks need, so the extrapolant is polished by the
-    fixed-point form of the Karcher equation
+    Three or more arguments start at the arithmetic mean, as ``power_mean``
+    does, and iterate the fixed-point form of the Karcher equation
 
-        Z <- Z^{1/2} exp( sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
+        Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
 
-    until the equation residual drops below ``rtol`` relative.  The polish
-    makes the ladder choice immaterial to the value, so the ladder keeps
-    only two nodes.
+    with the step s halved (down to 1/64) whenever the residual grows, until
+    the equation residual drops below ``rtol (1 + ||Z||_F)``.
     """
     w = _check_weights(weights)
     if len(xs) != w.size:
@@ -468,60 +486,36 @@ def karcher_mean(
         _spd_check(xi, "Karcher mean argument")
 
     if len(xs) == 2:
-        z = weighted_geo(xs[0], xs[1], w[1])
+        z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
         if return_info:
             return z, {"iterations": 0, "residual": _karcher_gradient(z, xs, w)[2]}
         return z
 
-    # warm-started ladder, loose inner tolerance: this is only the initializer
-    vals = []
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
-    for t in _KARCHER_LADDER:
-        scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(z))))
-        for _ in range(max_iter):
-            step = _geo_step(z, xs, w, t)
-            delta = float(np.max(np.atleast_1d(fro_norm(step - z))))
-            z = step
-            if delta <= 1e-7 * scale:
-                break
-        else:
-            raise NoConvergence(f"power-mean ladder stalled at t={t}")
-        vals.append(z)
-
-    # Neville extrapolation of the matrix ladder to t = 0
-    ts = _KARCHER_LADDER
-    table = list(vals)
-    for lvl in range(1, len(ts)):
-        for i in range(len(ts) - lvl):
-            table[i] = (ts[i] * table[i + 1] - ts[i + lvl] * table[i]) / (ts[i] - ts[i + lvl])
-    z = herm_part(table[0])
-
-    # polish on the Karcher equation
-    scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(z))))
     damping = 1.0
     prev_res = np.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         zr, grad, res = _karcher_gradient(z, xs, w)
-        if res <= rtol * scale:
+        if res <= rtol * (1.0 + float(np.max(np.atleast_1d(fro_norm(z))))):
             break
         if res > prev_res:
             damping = max(damping / 2, 1 / 64)
         prev_res = res
         z = herm_part(zr @ _herm_exp(damping * grad) @ zr)
     else:
-        raise NoConvergence(f"Karcher polish stalled at residual {prev_res:.3e}")
+        raise NoConvergence(f"Karcher iteration stalled at residual {prev_res:.3e}")
     if return_info:
         return z, {"iterations": iterations, "residual": res}
     return z
 
 
 def _karcher_vgrad(xs: MatTuple, seed: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
-    """Implicit adjoint gradient of the Karcher mean.
+    """Implicit adjoint gradient of the Karcher mean of three or more arguments.
 
     Differentiates the Karcher equation sum w_i log(Z^{-1/2} X_i Z^{-1/2}) = 0
     at the solved mean; the slot adjoints are Daleckii-Krein logarithm
-    sandwiches and the Z-block is inverted on the Hermitian basis.
+    sandwiches and the Z-block is inverted on the Hermitian basis.  Two
+    arguments take the closed form ``_pair_vgrad`` instead.
     """
     xs_flat = tuple(np.asarray(x, dtype=complex) for x in xs)
     z = karcher_mean(xs_flat, tuple(w))
@@ -546,7 +540,7 @@ def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
         name="karcher",
         arity=w.size,
         evaluator=lambda xs: karcher_mean(xs, tuple(w)),
-        vgrad=lambda xs, seed: _karcher_vgrad(xs, seed, w),
+        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, w) if w.size == 2 else _karcher_vgrad(xs, seed, w),
     )
 
 

@@ -10,9 +10,11 @@ Hermitian seed W (usually vv*) is available in closed form:
   * functional-calculus lifts: the Daleckii-Krein divided-difference map,
     which is self-adjoint under the trace pairing;
   * harmonic/arithmetic means: explicit congruence sandwiches;
-  * the geometric mean: a Daleckii-Krein sandwich plus argument symmetry;
-  * power means and the Karcher mean: implicit-function solves of the
-    fixed-point equations, assembled on a real Hermitian basis.
+  * the two-argument geometric, power and Karcher means: a Daleckii-Krein
+    sandwich on their representing function (``freefun._pair_vgrad``);
+  * power and Karcher means of three or more arguments: implicit-function
+    solves of the fixed-point equations, assembled on a real Hermitian
+    basis.  Only these use ``solve_linear_map``.
 """
 
 from __future__ import annotations
@@ -26,28 +28,24 @@ from .matcore import dagger, herm_part
 __all__ = [
     "hermitian_basis",
     "dk_map",
-    "map_matrix",
     "solve_linear_map",
 ]
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of the real vector space of n x n Hermitian matrices."""
-    out: list[np.ndarray] = []
-    for p in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[p, p] = 1.0
-        out.append(e)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the real space of n x n Hermitian matrices, stacked (n^2, n, n).
+
+    The diagonal units come first, then for each p < q in row-major order
+    the real symmetric and the imaginary antisymmetric unit.
+    """
+    p, q = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(p.size)
     s = 1.0 / np.sqrt(2.0)
-    for p in range(n):
-        for q in range(p + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[p, q] = e[q, p] = s
-            out.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[p, q] = 1j * s
-            e[q, p] = -1j * s
-            out.append(e)
+    out = np.zeros((n * n, n, n), dtype=complex)
+    out[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    out[sym, p, q] = out[sym, q, p] = s
+    out[sym + 1, p, q] = 1j * s
+    out[sym + 1, q, p] = -1j * s
     return out
 
 
@@ -77,25 +75,15 @@ def dk_map(
     return apply
 
 
-def map_matrix(apply: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """Real matrix of an R-linear map on Hermitian n x n matrices."""
-    basis = hermitian_basis(n)
-    m = len(basis)
-    out = np.empty((m, m))
-    for col, s in enumerate(basis):
-        img = apply(s)
-        for row, t in enumerate(basis):
-            out[row, col] = float(np.trace(t @ img).real)
-    return out
-
-
 def solve_linear_map(
     apply: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve apply(u) = rhs for Hermitian u by dense assembly on the basis."""
-    n = rhs.shape[0]
-    basis = hermitian_basis(n)
-    mat = map_matrix(apply, n)
-    vec = np.array([float(np.trace(s @ rhs).real) for s in basis])
-    coeffs = np.linalg.solve(mat, vec)
-    return herm_part(sum(c * s for c, s in zip(coeffs, basis)))
+    """Solve apply(u) = rhs for Hermitian u by dense assembly on the basis.
+
+    ``apply`` is an R-linear map on Hermitian matrices that broadcasts over
+    a leading stack axis; it maps the whole basis in one call.
+    """
+    basis = hermitian_basis(rhs.shape[0])
+    mat = np.einsum("rij,cji->rc", basis, apply(basis)).real
+    vec = np.einsum("rij,ji->r", basis, rhs).real
+    return herm_part(np.einsum("r,rij->ij", np.linalg.solve(mat, vec), basis))

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     NotHermitian,
     NotSectorial,
@@ -82,7 +83,7 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("herm", "psd", "rank", "eq"):
             if getattr(self, name) < 0:
-                raise ValueError(f"tolerance {name} must be nonnegative")
+                raise BadConfig(f"tolerance {name} must be nonnegative")
 
 
 DEFAULT_TOL = Tolerances()
@@ -147,7 +148,8 @@ def min_eig(a: np.ndarray) -> np.ndarray | float:
     """Smallest eigenvalue of the Hermitian part, batched; -inf where an entry is not finite."""
     a = np.asarray(a, dtype=complex)
     finite = np.isfinite(a).all(axis=(-2, -1))
-    a = np.where(finite[..., None, None], a, np.eye(a.shape[-1]))
+    if not finite.all():
+        a = np.where(finite[..., None, None], a, np.eye(a.shape[-1]))
     out = np.where(finite, np.linalg.eigvalsh(herm_part(a))[..., 0], -np.inf)
     return float(out) if out.ndim == 0 else out
 

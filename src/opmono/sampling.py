@@ -48,7 +48,12 @@ __all__ = [
 
 
 def draw_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Real parts, then imaginary parts, of a complex Gaussian: one ``normal`` call, ``(2, *shape)``."""
+    """Real parts, then imaginary parts, of a complex Gaussian: one ``normal`` call, ``(2, *shape)``.
+
+    Every sampler draws through here, so a dimension below 1 is refused here.
+    """
+    if min(shape) < 1:
+        raise BadConfig(f"matrix dimensions must be positive, got {shape}")
     return rng.normal(size=(2, *shape))
 
 

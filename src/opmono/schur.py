@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     DomainViolation,
     EliminatedBlockDefective,
@@ -74,6 +75,8 @@ class PivotSubspace:
 
     @classmethod
     def from_indices(cls, ambient_dim: int, indices: list[int]) -> "PivotSubspace":
+        if any(not 0 <= idx < ambient_dim for idx in indices):
+            raise BadConfig(f"pivot indices {list(indices)} must lie in 0..{ambient_dim - 1}")
         basis = np.zeros((ambient_dim, len(indices)), dtype=complex)
         for col, idx in enumerate(indices):
             basis[idx, col] = 1.0

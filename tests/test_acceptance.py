@@ -5,8 +5,10 @@ lines.  Tolerances are pinned here and nowhere else.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,8 @@ from opmono.sampling import (
     rand_unit_vector,
 )
 from opmono.schur import PivotSubspace, schur_generic, sector_bound_check, shorted_psd
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def announce(num: int, ok: bool, desc: str) -> None:
@@ -459,9 +463,11 @@ def test_criterion_13_cli_contract(tmp_path):
     io.save(str(pencil_path), "pencil", fixtures["pencil"])
     xt_path = tmp_path / "x2.json"
     io.save(str(xt_path), "tuple", io.encode_tuple(x))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "opmono", "pencil-eval", str(pencil_path), str(xt_path)],
-        capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=300,
     )
     if result.returncode != 0:
         problems.append(f"subprocess pencil-eval exit {result.returncode}")

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from opmono import serialize as io
 from opmono.cli import main
 from opmono.sampling import rand_psd, rand_tuple_interval
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -264,14 +268,42 @@ class TestUsageErrors:
         assert err.startswith("error: BadConfig")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,error", [
+        (("mean", "power:t=2", "{pair}"), "UnknownFunction"),
+        (("check", "power:t=0", "monotone", "--n", "2", "--trials", "5"), "UnknownFunction"),
+        (("quadrep", "pow:abc"), "BadConfig"),
+        (("check", "sqrt", "monotone", "--n", "0"), "BadConfig"),
+        (("check", "sqrt", "monotone", "--n", "-1"), "BadConfig"),
+        (("check", "sqrt", "monotone", "--n", "2", "--tol", "-1"), "BadConfig"),
+        (("schur", "{matrix}", "--pivot", "5"), "BadConfig"),
+        (("schur", "{matrix}", "--pivot", "a"), "BadConfig"),
+        (("support", "sqrt", "{single}", "--v-index", "7"), "BadConfig"),
+    ], ids=["mean-t-above-one", "check-t-zero", "quadrep-bad-exponent", "n-zero", "n-negative",
+            "negative-tol", "pivot-out-of-range", "pivot-not-int", "v-index-out-of-range"])
+    def test_bad_arguments_exit_64(self, argv, error, tmp_path, capsys):
+        files = {"pair": (np.eye(2), 2 * np.eye(2)), "single": (np.eye(3),)}
+        paths = {}
+        for name, mats in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            io.save(paths[name], "tuple", io.encode_tuple(mats))
+        paths["matrix"] = str(tmp_path / "matrix.json")
+        io.save(paths["matrix"], "matrix", io.encode_matrix(np.diag([2.0, 1.0, 3.0])))
+        code, _ = run_cli(*(arg.format(**paths) for arg in argv))
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith(f"error: {error}")
+        assert "Traceback" not in err
+
 
 class TestEndToEndSubprocess:
     def test_module_invocation(self, tmp_path):
         # one true end-to-end check through the interpreter
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "opmono", "check", "identity", "monotone",
              "--n", "2", "--trials", "20", "--seed", "0"],
-            capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout

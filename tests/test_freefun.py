@@ -21,7 +21,7 @@ from opmono.freefun import (
     resolve_function,
     weighted_geo,
 )
-from opmono.gradients import hermitian_basis
+from opmono.gradients import dk_map, hermitian_basis, solve_linear_map
 from opmono.matcore import fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.sampling import rand_herm, rand_psd, rand_spd_interval, rand_tuple_interval
 
@@ -211,6 +211,25 @@ class TestKarcherMean:
             assert min_eig(g - h) >= -1e-8 * (1 + fro_norm(a))
             assert min_eig(a - g) >= -1e-8 * (1 + fro_norm(a))
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_wide_spectra_from_the_arithmetic_start(self, k):
+        from opmono.freefun import _herm_log, _roots
+
+        rng = np.random.default_rng(30 + k)
+        w = tuple(rng.dirichlet(np.ones(k)))
+        rows = [rand_tuple_interval(rng, k, 3, 1e-3, 1e3) for _ in range(16)]
+        x = tuple(np.stack([r[i] for r in rows]) for i in range(k))
+        z, info = karcher_mean(x, w, return_info=True)
+        zr, zir = _roots(z)
+        res = np.max(fro_norm(sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, x))))
+        assert res == info["residual"]
+        assert res <= 1e-13 * (1 + np.max(fro_norm(z)))
+        h = harmonic_mean(w)(x)
+        a = arithmetic_mean(w)(x)
+        floor = -1e-8 * (1 + fro_norm(a))
+        assert np.all(min_eig(z - h) >= floor)
+        assert np.all(min_eig(a - z) >= floor)
+
 
 class TestTwoArgumentClosedForms:
     """The k = 2 power and Karcher means are closed forms; k >= 3 iterates."""
@@ -292,6 +311,8 @@ ADJOINT_CASES = [
     ("karcher", (2, 3)),
     ("power:t=0.5:w=0.2,0.3,0.5", (2,)),
     ("karcher:w=0.2,0.3,0.5", (2,)),
+    ("power:t=0.25:w=0.3,0.7", (2, 3)),
+    ("karcher:w=0.2,0.8", (2, 3)),
 ]
 
 
@@ -316,6 +337,67 @@ class TestExactAdjoints:
                 coeffs = [float(np.trace(seed @ d).real) for d in derivs]
                 fd = sum(c * e for c, e in zip(coeffs, basis))
                 assert fro_norm(grads[slot] - fd) <= 1e-9 * (1 + fro_norm(fd)), (ident, n, slot)
+
+    @pytest.mark.parametrize("ident", [ident for ident, _ in ADJOINT_CASES])
+    def test_implicit_solve_only_for_three_arguments(self, ident, monkeypatch):
+        fn = resolve_function(ident)
+        real_solve = np.linalg.solve
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        x = rand_tuple_interval(np.random.default_rng(26), fn.arity, 3, 0.5, 2.0)
+        fn.vgrad(x, rand_herm(np.random.default_rng(27), 3))
+        assert len(calls) == (1 if fn.arity >= 3 else 0), ident
+
+
+def basis_loop(n):
+    """The Hermitian basis built one matrix at a time: diagonals, then each p < q."""
+    out = []
+    for p in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[p, p] = 1.0
+        out.append(e)
+    s = 1.0 / np.sqrt(2.0)
+    for p in range(n):
+        for q in range(p + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[p, q] = e[q, p] = s
+            out.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[p, q] = 1j * s
+            e[q, p] = -1j * s
+            out.append(e)
+    return out
+
+
+class TestStackedBasisSolve:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_basis_matches_the_loop(self, n):
+        basis = hermitian_basis(n)
+        assert basis.shape == (n * n, n, n)
+        assert np.array_equal(basis, np.stack(basis_loop(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_solve_matches_per_matrix_assembly(self, n):
+        rng = np.random.default_rng(40 + n)
+        x = rand_spd_interval(rng, n, 0.5, 2.0)
+        d = dk_map(x, np.sqrt, lambda v: 0.5 / np.sqrt(v))
+
+        def apply(h):
+            return h + d(h) + herm_part(x @ h)
+
+        rhs = rand_herm(rng, n)
+        basis = basis_loop(n)
+        mat = np.array([[np.trace(r @ apply(c)).real for c in basis] for r in basis])
+        vec = np.array([np.trace(r @ rhs).real for r in basis])
+        ref = sum(c * e for c, e in zip(np.linalg.solve(mat, vec), basis))
+        u = solve_linear_map(apply, rhs)
+        assert fro_norm(u - ref) <= 1e-12 * (1 + fro_norm(ref))
+        assert fro_norm(apply(u) - rhs) <= 1e-12 * (1 + fro_norm(rhs))
 
 
 class TestMobius:
