@@ -66,13 +66,11 @@ def hypograph_member(
     rng: np.random.Generator,
     n: int,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
-    slack_scale: float | None = None,
 ) -> HypoSample:
     """Draw a random hypograph member at size n inside the interval."""
     c1, c2 = interval
     x = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-    scale = abs(float(rng.normal(0.0, 0.3))) if slack_scale is None else slack_scale
-    slack = scale * rand_psd(rng, n)
+    slack = abs(float(rng.normal(0.0, 0.3))) * rand_psd(rng, n)
     y = herm_part(fn(x)) - slack
     return HypoSample(y=y, x=x, slack_margin=float(np.linalg.eigvalsh(slack)[0]))
 
@@ -416,7 +414,7 @@ def chain_semicontinuity_test(
 ) -> CertReport:
     """F(A_j) <= F(A_last) along a finite increasing chain of tuples."""
     if len(chain) < 2:
-        raise ValueError("chain needs at least two tuples")
+        raise BadConfig("chain needs at least two tuples")
     xs = slots(np.asarray(chain), len(chain[0]))
     gaps = np.stack([xi[1:] - xi[:-1] for xi in xs], axis=1)
     down = np.flatnonzero(np.any(min_eig(gaps) < -tol.psd * (1.0 + fro_norm(gaps)), axis=1))

@@ -1,18 +1,25 @@
 """Batch command-line interface.
 
-Subcommands wire the library modules over JSON files:
+Subcommands wire the library modules over JSON files.  Each one takes
+``--format text|json`` and ``--out PATH`` and only the options listed:
 
   check        randomized property certification of a catalogue function
+               (--m --seed --tol --trials --n --interval)
   schur        shorted operator / Schur complement / sector bound of a matrix
-  pencil-eval  evaluate a pencil file at a tuple file
+               (--pivot --pivot-file --mode --keep --tol)
+  pencil-eval  evaluate a pencil file at a tuple file (--shifted)
   support      supporting pencil certificate at a base point
-  reconstruct  recover F(A)v from a certificate file
-  repeval      evaluate a representation file (``--complex`` for half-space inputs)
+               (--v-file --v-index --samples --seed --tol --interval)
+  reconstruct  recover F(A)v from a certificate file (--residual-tol --tol)
+  repeval      evaluate a representation file (--complex --tol)
   mean         operator means of a tuple file
   quadrep      quadrature representation of a one-variable function
+               (--nodes --target --interval)
 
-Exit codes: 0 pass, 1 math error, 2 property counterexample,
-3 inconclusive, 64 usage error, 65 data error.
+``--out`` writes a ``certificate`` (support), a ``representation``
+(quadrep), the report (check, schur --mode sector-bound) or the value as a
+``matrix`` (every other subcommand).  Exit codes: 0 pass, 1 math error,
+2 property counterexample, 3 inconclusive, 64 usage error, 65 data error.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
 from .freefun import karcher_mean, nc_axiom_check, resolve_function
-from .matcore import Tolerances
+from .matcore import Tolerances, herm_part
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
     reconstruct,
@@ -45,12 +52,19 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="override the PSD tolerance")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--n", type=int, default=4, help="matrix dimension for random trials")
-    p.add_argument("--interval", type=str, default="0.5,2", help="spectral interval c1,c2")
+_SHARED = {
+    "--seed": dict(type=int, default=0),
+    "--tol": dict(type=float, default=None, help="override the PSD tolerance"),
+    "--trials": dict(type=int, default=1000),
+    "--n": dict(type=int, default=4, help="matrix dimension for random trials"),
+    "--interval": dict(type=str, default="0.5,2", help="spectral interval c1,c2"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *shared: str) -> None:
+    """Add the named ``_SHARED`` options, and --format and --out, which every subcommand reads."""
+    for flag in shared:
+        p.add_argument(flag, **_SHARED[flag])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", type=str, default=None, help="output file path")
 
@@ -71,11 +85,15 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(psd=args.tol, herm=args.tol, eq=max(args.tol, 1e-8))
 
 
-def _emit(args, obj: dict, text: str) -> None:
-    line = io.dumps(obj) if args.format == "json" else text
-    print(line)
+def _emit(args, payload: dict, text: str, saved: tuple[str, object] | None = None) -> None:
+    """Print the report or ``text`` per ``--format``; save ``saved`` or the report to ``--out``."""
+    print(io.dumps({"kind": "report", "payload": payload}) if args.format == "json" else text)
     if args.out:
-        io.save(args.out, obj.get("kind", "report"), obj.get("payload", obj))
+        io.save(args.out, *(saved or ("report", payload)))
+
+
+def _min_herm_eig(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(herm_part(m))[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("monotone", "concave", "derivative", "hypograph", "nc-axioms", "doubling"),
     )
     p.add_argument("--m", type=int, default=None, help="isometry target dimension (hypograph)")
-    _add_common(p)
+    _add_options(p, "--seed", "--tol", "--trials", "--n", "--interval")
 
     p = sub.add_parser("schur", help="shorted operator / Schur complement / sector bound")
     p.add_argument("input", help="matrix file")
@@ -97,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot-file", type=str, default=None, help="basis matrix file")
     p.add_argument("--mode", choices=("psd", "generic", "sector-bound"), default="psd")
     p.add_argument("--keep", choices=("s", "perp"), default="s")
-    _add_common(p)
+    _add_options(p, "--tol")
 
     p = sub.add_parser("pencil-eval", help="evaluate a pencil at a tuple")
     p.add_argument("pencil", help="pencil file")
     p.add_argument("tuple", help="tuple file")
     p.add_argument("--shifted", action="store_true", help="evaluate at (X_i - I)")
-    _add_common(p)
+    _add_options(p)
 
     p = sub.add_parser("support", help="supporting pencil certificate")
     p.add_argument("function")
@@ -111,29 +129,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-file", type=str, default=None, help="vector as an n x 1 matrix file")
     p.add_argument("--v-index", type=int, default=0, help="basis vector index when no file")
     p.add_argument("--samples", type=int, default=200)
-    _add_common(p)
+    _add_options(p, "--seed", "--tol", "--interval")
 
     p = sub.add_parser("reconstruct", help="recover F(A)v from a certificate")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--residual-tol", type=float, default=1e-6)
-    _add_common(p)
+    _add_options(p, "--tol")
 
     p = sub.add_parser("repeval", help="evaluate a representation")
     p.add_argument("representation", help="representation file")
     p.add_argument("tuple", help="tuple file")
     p.add_argument("--complex", action="store_true", help="allow half-space inputs")
-    _add_common(p)
+    _add_options(p, "--tol")
 
     p = sub.add_parser("mean", help="operator means of a tuple")
     p.add_argument("mean_id", help="e.g. karcher, harmonic, geomean2, power:t=0.5")
     p.add_argument("tuple", help="tuple file")
-    _add_common(p)
+    _add_options(p)
 
     p = sub.add_parser("quadrep", help="quadrature representation of a scalar function")
     p.add_argument("function", help="sqrt, log1p, or pow:P")
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--target", type=float, default=1e-3)
-    _add_common(p)
+    _add_options(p, "--interval")
     return ap
 
 
@@ -174,41 +192,28 @@ def _cmd_check(args) -> int:
         m = args.m if args.m is not None else max(args.n - 1, 1)
         report = certmod.hypograph_convexity_test(fn, m=m, **kwargs)
     elif args.property == "doubling":
-        report = certmod.doubling_concavity_check(
-            fn, n=args.n, trials=max(args.trials // 10, 1), seed=args.seed,
-            tol=tol, interval=interval,
-        )
+        kwargs["trials"] = max(args.trials // 10, 1)
+        report = certmod.doubling_concavity_check(fn, **kwargs)
     else:  # nc-axioms
-        rep = nc_axiom_check(fn, n=args.n, trials=args.trials, seed=args.seed, interval=interval, tol=tol)
-        obj = {
-            "kind": "report",
-            "payload": {
-                "property": "nc-axioms",
-                "function": fn.name,
-                "verdict": "pass" if rep.passed else "counterexample",
-                "unitary_defect": rep.unitary_defect,
-                "direct_sum_defect": rep.direct_sum_defect,
-                "trials": rep.trials,
-                "seed": rep.seed,
-            },
-        }
-        _emit(args, obj, f"nc-axioms {fn.name}: {'PASS' if rep.passed else 'FAIL'} "
-                         f"(unitary {rep.unitary_defect:.2e}, direct-sum {rep.direct_sum_defect:.2e})")
+        rep = nc_axiom_check(fn, **kwargs)
+        payload = {"property": "nc-axioms", "function": fn.name,
+                   "verdict": "pass" if rep.passed else "counterexample",
+                   "unitary_defect": rep.unitary_defect, "direct_sum_defect": rep.direct_sum_defect,
+                   "trials": rep.trials, "seed": rep.seed}
+        _emit(args, payload,
+              f"nc-axioms {fn.name}: {'PASS' if rep.passed else 'FAIL'} "
+              f"(unitary {rep.unitary_defect:.2e}, direct-sum {rep.direct_sum_defect:.2e})")
         return EXIT_PASS if rep.passed else EXIT_COUNTEREXAMPLE
 
     payload = io.report_payload(report)
     payload["function"] = fn.name
-    obj = {"kind": "report", "payload": payload}
     _emit(
-        args, obj,
+        args, payload,
         f"{report.property_name} {fn.name}: {report.verdict.upper()} "
         f"(trials {report.trials_run}, worst margin {report.worst_margin:.3e}, seed {report.seed})",
     )
-    if report.verdict == "pass":
-        return EXIT_PASS
-    if report.verdict == "counterexample":
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_INCONCLUSIVE
+    exits = {"pass": EXIT_PASS, "counterexample": EXIT_COUNTEREXAMPLE}
+    return exits.get(report.verdict, EXIT_INCONCLUSIVE)
 
 
 def _cmd_schur(args) -> int:
@@ -218,47 +223,25 @@ def _cmd_schur(args) -> int:
     tol = _tolerances(args)
     if args.mode == "psd":
         result = shorted_psd(a, pivot, tol)
-        obj = {
-            "kind": "report",
-            "payload": {
-                "mode": "psd",
-                "shorted": io.encode_matrix(result.shorted),
-                "defect": result.defect,
-                "min_eig": float(np.linalg.eigvalsh(result.shorted)[0]),
-            },
-        }
-        text = (
-            f"shorted operator on a {pivot.dim}-dim pivot: min eigenvalue "
-            f"{np.linalg.eigvalsh(result.shorted)[0]:.6g}, factorization defect {result.defect:.2e}"
-        )
-        if args.out:
-            io.save(args.out, "matrix", io.encode_matrix(result.shorted))
-        print(io.dumps(obj) if args.format == "json" else text)
+        lam = float(np.linalg.eigvalsh(result.shorted)[0])
+        shorted = io.encode_matrix(result.shorted)
+        _emit(args, {"mode": "psd", "shorted": shorted, "defect": result.defect, "min_eig": lam},
+              f"shorted operator on a {pivot.dim}-dim pivot: min eigenvalue {lam:.6g}, "
+              f"factorization defect {result.defect:.2e}", ("matrix", shorted))
         return EXIT_PASS
     if args.mode == "generic":
         comp = schur_generic(a, pivot, keep=args.keep, tol=tol)
-        if args.out:
-            io.save(args.out, "matrix", io.encode_matrix(comp))
-        lam = float(np.linalg.eigvalsh((comp + comp.conj().T) / 2)[0])
-        print(
-            io.dumps({"kind": "report", "payload": {"mode": "generic", "min_eig_herm_part": lam}})
-            if args.format == "json"
-            else f"Schur complement keeping {args.keep!r}: Hermitian-part min eigenvalue {lam:.6g}"
-        )
+        lam = _min_herm_eig(comp)
+        _emit(args, {"mode": "generic", "min_eig_herm_part": lam},
+              f"Schur complement keeping {args.keep!r}: Hermitian-part min eigenvalue {lam:.6g}",
+              ("matrix", io.encode_matrix(comp)))
         return EXIT_PASS
     report = sector_bound_check(a, pivot, tol=tol)
-    obj = {
-        "kind": "report",
-        "payload": {
-            "mode": "sector-bound",
-            "alpha": report.alpha,
-            "passed": report.passed,
-            "singular_value_pairs": [list(p) for p in report.singular_value_pairs],
-            "norm_pair": list(report.norm_pair),
-        },
-    }
-    _emit(args, obj, f"sector bound: alpha = {report.alpha:.4f} rad, "
-                     f"{'PASS' if report.passed else 'FAIL'}")
+    payload = {"mode": "sector-bound", "alpha": report.alpha, "passed": report.passed,
+               "singular_value_pairs": [list(p) for p in report.singular_value_pairs],
+               "norm_pair": list(report.norm_pair)}
+    _emit(args, payload, f"sector bound: alpha = {report.alpha:.4f} rad, "
+                         f"{'PASS' if report.passed else 'FAIL'}")
     return EXIT_PASS if report.passed else EXIT_MATH
 
 
@@ -267,14 +250,10 @@ def _cmd_pencil_eval(args) -> int:
     pencil = io.pencil_from_payload(payload)
     x = _load_tuple(args.tuple)
     out = pencil_eval_shifted(pencil, x) if args.shifted else pencil_eval(pencil, x)
-    if args.out:
-        io.save(args.out, "matrix", io.encode_matrix(out))
-    lam = float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
-    print(
-        io.dumps({"kind": "report", "payload": {"min_eig_herm_part": lam}})
-        if args.format == "json"
-        else f"pencil evaluation: dimension {out.shape[0]}, Hermitian-part min eigenvalue {lam:.6g}"
-    )
+    lam = _min_herm_eig(out)
+    _emit(args, {"min_eig_herm_part": lam},
+          f"pencil evaluation: dimension {out.shape[0]}, Hermitian-part min eigenvalue {lam:.6g}",
+          ("matrix", io.encode_matrix(out)))
     return EXIT_PASS
 
 
@@ -294,22 +273,12 @@ def _cmd_support(args) -> int:
     cert = support_pencil(
         fn, a, v, interval, validation_samples=args.samples, seed=args.seed, tol=_tolerances(args)
     )
-    if args.out:
-        io.save(args.out, "certificate", io.certificate_payload(cert))
-    summary = (
-        f"support certificate for {fn.name}: support margin {cert.support_margin:.3e}, "
-        f"scalar margin {cert.scalar_margin:.3e}, trace slack {cert.trace_slack:.3e}"
-    )
-    print(
-        io.dumps({"kind": "report", "payload": {
-            "function": fn.name,
-            "support_margin": cert.support_margin,
-            "scalar_margin": cert.scalar_margin,
-            "trace_slack": cert.trace_slack,
-            "c": cert.c,
-        }})
-        if args.format == "json" else summary
-    )
+    payload = {"function": fn.name, "support_margin": cert.support_margin,
+               "scalar_margin": cert.scalar_margin, "trace_slack": cert.trace_slack, "c": cert.c}
+    _emit(args, payload,
+          f"support certificate for {fn.name}: support margin {cert.support_margin:.3e}, "
+          f"scalar margin {cert.scalar_margin:.3e}, trace slack {cert.trace_slack:.3e}",
+          ("certificate", io.certificate_payload(cert)))
     ok = cert.support_margin >= -1e-7 and cert.trace_slack >= -1e-8
     return EXIT_PASS if ok else EXIT_MATH
 
@@ -318,13 +287,8 @@ def _cmd_reconstruct(args) -> int:
     _, payload = io.load(args.certificate, expect="certificate")
     cert = io.certificate_from_payload(payload)
     result = reconstruct(cert, _tolerances(args))
-    if args.out:
-        io.save(args.out, "matrix", io.encode_matrix(result.value.reshape(-1, 1)))
-    print(
-        io.dumps({"kind": "report", "payload": {"residual": result.residual}})
-        if args.format == "json"
-        else f"reconstruction residual {result.residual:.3e}"
-    )
+    _emit(args, {"residual": result.residual}, f"reconstruction residual {result.residual:.3e}",
+          ("matrix", io.encode_matrix(result.value.reshape(-1, 1))))
     return EXIT_PASS if result.residual <= args.residual_tol else EXIT_MATH
 
 
@@ -333,14 +297,10 @@ def _cmd_repeval(args) -> int:
     rep = io.representation_from_payload(payload)
     x = _load_tuple(args.tuple)
     tol = _tolerances(args)
-    out = rep_eval_complex(rep, x, tol=tol) if getattr(args, "complex") else rep_eval(rep, x, tol)
-    if args.out:
-        io.save(args.out, "matrix", io.encode_matrix(out))
-    print(
-        io.dumps({"kind": "report", "payload": {"norm": float(np.linalg.norm(out, 2))}})
-        if args.format == "json"
-        else f"representation value: dimension {out.shape[0]}, norm {np.linalg.norm(out, 2):.6g}"
-    )
+    out = rep_eval_complex(rep, x, tol=tol) if args.complex else rep_eval(rep, x, tol)
+    norm = float(np.linalg.norm(out, 2))
+    _emit(args, {"norm": norm}, f"representation value: dimension {out.shape[0]}, norm {norm:.6g}",
+          ("matrix", io.encode_matrix(out)))
     return EXIT_PASS
 
 
@@ -348,29 +308,25 @@ def _cmd_mean(args) -> int:
     x = _load_tuple(args.tuple)
     k = len(x)
     ident = args.mean_id
-    if ":" not in ident and ident in ("karcher", "harmonic", "arithmetic"):
-        ident = f"{ident}:w=" + ",".join([repr(1.0 / k)] * k)
-    if ident.startswith("power:") and ":w=" not in ident:
-        ident = ident + ":w=" + ",".join([repr(1.0 / k)] * k)
+    uniform = ":w=" + ",".join([repr(1.0 / k)] * k)
+    if ident in ("karcher", "harmonic", "arithmetic") or (
+        ident.startswith("power:") and ":w=" not in ident
+    ):
+        ident += uniform
     fn = resolve_function(ident)
     if fn.arity != k:
         raise BadConfig(f"{fn.name} takes {fn.arity} arguments but the tuple has {k}")
     extra = ""
     if ident.startswith("karcher"):
-        w = tuple([1.0 / k] * k) if ":w=" not in args.mean_id else tuple(
-            float(s) for s in args.mean_id.split(":w=")[1].split(",")
-        )
+        spec = ident.partition(":w=")[2]
+        w = tuple(float(s) for s in spec.split(",")) if spec else (1.0 / k,) * k
         value, info = karcher_mean(x, w, return_info=True)
         extra = f" ({info['iterations']} polish iterations, residual {info['residual']:.2e})"
     else:
         value = fn(x)
-    if args.out:
-        io.save(args.out, "matrix", io.encode_matrix(value))
-    print(
-        io.dumps({"kind": "report", "payload": {"norm": float(np.linalg.norm(value, 2))}})
-        if args.format == "json"
-        else f"{fn.name} of {k} matrices: norm {np.linalg.norm(value, 2):.6g}{extra}"
-    )
+    norm = float(np.linalg.norm(value, 2))
+    _emit(args, {"norm": norm}, f"{fn.name} of {k} matrices: norm {norm:.6g}{extra}",
+          ("matrix", io.encode_matrix(value)))
     return EXIT_PASS
 
 
@@ -385,14 +341,10 @@ def _cmd_quadrep(args) -> int:
             raise BadConfig(f"bad exponent in {name!r}; expected pow:P") from exc
         name = "pow"
     rep = rep_from_quadrature(name, nodes=args.nodes, interval=interval, p=p, target=args.target)
-    if args.out:
-        io.save(args.out, "representation", io.representation_payload(rep))
-    print(
-        io.dumps({"kind": "report", "payload": {"scalar_error": rep.meta["scalar_error"]}})
-        if args.format == "json"
-        else f"quadrature representation: {rep.meta['nodes']} cells, "
-             f"scalar error {rep.meta['scalar_error']:.3e}"
-    )
+    _emit(args, {"scalar_error": rep.meta["scalar_error"]},
+          f"quadrature representation: {rep.meta['nodes']} cells, "
+          f"scalar error {rep.meta['scalar_error']:.3e}",
+          ("representation", io.representation_payload(rep)))
     return EXIT_PASS
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
+    BadConfig,
     DomainViolation,
     NoConvergence,
     NotPositiveDefinite,
@@ -41,7 +42,7 @@ from .matcore import (
     herm_part,
     min_eig,
 )
-from .sampling import draw_gaussian, draw_spd, finish_spd, finish_unitary, stack_draws
+from .sampling import draw_gaussian, draw_spd, finish_spd, finish_unitary, slots, stack_draws
 
 __all__ = [
     "FreeFn",
@@ -245,13 +246,19 @@ def fake_trace_fn() -> FreeFn:
 # ---------------------------------------------------------------------------
 # operator means
 
+# stopping rules of the k >= 3 fixed points: power-mean step relative to
+# ||Z_0||_F, absolute Karcher-equation residual, and the iteration cap
+_POWER_RTOL = 1e-12
+_KARCHER_RTOL = 1e-13
+_MAX_ITER = 10_000
+
 
 def _check_weights(weights: tuple[float, ...]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
-        raise ValueError("weights must be positive")
+        raise BadConfig("weights must be positive")
     if abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must sum to one")
+        raise BadConfig("weights must sum to one")
     return w
 
 
@@ -363,13 +370,7 @@ def geometric_mean_2_fn() -> FreeFn:
     )
 
 
-def power_mean(
-    xs: MatTuple,
-    t: float,
-    weights: tuple[float, ...],
-    rtol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> np.ndarray:
+def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray:
     """Matrix power mean P_t: the solution of Z = sum w_i (Z #_t X_i).
 
     Two arguments have a closed form.  Congruence by A^{-1/2} turns the
@@ -382,11 +383,13 @@ def power_mean(
     per stack.  Three or more arguments use plain fixed-point iteration from
     the arithmetic mean: the map is a Thompson-metric contraction with ratio
     (1 - t) (Lim & Palfia 2012), so it converges for every t in (0, 1].  Each
-    step factors Z once and costs k + 1 eigendecompositions; ``rtol`` and
-    ``max_iter`` govern this iteration only.
+    step factors Z once and costs k + 1 eigendecompositions.  The iteration
+    stops once every member's step is at most ``_POWER_RTOL`` ||Z_0||_F, a
+    rule that scales with the arguments (so P_t(cX) = c P_t(X) holds to
+    rounding), and raises NoConvergence after ``_MAX_ITER`` steps.
     """
     if not (0.0 < t <= 1.0):
-        raise ValueError("t must lie in (0, 1]")
+        raise BadConfig("t must lie in (0, 1]")
     w = _check_weights(weights)
     if len(xs) != w.size:
         raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
@@ -395,14 +398,14 @@ def power_mean(
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
-    scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(z))))
-    for _ in range(max_iter):
+    bound = _POWER_RTOL * fro_norm(z)
+    for _ in range(_MAX_ITER):
         new = _geo_step(z, xs, w, t)
-        delta = float(np.max(np.atleast_1d(fro_norm(new - z))))
+        done = np.all(fro_norm(new - z) <= bound)
         z = new
-        if delta <= rtol * scale:
+        if done:
             return z
-    raise NoConvergence(f"power mean t={t} did not converge within {max_iter} iterations")
+    raise NoConvergence(f"power mean t={t} did not converge within {_MAX_ITER} iterations")
 
 
 def _power_mean_vgrad(
@@ -457,13 +460,7 @@ def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.nd
     return zr, grad, float(np.max(np.atleast_1d(fro_norm(grad))))
 
 
-def karcher_mean(
-    xs: MatTuple,
-    weights: tuple[float, ...],
-    rtol: float = 1e-13,
-    max_iter: int = 10_000,
-    return_info: bool = False,
-):
+def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = False):
     """Karcher (least-squares) mean of a positive definite tuple.
 
     Two arguments have a closed form, Karcher(w_1, w_2; A, B) = A #_{w_2} B,
@@ -477,7 +474,9 @@ def karcher_mean(
         Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
 
     with the step s halved (down to 1/64) whenever the residual grows, until
-    the equation residual drops below ``rtol (1 + ||Z||_F)``.
+    the equation residual, which does not change when every X_i is scaled,
+    drops to ``_KARCHER_RTOL``.  It raises NoConvergence after ``_MAX_ITER``
+    steps.
     """
     w = _check_weights(weights)
     if len(xs) != w.size:
@@ -494,9 +493,9 @@ def karcher_mean(
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     damping = 1.0
     prev_res = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         zr, grad, res = _karcher_gradient(z, xs, w)
-        if res <= rtol * (1.0 + float(np.max(np.atleast_1d(fro_norm(z))))):
+        if res <= _KARCHER_RTOL:
             break
         if res > prev_res:
             damping = max(damping / 2, 1 / 64)
@@ -559,7 +558,7 @@ class MobiusMap:
 
     def __post_init__(self) -> None:
         if self.a * self.d - self.b * self.c <= 0:
-            raise ValueError("Moebius map requires a d - b c > 0")
+            raise BadConfig("Moebius map requires a d - b c > 0")
 
     def scalar(self, x):
         return (self.a * x + self.b) / (self.c * x + self.d)
@@ -623,19 +622,22 @@ def frechet_many(
     return list(herm_part((4.0 * d_h2 - d_h) / 3.0))
 
 
+_MAX_HALVINGS = 20
+
+
 def frechet_derivative(
     fn: FreeFn,
     x: MatTuple,
     direction: MatTuple,
     h: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
-    max_halvings: int = 20,
 ) -> np.ndarray:
     """Central-difference Frechet derivative DF(X)(H) with step validation.
 
-    The step is halved until two successive Richardson-refined estimates
-    agree within the relative ``eq`` tolerance; StepUnderflow is raised when
-    the step degrades to the vicinity of roundoff without agreement.
+    The step is halved, at most ``_MAX_HALVINGS`` times, until two
+    successive Richardson-refined estimates agree within the relative ``eq``
+    tolerance; StepUnderflow is raised when the step degrades to the
+    vicinity of roundoff or the halvings run out without agreement.
     """
     x = tuple(np.asarray(m, dtype=complex) for m in x)
     direction = tuple(np.asarray(m, dtype=complex) for m in direction)
@@ -645,7 +647,7 @@ def frechet_derivative(
     step = h if h is not None else 1e-3 * (1.0 + norm_x)
     floor = 1e-10 * (1.0 + norm_x)
     prev = None
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         est = frechet_many(fn, x, [direction], step)[0]
         if prev is not None:
             gap = float(fro_norm(est - prev))
@@ -679,7 +681,11 @@ def nc_axiom_check(
     interval: tuple[float, float] = (0.5, 2.0),
     tol: Tolerances = DEFAULT_TOL,
 ) -> NCAxiomReport:
-    """Test unitary equivariance and direct-sum respect on random inputs."""
+    """Test unitary equivariance and direct-sum respect on random inputs.
+
+    All trials are evaluated as stacks: four calls of ``fn``, at X, U* X U,
+    Y and X (+) Y.
+    """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     k, draws, gs = fn.arity, [], []
@@ -687,17 +693,14 @@ def nc_axiom_check(
         draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
         gs.append(draw_gaussian(rng, n, n))
     xys = finish_spd(*stack_draws(draws)).reshape(trials, 2, k, n, n)
-    worst_u = 0.0
-    worst_ds = 0.0
-    for (x, y), u in zip(xys, finish_unitary(np.array(gs))):
-        x, y = tuple(x), tuple(y)
-        fx = fn(x)
-        scale = 1.0 + float(fro_norm(fx))
-        conj = fn(tuple(dagger(u) @ xi @ u for xi in x))
-        worst_u = max(worst_u, float(fro_norm(conj - dagger(u) @ fx @ u)) / scale)
-        fz = fn(tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
-        direct = block_diag(fx, fn(y))
-        worst_ds = max(worst_ds, float(fro_norm(fz - direct)) / scale)
+    x, y = slots(xys[:, 0], k), slots(xys[:, 1], k)
+    u = finish_unitary(np.array(gs))
+    fx = fn(x)
+    scale = 1.0 + fro_norm(fx)
+    conj = fn(tuple(dagger(u) @ xi @ u for xi in x))
+    worst_u = float(np.max(fro_norm(conj - dagger(u) @ fx @ u) / scale))
+    fz = fn(tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
+    worst_ds = float(np.max(fro_norm(fz - block_diag(fx, fn(y))) / scale))
     passed = worst_u <= tol.eq and worst_ds <= tol.eq
     return NCAxiomReport(
         unitary_defect=worst_u,
@@ -727,11 +730,8 @@ CATALOGUE_IDS = (
 )
 
 
-def _parse_weights(spec: str | None, default_k: int = 2) -> tuple[float, ...]:
-    if spec is None:
-        return tuple([1.0 / default_k] * default_k)
-    vals = tuple(float(s) for s in spec.split(","))
-    return vals
+def _parse_weights(spec: str | None) -> tuple[float, ...]:
+    return (0.5, 0.5) if spec is None else tuple(float(s) for s in spec.split(","))
 
 
 def resolve_function(identifier: str) -> FreeFn:
@@ -772,6 +772,6 @@ def resolve_function(identifier: str) -> FreeFn:
                 raise UnknownFunction("mobius needs four coefficients a,b,c,d")
             a, b, c, d = (float(s) for s in raw)
             return mobius_fn(MobiusMap(a, b, c, d))
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, IndexError, ValueError, BadConfig) as exc:
         raise UnknownFunction(f"cannot parse function identifier {identifier!r}: {exc}") from exc
     raise UnknownFunction(f"unknown function identifier {identifier!r}")

@@ -412,7 +412,7 @@ def direct_sum_rep(
     every j; each residual is verified before returning.
     """
     if not points:
-        raise ValueError("need at least one base point")
+        raise BadConfig("need at least one base point")
     k = fn.arity
     sizes = [p[0][0].shape[0] for p in points]
     n = sizes[0]
@@ -492,7 +492,6 @@ def rep_from_quadrature(
     interval: tuple[float, float] = (0.1, 10.0),
     p: float | None = None,
     target: float = 1e-3,
-    grid: int = 100,
     tol: Tolerances = DEFAULT_TOL,
 ) -> PencilRepresentation:
     """Pencil representation of a one-variable catalogue function.
@@ -501,8 +500,9 @@ def rep_from_quadrature(
     complement of the 2 x 2 cell [[lam, lam], [lam, x + lam]]; the cells and
     one affine slot are assembled block-diagonally, the state is uniform on
     the pivot slots, and the quadrature weights are folded into per-cell
-    scalings.  The scalar accuracy is certified on a grid against the exact
-    function before the representation is returned.
+    scalings.  The scalar accuracy is certified at 100 equispaced points of
+    the interval against the exact function before the representation is
+    returned.
     """
     if nodes < 4:
         raise QuadratureInaccurate("need at least four quadrature nodes")
@@ -528,7 +528,7 @@ def rep_from_quadrature(
         meta={"kind": "quadrature", "function": fn.name, "nodes": int(n_cells)},
     )
 
-    xs = np.linspace(interval[0], interval[1], grid).reshape(-1, 1, 1)
+    xs = np.linspace(interval[0], interval[1], 100).reshape(-1, 1, 1)
     approx = rep_eval(rep, (xs,), tol)[:, 0, 0].real
     exact = fn(xs)[:, 0, 0].real
     rel = float(np.max(np.abs(approx - exact) / np.abs(exact)))

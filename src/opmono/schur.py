@@ -179,7 +179,7 @@ def schur_generic(
     elif keep == "perp":
         kept, cross_kr, cross_rk, removed = a22, a21, a12, a11
     else:
-        raise ValueError("keep must be 's' or 'perp'")
+        raise BadConfig("keep must be 's' or 'perp'")
     if removed.size == 0:
         return kept
     sv = np.linalg.svd(removed, compute_uv=False)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opmono import cli
 from opmono import serialize as io
 from opmono.cli import main
+from opmono.pencil import pencil_new
 from opmono.sampling import rand_psd, rand_tuple_interval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -326,3 +329,123 @@ class TestEndToEndSubprocess:
         from opmono.pencil import pencil_eval
 
         assert np.allclose(io.decode_matrix(payload), pencil_eval(p, x))
+
+
+class _Recording(argparse.Namespace):
+    """A parsed namespace that records the name of every attribute read from it."""
+
+    def __init__(self, reads, **kwargs):
+        super().__init__(**kwargs)
+        self._reads = reads
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def declared_options(command):
+    """The option dests (``--v-file`` -> ``v_file``) of one subcommand."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"}
+
+
+# options beyond --format and --out, as the cli docstring and README list them
+OPTIONS = {
+    "check": {"m", "seed", "tol", "trials", "n", "interval"},
+    "schur": {"pivot", "pivot_file", "mode", "keep", "tol"},
+    "pencil-eval": {"shifted"},
+    "support": {"v_file", "v_index", "samples", "seed", "tol", "interval"},
+    "reconstruct": {"residual_tol", "tol"},
+    "repeval": {"complex", "tol"},
+    "mean": set(),
+    "quadrep": {"nodes", "target", "interval"},
+}
+
+# valid runs that together pass every option of every subcommand (and each
+# schur mode), with the kind of file --out writes
+RUNS = {
+    "check-monotone": (("check", "sqrt", "monotone", "--n", "2", "--trials", "20", "--seed", "1",
+                        "--tol", "1e-9", "--interval", "0.5,2"), "report"),
+    "check-hypograph": (("check", "sqrt", "hypograph", "--n", "3", "--m", "2", "--trials", "20"),
+                        "report"),
+    "schur-psd": (("schur", "{matrix}", "--pivot", "0", "--tol", "1e-9"), "matrix"),
+    "schur-generic": (("schur", "{matrix}", "--pivot-file", "{basis}", "--mode", "generic",
+                       "--keep", "perp"), "matrix"),
+    "schur-sector-bound": (("schur", "{matrix}", "--pivot", "0", "--mode", "sector-bound"), "report"),
+    "pencil-eval": (("pencil-eval", "{pencil}", "{pair}", "--shifted"), "matrix"),
+    "support-v-file": (("support", "sqrt", "{tuple}", "--v-file", "{v}", "--samples", "20",
+                        "--seed", "2", "--tol", "1e-9", "--interval", "0.5,2"), "certificate"),
+    "support-v-index": (("support", "sqrt", "{tuple}", "--v-index", "1", "--samples", "20"),
+                        "certificate"),
+    "reconstruct": (("reconstruct", "{certificate}", "--residual-tol", "1e-6", "--tol", "1e-9"),
+                    "matrix"),
+    "repeval": (("repeval", "{representation}", "{upper}", "--complex", "--tol", "1e-9"), "matrix"),
+    "mean": (("mean", "geomean2", "{pair}"), "matrix"),
+    "quadrep": (("quadrep", "sqrt", "--nodes", "16", "--target", "1e-2", "--interval", "0.5,2"),
+                "representation"),
+}
+
+
+@pytest.fixture(scope="module")
+def run_files(good_files, tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    files = {
+        "matrix": ("matrix", io.encode_matrix(np.array([[2.0, 1.0], [1.0, 1.5]]))),
+        "basis": ("matrix", io.encode_matrix(np.array([[1.0], [0.0]]))),
+        "v": ("matrix", io.encode_matrix(np.array([[0.6], [0.8]]))),
+        "pair": ("tuple", io.encode_tuple((np.diag([1.0, 2.0]), np.diag([1.5, 0.5])))),
+        "upper": ("tuple", io.encode_tuple((np.diag([1.0, 1.5]) + 0.3j * np.eye(2),))),
+        "pencil": ("pencil", io.pencil_payload(pencil_new([2 * np.eye(2), np.eye(2), np.eye(2)]))),
+    }
+    paths = {name: str(path) for name, path in good_files.items()}
+    for name, (kind, payload) in files.items():
+        paths[name] = str(root / f"{name}.json")
+        io.save(paths[name], kind, payload)
+    return paths
+
+
+def run_valid(name, files, out):
+    argv, _ = RUNS[name]
+    code, _ = run_cli(*(arg.format(**files) for arg in argv), "--out", str(out))
+    assert code == 0
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_every_option_is_read(self, command, run_files, tmp_path, monkeypatch):
+        reads = set()
+        build = cli.build_parser
+
+        def recording_parser():
+            parser = build()
+            parse = parser.parse_args
+            parser.parse_args = lambda argv: _Recording(reads, **vars(parse(argv)))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        for name, (argv, _) in RUNS.items():
+            if argv[0] == command:
+                run_valid(name, run_files, tmp_path / f"{name}.json")
+        declared = declared_options(command)
+        assert declared == OPTIONS[command] | {"format", "out"}
+        assert declared - reads == set()
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_out_writes_the_documented_kind(self, name, run_files, tmp_path):
+        out = tmp_path / "out.json"
+        run_valid(name, run_files, out)
+        kind, _ = io.load(str(out))
+        assert kind == RUNS[name][1]
+
+    @pytest.mark.parametrize("argv", [
+        ("mean", "geomean2", "{pair}", "--seed", "3"),
+        ("quadrep", "sqrt", "--tol", "1e-9"),
+        ("pencil-eval", "{pencil}", "{pair}", "--interval", "0.5,2"),
+    ], ids=["mean-seed", "quadrep-tol", "pencil-eval-interval"])
+    def test_removed_option_exits_64(self, argv, run_files, capsys):
+        code, out = run_cli(*(arg.format(**run_files) for arg in argv))
+        assert code == 64
+        assert out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -418,7 +418,7 @@ class TestMobius:
         assert g.scalar(2.9999) > 1e3
 
     def test_invalid_determinant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadConfig):
             MobiusMap(1, 2, 1, 2)
 
     def test_pole_hit(self):
@@ -482,6 +482,21 @@ class TestFrechetDerivative:
             assert np.linalg.norm(out - single) <= 1e-12 * (1 + np.linalg.norm(single))
 
 
+class TestScaleFreeStopping:
+    @pytest.mark.parametrize("t", [None, 0.25, 0.5], ids=["karcher", "power-0.25", "power-0.5"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_homogeneous_at_every_scale(self, k, t):
+        # M(cX) = cM(X): the stopping rules of the k >= 3 iterations carry no absolute scale
+        rng = np.random.default_rng(40 + k)
+        w = tuple(rng.dirichlet(np.ones(k)))
+        rows = [rand_tuple_interval(rng, k, 3, 0.5, 2.0) for _ in range(4)]
+        x = tuple(np.stack([r[i] for r in rows]) for i in range(k))
+        z = mean_of(x, w, t)
+        for c in (1e-6, 1e-3, 1e3, 1e6):
+            zc = mean_of(tuple(c * xi for xi in x), w, t)
+            assert np.max(fro_norm(zc - c * z) / fro_norm(c * z)) <= 1e-12
+
+
 class TestNCAxioms:
     def test_identity_passes(self):
         rep = nc_axiom_check(lift_scalar("identity"), n=3, trials=20, seed=0)
@@ -521,6 +536,29 @@ class TestResolve:
             resolve_function("nosuchfn")
         with pytest.raises(errors.UnknownFunction):
             resolve_function("pow:2.5")
+
+
+def _bad_parameter_calls():
+    from opmono.cert import chain_semicontinuity_test
+    from opmono.represent import direct_sum_rep
+    from opmono.schur import PivotSubspace, schur_generic
+
+    x = (np.eye(2), 2 * np.eye(2))
+    return {
+        "weights-not-positive": lambda: harmonic_mean((1.5, -0.5)),
+        "weights-not-summing-to-one": lambda: karcher_mean(x, (0.5, 0.6)),
+        "power-t-above-one": lambda: power_mean(x, 2.0, (0.5, 0.5)),
+        "mobius-determinant": lambda: MobiusMap(1, 2, 1, 2),
+        "direct-sum-no-points": lambda: direct_sum_rep(lift_scalar("sqrt"), []),
+        "chain-of-one": lambda: chain_semicontinuity_test(lift_scalar("sqrt"), [x[:1]]),
+        "schur-bad-keep": lambda: schur_generic(np.eye(2), PivotSubspace.from_indices(2, [0]), keep="x"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_parameter_calls()))
+def test_bad_parameters_raise_bad_config(case):
+    with pytest.raises(errors.BadConfig):
+        _bad_parameter_calls()[case]()
 
 
 class TestStepUnderflow:
