@@ -317,10 +317,8 @@ def _cmd_mean(args) -> int:
     if fn.arity != k:
         raise BadConfig(f"{fn.name} takes {fn.arity} arguments but the tuple has {k}")
     extra = ""
-    if ident.startswith("karcher"):
-        spec = ident.partition(":w=")[2]
-        w = tuple(float(s) for s in spec.split(",")) if spec else (1.0 / k,) * k
-        value, info = karcher_mean(x, w, return_info=True)
+    if fn.name == "karcher":
+        value, info = karcher_mean(x, fn.weights, return_info=True)
         extra = f" ({info['iterations']} polish iterations, residual {info['residual']:.2e})"
     else:
         value = fn(x)

@@ -129,6 +129,7 @@ class FreeFn:
     concave: bool = True
     positive: bool = True
     domain: tuple[float, float] | None = None  # None: the full positive cone
+    weights: tuple[float, ...] | None = None  # the Karcher mean's, for the CLI's iteration report
 
     def __call__(self, *mats: np.ndarray) -> np.ndarray:
         if len(mats) == 1 and isinstance(mats[0], (tuple, list)):
@@ -540,6 +541,7 @@ def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
         arity=w.size,
         evaluator=lambda xs: karcher_mean(xs, tuple(w)),
         vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, w) if w.size == 2 else _karcher_vgrad(xs, seed, w),
+        weights=tuple(w.tolist()),
     )
 
 

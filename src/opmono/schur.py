@@ -264,13 +264,18 @@ def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _find_rotation(blocks: list[np.ndarray], tol: Tolerances) -> float:
-    """Angle in (-pi/2, 0] maximising the worst margin of the rotated blocks.
+    """The first probed angle in (-pi/2, 0] at which every rotated block has a positive margin.
 
     A block B has margin lambda_min(Re(e^{i theta} B)) - tol.psd (1 + ||B||_F)
     at theta.  W(B) is convex and lies in the closed upper half-plane, so
-    each margin is unimodal on (-pi/2, 0] and so is their minimum.  theta = 0
-    is tried first, then 48 golden-section steps bracket the maximum to
-    1.5e-10 rad.  Raises RotationNotFound when the maximum is not positive.
+    each margin is unimodal on (-pi/2, 0] and so is their minimum.  The
+    probes are theta = 0, then the two interior points and the 48 steps of
+    a golden-section search for its maximum (to 1.5e-10 rad).  The
+    certificate needs one angle with a positive worst margin, not the best
+    one, so the first such probe is returned.  Golden section always keeps
+    the better of its two points, so the whole search would end at the best
+    of its probes: it fails exactly when no probe is positive, and then
+    RotationNotFound is raised.
     """
     floors = [tol.psd * (1.0 + fro_norm(b)) for b in blocks]
 
@@ -279,25 +284,27 @@ def _find_rotation(blocks: list[np.ndarray], tol: Tolerances) -> float:
         lams = (np.linalg.eigvalsh(r)[..., 0] - f for r, f in zip(rotated, floors))
         return min((float(np.min(lam)) for lam in lams), default=np.inf)
 
-    if margin(0.0) > 0:
-        return 0.0
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = -np.pi / 2, 0.0
-    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fa, fb = margin(a), margin(b)
-    for _ in range(48):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + shrink * (hi - lo)
-            fb = margin(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - shrink * (hi - lo)
-            fa = margin(a)
-    theta, best = (a, fa) if fa >= fb else (b, fb)
-    if not best > 0:
-        raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
-    return float(theta)
+    def probes():
+        yield 0.0, margin(0.0)
+        shrink = (np.sqrt(5.0) - 1.0) / 2.0
+        lo, hi = -np.pi / 2, 0.0
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        yield a, (fa := margin(a))
+        yield b, (fb := margin(b))
+        for _ in range(48):
+            if fa < fb:
+                lo, a, fa = a, b, fb
+                b = lo + shrink * (hi - lo)
+                yield b, (fb := margin(b))
+            else:
+                hi, b, fb = b, a, fa
+                a = hi - shrink * (hi - lo)
+                yield a, (fa := margin(a))
+
+    for theta, value in probes():
+        if value > 0:
+            return float(theta)
+    raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
 
 
 def _check_sector_bound(rotated: np.ndarray, comp: np.ndarray, tol: Tolerances) -> None:
@@ -369,10 +376,12 @@ class SchurCore:
         compressed to S, shape ``(..., n, n)`` for a tuple stacked on leading
         axes.  With ``halfspace`` every member must lie in an operator
         half-space; each upper half-space member rotates its eliminated
-        components by its own angle from ``_find_rotation``, which makes all
-        their essential real parts positive definite (the complement does
-        not depend on it), and each component is checked against the
-        sec^2(alpha) bound.  Right half-space members keep angle 0.
+        components by its own angle from ``_find_rotation``, the first one
+        probed that makes all their essential real parts positive definite,
+        and each component is checked against the sec^2(alpha) bound, which
+        holds in any certified sector.  Right half-space members keep angle
+        0.  The angle feeds only these checks: the complement does not
+        depend on it, so the result equals that without ``halfspace``.
         """
         tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True)

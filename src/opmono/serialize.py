@@ -55,29 +55,43 @@ def _check_finite(x: float) -> float:
 
 
 def encode_matrix(m: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs, one pair per entry; ``encode_vector`` is the same."""
     m = np.asarray(m, dtype=complex)
-    return [[[_check_finite(z.real), _check_finite(z.imag)] for z in row] for row in m]
+    if not np.isfinite(m).all():
+        raise DataError("NaN/Inf are not permitted in data files")
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+encode_vector = encode_matrix
+
+
+def _decode(obj: Any, depth: int, what: str) -> np.ndarray:
+    """The complex array with ``depth`` axes whose entries ``obj`` gives as [re, im] pairs.
+
+    Booleans, integers and floats are numbers; anything else (strings, null),
+    ragged nesting, the wrong depth, a pair of other than two numbers and
+    NaN/Inf raise DataError.
+    """
+    try:
+        a = np.array(obj)
+    except ValueError as exc:  # ragged nesting
+        raise DataError(f"malformed {what} payload: {exc}") from exc
+    if a.size == 0 and a.ndim == depth:  # no entries, so no pairs to find
+        a = a.reshape(a.shape + (2,))
+    if a.dtype.kind not in "biuf" or a.ndim != depth + 1 or a.shape[-1] != 2:
+        raise DataError(f"malformed {what} payload: entries must be [re, im] pairs of "
+                        f"numbers nested {depth} deep, found {a.dtype} of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError("NaN/Inf are not permitted in data files")
+    return a.astype(float).view(complex)[..., 0]
 
 
 def decode_matrix(obj: Any) -> np.ndarray:
-    try:
-        rows = [
-            [complex(_check_finite(z[0]), _check_finite(z[1])) for z in row] for row in obj
-        ]
-    except (TypeError, IndexError) as exc:
-        raise DataError(f"malformed matrix payload: {exc}") from exc
-    out = np.array(rows, dtype=complex)
-    if out.ndim != 2:
-        raise DataError("matrix payload must be two-dimensional")
-    return out
-
-
-def encode_vector(v: np.ndarray) -> list:
-    return [[_check_finite(z.real), _check_finite(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return _decode(obj, 2, "matrix")
 
 
 def decode_vector(obj: Any) -> np.ndarray:
-    return np.array([complex(_check_finite(z[0]), _check_finite(z[1])) for z in obj])
+    return _decode(obj, 1, "vector")
 
 
 def encode_tuple(x: tuple[np.ndarray, ...]) -> list:

@@ -297,6 +297,17 @@ class TestUsageErrors:
         assert err.startswith(f"error: {error}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ident", ["karcher:w=0.5,0.5:x", "karcher:x"])
+    def test_mean_takes_the_resolved_weights(self, ident, tmp_path, capsys):
+        # the identifier is parsed once; a trailing positional that the
+        # resolver accepts used to reach float() in a second parse
+        path = str(tmp_path / "pair.json")
+        io.save(path, "tuple", io.encode_tuple((np.eye(2), 2 * np.eye(2))))
+        code, out = run_cli("mean", ident, path)
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        assert out == run_cli("mean", "karcher", path)[1]
+
 
 class TestEndToEndSubprocess:
     def test_module_invocation(self, tmp_path):

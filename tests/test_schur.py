@@ -15,6 +15,7 @@ from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new, pencil_sec
 from opmono.represent import rep_eval, rep_eval_complex, rep_from_quadrature
 from opmono.schur import (
     PivotSubspace,
+    SchurCore,
     _find_rotation,
     schur_generic,
     schur_pencil,
@@ -306,6 +307,113 @@ class TestSchurPencil:
         theta = _find_rotation([2 * x[None]], DEFAULT_TOL)
         assert -np.pi / 2 < theta < -np.pi / 2 + 0.005
         assert min_eig(np.exp(1j * theta) * 2 * x) > DEFAULT_TOL.psd * (1 + fro_norm(2 * x))
+
+
+def full_search_best(blocks, tol=DEFAULT_TOL):
+    """Reference: the best worst margin over every probe of the whole 48-step search."""
+    floors = [tol.psd * (1.0 + fro_norm(b)) for b in blocks]
+
+    def margin(theta):
+        return min(float(np.min(np.linalg.eigvalsh(herm_part(np.exp(1j * theta) * b))[..., 0] - f))
+                   for b, f in zip(blocks, floors))
+
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = -np.pi / 2, 0.0
+    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fa, fb = margin(a), margin(b)
+    for _ in range(48):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + shrink * (hi - lo)
+            fb = margin(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - shrink * (hi - lo)
+            fa = margin(a)
+    return max(margin(0.0), fa, fb)
+
+
+def worst_margin(blocks, theta, tol=DEFAULT_TOL):
+    return min(float(np.min(min_eig(np.exp(1j * theta) * b) - tol.psd * (1.0 + fro_norm(b))))
+               for b in blocks)
+
+
+def count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestFirstCertifiedAngle:
+    """``_find_rotation`` returns the first probed angle with a positive worst margin."""
+
+    @pytest.mark.parametrize("lead,with_state", [((), False), ((), True), ((3,), True), ((2, 2), True)],
+                             ids=["single-whole", "single-state", "stack-state", "stack2d-state"])
+    def test_complement_does_not_depend_on_the_angle(self, lead, with_state):
+        # the angle only feeds the sector check, so the halfspace evaluation
+        # equals the unchecked one bit for bit
+        rng = np.random.default_rng(41)
+        for d, n in [(3, 2), (4, 3), (5, 2)]:
+            core = SchurCore(valid_pencil(rng, 2, d), rand_pivot(rng, d))
+            x = tuple(
+                np.stack([rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.2 * np.eye(n))
+                          for _ in range(int(np.prod(lead)))]).reshape(lead + (n, n))
+                for _ in range(2)
+            )
+            state = rand_psd(rng, d) if with_state else None
+            if with_state:
+                state /= np.trace(state).real
+            checked = core.evaluate(x, state=state, halfspace=True)
+            assert np.array_equal(checked, core.evaluate(x, state=state, halfspace=False))
+
+    def test_wide_arc_stops_within_three_probes(self, monkeypatch):
+        # W(B) is the segment from i to -1 + i: theta = 0 leaves Re B singular,
+        # the first interior point of the search already certifies
+        blocks = [np.diag([1j, -1.0 + 1j])[None]]
+        calls = count_eigvalsh(monkeypatch)
+        theta = _find_rotation(blocks, DEFAULT_TOL)
+        assert len(calls) <= 3
+        assert -np.pi / 2 < theta < 0.0
+        assert worst_margin(blocks, theta) > 0
+
+    def test_no_positive_rotation_raises_after_every_probe(self, monkeypatch):
+        # W(B) is the segment [-1, 1]: no rotation in (-pi/2, 0] makes Re B positive
+        blocks = [np.diag([1.0, -1.0]).astype(complex)[None]]
+        calls = count_eigvalsh(monkeypatch)
+        with pytest.raises(errors.RotationNotFound):
+            _find_rotation(blocks, DEFAULT_TOL)
+        assert len(calls) == 51  # theta = 0, the two interior points, 48 steps
+
+    def test_raises_exactly_when_the_full_search_fails(self):
+        # random essential blocks with W(B) in the closed upper half-plane,
+        # from wide to narrow arcs and with several blocks at once
+        rng = np.random.default_rng(43)
+        outcomes = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            blocks = []
+            for _ in range(int(rng.integers(1, 3))):
+                spread = 10.0 ** rng.uniform(-1, 3)
+                shift = rng.choice([0.0, 1e-3, 1.0])  # 0 with a low rank touches the real axis
+                k = rand_psd(rng, n, rank=int(rng.integers(1, n + 1))) + shift * np.eye(n)
+                blocks.append((spread * rand_herm(rng, n) + 1j * k)[None])
+            best = full_search_best(blocks)
+            try:
+                theta = _find_rotation(blocks, DEFAULT_TOL)
+            except errors.RotationNotFound:
+                outcomes.add("raised")
+                assert not best > 0
+            else:
+                outcomes.add("found")
+                assert best > 0
+                assert worst_margin(blocks, theta) > 0
+        assert outcomes == {"raised", "found"}
 
 
 @pytest.fixture(scope="module")

@@ -105,3 +105,55 @@ class TestStructuredPayloads:
         s1 = io.dumps(io.envelope("matrix", io.encode_matrix(m)))
         s2 = io.dumps(io.envelope("matrix", io.encode_matrix(m.copy())))
         assert s1 == s2
+
+
+NAN = float("nan")
+INF = float("inf")
+REJECTED = {
+    "encode-nan-matrix": lambda: io.encode_matrix(np.array([[1.0, NAN]])),
+    "encode-inf-imag-matrix": lambda: io.encode_matrix(np.array([[1.0 + INF * 1j]])),
+    "encode-inf-vector": lambda: io.encode_vector(np.array([1.0, -INF])),
+    "decode-nan": lambda: io.decode_matrix([[[NAN, 0.0]]]),
+    "decode-inf-imag": lambda: io.decode_matrix([[[0.0, INF]]]),
+    "decode-vector-nan": lambda: io.decode_vector([[1.0, 0.0], [0.0, NAN]]),
+    "string-entry": lambda: io.decode_matrix([[["1.0", "0.0"]]]),
+    "null-entry": lambda: io.decode_matrix([[[None, 0.0]]]),
+    "ragged-rows": lambda: io.decode_matrix([[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]]),
+    "too-shallow": lambda: io.decode_matrix([[1.0, 2.0]]),
+    "too-deep": lambda: io.decode_matrix([[[[1.0, 0.0]]]]),
+    "pair-of-three": lambda: io.decode_matrix([[[1.0, 0.0, 5.0]]]),
+    "pair-of-one": lambda: io.decode_matrix([[[1.0]]]),
+    "vector-too-deep": lambda: io.decode_vector([[[1.0, 0.0]]]),
+    "vector-of-reals": lambda: io.decode_vector([1.0, 2.0]),
+    "not-a-list": lambda: io.decode_matrix({"re": 1.0}),
+}
+
+
+class TestArrayCodec:
+    @pytest.mark.parametrize("case", REJECTED, ids=str)
+    def test_rejected(self, case):
+        with pytest.raises(errors.DataError):
+            REJECTED[case]()
+
+    def test_text_matches_per_entry_encoding(self):
+        # the reference writes each entry as [float(re), float(im)]
+        rng = np.random.default_rng(7)
+        m = rand_complex(rng, 3, 4)
+        m[0, 0], m[1, 1], m[2, 2] = -0.0 + 0.0j, 5e-324 - 1e308j, complex(3, -0.0)
+        ref = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert io.dumps(io.encode_matrix(m)) == io.dumps(ref)
+        assert io.dumps(io.encode_vector(m[0])) == io.dumps(ref[0])
+        assert io.dumps(io.encode_matrix(np.arange(4).reshape(2, 2))) == io.dumps(
+            [[[0.0, 0.0], [1.0, 0.0]], [[2.0, 0.0], [3.0, 0.0]]])
+
+    def test_decoded_entries_are_the_pairs_bit_for_bit(self):
+        payload = [[[-0.0, -0.0], [1, True]], [[False, 2.5], [5e-324, -1e308]]]
+        back = io.decode_matrix(payload)
+        ref = np.array([[complex(float(re), float(im)) for re, im in row] for row in payload])
+        assert back.dtype == complex and back.shape == (2, 2)
+        assert np.array_equal(back.view(float), ref.view(float))
+        assert np.signbit(back[0, 0].real) and np.signbit(back[0, 0].imag)
+
+    def test_empty_payloads(self):
+        assert io.decode_vector([]).shape == (0,)
+        assert io.decode_matrix([[], []]).shape == (2, 0)
