@@ -307,21 +307,32 @@ def _find_rotation(blocks: list[np.ndarray], tol: Tolerances) -> float:
     raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
 
 
-def _check_sector_bound(rotated: np.ndarray, comp: np.ndarray, tol: Tolerances) -> None:
-    """||S_c|| <= sec^2(alpha_c) ||L_c|| for rotated essential blocks L_c and complements S_c.
+def _check_sector_bound(
+    rotated: np.ndarray, comp: np.ndarray, right: np.ndarray, tol: Tolerances
+) -> None:
+    """||S_c|| <= sec^2(alpha_c) ||L_c|| for rotated essential blocks L_c (d x d), complements S_c.
 
-    alpha_c is the exact sector angle of ``sector_certified_alpha``.
+    Sectoriality, lambda_min(Re L_c) > tol.psd (1 + ||L_c||_F), is checked
+    only for the ``right`` members (angle 0): ``_find_rotation`` certified it
+    for the others.  Where sqrt(d) ||S_c||_F <= ||L_c||_F the bound holds for
+    any alpha, as ||S||_2 <= ||S||_F and ||L||_F <= sqrt(d) ||L||_2; only the
+    other members (NaN norms included) take the exact angle alpha_c of
+    ``sector_certified_alpha`` and the spectral norms.
     """
-    alphas, margins = sector_certified_alpha(rotated)
-    if not np.all(margins > tol.psd * (1.0 + fro_norm(rotated))):
+    checked = rotated[np.broadcast_to(right[..., None], rotated.shape[:-2])]
+    if checked.size and not np.all(min_eig(checked) > tol.psd * (1.0 + fro_norm(checked))):
         raise NotSectorial("an eliminated component is not sectorial after rotation")
-    lhs = np.linalg.svd(comp, compute_uv=False)[..., 0]
-    rhs = np.linalg.svd(rotated, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
-    if np.any(lhs > rhs * (1.0 + tol.eq)):
-        worst = np.unravel_index(np.argmax(lhs / rhs), lhs.shape)
-        raise SectorBoundViolated(
-            f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
-        )
+    unsettled = ~(np.sqrt(rotated.shape[-1]) * fro_norm(comp) <= fro_norm(rotated))
+    if unsettled.any():
+        rotated, comp = rotated[unsettled], comp[unsettled]
+        alphas, _ = sector_certified_alpha(rotated)
+        lhs = np.linalg.svd(comp, compute_uv=False)[..., 0]
+        rhs = np.linalg.svd(rotated, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
+        if np.any(lhs > rhs * (1.0 + tol.eq)):
+            worst = np.argmax(lhs / rhs)
+            raise SectorBoundViolated(
+                f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
+            )
 
 
 class SchurCore:
@@ -377,10 +388,12 @@ class SchurCore:
         axes.  With ``halfspace`` every member must lie in an operator
         half-space; each upper half-space member rotates its eliminated
         components by its own angle from ``_find_rotation``, the first one
-        probed that makes all their essential real parts positive definite,
-        and each component is checked against the sec^2(alpha) bound, which
-        holds in any certified sector.  Right half-space members keep angle
-        0.  The angle feeds only these checks: the complement does not
+        probed that certifies them sectorial (all essential real parts
+        positive definite).  Right half-space members keep angle 0 and are
+        certified by ``_check_sector_bound``, which then checks each
+        component against the sec^2(alpha) bound that holds in any certified
+        sector; Frobenius norms settle most components without their exact
+        angle.  The angle feeds only these checks: the complement does not
         depend on it, so the result equals that without ``halfspace``.
         """
         tol = self.tol
@@ -415,7 +428,7 @@ class SchurCore:
                 if not right[i]:
                     theta[i] = _find_rotation([blk[i] for blk, _ in checks], tol)
             for blk, comp in checks:
-                _check_sector_bound(np.exp(1j * theta)[..., None, None, None] * blk, comp, tol)
+                _check_sector_bound(np.exp(1j * theta)[..., None, None, None] * blk, comp, right, tol)
         return out.reshape(m * n, m * n) if state is None else out
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from opmono import errors
+from opmono import errors, schur
 from opmono.matcore import (
     DEFAULT_TOL,
+    Tolerances,
     fro_norm,
     herm_part,
     im_part,
     min_eig,
     re_part,
+    sector_certified_alpha,
     sector_estimate,
 )
 from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new, pencil_sectorial_check
@@ -16,7 +18,10 @@ from opmono.represent import rep_eval, rep_eval_complex, rep_from_quadrature
 from opmono.schur import (
     PivotSubspace,
     SchurCore,
+    _check_sector_bound,
     _find_rotation,
+    in_right_halfspace,
+    in_upper_halfspace,
     schur_generic,
     schur_pencil,
     sector_bound_check,
@@ -338,16 +343,21 @@ def worst_margin(blocks, theta, tol=DEFAULT_TOL):
                for b in blocks)
 
 
-def count_eigvalsh(monkeypatch):
+def count_calls(monkeypatch, module, name):
+    """Record the argument shape of every call to ``module.name``."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    original = getattr(module, name)
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_eigvalsh(monkeypatch):
+    return count_calls(monkeypatch, np.linalg, "eigvalsh")
 
 
 class TestFirstCertifiedAngle:
@@ -414,6 +424,149 @@ class TestFirstCertifiedAngle:
                 assert best > 0
                 assert worst_margin(blocks, theta) > 0
         assert outcomes == {"raised", "found"}
+
+
+def reference_check_sector_bound(rotated, comp, tol):
+    """Reference: the sec^2(alpha) check with the exact angle, margin and spectral norms of every member."""
+    alphas, margins = sector_certified_alpha(rotated)
+    if not np.all(margins > tol.psd * (1.0 + fro_norm(rotated))):
+        raise errors.NotSectorial("an eliminated component is not sectorial after rotation")
+    lhs = np.linalg.svd(comp, compute_uv=False)[..., 0]
+    rhs = np.linalg.svd(rotated, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
+    if np.any(lhs > rhs * (1.0 + tol.eq)):
+        worst = np.unravel_index(np.argmax(lhs / rhs), lhs.shape)
+        raise errors.SectorBoundViolated(
+            f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
+        )
+
+
+# At the default psd tolerance no block with a margin above its floor has an
+# uncertified sector edge; below it, blocks whose real part is at rounding
+# level leave alpha = pi/2.
+TIGHT = Tolerances(psd=1e-22)
+
+
+def edge_block(rng, d, tol):
+    """A d x d block (d >= 2) whose sector edge check fails, so alpha = pi/2, with a margin above 10 floors."""
+    while True:
+        u = np.linalg.qr(rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d)))[0]
+        w = 10.0 ** rng.uniform(-17, 0, size=(64, 1, d))
+        k = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+        a = (u * w) @ u.conj().transpose(0, 2, 1) + 0.5j * (k + k.conj().transpose(0, 2, 1))
+        alphas, margins = sector_certified_alpha(a)
+        floor = 10 * tol.psd * (1.0 + fro_norm(a))
+        hit = (alphas == np.pi / 2) & (margins > floor) & (min_eig(a) > floor)
+        if hit.any():
+            return a[np.argmax(hit)]
+
+
+def placed_complement(rng, block, k, kind):
+    """A k x k complement S placed against the block L: by sqrt(d) ||S||_F / ||L||_F
+    ("settled", "frobenius_below", "frobenius_above") or by ||S||_2 / (sec^2(alpha) ||L||_2)
+    ("sec2_below", "sec2_above", "violating")."""
+    s = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    ratio = {"settled": rng.uniform(0.0, 0.9), "frobenius_below": 1 - 1e-9, "frobenius_above": 1 + 1e-9,
+             "sec2_below": 1 - 1e-6, "sec2_above": 1 + 1e-6, "violating": 3.0}[kind]
+    if kind.startswith("frobenius") or kind == "settled":
+        return s * (ratio * fro_norm(block) / (np.sqrt(block.shape[-1]) * fro_norm(s)))
+    alpha = sector_certified_alpha(block[None])[0][0]
+    return s * (ratio * np.linalg.norm(block, 2) / np.cos(alpha) ** 2 / np.linalg.norm(s, 2))
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except errors.OpmonoError as exc:
+        return type(exc)
+    return None
+
+
+class TestSectorBoundCheck:
+    """``_check_sector_bound`` gives the verdicts of the exact check on every member.
+
+    Members that are not ``right`` come with the rotation search's
+    certificate, so they are generated sectorial: only right members may have
+    a real part that is not positive definite.
+    """
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, TIGHT], ids=["default", "tight-psd"])
+    def test_raises_exactly_when_the_exact_check_raises(self, tol):
+        rng = np.random.default_rng(47)
+        complements = ["settled", "frobenius_below", "frobenius_above", "sec2_below", "sec2_above",
+                       "violating"]
+        weights = [0.5, 0.15, 0.15, 0.1, 0.05, 0.05]
+        outcomes, seen = set(), {"settled_below": 0, "open_above": 0, "edge": 0}
+        for _ in range(150):
+            t, g, d, k = (int(rng.integers(1, m)) for m in (4, 4, 5, 4))
+            right = rng.random(t) < 0.5
+            blocks = np.empty((t, g, d, d), dtype=complex)
+            comps = np.empty((t, g, k, k), dtype=complex)
+            for i, j in np.ndindex(t, g):
+                draw = rng.random()
+                if right[i] and draw < 0.05:
+                    blocks[i, j] = -rand_psd(rng, d) + 1j * rand_herm(rng, d)
+                elif tol is TIGHT and d >= 2 and draw < 0.25:
+                    blocks[i, j] = edge_block(rng, d, tol)
+                    seen["edge"] += 1
+                else:
+                    blocks[i, j] = 10.0 ** rng.uniform(-3, 3) * rand_sectorial(rng, d, np.deg2rad(89))
+                kind = complements[rng.choice(len(complements), p=weights)]
+                comps[i, j] = placed_complement(rng, blocks[i, j], k, kind)
+                settled = np.sqrt(d) * fro_norm(comps[i, j]) <= fro_norm(blocks[i, j])
+                seen["settled_below"] += kind == "frobenius_below" and settled
+                seen["open_above"] += kind == "frobenius_above" and not settled
+            expected = outcome(reference_check_sector_bound, blocks, comps, tol)
+            assert outcome(_check_sector_bound, blocks, comps, right, tol) is expected
+            outcomes.add(expected)
+        assert outcomes == {None, errors.NotSectorial, errors.SectorBoundViolated}
+        assert seen["settled_below"] and seen["open_above"]
+        assert (seen["edge"] > 0) == (tol is TIGHT)
+
+    def test_right_member_without_positive_real_part_is_not_sectorial(self):
+        # The shifted pencil (B, B) evaluates to B (x) X.  With X = 1e-5 I + 1e3 i diag(1, -1)
+        # in the right half-space, Re(B (x) X) = 1e-5 B has lambda_min about 1e-9, below the
+        # floor tol.psd (1 + ||B (x) X||_F) = 1.4e-6, so the right member is not sectorial
+        b = np.array([[1.0, 0.03], [0.03, 1e-3]])
+        core = SchurCore(pencil_new([b, b]), PivotSubspace.from_indices(2, [0]))
+        rng = np.random.default_rng(51)
+        upper = rand_herm(rng, 2) + 1j * (rand_psd(rng, 2) + 0.2 * np.eye(2))
+        bad, good = (r * np.eye(2) + 1e3j * np.diag([1.0, -1.0]) for r in (1e-5, 1.0))
+        assert not in_upper_halfspace((bad,)) and in_right_halfspace((bad,))
+        state = np.diag([1.0, 0.0])
+        core.evaluate((np.stack([upper, good]),), state=state, halfspace=True)
+        for x in (bad, np.stack([upper, bad])):
+            with pytest.raises(errors.NotSectorial):
+                core.evaluate((x,), state=state, halfspace=True)
+
+    def test_settled_members_make_no_svd_or_eigh(self, monkeypatch, small_rep):
+        # two upper half-space members and one right half-space member, every
+        # component settled by its Frobenius norms
+        x = np.stack([np.diag([1.0, 2.0]) + 1j * np.diag([1.0, 0.5]),
+                      np.array([[0.3, 1.0], [1.0, -0.2]]) + 1j * np.array([[1.0, 0.5], [0.5, 2.0]]),
+                      np.diag([1.0, 2.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])])
+        small_rep.core()
+        svd, eigh = (count_calls(monkeypatch, np.linalg, name) for name in ("svd", "eigh"))
+        rep_eval_complex(small_rep, (x,))
+        assert svd == [] and eigh == []
+
+    @pytest.mark.parametrize("open_kind", ["spectral", "nan"])
+    def test_only_the_open_member_takes_the_exact_angle(self, monkeypatch, open_kind):
+        rng = np.random.default_rng(53)
+        blocks = np.stack([rand_sectorial(rng, 3) for _ in range(6)]).reshape(3, 2, 3, 3)
+        comps = 0.1 * blocks[..., :1, :1]
+        # ||S||_2 = ||L||_2 < ||L||_F / sqrt(3), or a NaN norm, which the comparison leaves open
+        comps[1, 0] = np.linalg.norm(blocks[1, 0], 2) if open_kind == "spectral" else np.nan
+        assert not np.sqrt(3) * fro_norm(comps[1, 0]) <= fro_norm(blocks[1, 0])
+        seen = []
+        exact = schur.sector_certified_alpha
+        monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: seen.append(m) or exact(m))
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        try:
+            _check_sector_bound(blocks, comps, np.zeros(3, dtype=bool), DEFAULT_TOL)
+        except np.linalg.LinAlgError:  # the svd of a NaN complement, as in the reference
+            assert open_kind == "nan"
+        assert len(seen) == 1 and np.array_equal(seen[0], blocks[1, 0][None])
+        assert svd and all(shape[0] == 1 for shape in svd)
 
 
 @pytest.fixture(scope="module")
