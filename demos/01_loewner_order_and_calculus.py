@@ -9,7 +9,6 @@ contains a numerical range.
 import numpy as np
 
 from opmono.matcore import (
-    douglas_factor,
     funcalc,
     herm_certify,
     loewner_leq,
@@ -41,8 +40,3 @@ est = sector_estimate(np.diag([1.0, 1.0 + 1.0j]))
 print(f"sector half-angle: {np.degrees(est.alpha):.2f} deg (expected 45)")
 print(f"real-part margin:  {est.margin:.3f}")
 
-# Douglas factorization: solve A22^{1/2} C = A21 under range inclusion.
-a22 = p + 0.1 * np.eye(4)
-a21 = a22 @ rng.normal(size=(4, 2))
-c = douglas_factor(a22, a21)
-print("factorization residual:", f"{np.linalg.norm(funcalc(np.sqrt, a22) @ c - a21):.2e}")

@@ -41,6 +41,15 @@ upper = (g + g.conj().T) / 2 + 1j * (g @ g.conj().T / 5 + 0.1 * np.eye(5))
 comp = schur_generic(upper, pivot, keep="perp")
 print("Im(Schur complement) min eigenvalue:", f"{min_eig(im_part(comp)):.2e}")
 
+# A singular eliminated block: with P = vv* the shorted operator of
+# [[P, P], [P, 3P]] is the parallel sum P:2P = (2/3) P, although 3P has no
+# inverse.  The elimination residual shows that ran P lies in ran 3P.
+v = rng.normal(size=2) + 1j * rng.normal(size=2)
+p = np.outer(v, v.conj())
+res = shorted_psd(np.block([[p, p], [p, 3 * p]]), PivotSubspace.from_indices(4, [0, 1]))
+print("|| shorted - (2/3) P || =", f"{np.linalg.norm(res.shorted - 2 * p / 3):.2e},",
+      f"range-inclusion residual {res.defect:.2e}")
+
 # The sec^2(alpha) bound for a sectorial matrix.
 sector_mat = np.diag([1.0, 1.0 + 1.0j])
 report = sector_bound_check(sector_mat, PivotSubspace.from_indices(2, [0]))

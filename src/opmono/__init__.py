@@ -1,7 +1,7 @@
 """Loewner-order toolkit for operator monotone free functions.
 
 Submodules:
-  matcore    -- Hermitian certification, functional calculus, sectors, Douglas factors
+  matcore    -- Hermitian certification, functional calculus, sectors, pseudoinverses
   pencil     -- linear matrix pencils and their tensor evaluations
   schur      -- shorted operators and Schur complements
   freefun    -- free-function catalogue (lifts, operator means, Moebius maps)
@@ -39,7 +39,6 @@ from .matcore import (
     DEFAULT_TOL,
     SectorEstimate,
     Tolerances,
-    douglas_factor,
     funcalc,
     herm_certify,
     im_part,
@@ -88,7 +87,6 @@ __all__ = [
     "re_part",
     "im_part",
     "sector_estimate",
-    "douglas_factor",
     "LinearPencil",
     "RawPencil",
     "pencil_new",

@@ -227,7 +227,7 @@ def _cmd_schur(args) -> int:
         shorted = io.encode_matrix(result.shorted)
         _emit(args, {"mode": "psd", "shorted": shorted, "defect": result.defect, "min_eig": lam},
               f"shorted operator on a {pivot.dim}-dim pivot: min eigenvalue {lam:.6g}, "
-              f"factorization defect {result.defect:.2e}", ("matrix", shorted))
+              f"range-inclusion residual {result.defect:.2e}", ("matrix", shorted))
         return EXIT_PASS
     if args.mode == "generic":
         comp = schur_generic(a, pivot, keep=args.keep, tol=tol)

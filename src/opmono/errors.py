@@ -41,19 +41,11 @@ class InputNotSectorial(OpmonoError):
     pass
 
 
-class RangeInclusionViolated(OpmonoError):
-    pass
-
-
 class CoefficientNotPSD(OpmonoError):
     pass
 
 
 class DominanceViolated(OpmonoError):
-    pass
-
-
-class EliminatedBlockSingular(OpmonoError):
     pass
 
 

@@ -2,8 +2,8 @@
 
 Hermitian certification, the Loewner (positive semidefinite) order,
 functional calculus through eigendecompositions, Kronecker products,
-real/imaginary parts, numerical-range sector estimation, and Douglas
-factorization of range inclusions.
+real/imaginary parts, numerical-range sector estimation and truncated
+pseudoinverses.
 
 All matrix functions accept stacked inputs with shape ``(..., n, n)`` and
 broadcast over the leading axes; single matrices are the zero-leading-axes
@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotSectorial,
-    RangeInclusionViolated,
     SpectrumOutOfDomain,
 )
 
@@ -46,8 +45,6 @@ __all__ = [
     "im_part",
     "sector_estimate",
     "sector_certified_alpha",
-    "douglas_factor",
-    "psd_project_sqrt",
     "truncated_pinv",
 ]
 
@@ -60,11 +57,12 @@ class Tolerances:
     rank: pseudoinverse truncation and range-inclusion residuals,
     eq: generic equality comparisons.
 
-    One elimination policy serves every Schur complement of a pencil
-    evaluation (``schur.SchurCore``).  An eliminated block D is inverted by
-    LU when ``rank * ||D||_F ||D^{-1}||_F < 1``, so that no singular value
-    lies at or below ``rank * sigma_max``, and through the pseudoinverse
-    truncated there otherwise.  Either inverse takes two steps of iterative
+    One elimination policy serves every Schur complement: pencil
+    evaluations (``schur.SchurCore``), shorted operators and general
+    matrices.  An eliminated block D is inverted by LU when
+    ``rank * ||D||_F ||D^{-1}||_F < 1``, so that no singular value lies at
+    or below ``rank * sigma_max``, and through the pseudoinverse truncated
+    there otherwise.  Either inverse takes two steps of iterative
     refinement, and the residual ||D sol - rhs||_F must then stay within
     ``rank * (1 + ||rhs||_F)``, else EliminatedBlockDefective.  The
     condition test, not an LU residual, picks the route: on a numerically
@@ -284,27 +282,6 @@ def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstim
     return SectorEstimate(alpha=float(alphas[0]), margin=margin)
 
 
-def psd_project_sqrt(
-    a22: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-truncated square root and inverse square root of a PSD matrix.
-
-    Eigenvalues at or below ``tol.rank * lambda_max`` are treated as zero.
-    Returns (sqrt, pinv of sqrt).
-    """
-    a22 = herm_part(np.asarray(a22, dtype=complex))
-    w, u = np.linalg.eigh(a22)
-    cut = tol.rank * max(float(w[-1]), 0.0)
-    keep = w > cut
-    sq = np.zeros_like(w)
-    isq = np.zeros_like(w)
-    sq[keep] = np.sqrt(w[keep])
-    isq[keep] = 1.0 / np.sqrt(w[keep])
-    root = (u * sq) @ dagger(u)
-    iroot = (u * isq) @ dagger(u)
-    return root, iroot
-
-
 def truncated_pinv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """SVD pseudoinverse with singular values <= tol.rank * sigma_max dropped, batched."""
     a = np.asarray(a, dtype=complex)
@@ -312,31 +289,3 @@ def truncated_pinv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     cut = tol.rank * s[..., :1]
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return dagger(vh) @ (inv[..., :, None] * dagger(u))
-
-
-def douglas_factor(
-    a22: np.ndarray, a21: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Solve A22^{1/2} C = A21 for C via the Douglas factorization.
-
-    Requires ran(A21) inside ran(A22^{1/2}); the inclusion is certified a
-    posteriori by the residual ``||A22^{1/2} C - A21|| <= tol.rank * ||A21||``.
-    The pseudoinverse truncates the spectrum of A22 at ``tol.rank * lambda_max``
-    so that components of A21 against numerically null directions surface in
-    the residual instead of being inverted.
-    """
-    a21 = np.asarray(a21, dtype=complex)
-    root, iroot = psd_project_sqrt(a22, tol)
-    if root.shape[-1] != a21.shape[0]:
-        raise DimensionMismatch(
-            f"A22 is {root.shape} but A21 has {a21.shape[0]} rows"
-        )
-    c = iroot @ a21
-    residual = float(np.linalg.norm(root @ c - a21))
-    bound = tol.rank * float(np.linalg.norm(a21))
-    if residual > bound:
-        raise RangeInclusionViolated(
-            f"factorization residual {residual:.3e} exceeds {bound:.3e}; "
-            "A21 has a component outside ran(A22^{1/2})"
-        )
-    return c

@@ -6,10 +6,9 @@ semantics), while half-plane and sector results usually keep the block
 complementary to the eliminated one.  ``schur_generic`` takes an explicit
 ``keep`` selector so each call site states its convention.
 
-The shorted operator tolerates singular eliminated blocks through the
-Douglas factorization (range inclusion holds for PSD inputs);
-``schur_generic`` refuses singular eliminated blocks instead, since no
-range guarantee exists for general matrices.
+Every complement is eliminated by ``_eliminate`` under the one policy in
+``Tolerances``.  A singular eliminated block is accepted exactly when the
+complement is the same for every generalized inverse (``_complement``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     DomainViolation,
     EliminatedBlockDefective,
-    EliminatedBlockSingular,
     NotPSD,
     NotSectorial,
     RotationNotFound,
@@ -33,7 +31,6 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerances,
     dagger,
-    douglas_factor,
     fro_norm,
     herm_part,
     im_part,
@@ -113,10 +110,9 @@ class PivotSubspace:
 
 @dataclass(frozen=True)
 class ShortedResult:
-    """Shorted operator on S, its Douglas factor, and the factorization defect."""
+    """Shorted operator on S and the range-inclusion residual of its elimination."""
 
     shorted: np.ndarray
-    factor_c: np.ndarray
     defect: float
 
 
@@ -134,30 +130,47 @@ def _blocks(a: np.ndarray, s: PivotSubspace) -> tuple[np.ndarray, ...]:
     )
 
 
+def _complement(
+    a: np.ndarray, s: PivotSubspace, keep: str, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The kept block K, its Schur complement K - B D^- C and ||D sol - C||_F.
+
+    ``keep="s"`` keeps the S block and eliminates D on its complement;
+    ``keep="perp"`` keeps the complement and eliminates the S block.  One
+    ``_eliminate`` call solves D sol = C and D* y = B* together, so both
+    range inclusions ran C in ran D and ran B* in ran D* are checked: they
+    hold exactly when K - B D^- C is the same for every generalized inverse
+    D^- (EliminatedBlockDefective otherwise).  With nothing eliminated the
+    complement is K itself.
+    """
+    a11, a12, a21, a22 = _blocks(a, s)
+    if keep == "s":
+        k, b, c, d = a11, a12, a21, a22
+    elif keep == "perp":
+        k, b, c, d = a22, a21, a12, a11
+    else:
+        raise BadConfig("keep must be 's' or 'perp'")
+    if d.size == 0:
+        return k, k, 0.0
+    sol = _eliminate(np.stack([d, dagger(d)]), np.stack([c, dagger(b)]), tol)[0]
+    return k, k - b @ sol, fro_norm(d @ sol - c)
+
+
 def shorted_psd(
     a: np.ndarray, s: PivotSubspace, tol: Tolerances = DEFAULT_TOL
 ) -> ShortedResult:
     """Shorted operator of a PSD matrix on the subspace S.
 
-    Returns ``A_11 - C* C`` with C the Douglas factor of (A_22, A_21); the
-    result is the maximal self-adjoint operator on S sitting below A.
-    Singular A_22 is handled by the pseudoinverse route, justified by the
-    range inclusion ran(A_21) in ran(A_22^{1/2}) valid for PSD inputs.
+    Returns ``A_11 - A_12 A_22^+ A_21``, the maximal self-adjoint operator
+    on S sitting below A.  A singular A_22 needs no special case: for PSD
+    input ran A_21 lies in ran A_22, which the elimination checks.
     """
     a = herm_part(np.asarray(a, dtype=complex))
     lam = min_eig(a)
     if lam < -tol.psd * (1.0 + fro_norm(a)):
         raise NotPSD(f"input has minimum eigenvalue {lam:.3e}")
-    a11, _, a21, a22 = _blocks(a, s)
-    c = douglas_factor(a22, a21, tol)
-    root_res = np.linalg.norm(_sqrt_psd(a22) @ c - a21)
-    shorted = herm_part(a11 - dagger(c) @ c)
-    return ShortedResult(shorted=shorted, factor_c=c, defect=float(root_res))
-
-
-def _sqrt_psd(a: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(herm_part(a))
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
+    _, comp, residual = _complement(a, s, "s", tol)
+    return ShortedResult(shorted=herm_part(comp), defect=residual)
 
 
 def schur_generic(
@@ -169,25 +182,11 @@ def schur_generic(
     """Schur complement of a general matrix: kept block minus cross terms.
 
     ``keep="s"`` keeps the S block and eliminates its complement;
-    ``keep="perp"`` keeps the complement and eliminates the S block.  The
-    eliminated block must be invertible (smallest singular value above
-    ``tol.rank`` times the largest).
+    ``keep="perp"`` keeps the complement and eliminates the S block.  A
+    singular eliminated block is accepted when the complement does not
+    depend on the generalized inverse taken (see ``_complement``).
     """
-    a11, a12, a21, a22 = _blocks(np.asarray(a, dtype=complex), s)
-    if keep == "s":
-        kept, cross_kr, cross_rk, removed = a11, a12, a21, a22
-    elif keep == "perp":
-        kept, cross_kr, cross_rk, removed = a22, a21, a12, a11
-    else:
-        raise BadConfig("keep must be 's' or 'perp'")
-    if removed.size == 0:
-        return kept
-    sv = np.linalg.svd(removed, compute_uv=False)
-    if sv[-1] <= tol.rank * sv[0]:
-        raise EliminatedBlockSingular(
-            f"eliminated block has singular values within {sv[-1]:.3e}/{sv[0]:.3e}"
-        )
-    return kept - cross_kr @ np.linalg.solve(removed, cross_rk)
+    return _complement(a, s, keep, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -215,8 +214,7 @@ def sector_bound_check(
     """
     a = np.asarray(a, dtype=complex)
     alpha = sector_estimate(a, tol).alpha
-    comp = schur_generic(a, s, keep="perp", tol=tol)
-    _, _, _, a22 = _blocks(a, s)
+    a22, comp, _ = _complement(a, s, "perp", tol)
     sec2 = 1.0 / np.cos(alpha) ** 2
     sv_s = np.linalg.svd(comp, compute_uv=False)
     sv_a22 = np.linalg.svd(a22, compute_uv=False)

@@ -179,7 +179,7 @@ def test_criterion_04_half_plane_preservation():
         s = rand_pivot(rng, n)
         try:
             comp = schur_generic(a, s, keep="perp")
-        except errors.EliminatedBlockSingular:
+        except errors.EliminatedBlockDefective:
             continue
         count += 1
         if min_eig(im_part(comp)) < -1e-8 * (1 + fro_norm(a)):

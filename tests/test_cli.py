@@ -92,6 +92,15 @@ class TestSchur:
         _, payload = io.load(str(out_file), expect="matrix")
         assert np.allclose(io.decode_matrix(payload), [[1.0]])
 
+    def test_full_pivot_psd_writes_input_back(self, tmp_path):
+        path = tmp_path / "m.json"
+        io.save(str(path), "matrix", io.encode_matrix(np.eye(2)))
+        out_file = tmp_path / "out.json"
+        code, _ = run_cli("schur", str(path), "--pivot", "0,1", "--mode", "psd", "--out", str(out_file))
+        assert code == 0
+        _, payload = io.load(str(out_file), expect="matrix")
+        assert np.array_equal(io.decode_matrix(payload), np.eye(2))
+
     def test_hand_example(self, tmp_path):
         path = tmp_path / "m.json"
         io.save(str(path), "matrix", io.encode_matrix(np.array([[2.0, 1.0], [1.0, 1.0]])))

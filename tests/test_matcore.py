@@ -5,7 +5,6 @@ from opmono import errors
 from opmono.matcore import (
     DEFAULT_TOL,
     block_diag,
-    douglas_factor,
     fro_norm,
     funcalc,
     herm_certify,
@@ -265,34 +264,10 @@ class TestSectorEstimate:
 
 
 class TestDouglasFactor:
-    def test_identity_block(self):
-        rng = np.random.default_rng(9)
-        a21 = rng.normal(size=(3, 2))
-        assert np.allclose(douglas_factor(np.eye(3), a21), a21)
+    """PSD kernel facts behind Douglas's range inclusion ran A_21 in ran A_22^{1/2}.
 
-    def test_scalar_root(self):
-        out = douglas_factor(4 * np.eye(2), 2 * np.eye(2))
-        assert np.allclose(out, np.eye(2))
-
-    def test_kernel_obstruction(self):
-        a22 = np.diag([1.0, 0.0])
-        a21 = np.array([[0.0], [1.0]])
-        with pytest.raises(errors.RangeInclusionViolated):
-            douglas_factor(a22, a21)
-
-    def test_residual_bound_on_random_psd(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-            g = rng.normal(size=(n, n + m)) + 1j * rng.normal(size=(n, n + m))
-            full = g @ g.conj().T  # guarantees the range inclusion
-            b = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-            a21 = full @ b
-            c = douglas_factor(full, a21)
-            root, _ = np.linalg.eigh(full)  # smoke: full is PSD
-            sq = funcalc(np.sqrt, full)
-            res = np.linalg.norm(sq @ c - a21)
-            assert res <= DEFAULT_TOL.rank * np.linalg.norm(a21)
+    Shorted operators rest on it (``tests/test_schur.py::TestShortedPsd``).
+    """
 
     def test_kernel_annihilation(self):
         # v* A v = 0 for PSD A forces A v = 0

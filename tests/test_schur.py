@@ -106,6 +106,33 @@ class TestShortedPsd:
         with pytest.raises(errors.NotPSD):
             shorted_psd(np.diag([1.0, -1.0]), s)
 
+    def test_identity_block(self):
+        rng = np.random.default_rng(9)
+        a21 = rng.normal(size=(3, 2))
+        a = np.block([[a21.T @ a21 + np.eye(2), a21.T], [a21, np.eye(3)]])
+        out = shorted_psd(a, PivotSubspace.from_indices(5, [0, 1]))
+        assert np.allclose(out.shorted, np.eye(2))
+        assert out.defect <= DEFAULT_TOL.rank * (1 + fro_norm(a21))
+
+    def test_scalar_root(self):
+        a = np.block([[2 * np.eye(2), 2 * np.eye(2)], [2 * np.eye(2), 4 * np.eye(2)]])
+        out = shorted_psd(a, PivotSubspace.from_indices(4, [0, 1]))
+        assert np.allclose(out.shorted, np.eye(2))
+        assert out.defect <= DEFAULT_TOL.rank * (1 + fro_norm(2 * np.eye(2)))
+
+    def test_residual_bound_on_random_psd(self):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            g = rng.normal(size=(n, n + m)) + 1j * rng.normal(size=(n, n + m))
+            full = g @ g.conj().T  # guarantees the range inclusion
+            b = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+            a21 = full @ b
+            a = np.block([[b.conj().T @ a21, a21.conj().T], [a21, full]])  # [b I]* full [b I]
+            out = shorted_psd(a, PivotSubspace.from_indices(m + n, list(range(m))))
+            assert out.defect <= DEFAULT_TOL.rank * (1 + fro_norm(a21))
+            assert fro_norm(out.shorted) <= 1e-8 * (1 + fro_norm(a))
+
     def test_maximality(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
@@ -171,11 +198,22 @@ class TestSchurGeneric:
         assert np.allclose(lhs, rhs)
 
     def test_singular_eliminated_block_refused(self):
+        # a zero block with zero cross terms leaves the kept block
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
         s = PivotSubspace.from_indices(2, [0])
-        with pytest.raises(errors.EliminatedBlockSingular):
-            schur_generic(a, s, keep="s")
+        assert np.allclose(schur_generic(a, s, keep="s"), [[1.0]])
+        # ran A_21 lies in ran D but ran A_12* does not: every generalized
+        # inverse [[1, x], [y, z]] of D = diag(1, 0) gives 2 - y
+        a = np.array([[2.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(errors.EliminatedBlockDefective):
+            schur_generic(a, PivotSubspace.from_indices(3, [0]), keep="s")
+
+    def test_kernel_obstruction(self):
+        # A_21 = e_2 lies outside ran A_22 = span(e_1); no PSD matrix has these blocks
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(errors.EliminatedBlockDefective):
+            schur_generic(a, PivotSubspace.from_indices(3, [0]), keep="s")
 
     def test_half_plane_preservation(self):
         rng = np.random.default_rng(7)
@@ -185,14 +223,14 @@ class TestSchurGeneric:
             s = rand_pivot(rng, n)
             try:
                 comp = schur_generic(a, s, keep="perp")
-            except errors.EliminatedBlockSingular:
+            except errors.EliminatedBlockDefective:
                 continue
             assert min_eig(im_part(comp)) >= -1e-8 * (1 + fro_norm(a))
             # and the Re variant
             b = rand_psd(rng, n) + 1j * rand_herm(rng, n)
             try:
                 comp_b = schur_generic(b, s, keep="perp")
-            except errors.EliminatedBlockSingular:
+            except errors.EliminatedBlockDefective:
                 continue
             assert min_eig(re_part(comp_b)) >= -1e-8 * (1 + fro_norm(b))
 
@@ -205,6 +243,38 @@ class TestSchurGeneric:
             lhs = schur_generic(a, s, keep="s")
             rhs = shorted_psd(a, s).shorted
             assert np.linalg.norm(lhs - rhs) <= DEFAULT_TOL.eq * (1 + fro_norm(a))
+
+
+def nested_pivots(rng, n):
+    """Pivots S_1 in S_2 of C^n, and S_1 in the coordinates of S_2's basis."""
+    m2 = int(rng.integers(2, n))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, m2)) + 1j * rng.normal(size=(n, m2)))
+    inner = rand_pivot(rng, m2)
+    return PivotSubspace.from_basis(q2 @ inner.basis), PivotSubspace.from_basis(q2), inner
+
+
+class TestQuotientProperty:
+    """Crabtree-Haynsworth: A/S_1 = (A/S_2)/S_1 for nested pivots S_1 in S_2."""
+
+    def test_schur_generic(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            s1, s2, inner = nested_pivots(rng, n)
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            lhs = schur_generic(a, s1)
+            rhs = schur_generic(schur_generic(a, s2), inner)
+            assert fro_norm(lhs - rhs) <= 1e-12 * (1 + fro_norm(lhs))
+
+    def test_shorted_psd_rank_deficient(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            s1, s2, inner = nested_pivots(rng, n)
+            a = rand_psd(rng, n, rank=int(rng.integers(1, n)))
+            lhs = shorted_psd(a, s1).shorted
+            rhs = shorted_psd(shorted_psd(a, s2).shorted, inner).shorted
+            assert fro_norm(lhs - rhs) <= 1e-12 * (1 + fro_norm(a))
 
 
 class TestSectorBound:
