@@ -12,6 +12,12 @@ mean but the harmonic and arithmetic ones is defined by its representing
 function (``_pair_function``), which gives both its closed form, two
 eigendecompositions of the whole stack, and its exact adjoint; with three or
 more arguments the fixed-point iterations run all batch elements in lockstep.
+
+Positive definiteness is read from the eigendecomposition an evaluator makes
+anyway (``_eigh``): one ``eigh`` per lift, and for a two-argument mean the
+``eigh`` of A and that of A^{-1/2} B A^{-1/2}.  Only evaluators that never
+decompose their arguments, the harmonic mean and the means of three or more
+arguments, spend a separate ``eigvalsh`` per argument (``_spd_check``).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     BadConfig,
+    DimensionMismatch,
     DomainViolation,
     NoConvergence,
     NotPositiveDefinite,
@@ -73,20 +80,45 @@ MatTuple = tuple[np.ndarray, ...]
 # batched Hermitian helpers
 
 
-def _eigh_fun(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(herm_part(a))
+def _eigh(a: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian part; given ``what``, the stack must also be positive definite.
+
+    The check reads the eigenvalues the decomposition returns, so it costs no
+    extra kernel call.  A non-finite stack raises before ``eigh`` sees it.
+    """
+    h = herm_part(a)
+    if what is not None and not np.isfinite(h).all():
+        raise NotPositiveDefinite(f"{what} has minimum eigenvalue {-np.inf:.3e}")
+    w, u = np.linalg.eigh(h)
+    if what is not None:
+        lam = float(np.min(w[..., 0], initial=np.inf))
+        if lam <= 0.0:
+            raise NotPositiveDefinite(f"{what} has minimum eigenvalue {lam:.3e}")
+    return w, u
+
+
+def _eigh_fun(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, what: str | None = None) -> np.ndarray:
+    """f(A) by one eigendecomposition; given ``what``, A must be positive definite."""
+    w, u = _eigh(a, what)
     return (u * f(w)[..., None, :]) @ dagger(u)
 
 
 def _spd_check(a: np.ndarray, what: str, exc=NotPositiveDefinite) -> None:
-    lam = float(np.min(min_eig(a)))
+    """Positive definiteness of a stack by one ``eigvalsh``.
+
+    Only for evaluators that never decompose the argument itself: the
+    harmonic mean (it inverts) and the power and Karcher means of three or
+    more arguments (they decompose iterates).  Everything else checks inside
+    ``_eigh``.
+    """
+    lam = float(np.min(min_eig(a), initial=np.inf))
     if lam <= 0.0:
         raise exc(f"{what} has minimum eigenvalue {lam:.3e}")
 
 
-def _roots(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Z^{1/2}, Z^{-1/2}) of a positive definite stack."""
-    w, u = np.linalg.eigh(herm_part(z))
+def _roots(z: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Z^{1/2}, Z^{-1/2}) of a positive definite stack; given ``what``, checked by ``_eigh``."""
+    w, u = _eigh(z, what)
     sq = np.sqrt(w)
     return (u * sq[..., None, :]) @ dagger(u), (u / sq[..., None, :]) @ dagger(u)
 
@@ -131,23 +163,32 @@ class FreeFn:
     domain: tuple[float, float] | None = None  # None: the full positive cone
     weights: tuple[float, ...] | None = None  # the Karcher mean's, for the CLI's iteration report
 
-    def __call__(self, *mats: np.ndarray) -> np.ndarray:
+    def _args(self, mats: tuple) -> MatTuple:
         if len(mats) == 1 and isinstance(mats[0], (tuple, list)):
             mats = tuple(mats[0])
         if len(mats) != self.arity:
             raise ArityMismatch(f"{self.name} takes {self.arity} arguments, got {len(mats)}")
-        return self.evaluator(tuple(np.asarray(m, dtype=complex) for m in mats))
+        xs = tuple(np.asarray(m, dtype=complex) for m in mats)
+        if any(x.shape[-2:] == (0, 0) for x in xs):
+            raise DimensionMismatch(f"{self.name} takes matrices of size at least 1x1")
+        return xs
+
+    def __call__(self, *mats: np.ndarray) -> np.ndarray:
+        return self.evaluator(self._args(mats))
 
     def eval_complex(self, *mats: np.ndarray) -> np.ndarray:
         if self.complex_evaluator is None:
             raise UnknownFunction(f"{self.name} has no complex evaluator")
-        if len(mats) == 1 and isinstance(mats[0], (tuple, list)):
-            mats = tuple(mats[0])
-        return self.complex_evaluator(tuple(np.asarray(m, dtype=complex) for m in mats))
+        return self.complex_evaluator(self._args(mats))
 
 
 # ---------------------------------------------------------------------------
 # one-variable lifts
+
+
+def _finite_check(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise DomainViolation("argument has a non-finite entry")
 
 
 def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[[MatTuple], np.ndarray]:
@@ -162,8 +203,9 @@ def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[
 
     def apply(xs: MatTuple) -> np.ndarray:
         (x,) = xs
+        _finite_check(x)
         w, v = np.linalg.eig(x)
-        cond = np.max(np.linalg.cond(v))
+        cond = np.max(np.linalg.cond(v), initial=0.0)
         if not cond * 2.0**-52 <= DEFAULT_TOL.eq:
             raise DomainViolation(f"argument is near-defective: eigenvector condition {cond:.3e}")
         return v @ ((f_scalar(w))[..., :, None] * np.linalg.inv(v))
@@ -198,8 +240,7 @@ def lift_scalar(name: str, p: float | None = None) -> FreeFn:
             raise UnknownFunction("pow requires an exponent p in (0, 1)")
 
         def _ev(xs: MatTuple) -> np.ndarray:
-            _spd_check(xs[0], "argument")
-            return _herm_pow(xs[0], p)
+            return _eigh_fun(lambda w: np.power(w, p), xs[0], "argument")
 
         return FreeFn(
             name=f"pow:{p:g}",
@@ -212,10 +253,10 @@ def lift_scalar(name: str, p: float | None = None) -> FreeFn:
         raise UnknownFunction(f"no scalar lift named {name!r}")
     f, fp, fc, monotone, concave = _SCALAR_LIFTS[name]
 
+    what = "argument" if name in ("sqrt", "log1p") else None
+
     def _ev(xs: MatTuple) -> np.ndarray:
-        if name in ("sqrt", "log1p"):
-            _spd_check(xs[0], "argument")
-        return _eigh_fun(f, xs[0])
+        return _eigh_fun(f, xs[0], what)
 
     return FreeFn(
         name=name,
@@ -299,10 +340,19 @@ def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
     )
 
 
+_SECOND_ARGUMENT = "second argument is not positive definite: A^{-1/2} B A^{-1/2}"
+
+
 def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2}, two eigendecompositions per stack."""
-    zr, zir = _roots(z)
-    return herm_part(zr @ _eigh_fun(f, zir @ x @ zir) @ zr)
+    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2}, two eigendecompositions per stack.
+
+    The same two decompositions check both arguments: Z by its own
+    eigenvalues, and X by those of M = Z^{-1/2} X Z^{-1/2}, the ones f is
+    applied to.  For Z > 0, X > 0 exactly when M > 0 (Sylvester's law of
+    inertia), and f never sees an eigenvalue that is not positive.
+    """
+    zr, zir = _roots(z, "first argument")
+    return herm_part(zr @ _eigh_fun(f, zir @ x @ zir, _SECOND_ARGUMENT) @ zr)
 
 
 def weighted_geo(z: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
@@ -356,8 +406,6 @@ def _pair_vgrad(xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray) -> list
 
 def geometric_mean_2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-variable geometric mean A # B."""
-    _spd_check(a, "first argument")
-    _spd_check(b, "second argument")
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return _congruence_fun(a, b, _pair_function(0.0, 0.5, 0.5)[0])
 
@@ -394,10 +442,10 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     w = _check_weights(weights)
     if len(xs) != w.size:
         raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
-    for xi in xs:
-        _spd_check(xi, "power mean argument")
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
+    for xi in xs:
+        _spd_check(xi, "power mean argument")
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     bound = _POWER_RTOL * fro_norm(z)
     for _ in range(_MAX_ITER):
@@ -458,7 +506,7 @@ def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.nd
     """Z^{1/2}, the Karcher gradient sum w_i log(Z^{-1/2} X_i Z^{-1/2}) and its worst norm."""
     zr, zir = _roots(z)
     grad = sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, xs))
-    return zr, grad, float(np.max(np.atleast_1d(fro_norm(grad))))
+    return zr, grad, float(np.max(fro_norm(grad), initial=0.0))
 
 
 def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = False):
@@ -482,14 +530,13 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     w = _check_weights(weights)
     if len(xs) != w.size:
         raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
-    for xi in xs:
-        _spd_check(xi, "Karcher mean argument")
-
     if len(xs) == 2:
         z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
         if return_info:
             return z, {"iterations": 0, "residual": _karcher_gradient(z, xs, w)[2]}
         return z
+    for xi in xs:
+        _spd_check(xi, "Karcher mean argument")
 
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     damping = 1.0
@@ -569,11 +616,12 @@ class MobiusMap:
 def mobius_apply(g: MobiusMap, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """(a X + b I)(c X + d I)^{-1}; raises PoleHit near the pole."""
     x = np.asarray(x, dtype=complex)
+    _finite_check(x)
     n = x.shape[-1]
     eye = np.eye(n)
     denom = g.c * x + g.d * eye
     sv = np.linalg.svd(denom, compute_uv=False)
-    if float(np.min(sv)) <= tol.rank * float(np.max(sv)):
+    if float(np.min(sv, initial=np.inf)) <= tol.rank * float(np.max(sv, initial=0.0)):
         raise PoleHit("c X + d I is numerically singular")
     return (g.a * x + g.b * eye) @ np.linalg.inv(denom)
 

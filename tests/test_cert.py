@@ -278,24 +278,17 @@ class TestScan:
             assert np.array_equal(rep.counterexample["B"][0], pairs[stop][1][0])
             assert rep.worst_margin > min(margins) + 1.0  # the deeper later dips are not scanned
 
-    def test_one_eigvalsh_call_per_chunk(self, monkeypatch):
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def test_one_eigvalsh_call_per_chunk(self, count_calls):
+        shapes = count_calls(np.linalg, "eigvalsh")
         fn = lift_scalar("sqrt")
         assert concave_test(fn, n=3, trials=512, seed=0).passed
-        # six 512-row chunks (A, B and four mixtures per trial), one positivity
-        # check each inside sqrt, and one scan of the (512, 4, 3, 3) stack
-        assert len(shapes) == 6 + 1 and shapes[-1] == (512, 4, 3, 3)
+        # sqrt checks positivity from its own eigh, so the only call is the
+        # one scan of the (512, 4, 3, 3) stack
+        assert shapes == [(512, 4, 3, 3)]
         shapes.clear()
         assert hypograph_convexity_test(fn, n=3, m=2, trials=512, seed=0).passed
-        # four 512-row evaluations, then one scan call per matrix size
-        assert len(shapes) == 4 + 2 and shapes[-2:] == [(512, 1, 2, 2), (512, 1, 3, 3)]
+        # one scan call per matrix size
+        assert shapes == [(512, 1, 2, 2), (512, 1, 3, 3)]
 
     @pytest.mark.parametrize("tester", TESTERS)
     def test_non_finite_values_are_inconclusive(self, tester):

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opmono import errors
 from opmono.freefun import (
+    CATALOGUE_IDS,
     MobiusMap,
     arithmetic_mean,
     fake_trace_fn,
     frechet_derivative,
     frechet_many,
     geometric_mean_2,
+    geometric_mean_2_fn,
     harmonic_mean,
     karcher_mean,
     karcher_mean_fn,
@@ -22,8 +26,8 @@ from opmono.freefun import (
     weighted_geo,
 )
 from opmono.gradients import dk_map, hermitian_basis, solve_linear_map
-from opmono.matcore import fro_norm, funcalc, herm_part, im_part, min_eig
-from opmono.sampling import rand_herm, rand_psd, rand_spd_interval, rand_tuple_interval
+from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig
+from opmono.sampling import rand_herm, rand_psd, rand_spd_interval, rand_tuple_interval, rand_unitary
 
 
 def stacked_pair(rng, m, n):
@@ -273,17 +277,10 @@ class TestTwoArgumentClosedForms:
         assert info["residual"] == float(np.max(fro_norm(grad)))
         assert np.all(fro_norm(grad) <= 1e-12 * (1 + fro_norm(z)))
 
-    def test_eigh_count_independent_of_t(self, monkeypatch):
+    def test_eigh_count_independent_of_t(self, count_calls):
         rng = np.random.default_rng(24)
         a, b = stacked_pair(rng, 512, 3)
-        real_eigh = np.linalg.eigh
-        calls = []
-
-        def counting_eigh(m, *args, **kwargs):
-            calls.append(m.shape)
-            return real_eigh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_calls(np.linalg, "eigh")
         counts = {}
         for label, fn in [
             ("power:t=0.25", power_mean_fn(0.25, (0.5, 0.5))),
@@ -577,3 +574,135 @@ class TestStepUnderflow:
         noisy_fn = FreeFn(name="noisy", arity=1, evaluator=noisy)
         with pytest.raises(errors.StepUnderflow):
             frechet_derivative(noisy_fn, (np.eye(3),), (np.eye(3),))
+
+
+class TestPositivityFromTheEvaluatorsEigh:
+    """Positivity is read from the eigendecomposition the evaluator makes anyway."""
+
+    @pytest.mark.parametrize("ident,eigh,eigvalsh", [
+        ("sqrt", 1, 0),
+        ("geomean2", 2, 0),
+        ("power:t=0.25", 2, 0),
+        ("karcher", 2, 0),
+        ("harmonic", 0, 2),
+    ])
+    def test_kernel_calls_per_evaluation(self, count_calls, ident, eigh, eigvalsh):
+        fn = resolve_function(ident)
+        xs = stacked_pair(np.random.default_rng(31), 512, 3)[: fn.arity]
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "eigvalsh")}
+        fn(*xs)
+        assert calls == {"eigh": [(512, 3, 3)] * eigh, "eigvalsh": [(512, 3, 3)] * eigvalsh}
+
+    @pytest.mark.parametrize("ident", ["geomean2", "power:t=0.25", "power:t=0.5", "karcher"])
+    def test_boundary_pairs_never_return_nan(self, ident):
+        # A has eigenvalues down to 1e-9 and B one of 1e-18..1e-15, so the
+        # computed eigenvalues of A^{-1/2} B A^{-1/2} can be negative; every
+        # draw must give a finite mean or a typed refusal
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(0)
+        outcomes = {"finite": 0, "refused": 0}
+        for _ in range(300):
+            u1, u2 = rand_unitary(rng, 3), rand_unitary(rng, 3)
+            a = u1 @ np.diag([1.0, 1e-6, 1e-9]) @ dagger(u1)
+            b = u2 @ np.diag([1.0, 0.5, 10.0 ** rng.uniform(-18, -15)]) @ dagger(u2)
+            try:
+                out = fn(a, b)
+            except errors.NotPositiveDefinite:
+                outcomes["refused"] += 1
+                continue
+            assert np.isfinite(out).all()
+            outcomes["finite"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    @pytest.mark.parametrize("ident", ["geomean2", "power:t=0.25", "power:t=0.5", "karcher"])
+    def test_indefinite_second_argument_is_named(self, ident):
+        with pytest.raises(errors.NotPositiveDefinite, match="second argument"):
+            resolve_function(ident)(np.eye(3), np.diag([1.0, 1.0, -1e-8]))
+
+
+def _reference_eigh_fun(f, a):
+    w, u = np.linalg.eigh(herm_part(a))
+    return (u * f(w)[..., None, :]) @ dagger(u)
+
+
+def _reference(f, xs):
+    """Reference: check each argument with its own eigvalsh, then evaluate."""
+    for x in xs:
+        if float(np.min(min_eig(x))) <= 0.0:
+            raise errors.NotPositiveDefinite("reference")
+    if len(xs) == 1:
+        return _reference_eigh_fun(f, xs[0])
+    a, b = xs
+    w, u = np.linalg.eigh(herm_part(a))
+    sq = np.sqrt(w)
+    ar, air = (u * sq[..., None, :]) @ dagger(u), (u / sq[..., None, :]) @ dagger(u)
+    return herm_part(ar @ _reference_eigh_fun(f, air @ b @ air) @ ar)
+
+
+@st.composite
+def changed_evaluator_cases(draw):
+    """(function, its representing f, argument stacks, whether one member was shifted)."""
+    kind = draw(st.sampled_from(["sqrt", "log1p", "pow", "geomean2", "power", "karcher"]))
+    w1 = draw(st.floats(0.05, 0.95))
+    w2 = 1.0 - w1
+    t = draw(st.floats(0.05, 1.0))
+    fn, f = {
+        "sqrt": (lift_scalar("sqrt"), np.sqrt),
+        "log1p": (lift_scalar("log1p"), np.log1p),
+        "pow": (lift_scalar("pow", w1), lambda x: np.power(x, w1)),
+        "geomean2": (geometric_mean_2_fn(), lambda x: np.power(x, 0.5)),
+        "power": (power_mean_fn(t, (w1, w2)), lambda x: np.power(w1 + w2 * np.power(x, t), 1.0 / t)),
+        "karcher": (karcher_mean_fn((w1, w2)), lambda x: np.power(x, w2)),
+    }[kind]
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    exps = draw(st.lists(st.floats(-3.0, 3.0), min_size=fn.arity * m * n, max_size=fn.arity * m * n))
+    lam = 10.0 ** np.reshape(exps, (fn.arity, m, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.stack([[rand_unitary(rng, n) for _ in range(m)] for _ in range(fn.arity)])
+    xs = (u * lam[..., None, :]) @ dagger(u)
+    shifted = draw(st.booleans())
+    if shifted:
+        slot, member = draw(st.integers(0, fn.arity - 1)), draw(st.integers(0, m - 1))
+        x = xs[slot, member]
+        xs[slot, member] = x - (lam[slot, member].min() + 1e-6 * fro_norm(x)) * np.eye(n)
+    return fn, f, tuple(xs), shifted
+
+
+@given(changed_evaluator_cases())
+def test_changed_evaluators_match_check_then_evaluate(case):
+    fn, f, xs, shifted = case
+    if shifted:
+        with pytest.raises(errors.NotPositiveDefinite):
+            _reference(f, xs)
+        with pytest.raises(errors.NotPositiveDefinite):
+            fn(*xs)
+    else:
+        assert np.array_equal(fn(*xs), _reference(f, xs))
+
+
+@pytest.mark.parametrize("ident", ["sqrt", "log1p", "pow:0.7", "identity", "xsq", "mobius:1,0,1,1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_arguments_raise_domain_violation(ident, bad):
+    fn = resolve_function(ident)
+    x = np.stack([np.eye(3), np.eye(3)]).astype(complex)
+    x[1, 0, 2] = bad
+    with pytest.raises(errors.DomainViolation):
+        fn.eval_complex(x)
+    if ident.startswith("mobius"):
+        with pytest.raises(errors.DomainViolation):
+            fn(x)
+
+
+# one identifier per CATALOGUE_IDS entry
+CATALOGUE = ["identity", "sqrt", "log1p", "pow:0.7", "xsq", "faketrace", "harmonic", "arithmetic",
+             "geomean2", "power:t=0.5", "karcher", "mobius:1,0,1,1"]
+
+
+@pytest.mark.parametrize("ident", CATALOGUE)
+def test_empty_stacks_and_empty_matrices(ident):
+    assert len(CATALOGUE) == len(CATALOGUE_IDS)
+    fn = resolve_function(ident)
+    out = fn(*[np.zeros((0, 3, 3))] * fn.arity)
+    assert out.shape == (0, 3, 3)
+    with pytest.raises(errors.DimensionMismatch):
+        fn(*[np.zeros((0, 0))] * fn.arity)

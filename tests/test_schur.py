@@ -413,23 +413,6 @@ def worst_margin(blocks, theta, tol=DEFAULT_TOL):
                for b in blocks)
 
 
-def count_calls(monkeypatch, module, name):
-    """Record the argument shape of every call to ``module.name``."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def count_eigvalsh(monkeypatch):
-    return count_calls(monkeypatch, np.linalg, "eigvalsh")
-
-
 class TestFirstCertifiedAngle:
     """``_find_rotation`` returns the first probed angle with a positive worst margin."""
 
@@ -452,20 +435,20 @@ class TestFirstCertifiedAngle:
             checked = core.evaluate(x, state=state, halfspace=True)
             assert np.array_equal(checked, core.evaluate(x, state=state, halfspace=False))
 
-    def test_wide_arc_stops_within_three_probes(self, monkeypatch):
+    def test_wide_arc_stops_within_three_probes(self, count_calls):
         # W(B) is the segment from i to -1 + i: theta = 0 leaves Re B singular,
         # the first interior point of the search already certifies
         blocks = [np.diag([1j, -1.0 + 1j])[None]]
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_calls(np.linalg, "eigvalsh")
         theta = _find_rotation(blocks, DEFAULT_TOL)
         assert len(calls) <= 3
         assert -np.pi / 2 < theta < 0.0
         assert worst_margin(blocks, theta) > 0
 
-    def test_no_positive_rotation_raises_after_every_probe(self, monkeypatch):
+    def test_no_positive_rotation_raises_after_every_probe(self, count_calls):
         # W(B) is the segment [-1, 1]: no rotation in (-pi/2, 0] makes Re B positive
         blocks = [np.diag([1.0, -1.0]).astype(complex)[None]]
-        calls = count_eigvalsh(monkeypatch)
+        calls = count_calls(np.linalg, "eigvalsh")
         with pytest.raises(errors.RotationNotFound):
             _find_rotation(blocks, DEFAULT_TOL)
         assert len(calls) == 51  # theta = 0, the two interior points, 48 steps
@@ -608,19 +591,19 @@ class TestSectorBoundCheck:
             with pytest.raises(errors.NotSectorial):
                 core.evaluate((x,), state=state, halfspace=True)
 
-    def test_settled_members_make_no_svd_or_eigh(self, monkeypatch, small_rep):
+    def test_settled_members_make_no_svd_or_eigh(self, count_calls, small_rep):
         # two upper half-space members and one right half-space member, every
         # component settled by its Frobenius norms
         x = np.stack([np.diag([1.0, 2.0]) + 1j * np.diag([1.0, 0.5]),
                       np.array([[0.3, 1.0], [1.0, -0.2]]) + 1j * np.array([[1.0, 0.5], [0.5, 2.0]]),
                       np.diag([1.0, 2.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])])
         small_rep.core()
-        svd, eigh = (count_calls(monkeypatch, np.linalg, name) for name in ("svd", "eigh"))
+        svd, eigh = (count_calls(np.linalg, name) for name in ("svd", "eigh"))
         rep_eval_complex(small_rep, (x,))
         assert svd == [] and eigh == []
 
     @pytest.mark.parametrize("open_kind", ["spectral", "nan"])
-    def test_only_the_open_member_takes_the_exact_angle(self, monkeypatch, open_kind):
+    def test_only_the_open_member_takes_the_exact_angle(self, monkeypatch, count_calls, open_kind):
         rng = np.random.default_rng(53)
         blocks = np.stack([rand_sectorial(rng, 3) for _ in range(6)]).reshape(3, 2, 3, 3)
         comps = 0.1 * blocks[..., :1, :1]
@@ -630,7 +613,7 @@ class TestSectorBoundCheck:
         seen = []
         exact = schur.sector_certified_alpha
         monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: seen.append(m) or exact(m))
-        svd = count_calls(monkeypatch, np.linalg, "svd")
+        svd = count_calls(np.linalg, "svd")
         try:
             _check_sector_bound(blocks, comps, np.zeros(3, dtype=bool), DEFAULT_TOL)
         except np.linalg.LinAlgError:  # the svd of a NaN complement, as in the reference
