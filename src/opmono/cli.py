@@ -33,7 +33,7 @@ from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
 from .freefun import karcher_mean, nc_axiom_check, resolve_function
-from .matcore import Tolerances, herm_part
+from .matcore import Tolerances, min_eig
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
     reconstruct,
@@ -90,10 +90,6 @@ def _emit(args, payload: dict, text: str, saved: tuple[str, object] | None = Non
     print(io.dumps({"kind": "report", "payload": payload}) if args.format == "json" else text)
     if args.out:
         io.save(args.out, *(saved or ("report", payload)))
-
-
-def _min_herm_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(herm_part(m))[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +219,7 @@ def _cmd_schur(args) -> int:
     tol = _tolerances(args)
     if args.mode == "psd":
         result = shorted_psd(a, pivot, tol)
-        lam = float(np.linalg.eigvalsh(result.shorted)[0])
+        lam = min_eig(result.shorted)
         shorted = io.encode_matrix(result.shorted)
         _emit(args, {"mode": "psd", "shorted": shorted, "defect": result.defect, "min_eig": lam},
               f"shorted operator on a {pivot.dim}-dim pivot: min eigenvalue {lam:.6g}, "
@@ -231,7 +227,7 @@ def _cmd_schur(args) -> int:
         return EXIT_PASS
     if args.mode == "generic":
         comp = schur_generic(a, pivot, keep=args.keep, tol=tol)
-        lam = _min_herm_eig(comp)
+        lam = min_eig(comp)
         _emit(args, {"mode": "generic", "min_eig_herm_part": lam},
               f"Schur complement keeping {args.keep!r}: Hermitian-part min eigenvalue {lam:.6g}",
               ("matrix", io.encode_matrix(comp)))
@@ -250,7 +246,7 @@ def _cmd_pencil_eval(args) -> int:
     pencil = io.pencil_from_payload(payload)
     x = _load_tuple(args.tuple)
     out = pencil_eval_shifted(pencil, x) if args.shifted else pencil_eval(pencil, x)
-    lam = _min_herm_eig(out)
+    lam = min_eig(out)
     _emit(args, {"min_eig_herm_part": lam},
           f"pencil evaluation: dimension {out.shape[0]}, Hermitian-part min eigenvalue {lam:.6g}",
           ("matrix", io.encode_matrix(out)))

@@ -13,11 +13,16 @@ function (``_pair_function``), which gives both its closed form, two
 eigendecompositions of the whole stack, and its exact adjoint; with three or
 more arguments the fixed-point iterations run all batch elements in lockstep.
 
+The power and Karcher means of three or more arguments solve one equation,
+sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I with f(x) = x^t or f = log: one
+step helper (``_mean_equation``) and one implicit adjoint (``_implicit_vgrad``).
+
 Positive definiteness is read from the eigendecomposition an evaluator makes
-anyway (``_eigh``): one ``eigh`` per lift, and for a two-argument mean the
-``eigh`` of A and that of A^{-1/2} B A^{-1/2}.  Only evaluators that never
-decompose their arguments, the harmonic mean and the means of three or more
-arguments, spend a separate ``eigvalsh`` per argument (``_spd_check``).
+anyway (``_eigh``): one ``eigh`` per lift, for a two-argument mean the
+``eigh`` of A and that of A^{-1/2} B A^{-1/2}, and for three or more
+arguments those of the iterate Z and of each Z^{-1/2} X_i Z^{-1/2}.  Only the
+harmonic mean, which inverts its arguments, spends a separate ``eigvalsh``
+per argument.
 """
 
 from __future__ import annotations
@@ -103,28 +108,11 @@ def _eigh_fun(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, what: str | 
     return (u * f(w)[..., None, :]) @ dagger(u)
 
 
-def _spd_check(a: np.ndarray, what: str, exc=NotPositiveDefinite) -> None:
-    """Positive definiteness of a stack by one ``eigvalsh``.
-
-    Only for evaluators that never decompose the argument itself: the
-    harmonic mean (it inverts) and the power and Karcher means of three or
-    more arguments (they decompose iterates).  Everything else checks inside
-    ``_eigh``.
-    """
-    lam = float(np.min(min_eig(a), initial=np.inf))
-    if lam <= 0.0:
-        raise exc(f"{what} has minimum eigenvalue {lam:.3e}")
-
-
 def _roots(z: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(Z^{1/2}, Z^{-1/2}) of a positive definite stack; given ``what``, checked by ``_eigh``."""
     w, u = _eigh(z, what)
     sq = np.sqrt(w)
     return (u * sq[..., None, :]) @ dagger(u), (u / sq[..., None, :]) @ dagger(u)
-
-
-def _herm_pow(a: np.ndarray, t: float) -> np.ndarray:
-    return _eigh_fun(lambda w: np.power(w, t), a)
 
 
 def _herm_log(a: np.ndarray) -> np.ndarray:
@@ -171,6 +159,8 @@ class FreeFn:
         xs = tuple(np.asarray(m, dtype=complex) for m in mats)
         if any(x.shape[-2:] == (0, 0) for x in xs):
             raise DimensionMismatch(f"{self.name} takes matrices of size at least 1x1")
+        if not all(np.isfinite(x).all() for x in xs):
+            raise DomainViolation(f"{self.name} argument has a non-finite entry")
         return xs
 
     def __call__(self, *mats: np.ndarray) -> np.ndarray:
@@ -186,11 +176,6 @@ class FreeFn:
 # one-variable lifts
 
 
-def _finite_check(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise DomainViolation("argument has a non-finite entry")
-
-
 def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[[MatTuple], np.ndarray]:
     """Principal-branch matrix function through diagonalization X = V diag(w) V^{-1}.
 
@@ -203,7 +188,6 @@ def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[
 
     def apply(xs: MatTuple) -> np.ndarray:
         (x,) = xs
-        _finite_check(x)
         w, v = np.linalg.eig(x)
         cond = np.max(np.linalg.cond(v), initial=0.0)
         if not cond * 2.0**-52 <= DEFAULT_TOL.eq:
@@ -310,7 +294,9 @@ def harmonic_mean(weights: tuple[float, ...]) -> FreeFn:
 
     def _ev(xs: MatTuple) -> np.ndarray:
         for xi in xs:
-            _spd_check(xi, "harmonic mean argument", SingularArgument)
+            lam = float(np.min(min_eig(xi), initial=np.inf))
+            if lam <= 0.0:
+                raise SingularArgument(f"harmonic mean argument has minimum eigenvalue {lam:.3e}")
         acc = sum(wi * np.linalg.inv(herm_part(xi)) for wi, xi in zip(w, xs))
         return herm_part(np.linalg.inv(acc))
 
@@ -358,13 +344,6 @@ def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.n
 def weighted_geo(z: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     """t-weighted geometric mean Z #_t X = Z^{1/2}(Z^{-1/2} X Z^{-1/2})^t Z^{1/2}."""
     return _congruence_fun(z, x, _pair_function(0.0, 1.0 - t, t)[0])
-
-
-def _geo_step(z: np.ndarray, xs: MatTuple, w: np.ndarray, t: float) -> np.ndarray:
-    """sum_i w_i (Z #_t X_i) with Z factored once: k + 1 eigendecompositions."""
-    zr, zir = _roots(z)
-    inner = sum(wi * _herm_pow(zir @ xi @ zir, t) for wi, xi in zip(w, xs))
-    return herm_part(zr @ inner @ zr)
 
 
 def _pair_function(t: float, w1: float, w2: float) -> tuple[Callable, Callable]:
@@ -419,6 +398,50 @@ def geometric_mean_2_fn() -> FreeFn:
     )
 
 
+def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Z^{1/2} and S = sum w_i f(M_i), M_i = Z^{-1/2} X_i Z^{-1/2}: k + 1 eigendecompositions.
+
+    The power mean P_t (f(x) = x^t) and the Karcher mean (f = log) of three
+    or more arguments are the positive solutions of S = f(1) I (Lim & Palfia
+    2012; Lawson & Lim 2014).  The same decompositions check positivity: Z
+    by its own eigenvalues, and X_i by those of M_i (for Z > 0, X_i > 0
+    exactly when M_i > 0).  Z starts at sum w_i X_i, so if Z fails, so does
+    some X_i.
+    """
+    zr, zir = _roots(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
+    s = sum(wi * _eigh_fun(f, zir @ xi @ zir, f"argument {i} is not positive definite: Z^-1/2 X_{i} Z^-1/2")
+            for i, (wi, xi) in enumerate(zip(w, xs), 1))
+    return zr, s
+
+
+def _implicit_vgrad(
+    z: np.ndarray, xs: MatTuple, seed: np.ndarray, w: np.ndarray, f: Callable, fprime: Callable
+) -> list[np.ndarray]:
+    """Implicit adjoint gradient of the mean Z solving E(Z, X) = sum w_i f(M_i) = f(1) I.
+
+    With M_i = Z^{-1/2} X_i Z^{-1/2} the implicit function theorem gives
+    G_i = -w_i Z^{-1/2} Df(M_i)[u] Z^{-1/2}, where u solves E_Z*[u] = W and
+
+        E_Z*[u] = D(Z^{-1/2})[sum_i w_i 2 Herm(X_i Z^{-1/2} Df(M_i)[u])];
+
+    Df and D(Z^{-1/2}) are Daleckii-Krein maps, self-adjoint under the trace
+    pairing, and the Z-block is inverted on the Hermitian basis.  Two
+    arguments take the closed form ``_pair_vgrad`` instead.
+    """
+    _, rinv = _roots(z)
+    t_map = dk_map(z, lambda x: 1.0 / np.sqrt(x), lambda x: -0.5 * np.power(x, -1.5))
+    dfs = [dk_map(herm_part(rinv @ xi @ rinv), f, fprime) for xi in xs]
+
+    def e_z_adjoint(u: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(u)
+        for wi, xi, df in zip(w, xs, dfs):
+            acc = acc + wi * herm_part(xi @ rinv @ df(u)) * 2
+        return herm_part(t_map(acc))
+
+    u = solve_linear_map(e_z_adjoint, herm_part(seed))
+    return [herm_part(-wi * rinv @ df(u) @ rinv) for wi, df in zip(w, dfs)]
+
+
 def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray:
     """Matrix power mean P_t: the solution of Z = sum w_i (Z #_t X_i).
 
@@ -430,12 +453,12 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
 
     the congruence of ``_pair_function(t, w_1, w_2)``: two eigendecompositions
     per stack.  Three or more arguments use plain fixed-point iteration from
-    the arithmetic mean: the map is a Thompson-metric contraction with ratio
-    (1 - t) (Lim & Palfia 2012), so it converges for every t in (0, 1].  Each
-    step factors Z once and costs k + 1 eigendecompositions.  The iteration
-    stops once every member's step is at most ``_POWER_RTOL`` ||Z_0||_F, a
-    rule that scales with the arguments (so P_t(cX) = c P_t(X) holds to
-    rounding), and raises NoConvergence after ``_MAX_ITER`` steps.
+    the arithmetic mean, Z <- Z^{1/2} S Z^{1/2} with S of ``_mean_equation``
+    at f(x) = x^t: the map is a Thompson-metric contraction with ratio
+    (1 - t) (Lim & Palfia 2012), so it converges for every t in (0, 1].  The
+    iteration stops once every member's step is at most ``_POWER_RTOL``
+    ||Z_0||_F, a rule that scales with the arguments (so P_t(cX) = c P_t(X)
+    holds to rounding), and raises NoConvergence after ``_MAX_ITER`` steps.
     """
     if not (0.0 < t <= 1.0):
         raise BadConfig("t must lie in (0, 1]")
@@ -444,12 +467,12 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
         raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
-    for xi in xs:
-        _spd_check(xi, "power mean argument")
+    f = _pair_function(0.0, 1.0 - t, t)[0]  # x^t, that of Z #_t X
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     bound = _POWER_RTOL * fro_norm(z)
     for _ in range(_MAX_ITER):
-        new = _geo_step(z, xs, w, t)
+        zr, s = _mean_equation(z, xs, w, f)
+        new = herm_part(zr @ s @ zr)
         done = np.all(fro_norm(new - z) <= bound)
         z = new
         if done:
@@ -457,55 +480,22 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     raise NoConvergence(f"power mean t={t} did not converge within {_MAX_ITER} iterations")
 
 
-def _power_mean_vgrad(
-    xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray
-) -> list[np.ndarray]:
-    """Implicit adjoint gradient of the power mean of three or more arguments.
-
-    With Phi(Z, X) = sum w_i Z #_t X_i and Z the fixed point, the chain rule
-    gives G_i = Phi_{X_i}* (Id - Phi_Z*)^{-1} seed; the partial adjoints are
-    combinations of Daleckii-Krein sandwiches at the solved Z.  Two arguments
-    take the closed form ``_pair_vgrad`` instead.
-    """
-    xs_flat = tuple(np.asarray(x, dtype=complex) for x in xs)
-    z = power_mean(xs_flat, t, tuple(w))
-    r, rinv = _roots(z)
-    s_map = dk_map(z, np.sqrt, lambda x: 0.5 / np.sqrt(x))
-    t_map = dk_map(z, lambda x: 1.0 / np.sqrt(x), lambda x: -0.5 * np.power(x, -1.5))
-    ms = [herm_part(rinv @ xi @ rinv) for xi in xs_flat]
-    dps = [dk_map(m, lambda x: np.power(x, t), lambda x: t * np.power(x, t - 1)) for m in ms]
-    mts = [_herm_pow(m, t) for m in ms]
-
-    def phi_z_adjoint(u: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(u)
-        for wi, xi, mt, dp in zip(w, xs_flat, mts, dps):
-            q = dp(r @ u @ r)
-            acc = acc + wi * (
-                s_map(herm_part(mt @ r @ u) * 2) + t_map(herm_part(xi @ rinv @ q) * 2)
-            )
-        return herm_part(acc)
-
-    u = solve_linear_map(lambda h: h - phi_z_adjoint(h), herm_part(seed))
-    return [herm_part(wi * rinv @ dp(r @ u @ r) @ rinv) for wi, dp in zip(w, dps)]
-
-
 def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
     if not (0.0 < t <= 1.0):
         raise UnknownFunction(f"power mean requires t in (0, 1], got {t:g}")
     w = _check_weights(weights)
-    vgrad = _pair_vgrad if w.size == 2 else _power_mean_vgrad
     return FreeFn(
         name=f"power:t={t:g}",
         arity=w.size,
         evaluator=lambda xs: power_mean(xs, t, tuple(w)),
-        vgrad=lambda xs, seed: vgrad(xs, seed, t, w),
+        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, t, w) if w.size == 2 else _implicit_vgrad(
+            power_mean(xs, t, tuple(w)), xs, seed, w, *_pair_function(0.0, 1.0 - t, t)),
     )
 
 
 def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Z^{1/2}, the Karcher gradient sum w_i log(Z^{-1/2} X_i Z^{-1/2}) and its worst norm."""
-    zr, zir = _roots(z)
-    grad = sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, xs))
+    zr, grad = _mean_equation(z, xs, w, np.log)
     return zr, grad, float(np.max(fro_norm(grad), initial=0.0))
 
 
@@ -519,6 +509,7 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
 
     Three or more arguments start at the arithmetic mean, as ``power_mean``
     does, and iterate the fixed-point form of the Karcher equation
+    (``_mean_equation`` at f = log)
 
         Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
 
@@ -535,8 +526,6 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
         if return_info:
             return z, {"iterations": 0, "residual": _karcher_gradient(z, xs, w)[2]}
         return z
-    for xi in xs:
-        _spd_check(xi, "Karcher mean argument")
 
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     damping = 1.0
@@ -556,38 +545,14 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     return z
 
 
-def _karcher_vgrad(xs: MatTuple, seed: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
-    """Implicit adjoint gradient of the Karcher mean of three or more arguments.
-
-    Differentiates the Karcher equation sum w_i log(Z^{-1/2} X_i Z^{-1/2}) = 0
-    at the solved mean; the slot adjoints are Daleckii-Krein logarithm
-    sandwiches and the Z-block is inverted on the Hermitian basis.  Two
-    arguments take the closed form ``_pair_vgrad`` instead.
-    """
-    xs_flat = tuple(np.asarray(x, dtype=complex) for x in xs)
-    z = karcher_mean(xs_flat, tuple(w))
-    _, rinv = _roots(z)
-    t_map = dk_map(z, lambda x: 1.0 / np.sqrt(x), lambda x: -0.5 * np.power(x, -1.5))
-    ms = [herm_part(rinv @ xi @ rinv) for xi in xs_flat]
-    dlogs = [dk_map(m, np.log, lambda x: 1.0 / x) for m in ms]
-
-    def psi_z_adjoint(u: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(u)
-        for wi, xi, dlog in zip(w, xs_flat, dlogs):
-            acc = acc + wi * herm_part(xi @ rinv @ dlog(u)) * 2
-        return herm_part(t_map(acc))
-
-    u = solve_linear_map(psi_z_adjoint, herm_part(seed))
-    return [herm_part(-wi * rinv @ dlog(u) @ rinv) for wi, dlog in zip(w, dlogs)]
-
-
 def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
     w = _check_weights(weights)
     return FreeFn(
         name="karcher",
         arity=w.size,
         evaluator=lambda xs: karcher_mean(xs, tuple(w)),
-        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, w) if w.size == 2 else _karcher_vgrad(xs, seed, w),
+        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, w) if w.size == 2 else _implicit_vgrad(
+            karcher_mean(xs, tuple(w)), xs, seed, w, np.log, lambda x: 1.0 / x),
         weights=tuple(w.tolist()),
     )
 
@@ -616,7 +581,8 @@ class MobiusMap:
 def mobius_apply(g: MobiusMap, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """(a X + b I)(c X + d I)^{-1}; raises PoleHit near the pole."""
     x = np.asarray(x, dtype=complex)
-    _finite_check(x)
+    if not np.isfinite(x).all():
+        raise DomainViolation("argument has a non-finite entry")
     n = x.shape[-1]
     eye = np.eye(n)
     denom = g.c * x + g.d * eye

@@ -12,9 +12,10 @@ Hermitian seed W (usually vv*) is available in closed form:
   * harmonic/arithmetic means: explicit congruence sandwiches;
   * the two-argument geometric, power and Karcher means: a Daleckii-Krein
     sandwich on their representing function (``freefun._pair_vgrad``);
-  * power and Karcher means of three or more arguments: implicit-function
-    solves of the fixed-point equations, assembled on a real Hermitian
-    basis.  Only these use ``solve_linear_map``.
+  * power and Karcher means of three or more arguments: one implicit-function
+    solve of the equation they share, sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I
+    (``freefun._implicit_vgrad``), assembled on a real Hermitian basis.  Only
+    it uses ``solve_linear_map``.
 """
 
 from __future__ import annotations

@@ -137,10 +137,10 @@ def support_pencil(
 
         B_0 = Herm(F(A) vv*) - sum Herm(G_i (A_i - I)),
 
-    whose trace automatically equals the affine intercept; a slack-on-vv*
-    completion and a uniform-padding completion are held as fallbacks.
-    Every candidate must pass scalar-grid support checks and randomized
-    hypograph samples at sizes n and 2n before a certificate is issued.
+    whose trace automatically equals the affine intercept.  It must be PSD,
+    dominate sum G_i, and pass scalar-grid support checks and randomized
+    hypograph samples at sizes n and 2n before a certificate is issued;
+    the first check it fails raises SupportViolated with its margin.
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
@@ -189,21 +189,21 @@ def support_pencil(
             f"alpha = {alpha:.4g} below tr(sum G_i) = {alpha - slack:.4g}; "
             "no PSD completion with the required trace exists"
         )
-    slack = max(slack, 0.0)
 
-    theta = herm_part(fa @ vv) - sum(herm_part(g @ (ai - eye)) for g, ai in zip(grads, a))
-    candidates = [
-        herm_part(theta),
-        herm_part(gsum + slack * vv),
-        herm_part(gsum + (slack / n) * eye),
-    ]
+    b0 = herm_part(fa @ vv) - sum(herm_part(g @ (ai - eye)) for g, ai in zip(grads, a))
+    lam = min_eig(b0)
+    if lam < -tol.psd * (1.0 + fro_norm(b0)):
+        raise SupportViolated(f"B_0 is not PSD: minimum eigenvalue {lam:.3e}")
+    dom = b0 - gsum
+    lam = min_eig(dom)
+    if lam < -tol.psd * (1.0 + fro_norm(dom)):
+        raise SupportViolated(f"B_0 does not dominate sum G_i: minimum eigenvalue of the gap {lam:.3e}")
 
     # trace bound from the all-c2 scalar value
     f_c2 = float(fn(tuple(np.array([[c2]], dtype=complex) for _ in range(fn.arity)))[0, 0].real)
     trace_bound = f_c2 / min(1.0, c1)
 
     gate = -max(1e-8, 10 * tol.psd)
-    best: tuple[float, None | tuple] = (-np.inf, None)
     per_size = max(validation_samples // 2, 1)
     # the scalar grid: 9 points per slot on the interval, with Y = F(x)
     pts = np.linspace(c1, c2, 9)
@@ -214,44 +214,31 @@ def support_pencil(
     for ns in (n, 2 * n):
         draws = [draw_spd(rng, ns, c1, c2) for _ in range(per_size * fn.arity)]
         xs = slots(finish_spd(*stack_draws(draws)), fn.arity)
-        slack = [(abs(rng.normal(0.0, 0.4)), draw_gaussian(rng, ns, ns)) for _ in range(per_size)]
-        s, z = stack_draws(slack)
+        dips = [(abs(rng.normal(0.0, 0.4)), draw_gaussian(rng, ns, ns)) for _ in range(per_size)]
+        s, z = stack_draws(dips)
         ys = herm_part(fn(xs)) - s[:, None, None] * finish_psd(z)
         sample_sets.append((xs, ys))
 
-    for b0 in candidates:
-        if min_eig(b0) < -tol.psd * (1.0 + fro_norm(b0)):
-            continue
-        dom = b0 - gsum
-        if min_eig(dom) < -tol.psd * (1.0 + fro_norm(dom)):
-            continue
-        scalar_margin = _support_margin(b0, grads, v, [scalar_set])
-        if scalar_margin < gate:
-            best = max(best, (scalar_margin, None))
-            continue
-        support_margin = _support_margin(b0, grads, v, sample_sets)
-        if support_margin < gate:
-            best = max(best, (support_margin, None))
-            continue
-        pencil = pencil_new([b0] + grads, tol)
-        trace_slack = trace_bound - float(np.trace(b0).real)
-        return SupportCertificate(
-            function=fn.name,
-            base_point=a,
-            v=v,
-            pencil=pencil,
-            c=alpha,
-            gradients=tuple(grads),
-            interval=interval,
-            support_margin=float(support_margin),
-            scalar_margin=float(scalar_margin),
-            trace_bound=trace_bound,
-            trace_slack=float(trace_slack),
-            samples=2 * per_size,
-            seed=seed,
-        )
-    raise SupportViolated(
-        f"no completion supports the sampled hypograph; best margin {best[0]:.3e}"
+    scalar_margin = _support_margin(b0, grads, v, [scalar_set])
+    if scalar_margin < gate:
+        raise SupportViolated(f"the pencil fails the scalar grid: margin {scalar_margin:.3e}")
+    support_margin = _support_margin(b0, grads, v, sample_sets)
+    if support_margin < gate:
+        raise SupportViolated(f"the pencil fails the sampled hypograph: margin {support_margin:.3e}")
+    return SupportCertificate(
+        function=fn.name,
+        base_point=a,
+        v=v,
+        pencil=pencil_new([b0] + grads, tol),
+        c=alpha,
+        gradients=tuple(grads),
+        interval=interval,
+        support_margin=float(support_margin),
+        scalar_margin=float(scalar_margin),
+        trace_bound=trace_bound,
+        trace_slack=float(trace_bound - float(np.trace(b0).real)),
+        samples=2 * per_size,
+        seed=seed,
     )
 
 

@@ -44,6 +44,15 @@ def nan_above_trace(limit):
     return FreeFn(name="nan-above-trace", arity=1, evaluator=ev)
 
 
+def stalls():
+    """Raises the typed NoConvergence on every evaluation."""
+
+    def ev(xs):
+        raise errors.NoConvergence("fixed point stalled")
+
+    return FreeFn(name="stalls", arity=1, evaluator=ev)
+
+
 TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph", "chain")
 
 
@@ -295,3 +304,9 @@ class TestScan:
         rep = run_tester(tester, nan_above_trace(4.0), n=3, trials=200, seed=0)
         assert rep.verdict == "inconclusive" and rep.trials_run == 0
         assert "non-finite" in rep.details["error"]
+
+    @pytest.mark.parametrize("tester", ["monotone", "concave", "derivative", "hypograph"])
+    def test_typed_evaluator_error_is_inconclusive(self, tester):
+        rep = run_tester(tester, stalls(), n=3, trials=20, seed=0)
+        assert rep.verdict == "inconclusive" and rep.trials_run == 0
+        assert rep.details["error"] == "fixed point stalled"

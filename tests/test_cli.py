@@ -72,6 +72,21 @@ class TestCheck:
         assert payload["verdict"] == "inconclusive"
         assert "non-finite" in payload["details"]["error"]
 
+    def test_typed_evaluator_error_exits_inconclusive(self, monkeypatch, tmp_path):
+        from opmono import errors
+        from opmono.freefun import FreeFn
+
+        def ev(xs):
+            raise errors.NoConvergence("fixed point stalled")
+
+        monkeypatch.setattr(cli, "resolve_function", lambda ident: FreeFn("stalls", 1, ev))
+        out_file = tmp_path / "report.json"
+        code, _ = run_cli("check", "sqrt", "monotone", "--n", "3", "--trials", "20", "--out", str(out_file))
+        assert code == 3
+        _, payload = io.load(str(out_file))
+        assert payload["verdict"] == "inconclusive"
+        assert payload["details"]["error"] == "fixed point stalled"
+
     def test_json_determinism(self):
         args = ("check", "sqrt", "monotone", "--n", "3", "--trials", "50",
                 "--seed", "11", "--format", "json")

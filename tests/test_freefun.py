@@ -593,6 +593,37 @@ class TestPositivityFromTheEvaluatorsEigh:
         fn(*xs)
         assert calls == {"eigh": [(512, 3, 3)] * eigh, "eigvalsh": [(512, 3, 3)] * eigvalsh}
 
+    @pytest.mark.parametrize("ident", ["power:t=0.5:w=0.2,0.3,0.5", "karcher:w=0.2,0.3,0.5"])
+    def test_three_arguments_check_positivity_without_eigvalsh(self, count_calls, ident):
+        # the iterate's eigh and those of Z^{-1/2} X_i Z^{-1/2} decide positivity
+        rng = np.random.default_rng(32)
+        rows = [rand_tuple_interval(rng, 3, 3, 0.5, 2.0) for _ in range(64)]
+        xs = tuple(np.stack([r[i] for r in rows]) for i in range(3))
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "eigvalsh")}
+        resolve_function(ident)(*xs)
+        assert calls["eigvalsh"] == []
+        assert calls["eigh"] and set(calls["eigh"]) == {(64, 3, 3)}
+
+    @pytest.mark.parametrize("ident", ["power:t=0.5:w=0.2,0.3,0.5", "karcher:w=0.2,0.3,0.5"])
+    @pytest.mark.parametrize("case", ["shifted", "indefinite", "sum"])
+    def test_three_arguments_not_positive_definite(self, ident, case):
+        rng = np.random.default_rng(33)
+        xs = list(rand_tuple_interval(rng, 3, 3, 0.5, 2.0))
+        if case == "shifted":  # lambda_min = -1e-6 ||X||_F, caught on M_2
+            x = xs[1]
+            xs[1] = x - (min_eig(x) + 1e-6 * fro_norm(x)) * np.eye(3)
+            match = "argument 2 "
+        elif case == "indefinite":  # the weighted sum stays positive definite, caught on M_1
+            xs[0] = np.diag([1.0, 1.0, -0.5]).astype(complex)
+            assert min_eig(0.2 * xs[0] + 0.3 * xs[1] + 0.5 * xs[2]) > 0
+            match = "argument 1 "
+        else:  # the weighted sum is not positive definite, caught on Z
+            xs[0] = np.diag([1.0, 1.0, -20.0]).astype(complex)
+            assert min_eig(0.2 * xs[0] + 0.3 * xs[1] + 0.5 * xs[2]) < 0
+            match = "iterate Z"
+        with pytest.raises(errors.NotPositiveDefinite, match=match):
+            resolve_function(ident)(*xs)
+
     @pytest.mark.parametrize("ident", ["geomean2", "power:t=0.25", "power:t=0.5", "karcher"])
     def test_boundary_pairs_never_return_nan(self, ident):
         # A has eigenvalues down to 1e-9 and B one of 1e-18..1e-15, so the
@@ -680,22 +711,22 @@ def test_changed_evaluators_match_check_then_evaluate(case):
         assert np.array_equal(fn(*xs), _reference(f, xs))
 
 
-@pytest.mark.parametrize("ident", ["sqrt", "log1p", "pow:0.7", "identity", "xsq", "mobius:1,0,1,1"])
+# one identifier per CATALOGUE_IDS entry
+CATALOGUE = ["identity", "sqrt", "log1p", "pow:0.7", "xsq", "faketrace", "harmonic", "arithmetic",
+             "geomean2", "power:t=0.5", "karcher", "mobius:1,0,1,1"]
+
+
+@pytest.mark.parametrize("ident", CATALOGUE)
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_arguments_raise_domain_violation(ident, bad):
     fn = resolve_function(ident)
     x = np.stack([np.eye(3), np.eye(3)]).astype(complex)
     x[1, 0, 2] = bad
     with pytest.raises(errors.DomainViolation):
-        fn.eval_complex(x)
-    if ident.startswith("mobius"):
+        fn(*[x] * fn.arity)
+    if fn.complex_evaluator is not None:
         with pytest.raises(errors.DomainViolation):
-            fn(x)
-
-
-# one identifier per CATALOGUE_IDS entry
-CATALOGUE = ["identity", "sqrt", "log1p", "pow:0.7", "xsq", "faketrace", "harmonic", "arithmetic",
-             "geomean2", "power:t=0.5", "karcher", "mobius:1,0,1,1"]
+            fn.eval_complex(x)
 
 
 @pytest.mark.parametrize("ident", CATALOGUE)

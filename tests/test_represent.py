@@ -86,6 +86,21 @@ class TestSupportPencil:
         with pytest.raises(errors.GradientNotPSD):
             support_pencil(bad, a, v, seed=7)
 
+    def test_convex_lift_declared_concave_is_refused(self):
+        # 1 + x^1.5 is monotone but convex.  At an eigenvector v of A the
+        # Daleckii-Krein gradient f'(a_1) vv* is PSD and, for a_1 < 2^(2/3), the
+        # slack f(a_1) - a_1 f'(a_1) is positive, so B_0 is issued and only its
+        # support checks can refuse it: the tangent lies below a convex graph.
+        from opmono.freefun import FreeFn
+        from opmono.gradients import dk_map
+
+        f, fp = (lambda x: 1.0 + np.power(x, 1.5)), (lambda x: 1.5 * np.sqrt(x))
+        convex = FreeFn("convex", 1, lambda xs: funcalc(f, xs[0]),
+                        vgrad=lambda xs, w: [herm_part(dk_map(xs[0], f, fp)(w))])
+        a = (np.diag([0.8, 1.2, 1.6]).astype(complex),)
+        with pytest.raises(errors.SupportViolated, match="scalar grid: margin -"):
+            support_pencil(convex, a, np.eye(3)[0], seed=1, validation_samples=40)
+
     @pytest.mark.parametrize("fn", [lift_scalar("sqrt"), harmonic_mean((0.5, 0.5))],
                              ids=["sqrt", "harmonic"])
     def test_finite_difference_gradients(self, fn):

@@ -335,6 +335,19 @@ class TestSchurPencil:
         direct = schur_generic(m, big, keep="s")
         assert np.allclose(out, direct, atol=1e-8)
 
+    def test_coupling_is_closed_transitively(self):
+        # directions 0 and 2 couple only through 1, so the closure step joins
+        # all three into one component
+        b0 = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        p = pencil_new([b0, np.eye(3)])
+        s = PivotSubspace.from_indices(3, [0])
+        core = SchurCore(p, s)
+        assert [index.tolist() for _, index, _, _ in core.groups] == [[[0, 1, 2]]]
+        x = (np.array([[1.5, 0.2j], [-0.2j, 0.8]]),)
+        big = PivotSubspace.from_basis(np.kron(s.basis, np.eye(2)))
+        dense = schur_generic(pencil_eval_shifted(p, x), big, keep="s")
+        assert np.allclose(core.evaluate(x), dense, rtol=0, atol=1e-13)
+
     def test_upper_halfspace_keeps_imaginary_part(self):
         rng = np.random.default_rng(12)
         p = valid_pencil(rng, 1, 3)
@@ -443,6 +456,20 @@ class TestFirstCertifiedAngle:
         theta = _find_rotation(blocks, DEFAULT_TOL)
         assert len(calls) <= 3
         assert -np.pi / 2 < theta < 0.0
+        assert worst_margin(blocks, theta) > 0
+
+    def test_search_moves_up_when_the_upper_probe_is_better(self, count_calls):
+        # Re(e^{i theta} B) has eigenvalues 1.2 floor cos(theta) and
+        # -0.05 cos(theta) - sin(theta), so only theta in about (-0.586, -0.05)
+        # certifies: theta = 0 and both interior points fail, the one nearer 0
+        # by less, and the fourth probe, at about -0.371, succeeds
+        floor = DEFAULT_TOL.psd * (1.0 + abs(-0.05 + 1j))
+        blocks = [np.diag([1.2 * floor, -0.05 + 1j])[None]]
+        assert DEFAULT_TOL.psd * (1.0 + fro_norm(blocks[0][0])) == floor
+        calls = count_calls(np.linalg, "eigvalsh")
+        theta = _find_rotation(blocks, DEFAULT_TOL)
+        assert len(calls) == 4
+        assert abs(theta + 0.371) < 1e-3
         assert worst_margin(blocks, theta) > 0
 
     def test_no_positive_rotation_raises_after_every_probe(self, count_calls):
