@@ -287,8 +287,11 @@ def doubling_concavity_check(
         dom += [block_diag(mix + eps * eye, 2 * (anti + (d @ d) / eps)) - conj for eps in eps_ladder]
     eps = np.asarray(eps_ladder, dtype=float)[:, None, None]
     shifted = tuple((lam * ai + (1 - lam) * bi)[:, None] + eps * eye for ai, bi in zip(a, b))
-    fa, fb = _chunked_eval(fn, a), _chunked_eval(fn, b)
-    fs = _chunked_eval(fn, tuple(s.reshape(-1, n, n) for s in shifted))
+    try:
+        fa, fb = _chunked_eval(fn, a), _chunked_eval(fn, b)
+        fs = _chunked_eval(fn, tuple(s.reshape(-1, n, n) for s in shifted))
+    except OpmonoError as exc:
+        return _inconclusive("doubling", seed, str(exc))
     jensen = fs.reshape(len(lam), -1, n, n) - (lam * fa + (1 - lam) * fb)[:, None]
     return _scan(
         "doubling", seed, tol.psd, [np.stack(dom, axis=1), jensen],
@@ -373,10 +376,11 @@ def lipschitz_estimate(
     The tuple norm is the sum of component operator norms.  The local bound
     M is taken over the ball of doubled radius; both M/r and 2M/r are
     reported since either appears as the constant in the continuity
-    estimate for concave functions.
+    estimate for concave functions.  The center is checked as an argument
+    of ``fn`` (DomainViolation for a non-finite entry).
     """
     rng = np.random.default_rng(seed)
-    center = tuple(np.asarray(c, dtype=complex) for c in center)
+    center = fn._args(tuple(center))
     k = len(center)
     n = center[0].shape[-1]
 
@@ -420,7 +424,10 @@ def chain_semicontinuity_test(
     down = np.flatnonzero(np.any(min_eig(gaps) < -tol.psd * (1.0 + fro_norm(gaps)), axis=1))
     if down.size:
         raise ChainNotIncreasing(f"chain decreases between steps {down[0]} and {down[0] + 1}")
-    vals = _chunked_eval(fn, xs)
+    try:
+        vals = _chunked_eval(fn, xs)
+    except OpmonoError as exc:
+        return _inconclusive("chain", 0, str(exc))
     return _scan(
         "chain", 0, tol.psd, [(vals[-1] - vals[:-1])[:, None]],
         lambda t, c, m: {"index": t, "margin": m},

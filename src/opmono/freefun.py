@@ -27,7 +27,7 @@ per argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errors import (
     StepUnderflow,
     UnknownFunction,
 )
-from .gradients import dk_map, solve_linear_map
+from .gradients import dk_map, hermitian_basis, solve_linear_map
 from .matcore import (
     DEFAULT_TOL,
     Tolerances,
@@ -119,10 +119,6 @@ def _herm_log(a: np.ndarray) -> np.ndarray:
     return _eigh_fun(np.log, a)
 
 
-def _herm_exp(a: np.ndarray) -> np.ndarray:
-    return _eigh_fun(np.exp, a)
-
-
 # ---------------------------------------------------------------------------
 # the FreeFn abstraction
 
@@ -136,8 +132,9 @@ class FreeFn:
     present, extends the function to non-Hermitian arguments.  ``vgrad``,
     when present, is the exact adjoint gradient: given one argument tuple
     and a Hermitian seed W it returns the matrices G_i representing the
-    slot derivatives of X -> tr(W F(X)).  Declared properties are what the
-    catalogue *claims*; the cert module tests them.
+    slot derivatives of X -> tr(W F(X)); ``gradient`` checks the arguments
+    and falls back on finite differences without it.  Declared properties
+    are what the catalogue *claims*; the cert module tests them.
     """
 
     name: str
@@ -147,11 +144,10 @@ class FreeFn:
     vgrad: Callable[[MatTuple, np.ndarray], list[np.ndarray]] | None = None
     monotone: bool = True
     concave: bool = True
-    positive: bool = True
-    domain: tuple[float, float] | None = None  # None: the full positive cone
     weights: tuple[float, ...] | None = None  # the Karcher mean's, for the CLI's iteration report
 
     def _args(self, mats: tuple) -> MatTuple:
+        """The argument check of every entry point that takes this function's arguments."""
         if len(mats) == 1 and isinstance(mats[0], (tuple, list)):
             mats = tuple(mats[0])
         if len(mats) != self.arity:
@@ -170,6 +166,13 @@ class FreeFn:
         if self.complex_evaluator is None:
             raise UnknownFunction(f"{self.name} has no complex evaluator")
         return self.complex_evaluator(self._args(mats))
+
+    def gradient(self, xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
+        """The G_i of X -> tr(W F(X)) at one argument tuple: ``vgrad``, else ``_fd_gradient``."""
+        xs = self._args(tuple(xs))
+        if self.vgrad is not None:
+            return self.vgrad(xs, seed)
+        return _fd_gradient(self, xs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +200,11 @@ def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[
     return apply
 
 
-_SCALAR_LIFTS: dict[str, tuple[Callable, Callable, Callable | None, bool, bool]] = {
-    # name: (scalar function, derivative, complex scalar function, monotone, concave)
+_SCALAR_LIFTS: dict[str, tuple[Callable, Callable, Callable, bool, bool]] = {
+    # name: (f, f', complex f, positive definite arguments only, monotone and concave)
     "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x), np.sqrt, True, True),
     "log1p": (np.log1p, lambda x: 1.0 / (1.0 + x), lambda z: np.log(1.0 + z), True, True),
-    "identity": (lambda x: x, lambda x: np.ones_like(x), lambda z: z, True, True),
+    "identity": (lambda x: x, lambda x: np.ones_like(x), lambda z: z, False, True),
     "xsq": (lambda x: x**2, lambda x: 2.0 * x, lambda z: z**2, False, False),
 }
 
@@ -217,40 +220,22 @@ def lift_scalar(name: str, p: float | None = None) -> FreeFn:
     """One-variable functional-calculus lift from the catalogue.
 
     Known names: sqrt, log1p, identity, xsq (the non-monotone control),
-    and pow with exponent ``p`` in (0, 1).
+    and pow with exponent ``p`` in (0, 1), whose row is made for that ``p``.
     """
+    row = _SCALAR_LIFTS.get(name)
     if name == "pow":
         if p is None or not (0.0 < p < 1.0):
             raise UnknownFunction("pow requires an exponent p in (0, 1)")
-
-        def _ev(xs: MatTuple) -> np.ndarray:
-            return _eigh_fun(lambda w: np.power(w, p), xs[0], "argument")
-
-        return FreeFn(
-            name=f"pow:{p:g}",
-            arity=1,
-            evaluator=_ev,
-            complex_evaluator=_principal_matfun(lambda z: np.power(z, p)),
-            vgrad=_dk_vgrad(lambda x: np.power(x, p), lambda x: p * np.power(x, p - 1)),
-        )
-    if name not in _SCALAR_LIFTS:
+        name, row = f"pow:{p:g}", (lambda x: np.power(x, p), lambda x: p * np.power(x, p - 1),
+                                   lambda z: np.power(z, p), True, True)
+    if row is None:
         raise UnknownFunction(f"no scalar lift named {name!r}")
-    f, fp, fc, monotone, concave = _SCALAR_LIFTS[name]
-
-    what = "argument" if name in ("sqrt", "log1p") else None
+    f, fp, fc, checked, monotone = row
 
     def _ev(xs: MatTuple) -> np.ndarray:
-        return _eigh_fun(f, xs[0], what)
+        return _eigh_fun(f, xs[0], "argument" if checked else None)
 
-    return FreeFn(
-        name=name,
-        arity=1,
-        evaluator=_ev,
-        complex_evaluator=_principal_matfun(fc) if fc is not None else None,
-        vgrad=_dk_vgrad(f, fp),
-        monotone=monotone,
-        concave=concave,
-    )
+    return FreeFn(name, 1, _ev, _principal_matfun(fc), _dk_vgrad(f, fp), monotone=monotone, concave=monotone)
 
 
 def fake_trace_fn() -> FreeFn:
@@ -266,7 +251,7 @@ def fake_trace_fn() -> FreeFn:
         t = np.trace(x, axis1=-2, axis2=-1).real
         return x + np.sin(t)[..., None, None] * np.eye(n)
 
-    return FreeFn(name="faketrace", arity=1, evaluator=_ev, monotone=False, concave=False, positive=False)
+    return FreeFn(name="faketrace", arity=1, evaluator=_ev, monotone=False, concave=False)
 
 
 # ---------------------------------------------------------------------------
@@ -383,35 +368,23 @@ def _pair_vgrad(xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray) -> list
     return [second_slot(b, a, *_pair_function(t, w2, w1)), second_slot(a, b, *_pair_function(t, w1, w2))]
 
 
-def geometric_mean_2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-variable geometric mean A # B."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return _congruence_fun(a, b, _pair_function(0.0, 0.5, 0.5)[0])
-
-
-def geometric_mean_2_fn() -> FreeFn:
-    return FreeFn(
-        name="geomean2",
-        arity=2,
-        evaluator=lambda xs: geometric_mean_2(xs[0], xs[1]),
-        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, (0.5, 0.5)),
-    )
-
-
-def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """Z^{1/2} and S = sum w_i f(M_i), M_i = Z^{-1/2} X_i Z^{-1/2}: k + 1 eigendecompositions.
+def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> tuple[np.ndarray, ...]:
+    """Z^{1/2}, S = sum w_i f(M_i) and max_i cond(M_i), M_i = Z^{-1/2} X_i Z^{-1/2}: k + 1 ``eigh``.
 
     The power mean P_t (f(x) = x^t) and the Karcher mean (f = log) of three
     or more arguments are the positive solutions of S = f(1) I (Lim & Palfia
     2012; Lawson & Lim 2014).  The same decompositions check positivity: Z
     by its own eigenvalues, and X_i by those of M_i (for Z > 0, X_i > 0
     exactly when M_i > 0).  Z starts at sum w_i X_i, so if Z fails, so does
-    some X_i.
+    some X_i.  The condition numbers are read from the same eigenvalues.
     """
     zr, zir = _roots(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
-    s = sum(wi * _eigh_fun(f, zir @ xi @ zir, f"argument {i} is not positive definite: Z^-1/2 X_{i} Z^-1/2")
-            for i, (wi, xi) in enumerate(zip(w, xs), 1))
-    return zr, s
+    s, kappa = 0, 1.0
+    for i, (wi, xi) in enumerate(zip(w, xs), 1):
+        lam, u = _eigh(zir @ xi @ zir, f"argument {i} is not positive definite: Z^-1/2 X_{i} Z^-1/2")
+        s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
+        kappa = np.maximum(kappa, lam[..., -1] / lam[..., 0])
+    return zr, s, kappa
 
 
 def _implicit_vgrad(
@@ -471,7 +444,7 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     bound = _POWER_RTOL * fro_norm(z)
     for _ in range(_MAX_ITER):
-        zr, s = _mean_equation(z, xs, w, f)
+        zr, s, _ = _mean_equation(z, xs, w, f)
         new = herm_part(zr @ s @ zr)
         done = np.all(fro_norm(new - z) <= bound)
         z = new
@@ -480,23 +453,30 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     raise NoConvergence(f"power mean t={t} did not converge within {_MAX_ITER} iterations")
 
 
+def _mean_fn(name: str, w: np.ndarray, evaluate: Callable, t: float, f: Callable, fprime: Callable,
+             weights: tuple[float, ...] | None = None) -> FreeFn:
+    """FreeFn of a power-family mean: adjoint ``_pair_vgrad`` for two arguments, else ``_implicit_vgrad``."""
+
+    def vgrad(xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
+        if w.size == 2:
+            return _pair_vgrad(xs, seed, t, w)
+        return _implicit_vgrad(evaluate(xs), xs, seed, w, f, fprime)
+
+    return FreeFn(name=name, arity=w.size, evaluator=evaluate, vgrad=vgrad, weights=weights)
+
+
 def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
     if not (0.0 < t <= 1.0):
         raise UnknownFunction(f"power mean requires t in (0, 1], got {t:g}")
     w = _check_weights(weights)
-    return FreeFn(
-        name=f"power:t={t:g}",
-        arity=w.size,
-        evaluator=lambda xs: power_mean(xs, t, tuple(w)),
-        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, t, w) if w.size == 2 else _implicit_vgrad(
-            power_mean(xs, t, tuple(w)), xs, seed, w, *_pair_function(0.0, 1.0 - t, t)),
-    )
+    return _mean_fn(f"power:t={t:g}", w, lambda xs: power_mean(xs, t, tuple(w)), t,
+                    *_pair_function(0.0, 1.0 - t, t))
 
 
-def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Z^{1/2}, the Karcher gradient sum w_i log(Z^{-1/2} X_i Z^{-1/2}) and its worst norm."""
-    zr, grad = _mean_equation(z, xs, w, np.log)
-    return zr, grad, float(np.max(fro_norm(grad), initial=0.0))
+def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Z^{1/2}, the Karcher gradient S = sum w_i log(M_i), and per member ||S||_F and its stopping floor."""
+    zr, grad, kappa = _mean_equation(z, xs, w, np.log)
+    return zr, grad, fro_norm(grad), np.maximum(_KARCHER_RTOL, 16 * np.finfo(float).eps * kappa)
 
 
 def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = False):
@@ -513,10 +493,11 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
 
         Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
 
-    with the step s halved (down to 1/64) whenever the residual grows, until
-    the equation residual, which does not change when every X_i is scaled,
-    drops to ``_KARCHER_RTOL``.  It raises NoConvergence after ``_MAX_ITER``
-    steps.
+    with the step s halved (down to 1/64) whenever the largest residual
+    ||S||_F of the members still running grows.  A member stops once its
+    residual, which does not change when every X_i is scaled, drops to
+    max(``_KARCHER_RTOL``, 16 eps kappa), kappa its largest cond(M_i): the
+    rounding floor of S.  It raises NoConvergence after ``_MAX_ITER`` steps.
     """
     w = _check_weights(weights)
     if len(xs) != w.size:
@@ -524,37 +505,42 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     if len(xs) == 2:
         z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
         if return_info:
-            return z, {"iterations": 0, "residual": _karcher_gradient(z, xs, w)[2]}
+            norms = _karcher_gradient(z, xs, w)[2]
+            return z, {"iterations": 0, "residual": float(np.max(norms, initial=0.0))}
         return z
 
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     damping = 1.0
     prev_res = np.inf
     for iterations in range(1, _MAX_ITER + 1):
-        zr, grad, res = _karcher_gradient(z, xs, w)
-        if res <= _KARCHER_RTOL:
+        zr, grad, norms, floor = _karcher_gradient(z, xs, w)
+        res = float(np.max(np.where(norms <= floor, 0.0, norms), initial=0.0))
+        if res == 0.0:
             break
         if res > prev_res:
             damping = max(damping / 2, 1 / 64)
         prev_res = res
-        z = herm_part(zr @ _herm_exp(damping * grad) @ zr)
+        z = herm_part(zr @ _eigh_fun(np.exp, damping * grad) @ zr)
     else:
         raise NoConvergence(f"Karcher iteration stalled at residual {prev_res:.3e}")
     if return_info:
-        return z, {"iterations": iterations, "residual": res}
+        return z, {"iterations": iterations, "residual": float(np.max(norms, initial=0.0))}
     return z
 
 
 def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
     w = _check_weights(weights)
-    return FreeFn(
-        name="karcher",
-        arity=w.size,
-        evaluator=lambda xs: karcher_mean(xs, tuple(w)),
-        vgrad=lambda xs, seed: _pair_vgrad(xs, seed, 0.0, w) if w.size == 2 else _implicit_vgrad(
-            karcher_mean(xs, tuple(w)), xs, seed, w, np.log, lambda x: 1.0 / x),
-        weights=tuple(w.tolist()),
-    )
+    return _mean_fn("karcher", w, lambda xs: karcher_mean(xs, tuple(w)), 0.0, np.log, lambda x: 1.0 / x,
+                    tuple(w.tolist()))
+
+
+def geometric_mean_2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-variable geometric mean A # B, the Karcher mean at weights (1/2, 1/2)."""
+    return karcher_mean((np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)), (0.5, 0.5))
+
+
+def geometric_mean_2_fn() -> FreeFn:
+    return replace(karcher_mean_fn((0.5, 0.5)), name="geomean2")
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +589,6 @@ def mobius_fn(g: MobiusMap) -> FreeFn:
         evaluator=_ev,
         complex_evaluator=lambda xs: mobius_apply(g, xs[0]),
         vgrad=_dk_vgrad(g.scalar, lambda x: det / (g.c * x + g.d) ** 2),
-        positive=(g.b >= 0 and g.c >= 0),
     )
 
 
@@ -636,6 +621,19 @@ def frechet_many(
     d_h = (out[:, 0] - out[:, 1]) / (2 * h)
     d_h2 = (out[:, 2] - out[:, 3]) / h
     return list(herm_part((4.0 * d_h2 - d_h) / 3.0))
+
+
+def _fd_gradient(fn: FreeFn, xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
+    """``FreeFn.gradient`` without an adjoint: G_i = sum_S tr(W D_i F(X)[S]) S over the Hermitian basis S."""
+    n = xs[0].shape[-1]
+    basis, zero = hermitian_basis(n), np.zeros((n, n), dtype=complex)
+    h = 1e-3 * (1.0 + max(float(fro_norm(m)) for m in xs))
+    grads = []
+    for i in range(fn.arity):
+        slot = [tuple(s if j == i else zero for j in range(fn.arity)) for s in basis]
+        derivs = frechet_many(fn, xs, slot, h)
+        grads.append(herm_part(sum(float(np.trace(seed @ d).real) * s for d, s in zip(derivs, basis))))
+    return grads
 
 
 _MAX_HALVINGS = 20

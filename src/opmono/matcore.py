@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadConfig,
     DimensionMismatch,
+    DomainViolation,
     NotHermitian,
     NotSectorial,
     SpectrumOutOfDomain,
@@ -131,13 +132,15 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Certify that ``m`` is Hermitian within tolerance and symmetrize it.
 
     Returns (M + M*)/2.  Raises NotHermitian when the defect exceeds
-    ``tol.herm * (1 + ||M||_F)``.
+    ``tol.herm * (1 + ||M||_F)`` and DomainViolation for a non-finite entry.
     """
     m = np.asarray(m, dtype=complex)
     _require_square(m)
+    if not np.isfinite(m).all():
+        raise DomainViolation("matrix has a non-finite entry")
     defect = skew_defect(m)
     scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(m))))
-    if defect > tol.herm * scale:
+    if not defect <= tol.herm * scale:
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {tol.herm * scale:.3e}")
     return herm_part(m)
 

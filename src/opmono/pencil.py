@@ -25,6 +25,7 @@ from .errors import (
     ArityMismatch,
     CoefficientNotPSD,
     DimensionMismatch,
+    DomainViolation,
     DominanceViolated,
     InputNotSectorial,
 )
@@ -108,19 +109,22 @@ def pencil_new(
 ) -> LinearPencil:
     """Validate coefficients and build a LinearPencil.
 
-    Raises CoefficientNotPSD or DominanceViolated with the offending margin.
+    Raises CoefficientNotPSD or DominanceViolated with the offending margin,
+    and DomainViolation for a non-finite coefficient.
     """
     raw = RawPencil(tuple(coeffs))
+    if not all(np.isfinite(b).all() for b in raw.coeffs):
+        raise DomainViolation("pencil coefficients must be finite")
     hermed = tuple(herm_part(b) for b in raw.coeffs)
     coeff_margin = np.inf
     for idx, b in enumerate(hermed):
         lam = min_eig(b)
         coeff_margin = min(coeff_margin, lam)
-        if lam < -tol.psd * (1.0 + fro_norm(b)):
+        if not lam >= -tol.psd * (1.0 + fro_norm(b)):
             raise CoefficientNotPSD(f"B_{idx} has minimum eigenvalue {lam:.3e}")
     gap = hermed[0] - sum(hermed[1:])
     dom = min_eig(gap)
-    if dom < -tol.psd * (1.0 + fro_norm(gap)):
+    if not dom >= -tol.psd * (1.0 + fro_norm(gap)):
         raise DominanceViolated(f"B_0 - sum(B_i) has minimum eigenvalue {dom:.3e}")
     return LinearPencil(hermed, coeff_margin=float(coeff_margin), dominance_margin=float(dom))
 

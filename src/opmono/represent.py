@@ -33,8 +33,7 @@ from .errors import (
     SupportViolated,
     VerificationFailed,
 )
-from .freefun import FreeFn, frechet_many, lift_scalar
-from .gradients import hermitian_basis
+from .freefun import FreeFn, lift_scalar
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, im_part, min_eig
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw_gaussian, draw_spd, finish_psd, finish_spd, slots, stack_draws
@@ -54,6 +53,7 @@ __all__ = [
 ]
 
 MatTuple = tuple[np.ndarray, ...]
+_DIRECT_SUM_GATE = 1e-6  # the relative miss of F(A_j) v_j a direct-sum representation may have
 
 
 # ---------------------------------------------------------------------------
@@ -100,25 +100,6 @@ def _support_margin(b0, grads, v, sets) -> float:
     return min(float(np.min(min_eig(_support_eval(b0, grads, v, ys, xs)))) for xs, ys in sets)
 
 
-def _grad_matrices_fd(fn: FreeFn, a: MatTuple, v: np.ndarray) -> list[np.ndarray]:
-    """Finite-difference fallback along the Hermitian basis directions."""
-    n = a[0].shape[0]
-    basis = hermitian_basis(n)
-    norm_a = max(float(fro_norm(m)) for m in a)
-    h = 1e-3 * (1.0 + norm_a)
-    vv = np.outer(v, np.conj(v))
-    grads = []
-    for i in range(fn.arity):
-        directions = [
-            tuple(s if j == i else np.zeros((n, n), dtype=complex) for j in range(fn.arity))
-            for s in basis
-        ]
-        derivs = frechet_many(fn, a, directions, h)
-        g = sum(float(np.trace(vv @ d).real) * s for d, s in zip(derivs, basis))
-        grads.append(herm_part(g))
-    return grads
-
-
 def support_pencil(
     fn: FreeFn,
     a: MatTuple,
@@ -130,10 +111,10 @@ def support_pencil(
 ) -> SupportCertificate:
     """Construct and validate a supporting pencil at (F(A), A).
 
-    The gradient matrices G_i of X -> v* F(X) v at A come from the exact
-    adjoint when the function provides one, otherwise from Richardson
-    central differences along the Hermitian basis.  The leading coefficient
-    is the first-order matched completion
+    The gradient matrices G_i of X -> v* F(X) v at A are
+    ``fn.gradient(A, vv*)``: the exact adjoint when the function provides
+    one, otherwise Richardson central differences along the Hermitian
+    basis.  The leading coefficient is the first-order matched completion
 
         B_0 = Herm(F(A) vv*) - sum Herm(G_i (A_i - I)),
 
@@ -144,7 +125,7 @@ def support_pencil(
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
-    a = tuple(np.asarray(m, dtype=complex) for m in a)
+    a = fn._args(tuple(a))  # a tuple of finite matrices, one per argument
     n = a[0].shape[0]
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != n:
@@ -162,10 +143,7 @@ def support_pencil(
     rng = np.random.default_rng(seed)
 
     vv = np.outer(v, np.conj(v))
-    if fn.vgrad is not None:
-        grads = [herm_part(g) for g in fn.vgrad(a, vv)]
-    else:
-        grads = _grad_matrices_fd(fn, a, v)
+    grads = [herm_part(g) for g in fn.gradient(a, vv)]
 
     for i, g in enumerate(grads):
         lam = min_eig(g)
@@ -303,9 +281,11 @@ class PencilRepresentation:
         state = herm_part(np.asarray(self.state, dtype=complex))
         if state.shape != (self.pencil.size, self.pencil.size):
             raise DimensionMismatch("state must act on the coefficient space")
-        if min_eig(state) < -DEFAULT_TOL.psd * (1.0 + fro_norm(state)):
+        if not np.isfinite(state).all():
+            raise DomainViolation("state must be finite")
+        if not min_eig(state) >= -DEFAULT_TOL.psd * (1.0 + fro_norm(state)):
             raise NotPSD("state must be positive semidefinite")
-        if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
+        if not abs(float(np.trace(state).real) - 1.0) <= DEFAULT_TOL.eq:
             raise DomainViolation("state must have unit trace")
         if self.pivot.ambient_dim != self.pencil.size:
             raise DimensionMismatch("pivot must live on the coefficient space")
@@ -386,7 +366,6 @@ def direct_sum_rep(
     points: list[tuple[MatTuple, np.ndarray]],
     interval: tuple[float, float] = (0.5, 2.0),
     validation_samples: int = 100,
-    eq_tol: float = 1e-6,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> DirectSumRepresentation:
@@ -396,7 +375,8 @@ def direct_sum_rep(
     vector (1/sqrt J) (+) v_j, takes a single supporting certificate there,
     and uses the pure state at that vector.  The reconstruction identity
     then splits blockwise, so the representation reproduces F(A_j) v_j for
-    every j; each residual is verified before returning.
+    every j; each residual must be within ``_DIRECT_SUM_GATE``
+    (1 + ||F(A_j) v_j||) before the representation is returned.
     """
     if not points:
         raise BadConfig("need at least one base point")
@@ -423,7 +403,7 @@ def direct_sum_rep(
     vs = (vs / np.linalg.norm(vs, axis=-1, keepdims=True))[..., None]
     lhs = herm_part(fn(xs)) @ vs
     residuals = fro_norm(rep_eval(rep, xs, tol) @ vs - lhs)
-    if np.any(residuals > eq_tol * (1.0 + fro_norm(lhs))):
+    if not np.all(residuals <= _DIRECT_SUM_GATE * (1.0 + fro_norm(lhs))):
         raise VerificationFailed(
             f"direct-sum representation misses F(A_j)v_j by {np.max(residuals):.3e}"
         )

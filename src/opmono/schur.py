@@ -66,7 +66,7 @@ class PivotSubspace:
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise DimensionMismatch("basis must be ambient_dim x m")
         gram = dagger(basis) @ basis
-        if np.linalg.norm(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq * basis.shape[1]:
+        if not np.linalg.norm(gram - np.eye(basis.shape[1])) <= DEFAULT_TOL.eq * basis.shape[1]:
             raise DimensionMismatch("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -141,8 +141,10 @@ def _complement(
     range inclusions ran C in ran D and ran B* in ran D* are checked: they
     hold exactly when K - B D^- C is the same for every generalized inverse
     D^- (EliminatedBlockDefective otherwise).  With nothing eliminated the
-    complement is K itself.
+    complement is K itself.  A non-finite entry raises DomainViolation.
     """
+    if not np.isfinite(a).all():
+        raise DomainViolation("matrix has a non-finite entry")
     a11, a12, a21, a22 = _blocks(a, s)
     if keep == "s":
         k, b, c, d = a11, a12, a21, a22
@@ -167,7 +169,7 @@ def shorted_psd(
     """
     a = herm_part(np.asarray(a, dtype=complex))
     lam = min_eig(a)
-    if lam < -tol.psd * (1.0 + fro_norm(a)):
+    if not lam >= -tol.psd * (1.0 + fro_norm(a)):
         raise NotPSD(f"input has minimum eigenvalue {lam:.3e}")
     _, comp, residual = _complement(a, s, "s", tol)
     return ShortedResult(shorted=herm_part(comp), defect=residual)

@@ -279,7 +279,7 @@ def test_criterion_08_direct_sum_representation():
             for _ in range(4)
         ]
         try:
-            ds = direct_sum_rep(fn, pts, validation_samples=100, eq_tol=1e-6, seed=116)
+            ds = direct_sum_rep(fn, pts, validation_samples=100, seed=116)
         except errors.OpmonoError as exc:
             trouble.append((fn.name, type(exc).__name__))
             continue

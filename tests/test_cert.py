@@ -305,7 +305,7 @@ class TestScan:
         assert rep.verdict == "inconclusive" and rep.trials_run == 0
         assert "non-finite" in rep.details["error"]
 
-    @pytest.mark.parametrize("tester", ["monotone", "concave", "derivative", "hypograph"])
+    @pytest.mark.parametrize("tester", TESTERS)
     def test_typed_evaluator_error_is_inconclusive(self, tester):
         rep = run_tester(tester, stalls(), n=3, trials=20, seed=0)
         assert rep.verdict == "inconclusive" and rep.trials_run == 0

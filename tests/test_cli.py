@@ -80,12 +80,25 @@ class TestCheck:
             raise errors.NoConvergence("fixed point stalled")
 
         monkeypatch.setattr(cli, "resolve_function", lambda ident: FreeFn("stalls", 1, ev))
-        out_file = tmp_path / "report.json"
-        code, _ = run_cli("check", "sqrt", "monotone", "--n", "3", "--trials", "20", "--out", str(out_file))
-        assert code == 3
-        _, payload = io.load(str(out_file))
-        assert payload["verdict"] == "inconclusive"
-        assert payload["details"]["error"] == "fixed point stalled"
+        for prop in ("monotone", "doubling"):
+            out_file = tmp_path / f"{prop}.json"
+            code, _ = run_cli("check", "sqrt", prop, "--n", "3", "--trials", "20", "--out", str(out_file))
+            assert code == 3
+            _, payload = io.load(str(out_file))
+            assert payload["verdict"] == "inconclusive"
+            assert payload["details"]["error"] == "fixed point stalled"
+
+    @pytest.mark.parametrize("prop", ["derivative", "doubling"])
+    def test_sqrt_passes_text_and_json(self, prop):
+        args = ("check", "sqrt", prop, "--n", "3", "--trials", "50", "--seed", "5")
+        code, out = run_cli(*args)
+        assert code == 0
+        assert out.startswith(f"{prop} sqrt: PASS")
+        code, out = run_cli(*args, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["verdict"] == "pass" and payload["function"] == "sqrt"
+        assert payload["property_name"] == prop and payload["trials_run"] > 0
 
     def test_json_determinism(self):
         args = ("check", "sqrt", "monotone", "--n", "3", "--trials", "50",

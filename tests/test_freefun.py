@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -214,6 +216,39 @@ class TestKarcherMean:
             a = arithmetic_mean(w)(x)
             assert min_eig(g - h) >= -1e-8 * (1 + fro_norm(a))
             assert min_eig(a - g) >= -1e-8 * (1 + fro_norm(a))
+
+    @staticmethod
+    def rotated_triple(s, step):
+        """R(j step) diag(1, s) R(j step)^T for j = 0, 1, 2."""
+        rot = [np.array([[np.cos(j * step), -np.sin(j * step)], [np.sin(j * step), np.cos(j * step)]])
+               for j in range(3)]
+        return tuple(r @ np.diag([1.0, s]) @ r.T for r in rot)
+
+    @pytest.mark.parametrize("s", [3e5, 1e6, 1e8])
+    def test_ill_conditioned_triple_stops_at_its_rounding_floor(self, s):
+        # the uniform mean of the triple at angles 0, pi/3, 2 pi/3 is sqrt(s) I
+        z = karcher_mean(self.rotated_triple(s, np.pi / 3), (1 / 3, 1 / 3, 1 / 3))
+        exact = np.sqrt(s) * np.eye(2)
+        assert fro_norm(z - exact) <= 10 * np.finfo(float).eps * s * fro_norm(exact)
+
+    def test_damping_halves_the_step_when_the_residual_grows(self, monkeypatch):
+        from opmono import freefun
+
+        res, floors, real = [], [], freefun._karcher_gradient
+
+        def recording(z, xs, w):
+            out = real(z, xs, w)
+            res.append(float(out[2]))
+            floors.append(float(out[3]))
+            return out
+
+        monkeypatch.setattr(freefun, "_karcher_gradient", recording)
+        x = self.rotated_triple(1e3, 0.5)
+        z, info = karcher_mean(x, (1 / 3, 1 / 3, 1 / 3), return_info=True)
+        assert any(b > a for a, b in zip(res[:-2], res[1:-1]))  # a growth before the last step
+        assert info["iterations"] == len(res) and res[-1] <= floors[-1] and res[-2] > floors[-2]
+        # det of the Karcher mean is the weighted geometric mean of the determinants
+        assert abs(np.linalg.det(z).real - 1e3) <= 1e-9 * 1e3
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wide_spectra_from_the_arithmetic_start(self, k):
@@ -727,6 +762,42 @@ def test_non_finite_arguments_raise_domain_violation(ident, bad):
     if fn.complex_evaluator is not None:
         with pytest.raises(errors.DomainViolation):
             fn.eval_complex(x)
+
+
+@pytest.mark.parametrize("ident", CATALOGUE)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("exact", [True, False], ids=["vgrad", "differences"])
+def test_gradient_checks_its_arguments(ident, bad, exact):
+    fn = resolve_function(ident)
+    fn = fn if exact else replace(fn, vgrad=None)
+    x = np.eye(3, dtype=complex)
+    x[0, 2] = bad
+    with pytest.raises(errors.DomainViolation):
+        fn.gradient([x] * fn.arity, np.eye(3))
+    with pytest.raises(errors.ArityMismatch):
+        fn.gradient([np.eye(3)] * (fn.arity + 1), np.eye(3))
+
+
+@pytest.mark.parametrize("ident", ["sqrt", "geomean2", "harmonic", "power:t=0.5", "karcher:w=0.2,0.3,0.5"])
+def test_gradient_falls_back_on_differences(ident):
+    fn = resolve_function(ident)
+    rng = np.random.default_rng(41)
+    x = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0)
+    seed = rand_herm(rng, 3)
+    assert all(np.array_equal(g, e) for g, e in zip(fn.gradient(x, seed), fn.vgrad(x, seed)))
+    for g, e in zip(replace(fn, vgrad=None).gradient(x, seed), fn.vgrad(x, seed)):
+        assert fro_norm(g - e) <= 1e-8 * (1 + fro_norm(e)), ident
+
+
+def test_geomean2_is_the_karcher_mean_at_equal_weights():
+    geo, karcher = geometric_mean_2_fn(), karcher_mean_fn((0.5, 0.5))
+    assert geo.name == "geomean2" and geo.arity == 2
+    a, b = stacked_pair(np.random.default_rng(42), 8, 3)
+    assert np.array_equal(geo(a, b), karcher(a, b))
+    assert np.array_equal(geometric_mean_2(a, b), karcher(a, b))
+    seed = rand_herm(np.random.default_rng(43), 3)
+    assert all(np.array_equal(g, e) for g, e in zip(geo.vgrad((a[0], b[0]), seed),
+                                                    karcher.vgrad((a[0], b[0]), seed)))
 
 
 @pytest.mark.parametrize("ident", CATALOGUE)

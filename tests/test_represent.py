@@ -311,6 +311,14 @@ class TestSupportPreconditions:
         with pytest.raises(errors.BadConfig):
             support_pencil(lift_scalar("xsq"), (np.eye(2),), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [lift_scalar("sqrt"), geometric_mean_2_fn()], ids=["sqrt", "geomean2"])
+    def test_non_finite_base_point_rejected(self, fn, bad):
+        x = np.eye(3, dtype=complex)
+        x[0, 2] = bad
+        with pytest.raises(errors.DomainViolation):
+            support_pencil(fn, (x,) * fn.arity, np.ones(3))
+
 
 def per_row(evaluate, rep, x):
     """The reference: ``evaluate`` called on one tuple at a time, member by member."""

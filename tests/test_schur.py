@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from opmono import errors, schur
+from opmono.cert import lipschitz_estimate
+from opmono.freefun import lift_scalar
 from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
     fro_norm,
+    herm_certify,
     herm_part,
     im_part,
     min_eig,
@@ -14,7 +17,7 @@ from opmono.matcore import (
     sector_estimate,
 )
 from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new, pencil_sectorial_check
-from opmono.represent import rep_eval, rep_eval_complex, rep_from_quadrature
+from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex, rep_from_quadrature
 from opmono.schur import (
     PivotSubspace,
     SchurCore,
@@ -679,3 +682,31 @@ CALLS = {
 def test_non_finite_input_raises_typed_error(call, matrix, small_rep):
     with pytest.raises(errors.OpmonoError):
         CALLS[call](NON_FINITE[matrix], small_rep)
+
+
+def _spoiled(m, bad):
+    """A copy of m with the off-diagonal entry (0, 1) set to ``bad``."""
+    m = np.array(m, dtype=complex)
+    m[0, 1] = bad
+    return m
+
+
+ENTRY_POINTS = {
+    "pencil_new": lambda bad: pencil_new([_spoiled(2 * np.eye(2), bad), np.eye(2)]),
+    "PencilRepresentation": lambda bad: PencilRepresentation(
+        pencil_new([2 * np.eye(2), np.eye(2)]), PivotSubspace.from_indices(2, [0]), _spoiled(np.eye(2) / 2, bad)
+    ),
+    "PivotSubspace": lambda bad: PivotSubspace.from_basis(_spoiled(np.eye(3)[:, :2], bad)),
+    "herm_certify": lambda bad: herm_certify(_spoiled(np.eye(2), bad)),
+    "shorted_psd": lambda bad: shorted_psd(_spoiled(np.eye(3), bad), PivotSubspace.from_indices(3, [0])),
+    "schur_generic": lambda bad: schur_generic(_spoiled(np.eye(3), bad), PivotSubspace.from_indices(3, [0])),
+    "lipschitz_estimate": lambda bad: lipschitz_estimate(lift_scalar("sqrt"), (_spoiled(np.eye(2), bad),), 0.1),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", ENTRY_POINTS, ids=str)
+def test_non_finite_entry_raises_typed_error(call, bad):
+    with pytest.raises(errors.OpmonoError):
+        ENTRY_POINTS[call](bad)
