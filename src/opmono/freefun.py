@@ -264,12 +264,15 @@ _KARCHER_RTOL = 1e-13
 _MAX_ITER = 10_000
 
 
-def _check_weights(weights: tuple[float, ...]) -> np.ndarray:
+def _check_weights(weights: tuple[float, ...], k: int | None = None) -> np.ndarray:
+    """The weights as an array; given ``k``, there must be one weight per argument."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
         raise BadConfig("weights must be positive")
     if abs(w.sum() - 1.0) > 1e-12:
         raise BadConfig("weights must sum to one")
+    if k is not None and k != w.size:
+        raise ArityMismatch(f"{w.size} weights but {k} arguments")
     return w
 
 
@@ -435,9 +438,7 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     """
     if not (0.0 < t <= 1.0):
         raise BadConfig("t must lie in (0, 1]")
-    w = _check_weights(weights)
-    if len(xs) != w.size:
-        raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
+    w = _check_weights(weights, len(xs))
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
     f = _pair_function(0.0, 1.0 - t, t)[0]  # x^t, that of Z #_t X
@@ -476,7 +477,8 @@ def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
 def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """Z^{1/2}, the Karcher gradient S = sum w_i log(M_i), and per member ||S||_F and its stopping floor."""
     zr, grad, kappa = _mean_equation(z, xs, w, np.log)
-    return zr, grad, fro_norm(grad), np.maximum(_KARCHER_RTOL, 16 * np.finfo(float).eps * kappa)
+    res = fro_norm(grad)
+    return zr, grad, res, np.maximum(_KARCHER_RTOL, 16 * np.finfo(float).eps * kappa * np.exp(-2 * res))
 
 
 def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = False):
@@ -496,12 +498,15 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     with the step s halved (down to 1/64) whenever the largest residual
     ||S||_F of the members still running grows.  A member stops once its
     residual, which does not change when every X_i is scaled, drops to
-    max(``_KARCHER_RTOL``, 16 eps kappa), kappa its largest cond(M_i): the
-    rounding floor of S.  It raises NoConvergence after ``_MAX_ITER`` steps.
+    max(``_KARCHER_RTOL``, 16 eps kappa exp(-2 ||S||_F)), kappa its largest
+    cond(M_i).  That is at most the rounding floor 16 eps kappa* of S at the
+    solution Z*: the Karcher objective is 1-strongly geodesically convex, so
+    d(Z, Z*) <= ||S||_F, and that moves each cond(M_i) by a factor of at most
+    exp(2 ||S||_F).  A start far from Z*, where kappa may be many times
+    kappa*, cannot stop early.  It raises NoConvergence after ``_MAX_ITER``
+    steps.
     """
-    w = _check_weights(weights)
-    if len(xs) != w.size:
-        raise ArityMismatch(f"{w.size} weights but {len(xs)} arguments")
+    w = _check_weights(weights, len(xs))
     if len(xs) == 2:
         z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
         if return_info:

@@ -140,7 +140,7 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise DomainViolation("matrix has a non-finite entry")
     defect = skew_defect(m)
     scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(m))))
-    if not defect <= tol.herm * scale:
+    if defect > tol.herm * scale:
         raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {tol.herm * scale:.3e}")
     return herm_part(m)
 

@@ -120,11 +120,11 @@ def pencil_new(
     for idx, b in enumerate(hermed):
         lam = min_eig(b)
         coeff_margin = min(coeff_margin, lam)
-        if not lam >= -tol.psd * (1.0 + fro_norm(b)):
+        if lam < -tol.psd * (1.0 + fro_norm(b)):
             raise CoefficientNotPSD(f"B_{idx} has minimum eigenvalue {lam:.3e}")
     gap = hermed[0] - sum(hermed[1:])
     dom = min_eig(gap)
-    if not dom >= -tol.psd * (1.0 + fro_norm(gap)):
+    if dom < -tol.psd * (1.0 + fro_norm(gap)):
         raise DominanceViolated(f"B_0 - sum(B_i) has minimum eigenvalue {dom:.3e}")
     return LinearPencil(hermed, coeff_margin=float(coeff_margin), dominance_margin=float(dom))
 

@@ -125,7 +125,7 @@ def support_pencil(
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
-    a = fn._args(tuple(a))  # a tuple of finite matrices, one per argument
+    a = fn._args(tuple(a))  # eigvalsh below needs finite input; fn.gradient repeats this cheap check
     n = a[0].shape[0]
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.size != n:
@@ -283,9 +283,9 @@ class PencilRepresentation:
             raise DimensionMismatch("state must act on the coefficient space")
         if not np.isfinite(state).all():
             raise DomainViolation("state must be finite")
-        if not min_eig(state) >= -DEFAULT_TOL.psd * (1.0 + fro_norm(state)):
+        if min_eig(state) < -DEFAULT_TOL.psd * (1.0 + fro_norm(state)):
             raise NotPSD("state must be positive semidefinite")
-        if not abs(float(np.trace(state).real) - 1.0) <= DEFAULT_TOL.eq:
+        if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
             raise DomainViolation("state must have unit trace")
         if self.pivot.ambient_dim != self.pencil.size:
             raise DimensionMismatch("pivot must live on the coefficient space")

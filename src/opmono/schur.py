@@ -65,8 +65,10 @@ class PivotSubspace:
         basis = np.asarray(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise DimensionMismatch("basis must be ambient_dim x m")
+        if not np.isfinite(basis).all():
+            raise DomainViolation("basis has a non-finite entry")
         gram = dagger(basis) @ basis
-        if not np.linalg.norm(gram - np.eye(basis.shape[1])) <= DEFAULT_TOL.eq * basis.shape[1]:
+        if np.linalg.norm(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq * basis.shape[1]:
             raise DimensionMismatch("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -169,7 +171,7 @@ def shorted_psd(
     """
     a = herm_part(np.asarray(a, dtype=complex))
     lam = min_eig(a)
-    if not lam >= -tol.psd * (1.0 + fro_norm(a)):
+    if lam < -tol.psd * (1.0 + fro_norm(a)):
         raise NotPSD(f"input has minimum eigenvalue {lam:.3e}")
     _, comp, residual = _complement(a, s, "s", tol)
     return ShortedResult(shorted=herm_part(comp), defect=residual)

@@ -231,6 +231,13 @@ class TestKarcherMean:
         exact = np.sqrt(s) * np.eye(2)
         assert fro_norm(z - exact) <= 10 * np.finfo(float).eps * s * fro_norm(exact)
 
+    @pytest.mark.parametrize("s", [1e9, 1e12])
+    def test_far_start_does_not_stop_at_its_own_floor(self, s):
+        # cond(M_i) at the arithmetic start is about s^2 / 3, at the mean I it is s
+        z, info = karcher_mean((np.diag([1.0, s]), np.diag([1.0, 1 / s]), np.eye(2)), (1 / 3, 1 / 3, 1 / 3),
+                               return_info=True)
+        assert info["iterations"] >= 2 and fro_norm(z - np.eye(2)) <= 1e-12
+
     def test_damping_halves_the_step_when_the_residual_grows(self, monkeypatch):
         from opmono import freefun
 

@@ -78,6 +78,12 @@ class TestPivotSubspace:
         with pytest.raises(errors.DimensionMismatch):
             PivotSubspace.from_basis(np.array([[1.0], [1.0]]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(errors.DomainViolation, match="non-finite"):
+            PivotSubspace.from_vector(np.array([1.0, bad]))
+
 
 class TestShortedPsd:
     def test_hand_example(self):
