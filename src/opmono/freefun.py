@@ -115,10 +115,6 @@ def _roots(z: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarr
     return (u * sq[..., None, :]) @ dagger(u), (u / sq[..., None, :]) @ dagger(u)
 
 
-def _herm_log(a: np.ndarray) -> np.ndarray:
-    return _eigh_fun(np.log, a)
-
-
 # ---------------------------------------------------------------------------
 # the FreeFn abstraction
 
@@ -379,12 +375,23 @@ def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> t
     2012; Lawson & Lim 2014).  The same decompositions check positivity: Z
     by its own eigenvalues, and X_i by those of M_i (for Z > 0, X_i > 0
     exactly when M_i > 0).  Z starts at sum w_i X_i, so if Z fails, so does
-    some X_i.  The condition numbers are read from the same eigenvalues.
+    some X_i.  Where M_i fails although X_i > 0, rounding is at fault, and
+    the error gives the condition numbers of X_i and Z instead.  kappa is
+    read from the same eigenvalues as the check.
     """
     zr, zir = _roots(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
     s, kappa = 0, 1.0
     for i, (wi, xi) in enumerate(zip(w, xs), 1):
-        lam, u = _eigh(zir @ xi @ zir, f"argument {i} is not positive definite: Z^-1/2 X_{i} Z^-1/2")
+        try:
+            lam, u = _eigh(zir @ xi @ zir, f"Z^-1/2 X_{i} Z^-1/2")
+        except NotPositiveDefinite as exc:
+            if not (np.isfinite(xi).all() and np.all(np.linalg.eigvalsh(herm_part(xi))[..., 0] > 0)):
+                raise NotPositiveDefinite(f"argument {i} is not positive definite: {exc}") from None
+            cond_x, cond_z = (float(np.max(np.linalg.cond(a))) for a in (xi, z))
+            raise NotPositiveDefinite(
+                f"{exc} although argument {i} is positive definite: at condition numbers {cond_x:.1e} of "
+                f"X_{i} and {cond_z:.1e} of the iterate Z rounding leaves it indefinite"
+            ) from None
         s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
         kappa = np.maximum(kappa, lam[..., -1] / lam[..., 0])
     return zr, s, kappa

@@ -3,8 +3,12 @@
 The constructive pipeline: at a boundary point (F(A), A) of the hypograph
 of an operator monotone free function, an affine support functional built
 from the exact gradient matrices lifts to a linear pencil that is positive
-on sampled hypograph members and exactly tight at the base point.  The
-tightness forces a Schur-complement identity that reconstructs F(A)v from
+on sampled hypograph members and, for functions of one or two arguments,
+exactly tight at the base point.  For means of three or more arguments the
+completion is in general not tight (on random base points the harmonic
+mean was tight only when n >= k, the Karcher mean at no n from 2 to 5), so
+``reconstruct``'s residual must be read before its value is used.
+Tightness forces a Schur-complement identity that reconstructs F(A)v from
 the pencil alone, direct sums of base points give finite-dimensional
 conditional-expectation representations of F itself, and quadrature on the
 one-variable integral form gives representations with certified accuracy.
@@ -66,8 +70,9 @@ class SupportCertificate:
 
     The pencil evaluates as B_0 (x) I - vv* (x) Y + sum G_i (x) (X_i - I);
     ``c`` is the trace normalization tr(B_0), which equals the affine
-    intercept of the support functional, making the certificate exactly
-    tight at the base point.
+    intercept of the support functional.  For one or two arguments that
+    makes the certificate exactly tight at the base point; for k >= 3 it
+    need not be, and ``reconstruct``'s residual shows how far it is off.
     """
 
     function: str

@@ -193,14 +193,14 @@ class TestKarcherMean:
         assert np.linalg.norm(out - geometric_mean_2(a, b)) <= 1e-9
 
     def test_karcher_equation_residual(self):
-        from opmono.freefun import _herm_log, _roots
+        from opmono.freefun import _eigh_fun, _roots
 
         rng = np.random.default_rng(9)
         x = rand_tuple_interval(rng, 3, 4, 0.5, 2.0)
         w = (0.2, 0.5, 0.3)
         z, info = karcher_mean(x, w, return_info=True)
         zr, zir = _roots(z)
-        res = sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, x))
+        res = sum(wi * _eigh_fun(np.log, zir @ xi @ zir) for wi, xi in zip(w, x))
         assert fro_norm(res) <= 1e-12 * (1 + fro_norm(z))
         assert info["iterations"] >= 1
 
@@ -238,6 +238,17 @@ class TestKarcherMean:
                                return_info=True)
         assert info["iterations"] >= 2 and fro_norm(z - np.eye(2)) <= 1e-12
 
+    def test_rounding_indefinite_step_names_the_conditioning(self):
+        # every argument has lambda_min >= 1, but at s = 1e13 rounding leaves
+        # M_1 = Z^-1/2 X_1 Z^-1/2 indefinite: the error must not blame X_1
+        x = self.rotated_triple(1e13, 0.5)
+        assert all(min_eig(xi) >= 1.0 - 1e-3 for xi in x)
+        pattern = (r"^Z\^-1/2 X_1 Z\^-1/2 has minimum eigenvalue -\d\.\d{3}e-\d+ although argument 1 is "
+                   r"positive definite: at condition numbers 1\.0e\+13 of X_1 and \d\.\de\+\d+ of the "
+                   r"iterate Z rounding leaves it indefinite$")
+        with pytest.raises(errors.NotPositiveDefinite, match=pattern):
+            karcher_mean(x, (1 / 3, 1 / 3, 1 / 3))
+
     def test_damping_halves_the_step_when_the_residual_grows(self, monkeypatch):
         from opmono import freefun
 
@@ -259,7 +270,7 @@ class TestKarcherMean:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wide_spectra_from_the_arithmetic_start(self, k):
-        from opmono.freefun import _herm_log, _roots
+        from opmono.freefun import _eigh_fun, _roots
 
         rng = np.random.default_rng(30 + k)
         w = tuple(rng.dirichlet(np.ones(k)))
@@ -267,7 +278,7 @@ class TestKarcherMean:
         x = tuple(np.stack([r[i] for r in rows]) for i in range(k))
         z, info = karcher_mean(x, w, return_info=True)
         zr, zir = _roots(z)
-        res = np.max(fro_norm(sum(wi * _herm_log(zir @ xi @ zir) for wi, xi in zip(w, x))))
+        res = np.max(fro_norm(sum(wi * _eigh_fun(np.log, zir @ xi @ zir) for wi, xi in zip(w, x))))
         assert res == info["residual"]
         assert res <= 1e-13 * (1 + np.max(fro_norm(z)))
         h = harmonic_mean(w)(x)
@@ -307,14 +318,14 @@ class TestTwoArgumentClosedForms:
         assert np.all(fro_norm(res) <= 1e-12 * (1 + fro_norm(z)))
 
     def test_karcher_info_is_measured(self):
-        from opmono.freefun import _herm_log, _roots
+        from opmono.freefun import _eigh_fun, _roots
 
         rng = np.random.default_rng(23)
         a, b = stacked_pair(rng, 16, 4)
         w = (0.4, 0.6)
         z, info = karcher_mean((a, b), w, return_info=True)
         zr, zir = _roots(z)
-        grad = w[0] * _herm_log(zir @ a @ zir) + w[1] * _herm_log(zir @ b @ zir)
+        grad = w[0] * _eigh_fun(np.log, zir @ a @ zir) + w[1] * _eigh_fun(np.log, zir @ b @ zir)
         assert info["iterations"] == 0
         assert info["residual"] == float(np.max(fro_norm(grad)))
         assert np.all(fro_norm(grad) <= 1e-12 * (1 + fro_norm(z)))

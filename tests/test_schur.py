@@ -491,9 +491,11 @@ class TestFirstCertifiedAngle:
 
     def test_raises_exactly_when_the_full_search_fails(self):
         # random essential blocks with W(B) in the closed upper half-plane,
-        # from wide to narrow arcs and with several blocks at once
-        rng = np.random.default_rng(43)
-        outcomes = set()
+        # from wide to narrow arcs and with several blocks at once; with an
+        # aim in (-pi/2, 0) the search raises only when the aim and the
+        # unaimed full search both fail
+        rng, aims = np.random.default_rng(43), np.random.default_rng(44)
+        outcomes, aimed = set(), set()
         for _ in range(60):
             n = int(rng.integers(1, 4))
             blocks = []
@@ -512,7 +514,98 @@ class TestFirstCertifiedAngle:
                 outcomes.add("found")
                 assert best > 0
                 assert worst_margin(blocks, theta) > 0
+            aim = -np.pi / 2 * aims.uniform(0.0, 1.0)
+            try:
+                theta = _find_rotation(blocks, DEFAULT_TOL, aim)
+            except errors.RotationNotFound:
+                aimed.add("raised")
+                assert not best > 0 and not worst_margin(blocks, aim) > 0
+            else:
+                aimed.add("aim" if theta == aim else "search")
+                assert best > 0 or theta == aim
+                assert worst_margin(blocks, theta) > 0
         assert outcomes == {"raised", "found"}
+        assert aimed == {"raised", "aim", "search"}
+
+
+def floor_member(rng, n, tol):
+    """H + i P with P at rounding level: ``in_upper_halfspace`` under ``tol`` but no Cholesky factor of P."""
+    while True:
+        u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        p = (u * np.r_[np.ones(n - 1), 10.0 ** rng.uniform(-18, -14)]) @ u.conj().T
+        z = rand_herm(rng, n) + 1j * p
+        try:
+            np.linalg.cholesky(im_part(z))
+        except np.linalg.LinAlgError:
+            if in_upper_halfspace((z,), tol) and not in_right_halfspace((z,), tol):
+                return z
+
+
+class TestAimedRotation:
+    """The first probe of the rotation search is the angle ``_aim`` reads from the tuple."""
+
+    @pytest.fixture(scope="class")
+    def sqrt_rep(self):
+        return rep_from_quadrature("sqrt", nodes=64, interval=(0.1, 10.0))
+
+    def test_each_upper_member_makes_one_block_probe(self, count_calls, sqrt_rep):
+        # criterion 10's draws outside the right half-space (whose members
+        # take no search), stacked ten to a size; the aim's own eigvalsh is
+        # over (members, slots, n, n), not block-sized
+        rng = np.random.default_rng(120)
+        core = sqrt_rep.core()
+        for n in range(2, 7):
+            draws = (rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n)) for _ in range(100))
+            z = np.stack([d for d in draws if not in_right_halfspace((d,))][:10])
+            assert len(z) == 10
+            blocks = {(len(index), e.shape[-1] * n, e.shape[-1] * n)
+                      for _, index, _, e in core.groups if e is not None}
+            calls = count_calls(np.linalg, "eigvalsh")
+            rep_eval_complex(sqrt_rep, (z,))
+            assert sum(shape in blocks for shape in calls) == len(z) * len(blocks)
+
+    @pytest.mark.parametrize("case", ["plain", "small_imaginary", "large_real", "both"])
+    def test_aim_makes_every_slot_positive(self, case):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            slots = []
+            for _ in range(k):
+                h = rand_herm(rng, n)
+                if case in ("large_real", "both"):
+                    h *= 1e6 / np.linalg.norm(h)
+                p = 1e-6 * np.eye(n) if case in ("small_imaginary", "both") else rand_psd(rng, n) + 0.1 * np.eye(n)
+                slots.append(h + 1j * p)
+            (theta,) = schur._aim(np.stack(slots)[None])
+            assert -np.pi / 2 < theta < 0.0
+            for z in slots:
+                assert min_eig(np.exp(1j * theta) * z) > 0.0
+
+    def test_cholesky_failure_falls_back_to_the_unaimed_search(self, monkeypatch):
+        # Im Z at the floor of a tight psd tolerance passes in_upper_halfspace
+        # yet has no Cholesky factor: the stack holding it loses its aim
+        rng = np.random.default_rng(63)
+        tight = Tolerances(psd=1e-22)
+        n = 3
+        floor = floor_member(rng, n, tight)
+        good = rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n))
+        assert np.isnan(schur._aim(np.stack([floor, good])[:, None])).all()
+        assert np.isfinite(schur._aim(good[None, None])).all()
+        seen = []
+        search = schur._find_rotation
+        monkeypatch.setattr(schur, "_find_rotation", lambda b, t, aim: seen.append(aim) or search(b, t, aim))
+        core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]), tight)
+        state = np.diag([1.0, 0.0, 0.0])
+        for _ in range(10):
+            x = (np.stack([floor_member(rng, n, tight), good]),)
+            seen.clear()
+            try:
+                out = core.evaluate(x, state=state, halfspace=True)
+            except errors.OpmonoError:  # a typed refusal, never a raw LinAlgError
+                pass
+            else:
+                assert np.array_equal(out, core.evaluate(x, state=state))
+            assert seen and np.isnan(seen).all()
 
 
 def reference_check_sector_bound(rotated, comp, tol):
