@@ -72,6 +72,15 @@ class Tolerances:
     coefficients is the range of their sum cut at ``rank * lambda_max``
     (``pencil.range_basis``); coefficient entries at or below ``rank``
     times the largest do not couple two directions.
+
+    ``schur.SchurCore`` certifies an eliminated component sectorial on its
+    essential block L~ normalized to unit coefficient weights by the
+    congruence W^{-1/2}, W the weights kept by the cut: the floor is
+    lambda_min(Re(e^{i theta} L~)) > psd (1 + ||L~||_F) + 16 eps kappa
+    ||L~||_F, kappa = w_max / w_min < 1 / rank.  Relative to the unit
+    weights the congruence amplifies the rounding of the weakest direction
+    up to kappa times, and the second term bounds it, so no ``psd``, however
+    tight, certifies a block at rounding level.
     """
 
     herm: float = 1e-9

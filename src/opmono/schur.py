@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DomainViolation,
     EliminatedBlockDefective,
+    HalfPlaneViolated,
     NotPSD,
     NotSectorial,
     RotationNotFound,
@@ -40,7 +41,7 @@ from .matcore import (
     sector_estimate,
     truncated_pinv,
 )
-from .pencil import RawPencil, kron_sum, pencil_arguments, range_basis
+from .pencil import RawPencil, kron_sum, pencil_arguments, range_eigh
 
 __all__ = [
     "PivotSubspace",
@@ -270,10 +271,13 @@ def _aim(z: np.ndarray) -> np.ndarray:
 
     With Im Z_i = L L* (``cholesky``) and mu = min_i lambda_min(L^-1 Re Z_i
     L^-*), every point of every W(Z_i) has an argument in [0, beta],
-    cot beta = mu: x* Re Z_i x >= mu x* Im Z_i x.  Rotating by -beta/2 centres
-    the cone spanned by 1 and the W(Z_i) on the positive real axis.  All NaN,
-    so no aim, when some Im Z_i has no Cholesky factor, which passing
-    ``in_upper_halfspace`` leaves possible only at rounding level.
+    cot beta = mu: x* Re Z_i x >= mu x* Im Z_i x.  The shifted evaluation
+    (B_0 - sum B_i) (x) I + sum B_i (x) Z_i has PSD coefficients, so the
+    numerical range of each essential block, normalized or not, lies in the
+    cone spanned by 1 and the W(Z_i), which rotating by -beta/2 centres on
+    the positive real axis.  All NaN, so no angle, when some Im Z_i has no
+    Cholesky factor, which passing ``in_upper_halfspace`` leaves possible
+    only at rounding level.
     """
     try:
         low = np.linalg.cholesky(im_part(z))
@@ -283,76 +287,24 @@ def _aim(z: np.ndarray) -> np.ndarray:
     return -0.5 * np.arctan2(1.0, np.min(min_eig(linv @ re_part(z) @ dagger(linv)), axis=-1))
 
 
-def _find_rotation(blocks: list[np.ndarray], tol: Tolerances, aim: float = np.nan) -> float:
-    """The first probed angle at which every rotated block has a positive margin.
-
-    A block B has margin lambda_min(Re(e^{i theta} B)) - tol.psd (1 + ||B||_F)
-    at theta.  The first probe is ``aim`` when it is not NaN: ``_aim`` puts
-    it in [-pi/2, 0), where every essential real part is positive definite
-    in exact arithmetic.  The search that follows is unchanged by it.  W(B)
-    is convex and lies in the closed upper half-plane, so each margin is
-    unimodal on (-pi/2, 0] and so is their minimum.  The search probes
-    theta = 0, then the two interior points and the 48 steps of a
-    golden-section search for its maximum (to 1.5e-10 rad).  The
-    certificate needs one angle with a positive worst margin, not the best
-    one, so the first such probe is returned.  Golden section always keeps
-    the better of its two points, so the whole search would end at the best
-    of its probes: it fails exactly when no probe, the aim included, is
-    positive, and then RotationNotFound is raised.
-    """
-    floors = [tol.psd * (1.0 + fro_norm(b)) for b in blocks]
-
-    def margin(theta: float) -> float:
-        rotated = (herm_part(np.exp(1j * theta) * b) for b in blocks)
-        lams = (np.linalg.eigvalsh(r)[..., 0] - f for r, f in zip(rotated, floors))
-        return min((float(np.min(lam)) for lam in lams), default=np.inf)
-
-    def probes():
-        if not np.isnan(aim):
-            yield aim, margin(aim)
-        yield 0.0, margin(0.0)
-        shrink = (np.sqrt(5.0) - 1.0) / 2.0
-        lo, hi = -np.pi / 2, 0.0
-        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-        yield a, (fa := margin(a))
-        yield b, (fb := margin(b))
-        for _ in range(48):
-            if fa < fb:
-                lo, a, fa = a, b, fb
-                b = lo + shrink * (hi - lo)
-                yield b, (fb := margin(b))
-            else:
-                hi, b, fb = b, a, fa
-                a = hi - shrink * (hi - lo)
-                yield a, (fa := margin(a))
-
-    for theta, value in probes():
-        if value > 0:
-            return float(theta)
-    raise RotationNotFound("no rotation in (-pi/2, 0] stabilizes the pencil evaluation")
-
-
 def _check_sector_bound(
-    rotated: np.ndarray, comp: np.ndarray, right: np.ndarray, tol: Tolerances
+    rotated: np.ndarray, block: np.ndarray, comp: np.ndarray, tol: Tolerances
 ) -> None:
-    """||S_c|| <= sec^2(alpha_c) ||L_c|| for rotated essential blocks L_c (d x d), complements S_c.
+    """||S_c|| <= sec^2(alpha_c) ||L_c|| for essential blocks L_c (d x d) and complements S_c.
 
-    Sectoriality, lambda_min(Re L_c) > tol.psd (1 + ||L_c||_F), is checked
-    only for the ``right`` members (angle 0): ``_find_rotation`` certified it
-    for the others.  Where sqrt(d) ||S_c||_F <= ||L_c||_F the bound holds for
-    any alpha, as ||S||_2 <= ||S||_F and ||L||_F <= sqrt(d) ||L||_2; only the
-    other members (NaN norms included) take the exact angle alpha_c of
-    ``sector_certified_alpha`` and the spectral norms.
+    ``rotated`` holds the certified blocks e^{i theta} T* L_c T of
+    ``SchurCore.evaluate``.  A congruence keeps the argument of every x* L x,
+    so alpha_c, the sector angle of ``sector_certified_alpha``, is read from
+    them; the norms are those of ``block``, the L_c.  Where
+    sqrt(d) ||S_c||_F <= ||L_c||_F the bound holds for any alpha, as
+    ||S||_2 <= ||S||_F and ||L||_F <= sqrt(d) ||L||_2; only the other members
+    (NaN norms included) take their exact angle and spectral norms.
     """
-    checked = rotated[np.broadcast_to(right[..., None], rotated.shape[:-2])]
-    if checked.size and not np.all(min_eig(checked) > tol.psd * (1.0 + fro_norm(checked))):
-        raise NotSectorial("an eliminated component is not sectorial after rotation")
-    unsettled = ~(np.sqrt(rotated.shape[-1]) * fro_norm(comp) <= fro_norm(rotated))
+    unsettled = ~(np.sqrt(block.shape[-1]) * fro_norm(comp) <= fro_norm(block))
     if unsettled.any():
-        rotated, comp = rotated[unsettled], comp[unsettled]
-        alphas, _ = sector_certified_alpha(rotated)
-        lhs = np.linalg.svd(comp, compute_uv=False)[..., 0]
-        rhs = np.linalg.svd(rotated, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
+        alphas, _ = sector_certified_alpha(rotated[unsettled])
+        lhs = np.linalg.svd(comp[unsettled], compute_uv=False)[..., 0]
+        rhs = np.linalg.svd(block[unsettled], compute_uv=False)[..., 0] / np.cos(alphas) ** 2
         if np.any(lhs > rhs * (1.0 + tol.eq)):
             worst = np.argmax(lhs / rhs)
             raise SectorBoundViolated(
@@ -369,10 +321,14 @@ class SchurCore:
     The complement is block diagonal over the connected components; those
     without a pivot direction drop out, the others are stacked by their
     numbers of pivot directions, of directions and of essential ones into
-    ``groups`` of (kept, index, coeffs, essential): each member's directions
-    (g, c), ``kept`` pivot ones first, its coefficients (g, K, c, c) and
-    those compressed to the range of their sum (g, K, r, r), or None when
-    nothing is eliminated.
+    ``groups`` of (kept, index, coeffs, essential, weights): each member's
+    directions (g, c), ``kept`` pivot ones first, and its coefficients
+    (g, K, c, c).  The essential directions are the eigenvectors E of the
+    coefficient sum whose eigenvalues, the ``weights`` w (g, r), pass the
+    ``tol.rank`` cut of ``range_eigh``; ``essential`` (g, K, r, r) holds the
+    coefficients compressed to T = E W^{-1/2}, which sum to the identity:
+    every essential direction has unit weight.  Both are None if nothing is
+    eliminated.
     """
 
     def __init__(self, pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL):
@@ -391,13 +347,14 @@ class SchurCore:
             kept = int(np.count_nonzero(comp < pivot.dim))
             if kept:
                 c = coeffs[:, comp[:, None], comp]
-                e = range_basis(c.sum(axis=0), tol) if comp.size > kept else np.zeros((comp.size, 0))
-                shapes.setdefault((kept, comp.size, e.shape[1]), []).append((comp, c, e))
+                w, e = (range_eigh(c.sum(axis=0), tol) if comp.size > kept
+                        else (np.ones(0), np.zeros((comp.size, 0))))
+                shapes.setdefault((kept, comp.size, w.size), []).append((comp, c, e / np.sqrt(w), w))
         self.groups = []
         for (kept, _, rank), members in shapes.items():
-            index, c, e = (np.stack(z) for z in zip(*members))
-            essential = dagger(e)[:, None] @ c @ e[:, None] if rank else None
-            self.groups.append((kept, index, c, essential))
+            index, c, t, w = (np.stack(z) for z in zip(*members))
+            essential = dagger(t)[:, None] @ c @ t[:, None] if rank else None
+            self.groups.append((kept, index, c, essential, w if rank else None))
 
     def evaluate(
         self,
@@ -411,22 +368,19 @@ class SchurCore:
         tuple, or with ``state`` as its partial trace against the state
         compressed to S, shape ``(..., n, n)`` for a tuple stacked on leading
         axes.  With ``halfspace`` every member must lie in an operator
-        half-space; each upper half-space member rotates its eliminated
-        components by its own angle from ``_find_rotation``, the first one
-        probed that certifies them sectorial (all essential real parts
-        positive definite).  The first probe is aimed from the tuple by
-        ``_aim``: the shifted evaluation is (B_0 - sum B_i) (x) I +
-        sum B_i (x) X_i with PSD coefficients, so the numerical range of each
-        essential block lies in the cone spanned by 1 and the W(X_i), which
-        the aim centres on the positive real axis.  The aim alone certified
-        every upper member of criterion 10's 200 draws and of the seed-1
-        continuation benchmark, where the unaimed search took 2 to 8 probes
-        (4.9 on average).  Right half-space members keep angle 0 and are
-        certified by ``_check_sector_bound``, which then checks each
-        component against the sec^2(alpha) bound that holds in any certified
-        sector; Frobenius norms settle most components without their exact
-        angle.  The angle feeds only these checks: the complement does not
-        depend on it, so the result equals that without ``halfspace``.
+        half-space (else DomainViolation).  Each eliminated component is
+        certified sectorial on its normalized essential block L~ = T* L T,
+        T = E W^{-1/2} (x) I, at theta = 0 for a right half-space member and
+        at the ``_aim`` of an upper one: lambda_min(Re(e^{i theta} L~)) must
+        exceed the floor of ``Tolerances``, else NotSectorial for a right
+        member and RotationNotFound for an upper one (a NaN aim included).
+        For invertible T, Re(e^{i theta} T* L T) = T* Re(e^{i theta} L) T, so
+        this certifies Re(e^{i theta} L) > 0 on the same essential directions,
+        and the sector angle is the same.  ``_check_sector_bound`` then checks
+        the sec^2(alpha) bound, and every upper member's output must keep a
+        PSD imaginary part (else HalfPlaneViolated).  Neither the angle nor
+        the scaling enters the complement, so the result equals that without
+        ``halfspace``.
         """
         tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True)
@@ -435,36 +389,45 @@ class SchurCore:
             right = np.broadcast_to(in_right_halfspace(x, tol), lead)
             if not np.all(right | in_upper_halfspace(x, tol)):
                 raise DomainViolation("tuple lies in neither operator half-space")
-            aims = np.full(lead, np.nan)
+            theta = np.zeros(lead)
             if not right.all():
-                aims[~right] = _aim(args[~right][:, 1:] + np.eye(n))  # from the X_i of the members that rotate
+                theta[~right] = _aim(args[~right][:, 1:] + np.eye(n))  # from the X_i of upper members
         args = args[..., None, :, :, :]  # against the members of each group
         m = self.basis.shape[1]
         out = np.zeros((m, n, m, n) if state is None else lead + (n, n), dtype=complex)
         t = None if state is None else dagger(self.basis) @ state @ self.basis
         checks = []
-        for kept, index, coeffs, essential in self.groups:
+        for kept, index, coeffs, essential, weights in self.groups:
             full = kron_sum(coeffs, args)
             k = kept * n
             comp = full[..., :k, :k]
             if essential is not None:
                 comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k], tol)
                 if halfspace:
-                    checks.append((kron_sum(essential, args), comp))
+                    checks.append((kron_sum(essential, args), weights, comp))
             comp = comp.reshape(comp.shape[:-2] + (kept, n, kept, n))
             rows, cols = index[:, :kept, None], index[:, None, :kept]
             if state is None:
                 out[rows, :, cols, :] = comp.transpose(0, 1, 3, 2, 4)
             else:
                 out += np.einsum("gsr,...grisj->...ij", t[rows, cols], comp)
+        out = out.reshape(m * n, m * n) if state is None else out
         if halfspace:
-            theta = np.zeros(lead)
-            for i in np.ndindex(lead):
-                if not right[i]:
-                    theta[i] = _find_rotation([blk[i] for blk, _ in checks], tol, aims[i])
-            for blk, comp in checks:
-                _check_sector_bound(np.exp(1j * theta)[..., None, None, None] * blk, comp, right, tol)
-        return out.reshape(m * n, m * n) if state is None else out
+            for normalized, w, comp in checks:
+                rotated = np.exp(1j * theta)[..., None, None, None] * normalized
+                size = fro_norm(normalized)
+                floor = tol.psd * (1.0 + size) + 16 * np.finfo(float).eps * (w[:, -1] / w[:, 0]) * size
+                failed = ~(min_eig(rotated) > floor)  # NaN aims fail
+                if np.any(failed & right[..., None]):
+                    raise NotSectorial("an eliminated component of a right member is not sectorial")
+                if failed.any():
+                    raise RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
+                root = np.repeat(np.sqrt(w), n, axis=-1)
+                _check_sector_bound(rotated, root[:, :, None] * normalized * root[:, None, :], comp, tol)
+            lam = np.where(right, np.inf, min_eig(im_part(out)))
+            if np.any(lam < -tol.psd * (1.0 + fro_norm(out))):
+                raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
+        return out
 
 
 def schur_pencil(
@@ -476,7 +439,7 @@ def schur_pencil(
     """Schur complement of the shifted pencil evaluation, keeping P = P_S (x) I.
 
     Arguments must lie in one of the operator half-spaces: all Re X_i > 0 or
-    all Im X_i > 0.  The rotation and the sec^2(alpha) check are those of
+    all Im X_i > 0.  The certificates and checks are those of
     ``SchurCore.evaluate``.
     """
     return SchurCore(pencil, s, tol).evaluate(x, halfspace=True)

@@ -138,7 +138,6 @@ def certificate_payload(cert: SupportCertificate) -> dict:
         "v": encode_vector(cert.v),
         "pencil": pencil_payload(cert.pencil),
         "c": _check_finite(cert.c),
-        "gradients": [encode_matrix(g) for g in cert.gradients],
         "interval": [cert.interval[0], cert.interval[1]],
         "support_margin": _check_finite(cert.support_margin),
         "scalar_margin": _check_finite(cert.scalar_margin),
@@ -151,13 +150,13 @@ def certificate_payload(cert: SupportCertificate) -> dict:
 
 @_decoder
 def certificate_from_payload(obj: Any) -> SupportCertificate:
+    """A ``gradients`` entry is ignored: the gradients are the pencil's B_1, ..., B_k."""
     cert = SupportCertificate(
         function=obj["function"],
         base_point=decode_tuple(obj["base_point"]),
         v=decode_vector(obj["v"]),
         pencil=pencil_from_payload(obj["pencil"]),
         c=float(obj["c"]),
-        gradients=tuple(decode_matrix(g) for g in obj["gradients"]),
         interval=(float(obj["interval"][0]), float(obj["interval"][1])),
         support_margin=float(obj["support_margin"]),
         scalar_margin=float(obj["scalar_margin"]),
@@ -166,10 +165,10 @@ def certificate_from_payload(obj: Any) -> SupportCertificate:
         samples=int(obj["samples"]),
         seed=int(obj["seed"]),
     )
-    sizes = {cert.v.size, cert.pencil.size, *(m.shape[0] for m in cert.base_point + cert.gradients)}
-    arities = {len(cert.base_point), len(cert.gradients), cert.pencil.arity}
+    sizes = {cert.v.size, cert.pencil.size, *(m.shape[0] for m in cert.base_point)}
+    arities = {len(cert.base_point), cert.pencil.arity}
     if len(sizes) != 1 or len(arities) != 1:
-        raise DimensionMismatch("v, base point, gradients and pencil must share dimension and arity")
+        raise DimensionMismatch("v, base point and pencil must share dimension and arity")
     return cert
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from opmono import errors, schur
+from opmono import errors, sampling, schur
 from opmono.cert import lipschitz_estimate
-from opmono.freefun import lift_scalar
+from opmono.freefun import lift_scalar, resolve_function
 from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
@@ -17,12 +17,17 @@ from opmono.matcore import (
     sector_estimate,
 )
 from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new, pencil_sectorial_check
-from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex, rep_from_quadrature
+from opmono.represent import (
+    PencilRepresentation,
+    rep_eval,
+    rep_eval_complex,
+    rep_from_quadrature,
+    support_pencil,
+)
 from opmono.schur import (
     PivotSubspace,
     SchurCore,
     _check_sector_bound,
-    _find_rotation,
     in_right_halfspace,
     in_upper_halfspace,
     schur_generic,
@@ -351,7 +356,7 @@ class TestSchurPencil:
         p = pencil_new([b0, np.eye(3)])
         s = PivotSubspace.from_indices(3, [0])
         core = SchurCore(p, s)
-        assert [index.tolist() for _, index, _, _ in core.groups] == [[[0, 1, 2]]]
+        assert [index.tolist() for _, index, _, _, _ in core.groups] == [[[0, 1, 2]]]
         x = (np.array([[1.5, 0.2j], [-0.2j, 0.8]]),)
         big = PivotSubspace.from_basis(np.kron(s.basis, np.eye(2)))
         dense = schur_generic(pencil_eval_shifted(p, x), big, keep="s")
@@ -396,53 +401,23 @@ class TestSchurPencil:
         # The shifted evaluation of (P, P) with P = [[1, 1], [1, 1]] has the
         # essential block 2 X, and W(X) is the segment from 1 + 1e-4 i to
         # e^{i(pi - 0.005)}: only rotations within 0.005 of -pi/2 make its
-        # real part positive definite
+        # real part positive definite, and the aim lies there
         x = np.diag([1.0 + 1e-4j, np.exp(1j * (np.pi - 0.005))])
         p = pencil_new([np.ones((2, 2)), np.ones((2, 2))])
         out = schur_pencil(p, (x,), PivotSubspace.from_indices(2, [0]))
         assert np.linalg.norm(out) <= 1e-12
-        theta = _find_rotation([2 * x[None]], DEFAULT_TOL)
+        (theta,) = schur._aim(x[None, None])
         assert -np.pi / 2 < theta < -np.pi / 2 + 0.005
-        assert min_eig(np.exp(1j * theta) * 2 * x) > DEFAULT_TOL.psd * (1 + fro_norm(2 * x))
-
-
-def full_search_best(blocks, tol=DEFAULT_TOL):
-    """Reference: the best worst margin over every probe of the whole 48-step search."""
-    floors = [tol.psd * (1.0 + fro_norm(b)) for b in blocks]
-
-    def margin(theta):
-        return min(float(np.min(np.linalg.eigvalsh(herm_part(np.exp(1j * theta) * b))[..., 0] - f))
-                   for b, f in zip(blocks, floors))
-
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = -np.pi / 2, 0.0
-    a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    fa, fb = margin(a), margin(b)
-    for _ in range(48):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + shrink * (hi - lo)
-            fb = margin(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - shrink * (hi - lo)
-            fa = margin(a)
-    return max(margin(0.0), fa, fb)
-
-
-def worst_margin(blocks, theta, tol=DEFAULT_TOL):
-    return min(float(np.min(min_eig(np.exp(1j * theta) * b) - tol.psd * (1.0 + fro_norm(b))))
-               for b in blocks)
 
 
 class TestFirstCertifiedAngle:
-    """``_find_rotation`` returns the first probed angle with a positive worst margin."""
+    """The certified angle and the normalized essential blocks feed only the checks."""
 
     @pytest.mark.parametrize("lead,with_state", [((), False), ((), True), ((3,), True), ((2, 2), True)],
                              ids=["single-whole", "single-state", "stack-state", "stack2d-state"])
     def test_complement_does_not_depend_on_the_angle(self, lead, with_state):
-        # the angle only feeds the sector check, so the halfspace evaluation
-        # equals the unchecked one bit for bit
+        # neither the angle nor the normalization enters the complement, so
+        # the halfspace evaluation equals the unchecked one bit for bit
         rng = np.random.default_rng(41)
         for d, n in [(3, 2), (4, 3), (5, 2)]:
             core = SchurCore(valid_pencil(rng, 2, d), rand_pivot(rng, d))
@@ -456,76 +431,6 @@ class TestFirstCertifiedAngle:
                 state /= np.trace(state).real
             checked = core.evaluate(x, state=state, halfspace=True)
             assert np.array_equal(checked, core.evaluate(x, state=state, halfspace=False))
-
-    def test_wide_arc_stops_within_three_probes(self, count_calls):
-        # W(B) is the segment from i to -1 + i: theta = 0 leaves Re B singular,
-        # the first interior point of the search already certifies
-        blocks = [np.diag([1j, -1.0 + 1j])[None]]
-        calls = count_calls(np.linalg, "eigvalsh")
-        theta = _find_rotation(blocks, DEFAULT_TOL)
-        assert len(calls) <= 3
-        assert -np.pi / 2 < theta < 0.0
-        assert worst_margin(blocks, theta) > 0
-
-    def test_search_moves_up_when_the_upper_probe_is_better(self, count_calls):
-        # Re(e^{i theta} B) has eigenvalues 1.2 floor cos(theta) and
-        # -0.05 cos(theta) - sin(theta), so only theta in about (-0.586, -0.05)
-        # certifies: theta = 0 and both interior points fail, the one nearer 0
-        # by less, and the fourth probe, at about -0.371, succeeds
-        floor = DEFAULT_TOL.psd * (1.0 + abs(-0.05 + 1j))
-        blocks = [np.diag([1.2 * floor, -0.05 + 1j])[None]]
-        assert DEFAULT_TOL.psd * (1.0 + fro_norm(blocks[0][0])) == floor
-        calls = count_calls(np.linalg, "eigvalsh")
-        theta = _find_rotation(blocks, DEFAULT_TOL)
-        assert len(calls) == 4
-        assert abs(theta + 0.371) < 1e-3
-        assert worst_margin(blocks, theta) > 0
-
-    def test_no_positive_rotation_raises_after_every_probe(self, count_calls):
-        # W(B) is the segment [-1, 1]: no rotation in (-pi/2, 0] makes Re B positive
-        blocks = [np.diag([1.0, -1.0]).astype(complex)[None]]
-        calls = count_calls(np.linalg, "eigvalsh")
-        with pytest.raises(errors.RotationNotFound):
-            _find_rotation(blocks, DEFAULT_TOL)
-        assert len(calls) == 51  # theta = 0, the two interior points, 48 steps
-
-    def test_raises_exactly_when_the_full_search_fails(self):
-        # random essential blocks with W(B) in the closed upper half-plane,
-        # from wide to narrow arcs and with several blocks at once; with an
-        # aim in (-pi/2, 0) the search raises only when the aim and the
-        # unaimed full search both fail
-        rng, aims = np.random.default_rng(43), np.random.default_rng(44)
-        outcomes, aimed = set(), set()
-        for _ in range(60):
-            n = int(rng.integers(1, 4))
-            blocks = []
-            for _ in range(int(rng.integers(1, 3))):
-                spread = 10.0 ** rng.uniform(-1, 3)
-                shift = rng.choice([0.0, 1e-3, 1.0])  # 0 with a low rank touches the real axis
-                k = rand_psd(rng, n, rank=int(rng.integers(1, n + 1))) + shift * np.eye(n)
-                blocks.append((spread * rand_herm(rng, n) + 1j * k)[None])
-            best = full_search_best(blocks)
-            try:
-                theta = _find_rotation(blocks, DEFAULT_TOL)
-            except errors.RotationNotFound:
-                outcomes.add("raised")
-                assert not best > 0
-            else:
-                outcomes.add("found")
-                assert best > 0
-                assert worst_margin(blocks, theta) > 0
-            aim = -np.pi / 2 * aims.uniform(0.0, 1.0)
-            try:
-                theta = _find_rotation(blocks, DEFAULT_TOL, aim)
-            except errors.RotationNotFound:
-                aimed.add("raised")
-                assert not best > 0 and not worst_margin(blocks, aim) > 0
-            else:
-                aimed.add("aim" if theta == aim else "search")
-                assert best > 0 or theta == aim
-                assert worst_margin(blocks, theta) > 0
-        assert outcomes == {"raised", "found"}
-        assert aimed == {"raised", "aim", "search"}
 
 
 def floor_member(rng, n, tol):
@@ -542,27 +447,27 @@ def floor_member(rng, n, tol):
 
 
 class TestAimedRotation:
-    """The first probe of the rotation search is the angle ``_aim`` reads from the tuple."""
+    """Upper half-space members are certified at the angle ``_aim`` reads from the tuple."""
 
     @pytest.fixture(scope="class")
     def sqrt_rep(self):
         return rep_from_quadrature("sqrt", nodes=64, interval=(0.1, 10.0))
 
     def test_each_upper_member_makes_one_block_probe(self, count_calls, sqrt_rep):
-        # criterion 10's draws outside the right half-space (whose members
-        # take no search), stacked ten to a size; the aim's own eigvalsh is
-        # over (members, slots, n, n), not block-sized
+        # criterion 10's draws outside the right half-space, stacked ten to a
+        # size: one batched eigvalsh per group probes every member at once;
+        # the aim's own eigvalsh is over (members, slots, n, n)
         rng = np.random.default_rng(120)
         core = sqrt_rep.core()
         for n in range(2, 7):
             draws = (rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n)) for _ in range(100))
             z = np.stack([d for d in draws if not in_right_halfspace((d,))][:10])
             assert len(z) == 10
-            blocks = {(len(index), e.shape[-1] * n, e.shape[-1] * n)
-                      for _, index, _, e in core.groups if e is not None}
+            blocks = sorted((len(z), len(index), e.shape[-1] * n, e.shape[-1] * n)
+                            for _, index, _, e, _ in core.groups if e is not None)
             calls = count_calls(np.linalg, "eigvalsh")
             rep_eval_complex(sqrt_rep, (z,))
-            assert sum(shape in blocks for shape in calls) == len(z) * len(blocks)
+            assert sorted(shape for shape in calls if shape in blocks) == blocks
 
     @pytest.mark.parametrize("case", ["plain", "small_imaginary", "large_real", "both"])
     def test_aim_makes_every_slot_positive(self, case):
@@ -581,9 +486,10 @@ class TestAimedRotation:
             for z in slots:
                 assert min_eig(np.exp(1j * theta) * z) > 0.0
 
-    def test_cholesky_failure_falls_back_to_the_unaimed_search(self, monkeypatch):
+    def test_cholesky_failure_falls_back_to_the_unaimed_search(self):
         # Im Z at the floor of a tight psd tolerance passes in_upper_halfspace
-        # yet has no Cholesky factor: the stack holding it loses its aim
+        # yet has no Cholesky factor: the stack holding it has no aim, and
+        # the NaN angle is refused as RotationNotFound, never a LinAlgError
         rng = np.random.default_rng(63)
         tight = Tolerances(psd=1e-22)
         n = 3
@@ -591,30 +497,80 @@ class TestAimedRotation:
         good = rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n))
         assert np.isnan(schur._aim(np.stack([floor, good])[:, None])).all()
         assert np.isfinite(schur._aim(good[None, None])).all()
-        seen = []
-        search = schur._find_rotation
-        monkeypatch.setattr(schur, "_find_rotation", lambda b, t, aim: seen.append(aim) or search(b, t, aim))
         core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]), tight)
         state = np.diag([1.0, 0.0, 0.0])
+        core.evaluate((good,), state=state, halfspace=True)
         for _ in range(10):
             x = (np.stack([floor_member(rng, n, tight), good]),)
-            seen.clear()
-            try:
-                out = core.evaluate(x, state=state, halfspace=True)
-            except errors.OpmonoError:  # a typed refusal, never a raw LinAlgError
-                pass
-            else:
-                assert np.array_equal(out, core.evaluate(x, state=state))
-            assert seen and np.isnan(seen).all()
+            with pytest.raises(errors.RotationNotFound):
+                core.evaluate(x, state=state, halfspace=True)
 
 
-def reference_check_sector_bound(rotated, comp, tol):
-    """Reference: the sec^2(alpha) check with the exact angle, margin and spectral norms of every member."""
-    alphas, margins = sector_certified_alpha(rotated)
-    if not np.all(margins > tol.psd * (1.0 + fro_norm(rotated))):
-        raise errors.NotSectorial("an eliminated component is not sectorial after rotation")
+def support_op(seed, index):
+    """Pencil, pivot and upper half-space tuple of op ``index`` of perfbench's support workload
+    at ``seed``, a ``sqrt`` op at n = 4, drawn as the workload draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, 0, index)))
+    a = sampling.rand_tuple_interval(rng, 1, 4, 0.5, 2.0)
+    v = sampling.rand_unit_vector(rng, 4)
+    cert_seed = int(rng.integers(2**31))
+    z = sampling.rand_herm(rng, 4) + 1j * (sampling.rand_psd(rng, 4) + 0.1 * np.eye(4))
+    cert = support_pencil(resolve_function("sqrt"), a, v, interval=(0.5, 2.0), validation_samples=200,
+                          seed=cert_seed)
+    return cert.pencil, PivotSubspace.from_vector(cert.v), (z,)
+
+
+class TestNormalizedCertificate:
+    """Every essential direction has unit weight, so the aim alone certifies each upper member."""
+
+    @pytest.mark.parametrize("seed,index", [(5, 18), (1, 0)], ids=["aim-missed", "refused"])
+    def test_support_tuples_certify_at_the_aim(self, seed, index):
+        # An absolute floor on the unnormalized essential blocks misses the
+        # first at the aim and refuses the second at every angle in
+        # (-pi/2, 0]: an essential direction with a small coefficient weight
+        # cannot carry tol.psd (1 + ||L||_F)
+        pencil, pivot, z = support_op(seed, index)
+        out = schur_pencil(pencil, z, pivot)
+        assert np.array_equal(out, SchurCore(pencil, pivot).evaluate(z))
+
+    def test_coefficient_weights_from_one_to_1e_9(self):
+        # B_0 = 2 B_1 with eigenvalues 1, 1e-3, 1e-6, 1e-9: every direction is
+        # essential, and unnormalized the weakest carries too little to
+        # clear an absolute floor
+        rng = np.random.default_rng(71)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        b0 = (u * np.logspace(0, -9, 4)) @ u.conj().T
+        core = SchurCore(pencil_new([b0, b0 / 2]), PivotSubspace.from_indices(4, [0]))
+        (_, _, _, essential, weights), = core.groups
+        assert weights.shape == (1, 4) and np.isclose(weights[0, -1] / weights[0, 0], 1e9)
+        assert np.allclose(essential.sum(axis=1), np.eye(4), rtol=0, atol=1e-6)
+        for _ in range(5):
+            x = (rand_herm(rng, 2) + 1j * (rand_psd(rng, 2) + 0.1 * np.eye(2)),)
+            checked = core.evaluate(x, halfspace=True)
+            assert np.array_equal(checked, core.evaluate(x))
+
+    def test_near_pi_cone_is_refused(self):
+        # W(X) for X = -1e6 I + 2e-3 i I sits 2e-9 rad below pi: at the aim
+        # the real part of the normalized block I/2 (x) X is about 5e-4,
+        # under the floor of about 1e-3
+        b = np.array([[1.0, 0.03], [0.03, 1e-3]])
+        x = -1e6 * np.eye(2) + 2e-3j * np.eye(2)
+        assert in_upper_halfspace((x,))
+        with pytest.raises(errors.RotationNotFound):
+            schur_pencil(pencil_new([b, b]), (x,), PivotSubspace.from_indices(2, [0]))
+
+    def test_output_below_the_upper_half_space_is_refused(self):
+        # nothing is eliminated, so the output is the evaluation 2 I - X
+        # itself, whose imaginary part -Im X is negative definite
+        p = RawPencil((np.eye(2), -np.eye(2)))
+        with pytest.raises(errors.HalfPlaneViolated):
+            schur_pencil(p, (1j * np.eye(2),), PivotSubspace.from_indices(2, [0, 1]))
+
+
+def reference_check_sector_bound(rotated, block, comp, tol):
+    """Reference: the sec^2(alpha) check with the exact angle and spectral norms of every member."""
+    alphas, _ = sector_certified_alpha(rotated)
     lhs = np.linalg.svd(comp, compute_uv=False)[..., 0]
-    rhs = np.linalg.svd(rotated, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
+    rhs = np.linalg.svd(block, compute_uv=False)[..., 0] / np.cos(alphas) ** 2
     if np.any(lhs > rhs * (1.0 + tol.eq)):
         worst = np.unravel_index(np.argmax(lhs / rhs), lhs.shape)
         raise errors.SectorBoundViolated(
@@ -666,9 +622,9 @@ def outcome(check, *args):
 class TestSectorBoundCheck:
     """``_check_sector_bound`` gives the verdicts of the exact check on every member.
 
-    Members that are not ``right`` come with the rotation search's
-    certificate, so they are generated sectorial: only right members may have
-    a real part that is not positive definite.
+    Its blocks come certified sectorial by ``SchurCore.evaluate``: the
+    normalized rotated ones, which give the angle, and the blocks D L D
+    whose norms the bound compares.
     """
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, TIGHT], ids=["default", "tight-psd"])
@@ -680,42 +636,46 @@ class TestSectorBoundCheck:
         outcomes, seen = set(), {"settled_below": 0, "open_above": 0, "edge": 0}
         for _ in range(150):
             t, g, d, k = (int(rng.integers(1, m)) for m in (4, 4, 5, 4))
-            right = rng.random(t) < 0.5
+            rotated = np.empty((t, g, d, d), dtype=complex)
             blocks = np.empty((t, g, d, d), dtype=complex)
             comps = np.empty((t, g, k, k), dtype=complex)
             for i, j in np.ndindex(t, g):
-                draw = rng.random()
-                if right[i] and draw < 0.05:
-                    blocks[i, j] = -rand_psd(rng, d) + 1j * rand_herm(rng, d)
-                elif tol is TIGHT and d >= 2 and draw < 0.25:
-                    blocks[i, j] = edge_block(rng, d, tol)
+                if tol is TIGHT and d >= 2 and rng.random() < 0.25:
+                    rotated[i, j] = edge_block(rng, d, tol)
                     seen["edge"] += 1
                 else:
-                    blocks[i, j] = 10.0 ** rng.uniform(-3, 3) * rand_sectorial(rng, d, np.deg2rad(89))
+                    rotated[i, j] = 10.0 ** rng.uniform(-3, 3) * rand_sectorial(rng, d, np.deg2rad(89))
+                root = 10.0 ** rng.uniform(-2, 2, size=d) if rng.random() < 0.5 else np.ones(d)
+                blocks[i, j] = root[:, None] * rotated[i, j] * root
                 kind = complements[rng.choice(len(complements), p=weights)]
                 comps[i, j] = placed_complement(rng, blocks[i, j], k, kind)
                 settled = np.sqrt(d) * fro_norm(comps[i, j]) <= fro_norm(blocks[i, j])
                 seen["settled_below"] += kind == "frobenius_below" and settled
                 seen["open_above"] += kind == "frobenius_above" and not settled
-            expected = outcome(reference_check_sector_bound, blocks, comps, tol)
-            assert outcome(_check_sector_bound, blocks, comps, right, tol) is expected
+            expected = outcome(reference_check_sector_bound, rotated, blocks, comps, tol)
+            assert outcome(_check_sector_bound, rotated, blocks, comps, tol) is expected
             outcomes.add(expected)
-        assert outcomes == {None, errors.NotSectorial, errors.SectorBoundViolated}
+        assert outcomes == {None, errors.SectorBoundViolated}
         assert seen["settled_below"] and seen["open_above"]
         assert (seen["edge"] > 0) == (tol is TIGHT)
 
     def test_right_member_without_positive_real_part_is_not_sectorial(self):
-        # The shifted pencil (B, B) evaluates to B (x) X.  With X = 1e-5 I + 1e3 i diag(1, -1)
-        # in the right half-space, Re(B (x) X) = 1e-5 B has lambda_min about 1e-9, below the
-        # floor tol.psd (1 + ||B (x) X||_F) = 1.4e-6, so the right member is not sectorial
+        # The shifted pencil (B, B) evaluates to B (x) X, and its essential
+        # block normalized to unit weights is I/2 (x) X.  With
+        # X = r I + 1e3 i diag(1, -1) in the right half-space its real part
+        # is r/2 I: r = 1e-5 clears the floor tol.psd (1 + ||I/2 (x) X||_F)
+        # + 16 eps kappa ||I/2 (x) X||_F = 1.04e-6 (kappa about 1e4), which
+        # r = 1.5e-6 does not, though X itself passes its own floor 1.41e-6
         b = np.array([[1.0, 0.03], [0.03, 1e-3]])
         core = SchurCore(pencil_new([b, b]), PivotSubspace.from_indices(2, [0]))
         rng = np.random.default_rng(51)
         upper = rand_herm(rng, 2) + 1j * (rand_psd(rng, 2) + 0.2 * np.eye(2))
-        bad, good = (r * np.eye(2) + 1e3j * np.diag([1.0, -1.0]) for r in (1e-5, 1.0))
-        assert not in_upper_halfspace((bad,)) and in_right_halfspace((bad,))
+        weak, bad = (r * np.eye(2) + 1e3j * np.diag([1.0, -1.0]) for r in (1e-5, 1.5e-6))
+        assert in_right_halfspace((np.stack([weak, bad]),)).all()
         state = np.diag([1.0, 0.0])
-        core.evaluate((np.stack([upper, good]),), state=state, halfspace=True)
+        for x in (weak, np.stack([upper, weak])):
+            checked = core.evaluate((x,), state=state, halfspace=True)
+            assert np.array_equal(checked, core.evaluate((x,), state=state))
         for x in (bad, np.stack([upper, bad])):
             with pytest.raises(errors.NotSectorial):
                 core.evaluate((x,), state=state, halfspace=True)
@@ -744,7 +704,7 @@ class TestSectorBoundCheck:
         monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: seen.append(m) or exact(m))
         svd = count_calls(np.linalg, "svd")
         try:
-            _check_sector_bound(blocks, comps, np.zeros(3, dtype=bool), DEFAULT_TOL)
+            _check_sector_bound(blocks, blocks, comps, DEFAULT_TOL)
         except np.linalg.LinAlgError:  # the svd of a NaN complement, as in the reference
             assert open_kind == "nan"
         assert len(seen) == 1 and np.array_equal(seen[0], blocks[1, 0][None])

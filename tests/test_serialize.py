@@ -7,7 +7,7 @@ from opmono import errors
 from opmono import serialize as io
 from opmono.freefun import lift_scalar
 from opmono.pencil import pencil_new
-from opmono.represent import rep_from_quadrature, support_pencil
+from opmono.represent import reconstruct, rep_from_quadrature, support_pencil
 from opmono.sampling import rand_complex, rand_psd, rand_tuple_interval, rand_unit_vector
 
 
@@ -88,6 +88,22 @@ class TestStructuredPayloads:
         assert np.array_equal(back.v, cert.v)
         for g1, g2 in zip(back.gradients, cert.gradients):
             assert np.array_equal(g1, g2)
+
+    def test_certificate_stores_its_gradients_once(self):
+        # the gradients are the pencil's B_1, ..., B_k: the file holds them
+        # once, and a separate gradients entry, even a wrong one, is ignored
+        rng = np.random.default_rng(4)
+        a = rand_tuple_interval(rng, 1, 3, 0.5, 2.0)
+        v = rand_unit_vector(rng, 3)
+        cert = support_pencil(lift_scalar("sqrt"), a, v, seed=5, validation_samples=40)
+        payload = io.certificate_payload(cert)
+        assert "gradients" not in payload
+        payload["gradients"] = [io.encode_matrix(2 * g) for g in cert.gradients]
+        back = io.certificate_from_payload(json.loads(io.dumps(payload)))
+        assert all(np.array_equal(g, b) for g, b in zip(back.gradients, cert.pencil.bi))
+        rec, expected = reconstruct(back), reconstruct(cert)
+        assert rec.residual == expected.residual <= 1e-6
+        assert np.array_equal(rec.value, expected.value)
 
     def test_representation_round_trip(self):
         rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.5, 2.0))
