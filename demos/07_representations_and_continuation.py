@@ -2,7 +2,8 @@
 
 A one-variable operator monotone function integrates rational cells
 lam x / (lam + x); each cell is the pivot Schur complement of a tiny 2 x 2
-pencil, so quadrature assembles a block-diagonal pencil representation.
+pencil, so Gauss quadrature assembles a block-diagonal pencil representation
+that lies below the function in the Loewner order.
 The same pencil evaluates at non-Hermitian arguments: inputs with positive
 imaginary part map to outputs with positive imaginary part, which is the
 analytic-continuation face of operator monotonicity.
@@ -17,7 +18,8 @@ from opmono.sampling import rand_herm, rand_psd
 rng = np.random.default_rng(7)
 
 rep = rep_from_quadrature("sqrt", nodes=64, interval=(0.1, 10.0))
-print("cells:", rep.meta["nodes"], " certified scalar error:", f"{rep.meta['scalar_error']:.2e}")
+print("cells:", rep.meta["nodes"], " scalar error at 100 sampled points:",
+      f"{rep.meta['scalar_error']:.2e}")
 
 # Hermitian round trip against the functional calculus.
 a = np.diag([1.0, 4.0, 9.0])

@@ -10,8 +10,9 @@ mean was tight only when n >= k, the Karcher mean at no n from 2 to 5), so
 ``reconstruct``'s residual must be read before its value is used.
 Tightness forces a Schur-complement identity that reconstructs F(A)v from
 the pencil alone, direct sums of base points give finite-dimensional
-conditional-expectation representations of F itself, and quadrature on the
-one-variable integral form gives representations with certified accuracy.
+conditional-expectation representations of F itself, and Gauss quadrature
+on the one-variable integral form gives representations that lie below F,
+with their accuracy sampled on the interval.
 Reconstruction and every representation evaluate through ``schur``'s one
 ``SchurCore``, which splits the eliminated space into decoupled components
 so that large quadrature pencils cost a few stacked solves.
@@ -418,39 +419,35 @@ def direct_sum_rep(
 
 def _quad_rational_weights(
     name: str, p: float | None, nodes: int, interval: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Nodes and weights for f(x) ~ a + b x + sum t_r lam_r x / (lam_r + x).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes lam_r and weights w_r of f(x) ~ sum w_r lam_r x / (lam_r + x).
 
-    log1p uses the exact finite form log(1+x) = int_0^1 x/(1+ux) du on a
-    Gauss-Legendre grid.  The power family integrates its Cauchy density on
-    a geometric grid with the two tails folded into the affine part a + bx,
-    choosing the cutoffs so the folding error sits far below the target.
+    log1p = int_0^1 x/(1+ux) du takes Gauss-Legendre in u = 1/lam.  For the
+    power family lam = c (1+t)/(1-t), c = sqrt(c1 c2), turns the Cauchy
+    integral x^p = (sin pi p / pi) int_0^inf lam^(p-1) x/(lam+x) dlam into a
+    Gauss-Jacobi integral, alpha = -p and beta = p - 1, of
+    g_x(t) = 2 (x/c) / ((1+t) + (x/c)(1-t)), which is analytic on [-1, 1], so
+    the rule converges geometrically.  One ``eigh`` of the Jacobi matrix gives
+    it (Golub-Welsch); as alpha + beta = -1 the first off-diagonal entry, 0/0
+    in the general formula, is sqrt(2p(1-p)), and mu0 = pi / sin(pi p) cancels
+    the prefactor.  Every even derivative of g_x and of x/(1+ux) is positive,
+    so the Gauss error is positive: both rules lie below f on all of (0, inf).
     """
-    c1, c2 = interval
     if name == "log1p":
         u, wts = np.polynomial.legendre.leggauss(nodes)
-        u = 0.5 * (u + 1.0)
-        wts = 0.5 * wts
-        lam = 1.0 / u
-        return lam, wts, 0.0, 0.0
+        return 2.0 / (u + 1.0), 0.5 * wts
     if name == "sqrt":
         p = 0.5
     if p is None or not (0.0 < p < 1.0):
         raise QuadratureInaccurate("quadrature supports sqrt, log1p, and pow with p in (0,1)")
-    spp = np.sin(np.pi * p) / np.pi
-    lam_lo = (1e-5 * c1 ** (p + 1) * (p + 1) / spp) ** (1.0 / (p + 1))
-    lam_hi = (1e5 * c2 ** (2 - p) * spp / (2 - p)) ** (1.0 / (2 - p))
-    lam_hi = max(lam_hi, 10 * c2)
-    lam_lo = min(lam_lo, 0.1 * c1)
-    s = np.linspace(np.log(lam_lo), np.log(lam_hi), nodes)
-    h = s[1] - s[0]
-    lam = np.exp(s)
-    wts = spp * h * np.exp((p - 1.0) * s)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    a0 = (spp / p) * lam_lo**p
-    b0 = (spp / (1.0 - p)) * lam_hi ** (p - 1.0)
-    return lam, wts, a0, b0
+    a, b = -p, p - 1.0
+    k = np.arange(1, nodes)
+    diag = np.concatenate([[b - a], (a - b) / (4.0 * k**2 - 1.0)])
+    off = np.sqrt((k + a) * (k + b)) / (2.0 * k - 1.0)
+    off[0] = np.sqrt(2.0 * p * (1.0 - p))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    c = np.sqrt(interval[0] * interval[1])
+    return c * (1.0 + t) / (1.0 - t), 2.0 * c ** (p - 1.0) * v[0] ** 2 / (1.0 + t)
 
 
 def rep_from_quadrature(
@@ -464,27 +461,26 @@ def rep_from_quadrature(
     """Pencil representation of a one-variable catalogue function.
 
     Each rational term lam x / (lam + x) is realized as the pivot Schur
-    complement of the 2 x 2 cell [[lam, lam], [lam, x + lam]]; the cells and
-    one affine slot are assembled block-diagonally, the state is uniform on
-    the pivot slots, and the quadrature weights are folded into per-cell
-    scalings.  The scalar accuracy is certified at 100 equispaced points of
-    the interval against the exact function before the representation is
-    returned.
+    complement of the 2 x 2 cell [[lam, lam], [lam, x + lam]]; the N cells
+    are assembled block-diagonally into a pencil of size 2N, the state is
+    uniform on the pivot slots, and the quadrature weights are folded into
+    per-cell scalings.  The scalar accuracy is sampled at 100 equispaced
+    points of the interval against the exact function, and must be within
+    ``target`` before the representation is returned.
     """
     if nodes < 4:
         raise QuadratureInaccurate("need at least four quadrature nodes")
     fn = lift_scalar(name, p)
-    lam, wts, a0, b0 = _quad_rational_weights(name, p, nodes, interval)
+    lam, wts = _quad_rational_weights(name, p, nodes, interval)
     if np.any(wts <= 0):
         raise QuadratureInaccurate("quadrature produced nonpositive weights")
 
-    n_cells, u_weight = lam.size, 1.0 / (lam.size + 1)
-    kdim = 2 * n_cells + 1
-    gamma, gamma_aff = (wts / u_weight)[:, None, None], 1.0 / u_weight
+    kdim, u_weight = 2 * lam.size, 1.0 / lam.size
+    gamma = (wts / u_weight)[:, None, None]
     e22 = np.diag([0.0, 1.0])  # cell r: gamma_r (lam_r 1 1* + e22) in B_0, gamma_r e22 in B_1
-    b0_mat = block_diag(*(gamma * (lam[:, None, None] + e22)), [[gamma_aff * (a0 + b0)]])
-    b1_mat = block_diag(*(gamma * e22), [[gamma_aff * b0]])
-    pivot_cols = list(range(0, kdim, 2))  # each cell's first slot, then the affine slot
+    b0_mat = block_diag(*(gamma * (lam[:, None, None] + e22)))
+    b1_mat = block_diag(*(gamma * e22))
+    pivot_cols = list(range(0, kdim, 2))  # each cell's first slot
     state = np.zeros(kdim)
     state[pivot_cols] = u_weight
 
@@ -492,7 +488,7 @@ def rep_from_quadrature(
         pencil=pencil_new([b0_mat, b1_mat], tol),
         pivot=PivotSubspace.from_indices(kdim, pivot_cols),
         state=np.diag(state),
-        meta={"kind": "quadrature", "function": fn.name, "nodes": int(n_cells)},
+        meta={"kind": "quadrature", "function": fn.name, "nodes": int(lam.size)},
     )
 
     xs = np.linspace(interval[0], interval[1], 100).reshape(-1, 1, 1)

@@ -296,11 +296,11 @@ def _check_sector_bound(
     ``SchurCore.evaluate``.  A congruence keeps the argument of every x* L x,
     so alpha_c, the sector angle of ``sector_certified_alpha``, is read from
     them; the norms are those of ``block``, the L_c.  Where
-    sqrt(d) ||S_c||_F <= ||L_c||_F the bound holds for any alpha, as
-    ||S||_2 <= ||S||_F and ||L||_F <= sqrt(d) ||L||_2; only the other members
+    ||S_c||_F <= max_j ||L_c e_j|| the bound holds for any alpha, as
+    ||S||_2 <= ||S||_F <= max_j ||L e_j|| <= ||L||_2; only the other members
     (NaN norms included) take their exact angle and spectral norms.
     """
-    unsettled = ~(np.sqrt(block.shape[-1]) * fro_norm(comp) <= fro_norm(block))
+    unsettled = ~(fro_norm(comp) <= np.linalg.norm(block, axis=-2).max(axis=-1))
     if unsettled.any():
         alphas, _ = sector_certified_alpha(rotated[unsettled])
         lhs = np.linalg.svd(comp[unsettled], compute_uv=False)[..., 0]

@@ -13,6 +13,7 @@ from opmono.matcore import fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.pencil import pencil_new
 from opmono.represent import (
     PencilRepresentation,
+    _quad_rational_weights,
     _support_eval,
     direct_sum_rep,
     reconstruct,
@@ -252,6 +253,49 @@ class TestRepEval:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(errors.QuadratureInaccurate):
             rep_from_quadrature("sqrt", nodes=2)
+
+
+class TestGaussJacobiRule:
+    """The power family's rule is Gauss-Jacobi in t, lam = c (1+t)/(1-t), c = sqrt(c1 c2)."""
+
+    @pytest.mark.parametrize("nodes", [4, 16, 33])
+    def test_half_power_gives_chebyshev_nodes(self, nodes):
+        # alpha = beta = -1/2: Gauss-Chebyshev, nodes cos((2j-1) pi / 2N), weights pi / N in t
+        lam, wts = _quad_rational_weights("sqrt", None, nodes, (0.5, 8.0))
+        c = 2.0
+        t = (lam - c) / (lam + c)
+        j = np.arange(1, nodes + 1)
+        assert np.allclose(np.sort(t), np.sort(np.cos((2 * j - 1) * np.pi / (2 * nodes))), atol=1e-14)
+        mu0_v2 = np.pi * wts * (1.0 + t) / (2.0 * c**-0.5)  # mu0 = pi at p = 1/2
+        assert np.allclose(mu0_v2, np.pi / nodes, rtol=1e-12)
+
+    @pytest.mark.parametrize("name, p, f", [("sqrt", None, np.sqrt), ("pow", 0.25, lambda x: x**0.25),
+                                            ("pow", 0.7, lambda x: x**0.7)], ids=["sqrt", "pow:0.25", "pow:0.7"])
+    def test_converges_geometrically(self, name, p, f):
+        x = np.linspace(0.1, 10.0, 2000).reshape(-1, 1, 1)
+        for nodes, bound in ((16, 1e-8), (24, 1e-12)):
+            rep = rep_from_quadrature(name, nodes=nodes, interval=(0.1, 10.0), p=p)
+            err = np.abs(rep_eval(rep, (x,))[:, 0, 0].real - f(x[:, 0, 0])) / f(x[:, 0, 0])
+            assert np.max(err) <= bound
+
+    @pytest.mark.parametrize("name, p", [("sqrt", None), ("pow", 0.7), ("log1p", None)])
+    def test_pencil_has_two_rows_per_node(self, name, p):
+        rep = rep_from_quadrature(name, nodes=16, interval=(0.5, 2.0), p=p)
+        assert rep.pencil.size == 32
+        assert np.array_equal(rep.pivot.basis, np.eye(32)[:, ::2])
+        assert np.array_equal(rep.state, np.diag(np.tile([1.0 / 16, 0.0], 16)))
+
+    @pytest.mark.parametrize("name, p", [("sqrt", None), ("pow", 0.7), ("log1p", None)])
+    def test_lies_below_the_function_in_loewner_order(self, name, p):
+        # every even derivative of the integrand is positive, so the Gauss
+        # error is too: r <= f on all of (0, inf), and r(X) <= F(X)
+        rng = np.random.default_rng(61)
+        rep = rep_from_quadrature(name, nodes=64, interval=(0.1, 10.0), p=p)
+        fn = lift_scalar(name, p)
+        u = np.stack([rand_unitary(rng, 4) for _ in range(8)])
+        x = (u * 10.0 ** rng.uniform(-3, 3, size=(8, 1, 4))) @ u.conj().transpose(0, 2, 1)
+        fx = herm_part(fn((x,)))
+        assert np.all(min_eig(fx - rep_eval(rep, (x,))) >= -1e-10 * (1.0 + fro_norm(fx)))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opmono import errors, sampling, schur
 from opmono.cert import lipschitz_estimate
@@ -598,15 +601,20 @@ def edge_block(rng, d, tol):
             return a[np.argmax(hit)]
 
 
+def largest_column(block):
+    """max_j ||L e_j||, the bound ``_check_sector_bound`` settles ||S||_F against."""
+    return np.linalg.norm(block, axis=-2).max(axis=-1)
+
+
 def placed_complement(rng, block, k, kind):
-    """A k x k complement S placed against the block L: by sqrt(d) ||S||_F / ||L||_F
-    ("settled", "frobenius_below", "frobenius_above") or by ||S||_2 / (sec^2(alpha) ||L||_2)
+    """A k x k complement S placed against the block L: by ||S||_F / max_j ||L e_j||
+    ("settled", "column_below", "column_above") or by ||S||_2 / (sec^2(alpha) ||L||_2)
     ("sec2_below", "sec2_above", "violating")."""
     s = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    ratio = {"settled": rng.uniform(0.0, 0.9), "frobenius_below": 1 - 1e-9, "frobenius_above": 1 + 1e-9,
+    ratio = {"settled": rng.uniform(0.0, 0.9), "column_below": 1 - 1e-9, "column_above": 1 + 1e-9,
              "sec2_below": 1 - 1e-6, "sec2_above": 1 + 1e-6, "violating": 3.0}[kind]
-    if kind.startswith("frobenius") or kind == "settled":
-        return s * (ratio * fro_norm(block) / (np.sqrt(block.shape[-1]) * fro_norm(s)))
+    if kind.startswith("column") or kind == "settled":
+        return s * (ratio * largest_column(block) / fro_norm(s))
     alpha = sector_certified_alpha(block[None])[0][0]
     return s * (ratio * np.linalg.norm(block, 2) / np.cos(alpha) ** 2 / np.linalg.norm(s, 2))
 
@@ -630,7 +638,7 @@ class TestSectorBoundCheck:
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, TIGHT], ids=["default", "tight-psd"])
     def test_raises_exactly_when_the_exact_check_raises(self, tol):
         rng = np.random.default_rng(47)
-        complements = ["settled", "frobenius_below", "frobenius_above", "sec2_below", "sec2_above",
+        complements = ["settled", "column_below", "column_above", "sec2_below", "sec2_above",
                        "violating"]
         weights = [0.5, 0.15, 0.15, 0.1, 0.05, 0.05]
         outcomes, seen = set(), {"settled_below": 0, "open_above": 0, "edge": 0}
@@ -649,9 +657,9 @@ class TestSectorBoundCheck:
                 blocks[i, j] = root[:, None] * rotated[i, j] * root
                 kind = complements[rng.choice(len(complements), p=weights)]
                 comps[i, j] = placed_complement(rng, blocks[i, j], k, kind)
-                settled = np.sqrt(d) * fro_norm(comps[i, j]) <= fro_norm(blocks[i, j])
-                seen["settled_below"] += kind == "frobenius_below" and settled
-                seen["open_above"] += kind == "frobenius_above" and not settled
+                settled = fro_norm(comps[i, j]) <= largest_column(blocks[i, j])
+                seen["settled_below"] += kind == "column_below" and settled
+                seen["open_above"] += kind == "column_above" and not settled
             expected = outcome(reference_check_sector_bound, rotated, blocks, comps, tol)
             assert outcome(_check_sector_bound, rotated, blocks, comps, tol) is expected
             outcomes.add(expected)
@@ -696,9 +704,9 @@ class TestSectorBoundCheck:
         rng = np.random.default_rng(53)
         blocks = np.stack([rand_sectorial(rng, 3) for _ in range(6)]).reshape(3, 2, 3, 3)
         comps = 0.1 * blocks[..., :1, :1]
-        # ||S||_2 = ||L||_2 < ||L||_F / sqrt(3), or a NaN norm, which the comparison leaves open
+        # ||S||_F = ||L||_2 > max_j ||L e_j||, or a NaN norm, which the comparison leaves open
         comps[1, 0] = np.linalg.norm(blocks[1, 0], 2) if open_kind == "spectral" else np.nan
-        assert not np.sqrt(3) * fro_norm(comps[1, 0]) <= fro_norm(blocks[1, 0])
+        assert not fro_norm(comps[1, 0]) <= largest_column(blocks[1, 0])
         seen = []
         exact = schur.sector_certified_alpha
         monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: seen.append(m) or exact(m))
@@ -709,6 +717,42 @@ class TestSectorBoundCheck:
             assert open_kind == "nan"
         assert len(seen) == 1 and np.array_equal(seen[0], blocks[1, 0][None])
         assert svd and all(shape[0] == 1 for shape in svd)
+
+    def test_column_bound_settles_what_the_frobenius_bound_left_open(self, count_calls):
+        # ||S||_F = 8, between ||L||_F / sqrt(3) (about 5.9) and max_j ||L e_j|| (about 10)
+        rng = np.random.default_rng(59)
+        block = np.diag([10.0, 1.0, 1.0]) + 0.3j * rand_herm(rng, 3)
+        comp = 8.0 * np.eye(2) / np.sqrt(2)
+        assert not np.sqrt(3) * fro_norm(comp) <= fro_norm(block)
+        assert fro_norm(comp) <= largest_column(block)
+        calls = [count_calls(np.linalg, name) for name in ("svd", "eigh", "eigvalsh")]
+        _check_sector_bound(block[None, None], block[None, None], comp[None, None], DEFAULT_TOL)
+        assert calls == [[], [], []]
+
+
+@st.composite
+def settled_pairs(draw):
+    """A sectorial d x d block L = D L~ D and a k x k complement S with ||S||_F up to max_j ||L e_j||."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    g = draw(hnp.arrays(float, (3, d, d), elements=unit))
+    root = 10.0 ** draw(hnp.arrays(float, d, elements=st.floats(-2.0, 2.0)))
+    s = draw(hnp.arrays(float, (2, k, k), elements=unit))
+    re = g[0] @ g[0].T + g[1] @ g[1].T + 1e-3 * np.eye(d)
+    rotated = re + 1j * draw(st.floats(0.0, 5.0)) * (g[2] + g[2].T)
+    block = root[:, None] * rotated * root
+    comp = s[0] + 1j * s[1]
+    if fro_norm(comp) > 0:
+        comp = comp * (draw(st.floats(0.0, 1.0)) * largest_column(block) / fro_norm(comp))
+    return rotated, block, comp
+
+
+@given(settled_pairs())
+def test_column_shortcut_implies_the_exact_bound(pair):
+    rotated, block, comp = (m[None, None] for m in pair)
+    assume(fro_norm(comp[0, 0]) <= largest_column(block[0, 0]))
+    assert outcome(reference_check_sector_bound, rotated, block, comp, DEFAULT_TOL) is None
+    assert outcome(_check_sector_bound, rotated, block, comp, DEFAULT_TOL) is None
 
 
 @pytest.fixture(scope="module")
