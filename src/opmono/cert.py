@@ -5,9 +5,9 @@ a free function, and reports a clean pass, the first counterexample found
 (with the inputs stored for replay), or inconclusive when evaluation failed
 or gave a non-finite value.  Identical seeds give byte-identical reports.
 
-All testers share one pipeline.  The generator calls are made trial by
-trial and matrix by matrix, so the seed pins the draw order; the linear
-algebra of the draws then runs once over the whole stack (``sampling``):
+All testers share one pipeline.  One ``sampling.draw`` makes a tester's
+generator calls, a fixed plan per trial in the order the seed pins, into
+preallocated stacks; the linear algebra of the draws runs once per stack:
 one ``qr`` per tester call, two for the hypograph test.  The inputs are
 evaluated in chunks of 512 rows (the derivative stencil in blocks of 256
 trials).  The differences that must be positive semidefinite form
@@ -27,8 +27,8 @@ import numpy as np
 from .errors import BadConfig, ChainNotIncreasing, OpmonoError
 from .freefun import FreeFn, frechet_many
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig
-from .sampling import (draw_gaussian, draw_pair, draw_spd, finish_isometry, finish_pair, finish_psd,
-                       finish_spd, rand_psd, rand_tuple_interval, slots, stack_draws)
+from .sampling import (draw, finish_isometry, finish_pair, finish_psd, finish_spd, normal, pair_plan,
+                       slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
@@ -68,9 +68,9 @@ def hypograph_member(
     interval: tuple[float, float] = DEFAULT_INTERVAL,
 ) -> HypoSample:
     """Draw a random hypograph member at size n inside the interval."""
-    c1, c2 = interval
-    x = rand_tuple_interval(rng, fn.arity, n, c1, c2)
-    slack = abs(float(rng.normal(0.0, 0.3))) * rand_psd(rng, n)
+    z, lam, s, g = draw(rng, 1, spd_plan(n, *interval) * fn.arity + [normal(scale=0.3), normal(2, n, n)])
+    x = tuple(finish_spd(z, lam))
+    slack = abs(float(s[0])) * finish_psd(g[0])
     y = herm_part(fn(x)) - slack
     return HypoSample(y=y, x=x, slack_margin=float(np.linalg.eigvalsh(slack)[0]))
 
@@ -164,8 +164,8 @@ def monotone_test(
     """Sample ordered pairs A <= B inside the interval and check F(A) <= F(B)."""
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    draws = [draw_pair(rng, n, c1, c2) for _ in range(trials * fn.arity)]
-    a, b = (slots(x, fn.arity) for x in finish_pair(*stack_draws(draws), c2))
+    pairs = draw(rng, trials * fn.arity, pair_plan(n, c1, c2))
+    a, b = (slots(x, fn.arity) for x in finish_pair(*pairs, c2))
     try:
         fa = _chunked_eval(fn, a)
         diff = _chunked_eval(fn, b) - fa
@@ -187,14 +187,11 @@ def concave_test(
 ) -> CertReport:
     """Check the matrix Jensen inequality on random pairs and mixing weights."""
     rng = np.random.default_rng(seed)
-    c1, c2 = interval
-    k, draws, mix = fn.arity, [], []
-    for _ in range(trials):
-        draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
-        mix.append(rng.uniform(0.05, 0.95))
-    ab = slots(finish_spd(*stack_draws(draws)), 2 * k)
+    k = fn.arity
+    z, lam, mix = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [uniform(0.05, 0.95)])
+    ab = slots(finish_spd(z, lam), 2 * k)
     a, b = ab[:k], ab[k:]
-    lams = np.reshape([(0.25, 0.5, 0.75, w) for w in mix], (-1, 4))
+    lams = np.column_stack([np.tile((0.25, 0.5, 0.75), (trials, 1)), mix])
     w = lams[..., None, None]
     # per trial, in this order: A, B and the four mixtures, 6 rows
     rows = tuple(
@@ -224,12 +221,10 @@ def derivative_monotone_test(
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     pad = 0.15 * (c2 - c1)
-    k, draws, gs = fn.arity, [], []
-    for _ in range(trials):
-        draws += [draw_spd(rng, n, c1 + pad, c2 - pad) for _ in range(k)]
-        gs += [draw_gaussian(rng, n, n) for _ in range(k)]
-    x = slots(finish_spd(*stack_draws(draws)), k)
-    h = finish_psd(np.array(gs)).reshape(trials, k, n, n)
+    k = fn.arity
+    z, lam, g = draw(rng, trials, spd_plan(n, c1 + pad, c2 - pad) * k + [normal(2, n, n)] * k)
+    x = slots(finish_spd(z, lam), k)
+    h = finish_psd(g).reshape(trials, k, n, n)
     h = h / np.max(fro_norm(h), axis=1)[:, None, None, None]
     step = 1e-3 * (1.0 + c2)
     deriv = np.empty((trials, 1, n, n), dtype=complex)
@@ -266,12 +261,13 @@ def doubling_concavity_check(
     Z = (1-lam) A + lam B + D^2 / eps, and (iv) the shifted Jensen
     inequality that follows by monotonicity at doubled size.  A trial is
     one pair at one weight, ``trials`` per weight, weights in grid order.
+    The weights must lie in [0, 1] and the shifts eps be positive.
     """
+    if not (eps_ladder and all(0 < e < np.inf for e in eps_ladder) and all(0 <= w <= 1 for w in lambda_grid)):
+        raise BadConfig(f"need weights in [0, 1] and positive finite eps, got {lambda_grid} and {eps_ladder}")
     rng = np.random.default_rng(seed)
-    c1, c2 = interval
     k, eye = fn.arity, np.eye(n)
-    draws = [draw_spd(rng, n, c1, c2) for _ in range(2 * len(lambda_grid) * trials * k)]
-    ab = slots(finish_spd(*stack_draws(draws)), 2 * k)
+    ab = slots(finish_spd(*draw(rng, 2 * len(lambda_grid) * trials * k, spd_plan(n, *interval))), 2 * k)
     a, b = ab[:k], ab[k:]
     g = np.asarray(lambda_grid, dtype=float)[:, None, None]
     rot = np.block([[np.sqrt(g) * eye, -np.sqrt(1 - g) * eye], [np.sqrt(1 - g) * eye, np.sqrt(g) * eye]])
@@ -321,19 +317,16 @@ def hypograph_convexity_test(
     if not 0 < m <= n:
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
     rng = np.random.default_rng(seed)
-    c1, c2 = interval
-    k, draws, iso, gs, scalars = fn.arity, [], [], [], []
-    for _ in range(trials):  # per trial, in stream order: X, X2, two slack scales, V, lambda, two slacks
-        draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
-        slacks = [abs(rng.normal(0.0, 0.3)), abs(rng.normal(0.0, 0.3))]
-        iso.append(draw_gaussian(rng, n, m))
-        scalars.append((*slacks, rng.uniform(0.0, 1.0)))
-        gs += [draw_gaussian(rng, n, n), draw_gaussian(rng, n, n)]
-    both = slots(finish_spd(*stack_draws(draws)), 2 * k)
+    k, s, g = fn.arity, normal(scale=0.3), normal(2, n, n)
+    # per trial, in stream order: X, X2, two slack scales, V, lambda, two slacks
+    plan = spd_plan(n, *interval) * (2 * k) + [s, s, normal(2, n, m), uniform(0.0, 1.0), g, g]
+    z, spec, scales, iso, mix, gs = draw(rng, trials, plan)
+    both = slots(finish_spd(z, spec), 2 * k)
     x, x2 = both[:k], both[k:]
-    s1, s2, lam = np.reshape(scalars, (-1, 3)).T[..., None, None]
-    r1, r2 = slots(finish_psd(np.array(gs)), 2)
-    v = finish_isometry(np.array(iso))
+    s1, s2 = np.abs(scales).reshape(-1, 2).T[..., None, None]
+    lam = mix[:, None, None]
+    r1, r2 = slots(finish_psd(gs), 2)
+    v = finish_isometry(iso)
     try:
         fx, fx2 = _chunked_eval(fn, x), _chunked_eval(fn, x2)
         fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
@@ -377,30 +370,33 @@ def lipschitz_estimate(
     M is taken over the ball of doubled radius; both M/r and 2M/r are
     reported since either appears as the constant in the continuity
     estimate for concave functions.  The center is checked as an argument
-    of ``fn`` (DomainViolation for a non-finite entry).
+    of ``fn`` (DomainViolation for a non-finite entry), and the radius
+    must be positive and finite.
     """
+    if not 0.0 < radius < np.inf:
+        raise BadConfig(f"the radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(seed)
     center = fn._args(tuple(center))
     k = len(center)
     n = center[0].shape[-1]
 
-    def draw(rad: float) -> tuple[np.ndarray, ...]:
-        deltas = [herm_part(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) for _ in range(k)]
-        total = sum(float(np.linalg.norm(d, 2)) for d in deltas)
-        scale = rng.uniform(0.0, rad) / total
+    def point(rad: float) -> tuple[np.ndarray, ...]:
+        z, u = draw(rng, 1, [normal(2, n, n)] * k + [uniform(0.0, rad)])
+        deltas = herm_part(z[:, 0] + 1j * z[:, 1])
+        scale = float(u[0]) / sum(float(np.linalg.norm(d, 2)) for d in deltas)
         return tuple(c + scale * d for c, d in zip(center, deltas))
 
     quotient = 0.0
     local = 0.0
     for _ in range(samples):
-        x = draw(radius)
-        y = draw(radius)
+        x = point(radius)
+        y = point(radius)
         dist = sum(float(np.linalg.norm(yi - xi, 2)) for xi, yi in zip(x, y))
         if dist <= 0:
             continue
         fxy = float(np.linalg.norm(fn(y) - fn(x), 2))
         quotient = max(quotient, fxy / dist)
-        z = draw(2 * radius)
+        z = point(2 * radius)
         local = max(local, float(np.linalg.norm(fn(z), 2)))
     return LipschitzReport(
         quotient=quotient,

@@ -54,7 +54,7 @@ from .matcore import (
     herm_part,
     min_eig,
 )
-from .sampling import draw_gaussian, draw_spd, finish_spd, finish_unitary, slots, stack_draws
+from .sampling import draw, finish_spd, finish_unitary, normal, slots, spd_plan
 
 __all__ = [
     "FreeFn",
@@ -713,14 +713,11 @@ def nc_axiom_check(
     Y and X (+) Y.
     """
     rng = np.random.default_rng(seed)
-    c1, c2 = interval
-    k, draws, gs = fn.arity, [], []
-    for _ in range(trials):
-        draws += [draw_spd(rng, n, c1, c2) for _ in range(2 * k)]
-        gs.append(draw_gaussian(rng, n, n))
-    xys = finish_spd(*stack_draws(draws)).reshape(trials, 2, k, n, n)
+    k = fn.arity
+    z, lam, g = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [normal(2, n, n)])
+    xys = finish_spd(z, lam).reshape(trials, 2, k, n, n)
     x, y = slots(xys[:, 0], k), slots(xys[:, 1], k)
-    u = finish_unitary(np.array(gs))
+    u = finish_unitary(g)
     fx = fn(x)
     scale = 1.0 + fro_norm(fx)
     conj = fn(tuple(dagger(u) @ xi @ u for xi in x))

@@ -40,7 +40,7 @@ from .errors import (
 from .freefun import FreeFn, lift_scalar
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, min_eig
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import draw_gaussian, draw_spd, finish_psd, finish_spd, slots, stack_draws
+from .sampling import draw, finish_psd, finish_spd, normal, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
 
 __all__ = [
@@ -199,11 +199,9 @@ def support_pencil(
     scalar_set = (scalars, fn(scalars))
     sample_sets = []
     for ns in (n, 2 * n):
-        draws = [draw_spd(rng, ns, c1, c2) for _ in range(per_size * fn.arity)]
-        xs = slots(finish_spd(*stack_draws(draws)), fn.arity)
-        dips = [(abs(rng.normal(0.0, 0.4)), draw_gaussian(rng, ns, ns)) for _ in range(per_size)]
-        s, z = stack_draws(dips)
-        ys = herm_part(fn(xs)) - s[:, None, None] * finish_psd(z)
+        xs = slots(finish_spd(*draw(rng, per_size * fn.arity, spd_plan(ns, c1, c2))), fn.arity)
+        s, z = draw(rng, per_size, [normal(scale=0.4), normal(2, ns, ns)])
+        ys = herm_part(fn(xs)) - np.abs(s)[:, None, None] * finish_psd(z)
         sample_sets.append((xs, ys))
 
     scalar_margin = _support_margin(b0, grads, v, [scalar_set])

@@ -4,20 +4,21 @@ Everything is driven by an explicit ``numpy.random.Generator`` so that a
 seed pins the whole draw sequence; certification reports replay from the
 stored seed alone.
 
-Each sampler is split into its draws and its finish.  The draws
-(``draw_gaussian``, ``draw_spd``, ``draw_pair``) are the generator calls
-of one matrix, in the order the seed pins, and nothing else.  The finish
-(``finish_*``) does all the arithmetic over a whole stack of draws at
-once: one ``qr`` with Mezzadri's phase fix (*Notices AMS* 54, 2007) for
-unitaries, isometries and SPD matrices, one ``g g*`` for PSD matrices,
-and one ``eigvalsh`` for ordered pairs.  A caller that draws other values
-between matrices collects the draws in its trial loop, one matrix at a
-time, then stacks them with ``stack_draws`` and finishes them in one
-call.  The per-matrix samplers are the same finish on a single draw, and
-a stack gives the bits that drawing matrix by matrix gives.
+Each sampler is split into its draws and its finish.  ``draw`` makes the
+generator calls of R rounds of a fixed plan in the seed's order (a
+ziggurat normal takes a variable number of words; Marsaglia & Tsang,
+*J. Stat. Softw.* 5, 2000), each straight into its row of a preallocated
+stack, then maps each stack once with the arithmetic of numpy's own
+``uniform`` and ``normal``.  The finish (``finish_*``) does
+the arithmetic over a whole stack at once: one ``qr`` with Mezzadri's phase
+fix (*Notices AMS* 54, 2007) for unitaries, isometries and SPD matrices,
+one ``g g*`` for PSD matrices, one ``eigvalsh`` for ordered pairs.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +35,11 @@ __all__ = [
     "rand_spd_interval",
     "rand_tuple_interval",
     "ordered_pair_interval",
-    "draw_gaussian",
-    "draw_spd",
-    "draw_pair",
-    "stack_draws",
+    "normal",
+    "uniform",
+    "spd_plan",
+    "pair_plan",
+    "draw",
     "slots",
     "finish_unitary",
     "finish_isometry",
@@ -47,14 +49,62 @@ __all__ = [
 ]
 
 
-def draw_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Real parts, then imaginary parts, of a complex Gaussian: one ``normal`` call, ``(2, *shape)``.
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """A plan entry, one stack per object: ``random`` or ``standard_normal`` values mapped to lo + scale * x."""
 
-    Every sampler draws through here, so a dimension below 1 is refused here.
+    shape: tuple[int, ...]
+    uniform: bool
+    lo: float
+    scale: float
+
+    def __post_init__(self) -> None:
+        if min(self.shape, default=1) < 1:
+            raise BadConfig(f"matrix dimensions must be positive, got {self.shape}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.scale) and self.scale >= 0):
+            what = f"interval ({self.lo}, {self.lo + self.scale})" if self.uniform else f"scale {self.scale}"
+            raise BadConfig(f"bad sampling {what}: it must be finite, with lo <= hi and scale >= 0")
+
+
+def normal(*shape: int, scale: float = 1.0) -> Draw:
+    """The draw of ``Generator.normal(0.0, scale, size=shape)``: 0.0 + scale * z, which clears a -0.0."""
+    return Draw(shape, False, 0.0, float(scale))
+
+
+def uniform(lo: float, hi: float, *shape: int) -> Draw:
+    """The draw of ``Generator.uniform(lo, hi, size=shape)``: lo + (hi - lo) * u, hi - lo in double."""
+    return Draw(shape, True, float(lo), float(hi) - float(lo))
+
+
+def spd_plan(n: int, c1: float, c2: float) -> list[Draw]:
+    """Draws of one ``finish_spd`` matrix: a Gaussian (n, n), then n eigenvalues in [c1, c2]."""
+    return [normal(2, n, n), uniform(c1, c2, n)]
+
+
+def pair_plan(n: int, c1: float, c2: float) -> list[Draw]:
+    """Draws of one ``finish_pair`` component: A's draws in [c1, mid], the bump's Gaussian, its scale."""
+    return spd_plan(n, c1, c1 + 0.6 * (c2 - c1)) + [normal(2, n, n), uniform(0.05, 0.95)]
+
+
+def draw(rng: np.random.Generator, rounds: int, plan: Sequence[Draw]) -> tuple[np.ndarray, ...]:
+    """The generator calls of ``rounds`` rounds of the plan, in order, as one stack per distinct entry.
+
+    An entry appearing c times per round comes back as a trial-major
+    ``(rounds * c, *shape)`` stack, the stacks in order of first appearance.
     """
-    if min(shape) < 1:
-        raise BadConfig(f"matrix dimensions must be positive, got {shape}")
-    return rng.normal(size=(2, *shape))
+    if rounds < 1:
+        raise BadConfig("nothing to draw: the trial count must be positive")
+    # a scalar entry gets a (1,) slot, since out= needs an array
+    stacks = {d: np.empty((rounds, plan.count(d), *(d.shape or (1,)))) for d in dict.fromkeys(plan)}
+    calls = [(rng.random if d.uniform else rng.standard_normal, stacks[d][:, plan[:i].count(d)])
+             for i, d in enumerate(plan)]
+    for r in range(rounds):
+        for fill, rows in calls:
+            fill(out=rows[r])
+    for d, s in stacks.items():
+        s *= d.scale
+        s += d.lo
+    return tuple(s.reshape(-1, *d.shape) for d, s in stacks.items())
 
 
 def _complex(z: np.ndarray) -> np.ndarray:
@@ -62,37 +112,14 @@ def _complex(z: np.ndarray) -> np.ndarray:
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
+def _gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """The ``(2, *shape)`` parts of one complex Gaussian."""
+    return draw(rng, 1, [normal(2, *shape)])[0][0]
+
+
 def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    z = draw_gaussian(rng, *shape)
+    z = _gaussian(rng, *shape)
     return z[0] + 1j * z[1]
-
-
-def draw_spd(
-    rng: np.random.Generator, n: int, c1: float, c2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draws of one ``finish_spd`` matrix: a Gaussian (n, n), then n eigenvalues in [c1, c2]."""
-    return draw_gaussian(rng, n, n), rng.uniform(c1, c2, size=n)
-
-
-def draw_pair(
-    rng: np.random.Generator, n: int, c1: float, c2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Draws of one ``finish_pair`` component: A's draws in [c1, mid], the bump's Gaussian, its scale."""
-    z, lam = draw_spd(rng, n, c1, c1 + 0.6 * (c2 - c1))
-    return z, lam, draw_gaussian(rng, n, n), rng.uniform(0.05, 0.95)
-
-
-def stack_draws(draws: list[tuple]) -> tuple[np.ndarray, ...]:
-    """Per-matrix draws, each a tuple, as one stacked array per tuple entry.
-
-    The list is emptied, so the per-matrix draws are freed once they are
-    stacked rather than held while the stacks are finished and evaluated.
-    """
-    if not draws:
-        raise BadConfig("nothing to draw: the trial count must be positive")
-    parts = tuple(np.array(part) for part in zip(*draws))
-    draws.clear()
-    return parts
 
 
 def slots(x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
@@ -128,7 +155,7 @@ def finish_spd(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def finish_pair(
     z: np.ndarray, lam: np.ndarray, h: np.ndarray, w: np.ndarray, c2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A <= B from ``draw_pair`` draws, both with spectra below c2.
+    """A <= B from the draws of ``pair_plan``, both with spectra below c2.
 
     A = finish_spd(z, lam); the bump P = finish_psd(h) is scaled to
     w (c2 - lambda_max(A)) / lambda_max(P), so B = Herm(A + P) stays below
@@ -148,18 +175,18 @@ def rand_herm(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarra
 
 
 def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return finish_psd(draw_gaussian(rng, n, n), scale)
+    return finish_psd(_gaussian(rng, n, n), scale)
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    return finish_unitary(draw_gaussian(rng, n, n))
+    return finish_unitary(_gaussian(rng, n, n))
 
 
 def rand_isometry(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     """Random isometry from C^m into C^n (1 <= m <= n), V* V = I_m."""
     if not 0 < m <= n:
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
-    return finish_isometry(draw_gaussian(rng, n, m))
+    return finish_isometry(_gaussian(rng, n, m))
 
 
 def rand_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -171,18 +198,18 @@ def rand_spd_interval(
     rng: np.random.Generator, n: int, c1: float, c2: float
 ) -> np.ndarray:
     """Hermitian matrix with eigenvalues drawn uniformly from [c1, c2]."""
-    return finish_spd(*draw_spd(rng, n, c1, c2))
+    return rand_tuple_interval(rng, 1, n, c1, c2)[0]
 
 
 def rand_tuple_interval(
     rng: np.random.Generator, k: int, n: int, c1: float, c2: float
 ) -> tuple[np.ndarray, ...]:
-    return tuple(finish_spd(*stack_draws([draw_spd(rng, n, c1, c2) for _ in range(k)])))
+    return tuple(finish_spd(*draw(rng, k, spd_plan(n, c1, c2))))
 
 
 def ordered_pair_interval(
     rng: np.random.Generator, k: int, n: int, c1: float, c2: float
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """A <= B componentwise, both with spectra inside [c1, c2] (see ``finish_pair``)."""
-    a, b = finish_pair(*stack_draws([draw_pair(rng, n, c1, c2) for _ in range(k)]), c2)
+    a, b = finish_pair(*draw(rng, k, pair_plan(n, c1, c2)), c2)
     return tuple(a), tuple(b)

@@ -291,7 +291,8 @@ class TestUsageErrors:
         ("check", "sqrt", "hypograph", "--n", "2", "--m", "3"),
         ("check", "sqrt", "hypograph", "--n", "2", "--m", "0"),
         ("check", "sqrt", "monotone", "--n", "2", "--trials", "0"),
-    ], ids=["m-above-n", "m-zero", "no-trials"])
+        ("check", "sqrt", "monotone", "--n", "2", "--interval", "0.5,inf"),
+    ], ids=["m-above-n", "m-zero", "no-trials", "infinite-interval"])
     def test_bad_check_options_exit_64(self, argv, capsys):
         code, _ = run_cli(*argv)
         err = capsys.readouterr().err

@@ -1,19 +1,24 @@
-"""Stacked samplers against a per-matrix reference, and qr calls per tester.
+"""The draw primitive and the stacked samplers against per-call references, and qr calls per tester.
 
-The reference functions below draw and factor one matrix at a time, in the
-way the samplers did before their linear algebra was stacked.  Every
+The reference functions below draw and factor one matrix at a time, with
+the generator's own ``normal`` and ``uniform`` calls, in the way the
+samplers did before their draws and linear algebra were stacked.  Every
 stacked sampler must consume the generator identically and return the same
 bits, so seeded reports replay unchanged.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opmono import sampling
-from opmono.cert import concave_test, hypograph_convexity_test, monotone_test
+from opmono import cert, freefun, represent, sampling
+from opmono.cert import (concave_test, derivative_monotone_test, doubling_concavity_check, hypograph_convexity_test,
+                         hypograph_member, lipschitz_estimate, monotone_test)
 from opmono.errors import BadConfig
-from opmono.freefun import resolve_function
+from opmono.freefun import nc_axiom_check, resolve_function
 from opmono.matcore import dagger, herm_part
+from opmono.represent import support_pencil
 
 
 def ref_complex(rng, *shape):
@@ -98,39 +103,202 @@ class TestSameStream:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("k", ARITIES)
     def test_stacked_finish_equals_per_matrix_loop(self, n, k):
-        # draws interleaved with a scalar, as the testers make them, then one
-        # finish per kind over the whole stack; the reference factors each matrix
-        trials = 40
+        # one draw of a plan mixing the testers' entries, a scalar among them,
+        # then one finish per kind over the whole stack; the reference factors each matrix
+        trials, m = 40, max(n - 1, 1)
         r1, r2 = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
-        spd, pairs, psd, iso, mix = [], [], [], [], []
-        for _ in range(trials):
-            spd += [sampling.draw_spd(r1, n, *INTERVAL) for _ in range(k)]
-            pairs += [sampling.draw_pair(r1, n, *INTERVAL) for _ in range(k)]
-            mix.append(r1.uniform(0.05, 0.95))
-            iso.append(sampling.draw_gaussian(r1, n, max(n - 1, 1)))
-            psd.append(sampling.draw_gaussian(r1, n, n))
-        x = sampling.slots(sampling.finish_spd(*sampling.stack_draws(spd)), k)
-        a, b = (sampling.slots(s, k) for s in sampling.finish_pair(*sampling.stack_draws(pairs), INTERVAL[1]))
-        v = sampling.finish_isometry(np.array(iso))
-        p = sampling.finish_psd(np.array(psd))
+        plan = (sampling.spd_plan(n, *INTERVAL) * k + sampling.pair_plan(n, *INTERVAL) * k
+                + [sampling.uniform(0.05, 0.95), sampling.normal(2, n, m), sampling.normal(2, n, n)])
+        z, lam, pz, plam, h, w, mix, iso, psd = sampling.draw(r1, trials, plan)
+        x = sampling.slots(sampling.finish_spd(z, lam), k)
+        a, b = (sampling.slots(s, k) for s in sampling.finish_pair(pz, plam, h, w, INTERVAL[1]))
+        v = sampling.finish_isometry(iso)
+        p = sampling.finish_psd(psd)
         for t in range(trials):
             assert same(tuple(xi[t] for xi in x), tuple(ref_spd_interval(r2, n, *INTERVAL) for _ in range(k)))
             ra, rb = ref_ordered_pair(r2, k, n, *INTERVAL)
             assert same(tuple(ai[t] for ai in a), ra) and same(tuple(bi[t] for bi in b), rb)
             assert mix[t] == r2.uniform(0.05, 0.95)
-            assert same(v[t], ref_isometry(r2, n, max(n - 1, 1)))
+            assert same(v[t], ref_isometry(r2, n, m))
             assert same(p[t], ref_psd(r2, n))
         assert all(xi.flags.c_contiguous for xi in x + a + b)
+        assert r1.normal() == r2.normal()
 
     def test_zero_bump_is_left_unscaled(self):
-        z, lam = sampling.draw_spd(np.random.default_rng(0), 3, *INTERVAL)
-        a, b = sampling.finish_pair(z, lam, np.zeros((2, 3, 3)), 0.5, 2.0)
+        z, lam = sampling.draw(np.random.default_rng(0), 1, sampling.spd_plan(3, *INTERVAL))
+        a, b = sampling.finish_pair(z[0], lam[0], np.zeros((2, 3, 3)), 0.5, 2.0)
         assert same(a, b)
 
     @pytest.mark.parametrize("m", [0, 4])
     def test_bad_isometry_dimension_is_bad_config(self, m):
         with pytest.raises(BadConfig):
             sampling.rand_isometry(np.random.default_rng(0), 3, m)
+
+
+def ref_draw(rng, rounds, calls):
+    """The per-call loop: ``calls`` holds (key, method, args, shape); one stack per key, keys in first-seen order."""
+    out, shapes = {}, {}
+    for _ in range(rounds):
+        for key, method, args, shape in calls:
+            out.setdefault(key, []).append(getattr(rng, method)(*args, size=shape or None))
+            shapes[key] = shape
+    return tuple(np.reshape(v, (-1, *shapes[key])) for key, v in out.items())
+
+
+def as_calls(plan):
+    """A plan as the generator calls it stands for: uniform's hi is lo + scale, which must give back scale."""
+    calls = []
+    for d in plan:
+        if d.uniform:
+            assert (d.lo + d.scale) - d.lo == d.scale
+            calls.append((d, "uniform", (d.lo, d.lo + d.scale), d.shape))
+        else:
+            calls.append((d, "normal", (0.0, d.scale), d.shape))
+    return calls
+
+
+def library_plans(monkeypatch):
+    """Every (rounds, plan) the library draws, recorded while each sampling caller runs once."""
+    seen = []
+    real = sampling.draw
+
+    def recording(rng, rounds, plan):
+        seen.append((rounds, list(plan)))
+        return real(rng, rounds, plan)
+
+    for module in (sampling, cert, freefun, represent):
+        monkeypatch.setattr(module, "draw", recording)
+
+    def drawing(call, *args, **kwargs):
+        before = len(seen)
+        call(*args, **kwargs)
+        assert len(seen) > before, call.__name__
+
+    rng = np.random.default_rng(0)
+    for fn in (resolve_function("sqrt"), resolve_function("geomean2")):
+        x = sampling.rand_tuple_interval(rng, fn.arity, 2, 0.6, 1.8)
+        drawing(monotone_test, fn, 2, trials=3)
+        drawing(concave_test, fn, 2, trials=3)
+        drawing(derivative_monotone_test, fn, 2, trials=3)
+        drawing(doubling_concavity_check, fn, 2, trials=2)
+        drawing(hypograph_convexity_test, fn, 3, m=2, trials=3)
+        drawing(hypograph_member, fn, rng, 2)
+        drawing(lipschitz_estimate, fn, x, 0.1, samples=2)
+        drawing(nc_axiom_check, fn, 2, trials=3)
+        drawing(support_pencil, fn, x, np.eye(2)[0], (0.5, 2.0), validation_samples=4)
+    for sampler in (sampling.rand_complex, sampling.rand_herm, sampling.rand_psd, sampling.rand_unitary,
+                    sampling.rand_unit_vector):
+        drawing(sampler, rng, 2)
+    drawing(sampling.rand_isometry, rng, 3, 2)
+    drawing(sampling.rand_spd_interval, rng, 2, 0.5, 2.0)
+    drawing(sampling.ordered_pair_interval, rng, 2, 2, 0.5, 2.0)
+    monkeypatch.undo()
+    return seen
+
+
+class TestDraw:
+    """``draw`` against the loop of the generator's own ``normal`` and ``uniform`` calls."""
+
+    def test_every_library_plan_equals_the_per_call_loop(self, monkeypatch):
+        for rounds, plan in library_plans(monkeypatch):
+            r1, r2 = np.random.default_rng(rounds), np.random.default_rng(rounds)
+            assert same(sampling.draw(r1, rounds, plan), ref_draw(r2, rounds, as_calls(plan)))
+            assert r1.random() == r2.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(  # (method, lo, width or scale, shape) per entry
+            st.tuples(st.sampled_from(["normal", "uniform"]), st.floats(-10, 10), st.floats(0, 10),
+                      st.lists(st.integers(1, 3), max_size=3).map(tuple)),
+            min_size=1, max_size=4,
+        ),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        rounds=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_plans_equal_the_per_call_loop(self, pool, picks, rounds, seed):
+        entries = []
+        for method, lo, width, shape in pool:
+            if method == "normal":
+                entries.append((sampling.normal(*shape, scale=width), method, (0.0, width), shape))
+            else:
+                entries.append((sampling.uniform(lo, lo + width, *shape), method, (lo, lo + width), shape))
+        calls = [entries[i % len(entries)] for i in picks]
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert same(sampling.draw(r1, rounds, [d for d, *_ in calls]), ref_draw(r2, rounds, calls))
+        assert r1.random() == r2.random()
+
+    # the library's intervals: the default, the pair's and the derivative's
+    # sub-intervals of it, the mixing weights and the unit interval
+    @pytest.mark.parametrize("lo,hi", [(0.5, 2.0), (0.5, 0.5 + 0.6 * 1.5), (0.5 + 0.15 * 1.5, 2.0 - 0.15 * 1.5),
+                                       (0.05, 0.95), (0.0, 1.0)])
+    def test_uniform_is_lo_plus_range_times_random(self, lo, hi):
+        # a numpy build that fused this multiply-add would move every seeded report
+        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+        assert same(r1.uniform(lo, hi, size=10_000), lo + (hi - lo) * r2.random(10_000))
+        assert r1.uniform(lo, hi) == lo + (hi - lo) * r2.random()
+
+    @pytest.mark.parametrize("scale", [0.3, 0.4, 1.0])
+    def test_normal_is_zero_plus_scale_times_standard_normal(self, scale):
+        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+        assert same(r1.normal(0.0, scale, size=10_000), 0.0 + scale * r2.standard_normal(10_000))
+        assert r1.normal(0.0, scale) == 0.0 + scale * r2.standard_normal()
+
+    def test_normal_map_clears_negative_zero(self):
+        class Zeros:
+            def standard_normal(self, out):
+                out[...] = -0.0
+
+        (z,) = sampling.draw(Zeros(), 2, [sampling.normal(3)])
+        assert z.shape == (2, 3) and not np.signbit(z).any()
+
+    def test_scalar_entries_come_back_flat(self):
+        s, v = sampling.draw(np.random.default_rng(0), 4, [sampling.normal(scale=0.3), sampling.uniform(0, 1, 2)])
+        assert s.shape == (4,) and v.shape == (4, 2)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sampling.uniform(2.0, 0.5), lambda: sampling.uniform(0.5, np.inf), lambda: sampling.uniform(0.5, np.nan),
+        lambda: sampling.normal(2, scale=-1.0), lambda: sampling.normal(2, scale=np.inf), lambda: sampling.normal(2, 0),
+    ], ids=["reversed", "infinite", "nan", "negative-scale", "infinite-scale", "zero-dimension"])
+    def test_bad_entry_is_bad_config(self, make):
+        with pytest.raises(BadConfig):
+            make()
+
+    def test_no_rounds_is_bad_config(self):
+        with pytest.raises(BadConfig):
+            sampling.draw(np.random.default_rng(0), 0, [sampling.normal(2)])
+
+
+BAD_INTERVALS = [(2.0, 0.5), (0.5, np.inf), (0.5, np.nan)]
+
+
+class TestBadSamplingParameters:
+    """Out-of-range sampling parameters reach the caller as BadConfig, before any draw."""
+
+    @pytest.mark.parametrize("interval", BAD_INTERVALS, ids=["reversed", "infinite", "nan"])
+    @pytest.mark.parametrize("call", [
+        lambda fn, iv: monotone_test(fn, 2, trials=4, interval=iv),
+        lambda fn, iv: concave_test(fn, 2, trials=4, interval=iv),
+        lambda fn, iv: sampling.rand_spd_interval(np.random.default_rng(0), 2, *iv),
+        lambda fn, iv: nc_axiom_check(fn, 2, trials=4, interval=iv),
+        lambda fn, iv: hypograph_member(fn, np.random.default_rng(0), 2, iv),
+    ], ids=["monotone", "concave", "rand_spd_interval", "nc_axiom_check", "hypograph_member"])
+    def test_interval(self, call, interval):
+        with pytest.raises(BadConfig):
+            call(resolve_function("sqrt"), interval)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.inf, np.nan])
+    def test_lipschitz_radius(self, radius):
+        with pytest.raises(BadConfig):
+            lipschitz_estimate(resolve_function("sqrt"), (np.eye(2),), radius, samples=2)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_ladder": ()}, {"eps_ladder": (0.0,)}, {"eps_ladder": (1e-3, -1e-3)},
+        {"lambda_grid": (1.5,)}, {"lambda_grid": (-0.25, 0.5)},
+    ], ids=["no-eps", "zero-eps", "negative-eps", "lambda-above-one", "lambda-below-zero"])
+    def test_doubling(self, kwargs):
+        with pytest.raises(BadConfig):
+            doubling_concavity_check(resolve_function("sqrt"), 2, trials=2, **kwargs)
 
 
 class TestQrCallsPerTester:
