@@ -2,7 +2,8 @@
 
 At a boundary point (F(A), A) of the hypograph, the gradient matrices of
 X -> v* F(X) v lift the affine support functional to a linear pencil that
-is PSD on the whole (sampled) hypograph and exactly tight at the point.
+is PSD on the whole hypograph (checked on sampled graph points (F(X), X),
+its worst members) and exactly tight at the point.
 Schur-complement elimination of the pencil then recovers F(A)v without
 ever calling F -- that is the reconstruction identity.
 """
@@ -20,7 +21,7 @@ rng = np.random.default_rng(6)
 a = rand_tuple_interval(rng, 1, 4, 0.5, 2.0)
 v = rand_unit_vector(rng, 4)
 cert = support_pencil(lift_scalar("sqrt"), a, v, validation_samples=200, seed=7)
-print("support margin over 200 hypograph samples:", f"{cert.support_margin:.2e}")
+print("support margin over 200 graph samples:", f"{cert.support_margin:.2e}")
 print("trace bound slack:", f"{cert.trace_slack:.4f}")
 print("pencil coefficient / dominance margins:",
       f"{cert.pencil.coeff_margin:.1e} / {cert.pencil.dominance_margin:.1e}")

@@ -8,13 +8,14 @@ or gave a non-finite value.  Identical seeds give byte-identical reports.
 All testers share one pipeline.  One ``sampling.draw`` makes a tester's
 generator calls, a fixed plan per trial in the order the seed pins, into
 preallocated stacks; the linear algebra of the draws runs once per stack:
-one ``qr`` per tester call, two for the hypograph test.  The inputs are
-evaluated in chunks of 512 rows (the derivative stencil in blocks of 256
-trials).  The differences that must be positive semidefinite form
-``(T, C, d, d)`` stacks, C checks per trial, and one scan (``_scan``) takes
-their smallest eigenvalues and norms in one batched call per stack.  It
-stops at the first violation in trial-major order; ``worst_margin`` is the
-minimum margin over every check up to and including that one.
+one ``qr`` per tester call, two for the hypograph test (its arguments and
+its isometries).  The inputs are evaluated in chunks of 512 rows (the
+derivative stencil in blocks of 256 trials).  The differences that must be
+positive semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and
+one scan (``_scan``) takes their smallest eigenvalues and norms in one
+batched call per stack.  It stops at the first violation in trial-major
+order; ``worst_margin`` is the minimum margin over every check up to and
+including that one.
 """
 
 from __future__ import annotations
@@ -310,30 +311,29 @@ def hypograph_convexity_test(
 ) -> CertReport:
     """Isometry compressions and convex combinations of hypograph members.
 
-    Members are (Y, X) with Y = F(X) - slack; compressions by random
-    isometries V : C^m -> C^n must stay members, and scalar convex
-    combinations of two members must stay members.
+    Compressions by random isometries V : C^m -> C^n and scalar convex
+    combinations of two members must stay members.  The members are graph
+    points (F(X), X): a PSD slack below the graph only adds a PSD term to
+    each checked difference, so the graph is the worst member (the Jensen
+    operator inequality; Hansen & Pedersen, *Math. Ann.* 258, 1982).
     """
     if not 0 < m <= n:
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
     rng = np.random.default_rng(seed)
-    k, s, g = fn.arity, normal(scale=0.3), normal(2, n, n)
-    # per trial, in stream order: X, X2, two slack scales, V, lambda, two slacks
-    plan = spd_plan(n, *interval) * (2 * k) + [s, s, normal(2, n, m), uniform(0.0, 1.0), g, g]
-    z, spec, scales, iso, mix, gs = draw(rng, trials, plan)
+    k = fn.arity
+    # per trial, in stream order: X, X2, V, lambda
+    plan = spd_plan(n, *interval) * (2 * k) + [normal(2, n, m), uniform(0.0, 1.0)]
+    z, spec, iso, mix = draw(rng, trials, plan)
     both = slots(finish_spd(z, spec), 2 * k)
     x, x2 = both[:k], both[k:]
-    s1, s2 = np.abs(scales).reshape(-1, 2).T[..., None, None]
     lam = mix[:, None, None]
-    r1, r2 = slots(finish_psd(gs), 2)
     v = finish_isometry(iso)
     try:
-        fx, fx2 = _chunked_eval(fn, x), _chunked_eval(fn, x2)
+        y, y2 = _chunked_eval(fn, x), _chunked_eval(fn, x2)
         fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
         fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
     except OpmonoError as exc:
         return _inconclusive("hypograph", seed, str(exc))
-    y, y2 = fx - s1 * r1, fx2 - s2 * r2
     comp_diff = fcomp - dagger(v) @ y @ v
     mix_diff = fmix - ((1 - lam) * y + lam * y2)
     return _scan(

@@ -3,11 +3,11 @@
 The constructive pipeline: at a boundary point (F(A), A) of the hypograph
 of an operator monotone free function, an affine support functional built
 from the exact gradient matrices lifts to a linear pencil that is positive
-on sampled hypograph members and, for functions of one or two arguments,
-exactly tight at the base point.  For means of three or more arguments the
-completion is in general not tight (on random base points the harmonic
-mean was tight only when n >= k, the Karcher mean at no n from 2 to 5), so
-``reconstruct``'s residual must be read before its value is used.
+on sampled graph points (F(X), X), the worst hypograph members, and, for
+one or two arguments, exactly tight at the base point.  For means of three
+or more arguments the completion is in general not tight (on random base
+points the harmonic mean was tight only when n >= k, the Karcher mean at
+no n from 2 to 5), so ``reconstruct``'s residual must be read first.
 Tightness forces a Schur-complement identity that reconstructs F(A)v from
 the pencil alone, direct sums of base points give finite-dimensional
 conditional-expectation representations of F itself, and Gauss quadrature
@@ -38,9 +38,9 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, min_eig
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import draw, finish_psd, finish_spd, normal, slots, spd_plan
+from .sampling import draw, finish_unitary, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
 
 __all__ = [
@@ -73,6 +73,8 @@ class SupportCertificate:
     intercept of the support functional.  For one or two arguments that
     makes the certificate exactly tight at the base point; for k >= 3 it
     need not be, and ``reconstruct``'s residual shows how far it is off.
+    ``support_margin`` is a lower bound on the pencil's smallest eigenvalue
+    at ``samples`` graph points (F(X), X) of sizes n and 2n (``_graph_margins``).
     """
 
     function: str
@@ -104,9 +106,24 @@ def _support_eval(b0, grads, v, y, x) -> np.ndarray:
     return kron_sum(np.stack([b0, np.outer(v, np.conj(v)), *grads]), mats)
 
 
-def _support_margin(b0, grads, v, sets) -> float:
-    """Smallest eigenvalue of the supporting pencil over sets of stacked (X, Y)."""
-    return min(float(np.min(min_eig(_support_eval(b0, grads, v, ys, xs)))) for xs, ys in sets)
+def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
+    """Per-sample lower bounds on lambda_min L(F(X), X), X = U diag(lam) U* = finish_spd(z, lam).
+
+    L decreases in Y, so the graph is the worst hypograph member at X.  For
+    one argument T = U* F(X) U = diag(d) + O gives (I (x) U)* L (I (x) U) =
+    (+)_j M_j - vv* (x) O, M_j = B_0 + (lam_j - 1) G - d_j vv*, and Weyl
+    bounds lambda_min L by min_j lambda_min M_j - ||O||_F (O is rounding
+    for a unitarily equivariant F).  For k >= 2 the bound is lambda_min L.
+    """
+    u = finish_unitary(z)
+    x = herm_part((u * lam[..., None, :]) @ dagger(u))
+    if fn.arity > 1:
+        xs = slots(x, fn.arity)
+        return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
+    t = herm_part(dagger(u) @ fn((x,)) @ u)
+    d = np.diagonal(t, axis1=-2, axis2=-1).real
+    blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
+    return np.min(min_eig(blocks), axis=-1) - fro_norm(t - d[..., None] * np.eye(lam.shape[-1]))
 
 
 def support_pencil(
@@ -128,9 +145,9 @@ def support_pencil(
         B_0 = Herm(F(A) vv*) - sum Herm(G_i (A_i - I)),
 
     whose trace automatically equals the affine intercept.  It must be PSD,
-    dominate sum G_i, and pass scalar-grid support checks and randomized
-    hypograph samples at sizes n and 2n before a certificate is issued;
-    the first check it fails raises SupportViolated with its margin.
+    dominate sum G_i, and keep the pencil positive on a scalar grid and on
+    random graph points at sizes n and 2n (``_graph_margins``) before a
+    certificate is issued; the first failed check raises SupportViolated.
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
@@ -196,20 +213,14 @@ def support_pencil(
     pts = np.linspace(c1, c2, 9)
     grid = np.stack(np.meshgrid(*([pts] * fn.arity)), axis=-1).reshape(-1, fn.arity)
     scalars = tuple(grid[:, i].reshape(-1, 1, 1).astype(complex) for i in range(fn.arity))
-    scalar_set = (scalars, fn(scalars))
-    sample_sets = []
-    for ns in (n, 2 * n):
-        xs = slots(finish_spd(*draw(rng, per_size * fn.arity, spd_plan(ns, c1, c2))), fn.arity)
-        s, z = draw(rng, per_size, [normal(scale=0.4), normal(2, ns, ns)])
-        ys = herm_part(fn(xs)) - np.abs(s)[:, None, None] * finish_psd(z)
-        sample_sets.append((xs, ys))
-
-    scalar_margin = _support_margin(b0, grads, v, [scalar_set])
+    # the graph samples: per_size draws of X at each of sizes n and 2n, with Y = F(X)
+    draws = [draw(rng, per_size * fn.arity, spd_plan(ns, c1, c2)) for ns in (n, 2 * n)]
+    support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, *zl))) for zl in draws)
+    scalar_margin = float(np.min(min_eig(_support_eval(b0, grads, v, fn(scalars), scalars))))
     if scalar_margin < gate:
         raise SupportViolated(f"the pencil fails the scalar grid: margin {scalar_margin:.3e}")
-    support_margin = _support_margin(b0, grads, v, sample_sets)
     if support_margin < gate:
-        raise SupportViolated(f"the pencil fails the sampled hypograph: margin {support_margin:.3e}")
+        raise SupportViolated(f"the pencil fails on the sampled graph: margin {support_margin:.3e}")
     return SupportCertificate(
         function=fn.name,
         base_point=a,

@@ -182,6 +182,14 @@ class TestHypograph:
         rep = hypograph_convexity_test(fake_trace_fn(), n=2, m=2, trials=1000, seed=15)
         assert rep.verdict == "counterexample"
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_fake_trace_caught_on_the_graph_at_every_seed(self, seed):
+        # graph members are the worst case: no random slack can hide the
+        # violation of the combination half, the only half faketrace breaks at m = n
+        rep = hypograph_convexity_test(fake_trace_fn(), n=2, m=2, trials=512, seed=seed)
+        assert rep.verdict == "counterexample"
+        assert rep.counterexample["kind"] == "combination"
+
 
 class TestLipschitz:
     def test_identity_quotient_one(self):

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from opmono import errors
+from opmono import errors, represent
 from opmono.freefun import (
+    FreeFn,
     geometric_mean_2_fn,
     harmonic_mean,
     karcher_mean_fn,
     lift_scalar,
     power_mean_fn,
 )
-from opmono.matcore import fro_norm, funcalc, herm_part, im_part, min_eig
+from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.pencil import pencil_new
 from opmono.represent import (
     PencilRepresentation,
+    _graph_margins,
     _quad_rational_weights,
     _support_eval,
     direct_sum_rep,
@@ -23,11 +25,15 @@ from opmono.represent import (
     support_pencil,
 )
 from opmono.sampling import (
+    draw,
+    finish_spd,
+    finish_unitary,
     rand_psd,
     rand_herm,
     rand_tuple_interval,
     rand_unit_vector,
     rand_unitary,
+    spd_plan,
 )
 from opmono.schur import PivotSubspace
 
@@ -126,6 +132,72 @@ class TestSupportPencil:
         bound = np.sqrt(2.0) / 0.5
         assert abs(cert.trace_bound - bound) <= 1e-12
         assert np.trace(cert.pencil.b0).real <= bound + 1e-8
+
+
+def trace_coupled_sqrt():
+    """sqrt(X) + 0.1 tr(X) e_1 e_1*: monotone and concave, but not unitarily equivariant."""
+
+    def ev(xs):
+        e11 = np.zeros(xs[0].shape[-2:])
+        e11[0, 0] = 0.1
+        return funcalc(np.sqrt, xs[0]) + np.trace(xs[0], axis1=-2, axis2=-1).real[..., None, None] * e11
+
+    return FreeFn("sqrt+tr", 1, ev)
+
+
+class TestGraphValidation:
+    """The graph samples of ``support_pencil``: for one argument, the split by each sample's own unitary."""
+
+    @pytest.fixture(scope="class")
+    def lift_cert(self):
+        rng = np.random.default_rng(40)
+        a = rand_tuple_interval(rng, 1, 3, 0.5, 2.0)
+        return support_pencil(lift_scalar("sqrt"), a, rand_unit_vector(rng, 3), seed=41)
+
+    @pytest.mark.parametrize("ns", [3, 6])
+    def test_split_bound_equals_the_full_pencil(self, lift_cert, ns):
+        z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
+        fn, c = lift_scalar("sqrt"), lift_cert
+        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
+        x = (finish_spd(z, lam),)
+        full = _support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(x)), x)
+        assert np.all(np.abs(bound - min_eig(full)) <= 1e-12 * (1.0 + fro_norm(full)))
+
+    @pytest.mark.parametrize("ns", [3, 6])
+    def test_non_equivariant_function_pays_its_remainder(self, lift_cert, ns):
+        z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
+        fn, c = trace_coupled_sqrt(), lift_cert
+        u, x = finish_unitary(z), (finish_spd(z, lam),)
+        t = herm_part(dagger(u) @ fn(x) @ u)
+        remainder = fro_norm(t - np.diagonal(t, axis1=-2, axis2=-1)[..., None] * np.eye(ns))
+        assert np.all(remainder > 1e-3)
+        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
+        full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(x)), x))
+        assert np.all(bound <= full)
+
+    @pytest.mark.parametrize("fn,n", [(lift_scalar("sqrt"), 3), (lift_scalar("log1p"), 3),
+                                      (geometric_mean_2_fn(), 2), (harmonic_mean((0.5, 0.5)), 2)],
+                             ids=["sqrt", "log1p", "geomean2", "harmonic"])
+    def test_lowered_b0_is_refused(self, monkeypatch, fn, n):
+        # B_0 - 1e-6 I in place of B_0 in the graph validation only: the
+        # graph touches the pencil's null space, so the loss shows in full
+        rng = np.random.default_rng(42)
+        a, v = rand_tuple_interval(rng, fn.arity, n, 0.5, 2.0), rand_unit_vector(rng, n)
+        assert support_pencil(fn, a, v, seed=43).support_margin >= -1e-8
+        exact = represent._graph_margins
+        monkeypatch.setattr(represent, "_graph_margins",
+                            lambda f, b0, *rest: exact(f, b0 - 1e-6 * np.eye(n), *rest))
+        with pytest.raises(errors.SupportViolated, match="sampled graph"):
+            support_pencil(fn, a, v, seed=43)
+
+    def test_lift_validation_takes_only_n_by_n_eigenvalues(self, count_calls):
+        rng = np.random.default_rng(44)
+        a, v = rand_tuple_interval(rng, 1, 4, 0.5, 2.0), rand_unit_vector(rng, 4)
+        shapes = count_calls(np.linalg, "eigvalsh")
+        support_pencil(lift_scalar("sqrt"), a, v, validation_samples=200, seed=45)
+        assert shapes and all(s[-2:] == (4, 4) for s in shapes)
+        # the graph samples: 100 at size 4 and 100 at size 8, one 4 x 4 block per eigenvalue of X
+        assert (100, 4, 4, 4) in shapes and (100, 8, 4, 4) in shapes
 
 
 class TestReconstruct:
