@@ -20,21 +20,19 @@ including that one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import BadConfig, ChainNotIncreasing, OpmonoError
 from .freefun import FreeFn, frechet_many
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, psd_floor
 from .sampling import (draw, finish_isometry, finish_pair, finish_psd, finish_spd, normal, pair_plan,
                        slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
-    "HypoSample",
-    "hypograph_member",
     "LipschitzReport",
     "monotone_test",
     "concave_test",
@@ -47,33 +45,6 @@ __all__ = [
 
 DEFAULT_INTERVAL = (0.5, 2.0)
 _CHUNK = 512
-
-
-@dataclass(frozen=True)
-class HypoSample:
-    """A hypograph member (Y, X) with Y = F(X) - slack for PSD slack.
-
-    ``slack_margin`` records lambda_min(F(X) - Y), which is nonnegative up
-    to the PSD tolerance by construction.
-    """
-
-    y: np.ndarray
-    x: tuple[np.ndarray, ...]
-    slack_margin: float
-
-
-def hypograph_member(
-    fn: FreeFn,
-    rng: np.random.Generator,
-    n: int,
-    interval: tuple[float, float] = DEFAULT_INTERVAL,
-) -> HypoSample:
-    """Draw a random hypograph member at size n inside the interval."""
-    z, lam, s, g = draw(rng, 1, spd_plan(n, *interval) * fn.arity + [normal(scale=0.3), normal(2, n, n)])
-    x = tuple(finish_spd(z, lam))
-    slack = abs(float(s[0])) * finish_psd(g[0])
-    y = herm_part(fn(x)) - slack
-    return HypoSample(y=y, x=x, slack_margin=float(np.linalg.eigvalsh(slack)[0]))
 
 
 @dataclass(frozen=True)
@@ -122,7 +93,7 @@ def _inconclusive(name: str, seed: int, error: str) -> CertReport:
 def _scan(
     name: str,
     seed: int,
-    threshold: float,
+    tol: Tolerances,
     checks: list[np.ndarray],
     counter: Callable[[int, int, float], dict[str, Any]],
     details: dict[str, np.ndarray] | None = None,
@@ -131,8 +102,8 @@ def _scan(
 
     ``checks`` holds one ``(T, C_s, d_s, d_s)`` stack per matrix size.  The
     checks of a trial are taken stack by stack, the trials in order; check
-    (t, c) fails when lambda_min < -threshold (1 + ||difference||_F).  The
-    scan stops at the first failure: ``trials_run`` is t + 1 and
+    (t, c) fails when lambda_min < -psd_floor(difference, tol).  The scan
+    stops at the first failure: ``trials_run`` is t + 1 and
     ``counter(t, c, lambda_min)`` builds the counterexample, c counting
     across the stacks.  ``worst_margin`` is the minimum of lambda_min over
     all checks up to and including the one where the scan stops (all
@@ -143,7 +114,7 @@ def _scan(
     if not all(np.isfinite(c).all() for c in checks):
         return _inconclusive(name, seed, "non-finite value in a checked difference")
     margins = np.concatenate([min_eig(c) for c in checks], axis=1)
-    bounds = np.concatenate([-threshold * (1.0 + fro_norm(c)) for c in checks], axis=1)
+    bounds = np.concatenate([-psd_floor(c, tol) for c in checks], axis=1)
     flat, fails = margins.ravel(), np.flatnonzero(margins < bounds)
     stop = int(fails[0]) if fails.size else flat.size - 1
     worst = float(flat[np.argmin(flat[: stop + 1])]) if flat.size else np.inf
@@ -173,7 +144,7 @@ def monotone_test(
     except OpmonoError as exc:
         return _inconclusive("monotone", seed, str(exc))
     return _scan(
-        "monotone", seed, tol.psd, [diff[:, None]],
+        "monotone", seed, tol, [diff[:, None]],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "margin": m},
     )
 
@@ -205,7 +176,7 @@ def concave_test(
         return _inconclusive("concave", seed, str(exc))
     diff = vals[:, 2:] - ((1 - w) * vals[:, :1] + w * vals[:, 1:2])
     return _scan(
-        "concave", seed, tol.psd, [diff],
+        "concave", seed, tol, [diff],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "lambda": float(lams[t, c]), "margin": m},
     )
 
@@ -236,7 +207,7 @@ def derivative_monotone_test(
     except OpmonoError as exc:
         return _inconclusive("derivative", seed, str(exc))
     return _scan(
-        "derivative", seed, 10 * tol.psd, [deriv],
+        "derivative", seed, replace(tol, psd=10 * tol.psd), [deriv],  # the stencil's allowance
         lambda t, c, m: {"X": _at(x, t), "H": tuple(h[t].copy()), "margin": m},
     )
 
@@ -291,7 +262,7 @@ def doubling_concavity_check(
         return _inconclusive("doubling", seed, str(exc))
     jensen = fs.reshape(len(lam), -1, n, n) - (lam * fa + (1 - lam) * fb)[:, None]
     return _scan(
-        "doubling", seed, tol.psd, [np.stack(dom, axis=1), jensen],
+        "doubling", seed, tol, [np.stack(dom, axis=1), jensen],
         lambda t, c, m: {
             "A": _at(a, t), "B": _at(b, t), "lambda": lambda_grid[t // trials],
             "eps": eps_ladder[c % len(eps_ladder)], "margin": m,
@@ -337,7 +308,7 @@ def hypograph_convexity_test(
     comp_diff = fcomp - dagger(v) @ y @ v
     mix_diff = fmix - ((1 - lam) * y + lam * y2)
     return _scan(
-        "hypograph", seed, tol.psd, [comp_diff[:, None], mix_diff[:, None]],
+        "hypograph", seed, tol, [comp_diff[:, None], mix_diff[:, None]],
         lambda t, c, m: [
             {"X": _at(x, t), "Y": y[t], "V": v[t].copy(), "margin": m, "kind": "isometry"},
             {"X": _at(x, t), "Y": y[t], "X2": _at(x2, t), "Y2": y2[t], "lambda": float(lam[t, 0, 0]),
@@ -417,7 +388,7 @@ def chain_semicontinuity_test(
         raise BadConfig("chain needs at least two tuples")
     xs = slots(np.asarray(chain), len(chain[0]))
     gaps = np.stack([xi[1:] - xi[:-1] for xi in xs], axis=1)
-    down = np.flatnonzero(np.any(min_eig(gaps) < -tol.psd * (1.0 + fro_norm(gaps)), axis=1))
+    down = np.flatnonzero(np.any(min_eig(gaps) < -psd_floor(gaps, tol), axis=1))
     if down.size:
         raise ChainNotIncreasing(f"chain decreases between steps {down[0]} and {down[0] + 1}")
     try:
@@ -425,6 +396,6 @@ def chain_semicontinuity_test(
     except OpmonoError as exc:
         return _inconclusive("chain", 0, str(exc))
     return _scan(
-        "chain", 0, tol.psd, [(vals[-1] - vals[:-1])[:, None]],
+        "chain", 0, tol, [(vals[-1] - vals[:-1])[:, None]],
         lambda t, c, m: {"index": t, "margin": m},
     )

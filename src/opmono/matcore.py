@@ -8,7 +8,7 @@ pseudoinverses.
 All matrix functions accept stacked inputs with shape ``(..., n, n)`` and
 broadcast over the leading axes; single matrices are the zero-leading-axes
 case.  Tolerances are relative: every threshold is scaled by
-``(1 + Frobenius norm)`` of the quantity it guards.
+``(1 + Frobenius norm)`` of the quantity it guards, member by member.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     DomainViolation,
     NotHermitian,
     NotSectorial,
+    OpmonoError,
     SpectrumOutOfDomain,
 )
 
@@ -33,12 +34,13 @@ __all__ = [
     "SectorEstimate",
     "dagger",
     "herm_part",
-    "skew_defect",
     "fro_norm",
     "herm_certify",
     "loewner_leq",
     "loewner_margin",
     "min_eig",
+    "psd_floor",
+    "require_psd",
     "funcalc",
     "tensor",
     "block_diag",
@@ -57,6 +59,12 @@ class Tolerances:
     herm: Hermitian-defect acceptance, psd: semidefiniteness slack,
     rank: pseudoinverse truncation and range-inclusion residuals,
     eq: generic equality comparisons.
+
+    One PSD rule serves every Loewner check in the package: a Hermitian
+    matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
+    floor taken per member of a stack (``psd_floor``; ``require_psd`` raises
+    the caller's typed error).  Only the derivative tester widens it, to
+    10 psd, for its finite-difference stencil.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
@@ -127,11 +135,6 @@ def fro_norm(a: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def skew_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermitian symmetry."""
-    return float(np.max(np.abs(a - dagger(a))))
-
-
 def _require_square(a: np.ndarray) -> None:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
@@ -140,17 +143,19 @@ def _require_square(a: np.ndarray) -> None:
 def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Certify that ``m`` is Hermitian within tolerance and symmetrize it.
 
-    Returns (M + M*)/2.  Raises NotHermitian when the defect exceeds
-    ``tol.herm * (1 + ||M||_F)`` and DomainViolation for a non-finite entry.
+    Returns (M + M*)/2.  Raises NotHermitian when the defect of a member
+    exceeds its ``tol.herm * (1 + ||M||_F)`` and DomainViolation for a
+    non-finite entry.
     """
     m = np.asarray(m, dtype=complex)
     _require_square(m)
     if not np.isfinite(m).all():
         raise DomainViolation("matrix has a non-finite entry")
-    defect = skew_defect(m)
-    scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(m))))
-    if defect > tol.herm * scale:
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {tol.herm * scale:.3e}")
+    defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1)).ravel()
+    bound = tol.herm * (1.0 + np.ravel(fro_norm(m)))
+    bad = np.flatnonzero(defect > bound)
+    if bad.size:
+        raise NotHermitian(f"Hermitian defect {defect[bad[0]]:.3e} exceeds {bound[bad[0]]:.3e}")
     return herm_part(m)
 
 
@@ -169,16 +174,29 @@ def loewner_margin(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     return min_eig(np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex))
 
 
+def psd_floor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | float:
+    """The PSD floor ``psd * (1 + ||a||_F)`` of each member of a stack (``Tolerances``)."""
+    return tol.psd * (1.0 + fro_norm(a))
+
+
+def require_psd(
+    a: np.ndarray, error: type[OpmonoError], what: str, tol: Tolerances = DEFAULT_TOL
+) -> np.ndarray | float:
+    """lambda_min(Herm a) per member; raises ``error`` when one lies below minus its ``psd_floor``."""
+    lam = min_eig(a)
+    if np.any(lam < -psd_floor(a, tol)):
+        raise error(f"{what} has minimum eigenvalue {np.min(lam):.3e}")
+    return lam
+
+
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """A <= B in the Loewner order, within the graded PSD tolerance."""
+    """A <= B in the Loewner order for every member of a stack, within the PSD floor."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     diff = b - a
-    lam = np.min(np.atleast_1d(min_eig(diff)))
-    scale = 1.0 + float(np.max(np.atleast_1d(fro_norm(diff))))
-    return bool(lam >= -tol.psd * scale)
+    return bool(np.all(min_eig(diff) >= -psd_floor(diff, tol)))
 
 
 def funcalc(
@@ -286,7 +304,7 @@ def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstim
     _require_square(a)
     alphas, margins = sector_certified_alpha(a[None])
     margin = float(margins[0])
-    if not margin > tol.psd * (1.0 + float(fro_norm(a))):  # false for a non-finite A
+    if not margin > psd_floor(a, tol):  # false for a non-finite A
         raise NotSectorial(
             f"numerical range has real part down to {margin:.3e}; "
             "it meets the closed left half-plane"

@@ -35,9 +35,8 @@ from .matcore import (
     Tolerances,
     block_diag,
     dagger,
-    fro_norm,
     herm_part,
-    min_eig,
+    require_psd,
     sector_estimate,
 )
 
@@ -110,23 +109,16 @@ def pencil_new(
 ) -> LinearPencil:
     """Validate coefficients and build a LinearPencil.
 
-    Raises CoefficientNotPSD or DominanceViolated with the offending margin,
-    and DomainViolation for a non-finite coefficient.
+    Raises CoefficientNotPSD or DominanceViolated with the offending margin
+    (``matcore.require_psd``), and DomainViolation for a non-finite
+    coefficient.
     """
     raw = RawPencil(tuple(coeffs))
     if not all(np.isfinite(b).all() for b in raw.coeffs):
         raise DomainViolation("pencil coefficients must be finite")
     hermed = tuple(herm_part(b) for b in raw.coeffs)
-    coeff_margin = np.inf
-    for idx, b in enumerate(hermed):
-        lam = min_eig(b)
-        coeff_margin = min(coeff_margin, lam)
-        if lam < -tol.psd * (1.0 + fro_norm(b)):
-            raise CoefficientNotPSD(f"B_{idx} has minimum eigenvalue {lam:.3e}")
-    gap = hermed[0] - sum(hermed[1:])
-    dom = min_eig(gap)
-    if dom < -tol.psd * (1.0 + fro_norm(gap)):
-        raise DominanceViolated(f"B_0 - sum(B_i) has minimum eigenvalue {dom:.3e}")
+    coeff_margin = min(require_psd(b, CoefficientNotPSD, f"B_{idx}", tol) for idx, b in enumerate(hermed))
+    dom = require_psd(hermed[0] - sum(hermed[1:]), DominanceViolated, "B_0 - sum(B_i)", tol)
     return LinearPencil(hermed, coeff_margin=float(coeff_margin), dominance_margin=float(dom))
 
 

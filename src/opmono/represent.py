@@ -38,7 +38,7 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, require_psd
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_unitary, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
@@ -144,10 +144,13 @@ def support_pencil(
 
         B_0 = Herm(F(A) vv*) - sum Herm(G_i (A_i - I)),
 
-    whose trace automatically equals the affine intercept.  It must be PSD,
-    dominate sum G_i, and keep the pencil positive on a scalar grid and on
-    random graph points at sizes n and 2n (``_graph_margins``) before a
-    certificate is issued; the first failed check raises SupportViolated.
+    whose trace automatically equals the affine intercept.  Each G_i must be
+    PSD (else GradientNotPSD), and ``pencil_new`` validates the pencil
+    [B_0, G_1, ..., G_k]: a B_0 that is not PSD raises CoefficientNotPSD,
+    one that does not dominate sum G_i DominanceViolated.  The pencil must
+    then stay positive on a scalar grid and on random graph points at sizes
+    n and 2n (``_graph_margins``) before a certificate is issued, else
+    SupportViolated.
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
@@ -172,12 +175,7 @@ def support_pencil(
     grads = [herm_part(g) for g in fn.gradient(a, vv)]
 
     for i, g in enumerate(grads):
-        lam = min_eig(g)
-        if lam < -10 * tol.psd * (1.0 + fro_norm(g)):
-            raise GradientNotPSD(
-                f"gradient matrix {i + 1} has minimum eigenvalue {lam:.3e}; "
-                "the function is not monotone at the base point"
-            )
+        require_psd(g, GradientNotPSD, f"not monotone at the base point: gradient matrix {i + 1}", tol)
 
     fa = herm_part(fn(a))
     eye = np.eye(n)
@@ -186,8 +184,7 @@ def support_pencil(
     )
     if alpha <= tol.eq:
         raise NegativeNormalization(f"support intercept alpha = {alpha:.3e} is not positive")
-    gsum = sum(grads)
-    slack = alpha - float(np.trace(gsum).real)
+    slack = alpha - float(np.trace(sum(grads)).real)
     if slack < -tol.eq * (1.0 + alpha):
         raise NegativeSlack(
             f"alpha = {alpha:.4g} below tr(sum G_i) = {alpha - slack:.4g}; "
@@ -195,13 +192,7 @@ def support_pencil(
         )
 
     b0 = herm_part(fa @ vv) - sum(herm_part(g @ (ai - eye)) for g, ai in zip(grads, a))
-    lam = min_eig(b0)
-    if lam < -tol.psd * (1.0 + fro_norm(b0)):
-        raise SupportViolated(f"B_0 is not PSD: minimum eigenvalue {lam:.3e}")
-    dom = b0 - gsum
-    lam = min_eig(dom)
-    if lam < -tol.psd * (1.0 + fro_norm(dom)):
-        raise SupportViolated(f"B_0 does not dominate sum G_i: minimum eigenvalue of the gap {lam:.3e}")
+    pencil = pencil_new([b0] + grads, tol)
 
     # trace bound from the all-c2 scalar value
     f_c2 = float(fn(tuple(np.array([[c2]], dtype=complex) for _ in range(fn.arity)))[0, 0].real)
@@ -225,7 +216,7 @@ def support_pencil(
         function=fn.name,
         base_point=a,
         v=v,
-        pencil=pencil_new([b0] + grads, tol),
+        pencil=pencil,
         c=alpha,
         interval=interval,
         support_margin=float(support_margin),
@@ -300,8 +291,7 @@ class PencilRepresentation:
             raise DimensionMismatch("state must act on the coefficient space")
         if not np.isfinite(state).all():
             raise DomainViolation("state must be finite")
-        if min_eig(state) < -DEFAULT_TOL.psd * (1.0 + fro_norm(state)):
-            raise NotPSD("state must be positive semidefinite")
+        require_psd(state, NotPSD, "the state", DEFAULT_TOL)
         if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
             raise DomainViolation("state must have unit trace")
         if self.pivot.ambient_dim != self.pencil.size:

@@ -36,7 +36,9 @@ from .matcore import (
     herm_part,
     im_part,
     min_eig,
+    psd_floor,
     re_part,
+    require_psd,
     sector_certified_alpha,
     sector_estimate,
     truncated_pinv,
@@ -171,9 +173,7 @@ def shorted_psd(
     input ran A_21 lies in ran A_22, which the elimination checks.
     """
     a = herm_part(np.asarray(a, dtype=complex))
-    lam = min_eig(a)
-    if lam < -tol.psd * (1.0 + fro_norm(a)):
-        raise NotPSD(f"input has minimum eigenvalue {lam:.3e}")
+    require_psd(a, NotPSD, "input", tol)
     _, comp, residual = _complement(a, s, "s", tol)
     return ShortedResult(shorted=herm_part(comp), defect=residual)
 
@@ -235,12 +235,12 @@ def sector_bound_check(
 
 def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Per member of the stacked tuple: all components have positive definite real part."""
-    return np.logical_and.reduce([min_eig(re_part(m)) > tol.psd * (1 + fro_norm(m)) for m in x])
+    return np.logical_and.reduce([min_eig(re_part(m)) > psd_floor(m, tol) for m in x])
 
 
 def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Per member of the stacked tuple: all components have positive definite imaginary part."""
-    return np.logical_and.reduce([min_eig(im_part(m)) > tol.psd * (1 + fro_norm(m)) for m in x])
+    return np.logical_and.reduce([min_eig(im_part(m)) > psd_floor(m, tol) for m in x])
 
 
 def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -415,8 +415,8 @@ class SchurCore:
         if halfspace:
             for normalized, w, comp in checks:
                 rotated = np.exp(1j * theta)[..., None, None, None] * normalized
-                size = fro_norm(normalized)
-                floor = tol.psd * (1.0 + size) + 16 * np.finfo(float).eps * (w[:, -1] / w[:, 0]) * size
+                kappa = w[:, -1] / w[:, 0]
+                floor = psd_floor(normalized, tol) + 16 * np.finfo(float).eps * kappa * fro_norm(normalized)
                 failed = ~(min_eig(rotated) > floor)  # NaN aims fail
                 if np.any(failed & right[..., None]):
                     raise NotSectorial("an eliminated component of a right member is not sectorial")
@@ -425,7 +425,7 @@ class SchurCore:
                 root = np.repeat(np.sqrt(w), n, axis=-1)
                 _check_sector_bound(rotated, root[:, :, None] * normalized * root[:, None, :], comp, tol)
             lam = np.where(right, np.inf, min_eig(im_part(out)))
-            if np.any(lam < -tol.psd * (1.0 + fro_norm(out))):
+            if np.any(lam < -psd_floor(out, tol)):
                 raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
         return out
 

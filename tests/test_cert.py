@@ -253,19 +253,6 @@ class TestCrossValidation:
             assert rep.verdict == expected
 
 
-class TestHypographMember:
-    def test_member_is_below_graph(self):
-        from opmono.cert import hypograph_member
-
-        rng = np.random.default_rng(30)
-        fn = lift_scalar("sqrt")
-        for _ in range(20):
-            sample = hypograph_member(fn, rng, n=3)
-            gap = fn(sample.x) - sample.y
-            assert np.linalg.eigvalsh(herm_part(gap))[0] >= -1e-12
-            assert sample.slack_margin >= -1e-12
-
-
 class TestScan:
     @pytest.mark.parametrize("bad", [(), (37, 120, 300)])
     def test_reference_first_violation_and_worst_margin(self, bad):

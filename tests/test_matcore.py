@@ -13,7 +13,9 @@ from opmono.matcore import (
     loewner_leq,
     loewner_margin,
     min_eig,
+    psd_floor,
     re_part,
+    require_psd,
     sector_certified_alpha,
     sector_estimate,
     tensor,
@@ -58,6 +60,15 @@ class TestHermCertify:
         with pytest.raises(errors.DimensionMismatch):
             herm_certify(np.ones((2, 3)))
 
+    def test_each_member_meets_its_own_defect_bound(self):
+        # a defect of 1e-7 is far above 1e-9 (1 + ||M||_F) for this member,
+        # but below the bound of a stacked 1e3 I; the stack must not hide it
+        m = np.array([[1.0, 1e-7], [0.0, 1.0]])
+        with pytest.raises(errors.NotHermitian):
+            herm_certify(m)
+        with pytest.raises(errors.NotHermitian):
+            herm_certify(np.stack([m, 1e3 * np.eye(2)]))
+
 
 class TestLoewnerOrder:
     def test_identity_vs_double(self):
@@ -101,6 +112,28 @@ class TestLoewnerOrder:
         assert shapes == [(3, 2, 2)]
         assert min_eig(np.diag([np.nan, 1.0]) + 1j * np.eye(2)) == -np.inf
         assert not loewner_leq(np.zeros((2, 2)), np.diag([np.nan, 1.0]))
+
+    def test_each_member_meets_its_own_floor(self):
+        # lambda_min = -1e-7 is below this member's floor, though above the floor of a stacked 1e3 I
+        gap = np.diag([1.0, -1e-7])
+        assert not loewner_leq(np.zeros((2, 2)), gap)
+        assert not loewner_leq(np.zeros((2, 2, 2)), np.stack([gap, 1e3 * np.eye(2)]))
+        assert loewner_leq(np.zeros((2, 2, 2)), np.stack([np.diag([1.0, -1e-10]), 1e3 * np.eye(2)]))
+
+
+class TestPsdRule:
+    def test_floor_is_per_member(self):
+        stack = np.stack([np.zeros((2, 2)), 3.0 * np.eye(2), np.diag([4.0, 0.0])])
+        assert np.array_equal(psd_floor(stack), DEFAULT_TOL.psd * np.array([1.0, 1.0 + np.sqrt(18.0), 5.0]))
+
+    def test_require_psd_returns_the_margins(self):
+        stack = np.stack([np.diag([2.0, 1.0]), np.diag([3.0, -1e-10])])
+        assert np.array_equal(require_psd(stack, errors.NotPSD, "stack"), [1.0, -1e-10])
+
+    def test_require_psd_raises_the_given_error_with_the_worst_eigenvalue(self):
+        stack = np.stack([np.diag([1.0, -1e-3]), np.diag([1.0, -2e-3]), np.eye(2)])
+        with pytest.raises(errors.DominanceViolated, match="the gap has minimum eigenvalue -2.000e-03"):
+            require_psd(stack, errors.DominanceViolated, "the gap")
 
 
 class TestFuncalc:

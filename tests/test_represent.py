@@ -93,6 +93,44 @@ class TestSupportPencil:
         with pytest.raises(errors.GradientNotPSD):
             support_pencil(bad, a, v, seed=7)
 
+    @pytest.mark.parametrize("c", [0.5, 2, 5, 9, 11])
+    def test_gradient_below_the_psd_floor_is_refused_before_validation(self, count_calls, c):
+        # sqrt's gradient at v = e_1 is f'(0.8) e_1 e_1*; shift it by -c 1e-9 (1 + ||G||_F) e_3 e_3*
+        from dataclasses import replace
+
+        fn = lift_scalar("sqrt")
+        e33 = np.diag([0.0, 0.0, 1.0])
+        shifted = replace(fn, vgrad=lambda xs, w: [g - c * 1e-9 * (1.0 + fro_norm(g)) * e33 for g in fn.vgrad(xs, w)])
+        a, v = (np.diag([0.8, 1.2, 1.6]).astype(complex),), np.eye(3)[0]
+        draws = count_calls(represent, "draw")
+        if c < 1:
+            assert support_pencil(shifted, a, v, seed=1, validation_samples=40).samples == 40
+            return
+        with pytest.raises(errors.GradientNotPSD):
+            support_pencil(shifted, a, v, seed=1, validation_samples=40)
+        assert draws == []
+
+    @pytest.mark.parametrize("spoil,error", [("offset", errors.CoefficientNotPSD),
+                                             ("doubled gradient", errors.DominanceViolated)])
+    def test_b0_is_validated_by_pencil_new_before_sampling(self, count_calls, spoil, error):
+        # F + 0.1 (u v* + v u*), u orthogonal to v, keeps the gradient and alpha but adds
+        # the indefinite (u v* + v u*) / 20 to B_0; a doubled gradient leaves B_0 PSD but short of 2 G
+        from dataclasses import replace
+
+        rng = np.random.default_rng(9)
+        fn = lift_scalar("sqrt")
+        a, v = rand_tuple_interval(rng, 1, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        u = np.linalg.qr(np.column_stack([v, rng.normal(size=3)]))[0][:, 1]
+        k = np.outer(u, v.conj()) + np.outer(v, u.conj())
+        if spoil == "offset":
+            fn = replace(fn, evaluator=lambda xs, f=fn.evaluator: f(xs) + 0.1 * k)
+        else:
+            fn = replace(fn, vgrad=lambda xs, w, g=fn.vgrad: [2.0 * gi for gi in g(xs, w)])
+        draws = count_calls(represent, "draw")
+        with pytest.raises(error):
+            support_pencil(fn, a, v, seed=10, validation_samples=40)
+        assert draws == []
+
     def test_convex_lift_declared_concave_is_refused(self):
         # 1 + x^1.5 is monotone but convex.  At an eigenvector v of A the
         # Daleckii-Krein gradient f'(a_1) vv* is PSD and, for a_1 < 2^(2/3), the

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from opmono import cert, freefun, represent, sampling
 from opmono.cert import (concave_test, derivative_monotone_test, doubling_concavity_check, hypograph_convexity_test,
-                         hypograph_member, lipschitz_estimate, monotone_test)
+                         lipschitz_estimate, monotone_test)
 from opmono.errors import BadConfig
 from opmono.freefun import nc_axiom_check, resolve_function
 from opmono.matcore import dagger, herm_part
@@ -182,7 +182,6 @@ def library_plans(monkeypatch):
         drawing(derivative_monotone_test, fn, 2, trials=3)
         drawing(doubling_concavity_check, fn, 2, trials=2)
         drawing(hypograph_convexity_test, fn, 3, m=2, trials=3)
-        drawing(hypograph_member, fn, rng, 2)
         drawing(lipschitz_estimate, fn, x, 0.1, samples=2)
         drawing(nc_axiom_check, fn, 2, trials=3)
         drawing(support_pencil, fn, x, np.eye(2)[0], (0.5, 2.0), validation_samples=4)
@@ -281,8 +280,7 @@ class TestBadSamplingParameters:
         lambda fn, iv: concave_test(fn, 2, trials=4, interval=iv),
         lambda fn, iv: sampling.rand_spd_interval(np.random.default_rng(0), 2, *iv),
         lambda fn, iv: nc_axiom_check(fn, 2, trials=4, interval=iv),
-        lambda fn, iv: hypograph_member(fn, np.random.default_rng(0), 2, iv),
-    ], ids=["monotone", "concave", "rand_spd_interval", "nc_axiom_check", "hypograph_member"])
+    ], ids=["monotone", "concave", "rand_spd_interval", "nc_axiom_check"])
     def test_interval(self, call, interval):
         with pytest.raises(BadConfig):
             call(resolve_function("sqrt"), interval)
