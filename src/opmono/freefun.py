@@ -9,20 +9,32 @@ two deliberately broken negative controls.
 Evaluators are batched: each accepts a tuple of stacked Hermitian arguments
 ``(..., n, n)`` and broadcasts over the leading axes.  Every two-argument
 mean but the harmonic and arithmetic ones is defined by its representing
-function (``_pair_function``), which gives both its closed form, two
-eigendecompositions of the whole stack, and its exact adjoint; with three or
-more arguments the fixed-point iterations run all batch elements in lockstep.
+function (``_pair_function``), which gives both its closed form and its
+exact adjoint; with three or more arguments the fixed-point iterations run
+all batch elements in lockstep.
 
 The power and Karcher means of three or more arguments solve one equation,
 sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I with f(x) = x^t or f = log: one
 step helper (``_mean_equation``) and one implicit adjoint (``_implicit_vgrad``).
 
-Positive definiteness is read from the eigendecomposition an evaluator makes
-anyway (``_eigh``): one ``eigh`` per lift, for a two-argument mean the
-``eigh`` of A and that of A^{-1/2} B A^{-1/2}, and for three or more
-arguments those of the iterate Z and of each Z^{-1/2} X_i Z^{-1/2}.  Only the
-harmonic mean, which inverts its arguments, spends a separate ``eigvalsh``
-per argument.
+Every mean is invariant under congruence, so none needs a square root.  A
+Kubo-Ando mean is A^{1/2} f(M) A^{1/2}, M = A^{-1/2} B A^{-1/2} (Kubo & Ando
+1980).  Any factor A = L L* is L = A^{1/2} Q with Q unitary, so
+L^{-1} B L^{-*} = Q* M Q and L f(Q* M Q) L* = A^{1/2} f(M) A^{1/2}.
+Likewise the k >= 3 equation's S = sum w_i f(M_i) only becomes Q* S Q, and
+the harmonic mean's X^{-1} is L^{-*} L^{-1}.  So each takes the Cholesky
+factor (``_factor``): one ``cholesky`` where a square root costs an ``eigh``.
+
+Positive definiteness is read from the factorizations an evaluator makes
+anyway: a stack has a Cholesky factor exactly when it is positive definite,
+and for A > 0 the eigenvalues of L^{-1} B L^{-*} are positive exactly when
+B > 0 (Sylvester's law of inertia).  That is one ``eigh`` per lift, one
+``cholesky`` and one ``eigh`` per two-argument mean (and for a member whose
+L^{-1} B L^{-*} is too ill-conditioned for ``eigh``, a ``cholesky`` of B and
+an ``svd``: ``_congruence_fun``), one ``cholesky`` per argument of the
+harmonic mean, and for three or more arguments the ``cholesky`` of the
+iterate Z and the ``eigh`` of each L^{-1} X_i L^{-*}.  An error's minimum
+eigenvalue is computed only once a check has failed.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ from .errors import (
     DomainViolation,
     NoConvergence,
     NotPositiveDefinite,
+    OpmonoError,
     PoleHit,
     SingularArgument,
     StepUnderflow,
@@ -108,11 +121,20 @@ def _eigh_fun(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, what: str | 
     return (u * f(w)[..., None, :]) @ dagger(u)
 
 
-def _roots(z: np.ndarray, what: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(Z^{1/2}, Z^{-1/2}) of a positive definite stack; given ``what``, checked by ``_eigh``."""
-    w, u = _eigh(z, what)
-    sq = np.sqrt(w)
-    return (u * sq[..., None, :]) @ dagger(u), (u / sq[..., None, :]) @ dagger(u)
+def _factor(z: np.ndarray, what: str, error: type[OpmonoError] = NotPositiveDefinite) -> tuple[np.ndarray, ...]:
+    """(L, L^{-1}) with Herm(Z) = L L*, the Cholesky factor of a positive definite stack.
+
+    A non-finite stack, or one with no Cholesky factor, raises ``error``
+    with its minimum eigenvalue, which is computed only then.
+    """
+    h = herm_part(z)
+    if np.isfinite(h).all():
+        try:
+            low = np.linalg.cholesky(h)
+            return low, np.linalg.inv(low)
+        except np.linalg.LinAlgError:
+            pass
+    raise error(f"{what} has minimum eigenvalue {float(np.min(min_eig(h), initial=np.inf)):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +295,26 @@ def _check_weights(weights: tuple[float, ...], k: int | None = None) -> np.ndarr
 
 
 def harmonic_mean(weights: tuple[float, ...]) -> FreeFn:
-    """X -> (sum w_i X_i^{-1})^{-1}."""
+    """X -> (sum w_i X_i^{-1})^{-1}, with X_i^{-1} = L_i^{-*} L_i^{-1} from ``_factor``."""
     w = _check_weights(weights)
 
+    def _inverses(xs: MatTuple) -> list[np.ndarray]:
+        linvs = (_factor(xi, "harmonic mean argument", SingularArgument)[1] for xi in xs)
+        return [dagger(linv) @ linv for linv in linvs]
+
+    def _mean(inverses: list[np.ndarray]) -> np.ndarray:
+        return herm_part(np.linalg.inv(sum(wi * xinv for wi, xinv in zip(w, inverses))))
+
     def _ev(xs: MatTuple) -> np.ndarray:
-        for xi in xs:
-            lam = float(np.min(min_eig(xi), initial=np.inf))
-            if lam <= 0.0:
-                raise SingularArgument(f"harmonic mean argument has minimum eigenvalue {lam:.3e}")
-        acc = sum(wi * np.linalg.inv(herm_part(xi)) for wi, xi in zip(w, xs))
-        return herm_part(np.linalg.inv(acc))
+        return _mean(_inverses(xs))
 
     def _vgrad(xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
         # D_i F[H] = w_i F X_i^{-1} H X_i^{-1} F, a congruence sandwich
-        value = _ev(xs)
+        inverses = _inverses(xs)
+        value = _mean(inverses)
         out = []
-        for wi, xi in zip(w, xs):
-            m = np.linalg.inv(herm_part(xi)) @ value
+        for wi, xinv in zip(w, inverses):
+            m = xinv @ value
             out.append(herm_part(wi * m @ seed @ dagger(m)))
         return out
 
@@ -310,19 +335,33 @@ def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
     )
 
 
-_SECOND_ARGUMENT = "second argument is not positive definite: A^{-1/2} B A^{-1/2}"
+_SECOND_ARGUMENT = "second argument is not positive definite: L^-1 B L^-* (A = L L*)"
+# eigh resolves the smallest eigenvalue of M = L^{-1} X L^{-*} to a relative
+# eps cond(M); past this cond(M), M = K K* with K = L^{-1} L_X, X = L_X L_X*,
+# is decomposed by the SVD of K, to about eps sqrt(cond(M))
+_EIGH_COND = 1e6
 
 
 def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2}, two eigendecompositions per stack.
+    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2} as (L U) f(w) (L U)*: one ``cholesky`` and one ``eigh`` per stack.
 
-    The same two decompositions check both arguments: Z by its own
-    eigenvalues, and X by those of M = Z^{-1/2} X Z^{-1/2}, the ones f is
-    applied to.  For Z > 0, X > 0 exactly when M > 0 (Sylvester's law of
-    inertia), and f never sees an eigenvalue that is not positive.
+    Z = L L* (``_factor``) and L^{-1} X L^{-*} = U diag(w) U*, which gives
+    the same mean by congruence invariance (module docstring).  The two
+    factorizations check both arguments: Z by its Cholesky factor, and X by
+    the eigenvalues w that f is applied to, so f never sees one that is not
+    positive.  A member whose cond(M) exceeds ``_EIGH_COND`` takes w and U
+    from the SVD of L^{-1} L_X instead, at the cost of a ``cholesky`` of its
+    X and an ``svd``.
     """
-    zr, zir = _roots(z, "first argument")
-    return herm_part(zr @ _eigh_fun(f, zir @ x @ zir, _SECOND_ARGUMENT) @ zr)
+    low, linv = _factor(z, "first argument")
+    w, u = _eigh(linv @ x @ dagger(linv), _SECOND_ARGUMENT)
+    wide = w[..., -1] > _EIGH_COND * w[..., 0]
+    if np.any(wide):
+        lx = _factor(np.broadcast_to(x, u.shape)[wide], "second argument")[0]
+        v, s, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ lx)
+        w[wide], u[wide] = s[..., ::-1] ** 2, v[..., ::-1]
+    lu = low @ u
+    return herm_part((lu * f(w)[..., None, :]) @ dagger(lu))
 
 
 def weighted_geo(z: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
@@ -351,39 +390,45 @@ def _pair_function(t: float, w1: float, w2: float) -> tuple[Callable, Callable]:
 def _pair_vgrad(xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray) -> list[np.ndarray]:
     """Exact adjoint of the two-argument mean represented by ``_pair_function(t, *w)``.
 
-    The second slot is the Daleckii-Krein sandwich
-    A^{-1/2} Df(M)[A^{1/2} W A^{1/2}] A^{-1/2} with M = A^{-1/2} B A^{-1/2}.
-    The first slot is the same sandwich on the swapped pair (B, A) with the
+    With A = L L* the mean is L f(M) L*, M = L^{-1} B L^{-*} (module
+    docstring), so the second slot is the Daleckii-Krein sandwich
+    L^{-*} Df(M)[L* W L] L^{-1}: one ``cholesky`` and one ``eigh``.  The
+    first slot is the same sandwich on the swapped pair (B, A) with the
     transpose of f, that is with the weights swapped.
     """
     a, b = xs
     w1, w2 = w
 
-    def second_slot(a: np.ndarray, b: np.ndarray, f: Callable, fprime: Callable) -> np.ndarray:
-        ar, air = _roots(a)
-        df = dk_map(air @ b @ air, f, fprime)
-        return herm_part(air @ df(ar @ seed @ ar) @ air)
+    def second_slot(a: np.ndarray, b: np.ndarray, f: Callable, fprime: Callable, what: str) -> np.ndarray:
+        low, linv = _factor(a, what)
+        df = dk_map(linv @ b @ dagger(linv), f, fprime)
+        return herm_part(dagger(linv) @ df(dagger(low) @ seed @ low) @ linv)
 
-    return [second_slot(b, a, *_pair_function(t, w2, w1)), second_slot(a, b, *_pair_function(t, w1, w2))]
+    return [second_slot(b, a, *_pair_function(t, w2, w1), "second argument"),
+            second_slot(a, b, *_pair_function(t, w1, w2), "first argument")]
 
 
 def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> tuple[np.ndarray, ...]:
-    """Z^{1/2}, S = sum w_i f(M_i) and max_i cond(M_i), M_i = Z^{-1/2} X_i Z^{-1/2}: k + 1 ``eigh``.
+    """L, S = sum w_i f(M_i) and max_i cond(M_i), Z = L L*, M_i = L^{-1} X_i L^{-*}: one ``cholesky``, k ``eigh``.
 
     The power mean P_t (f(x) = x^t) and the Karcher mean (f = log) of three
     or more arguments are the positive solutions of S = f(1) I (Lim & Palfia
-    2012; Lawson & Lim 2014).  The same decompositions check positivity: Z
-    by its own eigenvalues, and X_i by those of M_i (for Z > 0, X_i > 0
-    exactly when M_i > 0).  Z starts at sum w_i X_i, so if Z fails, so does
-    some X_i.  Where M_i fails although X_i > 0, rounding is at fault, and
-    the error gives the condition numbers of X_i and Z instead.  kappa is
-    read from the same eigenvalues as the check.
+    2012; Lawson & Lim 2014), stated with Z^{-1/2} in place of L^{-1}.  The
+    Cholesky form turns S into a unitary conjugate Q* S Q (module
+    docstring), so ||S||_F and kappa are unchanged and the steps
+    Z <- L S L* and Z <- L exp(s S) L* are those of the square root.  The
+    same factorizations check positivity: Z by its Cholesky factor, and X_i
+    by the eigenvalues of M_i (for Z > 0, X_i > 0 exactly when M_i > 0).  Z
+    starts at sum w_i X_i, so if Z fails, so does some X_i.  Where M_i
+    fails although X_i > 0, rounding is at fault, and the error gives the
+    condition numbers of X_i and Z instead.  kappa is read from the same
+    eigenvalues as the check.
     """
-    zr, zir = _roots(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
+    low, linv = _factor(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
     s, kappa = 0, 1.0
     for i, (wi, xi) in enumerate(zip(w, xs), 1):
         try:
-            lam, u = _eigh(zir @ xi @ zir, f"Z^-1/2 X_{i} Z^-1/2")
+            lam, u = _eigh(linv @ xi @ dagger(linv), f"L^-1 X_{i} L^-*")
         except NotPositiveDefinite as exc:
             if not (np.isfinite(xi).all() and np.all(np.linalg.eigvalsh(herm_part(xi))[..., 0] > 0)):
                 raise NotPositiveDefinite(f"argument {i} is not positive definite: {exc}") from None
@@ -394,7 +439,7 @@ def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> t
             ) from None
         s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
         kappa = np.maximum(kappa, lam[..., -1] / lam[..., 0])
-    return zr, s, kappa
+    return low, s, kappa
 
 
 def _implicit_vgrad(
@@ -408,11 +453,13 @@ def _implicit_vgrad(
         E_Z*[u] = D(Z^{-1/2})[sum_i w_i 2 Herm(X_i Z^{-1/2} Df(M_i)[u])];
 
     Df and D(Z^{-1/2}) are Daleckii-Krein maps, self-adjoint under the trace
-    pairing, and the Z-block is inverted on the Hermitian basis.  Two
-    arguments take the closed form ``_pair_vgrad`` instead.
+    pairing, and the Z-block is inverted on the Hermitian basis.  One
+    ``eigh`` of Z gives both Z^{-1/2} and D(Z^{-1/2}).  Two arguments take
+    the closed form ``_pair_vgrad`` instead.
     """
-    _, rinv = _roots(z)
-    t_map = dk_map(z, lambda x: 1.0 / np.sqrt(x), lambda x: -0.5 * np.power(x, -1.5))
+    lam, u = _eigh(z)
+    rinv = (u / np.sqrt(lam)[..., None, :]) @ dagger(u)
+    t_map = dk_map(z, lambda x: 1.0 / np.sqrt(x), lambda x: -0.5 * np.power(x, -1.5), (lam, u))
     dfs = [dk_map(herm_part(rinv @ xi @ rinv), f, fprime) for xi in xs]
 
     def e_z_adjoint(u: np.ndarray) -> np.ndarray:
@@ -434,10 +481,12 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
 
         P_t(w_1, w_2; A, B) = A^{1/2} (w_1 I + w_2 M^t)^{1/t} A^{1/2},
 
-    the congruence of ``_pair_function(t, w_1, w_2)``: two eigendecompositions
+    the congruence of ``_pair_function(t, w_1, w_2)``, evaluated with A's
+    Cholesky factor (``_congruence_fun``): one ``cholesky`` and one ``eigh``
     per stack.  Three or more arguments use plain fixed-point iteration from
-    the arithmetic mean, Z <- Z^{1/2} S Z^{1/2} with S of ``_mean_equation``
-    at f(x) = x^t: the map is a Thompson-metric contraction with ratio
+    the arithmetic mean, Z <- Z^{1/2} S Z^{1/2} = L S' L* with S' of
+    ``_mean_equation`` at f(x) = x^t, one ``cholesky`` and k ``eigh`` per
+    step: the map is a Thompson-metric contraction with ratio
     (1 - t) (Lim & Palfia 2012), so it converges for every t in (0, 1].  The
     iteration stops once every member's step is at most ``_POWER_RTOL``
     ||Z_0||_F, a rule that scales with the arguments (so P_t(cX) = c P_t(X)
@@ -452,8 +501,8 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     bound = _POWER_RTOL * fro_norm(z)
     for _ in range(_MAX_ITER):
-        zr, s, _ = _mean_equation(z, xs, w, f)
-        new = herm_part(zr @ s @ zr)
+        low, s, _ = _mean_equation(z, xs, w, f)
+        new = herm_part(low @ s @ dagger(low))
         done = np.all(fro_norm(new - z) <= bound)
         z = new
         if done:
@@ -482,36 +531,36 @@ def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
 
 
 def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Z^{1/2}, the Karcher gradient S = sum w_i log(M_i), and per member ||S||_F and its stopping floor."""
-    zr, grad, kappa = _mean_equation(z, xs, w, np.log)
+    """L, the Karcher gradient S = sum w_i log(M_i), and per member ||S||_F and its stopping floor."""
+    low, grad, kappa = _mean_equation(z, xs, w, np.log)
     res = fro_norm(grad)
-    return zr, grad, res, np.maximum(_KARCHER_RTOL, 16 * np.finfo(float).eps * kappa * np.exp(-2 * res))
+    return low, grad, res, np.maximum(_KARCHER_RTOL, 16 * np.finfo(float).eps * kappa * np.exp(-2 * res))
 
 
 def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = False):
     """Karcher (least-squares) mean of a positive definite tuple.
 
     Two arguments have a closed form, Karcher(w_1, w_2; A, B) = A #_{w_2} B,
-    the congruence of ``_pair_function(0, w_1, w_2)``: two eigendecompositions
-    per stack, and ``return_info`` reports zero iterations with the
-    Karcher-equation residual measured at the value.
+    the congruence of ``_pair_function(0, w_1, w_2)`` (``_congruence_fun``):
+    one ``cholesky`` and one ``eigh`` per stack, and ``return_info`` reports
+    zero iterations with the Karcher-equation residual measured at the value.
 
     Three or more arguments start at the arithmetic mean, as ``power_mean``
     does, and iterate the fixed-point form of the Karcher equation
     (``_mean_equation`` at f = log)
 
-        Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2}
+        Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2},
 
-    with the step s halved (down to 1/64) whenever the largest residual
-    ||S||_F of the members still running grows.  A member stops once its
-    residual, which does not change when every X_i is scaled, drops to
-    max(``_KARCHER_RTOL``, 16 eps kappa exp(-2 ||S||_F)), kappa its largest
-    cond(M_i).  That is at most the rounding floor 16 eps kappa* of S at the
-    solution Z*: the Karcher objective is 1-strongly geodesically convex, so
-    d(Z, Z*) <= ||S||_F, and that moves each cond(M_i) by a factor of at most
-    exp(2 ||S||_F).  A start far from Z*, where kappa may be many times
-    kappa*, cannot stop early.  It raises NoConvergence after ``_MAX_ITER``
-    steps.
+    taken as L exp(s S') L* with Z = L L*, with the step s halved (down to
+    1/64) whenever the largest residual ||S||_F of the members still running
+    grows.  A member stops once its residual, which does not change when
+    every X_i is scaled, drops to max(``_KARCHER_RTOL``, 16 eps kappa
+    exp(-2 ||S||_F)), kappa its largest cond(M_i).  That is at most the
+    rounding floor 16 eps kappa* of S at the solution Z*: the Karcher
+    objective is 1-strongly geodesically convex, so d(Z, Z*) <= ||S||_F, and
+    that moves each cond(M_i) by a factor of at most exp(2 ||S||_F).  A start
+    far from Z*, where kappa may be many times kappa*, cannot stop early.  It
+    raises NoConvergence after ``_MAX_ITER`` steps.
     """
     w = _check_weights(weights, len(xs))
     if len(xs) == 2:
@@ -525,14 +574,14 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     damping = 1.0
     prev_res = np.inf
     for iterations in range(1, _MAX_ITER + 1):
-        zr, grad, norms, floor = _karcher_gradient(z, xs, w)
+        low, grad, norms, floor = _karcher_gradient(z, xs, w)
         res = float(np.max(np.where(norms <= floor, 0.0, norms), initial=0.0))
         if res == 0.0:
             break
         if res > prev_res:
             damping = max(damping / 2, 1 / 64)
         prev_res = res
-        z = herm_part(zr @ _eigh_fun(np.exp, damping * grad) @ zr)
+        z = herm_part(low @ _eigh_fun(np.exp, damping * grad) @ dagger(low))
     else:
         raise NoConvergence(f"Karcher iteration stalled at residual {prev_res:.3e}")
     if return_info:

@@ -54,13 +54,15 @@ def dk_map(
     a: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
     fprime: Callable[[np.ndarray], np.ndarray],
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Daleckii-Krein derivative of the functional calculus at Hermitian ``a``.
 
     Returns the (self-adjoint) linear map H -> U (Phi o (U* H U)) U* with
-    Phi the divided-difference table of f on the spectrum.
+    Phi the divided-difference table of f on the spectrum.  ``eig``, when
+    given, is the caller's ``eigh`` of Herm(a), which is then not repeated.
     """
-    w, u = np.linalg.eigh(herm_part(a))
+    w, u = np.linalg.eigh(herm_part(a)) if eig is None else eig
     lam_i = w[:, None]
     lam_j = w[None, :]
     diff = lam_i - lam_j

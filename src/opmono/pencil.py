@@ -106,18 +106,23 @@ class LinearPencil(RawPencil):
 def pencil_new(
     coeffs: list[np.ndarray] | tuple[np.ndarray, ...],
     tol: Tolerances = DEFAULT_TOL,
+    margins: list[float] | None = None,
 ) -> LinearPencil:
     """Validate coefficients and build a LinearPencil.
 
     Raises CoefficientNotPSD or DominanceViolated with the offending margin
     (``matcore.require_psd``), and DomainViolation for a non-finite
-    coefficient.
+    coefficient.  ``margins``, when given, are lambda_min of B_1, ..., B_k,
+    which the caller has already held to the same PSD floor; they are used
+    as they are, and only B_0 is checked.
     """
     raw = RawPencil(tuple(coeffs))
     if not all(np.isfinite(b).all() for b in raw.coeffs):
         raise DomainViolation("pencil coefficients must be finite")
     hermed = tuple(herm_part(b) for b in raw.coeffs)
-    coeff_margin = min(require_psd(b, CoefficientNotPSD, f"B_{idx}", tol) for idx, b in enumerate(hermed))
+    if margins is None:
+        margins = [require_psd(b, CoefficientNotPSD, f"B_{idx}", tol) for idx, b in enumerate(hermed[1:], 1)]
+    coeff_margin = min(require_psd(hermed[0], CoefficientNotPSD, "B_0", tol), *margins)
     dom = require_psd(hermed[0] - sum(hermed[1:]), DominanceViolated, "B_0 - sum(B_i)", tol)
     return LinearPencil(hermed, coeff_margin=float(coeff_margin), dominance_margin=float(dom))
 

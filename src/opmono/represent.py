@@ -146,11 +146,11 @@ def support_pencil(
 
     whose trace automatically equals the affine intercept.  Each G_i must be
     PSD (else GradientNotPSD), and ``pencil_new`` validates the pencil
-    [B_0, G_1, ..., G_k]: a B_0 that is not PSD raises CoefficientNotPSD,
-    one that does not dominate sum G_i DominanceViolated.  The pencil must
-    then stay positive on a scalar grid and on random graph points at sizes
-    n and 2n (``_graph_margins``) before a certificate is issued, else
-    SupportViolated.
+    [B_0, G_1, ..., G_k], reusing the margins of the G_i: a B_0 that is not
+    PSD raises CoefficientNotPSD, one that does not dominate sum G_i
+    DominanceViolated.  The pencil must then stay positive on a scalar grid
+    and on random graph points at sizes n and 2n (``_graph_margins``) before
+    a certificate is issued, else SupportViolated.
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
@@ -174,8 +174,8 @@ def support_pencil(
     vv = np.outer(v, np.conj(v))
     grads = [herm_part(g) for g in fn.gradient(a, vv)]
 
-    for i, g in enumerate(grads):
-        require_psd(g, GradientNotPSD, f"not monotone at the base point: gradient matrix {i + 1}", tol)
+    margins = [require_psd(g, GradientNotPSD, f"not monotone at the base point: gradient matrix {i}", tol)
+               for i, g in enumerate(grads, 1)]
 
     fa = herm_part(fn(a))
     eye = np.eye(n)
@@ -192,7 +192,7 @@ def support_pencil(
         )
 
     b0 = herm_part(fa @ vv) - sum(herm_part(g @ (ai - eye)) for g, ai in zip(grads, a))
-    pencil = pencil_new([b0] + grads, tol)
+    pencil = pencil_new([b0] + grads, tol, margins)
 
     # trace bound from the all-c2 scalar value
     f_c2 = float(fn(tuple(np.array([[c2]], dtype=complex) for _ in range(fn.arity)))[0, 0].real)

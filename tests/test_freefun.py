@@ -42,6 +42,14 @@ def worst_rel(x, y):
     return float(np.max(fro_norm(x - y) / (1.0 + fro_norm(y))))
 
 
+def karcher_residual(z, xs, w):
+    """sum w_i log(L^{-1} X_i L^{-*}) with Z = L L*, the Karcher gradient as the solver forms it."""
+    from opmono.freefun import _eigh_fun, _factor
+
+    linv = _factor(z, "the mean")[1]
+    return sum(wi * _eigh_fun(np.log, linv @ xi @ dagger(linv)) for wi, xi in zip(w, xs))
+
+
 def mean_of(xs, w, t):
     """Power mean P_t of the tuple, or its Karcher mean when t is None."""
     return karcher_mean(xs, w) if t is None else power_mean(xs, t, w)
@@ -193,14 +201,11 @@ class TestKarcherMean:
         assert np.linalg.norm(out - geometric_mean_2(a, b)) <= 1e-9
 
     def test_karcher_equation_residual(self):
-        from opmono.freefun import _eigh_fun, _roots
-
         rng = np.random.default_rng(9)
         x = rand_tuple_interval(rng, 3, 4, 0.5, 2.0)
         w = (0.2, 0.5, 0.3)
         z, info = karcher_mean(x, w, return_info=True)
-        zr, zir = _roots(z)
-        res = sum(wi * _eigh_fun(np.log, zir @ xi @ zir) for wi, xi in zip(w, x))
+        res = karcher_residual(z, x, w)
         assert fro_norm(res) <= 1e-12 * (1 + fro_norm(z))
         assert info["iterations"] >= 1
 
@@ -239,12 +244,12 @@ class TestKarcherMean:
         assert info["iterations"] >= 2 and fro_norm(z - np.eye(2)) <= 1e-12
 
     def test_rounding_indefinite_step_names_the_conditioning(self):
-        # every argument has lambda_min >= 1, but at s = 1e13 rounding leaves
-        # M_1 = Z^-1/2 X_1 Z^-1/2 indefinite: the error must not blame X_1
-        x = self.rotated_triple(1e13, 0.5)
+        # every argument has lambda_min >= 1, but at s = 1e14 rounding leaves
+        # M_2 = L^-1 X_2 L^-* indefinite: the error must not blame X_2
+        x = self.rotated_triple(1e14, 1.5)
         assert all(min_eig(xi) >= 1.0 - 1e-3 for xi in x)
-        pattern = (r"^Z\^-1/2 X_1 Z\^-1/2 has minimum eigenvalue -\d\.\d{3}e-\d+ although argument 1 is "
-                   r"positive definite: at condition numbers 1\.0e\+13 of X_1 and \d\.\de\+\d+ of the "
+        pattern = (r"^L\^-1 X_2 L\^-\* has minimum eigenvalue -\d\.\d{3}e-\d+ although argument 2 is "
+                   r"positive definite: at condition numbers 1\.0e\+14 of X_2 and \d\.\de\+\d+ of the "
                    r"iterate Z rounding leaves it indefinite$")
         with pytest.raises(errors.NotPositiveDefinite, match=pattern):
             karcher_mean(x, (1 / 3, 1 / 3, 1 / 3))
@@ -270,15 +275,12 @@ class TestKarcherMean:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_wide_spectra_from_the_arithmetic_start(self, k):
-        from opmono.freefun import _eigh_fun, _roots
-
         rng = np.random.default_rng(30 + k)
         w = tuple(rng.dirichlet(np.ones(k)))
         rows = [rand_tuple_interval(rng, k, 3, 1e-3, 1e3) for _ in range(16)]
         x = tuple(np.stack([r[i] for r in rows]) for i in range(k))
         z, info = karcher_mean(x, w, return_info=True)
-        zr, zir = _roots(z)
-        res = np.max(fro_norm(sum(wi * _eigh_fun(np.log, zir @ xi @ zir) for wi, xi in zip(w, x))))
+        res = np.max(fro_norm(karcher_residual(z, x, w)))
         assert res == info["residual"]
         assert res <= 1e-13 * (1 + np.max(fro_norm(z)))
         h = harmonic_mean(w)(x)
@@ -318,34 +320,26 @@ class TestTwoArgumentClosedForms:
         assert np.all(fro_norm(res) <= 1e-12 * (1 + fro_norm(z)))
 
     def test_karcher_info_is_measured(self):
-        from opmono.freefun import _eigh_fun, _roots
-
         rng = np.random.default_rng(23)
         a, b = stacked_pair(rng, 16, 4)
         w = (0.4, 0.6)
         z, info = karcher_mean((a, b), w, return_info=True)
-        zr, zir = _roots(z)
-        grad = w[0] * _eigh_fun(np.log, zir @ a @ zir) + w[1] * _eigh_fun(np.log, zir @ b @ zir)
+        grad = karcher_residual(z, (a, b), w)
         assert info["iterations"] == 0
         assert info["residual"] == float(np.max(fro_norm(grad)))
         assert np.all(fro_norm(grad) <= 1e-12 * (1 + fro_norm(z)))
 
     def test_eigh_count_independent_of_t(self, count_calls):
+        # one cholesky of A and one eigh of L^{-1} B L^{-*}, whatever t
         rng = np.random.default_rng(24)
         a, b = stacked_pair(rng, 512, 3)
-        calls = count_calls(np.linalg, "eigh")
-        counts = {}
-        for label, fn in [
-            ("power:t=0.25", power_mean_fn(0.25, (0.5, 0.5))),
-            ("power:t=0.5", power_mean_fn(0.5, (0.5, 0.5))),
-            ("power:t=1", power_mean_fn(1.0, (0.5, 0.5))),
-            ("karcher", karcher_mean_fn((0.5, 0.5))),
-        ]:
-            calls.clear()
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "cholesky")}
+        for fn in [power_mean_fn(0.25, (0.5, 0.5)), power_mean_fn(0.5, (0.5, 0.5)),
+                   power_mean_fn(1.0, (0.5, 0.5)), karcher_mean_fn((0.5, 0.5))]:
+            for shapes in calls.values():
+                shapes.clear()
             fn(a, b)
-            counts[label] = len(calls)
-            assert all(shape == (512, 3, 3) for shape in calls)
-        assert set(counts.values()) == {2}, counts
+            assert calls == {"eigh": [(512, 3, 3)], "cholesky": [(512, 3, 3)]}, fn.name
 
 
 # (catalogue identifier, argument sizes) for the exact adjoint checks
@@ -402,6 +396,19 @@ class TestExactAdjoints:
         x = rand_tuple_interval(np.random.default_rng(26), fn.arity, 3, 0.5, 2.0)
         fn.vgrad(x, rand_herm(np.random.default_rng(27), 3))
         assert len(calls) == (1 if fn.arity >= 3 else 0), ident
+
+    @pytest.mark.parametrize("ident", ["power:t=0.5:w=0.2,0.3,0.5", "karcher:w=0.2,0.3,0.5"])
+    def test_implicit_adjoint_decomposes_z_once(self, count_calls, ident):
+        # vgrad solves the mean again, then takes one eigh of Z and one of each M_i
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(28)
+        x, seed = rand_tuple_interval(rng, 3, 3, 0.5, 2.0), rand_herm(rng, 3)
+        calls = count_calls(np.linalg, "eigh")
+        fn(*x)
+        value = len(calls)
+        calls.clear()
+        fn.vgrad(x, seed)
+        assert len(calls) == value + 1 + 3 and set(calls) == {(3, 3)}
 
 
 def basis_loop(n):
@@ -632,30 +639,41 @@ class TestStepUnderflow:
 class TestPositivityFromTheEvaluatorsEigh:
     """Positivity is read from the eigendecomposition the evaluator makes anyway."""
 
+    # one cholesky per factored argument: A of a two-argument mean, each argument of the harmonic one
+    CHOLESKY = {"sqrt": 0, "harmonic": 2}
+
     @pytest.mark.parametrize("ident,eigh,eigvalsh", [
         ("sqrt", 1, 0),
-        ("geomean2", 2, 0),
-        ("power:t=0.25", 2, 0),
-        ("karcher", 2, 0),
-        ("harmonic", 0, 2),
+        ("geomean2", 1, 0),
+        ("power:t=0.25", 1, 0),
+        ("karcher", 1, 0),
+        ("harmonic", 0, 0),
     ])
     def test_kernel_calls_per_evaluation(self, count_calls, ident, eigh, eigvalsh):
         fn = resolve_function(ident)
         xs = stacked_pair(np.random.default_rng(31), 512, 3)[: fn.arity]
-        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "eigvalsh")}
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "eigvalsh", "cholesky", "svd")}
         fn(*xs)
-        assert calls == {"eigh": [(512, 3, 3)] * eigh, "eigvalsh": [(512, 3, 3)] * eigvalsh}
+        assert calls == {"eigh": [(512, 3, 3)] * eigh, "eigvalsh": [(512, 3, 3)] * eigvalsh,
+                         "cholesky": [(512, 3, 3)] * self.CHOLESKY.get(ident, 1), "svd": []}
 
     @pytest.mark.parametrize("ident", ["power:t=0.5:w=0.2,0.3,0.5", "karcher:w=0.2,0.3,0.5"])
     def test_three_arguments_check_positivity_without_eigvalsh(self, count_calls, ident):
-        # the iterate's eigh and those of Z^{-1/2} X_i Z^{-1/2} decide positivity
+        # the iterate's Cholesky factor and the eigh of each L^{-1} X_i L^{-*} decide positivity:
+        # a power step makes k eigh and one cholesky, a Karcher step one more eigh for exp(s S),
+        # which the last step, the one that stops, skips
         rng = np.random.default_rng(32)
         rows = [rand_tuple_interval(rng, 3, 3, 0.5, 2.0) for _ in range(64)]
         xs = tuple(np.stack([r[i] for r in rows]) for i in range(3))
-        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "eigvalsh")}
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "eigvalsh", "cholesky")}
         resolve_function(ident)(*xs)
+        steps = len(calls["cholesky"])
         assert calls["eigvalsh"] == []
-        assert calls["eigh"] and set(calls["eigh"]) == {(64, 3, 3)}
+        assert steps > 1 and set(calls["eigh"]) == set(calls["cholesky"]) == {(64, 3, 3)}
+        if ident.startswith("power"):
+            assert len(calls["eigh"]) == 3 * steps
+        else:
+            assert len(calls["eigh"]) == 4 * steps - 1
 
     @pytest.mark.parametrize("ident", ["power:t=0.5:w=0.2,0.3,0.5", "karcher:w=0.2,0.3,0.5"])
     @pytest.mark.parametrize("case", ["shifted", "indefinite", "sum"])
@@ -710,13 +728,29 @@ def _reference_eigh_fun(f, a):
 
 
 def _reference(f, xs):
-    """Reference: check each argument with its own eigvalsh, then evaluate."""
+    """Reference: check each argument with its own eigvalsh, then evaluate, a mean as (L U) f(w) (L U)*.
+
+    Where cond(L^{-1} B L^{-*}) > 1e6, w and U come from the SVD of L^{-1} L_B.
+    """
     for x in xs:
         if float(np.min(min_eig(x))) <= 0.0:
             raise errors.NotPositiveDefinite("reference")
     if len(xs) == 1:
         return _reference_eigh_fun(f, xs[0])
     a, b = xs
+    low = np.linalg.cholesky(herm_part(a))
+    linv = np.linalg.inv(low)
+    w, u = np.linalg.eigh(herm_part(linv @ b @ dagger(linv)))
+    v, s, _ = np.linalg.svd(linv @ np.linalg.cholesky(herm_part(b)))
+    wide = w[..., -1] > 1e6 * w[..., 0]
+    w = np.where(wide[..., None], s[..., ::-1] ** 2, w)
+    u = np.where(wide[..., None, None], v[..., ::-1], u)
+    lu = low @ u
+    return herm_part((lu * f(w)[..., None, :]) @ dagger(lu))
+
+
+def _square_root_reference(f, a, b):
+    """The square-root form A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} of the same mean, through the eigh of A."""
     w, u = np.linalg.eigh(herm_part(a))
     sq = np.sqrt(w)
     ar, air = (u * sq[..., None, :]) @ dagger(u), (u / sq[..., None, :]) @ dagger(u)
@@ -761,7 +795,88 @@ def test_changed_evaluators_match_check_then_evaluate(case):
         with pytest.raises(errors.NotPositiveDefinite):
             fn(*xs)
     else:
-        assert np.array_equal(fn(*xs), _reference(f, xs))
+        out = fn(*xs)
+        assert np.array_equal(out, _reference(f, xs))
+        if len(xs) == 2:
+            # the two factorizations agree to rounding amplified by the conditioning of both arguments
+            eps, cond = np.finfo(float).eps, np.linalg.cond(xs[0]) * np.linalg.cond(xs[1])
+            assert np.all(fro_norm(out - _square_root_reference(f, *xs)) <= 32 * eps * cond * fro_norm(out))
+
+
+# every mean at k = 2, and the two fixed-point means at k = 3
+TYPED_MEANS = ["geomean2", "power:t=0.25", "karcher", "harmonic", "power:t=0.5:w=0.2,0.3,0.5",
+               "karcher:w=0.2,0.3,0.5"]
+
+
+@pytest.mark.parametrize("ident", TYPED_MEANS)
+@pytest.mark.parametrize("bad", ["indefinite", "shifted", "non-finite"])
+def test_a_bad_argument_in_any_slot_is_refused_with_its_eigenvalue(ident, bad):
+    # one bad member in a 512-stack; the evaluator is called directly, as FreeFn's own
+    # check would refuse a non-finite entry as DomainViolation first
+    fn = resolve_function(ident)
+    error = errors.SingularArgument if ident == "harmonic" else errors.NotPositiveDefinite
+    rng = np.random.default_rng(34)
+    rows = [rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0) for _ in range(512)]
+    for slot in range(fn.arity):
+        xs = tuple(np.stack([r[i] for r in rows]) for i in range(fn.arity))
+        x = xs[slot][137]
+        if bad == "indefinite":
+            u = rand_unitary(rng, 3)
+            xs[slot][137] = u @ np.diag([1.0, 1.0, -0.5]) @ dagger(u)
+        elif bad == "shifted":  # lambda_min = -1e-6 ||X||_F
+            xs[slot][137] = x - (min_eig(x) + 1e-6 * fro_norm(x)) * np.eye(3)
+        else:
+            xs[slot][137, 0, 2] = np.nan
+        number = "-inf" if bad == "non-finite" else r"-\d\.\d{3}e[-+]\d+"
+        with pytest.raises(error, match=f"minimum eigenvalue {number}$"):
+            fn.evaluator(xs)
+
+
+@st.composite
+def congruence_cases(draw):
+    """(two-argument mean, A, B, C) with spectra and singular values of C in [0.1, 10]."""
+    w1 = draw(st.floats(0.05, 0.95))
+    t = draw(st.floats(0.05, 1.0))
+    ident = draw(st.sampled_from(["geomean2", f"power:t={t}:w={w1},{1 - w1}", f"karcher:w={w1},{1 - w1}",
+                                  f"harmonic:w={w1},{1 - w1}"]))
+    n = draw(st.integers(1, 4))
+    exps = draw(st.lists(st.floats(-1.0, 1.0), min_size=3 * n, max_size=3 * n))
+    lam = 10.0 ** np.reshape(exps, (3, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = [rand_unitary(rng, n) for _ in range(4)]
+    a, b = ((ui * li) @ dagger(ui) for ui, li in zip(u, lam[:2]))
+    return resolve_function(ident), a, b, (u[2] * lam[2]) @ dagger(u[3])
+
+
+@given(congruence_cases())
+def test_means_are_congruence_invariant(case):
+    # C (A sigma B) C* = (C A C*) sigma (C B C*) for every invertible C
+    fn, a, b, c = case
+    ca, cb = c @ a @ dagger(c), c @ b @ dagger(c)
+    lhs, rhs = c @ fn(a, b) @ dagger(c), fn(ca, cb)
+    cond = np.linalg.cond(ca) * np.linalg.cond(cb)
+    assert fro_norm(lhs - rhs) <= 32 * np.finfo(float).eps * cond * fro_norm(lhs)
+
+
+# each mean with the scalar mean of its eigenvalues, which it is on commuting pairs
+SCALAR_MEANS = [
+    ("geomean2", lambda a, b: np.sqrt(a * b)),
+    ("power:t=0.25:w=0.3,0.7", lambda a, b: (0.3 * a**0.25 + 0.7 * b**0.25) ** 4),
+    ("power:t=1:w=0.3,0.7", lambda a, b: 0.3 * a + 0.7 * b),
+    ("karcher:w=0.3,0.7", lambda a, b: a**0.3 * b**0.7),
+    ("harmonic:w=0.3,0.7", lambda a, b: 1.0 / (0.3 / a + 0.7 / b)),
+]
+
+
+@pytest.mark.parametrize("ident,scalar", SCALAR_MEANS, ids=[ident for ident, _ in SCALAR_MEANS])
+def test_commuting_diagonal_pairs_match_the_scalar_mean(ident, scalar):
+    # diagonal pairs with spectra in 10^-6 .. 10^6: the mean is the scalar mean entry by entry
+    a, b = 10.0 ** np.random.default_rng(35).uniform(-6.0, 6.0, size=(2, 256, 4))
+    out = resolve_function(ident)(a[..., None] * np.eye(4), b[..., None] * np.eye(4))
+    expect = scalar(a, b)
+    assert np.max(np.abs(np.diagonal(out, axis1=-2, axis2=-1) - expect) / expect) <= 1e-12
+    off = out - np.diagonal(out, axis1=-2, axis2=-1)[..., None] * np.eye(4)
+    assert np.all(np.abs(off) <= 1e-12 * np.sqrt(expect[..., :, None] * expect[..., None, :]))
 
 
 # one identifier per CATALOGUE_IDS entry
@@ -826,3 +941,18 @@ def test_empty_stacks_and_empty_matrices(ident):
     assert out.shape == (0, 3, 3)
     with pytest.raises(errors.DimensionMismatch):
         fn(*[np.zeros((0, 0))] * fn.arity)
+
+
+@pytest.mark.parametrize("ident,scalar", SCALAR_MEANS, ids=[ident for ident, _ in SCALAR_MEANS])
+def test_a_matrix_and_its_inverse_match_the_scalar_mean(count_calls, ident, scalar):
+    # A and A^{-1} with spectra in 10^-3 .. 10^3: L^{-1} A^{-1} L^{-*} has condition numbers up to
+    # 1e12, where only the SVD of L^{-1} L_B resolves its small eigenvalues; it is taken for those
+    # members alone
+    rng = np.random.default_rng(36)
+    u = np.stack([rand_unitary(rng, 4) for _ in range(256)])
+    lam = 10.0 ** rng.uniform(-3.0, 3.0, size=(256, 1, 4))
+    a, b = herm_part((u * lam) @ dagger(u)), herm_part((u / lam) @ dagger(u))
+    expect = (u * scalar(lam, 1.0 / lam)) @ dagger(u)
+    svd = count_calls(np.linalg, "svd")
+    assert np.all(fro_norm(resolve_function(ident)(a, b) - expect) <= 1e-9 * fro_norm(expect))
+    assert [0 < m < 256 for m, *_ in svd] == ([] if ident.startswith("harmonic") else [True])

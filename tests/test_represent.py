@@ -9,6 +9,7 @@ from opmono.freefun import (
     karcher_mean_fn,
     lift_scalar,
     power_mean_fn,
+    resolve_function,
 )
 from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.pencil import pencil_new
@@ -130,6 +131,25 @@ class TestSupportPencil:
         with pytest.raises(error):
             support_pencil(fn, a, v, seed=10, validation_samples=40)
         assert draws == []
+
+    @pytest.mark.parametrize("ident", ["sqrt", "harmonic", "geomean2"])
+    def test_each_gradient_is_checked_once(self, monkeypatch, count_calls, ident):
+        # before sampling: one eigvalsh per base-point slot (its domain), one per gradient,
+        # then pencil_new's B_0 and dominance checks, which reuse the gradients' margins
+        class Sampled(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Sampled
+
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(46)
+        a, v = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        monkeypatch.setattr(represent, "draw", stop)
+        shapes = count_calls(np.linalg, "eigvalsh")
+        with pytest.raises(Sampled):
+            support_pencil(fn, a, v, seed=47)
+        assert shapes == [(3, 3)] * (2 * fn.arity + 2)
 
     def test_convex_lift_declared_concave_is_refused(self):
         # 1 + x^1.5 is monotone but convex.  At an eigenvector v of A the
