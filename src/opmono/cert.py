@@ -3,13 +3,16 @@
 Each tester draws seeded random inputs, checks a Loewner-order property of
 a free function, and reports a clean pass, the first counterexample found
 (with the inputs stored for replay), or inconclusive when evaluation failed
-or gave a non-finite value.  Identical seeds give byte-identical reports.
+or gave a non-finite value.  Identical seeds and trial counts give
+byte-identical reports.  A report replays from its seed and the requested
+trial count, not from ``trials_run``: the draws of each trial depend on the
+count, so a shorter run draws other inputs.
 
-All testers share one pipeline.  One ``sampling.draw`` makes a tester's
-generator calls, a fixed plan per trial in the order the seed pins, into
-preallocated stacks; the linear algebra of the draws runs once per stack:
-one ``qr`` per tester call, two for the hypograph test (its arguments and
-its isometries).  The inputs are evaluated in chunks of 512 rows (the
+All testers share one pipeline.  One ``sampling.draw`` takes the inputs of
+every trial, a fixed plan per trial, with one generator call per distinct
+plan entry; the linear algebra of the draws runs once per stack: one
+``qr`` per tester call, two for the hypograph test (its arguments and its
+isometries).  The inputs are evaluated in chunks of 512 rows (the
 derivative stencil in blocks of 256 trials).  The differences that must be
 positive semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and
 one scan (``_scan``) takes their smallest eigenvalues and norms in one
@@ -84,6 +87,11 @@ def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
     for lo in range(0, len(out), _CHUNK):
         out[lo : lo + _CHUNK] = fn(tuple(x[lo : lo + _CHUNK] for x in xs))
     return out
+
+
+def _spec_norm(a: np.ndarray) -> np.ndarray:
+    """Spectral norms of stacked matrices."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def _inconclusive(name: str, seed: int, error: str) -> CertReport:
@@ -340,7 +348,9 @@ def lipschitz_estimate(
     The tuple norm is the sum of component operator norms.  The local bound
     M is taken over the ball of doubled radius; both M/r and 2M/r are
     reported since either appears as the constant in the continuity
-    estimate for concave functions.  The center is checked as an argument
+    estimate for concave functions.  Per sample, x and y lie in the ball and
+    z in the doubled one; all 3 * samples points come from one ``draw`` and
+    are evaluated as one stack.  The center is checked as an argument
     of ``fn`` (DomainViolation for a non-finite entry), and the radius
     must be positive and finite.
     """
@@ -348,27 +358,19 @@ def lipschitz_estimate(
         raise BadConfig(f"the radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(seed)
     center = fn._args(tuple(center))
-    k = len(center)
-    n = center[0].shape[-1]
-
-    def point(rad: float) -> tuple[np.ndarray, ...]:
-        z, u = draw(rng, 1, [normal(2, n, n)] * k + [uniform(0.0, rad)])
-        deltas = herm_part(z[:, 0] + 1j * z[:, 1])
-        scale = float(u[0]) / sum(float(np.linalg.norm(d, 2)) for d in deltas)
-        return tuple(c + scale * d for c, d in zip(center, deltas))
-
-    quotient = 0.0
-    local = 0.0
-    for _ in range(samples):
-        x = point(radius)
-        y = point(radius)
-        dist = sum(float(np.linalg.norm(yi - xi, 2)) for xi, yi in zip(x, y))
-        if dist <= 0:
-            continue
-        fxy = float(np.linalg.norm(fn(y) - fn(x), 2))
-        quotient = max(quotient, fxy / dist)
-        z = point(2 * radius)
-        local = max(local, float(np.linalg.norm(fn(z), 2)))
+    k, n = len(center), center[0].shape[-1]
+    # per sample, in stream order: x, y in the ball and z in the doubled one,
+    # each as k directions and the fraction of its radius it moves
+    z, u = draw(rng, 3 * samples, [normal(2, n, n)] * k + [uniform(0.0, 1.0)])
+    deltas = herm_part(z[:, 0] + 1j * z[:, 1]).reshape(3 * samples, k, n, n)
+    step = u * np.tile((radius, radius, 2 * radius), samples) / _spec_norm(deltas).sum(axis=1)
+    points = np.stack(center) + step[:, None, None, None] * deltas
+    vals = _chunked_eval(fn, slots(points.reshape(-1, n, n), k)).reshape(samples, 3, n, n)
+    points = points.reshape(samples, 3, k, n, n)
+    dist = _spec_norm(points[:, 1] - points[:, 0]).sum(axis=1)
+    moved = dist > 0
+    quotient = float(np.max(_spec_norm(vals[moved, 1] - vals[moved, 0]) / dist[moved], initial=0.0))
+    local = float(np.max(_spec_norm(vals[:, 2]), initial=0.0))
     return LipschitzReport(
         quotient=quotient,
         local_bound=local,

@@ -2,15 +2,16 @@
 
 Everything is driven by an explicit ``numpy.random.Generator`` so that a
 seed pins the whole draw sequence; certification reports replay from the
-stored seed alone.
+stored seed and the requested trial count.
 
-Each sampler is split into its draws and its finish.  ``draw`` makes the
-generator calls of R rounds of a fixed plan in the seed's order (a
-ziggurat normal takes a variable number of words; Marsaglia & Tsang,
-*J. Stat. Softw.* 5, 2000), each straight into its row of a preallocated
-stack, then maps each stack once with the arithmetic of numpy's own
-``uniform`` and ``normal``.  The finish (``finish_*``) does
-the arithmetic over a whole stack at once: one ``qr`` with Mezzadri's phase
+Each sampler is split into its draws and its finish.  ``draw`` makes one
+generator call per distinct entry of a fixed plan: the R rounds of an entry
+that appears c times per round come from one ``standard_normal`` or
+``random`` call of R c values, mapped once with the arithmetic of numpy's
+own ``normal`` and ``uniform``.  The samplers of single objects and of
+tuples draw one object at a time, so their streams are those of the
+generator's own per-matrix calls.  The finish (``finish_*``) does the
+arithmetic over a whole stack at once: one ``qr`` with Mezzadri's phase
 fix (*Notices AMS* 54, 2007) for unitaries, isometries and SPD matrices,
 one ``g g*`` for PSD matrices, one ``eigvalsh`` for ordered pairs.
 """
@@ -87,24 +88,29 @@ def pair_plan(n: int, c1: float, c2: float) -> list[Draw]:
 
 
 def draw(rng: np.random.Generator, rounds: int, plan: Sequence[Draw]) -> tuple[np.ndarray, ...]:
-    """The generator calls of ``rounds`` rounds of the plan, in order, as one stack per distinct entry.
+    """``rounds`` rounds of the plan, one generator call and one stack per distinct entry.
 
     An entry appearing c times per round comes back as a trial-major
-    ``(rounds * c, *shape)`` stack, the stacks in order of first appearance.
+    ``(rounds * c, *shape)`` stack, drawn in one call; the calls and the
+    stacks follow the entries' first appearance.  Only a one-round draw of
+    distinct entries takes the stream of the plan's calls made one by one.
     """
     if rounds < 1:
         raise BadConfig("nothing to draw: the trial count must be positive")
-    # a scalar entry gets a (1,) slot, since out= needs an array
-    stacks = {d: np.empty((rounds, plan.count(d), *(d.shape or (1,)))) for d in dict.fromkeys(plan)}
-    calls = [(rng.random if d.uniform else rng.standard_normal, stacks[d][:, plan[:i].count(d)])
-             for i, d in enumerate(plan)]
-    for r in range(rounds):
-        for fill, rows in calls:
-            fill(out=rows[r])
-    for d, s in stacks.items():
+    stacks = []
+    for d in dict.fromkeys(plan):
+        s = (rng.random if d.uniform else rng.standard_normal)((rounds * plan.count(d), *d.shape))
         s *= d.scale
         s += d.lo
-    return tuple(s.reshape(-1, *d.shape) for d, s in stacks.items())
+        stacks.append(s)
+    return tuple(stacks)
+
+
+def _one_by_one(rng: np.random.Generator, k: int, plan: Sequence[Draw]) -> tuple[np.ndarray, ...]:
+    """k one-round draws of the plan, stacked: the stream of k separate objects."""
+    if k < 1:
+        raise BadConfig("nothing to draw: a tuple needs at least one component")
+    return tuple(np.concatenate(s) for s in zip(*(draw(rng, 1, plan) for _ in range(k))))
 
 
 def _complex(z: np.ndarray) -> np.ndarray:
@@ -204,12 +210,12 @@ def rand_spd_interval(
 def rand_tuple_interval(
     rng: np.random.Generator, k: int, n: int, c1: float, c2: float
 ) -> tuple[np.ndarray, ...]:
-    return tuple(finish_spd(*draw(rng, k, spd_plan(n, c1, c2))))
+    return tuple(finish_spd(*_one_by_one(rng, k, spd_plan(n, c1, c2))))
 
 
 def ordered_pair_interval(
     rng: np.random.Generator, k: int, n: int, c1: float, c2: float
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """A <= B componentwise, both with spectra inside [c1, c2] (see ``finish_pair``)."""
-    a, b = finish_pair(*draw(rng, k, pair_plan(n, c1, c2)), c2)
+    a, b = finish_pair(*_one_by_one(rng, k, pair_plan(n, c1, c2)), c2)
     return tuple(a), tuple(b)

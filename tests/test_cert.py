@@ -19,7 +19,7 @@ from opmono.freefun import (
     lift_scalar,
 )
 from opmono.matcore import herm_part
-from opmono.sampling import ordered_pair_interval, rand_spd_interval
+from opmono.sampling import draw, finish_pair, pair_plan, rand_spd_interval
 
 
 def affine_plus_one():
@@ -253,15 +253,29 @@ class TestCrossValidation:
             assert rep.verdict == expected
 
 
+class TestNegativeControls:
+    # perfbench's certify setting: n = 2, 512 trials, isometries onto C^2;
+    # the seeds are fixed in advance, and each must be caught by all four testers
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("fn", [lift_scalar("xsq"), fake_trace_fn()], ids=["xsq", "faketrace"])
+    def test_caught_by_every_tester(self, fn, seed):
+        reps = [
+            monotone_test(fn, n=2, trials=512, seed=seed),
+            concave_test(fn, n=2, trials=512, seed=seed),
+            derivative_monotone_test(fn, n=2, trials=512, seed=seed),
+            hypograph_convexity_test(fn, n=2, m=2, trials=512, seed=seed),
+        ]
+        assert [r.verdict for r in reps] == ["counterexample"] * 4
+
+
 class TestScan:
     @pytest.mark.parametrize("bad", [(), (37, 120, 300)])
     def test_reference_first_violation_and_worst_margin(self, bad):
-        # the same seeded pairs the tester draws; F lowers B by (1 + t/100) I
-        # on the listed pairs only, so monotonicity fails there and nowhere else
+        # the same seeded pairs the tester draws, all trials in one draw; F lowers
+        # B by (1 + t/100) I on the listed pairs only, so monotonicity fails there and nowhere else
         n, trials, seed = 3, 400, 23
-        rng = np.random.default_rng(seed)
-        pairs = [ordered_pair_interval(rng, 1, n, 0.5, 2.0) for _ in range(trials)]
-        dip = {pairs[t][1][0].tobytes(): 1.0 + t / 100 for t in bad}
+        a, b = finish_pair(*draw(np.random.default_rng(seed), trials, pair_plan(n, 0.5, 2.0)), 2.0)
+        dip = {b[t].tobytes(): 1.0 + t / 100 for t in bad}
 
         def ev(xs):
             x = xs[0].reshape(-1, n, n)
@@ -270,8 +284,8 @@ class TestScan:
 
         rep = monotone_test(FreeFn(name="dips", arity=1, evaluator=ev), n=n, trials=trials, seed=seed)
         margins = [
-            np.linalg.eigvalsh(herm_part(b[0] - dip.get(b[0].tobytes(), 0.0) * np.eye(n) - a[0]))[0]
-            for a, b in pairs
+            np.linalg.eigvalsh(herm_part(bt - dip.get(bt.tobytes(), 0.0) * np.eye(n) - at))[0]
+            for at, bt in zip(a, b)
         ]
         stop = bad[0] if bad else trials - 1
         assert rep.verdict == ("counterexample" if bad else "pass")
@@ -279,7 +293,7 @@ class TestScan:
         # worst_margin: the minimum over every check up to and including the stop
         assert abs(rep.worst_margin - min(margins[: stop + 1])) <= 1e-12
         if bad:
-            assert np.array_equal(rep.counterexample["B"][0], pairs[stop][1][0])
+            assert np.array_equal(rep.counterexample["B"][0], b[stop])
             assert rep.worst_margin > min(margins) + 1.0  # the deeper later dips are not scanned
 
     def test_one_eigvalsh_call_per_chunk(self, count_calls):

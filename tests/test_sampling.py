@@ -1,10 +1,11 @@
-"""The draw primitive and the stacked samplers against per-call references, and qr calls per tester.
+"""The draw primitive and the stacked samplers against per-call references, and calls per tester.
 
 The reference functions below draw and factor one matrix at a time, with
-the generator's own ``normal`` and ``uniform`` calls, in the way the
-samplers did before their draws and linear algebra were stacked.  Every
-stacked sampler must consume the generator identically and return the same
-bits, so seeded reports replay unchanged.
+the generator's own ``normal`` and ``uniform`` calls.  The samplers of
+single objects and tuples must consume the generator as they do and return
+the same bits.  ``draw`` must make one generator call per distinct plan
+entry, in the order of first appearance, and the stacked finishes must
+give the bits of the per-matrix references on the values it draws.
 """
 
 import numpy as np
@@ -25,40 +26,62 @@ def ref_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def ref_psd(rng, n, scale=1.0):
-    g = ref_complex(rng, n, n)
+# each ref_*_of factors one matrix from its drawn values; each ref_* draws them first
+
+
+def ref_psd_of(g, scale=1.0):
     out = g @ dagger(g)
-    return scale * out / n
+    return scale * out / g.shape[-1]
 
 
-def ref_unitary(rng, n):
-    q, r = np.linalg.qr(ref_complex(rng, n, n))
+def ref_psd(rng, n, scale=1.0):
+    return ref_psd_of(ref_complex(rng, n, n), scale)
+
+
+def ref_unitary_of(g):
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def ref_isometry(rng, n, m):
-    q, _ = np.linalg.qr(ref_complex(rng, n, m))
+def ref_unitary(rng, n):
+    return ref_unitary_of(ref_complex(rng, n, n))
+
+
+def ref_isometry_of(g):
+    q, _ = np.linalg.qr(g)
     return q
 
 
-def ref_spd_interval(rng, n, c1, c2):
-    u = ref_unitary(rng, n)
-    lam = rng.uniform(c1, c2, size=n)
+def ref_isometry(rng, n, m):
+    return ref_isometry_of(ref_complex(rng, n, m))
+
+
+def ref_spd_of(g, lam):
+    u = ref_unitary_of(g)
     return herm_part((u * lam) @ dagger(u))
+
+
+def ref_spd_interval(rng, n, c1, c2):
+    g = ref_complex(rng, n, n)
+    return ref_spd_of(g, rng.uniform(c1, c2, size=n))
+
+
+def ref_bumped(a, bump, w, c2):
+    """B = Herm(A + s P), s scaling lambda_max(P) to w (c2 - lambda_max(A))."""
+    top = float(np.linalg.eigvalsh(bump)[-1])
+    if top > 0:
+        bump = bump * (w * (c2 - float(np.linalg.eigvalsh(a)[-1])) / top)
+    return herm_part(a + bump)
 
 
 def ref_ordered_pair(rng, k, n, c1, c2):
     a, b = [], []
     for _ in range(k):
         ai = ref_spd_interval(rng, n, c1, c1 + 0.6 * (c2 - c1))
-        head = c2 - float(np.linalg.eigvalsh(ai)[-1])
         bump = ref_psd(rng, n)
-        top = float(np.linalg.eigvalsh(bump)[-1])
-        if top > 0:
-            bump = bump * (rng.uniform(0.05, 0.95) * head / top)
         a.append(ai)
-        b.append(herm_part(ai + bump))
+        b.append(ref_bumped(ai, bump, rng.uniform(0.05, 0.95), c2))
     return tuple(a), tuple(b)
 
 
@@ -104,7 +127,8 @@ class TestSameStream:
     @pytest.mark.parametrize("k", ARITIES)
     def test_stacked_finish_equals_per_matrix_loop(self, n, k):
         # one draw of a plan mixing the testers' entries, a scalar among them,
-        # then one finish per kind over the whole stack; the reference factors each matrix
+        # then one finish per kind over the whole stack; the reference draws
+        # the same values with the generator's own calls and factors each matrix
         trials, m = 40, max(n - 1, 1)
         r1, r2 = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
         plan = (sampling.spd_plan(n, *INTERVAL) * k + sampling.pair_plan(n, *INTERVAL) * k
@@ -114,13 +138,17 @@ class TestSameStream:
         a, b = (sampling.slots(s, k) for s in sampling.finish_pair(pz, plam, h, w, INTERVAL[1]))
         v = sampling.finish_isometry(iso)
         p = sampling.finish_psd(psd)
+        rz, rlam, rpz, rplam, rh, rw, rmix, riso, rpsd = (
+            s[..., 0, :, :] + 1j * s[..., 1, :, :] if s.ndim == 4 else s  # Gaussian parts as complex
+            for s in ref_draw(r2, trials, as_calls(plan)))
         for t in range(trials):
-            assert same(tuple(xi[t] for xi in x), tuple(ref_spd_interval(r2, n, *INTERVAL) for _ in range(k)))
-            ra, rb = ref_ordered_pair(r2, k, n, *INTERVAL)
-            assert same(tuple(ai[t] for ai in a), ra) and same(tuple(bi[t] for bi in b), rb)
-            assert mix[t] == r2.uniform(0.05, 0.95)
-            assert same(v[t], ref_isometry(r2, n, m))
-            assert same(p[t], ref_psd(r2, n))
+            for i, j in enumerate(range(t * k, (t + 1) * k)):
+                assert same(x[i][t], ref_spd_of(rz[j], rlam[j]))
+                ra = ref_spd_of(rpz[j], rplam[j])
+                assert same(a[i][t], ra) and same(b[i][t], ref_bumped(ra, ref_psd_of(rh[j]), rw[j], INTERVAL[1]))
+            assert mix[t] == rmix[t]
+            assert same(v[t], ref_isometry_of(riso[t]))
+            assert same(p[t], ref_psd_of(rpsd[t]))
         assert all(xi.flags.c_contiguous for xi in x + a + b)
         assert r1.normal() == r2.normal()
 
@@ -136,13 +164,12 @@ class TestSameStream:
 
 
 def ref_draw(rng, rounds, calls):
-    """The per-call loop: ``calls`` holds (key, method, args, shape); one stack per key, keys in first-seen order."""
-    out, shapes = {}, {}
-    for _ in range(rounds):
-        for key, method, args, shape in calls:
-            out.setdefault(key, []).append(getattr(rng, method)(*args, size=shape or None))
-            shapes[key] = shape
-    return tuple(np.reshape(v, (-1, *shapes[key])) for key, v in out.items())
+    """One call per key: ``calls`` holds a round's (key, method, args, shape); a key in it c times gives
+    one ``(rounds * c, *shape)`` call, the keys in first-seen order."""
+    keys = {}
+    for key, method, args, shape in calls:
+        keys.setdefault(key, [method, args, shape, 0])[3] += 1
+    return tuple(getattr(rng, method)(*args, size=(rounds * c, *shape)) for method, args, shape, c in keys.values())
 
 
 def as_calls(plan):
@@ -195,10 +222,25 @@ def library_plans(monkeypatch):
     return seen
 
 
-class TestDraw:
-    """``draw`` against the loop of the generator's own ``normal`` and ``uniform`` calls."""
+class Counting:
+    """A generator that counts the calls ``draw`` makes of it."""
 
-    def test_every_library_plan_equals_the_per_call_loop(self, monkeypatch):
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return self.rng.standard_normal(size)
+
+
+class TestDraw:
+    """``draw`` against one call of the generator's own ``normal`` or ``uniform`` per entry."""
+
+    def test_every_library_plan_equals_one_generator_call_per_entry(self, monkeypatch):
         for rounds, plan in library_plans(monkeypatch):
             r1, r2 = np.random.default_rng(rounds), np.random.default_rng(rounds)
             assert same(sampling.draw(r1, rounds, plan), ref_draw(r2, rounds, as_calls(plan)))
@@ -215,7 +257,7 @@ class TestDraw:
         rounds=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_random_plans_equal_the_per_call_loop(self, pool, picks, rounds, seed):
+    def test_random_plans_equal_one_generator_call_per_entry(self, pool, picks, rounds, seed):
         entries = []
         for method, lo, width, shape in pool:
             if method == "normal":
@@ -245,11 +287,30 @@ class TestDraw:
 
     def test_normal_map_clears_negative_zero(self):
         class Zeros:
-            def standard_normal(self, out):
-                out[...] = -0.0
+            def standard_normal(self, size):
+                return np.full(size, -0.0)
 
         (z,) = sampling.draw(Zeros(), 2, [sampling.normal(3)])
         assert z.shape == (2, 3) and not np.signbit(z).any()
+
+    @pytest.mark.parametrize("rounds", [1, 7, 512])
+    def test_one_generator_call_per_distinct_entry(self, rounds):
+        n, rng = 3, Counting(np.random.default_rng(0))
+        plan = sampling.spd_plan(n, *INTERVAL) * 4 + sampling.pair_plan(n, *INTERVAL) * 2 + [sampling.uniform(0, 1)]
+        sampling.draw(rng, rounds, plan)
+        assert rng.calls == len(set(plan)) == 7
+
+    def test_a_tester_draws_all_its_trials_at_once(self, monkeypatch):
+        made, real = [], np.random.default_rng
+
+        def counting(seed):
+            made.append(Counting(real(seed)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        concave_test(resolve_function("sqrt"), n=3, trials=512, seed=0)
+        # the Gaussians and spectra of A and B, then the mixing weights
+        assert [rng.calls for rng in made] == [3]
 
     def test_scalar_entries_come_back_flat(self):
         s, v = sampling.draw(np.random.default_rng(0), 4, [sampling.normal(scale=0.3), sampling.uniform(0, 1, 2)])
@@ -266,6 +327,15 @@ class TestDraw:
     def test_no_rounds_is_bad_config(self):
         with pytest.raises(BadConfig):
             sampling.draw(np.random.default_rng(0), 0, [sampling.normal(2)])
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: sampling.rand_tuple_interval(rng, 0, 2, *INTERVAL),
+        lambda rng: sampling.ordered_pair_interval(rng, 0, 2, *INTERVAL),
+        lambda rng: lipschitz_estimate(resolve_function("sqrt"), (np.eye(2),), 0.1, samples=0),
+    ], ids=["empty-tuple", "empty-pair", "no-lipschitz-samples"])
+    def test_nothing_to_draw_is_bad_config(self, call):
+        with pytest.raises(BadConfig):
+            call(np.random.default_rng(0))
 
 
 BAD_INTERVALS = [(2.0, 0.5), (0.5, np.inf), (0.5, np.nan)]
