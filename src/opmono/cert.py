@@ -12,8 +12,10 @@ All testers share one pipeline.  One ``sampling.draw`` takes the inputs of
 every trial, a fixed plan per trial, with one generator call per distinct
 plan entry; the linear algebra of the draws runs once per stack: one
 ``qr`` per tester call, two for the hypograph test (its arguments and its
-isometries).  The inputs are evaluated in chunks of 512 rows (the
-derivative stencil in blocks of 256 trials).  The differences that must be
+isometries), none for the derivative test of a one-variable lift, which
+checks the Loewner matrices of the drawn spectra and forms no X.  The
+inputs are evaluated in chunks of 512 rows (the derivative stencil in
+blocks of 256 trials).  The differences that must be
 positive semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and
 one scan (``_scan``) takes their smallest eigenvalues and norms in one
 batched call per stack.  It stops at the first violation in trial-major
@@ -30,9 +32,10 @@ import numpy as np
 
 from .errors import BadConfig, ChainNotIncreasing, OpmonoError
 from .freefun import FreeFn, frechet_many
+from .gradients import loewner_matrix
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, psd_floor
-from .sampling import (draw, finish_isometry, finish_pair, finish_psd, finish_spd, normal, pair_plan,
-                       slots, spd_plan, uniform)
+from .sampling import (draw, finish_isometry, finish_pair, finish_psd, finish_spd, finish_unitary, normal,
+                       pair_plan, slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
@@ -197,12 +200,34 @@ def derivative_monotone_test(
     tol: Tolerances = DEFAULT_TOL,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
 ) -> CertReport:
-    """Check DF(X)(H) >= 0 at random interior points and PSD directions."""
+    """Check DF(X)(H) >= 0 at random interior points and PSD directions.
+
+    A lift (``fn.scalar`` = (f, f')) is checked on the Loewner matrix Phi of
+    f on each drawn spectrum, at the plain ``tol``: with X = U diag(lam) U*,
+    DF(X)[H] = U (Phi o U* H U) U* (Daleckii-Krein) is PSD for every PSD H
+    exactly when Phi is.  No X is formed but a counterexample's, whose H is
+    (U 1)(U 1)* / ||(U 1)(U 1)*||_F, 1 the all-ones vector: DF(X)[H] is then
+    U Phi U* / n, with Phi's failing eigenvalue over n.  Any other function
+    takes a Richardson stencil, 4 evaluations per trial in blocks of 256
+    trials, and its scan allows 10 ``psd`` for the differences.
+    """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     pad = 0.15 * (c2 - c1)
     k = fn.arity
-    z, lam, g = draw(rng, trials, spd_plan(n, c1 + pad, c2 - pad) * k + [normal(2, n, n)] * k)
+    plan = spd_plan(n, c1 + pad, c2 - pad) * k
+    if fn.scalar is not None:  # the spectra come before the directions in the stream, so they are the same
+        z, lam = draw(rng, trials, plan)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phi = loewner_matrix(lam, *fn.scalar)
+
+        def loewner_counter(t: int, c: int, m: float) -> dict[str, Any]:
+            ones = finish_unitary(z[t]).sum(axis=-1)
+            h = np.outer(ones, np.conj(ones))
+            return {"X": (finish_spd(z[t], lam[t]),), "H": (h / fro_norm(h),), "margin": m}
+
+        return _scan("derivative", seed, tol, [phi[:, None]], loewner_counter)
+    z, lam, g = draw(rng, trials, plan + [normal(2, n, n)] * k)
     x = slots(finish_spd(z, lam), k)
     h = finish_psd(g).reshape(trials, k, n, n)
     h = h / np.max(fro_norm(h), axis=1)[:, None, None, None]

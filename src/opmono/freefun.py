@@ -33,8 +33,10 @@ B > 0 (Sylvester's law of inertia).  That is one ``eigh`` per lift, one
 L^{-1} B L^{-*} is too ill-conditioned for ``eigh``, a ``cholesky`` of B and
 an ``svd``: ``_congruence_fun``), one ``cholesky`` per argument of the
 harmonic mean, and for three or more arguments the ``cholesky`` of the
-iterate Z and the ``eigh`` of each L^{-1} X_i L^{-*}.  An error's minimum
-eigenvalue is computed only once a check has failed.
+iterate Z and the ``eigh`` of each L^{-1} X_i L^{-*} (for a member too
+ill-conditioned for ``eigh``, or made indefinite by rounding, the ``svd`` of
+L^{-1} L_i with X_i's Cholesky factor L_i, taken once per solve).  An
+error's minimum eigenvalue is computed only once a check has failed.
 """
 
 from __future__ import annotations
@@ -153,6 +155,16 @@ class FreeFn:
     slot derivatives of X -> tr(W F(X)); ``gradient`` checks the arguments
     and falls back on finite differences without it.  Declared properties
     are what the catalogue *claims*; the cert module tests them.
+
+    ``scalar`` = (f, f') declares F(X) = U f(Lambda) U* for X = U Lambda U*:
+    a one-variable lift of the scalar f.  Only ``lift_scalar`` sets it, and
+    it builds the evaluator from the same f.  Where it is set, the support
+    validation reads F on a sample from f of its spectrum
+    (``represent._graph_margins``) and the derivative tester checks the
+    Loewner matrix of f (``cert.derivative_monotone_test``), neither calling
+    the evaluator.  So ``replace(fn, evaluator=...)`` on a lift, with an
+    evaluator that computes anything but the same F, has to pass
+    ``scalar=None``.
     """
 
     name: str
@@ -163,6 +175,7 @@ class FreeFn:
     monotone: bool = True
     concave: bool = True
     weights: tuple[float, ...] | None = None  # the Karcher mean's, for the CLI's iteration report
+    scalar: tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
 
     def _args(self, mats: tuple) -> MatTuple:
         """The argument check of every entry point that takes this function's arguments."""
@@ -253,7 +266,8 @@ def lift_scalar(name: str, p: float | None = None) -> FreeFn:
     def _ev(xs: MatTuple) -> np.ndarray:
         return _eigh_fun(f, xs[0], "argument" if checked else None)
 
-    return FreeFn(name, 1, _ev, _principal_matfun(fc), _dk_vgrad(f, fp), monotone=monotone, concave=monotone)
+    return FreeFn(name, 1, _ev, _principal_matfun(fc), _dk_vgrad(f, fp), monotone=monotone, concave=monotone,
+                  scalar=(f, fp))
 
 
 def fake_trace_fn() -> FreeFn:
@@ -408,37 +422,62 @@ def _pair_vgrad(xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray) -> list
             second_slot(a, b, *_pair_function(t, w1, w2), "first argument")]
 
 
-def _mean_equation(z: np.ndarray, xs: MatTuple, w: np.ndarray, f: Callable) -> tuple[np.ndarray, ...]:
-    """L, S = sum w_i f(M_i) and max_i cond(M_i), Z = L L*, M_i = L^{-1} X_i L^{-*}: one ``cholesky``, k ``eigh``.
+class _Arguments(tuple):
+    """The arguments X_i of one k >= 3 solve, each one's Cholesky factor taken once, on first need."""
+
+    def __new__(cls, xs: MatTuple) -> "_Arguments":
+        self = super().__new__(cls, xs)
+        self.lows: dict[int, np.ndarray] = {}
+        return self
+
+    def low(self, i: int) -> np.ndarray:
+        """L_i with X_i = L_i L_i*, i counted from 1."""
+        if i not in self.lows:
+            xi = self[i - 1]
+            try:
+                self.lows[i] = _factor(xi, f"argument {i} is not positive definite: X_{i}")[0]
+            except NotPositiveDefinite:
+                if not (np.isfinite(xi).all() and np.all(np.linalg.eigvalsh(herm_part(xi))[..., 0] > 0)):
+                    raise
+                raise NotPositiveDefinite(
+                    f"X_{i} has no Cholesky factor although argument {i} is positive definite: at condition "
+                    f"number {float(np.max(np.linalg.cond(xi))):.1e} rounding leaves it indefinite"
+                ) from None
+        return self.lows[i]
+
+
+def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) -> tuple[np.ndarray, ...]:
+    """L (Z = L L*), S = sum w_i f(M_i) and kappa, M_i = L^{-1} X_i L^{-*}: one ``cholesky``, k ``eigh``.
 
     The power mean P_t (f(x) = x^t) and the Karcher mean (f = log) of three
     or more arguments are the positive solutions of S = f(1) I (Lim & Palfia
     2012; Lawson & Lim 2014), stated with Z^{-1/2} in place of L^{-1}.  The
     Cholesky form turns S into a unitary conjugate Q* S Q (module
     docstring), so ||S||_F and kappa are unchanged and the steps
-    Z <- L S L* and Z <- L exp(s S) L* are those of the square root.  The
-    same factorizations check positivity: Z by its Cholesky factor, and X_i
-    by the eigenvalues of M_i (for Z > 0, X_i > 0 exactly when M_i > 0).  Z
-    starts at sum w_i X_i, so if Z fails, so does some X_i.  Where M_i
-    fails although X_i > 0, rounding is at fault, and the error gives the
-    condition numbers of X_i and Z instead.  kappa is read from the same
-    eigenvalues as the check.
+    Z <- L S L* and Z <- L exp(s S) L* are those of the square root.  Z is
+    checked by its Cholesky factor; Z starts at sum w_i X_i, so if Z fails,
+    so does some X_i.  A member whose eigenvalues of M_i are not positive or
+    whose cond(M_i) exceeds ``_EIGH_COND`` takes them, as
+    ``_congruence_fun`` does, from the SVD of L^{-1} L_i, X_i = L_i L_i*,
+    with X_i's factor taken once per solve (``_Arguments.low``), which also
+    checks X_i: for Z > 0, M_i > 0 exactly when X_i > 0, so only rounding
+    leaves M_i indefinite when L_i exists.  kappa bounds the factor by which
+    a member's eigenvalues amplify rounding: cond(M_i) from ``eigh``, and
+    from the SVD cond(L^{-1} L_i) = sqrt(cond(M_i)), raised to ``_EIGH_COND``
+    so that kappa never falls as cond(M_i) grows.
     """
     low, linv = _factor(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
     s, kappa = 0, 1.0
     for i, (wi, xi) in enumerate(zip(w, xs), 1):
-        try:
-            lam, u = _eigh(linv @ xi @ dagger(linv), f"L^-1 X_{i} L^-*")
-        except NotPositiveDefinite as exc:
-            if not (np.isfinite(xi).all() and np.all(np.linalg.eigvalsh(herm_part(xi))[..., 0] > 0)):
-                raise NotPositiveDefinite(f"argument {i} is not positive definite: {exc}") from None
-            cond_x, cond_z = (float(np.max(np.linalg.cond(a))) for a in (xi, z))
-            raise NotPositiveDefinite(
-                f"{exc} although argument {i} is positive definite: at condition numbers {cond_x:.1e} of "
-                f"X_{i} and {cond_z:.1e} of the iterate Z rounding leaves it indefinite"
-            ) from None
+        lam, u = _eigh(linv @ xi @ dagger(linv))
+        wide = ~(_EIGH_COND * lam[..., 0] >= lam[..., -1])  # also a member with lam_min <= 0
+        if np.any(wide):
+            li = np.broadcast_to(xs.low(i), u.shape)[wide]
+            v, sv, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ li)
+            lam[wide], u[wide] = sv[..., ::-1] ** 2, v[..., ::-1]
         s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
-        kappa = np.maximum(kappa, lam[..., -1] / lam[..., 0])
+        cond = lam[..., -1] / lam[..., 0]
+        kappa = np.maximum(kappa, np.where(wide, np.maximum(_EIGH_COND, np.sqrt(cond)), cond))
     return low, s, kappa
 
 
@@ -498,6 +537,7 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
     f = _pair_function(0.0, 1.0 - t, t)[0]  # x^t, that of Z #_t X
+    xs = _Arguments(xs)
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     bound = _POWER_RTOL * fro_norm(z)
     for _ in range(_MAX_ITER):
@@ -555,14 +595,17 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     1/64) whenever the largest residual ||S||_F of the members still running
     grows.  A member stops once its residual, which does not change when
     every X_i is scaled, drops to max(``_KARCHER_RTOL``, 16 eps kappa
-    exp(-2 ||S||_F)), kappa its largest cond(M_i).  That is at most the
-    rounding floor 16 eps kappa* of S at the solution Z*: the Karcher
-    objective is 1-strongly geodesically convex, so d(Z, Z*) <= ||S||_F, and
-    that moves each cond(M_i) by a factor of at most exp(2 ||S||_F).  A start
+    exp(-2 ||S||_F)), kappa the rounding factor of ``_mean_equation``: its
+    largest cond(M_i), or past ``_EIGH_COND`` max(``_EIGH_COND``,
+    sqrt(cond(M_i))).  That is at most the rounding floor 16 eps kappa* of S
+    at the solution Z*: the Karcher objective is 1-strongly geodesically
+    convex, so d(Z, Z*) <= ||S||_F, which moves each cond(M_i), and so
+    kappa, by a factor of at most exp(2 ||S||_F).  A start
     far from Z*, where kappa may be many times kappa*, cannot stop early.  It
     raises NoConvergence after ``_MAX_ITER`` steps.
     """
     w = _check_weights(weights, len(xs))
+    xs = _Arguments(xs)
     if len(xs) == 2:
         z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
         if return_info:

@@ -8,7 +8,8 @@ every catalogue function the adjoint of the slot derivative applied to a
 Hermitian seed W (usually vv*) is available in closed form:
 
   * functional-calculus lifts: the Daleckii-Krein divided-difference map,
-    which is self-adjoint under the trace pairing;
+    which is self-adjoint under the trace pairing, its table the Loewner
+    matrix of f on the spectrum (``loewner_matrix``);
   * harmonic/arithmetic means: explicit congruence sandwiches;
   * the two-argument geometric, power and Karcher means: a Daleckii-Krein
     sandwich on their representing function (``freefun._pair_vgrad``);
@@ -28,6 +29,7 @@ from .matcore import dagger, herm_part
 
 __all__ = [
     "hermitian_basis",
+    "loewner_matrix",
     "dk_map",
     "solve_linear_map",
 ]
@@ -50,6 +52,27 @@ def hermitian_basis(n: int) -> np.ndarray:
     return out
 
 
+def loewner_matrix(
+    w: np.ndarray,
+    f: Callable[[np.ndarray], np.ndarray],
+    fprime: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The Loewner matrices [f[w_i, w_j]] of stacked spectra ``(..., n)``, shape ``(..., n, n)``.
+
+    f[a, b] = (f(a) - f(b)) / (a - b), and f'((a + b) / 2) where |a - b| is
+    below 1e-8 (1 + |a| + |b|), on the diagonal too.  For a real spectrum the
+    matrix is the divided-difference table of the Daleckii-Krein map, and it
+    is PSD for every spectrum exactly when f is operator monotone (Loewner,
+    *Math. Z.* 38, 1934).
+    """
+    lam_i, lam_j = w[..., :, None], w[..., None, :]
+    diff = lam_i - lam_j
+    close = np.abs(diff) < 1e-8 * (1.0 + np.abs(lam_i) + np.abs(lam_j))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = (f(lam_i) - f(lam_j)) / np.where(close, 1.0, diff)
+    return np.where(close, fprime((lam_i + lam_j) / 2), phi)
+
+
 def dk_map(
     a: np.ndarray,
     f: Callable[[np.ndarray], np.ndarray],
@@ -59,18 +82,11 @@ def dk_map(
     """Daleckii-Krein derivative of the functional calculus at Hermitian ``a``.
 
     Returns the (self-adjoint) linear map H -> U (Phi o (U* H U)) U* with
-    Phi the divided-difference table of f on the spectrum.  ``eig``, when
-    given, is the caller's ``eigh`` of Herm(a), which is then not repeated.
+    Phi = ``loewner_matrix`` of f on the spectrum.  ``eig``, when given, is
+    the caller's ``eigh`` of Herm(a), which is then not repeated.
     """
     w, u = np.linalg.eigh(herm_part(a)) if eig is None else eig
-    lam_i = w[:, None]
-    lam_j = w[None, :]
-    diff = lam_i - lam_j
-    close = np.abs(diff) < 1e-8 * (1.0 + np.abs(lam_i) + np.abs(lam_j))
-    mid = (lam_i + lam_j) / 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = (f(lam_i) - f(lam_j)) / np.where(close, 1.0, diff)
-    phi = np.where(close, fprime(mid), phi)
+    phi = loewner_matrix(w, f, fprime)
 
     def apply(h: np.ndarray) -> np.ndarray:
         return u @ (phi * (dagger(u) @ h @ u)) @ dagger(u)

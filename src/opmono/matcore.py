@@ -63,8 +63,9 @@ class Tolerances:
     One PSD rule serves every Loewner check in the package: a Hermitian
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
     floor taken per member of a stack (``psd_floor``; ``require_psd`` raises
-    the caller's typed error).  Only the derivative tester widens it, to
-    10 psd, for its finite-difference stencil.
+    the caller's typed error).  Only the derivative tester's
+    finite-difference stencil widens it, to 10 psd; its Loewner-matrix path
+    for one-variable lifts keeps the plain rule.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general

@@ -74,7 +74,9 @@ class SupportCertificate:
     makes the certificate exactly tight at the base point; for k >= 3 it
     need not be, and ``reconstruct``'s residual shows how far it is off.
     ``support_margin`` is a lower bound on the pencil's smallest eigenvalue
-    at ``samples`` graph points (F(X), X) of sizes n and 2n (``_graph_margins``).
+    at ``samples`` graph points (F(X), X) of sizes n and 2n
+    (``_graph_margins``); for a lift it is that smallest eigenvalue, taken
+    blockwise from f on each sample's spectrum.
     """
 
     function: str
@@ -112,18 +114,26 @@ def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
     L decreases in Y, so the graph is the worst hypograph member at X.  For
     one argument T = U* F(X) U = diag(d) + O gives (I (x) U)* L (I (x) U) =
     (+)_j M_j - vv* (x) O, M_j = B_0 + (lam_j - 1) G - d_j vv*, and Weyl
-    bounds lambda_min L by min_j lambda_min M_j - ||O||_F (O is rounding
-    for a unitarily equivariant F).  For k >= 2 the bound is lambda_min L.
+    bounds lambda_min L by min_j lambda_min M_j - ||O||_F.  A lift
+    (``fn.scalar`` = (f, f')) has T = f(diag(lam)) exactly, so d = f(lam),
+    O = 0 and the bound is lambda_min L itself, read from the drawn spectra
+    without forming U, X or F(X).  Any other one-variable F pays its
+    remainder O (rounding for a unitarily equivariant F).  For k >= 2 the
+    bound is lambda_min L.
     """
-    u = finish_unitary(z)
-    x = herm_part((u * lam[..., None, :]) @ dagger(u))
-    if fn.arity > 1:
-        xs = slots(x, fn.arity)
-        return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
-    t = herm_part(dagger(u) @ fn((x,)) @ u)
-    d = np.diagonal(t, axis1=-2, axis2=-1).real
+    if fn.scalar is not None:
+        d, remainder = fn.scalar[0](lam), 0.0
+    else:
+        u = finish_unitary(z)
+        x = herm_part((u * lam[..., None, :]) @ dagger(u))
+        if fn.arity > 1:
+            xs = slots(x, fn.arity)
+            return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
+        t = herm_part(dagger(u) @ fn((x,)) @ u)
+        d = np.diagonal(t, axis1=-2, axis2=-1).real
+        remainder = fro_norm(t - d[..., None] * np.eye(lam.shape[-1]))
     blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
-    return np.min(min_eig(blocks), axis=-1) - fro_norm(t - d[..., None] * np.eye(lam.shape[-1]))
+    return np.min(min_eig(blocks), axis=-1) - remainder
 
 
 def support_pencil(
@@ -208,9 +218,9 @@ def support_pencil(
     draws = [draw(rng, per_size * fn.arity, spd_plan(ns, c1, c2)) for ns in (n, 2 * n)]
     support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, *zl))) for zl in draws)
     scalar_margin = float(np.min(min_eig(_support_eval(b0, grads, v, fn(scalars), scalars))))
-    if scalar_margin < gate:
+    if not scalar_margin >= gate:
         raise SupportViolated(f"the pencil fails the scalar grid: margin {scalar_margin:.3e}")
-    if support_margin < gate:
+    if not support_margin >= gate:
         raise SupportViolated(f"the pencil fails on the sampled graph: margin {support_margin:.3e}")
     return SupportCertificate(
         function=fn.name,

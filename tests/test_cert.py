@@ -15,10 +15,12 @@ from opmono.cert import (
 from opmono.freefun import (
     FreeFn,
     fake_trace_fn,
+    frechet_derivative,
     harmonic_mean,
     lift_scalar,
+    resolve_function,
 )
-from opmono.matcore import herm_part
+from opmono.matcore import fro_norm, herm_part, min_eig
 from opmono.sampling import draw, finish_pair, pair_plan, rand_spd_interval
 
 
@@ -128,6 +130,41 @@ class TestDerivative:
     def test_xsq_fails(self):
         rep = derivative_monotone_test(lift_scalar("xsq"), n=2, trials=500, seed=8)
         assert rep.verdict == "counterexample"
+
+
+class TestLoewnerPath:
+    """A lift's derivative test scans the Loewner matrices of the drawn spectra."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_counterexample_replays(self, n):
+        # H = (U 1)(U 1)* / n, so DF(X)[H] = U Phi U* / n carries Phi's failing eigenvalue over n
+        fn = lift_scalar("xsq")
+        rep = derivative_monotone_test(fn, n=n, trials=512, seed=n)
+        assert rep.verdict == "counterexample"
+        x, h, margin = rep.counterexample["X"], rep.counterexample["H"], rep.counterexample["margin"]
+        assert abs(fro_norm(h[0]) - 1.0) <= 1e-12 and min_eig(h[0]) >= -1e-12
+        replay = float(min_eig(frechet_derivative(fn, x, h)))
+        assert replay < 0 and abs(replay - margin / n) <= 1e-8 * (1.0 + abs(margin))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("ident", ["identity", "sqrt", "log1p", "pow:0.7"])
+    def test_operator_monotone_lifts_pass(self, ident, n):
+        fn = resolve_function(ident)
+        verdicts = {derivative_monotone_test(fn, n=n, trials=512, seed=seed).verdict for seed in range(30)}
+        assert verdicts == {"pass"}
+
+    def test_no_eigh_and_no_qr(self, count_calls):
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh")}
+        assert derivative_monotone_test(lift_scalar("sqrt"), n=4, trials=512, seed=0).passed
+        assert calls == {"eigh": [], "qr": [], "eigvalsh": [(512, 1, 4, 4)]}
+
+    def test_the_stencil_is_kept_for_undeclared_functions(self, count_calls):
+        # the same lift without its declaration evaluates X +- h H, X +- h/2 H
+        from dataclasses import replace
+
+        rows = count_calls(np.linalg, "eigh")
+        rep = derivative_monotone_test(replace(lift_scalar("sqrt"), scalar=None), n=3, trials=300, seed=1)
+        assert rep.passed and rows == [(1024, 3, 3), (176, 3, 3)]
 
 
 class TestDoubling:

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +28,10 @@ from opmono.freefun import (
     resolve_function,
     weighted_geo,
 )
-from opmono.gradients import dk_map, hermitian_basis, solve_linear_map
-from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig
-from opmono.sampling import rand_herm, rand_psd, rand_spd_interval, rand_tuple_interval, rand_unitary
+from opmono.gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
+from opmono.matcore import DEFAULT_TOL, dagger, fro_norm, funcalc, herm_part, im_part, min_eig
+from opmono.sampling import (draw, finish_spd, finish_unitary, rand_herm, rand_psd, rand_spd_interval,
+                             rand_tuple_interval, rand_unitary, spd_plan)
 
 
 def stacked_pair(rng, m, n):
@@ -100,6 +102,64 @@ class TestLiftScalar:
         x = np.array([[z, 1.0], [0.0, z + 1e-6]])
         y = fn.eval_complex(x)
         assert np.linalg.norm(y @ y - x) <= 1e-8
+
+
+# one identifier per catalogue entry: the lifts declare their scalar, nothing else does
+SCALAR_LIFTS = ("identity", "sqrt", "log1p", "pow:0.7", "xsq")
+UNDECLARED = ("faketrace", "harmonic", "harmonic:w=0.2,0.3,0.5", "arithmetic", "geomean2", "power:t=0.5",
+              "karcher", "karcher:w=0.2,0.3,0.5", "mobius:1,0,1,1")
+
+
+class TestScalarDeclaration:
+    """``FreeFn.scalar`` says F(U diag(lam) U*) = U f(diag(lam)) U*; a stale one would pass wrong certificates."""
+
+    def test_the_lists_cover_the_catalogue(self):
+        heads = {ident.split()[0].split("[")[0].split(":")[0] for ident in CATALOGUE_IDS}
+        assert {ident.split(":")[0] for ident in SCALAR_LIFTS + UNDECLARED} == heads
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ident", SCALAR_LIFTS)
+    def test_a_lift_is_its_scalar_on_the_spectrum(self, ident, n):
+        fn = resolve_function(ident)
+        z, lam = draw(np.random.default_rng(n), 64, spd_plan(n, 0.5, 2.0))
+        u = finish_unitary(z)
+        expect = (u * fn.scalar[0](lam)[..., None, :]) @ dagger(u)
+        assert worst_rel(fn(finish_spd(z, lam)), expect) <= DEFAULT_TOL.eq
+
+    @pytest.mark.parametrize("ident", UNDECLARED)
+    def test_no_other_entry_declares_one(self, ident):
+        assert resolve_function(ident).scalar is None
+
+    def test_a_representation_declares_none(self):
+        from opmono.represent import rep_from_quadrature
+
+        assert rep_from_quadrature("sqrt", nodes=8, target=1.0).fn.scalar is None
+
+
+class TestLoewnerMatrix:
+    def test_stacked_spectra_match_one_at_a_time(self):
+        lam = np.random.default_rng(3).uniform(0.5, 2.0, size=(4, 5, 3))
+        lam[0, 0, 1] = lam[0, 0, 0] + 1e-12  # a close pair takes f' at the midpoint
+        stacked = loewner_matrix(lam, np.sqrt, lambda x: 0.5 / np.sqrt(x))
+        assert stacked.shape == (4, 5, 3, 3)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(stacked[idx], loewner_matrix(lam[idx], np.sqrt, lambda x: 0.5 / np.sqrt(x)))
+        assert stacked[0, 0, 0, 1] == 0.5 / np.sqrt((lam[0, 0, 0] + lam[0, 0, 1]) / 2)
+
+    def test_sqrt_matches_its_closed_form(self):
+        # sqrt[a, b] = 1 / (sqrt a + sqrt b), a Cauchy matrix, positive definite
+        lam = np.random.default_rng(4).uniform(0.5, 2.0, size=(200, 4))
+        root = np.sqrt(lam)
+        exact = 1.0 / (root[..., :, None] + root[..., None, :])
+        assert np.max(np.abs(loewner_matrix(lam, np.sqrt, lambda x: 0.5 / np.sqrt(x)) - exact)) <= 1e-9
+
+    def test_it_is_the_table_of_the_daleckii_krein_map(self):
+        rng = np.random.default_rng(5)
+        x, h = rand_spd_interval(rng, 4, 0.5, 2.0), rand_herm(rng, 4)
+        w, u = np.linalg.eigh(x)
+        phi = loewner_matrix(w, np.log1p, lambda v: 1.0 / (1.0 + v))
+        expect = u @ (phi * (dagger(u) @ h @ u)) @ dagger(u)
+        assert fro_norm(dk_map(x, np.log1p, lambda v: 1.0 / (1.0 + v))(h) - expect) <= 1e-14
 
 
 class TestHarmonicMean:
@@ -244,15 +304,32 @@ class TestKarcherMean:
         assert info["iterations"] >= 2 and fro_norm(z - np.eye(2)) <= 1e-12
 
     def test_rounding_indefinite_step_names_the_conditioning(self):
-        # every argument has lambda_min >= 1, but at s = 1e14 rounding leaves
-        # M_2 = L^-1 X_2 L^-* indefinite: the error must not blame X_2
-        x = self.rotated_triple(1e14, 1.5)
+        # every argument has lambda_min >= 1, but at s = 3e16 > 1 / eps rounding
+        # leaves X_2 without a Cholesky factor: the error must not blame X_2
+        x = self.rotated_triple(3e16, 2.5)
         assert all(min_eig(xi) >= 1.0 - 1e-3 for xi in x)
-        pattern = (r"^L\^-1 X_2 L\^-\* has minimum eigenvalue -\d\.\d{3}e-\d+ although argument 2 is "
-                   r"positive definite: at condition numbers 1\.0e\+14 of X_2 and \d\.\de\+\d+ of the "
-                   r"iterate Z rounding leaves it indefinite$")
+        pattern = (r"^X_2 has no Cholesky factor although argument 2 is positive definite: "
+                   r"at condition number \d\.\de\+16 rounding leaves it indefinite$")
         with pytest.raises(errors.NotPositiveDefinite, match=pattern):
             karcher_mean(x, (1 / 3, 1 / 3, 1 / 3))
+
+    def test_ill_conditioned_arguments_take_the_svd(self):
+        # at s = 1e14 rounding leaves M_2 = L^-1 X_2 L^-* indefinite although
+        # every argument has lambda_min >= 1; the SVD of L^-1 L_2 gives its
+        # eigenvalues to eps sqrt(cond(M_2)), so the Karcher equation holds
+        # to that rounding level, and the mean does not depend on the order
+        x, w = self.rotated_triple(1e14, 1.5), (0.2, 0.3, 0.5)
+        assert all(min_eig(xi) >= 1.0 - 1e-3 for xi in x)
+        z = resolve_function("karcher:w=0.2,0.3,0.5")(*x)
+        linv = np.linalg.inv(np.linalg.cholesky(z))
+        res, kappa = 0, 1.0
+        for wi, xi in zip(w, x):
+            v, sv, _ = np.linalg.svd(linv @ np.linalg.cholesky(xi))
+            res, kappa = res + wi * (v * np.log(sv**2)) @ dagger(v), max(kappa, sv[0] / sv[-1])
+        assert fro_norm(res) <= 16 * np.finfo(float).eps * kappa
+        for p in itertools.permutations(range(3)):
+            zp = karcher_mean(tuple(x[i] for i in p), tuple(w[i] for i in p))
+            assert fro_norm(zp - z) <= 1e-12 * fro_norm(z)
 
     def test_damping_halves_the_step_when_the_residual_grows(self, monkeypatch):
         from opmono import freefun

@@ -124,7 +124,7 @@ class TestSupportPencil:
         u = np.linalg.qr(np.column_stack([v, rng.normal(size=3)]))[0][:, 1]
         k = np.outer(u, v.conj()) + np.outer(v, u.conj())
         if spoil == "offset":
-            fn = replace(fn, evaluator=lambda xs, f=fn.evaluator: f(xs) + 0.1 * k)
+            fn = replace(fn, evaluator=lambda xs, f=fn.evaluator: f(xs) + 0.1 * k, scalar=None)
         else:
             fn = replace(fn, vgrad=lambda xs, w, g=fn.vgrad: [2.0 * gi for gi in g(xs, w)])
         draws = count_calls(represent, "draw")
@@ -256,6 +256,29 @@ class TestGraphValidation:
         assert shapes and all(s[-2:] == (4, 4) for s in shapes)
         # the graph samples: 100 at size 4 and 100 at size 8, one 4 x 4 block per eigenvalue of X
         assert (100, 4, 4, 4) in shapes and (100, 8, 4, 4) in shapes
+
+    def test_lift_validation_reads_f_on_the_drawn_spectra(self, count_calls):
+        # a lift declares F(X) = U f(Lambda) U*: no unitary is finished and no X is evaluated
+        from dataclasses import replace
+
+        rng = np.random.default_rng(44)
+        a, v = rand_tuple_interval(rng, 1, 4, 0.5, 2.0), rand_unit_vector(rng, 4)
+        fn, rows = lift_scalar("sqrt"), []
+        traced = replace(fn, evaluator=lambda xs: rows.append(xs[0].shape) or fn.evaluator(xs))
+        qr = count_calls(np.linalg, "qr")
+        support_pencil(traced, a, v, validation_samples=200, seed=45)
+        assert qr == [] and rows == [(4, 4), (1, 1), (9, 1, 1)]
+
+    @pytest.mark.parametrize("ns", [3, 6])
+    def test_lift_bound_equals_the_weyl_split(self, lift_cert, ns):
+        # the declared path and the split by each sample's unitary agree to rounding
+        from dataclasses import replace
+
+        z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
+        fn, c = lift_scalar("sqrt"), lift_cert
+        declared = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
+        split = _graph_margins(replace(fn, scalar=None), c.pencil.b0, c.gradients, c.v, z, lam)
+        assert np.all(np.abs(declared - split) <= 1e-13)
 
 
 class TestReconstruct:
