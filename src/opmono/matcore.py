@@ -39,6 +39,7 @@ __all__ = [
     "loewner_leq",
     "loewner_margin",
     "min_eig",
+    "min_eig_above",
     "psd_floor",
     "require_psd",
     "funcalc",
@@ -66,6 +67,23 @@ class Tolerances:
     the caller's typed error).  Only the derivative tester's
     finite-difference stencil widens it, to 10 psd; its Loewner-matrix path
     for one-variable lifts keeps the plain rule.
+
+    The half-space checks (``schur``'s membership tests and
+    ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) and
+    ``rep_eval``'s domain check only compare lambda_min with a floor and
+    report no value when they pass.  They take ``min_eig_above``: one
+    ``cholesky`` of Herm(x) - (floor + 32 n^2 eps (||x||_F + |floor|)) I
+    over the whole stack.  Cholesky runs to completion only on a matrix that is positive
+    definite up to a backward error of about n^2 eps times its norm
+    (Demmel, LAPACK Working Note 14; Higham, Thm 10.5), so its success
+    puts every member above its floor by more than ``eigvalsh``'s rounding,
+    and ``eigvalsh`` would have passed them too.  A stack with a member it
+    cannot prove, at or near the floor or not finite, takes ``min_eig`` as
+    before, so every decision and every failure message is unchanged; the
+    slack only decides which stacks need the eigenvalues.  The checks that
+    report a value (``require_psd``, the testers' ``_scan``, the support
+    margins, ``_aim``) keep ``min_eig``, as do ``loewner_leq`` and the
+    chain tester, whose stacks no benchmarked path checks.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
@@ -168,6 +186,29 @@ def min_eig(a: np.ndarray) -> np.ndarray | float:
         a = np.where(finite[..., None, None], a, np.eye(a.shape[-1]))
     out = np.where(finite, np.linalg.eigvalsh(herm_part(a))[..., 0], -np.inf)
     return float(out) if out.ndim == 0 else out
+
+
+def min_eig_above(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray | float:
+    """``min_eig(a)``, or +inf for every member when one ``cholesky`` proves each above ``floor``.
+
+    The rule and its slack are written in ``Tolerances``.  A stack with a
+    member the factorization does not prove, or with a non-finite entry or
+    floor, gets ``min_eig(a)`` itself, so ``>``, ``>=`` and ``<`` against
+    ``floor`` decide as they do on ``min_eig(a)``.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    floor = np.asarray(floor, dtype=float)
+    shift = floor + 32 * n * n * np.finfo(float).eps * (fro_norm(a) + np.abs(floor))
+    shifted = herm_part(a) - shift[..., None, None] * np.eye(n)
+    if np.isfinite(shifted).all():
+        try:
+            proved = np.isfinite(np.linalg.cholesky(shifted)).all()  # overflow leaves inf or NaN
+        except np.linalg.LinAlgError:
+            proved = False
+        if proved:
+            return np.inf if a.ndim == 2 else np.full(a.shape[:-2], np.inf)
+    return min_eig(a)
 
 
 def loewner_margin(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:

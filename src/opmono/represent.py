@@ -38,7 +38,8 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, require_psd
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, min_eig_above,
+                      require_psd)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_unitary, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
@@ -340,7 +341,7 @@ def rep_eval(
     raises DomainViolation.
     """
     xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    if any(np.any(min_eig(xi) <= 0) for xi in xs):
+    if any(np.any(min_eig_above(xi, 0.0) <= 0) for xi in xs):
         raise DomainViolation("representation arguments must be positive definite")
     return herm_part(rep.core(tol).evaluate(xs, state=rep.state))
 

@@ -36,6 +36,7 @@ from .matcore import (
     herm_part,
     im_part,
     min_eig,
+    min_eig_above,
     psd_floor,
     re_part,
     require_psd,
@@ -235,12 +236,14 @@ def sector_bound_check(
 
 def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Per member of the stacked tuple: all components have positive definite real part."""
-    return np.logical_and.reduce([min_eig(re_part(m)) > psd_floor(m, tol) for m in x])
+    floors = [psd_floor(m, tol) for m in x]
+    return np.logical_and.reduce([min_eig_above(re_part(m), f) > f for m, f in zip(x, floors)])
 
 
 def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Per member of the stacked tuple: all components have positive definite imaginary part."""
-    return np.logical_and.reduce([min_eig(im_part(m)) > psd_floor(m, tol) for m in x])
+    floors = [psd_floor(m, tol) for m in x]
+    return np.logical_and.reduce([min_eig_above(im_part(m), f) > f for m, f in zip(x, floors)])
 
 
 def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -295,21 +298,31 @@ def _check_sector_bound(
     ``rotated`` holds the certified blocks e^{i theta} T* L_c T of
     ``SchurCore.evaluate``.  A congruence keeps the argument of every x* L x,
     so alpha_c, the sector angle of ``sector_certified_alpha``, is read from
-    them; the norms are those of ``block``, the L_c.  Where
-    ||S_c||_F <= max_j ||L_c e_j|| the bound holds for any alpha, as
-    ||S||_2 <= ||S||_F <= max_j ||L e_j|| <= ||L||_2; only the other members
-    (NaN norms included) take their exact angle and spectral norms.
+    them; the norms are those of ``block``, the L_c.  Three tiers, each
+    deciding as the exact check does on the members it settles:
+
+    1. ||S_c||_F <= max_j ||L_c e_j||: the bound holds for any alpha, as
+       ||S||_2 <= ||S||_F <= max_j ||L e_j|| <= ||L||_2.
+    2. The others take their spectral norms, one ``svd`` of the S_c and one
+       of the L_c.  ||S_c||_2 <= ||L_c||_2 (1 + eq) settles a member for any
+       alpha: cos^2 alpha <= 1, so ||L_c||_2 / cos^2 alpha >= ||L_c||_2 also
+       in IEEE arithmetic.
+    3. Only the members left open (NaN norms included) take their exact
+       angle, and compare the same spectral norms.
     """
     unsettled = ~(fro_norm(comp) <= np.linalg.norm(block, axis=-2).max(axis=-1))
     if unsettled.any():
-        alphas, _ = sector_certified_alpha(rotated[unsettled])
         lhs = np.linalg.svd(comp[unsettled], compute_uv=False)[..., 0]
-        rhs = np.linalg.svd(block[unsettled], compute_uv=False)[..., 0] / np.cos(alphas) ** 2
-        if np.any(lhs > rhs * (1.0 + tol.eq)):
-            worst = np.argmax(lhs / rhs)
-            raise SectorBoundViolated(
-                f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
-            )
+        norms = np.linalg.svd(block[unsettled], compute_uv=False)[..., 0]
+        undecided = ~(lhs <= norms * (1.0 + tol.eq))
+        if undecided.any():
+            alphas, _ = sector_certified_alpha(rotated[unsettled][undecided])
+            lhs, rhs = lhs[undecided], norms[undecided] / np.cos(alphas) ** 2
+            if np.any(lhs > rhs * (1.0 + tol.eq)):
+                worst = np.argmax(lhs / rhs)
+                raise SectorBoundViolated(
+                    f"||S(L(X))|| = {lhs[worst]:.6g} exceeds sec^2(alpha)||L(X)|| = {rhs[worst]:.6g}"
+                )
 
 
 class SchurCore:
@@ -387,7 +400,7 @@ class SchurCore:
         lead, n = args.shape[:-3], args.shape[-1]
         if halfspace:
             right = np.broadcast_to(in_right_halfspace(x, tol), lead)
-            if not np.all(right | in_upper_halfspace(x, tol)):
+            if not (right.all() or np.all(right | in_upper_halfspace(x, tol))):
                 raise DomainViolation("tuple lies in neither operator half-space")
             theta = np.zeros(lead)
             if not right.all():
@@ -417,15 +430,17 @@ class SchurCore:
                 rotated = np.exp(1j * theta)[..., None, None, None] * normalized
                 kappa = w[:, -1] / w[:, 0]
                 floor = psd_floor(normalized, tol) + 16 * np.finfo(float).eps * kappa * fro_norm(normalized)
-                failed = ~(min_eig(rotated) > floor)  # NaN aims fail
+                failed = ~(min_eig_above(rotated, floor) > floor)  # NaN aims fail
                 if np.any(failed & right[..., None]):
                     raise NotSectorial("an eliminated component of a right member is not sectorial")
                 if failed.any():
                     raise RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
                 root = np.repeat(np.sqrt(w), n, axis=-1)
                 _check_sector_bound(rotated, root[:, :, None] * normalized * root[:, None, :], comp, tol)
-            lam = np.where(right, np.inf, min_eig(im_part(out)))
-            if np.any(lam < -psd_floor(out, tol)):
+            upper = out[~right]  # right is 0-d for a whole complement, so this adds an axis
+            floor = -psd_floor(upper, tol)
+            lam = min_eig_above(im_part(upper), floor)
+            if np.any(lam < floor):
                 raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
         return out
 

@@ -1,5 +1,9 @@
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opmono import errors
 from opmono.matcore import (
@@ -13,6 +17,7 @@ from opmono.matcore import (
     loewner_leq,
     loewner_margin,
     min_eig,
+    min_eig_above,
     psd_floor,
     re_part,
     require_psd,
@@ -134,6 +139,103 @@ class TestPsdRule:
         stack = np.stack([np.diag([1.0, -1e-3]), np.diag([1.0, -2e-3]), np.eye(2)])
         with pytest.raises(errors.DominanceViolated, match="the gap has minimum eigenvalue -2.000e-03"):
             require_psd(stack, errors.DominanceViolated, "the gap")
+
+
+EPS = np.finfo(float).eps
+KINDS = ("near", "slack_edge", "rank_deficient", "conditioned", "nan", "inf", "random")
+
+
+def screened_member(rng, n, kind, floor):
+    """An n x n complex matrix of the given kind whose Hermitian part is placed against ``floor``.
+
+    "near": lambda_min a few ulps * ||a|| either side of the floor; "slack_edge":
+    lambda_min about where the Cholesky screen starts to succeed; "rank_deficient":
+    PSD with a kernel; "conditioned": PSD with condition number up to 1e14;
+    "nan"/"inf": one non-finite entry; "random": an arbitrary Hermitian part.
+    """
+    u = rand_unitary(rng, n)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    lam = scale * rng.uniform(0.5, 2.0, n)
+    if kind == "rank_deficient":
+        lam[: int(rng.integers(1, n + 1))] = 0.0
+    elif kind == "conditioned":
+        lam = scale * np.logspace(-rng.uniform(0, 14), 0, n)
+    elif kind == "random":
+        lam = scale * rng.normal(size=n)
+    elif kind in ("near", "slack_edge"):
+        lam = lam + floor  # the other eigenvalues lie above the floor
+        norm = np.sqrt(np.sum(lam[1:] ** 2)) + abs(floor)
+        step = (int(rng.integers(-8, 9)) if kind == "near"
+                else 32 * n * n * rng.choice([0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0]))
+        lam[0] = floor + step * EPS * norm
+    h = (u * lam) @ u.conj().T
+    a = h + 1j * rng.normal() * scale * rand_herm(rng, n)  # plus an anti-Hermitian part
+    if kind in ("nan", "inf"):
+        i, j = rng.integers(n, size=2)
+        a[i, j] = np.nan if kind == "nan" else np.inf
+    return a
+
+
+@st.composite
+def screened_stacks(draw):
+    """A single matrix or a (..., g, d, d) stack of adversarial members, with its floors."""
+    n = draw(st.integers(1, 16))
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    sign = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    magnitude = 10.0 ** draw(st.floats(-12, 2))
+    per_member = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(np.prod(lead))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=size, max_size=size))
+    floors = sign * magnitude * (rng.uniform(0.5, 2.0, size) if per_member else np.ones(size))
+    a = np.stack([screened_member(rng, n, k, f) for k, f in zip(kinds, floors)])
+    if lead == ():
+        return a[0], float(floors[0])
+    floor = floors.reshape(lead) if per_member else float(floors[0])
+    return a.reshape(lead + (n, n)), floor
+
+
+class TestScreenedMinEig:
+    """``min_eig_above`` decides every comparison with its floor as ``min_eig`` does."""
+
+    @settings(max_examples=120)
+    @given(screened_stacks())
+    def test_comparisons_with_the_floor_are_unchanged(self, case):
+        a, floor = case
+        with np.errstate(invalid="ignore", over="ignore"):
+            screened, exact = min_eig_above(a, floor), min_eig(a)
+        assert np.shape(screened) == np.shape(exact)
+        for compare in (operator.gt, operator.ge, operator.lt):
+            assert np.array_equal(compare(screened, floor), compare(exact, floor))
+
+    def test_proved_stack_takes_one_cholesky_and_no_eigvalsh(self, count_calls):
+        rng = np.random.default_rng(81)
+        stack = np.stack([rand_psd(rng, 4) + 1e-3 * np.eye(4) + 0.5j * rand_herm(rng, 4)
+                          for _ in range(6)]).reshape(2, 3, 4, 4)
+        cholesky, eigvalsh = count_calls(np.linalg, "cholesky"), count_calls(np.linalg, "eigvalsh")
+        out = min_eig_above(stack, -psd_floor(stack))
+        assert out.shape == (2, 3) and np.all(out == np.inf)
+        assert cholesky == [(2, 3, 4, 4)] and eigvalsh == []
+        assert min_eig_above(stack[0, 0], 0.0) == np.inf
+
+    def test_one_member_at_its_floor_returns_min_eig_of_the_stack(self, count_calls):
+        # 1e-3 I clears the floor 1e-3 (1 - 1e-14) by 1e-17, under the screen's slack of about 4e-16
+        rng = np.random.default_rng(82)
+        stack = np.stack([rand_psd(rng, 3) + np.eye(3), 1e-3 * np.eye(3), rand_psd(rng, 3) + np.eye(3)])
+        floor, exact = 1e-3 * (1 - 1e-14), min_eig(stack)
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        out = min_eig_above(stack, floor)
+        assert np.array_equal(out, exact) and eigvalsh == [(3, 3, 3)]
+        assert np.all(out > floor)
+
+    def test_non_finite_member_is_not_factored(self, count_calls):
+        # numpy's cholesky can return a NaN factor without raising, so a
+        # non-finite stack must not reach it
+        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])])
+        cholesky = count_calls(np.linalg, "cholesky")
+        with np.errstate(invalid="ignore"):
+            out = min_eig_above(stack, 0.5)
+        assert list(out) == [1.0, -np.inf, -np.inf] and cholesky == []
 
 
 class TestFuncalc:

@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from opmono import errors, sampling, schur
+from opmono import errors, matcore, sampling, schur
 from opmono.cert import lipschitz_estimate
 from opmono.freefun import lift_scalar, resolve_function
 from opmono.matcore import (
@@ -458,8 +458,9 @@ class TestAimedRotation:
 
     def test_each_upper_member_makes_one_block_probe(self, count_calls, sqrt_rep):
         # criterion 10's draws outside the right half-space, stacked ten to a
-        # size: one batched eigvalsh per group probes every member at once;
-        # the aim's own eigvalsh is over (members, slots, n, n)
+        # size: one batched cholesky per group proves every member above its
+        # floor at once, so no block takes an eigvalsh; the aim's own
+        # cholesky and eigvalsh are over (members, slots, n, n)
         rng = np.random.default_rng(120)
         core = sqrt_rep.core()
         for n in range(2, 7):
@@ -468,9 +469,10 @@ class TestAimedRotation:
             assert len(z) == 10
             blocks = sorted((len(z), len(index), e.shape[-1] * n, e.shape[-1] * n)
                             for _, index, _, e, _ in core.groups if e is not None)
-            calls = count_calls(np.linalg, "eigvalsh")
+            cholesky, eigvalsh = count_calls(np.linalg, "cholesky"), count_calls(np.linalg, "eigvalsh")
             rep_eval_complex(sqrt_rep, (z,))
-            assert sorted(shape for shape in calls if shape in blocks) == blocks
+            assert sorted(shape for shape in cholesky if shape in blocks) == blocks
+            assert [shape for shape in eigvalsh if shape in blocks] == []
 
     @pytest.mark.parametrize("case", ["plain", "small_imaginary", "large_real", "both"])
     def test_aim_makes_every_slot_positive(self, case):
@@ -568,6 +570,48 @@ class TestNormalizedCertificate:
         with pytest.raises(errors.HalfPlaneViolated):
             schur_pencil(p, (1j * np.eye(2),), PivotSubspace.from_indices(2, [0, 1]))
 
+    @pytest.mark.parametrize("error", [errors.NotSectorial, errors.RotationNotFound, errors.HalfPlaneViolated],
+                             ids=lambda e: e.__name__)
+    def test_a_member_below_its_floor_takes_the_exact_check(self, monkeypatch, error):
+        # The first member of each stack passes alone; the second fails the
+        # check named, so the screen's cholesky fails, the whole stack takes
+        # its eigvalsh, and the error and message are the exact check's
+        pencil, pivot, x, state = below_floor_stack(error)
+        core = SchurCore(pencil, pivot)
+        core.evaluate(tuple(m[0] for m in x), state=state, halfspace=True)
+        exact_args = []
+        exact_min_eig = matcore.min_eig
+        monkeypatch.setattr(matcore, "min_eig", lambda a: exact_args.append(np.shape(a)) or exact_min_eig(a))
+        with pytest.raises(error) as screened:
+            core.evaluate(x, state=state, halfspace=True)
+        if error is errors.HalfPlaneViolated:
+            assert exact_args[-1] == (2, 2, 2)  # Im of the complements
+        else:
+            (_, index, _, essential, _), = core.groups
+            assert exact_args[-1] == (2, len(index), essential.shape[-1] * 2, essential.shape[-1] * 2)
+        monkeypatch.setattr(schur, "min_eig_above", lambda a, floor: exact_min_eig(a))
+        with pytest.raises(error) as exact:
+            core.evaluate(x, state=state, halfspace=True)
+        assert str(screened.value) == str(exact.value)
+
+
+def below_floor_stack(error):
+    """Pencil, pivot, a two-member stacked tuple whose second member fails the check raising
+    ``error`` in ``SchurCore.evaluate``, and a state."""
+    b = np.array([[1.0, 0.03], [0.03, 1e-3]])
+    pivot, state = PivotSubspace.from_indices(2, [0]), np.diag([1.0, 0.0])
+    if error is errors.NotSectorial:  # right members; see the right-member test below
+        return pencil_new([b, b]), pivot, (np.stack([r * np.eye(2) + 1e3j * np.diag([1.0, -1.0])
+                                                     for r in (1e-5, 1.5e-6)]),), state
+    if error is errors.RotationNotFound:  # an upper member and the near-pi cone above
+        good = np.array([[0.3, 1.0], [1.0, -0.2]]) + 1j * np.array([[1.0, 0.5], [0.5, 2.0]])
+        return pencil_new([b, b]), pivot, (np.stack([good, -1e6 * np.eye(2) + 2e-3j * np.eye(2)]),), state
+    # nothing eliminated: the output is I + X_1 - X_2, whose imaginary part is
+    # I for the first member and -I for the second
+    up, down = 2j * np.eye(2), 1j * np.eye(2)
+    pencil = RawPencil((np.eye(2), np.eye(2), -np.eye(2)))
+    return pencil, PivotSubspace.from_indices(2, [0, 1]), (np.stack([up, down]), np.stack([down, up])), np.eye(2)
+
 
 def reference_check_sector_bound(rotated, block, comp, tol):
     """Reference: the sec^2(alpha) check with the exact angle and spectral norms of every member."""
@@ -625,6 +669,13 @@ def outcome(check, *args):
     except errors.OpmonoError as exc:
         return type(exc)
     return None
+
+
+def outcome_or_linalg_error(check, *args):
+    try:
+        return outcome(check, *args)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
 
 
 class TestSectorBoundCheck:
@@ -699,24 +750,34 @@ class TestSectorBoundCheck:
         rep_eval_complex(small_rep, (x,))
         assert svd == [] and eigh == []
 
-    @pytest.mark.parametrize("open_kind", ["spectral", "nan"])
+    @pytest.mark.parametrize("open_kind", ["norm", "spectral", "nan"])
     def test_only_the_open_member_takes_the_exact_angle(self, monkeypatch, count_calls, open_kind):
         rng = np.random.default_rng(53)
         blocks = np.stack([rand_sectorial(rng, 3) for _ in range(6)]).reshape(3, 2, 3, 3)
         comps = 0.1 * blocks[..., :1, :1]
-        # ||S||_F = ||L||_2 > max_j ||L e_j||, or a NaN norm, which the comparison leaves open
-        comps[1, 0] = np.linalg.norm(blocks[1, 0], 2) if open_kind == "spectral" else np.nan
+        # ||S||_2 = ||L||_2, which the column-norm tier leaves open and the
+        # spectral one settles; ||L||_2 < ||S||_2 < sec^2(alpha) ||L||_2, which
+        # both norm tiers leave open and the exact angle passes; or a NaN norm,
+        # which no tier settles
+        norm, alpha = np.linalg.norm(blocks[1, 0], 2), sector_certified_alpha(blocks[1, 0][None])[0][0]
+        comps[1, 0] = {"norm": norm, "spectral": norm * (1 + 1 / np.cos(alpha) ** 2) / 2, "nan": np.nan}[open_kind]
         assert not fro_norm(comps[1, 0]) <= largest_column(blocks[1, 0])
+        # ||S||_2 of a 1 x 1 S
+        assert (abs(comps[1, 0, 0, 0]) <= norm * (1 + DEFAULT_TOL.eq)) == (open_kind == "norm")
+        expected = outcome_or_linalg_error(reference_check_sector_bound, blocks, blocks, comps, DEFAULT_TOL)
         seen = []
         exact = schur.sector_certified_alpha
         monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: seen.append(m) or exact(m))
         svd = count_calls(np.linalg, "svd")
-        try:
-            _check_sector_bound(blocks, blocks, comps, DEFAULT_TOL)
-        except np.linalg.LinAlgError:  # the svd of a NaN complement, as in the reference
-            assert open_kind == "nan"
-        assert len(seen) == 1 and np.array_equal(seen[0], blocks[1, 0][None])
+        got = outcome_or_linalg_error(_check_sector_bound, blocks, blocks, comps, DEFAULT_TOL)
+        assert got is expected and expected is (np.linalg.LinAlgError if open_kind == "nan" else None)
         assert svd and all(shape[0] == 1 for shape in svd)
+        if open_kind == "spectral":
+            assert len(seen) == 1 and np.array_equal(seen[0], blocks[1, 0][None])
+        else:  # settled by the spectral norms, or the svd of the NaN complement raises first
+            assert seen == []
+        if open_kind == "norm":
+            assert len(svd) == 2
 
     def test_column_bound_settles_what_the_frobenius_bound_left_open(self, count_calls):
         # ||S||_F = 8, between ||L||_F / sqrt(3) (about 5.9) and max_j ||L e_j|| (about 10)
