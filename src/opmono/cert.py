@@ -15,10 +15,15 @@ plan entry; the linear algebra of the draws runs once per stack: one
 isometries), none for the derivative test of a one-variable lift, which
 checks the Loewner matrices of the drawn spectra and forms no X.  The
 inputs are evaluated in chunks of 512 rows (the derivative stencil in
-blocks of 256 trials).  The differences that must be
-positive semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and
-one scan (``_scan``) takes their smallest eigenvalues and norms in one
-batched call per stack.  It stops at the first violation in trial-major
+blocks of 256 trials).  A function that declares ``FreeFn.scalar`` is
+evaluated less: a lift's values at the drawn points X = U diag(lam) U*
+are U f(diag(lam)) U*, so the monotone, concave and hypograph tests
+evaluate only the points they do not draw (B, the mixtures, the
+compressions and the combinations), and a two-argument mean's derivative
+test takes one ``cholesky`` and one ``eigh`` per stack and no evaluation.
+The differences that must be positive semidefinite form ``(T, C, d, d)``
+stacks, C checks per trial, and one scan (``_scan``) takes their smallest
+eigenvalues and norms in one batched call per stack.  It stops at the first violation in trial-major
 order; ``worst_margin`` is the minimum margin over every check up to and
 including that one.
 """
@@ -31,11 +36,11 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BadConfig, ChainNotIncreasing, OpmonoError
-from .freefun import FreeFn, frechet_many
+from .freefun import FreeFn, _congruence_eig, frechet_many
 from .gradients import loewner_matrix
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, psd_floor
-from .sampling import (draw, finish_isometry, finish_pair, finish_psd, finish_spd, finish_unitary, normal,
-                       pair_plan, slots, spd_plan, uniform)
+from .sampling import (draw, finish_isometry, finish_psd, finish_spd, finish_unitary, from_spectrum, normal,
+                       pair_above, pair_plan, slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
@@ -92,6 +97,21 @@ def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
+def _lift_values(fn: FreeFn, u: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
+    """F(X) = Herm(U f(lam) U*) at drawn points X = Herm(U diag(lam) U*) of a declared lift, else None.
+
+    The declaration is read only when every drawn eigenvalue is positive
+    and f is finite on all of them; otherwise the evaluator takes the
+    points, so a draw outside the domain is reported as the evaluator
+    reports it.
+    """
+    if fn.scalar is None or fn.arity != 1 or not np.all(lam > 0):
+        return None
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        d = fn.scalar[0](lam)
+    return from_spectrum(u, d) if np.isfinite(d).all() else None
+
+
 def _spec_norm(a: np.ndarray) -> np.ndarray:
     """Spectral norms of stacked matrices."""
     return np.linalg.norm(a, 2, axis=(-2, -1))
@@ -144,13 +164,18 @@ def monotone_test(
     tol: Tolerances = DEFAULT_TOL,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
 ) -> CertReport:
-    """Sample ordered pairs A <= B inside the interval and check F(A) <= F(B)."""
+    """Sample ordered pairs A <= B inside the interval and check F(A) <= F(B).
+
+    A declared lift reads F(A) from A's drawn spectrum (``_lift_values``).
+    """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    pairs = draw(rng, trials * fn.arity, pair_plan(n, c1, c2))
-    a, b = (slots(x, fn.arity) for x in finish_pair(*pairs, c2))
+    z, lam, h, w = draw(rng, trials * fn.arity, pair_plan(n, c1, c2))
+    u = finish_unitary(z)
+    a, b = (slots(x, fn.arity) for x in pair_above(from_spectrum(u, lam), h, w, c2))
+    fa = _lift_values(fn, u, lam)
     try:
-        fa = _chunked_eval(fn, a)
+        fa = _chunked_eval(fn, a) if fa is None else fa
         diff = _chunked_eval(fn, b) - fa
     except OpmonoError as exc:
         return _inconclusive("monotone", seed, str(exc))
@@ -168,21 +193,28 @@ def concave_test(
     tol: Tolerances = DEFAULT_TOL,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
 ) -> CertReport:
-    """Check the matrix Jensen inequality on random pairs and mixing weights."""
+    """Check the matrix Jensen inequality on random pairs and mixing weights.
+
+    A declared lift reads F(A) and F(B) from the drawn spectra
+    (``_lift_values``) and evaluates only the four mixtures.
+    """
     rng = np.random.default_rng(seed)
     k = fn.arity
     z, lam, mix = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [uniform(0.05, 0.95)])
-    ab = slots(finish_spd(z, lam), 2 * k)
+    u = finish_unitary(z)
+    ab = slots(from_spectrum(u, lam), 2 * k)
     a, b = ab[:k], ab[k:]
     lams = np.column_stack([np.tile((0.25, 0.5, 0.75), (trials, 1)), mix])
     w = lams[..., None, None]
-    # per trial, in this order: A, B and the four mixtures, 6 rows
-    rows = tuple(
-        np.concatenate([ai[:, None], bi[:, None], (1 - w) * ai[:, None] + w * bi[:, None]], axis=1)
-        for ai, bi in zip(a, b)
-    )
+    mixes = tuple((1 - w) * ai[:, None] + w * bi[:, None] for ai, bi in zip(a, b))
+    graph = _lift_values(fn, u, lam)
     try:
-        vals = _chunked_eval(fn, tuple(r.reshape(-1, n, n) for r in rows)).reshape(-1, 6, n, n)
+        if graph is None:  # per trial, in this order: A, B and the four mixtures, 6 rows
+            rows = tuple(np.concatenate([ai[:, None], bi[:, None], mi], axis=1) for ai, bi, mi in zip(a, b, mixes))
+            vals = _chunked_eval(fn, tuple(r.reshape(-1, n, n) for r in rows)).reshape(-1, 6, n, n)
+        else:
+            fmix = _chunked_eval(fn, tuple(mi.reshape(-1, n, n) for mi in mixes)).reshape(-1, 4, n, n)
+            vals = np.concatenate([graph.reshape(-1, 2, n, n), fmix], axis=1)
     except OpmonoError as exc:
         return _inconclusive("concave", seed, str(exc))
     diff = vals[:, 2:] - ((1 - w) * vals[:, :1] + w * vals[:, 1:2])
@@ -190,6 +222,20 @@ def concave_test(
         "concave", seed, tol, [diff],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "lambda": float(lams[t, c]), "margin": m},
     )
+
+
+def _loewner_counter(x: tuple[np.ndarray, ...], c: np.ndarray, slot: int, margin: float) -> dict[str, Any]:
+    """The counterexample at X whose H is (C 1)(C 1)* / ||(C 1)(C 1)*||_F in ``slot`` and 0 elsewhere.
+
+    1 is the all-ones vector.  Where DF(X)[H] = C (Theta o C^{-1} H C^{-*}) C*
+    with Theta the Loewner matrix of that slot, DF(X)[H] is C Theta C* over
+    the norm, congruent to the failing Theta.
+    """
+    ones = c.sum(axis=-1)
+    h = np.outer(ones, np.conj(ones))
+    hs = [np.zeros_like(h) for _ in x]
+    hs[slot] = h / fro_norm(h)
+    return {"X": x, "H": tuple(hs), "margin": margin}
 
 
 def derivative_monotone_test(
@@ -202,33 +248,52 @@ def derivative_monotone_test(
 ) -> CertReport:
     """Check DF(X)(H) >= 0 at random interior points and PSD directions.
 
-    A lift (``fn.scalar`` = (f, f')) is checked on the Loewner matrix Phi of
-    f on each drawn spectrum, at the plain ``tol``: with X = U diag(lam) U*,
-    DF(X)[H] = U (Phi o U* H U) U* (Daleckii-Krein) is PSD for every PSD H
-    exactly when Phi is.  No X is formed but a counterexample's, whose H is
-    (U 1)(U 1)* / ||(U 1)(U 1)*||_F, 1 the all-ones vector: DF(X)[H] is then
-    U Phi U* / n, with Phi's failing eigenvalue over n.  Any other function
-    takes a Richardson stencil, 4 evaluations per trial in blocks of 256
-    trials, and its scan allows 10 ``psd`` for the differences.
+    A function that declares ``fn.scalar`` = (f, f') is checked on Loewner
+    matrices of f, at the plain ``tol``, with no evaluation (Daleckii-Krein;
+    Schur's product theorem makes each condition exact):
+
+    * a lift, X = U diag(lam) U*: DF(X)[H] = U (Phi o U* H U) U*, Phi the
+      Loewner matrix of f on the drawn spectrum lam, is PSD for every PSD H
+      exactly when Phi is.  No X is formed but a counterexample's.
+    * a two-argument mean, F(A, B) = L f(M) L* with A = L L* and
+      M = L^{-1} B L^{-*} = U diag(w) U* (``freefun._congruence_eig``):
+      DF(A, B)[H_A, H_B] = L U (Psi o K_A + Phi o K_B) U* L*, K_. =
+      U* L^{-1} H_. L^{-*} U, Phi the Loewner matrix of f on w and Psi that
+      of the transpose x f(1/x) on 1/w.  Each trial scans [Psi, Phi].  It
+      is taken only when every drawn eigenvalue is positive.
+
+    A counterexample's H is C 1 1* C* normalized in the failing slot, C = U
+    or L U (``_loewner_counter``).  Any other function takes a Richardson
+    stencil, 4 evaluations per trial in blocks of 256 trials, and its scan
+    allows 10 ``psd`` for the differences.
     """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
     pad = 0.15 * (c2 - c1)
     k = fn.arity
-    plan = spd_plan(n, c1 + pad, c2 - pad) * k
-    if fn.scalar is not None:  # the spectra come before the directions in the stream, so they are the same
-        z, lam = draw(rng, trials, plan)
+    # the spectra come before the directions in the stream, so every path draws the same X
+    z, lam = draw(rng, trials, spd_plan(n, c1 + pad, c2 - pad) * k)
+    if fn.scalar is not None and k == 1:
         with np.errstate(invalid="ignore", divide="ignore"):
             phi = loewner_matrix(lam, *fn.scalar)
-
-        def loewner_counter(t: int, c: int, m: float) -> dict[str, Any]:
-            ones = finish_unitary(z[t]).sum(axis=-1)
-            h = np.outer(ones, np.conj(ones))
-            return {"X": (finish_spd(z[t], lam[t]),), "H": (h / fro_norm(h),), "margin": m}
-
-        return _scan("derivative", seed, tol, [phi[:, None]], loewner_counter)
-    z, lam, g = draw(rng, trials, plan + [normal(2, n, n)] * k)
+        return _scan(
+            "derivative", seed, tol, [phi[:, None]],
+            lambda t, c, m: _loewner_counter((finish_spd(z[t], lam[t]),), finish_unitary(z[t]), c, m),
+        )
     x = slots(finish_spd(z, lam), k)
+    if fn.scalar is not None and k == 2 and np.all(lam > 0):
+        f, fprime = fn.scalar
+        try:
+            lu, w = _congruence_eig(*x)
+        except OpmonoError as exc:
+            return _inconclusive("derivative", seed, str(exc))
+        phi = loewner_matrix(w, f, fprime)
+        psi = loewner_matrix(1.0 / w, lambda v: v * f(1.0 / v), lambda v: f(1.0 / v) - fprime(1.0 / v) / v)
+        return _scan(
+            "derivative", seed, tol, [np.stack([psi, phi], axis=1)],
+            lambda t, c, m: _loewner_counter(_at(x, t), lu[t], c, m),
+        )
+    (g,) = draw(rng, trials, [normal(2, n, n)] * k)
     h = finish_psd(g).reshape(trials, k, n, n)
     h = h / np.max(fro_norm(h), axis=1)[:, None, None, None]
     step = 1e-3 * (1.0 + c2)
@@ -241,7 +306,7 @@ def derivative_monotone_test(
         return _inconclusive("derivative", seed, str(exc))
     return _scan(
         "derivative", seed, replace(tol, psd=10 * tol.psd), [deriv],  # the stencil's allowance
-        lambda t, c, m: {"X": _at(x, t), "H": tuple(h[t].copy()), "margin": m},
+        lambda t, c, m: {"X": _at(x, t), "H": tuple(hi.copy() for hi in h[t]), "margin": m},
     )
 
 
@@ -319,7 +384,10 @@ def hypograph_convexity_test(
     combinations of two members must stay members.  The members are graph
     points (F(X), X): a PSD slack below the graph only adds a PSD term to
     each checked difference, so the graph is the worst member (the Jensen
-    operator inequality; Hansen & Pedersen, *Math. Ann.* 258, 1982).
+    operator inequality; Hansen & Pedersen, *Math. Ann.* 258, 1982).  A
+    declared lift reads the graph values F(X) and F(X2) from the drawn
+    spectra (``_lift_values``) and evaluates only the compressions and the
+    combinations.
     """
     if not 0 < m <= n:
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
@@ -328,12 +396,14 @@ def hypograph_convexity_test(
     # per trial, in stream order: X, X2, V, lambda
     plan = spd_plan(n, *interval) * (2 * k) + [normal(2, n, m), uniform(0.0, 1.0)]
     z, spec, iso, mix = draw(rng, trials, plan)
-    both = slots(finish_spd(z, spec), 2 * k)
+    u = finish_unitary(z)
+    both = slots(from_spectrum(u, spec), 2 * k)
     x, x2 = both[:k], both[k:]
     lam = mix[:, None, None]
     v = finish_isometry(iso)
+    graph = _lift_values(fn, u, spec)
     try:
-        y, y2 = _chunked_eval(fn, x), _chunked_eval(fn, x2)
+        y, y2 = (_chunked_eval(fn, x), _chunked_eval(fn, x2)) if graph is None else slots(graph, 2)
         fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
         fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
     except OpmonoError as exc:
@@ -343,8 +413,8 @@ def hypograph_convexity_test(
     return _scan(
         "hypograph", seed, tol, [comp_diff[:, None], mix_diff[:, None]],
         lambda t, c, m: [
-            {"X": _at(x, t), "Y": y[t], "V": v[t].copy(), "margin": m, "kind": "isometry"},
-            {"X": _at(x, t), "Y": y[t], "X2": _at(x2, t), "Y2": y2[t], "lambda": float(lam[t, 0, 0]),
+            {"X": _at(x, t), "Y": y[t].copy(), "V": v[t].copy(), "margin": m, "kind": "isometry"},
+            {"X": _at(x, t), "Y": y[t].copy(), "X2": _at(x2, t), "Y2": y2[t].copy(), "lambda": float(lam[t, 0, 0]),
              "margin": m, "kind": "combination"},
         ][c],
     )

@@ -10,8 +10,9 @@ Evaluators are batched: each accepts a tuple of stacked Hermitian arguments
 ``(..., n, n)`` and broadcasts over the leading axes.  Every two-argument
 mean but the harmonic and arithmetic ones is defined by its representing
 function (``_pair_function``), which gives both its closed form and its
-exact adjoint; with three or more arguments the fixed-point iterations run
-all batch elements in lockstep.
+exact adjoint; every two-argument mean but the arithmetic one declares it
+(``FreeFn.scalar``, the harmonic mean's at t = -1).  With three or more
+arguments the fixed-point iterations run all batch elements in lockstep.
 
 The power and Karcher means of three or more arguments solve one equation,
 sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I with f(x) = x^t or f = log: one
@@ -156,15 +157,18 @@ class FreeFn:
     and falls back on finite differences without it.  Declared properties
     are what the catalogue *claims*; the cert module tests them.
 
-    ``scalar`` = (f, f') declares F(X) = U f(Lambda) U* for X = U Lambda U*:
-    a one-variable lift of the scalar f.  Only ``lift_scalar`` sets it, and
-    it builds the evaluator from the same f.  Where it is set, the support
-    validation reads F on a sample from f of its spectrum
-    (``represent._graph_margins``) and the derivative tester checks the
-    Loewner matrix of f (``cert.derivative_monotone_test``), neither calling
-    the evaluator.  So ``replace(fn, evaluator=...)`` on a lift, with an
-    evaluator that computes anything but the same F, has to pass
-    ``scalar=None``.
+    ``scalar`` = (f, f') declares the representing function f.  With one
+    argument it says F(X) = U f(Lambda) U* for X = U Lambda U*, a lift of
+    the scalar f (``lift_scalar``, which builds the evaluator from the same
+    f).  With two it says F(A, B) = L f(M) L* for A = L L* and
+    M = L^{-1} B L^{-*}, a Kubo-Ando mean: the two-argument harmonic, power,
+    Karcher and geometric means set ``_pair_function`` of their own
+    weights.  Nothing else declares one.  Where it is set, the testers read
+    F at the points they draw from f of the spectra (``cert``; a lift's
+    support validation too, ``represent._graph_margins``), and the
+    derivative tester checks the Loewner matrices of f, neither calling the
+    evaluator there.  So ``replace(fn, evaluator=...)`` with an evaluator
+    that computes anything but the same F has to pass ``scalar=None``.
     """
 
     name: str
@@ -332,7 +336,8 @@ def harmonic_mean(weights: tuple[float, ...]) -> FreeFn:
             out.append(herm_part(wi * m @ seed @ dagger(m)))
         return out
 
-    return FreeFn(name="harmonic", arity=w.size, evaluator=_ev, vgrad=_vgrad)
+    return FreeFn(name="harmonic", arity=w.size, evaluator=_ev, vgrad=_vgrad,
+                  scalar=_pair_function(-1.0, *w) if w.size == 2 else None)
 
 
 def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
@@ -356,16 +361,14 @@ _SECOND_ARGUMENT = "second argument is not positive definite: L^-1 B L^-* (A = L
 _EIGH_COND = 1e6
 
 
-def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2} as (L U) f(w) (L U)*: one ``cholesky`` and one ``eigh`` per stack.
+def _congruence_eig(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(L U, w) with Z = L L* and L^{-1} X L^{-*} = U diag(w) U*: one ``cholesky`` and one ``eigh`` per stack.
 
-    Z = L L* (``_factor``) and L^{-1} X L^{-*} = U diag(w) U*, which gives
-    the same mean by congruence invariance (module docstring).  The two
-    factorizations check both arguments: Z by its Cholesky factor, and X by
-    the eigenvalues w that f is applied to, so f never sees one that is not
-    positive.  A member whose cond(M) exceeds ``_EIGH_COND`` takes w and U
-    from the SVD of L^{-1} L_X instead, at the cost of a ``cholesky`` of its
-    X and an ``svd``.
+    The two factorizations check both arguments: Z by its Cholesky factor
+    (``_factor``), and X by the eigenvalues w, which must be positive.  A
+    member whose cond(M) exceeds ``_EIGH_COND`` takes w and U from the SVD
+    of L^{-1} L_X instead, at the cost of a ``cholesky`` of its X and an
+    ``svd``.
     """
     low, linv = _factor(z, "first argument")
     w, u = _eigh(linv @ x @ dagger(linv), _SECOND_ARGUMENT)
@@ -374,7 +377,16 @@ def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.n
         lx = _factor(np.broadcast_to(x, u.shape)[wide], "second argument")[0]
         v, s, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ lx)
         w[wide], u[wide] = s[..., ::-1] ** 2, v[..., ::-1]
-    lu = low @ u
+    return low @ u, w
+
+
+def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Z^{1/2} f(Z^{-1/2} X Z^{-1/2}) Z^{1/2} as (L U) f(w) (L U)* from ``_congruence_eig``.
+
+    This is the mean by congruence invariance (module docstring); f never
+    sees an eigenvalue that is not positive.
+    """
+    lu, w = _congruence_eig(z, x)
     return herm_part((lu * f(w)[..., None, :]) @ dagger(lu))
 
 
@@ -386,12 +398,13 @@ def weighted_geo(z: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
 def _pair_function(t: float, w1: float, w2: float) -> tuple[Callable, Callable]:
     """Representing function f of a two-argument mean, and its derivative.
 
-    The two-argument power, Karcher and geometric means are Kubo-Ando
-    congruences A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} (Kubo & Ando 1980)
-    with f(x) = (w1 + w2 x^t)^{1/t}: P_t for t in (0, 1], and at t = 0 the
-    t -> 0+ limit x^{w2}, Karcher (``geomean2`` when w2 = 1/2).  The
-    transpose x f(1/x), which represents the same mean with its arguments
-    swapped, is this family with w1 and w2 swapped.
+    The two-argument power, Karcher, geometric and harmonic means are
+    Kubo-Ando congruences A^{1/2} f(A^{-1/2} B A^{-1/2}) A^{1/2} (Kubo & Ando
+    1980) with f(x) = (w1 + w2 x^t)^{1/t}: P_t for t in (0, 1], at t = 0 the
+    t -> 0+ limit x^{w2}, Karcher (``geomean2`` when w2 = 1/2), and at
+    t = -1 the harmonic mean.  The transpose x f(1/x), which represents the
+    same mean with its arguments swapped, is this family with w1 and w2
+    swapped.
     """
     if t == 0:
         return (lambda x: np.power(x, w2)), (lambda x: w2 * np.power(x, w2 - 1))
@@ -552,14 +565,20 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
 
 def _mean_fn(name: str, w: np.ndarray, evaluate: Callable, t: float, f: Callable, fprime: Callable,
              weights: tuple[float, ...] | None = None) -> FreeFn:
-    """FreeFn of a power-family mean: adjoint ``_pair_vgrad`` for two arguments, else ``_implicit_vgrad``."""
+    """FreeFn of a power-family mean.
+
+    Two arguments declare the representing function ``_pair_function(t, *w)``
+    and take the adjoint ``_pair_vgrad``; more take ``_implicit_vgrad`` of
+    the equation's f and declare nothing.
+    """
 
     def vgrad(xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
         if w.size == 2:
             return _pair_vgrad(xs, seed, t, w)
         return _implicit_vgrad(evaluate(xs), xs, seed, w, f, fprime)
 
-    return FreeFn(name=name, arity=w.size, evaluator=evaluate, vgrad=vgrad, weights=weights)
+    return FreeFn(name=name, arity=w.size, evaluator=evaluate, vgrad=vgrad, weights=weights,
+                  scalar=_pair_function(t, *w) if w.size == 2 else None)
 
 
 def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:

@@ -65,8 +65,8 @@ class Tolerances:
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
     floor taken per member of a stack (``psd_floor``; ``require_psd`` raises
     the caller's typed error).  Only the derivative tester's
-    finite-difference stencil widens it, to 10 psd; its Loewner-matrix path
-    for one-variable lifts keeps the plain rule.
+    finite-difference stencil widens it, to 10 psd; its Loewner-matrix paths
+    for the lifts and the two-argument means keep the plain rule.
 
     The half-space checks (``schur``'s membership tests and
     ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) and

@@ -41,7 +41,7 @@ from .freefun import FreeFn, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, min_eig_above,
                       require_psd)
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import draw, finish_unitary, slots, spd_plan
+from .sampling import draw, finish_unitary, from_spectrum, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
 
 __all__ = [
@@ -120,13 +120,14 @@ def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
     O = 0 and the bound is lambda_min L itself, read from the drawn spectra
     without forming U, X or F(X).  Any other one-variable F pays its
     remainder O (rounding for a unitarily equivariant F).  For k >= 2 the
-    bound is lambda_min L.
+    bound is lambda_min L at the evaluated F(X); a two-argument mean's
+    declaration is not read here.
     """
-    if fn.scalar is not None:
+    if fn.scalar is not None and fn.arity == 1:
         d, remainder = fn.scalar[0](lam), 0.0
     else:
         u = finish_unitary(z)
-        x = herm_part((u * lam[..., None, :]) @ dagger(u))
+        x = from_spectrum(u, lam)
         if fn.arity > 1:
             xs = slots(x, fn.arity)
             return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))

@@ -46,7 +46,9 @@ __all__ = [
     "finish_isometry",
     "finish_psd",
     "finish_spd",
+    "from_spectrum",
     "finish_pair",
+    "pair_above",
 ]
 
 
@@ -152,24 +154,31 @@ def finish_psd(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return scale * (g @ dagger(g)) / g.shape[-1]
 
 
+def from_spectrum(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Herm(U diag(lam) U*) for stacked unitaries U and spectra lam."""
+    return herm_part((u * lam[..., None, :]) @ dagger(u))
+
+
 def finish_spd(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Herm(U diag(lam) U*) with U Haar from the Gaussian draws z: spectrum lam."""
-    u = finish_unitary(z)
-    return herm_part((u * lam[..., None, :]) @ dagger(u))
+    return from_spectrum(finish_unitary(z), lam)
 
 
 def finish_pair(
     z: np.ndarray, lam: np.ndarray, h: np.ndarray, w: np.ndarray, c2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A <= B from the draws of ``pair_plan``, both with spectra below c2.
+    """A <= B from the draws of ``pair_plan``, both with spectra below c2: ``pair_above(finish_spd(z, lam), ...)``."""
+    return pair_above(finish_spd(z, lam), h, w, c2)
 
-    A = finish_spd(z, lam); the bump P = finish_psd(h) is scaled to
-    w (c2 - lambda_max(A)) / lambda_max(P), so B = Herm(A + P) stays below
-    c2.  The scale is drawn for every component: lambda_max(P) > 0 unless
-    h = 0, which a Gaussian draw never gives, and where it is 0 the bump
-    is left unscaled.
+
+def pair_above(a: np.ndarray, h: np.ndarray, w: np.ndarray, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    """A and B = Herm(A + P) >= A with spectrum below c2, from the bump draws of ``pair_plan``.
+
+    The bump P = finish_psd(h) is scaled to w (c2 - lambda_max(A)) /
+    lambda_max(P).  The scale is drawn for every component: lambda_max(P)
+    > 0 unless h = 0, which a Gaussian draw never gives, and where it is 0
+    the bump is left unscaled.
     """
-    a = finish_spd(z, lam)
     bump = finish_psd(h)
     top_a, top = np.linalg.eigvalsh(np.stack([a, bump]))[..., -1]
     scale = np.divide(w * (c2 - top_a), top, out=np.ones_like(top), where=top > 0)

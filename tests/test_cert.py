@@ -14,14 +14,18 @@ from opmono.cert import (
 )
 from opmono.freefun import (
     FreeFn,
+    _congruence_eig,
     fake_trace_fn,
     frechet_derivative,
+    frechet_many,
     harmonic_mean,
     lift_scalar,
     resolve_function,
 )
-from opmono.matcore import fro_norm, herm_part, min_eig
-from opmono.sampling import draw, finish_pair, pair_plan, rand_spd_interval
+from opmono.gradients import loewner_matrix
+from opmono.matcore import dagger, fro_norm, herm_part, min_eig
+from opmono.sampling import (draw, finish_pair, finish_psd, finish_spd, normal, pair_plan, rand_spd_interval,
+                             slots, spd_plan)
 
 
 def affine_plus_one():
@@ -44,6 +48,16 @@ def nan_above_trace(limit):
         return np.where((tr > limit)[..., None, None], np.nan, xs[0])
 
     return FreeFn(name="nan-above-trace", arity=1, evaluator=ev)
+
+
+def b_over_a():
+    """Test-only mean F(A, B) = B A^-1 B = A^1/2 M^2 A^1/2, which declares f(x) = x^2; it is not monotone."""
+
+    def ev(xs):
+        a, b = xs
+        return herm_part(b @ np.linalg.solve(a, b))
+
+    return FreeFn(name="bab", arity=2, evaluator=ev, scalar=(lambda x: x**2, lambda x: 2.0 * x))
 
 
 def stalls():
@@ -165,6 +179,133 @@ class TestLoewnerPath:
         rows = count_calls(np.linalg, "eigh")
         rep = derivative_monotone_test(replace(lift_scalar("sqrt"), scalar=None), n=3, trials=300, seed=1)
         assert rep.passed and rows == [(1024, 3, 3), (176, 3, 3)]
+
+
+MEANS = ("harmonic", "geomean2", "power:t=0.25", "power:t=1", "karcher", "karcher:w=0.3,0.7")
+
+
+class TestMeanLoewnerPath:
+    """A declared two-argument mean's derivative test scans [Psi, Phi] of M = L^-1 B L^-* per trial."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ident", MEANS)
+    def test_the_formula_is_the_derivative(self, ident, n):
+        # DF(A, B)[H_A, H_B] = LU (Psi o K_A + Phi o K_B) (LU)*, K_. = (LU)^-1 H_. (LU)^-*
+        fn = resolve_function(ident)
+        f, fprime = fn.scalar
+        z, lam, g = draw(np.random.default_rng(n), 64, spd_plan(n, 0.8, 1.7) * 2 + [normal(2, n, n)] * 2)
+        a, b = slots(finish_spd(z, lam), 2)
+        ha, hb = slots(finish_psd(g), 2)
+        lu, w = _congruence_eig(a, b)
+        phi = loewner_matrix(w, f, fprime)
+        psi = loewner_matrix(1.0 / w, lambda v: v * f(1.0 / v), lambda v: f(1.0 / v) - fprime(1.0 / v) / v)
+        ci = np.linalg.inv(lu)
+        formula = lu @ (psi * (ci @ ha @ dagger(ci)) + phi * (ci @ hb @ dagger(ci))) @ dagger(lu)
+        stencil = np.stack(frechet_many(fn, (a, b), list(zip(ha, hb)), 2.7e-3))
+        assert np.max(fro_norm(formula - stencil) / fro_norm(stencil)) <= 1e-7
+
+    def test_counterexample_replays(self):
+        # x^2 is not operator monotone, and its transpose 1/x is decreasing: Psi fails at the first trial
+        fn = b_over_a()
+        rep = derivative_monotone_test(fn, n=3, trials=512, seed=1)
+        assert rep.verdict == "counterexample" and rep.trials_run == 1
+        (a, b), (ha, hb), margin = rep.counterexample["X"], rep.counterexample["H"], rep.counterexample["margin"]
+        assert abs(fro_norm(ha) - 1.0) <= 1e-12 and min_eig(ha) >= -1e-12 and not hb.any()
+        replay = frechet_derivative(fn, (a, b), (ha, hb))
+        assert float(min_eig(replay)) < 0
+        # DF(X)[H] = C Psi C* / ||(C 1)(C 1)*||_F with C = L U, so the scanned Psi comes back by congruence
+        c = _congruence_eig(a, b)[0]
+        ones = c.sum(axis=-1)
+        ci = np.linalg.inv(c)
+        psi = ci @ replay @ dagger(ci) * fro_norm(np.outer(ones, np.conj(ones)))
+        assert abs(float(min_eig(psi)) - margin) <= 1e-6 * abs(margin)
+
+    @pytest.mark.parametrize("ident", MEANS)
+    def test_the_evaluator_is_never_called(self, ident):
+        from dataclasses import replace
+
+        def refuse(xs):
+            raise AssertionError("the Loewner path evaluated F")
+
+        rep = derivative_monotone_test(replace(resolve_function(ident), evaluator=refuse), n=3, trials=512, seed=1)
+        assert rep.passed
+
+    def test_one_eigh_one_qr_and_one_scan(self, count_calls):
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh")}
+        assert derivative_monotone_test(resolve_function("geomean2"), n=3, trials=512, seed=0).passed
+        assert calls == {"eigh": [(512, 3, 3)], "qr": [(1024, 3, 3)], "eigvalsh": [(512, 2, 3, 3)]}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ident", MEANS)
+    def test_the_means_pass(self, ident, n):
+        fn = resolve_function(ident)
+        assert {derivative_monotone_test(fn, n=n, trials=512, seed=seed).verdict for seed in range(5)} == {"pass"}
+
+
+class TestOutsideTheDomain:
+    """Where a drawn spectrum leaves the domain the declaration is not read: the reports are the evaluator's."""
+
+    @pytest.mark.parametrize("tester", ["monotone", "concave", "hypograph"])
+    @pytest.mark.parametrize("ident,c1,low", [
+        ("sqrt", -2.5, ("-2.500e+00", "-2.497e+00")), ("log1p", -2.5, ("-2.500e+00", "-2.497e+00")),
+        ("pow:0.7", -2.5, ("-2.500e+00", "-2.497e+00")),
+        ("log1p", -0.9, ("-9.000e-01", "-8.978e-01")),  # f is finite on every draw, yet the evaluator refuses
+    ])
+    def test_a_lift_reports_as_its_evaluator(self, ident, c1, low, tester):
+        run = {"monotone": monotone_test, "concave": concave_test,
+               "hypograph": lambda *a, **kw: hypograph_convexity_test(*a, m=2, **kw)}[tester]
+        rep = run(resolve_function(ident), n=4, trials=512, seed=1, interval=(c1, 2.0))
+        assert (rep.verdict, rep.trials_run) == ("inconclusive", 0)
+        assert rep.details == {"error": f"argument has minimum eigenvalue {low[tester != 'monotone']}"}
+
+    @pytest.mark.parametrize("tester", ["monotone", "concave", "hypograph"])
+    def test_a_value_that_is_not_finite_goes_to_the_evaluator(self, tester):
+        # log(x - 1) is not finite at or below 1, which the evaluator refuses; at this seed
+        # only the drawn points reach there, not the points the tester evaluates
+        from opmono.matcore import funcalc
+
+        def f(x):
+            return np.log(x - 1.0)
+
+        fn = FreeFn("log(x-1)", 1, lambda xs: funcalc(f, xs[0]), scalar=(f, lambda x: 1.0 / (x - 1.0)))
+        run = {"monotone": monotone_test, "concave": concave_test,
+               "hypograph": lambda *a, **kw: hypograph_convexity_test(*a, m=2, **kw)}[tester]
+        rep = run(fn, n=2, trials=1, seed=0)
+        assert (rep.verdict, rep.details) == ("inconclusive", {"error": "function not finite on the spectrum"})
+
+    @pytest.mark.parametrize("ident", ["harmonic", "geomean2", "power:t=0.25", "karcher"])
+    def test_a_mean_takes_the_stencil(self, ident):
+        rep = derivative_monotone_test(resolve_function(ident), n=3, trials=512, seed=1, interval=(-2.5, 2.0))
+        what = "harmonic mean argument" if ident == "harmonic" else "first argument"
+        assert (rep.verdict, rep.trials_run) == ("inconclusive", 0)
+        assert rep.details == {"error": f"{what} has minimum eigenvalue -1.817e+00"}
+
+
+def arrays_in(value):
+    """Every ndarray inside nested tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from arrays_in(v)
+
+
+class TestCounterexamplesOwnTheirArrays:
+    """A report keeps only its counterexample's matrices alive, never a view into a tester's stacks."""
+
+    @pytest.mark.parametrize("tester,ident,m", [
+        ("monotone", "xsq", None), ("concave", "xsq", None), ("derivative", "xsq", None),
+        ("derivative", "faketrace", None), ("derivative", "bab", None), ("doubling", "xsq", None),
+        ("hypograph", "xsq", 1), ("hypograph", "faketrace", 2),
+    ])
+    def test_every_array_owns_its_data(self, tester, ident, m):
+        fn = b_over_a() if ident == "bab" else resolve_function(ident)
+        run = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test,
+               "doubling": doubling_concavity_check, "hypograph": hypograph_convexity_test}[tester]
+        rep = run(fn, n=2, trials=512, seed=14, **({} if m is None else {"m": m}))
+        arrays = list(arrays_in(rep.counterexample))
+        assert rep.verdict == "counterexample" and arrays
+        assert all(a.flags.owndata for a in arrays)
 
 
 class TestDoubling:

@@ -104,18 +104,25 @@ class TestLiftScalar:
         assert np.linalg.norm(y @ y - x) <= 1e-8
 
 
-# one identifier per catalogue entry: the lifts declare their scalar, nothing else does
+# one identifier per catalogue entry: the lifts and the two-argument means declare
+# their representing function, nothing else does
 SCALAR_LIFTS = ("identity", "sqrt", "log1p", "pow:0.7", "xsq")
-UNDECLARED = ("faketrace", "harmonic", "harmonic:w=0.2,0.3,0.5", "arithmetic", "geomean2", "power:t=0.5",
-              "karcher", "karcher:w=0.2,0.3,0.5", "mobius:1,0,1,1")
+DECLARED_MEANS = ("harmonic", "harmonic:w=0.3,0.7", "geomean2", "power:t=0.5", "power:t=0.25:w=0.3,0.7",
+                  "power:t=1", "karcher", "karcher:w=0.3,0.7")
+UNDECLARED = ("faketrace", "harmonic:w=0.2,0.3,0.5", "arithmetic", "power:t=0.5:w=0.2,0.3,0.5",
+              "karcher:w=0.2,0.3,0.5", "mobius:1,0,1,1")
 
 
 class TestScalarDeclaration:
-    """``FreeFn.scalar`` says F(U diag(lam) U*) = U f(diag(lam)) U*; a stale one would pass wrong certificates."""
+    """``FreeFn.scalar`` declares F by f; a stale declaration would pass wrong certificates.
+
+    A lift says F(U diag(lam) U*) = U f(diag(lam)) U*, a two-argument mean
+    F(A, B) = L f(M) L* with A = L L* and M = L^-1 B L^-*.
+    """
 
     def test_the_lists_cover_the_catalogue(self):
         heads = {ident.split()[0].split("[")[0].split(":")[0] for ident in CATALOGUE_IDS}
-        assert {ident.split(":")[0] for ident in SCALAR_LIFTS + UNDECLARED} == heads
+        assert {ident.split(":")[0] for ident in SCALAR_LIFTS + DECLARED_MEANS + UNDECLARED} == heads
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("ident", SCALAR_LIFTS)
@@ -125,6 +132,26 @@ class TestScalarDeclaration:
         u = finish_unitary(z)
         expect = (u * fn.scalar[0](lam)[..., None, :]) @ dagger(u)
         assert worst_rel(fn(finish_spd(z, lam)), expect) <= DEFAULT_TOL.eq
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ident", DECLARED_MEANS)
+    def test_a_mean_is_the_congruence_of_its_scalar(self, ident, n):
+        fn = resolve_function(ident)
+        a, b = stacked_pair(np.random.default_rng(n), 64, n)
+        low = np.linalg.cholesky(a)
+        linv = np.linalg.inv(low)
+        w, u = np.linalg.eigh(linv @ b @ dagger(linv))
+        lu = low @ u
+        expect = (lu * fn.scalar[0](w)[..., None, :]) @ dagger(lu)
+        assert worst_rel(fn(a, b), expect) <= DEFAULT_TOL.eq
+
+    @pytest.mark.parametrize("ident", DECLARED_MEANS)
+    def test_a_mean_at_the_identity_is_its_scalar(self, ident):
+        fn = resolve_function(ident)
+        z, lam = draw(np.random.default_rng(7), 64, spd_plan(4, 0.5, 2.0))
+        u = finish_unitary(z)
+        expect = (u * fn.scalar[0](lam)[..., None, :]) @ dagger(u)
+        assert worst_rel(fn(np.broadcast_to(np.eye(4), u.shape), finish_spd(z, lam)), expect) <= DEFAULT_TOL.eq
 
     @pytest.mark.parametrize("ident", UNDECLARED)
     def test_no_other_entry_declares_one(self, ident):

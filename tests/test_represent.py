@@ -281,6 +281,23 @@ class TestGraphValidation:
         assert np.all(np.abs(declared - split) <= 1e-13)
 
 
+    @pytest.mark.parametrize("ident", ["harmonic", "geomean2", "power:t=0.25", "karcher:w=0.3,0.7"])
+    def test_a_declared_mean_validates_on_its_evaluator(self, ident):
+        # the two-argument declaration is not read by the graph samples: the
+        # certificate is the one built without it, bit for bit
+        from dataclasses import replace
+
+        from opmono import serialize as io
+
+        rng = np.random.default_rng(42)
+        fn = resolve_function(ident)
+        a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        declared = support_pencil(fn, a, v, seed=43, validation_samples=60)
+        bare = support_pencil(replace(fn, scalar=None), a, v, seed=43, validation_samples=60)
+        assert fn.scalar is not None
+        assert io.dumps(io.certificate_payload(declared)) == io.dumps(io.certificate_payload(bare))
+
+
 class TestReconstruct:
     def test_identity_exact(self):
         rng = np.random.default_rng(10)
