@@ -16,16 +16,17 @@ isometries), none for the derivative test of a one-variable lift, which
 checks the Loewner matrices of the drawn spectra and forms no X.  The
 inputs are evaluated in chunks of 512 rows (the derivative stencil in
 blocks of 256 trials).  A function that declares ``FreeFn.scalar`` is
-evaluated less: a lift's values at the drawn points X = U diag(lam) U*
-are U f(diag(lam)) U*, so the monotone, concave and hypograph tests
-evaluate only the points they do not draw (B, the mixtures, the
-compressions and the combinations), and a two-argument mean's derivative
-test takes one ``cholesky`` and one ``eigh`` per stack and no evaluation.
-The differences that must be positive semidefinite form ``(T, C, d, d)``
+evaluated less where ``FreeFn._declared_at`` lets its declaration be read:
+a lift's values at the drawn points X = U diag(lam) U* are
+U f(diag(lam)) U*, so the monotone, concave and hypograph tests evaluate
+only the points they do not draw (B, the mixtures, the compressions and
+the combinations), and a two-argument mean's derivative test takes one
+``cholesky`` and one ``eigh`` per stack and no evaluation.  The
+differences that must be positive semidefinite form ``(T, C, d, d)``
 stacks, C checks per trial, and one scan (``_scan``) takes their smallest
-eigenvalues and norms in one batched call per stack.  It stops at the first violation in trial-major
-order; ``worst_margin`` is the minimum margin over every check up to and
-including that one.
+eigenvalues and norms in one batched call per stack.  It stops at the
+first violation in trial-major order; ``worst_margin`` is the minimum
+margin over every check up to and including that one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BadConfig, ChainNotIncreasing, OpmonoError
-from .freefun import FreeFn, _congruence_eig, frechet_many
+from .freefun import FreeFn, _congruence_eig, _loewner_pair, frechet_many
 from .gradients import loewner_matrix
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, psd_floor
 from .sampling import (draw, finish_isometry, finish_psd, finish_spd, finish_unitary, from_spectrum, normal,
@@ -100,16 +101,12 @@ def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
 def _lift_values(fn: FreeFn, u: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
     """F(X) = Herm(U f(lam) U*) at drawn points X = Herm(U diag(lam) U*) of a declared lift, else None.
 
-    The declaration is read only when every drawn eigenvalue is positive
-    and f is finite on all of them; otherwise the evaluator takes the
-    points, so a draw outside the domain is reported as the evaluator
-    reports it.
+    The declaration is read only under ``FreeFn._declared_at``'s rule;
+    otherwise the evaluator takes the points, so a draw outside the domain
+    is reported as the evaluator reports it.
     """
-    if fn.scalar is None or fn.arity != 1 or not np.all(lam > 0):
-        return None
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        d = fn.scalar[0](lam)
-    return from_spectrum(u, d) if np.isfinite(d).all() else None
+    d = fn._declared_at(lam) if fn.arity == 1 else None
+    return None if d is None else from_spectrum(u, d)
 
 
 def _spec_norm(a: np.ndarray) -> np.ndarray:
@@ -259,13 +256,15 @@ def derivative_monotone_test(
       M = L^{-1} B L^{-*} = U diag(w) U* (``freefun._congruence_eig``):
       DF(A, B)[H_A, H_B] = L U (Psi o K_A + Phi o K_B) U* L*, K_. =
       U* L^{-1} H_. L^{-*} U, Phi the Loewner matrix of f on w and Psi that
-      of the transpose x f(1/x) on 1/w.  Each trial scans [Psi, Phi].  It
-      is taken only when every drawn eigenvalue is positive.
+      of the transpose x f(1/x) on 1/w (``freefun._loewner_pair``).  Each
+      trial scans [Psi, Phi].
 
     A counterexample's H is C 1 1* C* normalized in the failing slot, C = U
-    or L U (``_loewner_counter``).  Any other function takes a Richardson
-    stencil, 4 evaluations per trial in blocks of 256 trials, and its scan
-    allows 10 ``psd`` for the differences.
+    or L U (``_loewner_counter``).  Either path is taken only under
+    ``FreeFn._declared_at``'s rule.  Any other draw or function takes a
+    Richardson stencil, 4 evaluations per trial in blocks of 256 trials,
+    whose scan allows 10 ``psd`` for the differences; so a draw outside the
+    domain is reported as the evaluator reports it.
     """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
@@ -273,24 +272,20 @@ def derivative_monotone_test(
     k = fn.arity
     # the spectra come before the directions in the stream, so every path draws the same X
     z, lam = draw(rng, trials, spd_plan(n, c1 + pad, c2 - pad) * k)
-    if fn.scalar is not None and k == 1:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phi = loewner_matrix(lam, *fn.scalar)
+    declared = fn._declared_at(lam) is not None
+    if declared and k == 1:
         return _scan(
-            "derivative", seed, tol, [phi[:, None]],
+            "derivative", seed, tol, [loewner_matrix(lam, *fn.scalar)[:, None]],
             lambda t, c, m: _loewner_counter((finish_spd(z[t], lam[t]),), finish_unitary(z[t]), c, m),
         )
     x = slots(finish_spd(z, lam), k)
-    if fn.scalar is not None and k == 2 and np.all(lam > 0):
-        f, fprime = fn.scalar
+    if declared and k == 2:
         try:
-            lu, w = _congruence_eig(*x)
+            lu, _, _, w = _congruence_eig(*x)
         except OpmonoError as exc:
             return _inconclusive("derivative", seed, str(exc))
-        phi = loewner_matrix(w, f, fprime)
-        psi = loewner_matrix(1.0 / w, lambda v: v * f(1.0 / v), lambda v: f(1.0 / v) - fprime(1.0 / v) / v)
         return _scan(
-            "derivative", seed, tol, [np.stack([psi, phi], axis=1)],
+            "derivative", seed, tol, [np.stack(_loewner_pair(w, *fn.scalar), axis=1)],
             lambda t, c, m: _loewner_counter(_at(x, t), lu[t], c, m),
         )
     (g,) = draw(rng, trials, [normal(2, n, n)] * k)

@@ -7,12 +7,14 @@ geometric, power means and the Karcher mean), Moebius transformations, and
 two deliberately broken negative controls.
 
 Evaluators are batched: each accepts a tuple of stacked Hermitian arguments
-``(..., n, n)`` and broadcasts over the leading axes.  Every two-argument
-mean but the harmonic and arithmetic ones is defined by its representing
-function (``_pair_function``), which gives both its closed form and its
-exact adjoint; every two-argument mean but the arithmetic one declares it
-(``FreeFn.scalar``, the harmonic mean's at t = -1).  With three or more
-arguments the fixed-point iterations run all batch elements in lockstep.
+``(..., n, n)`` and broadcasts over the leading axes.  A lift and every
+two-argument mean but the harmonic and arithmetic ones is built from its
+representing function (f, f') alone (``_declared_fn``), its evaluator and
+its exact adjoint (``_loewner_vgrad``, the one adjoint of every declared
+function) included; every two-argument mean but the arithmetic one
+declares f (``FreeFn.scalar``; ``_pair_function``, the harmonic mean's at
+t = -1).  With three or more arguments the fixed-point iterations run all
+batch elements in lockstep.
 
 The power and Karcher means of three or more arguments solve one equation,
 sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I with f(x) = x^t or f = log: one
@@ -43,6 +45,7 @@ error's minimum eigenvalue is computed only once a check has failed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -60,7 +63,7 @@ from .errors import (
     StepUnderflow,
     UnknownFunction,
 )
-from .gradients import dk_map, hermitian_basis, solve_linear_map
+from .gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
 from .matcore import (
     DEFAULT_TOL,
     Tolerances,
@@ -159,16 +162,18 @@ class FreeFn:
 
     ``scalar`` = (f, f') declares the representing function f.  With one
     argument it says F(X) = U f(Lambda) U* for X = U Lambda U*, a lift of
-    the scalar f (``lift_scalar``, which builds the evaluator from the same
-    f).  With two it says F(A, B) = L f(M) L* for A = L L* and
-    M = L^{-1} B L^{-*}, a Kubo-Ando mean: the two-argument harmonic, power,
-    Karcher and geometric means set ``_pair_function`` of their own
-    weights.  Nothing else declares one.  Where it is set, the testers read
-    F at the points they draw from f of the spectra (``cert``; a lift's
-    support validation too, ``represent._graph_margins``), and the
-    derivative tester checks the Loewner matrices of f, neither calling the
-    evaluator there.  So ``replace(fn, evaluator=...)`` with an evaluator
-    that computes anything but the same F has to pass ``scalar=None``.
+    the scalar f; with two, F(A, B) = L f(M) L* for A = L L* and
+    M = L^{-1} B L^{-*}, a Kubo-Ando mean.  The lifts and the two-argument
+    power, Karcher and geometric means are built from (f, f') alone
+    (``_declared_fn``); the two-argument harmonic mean declares
+    ``_pair_function(-1, *w)`` beside its own evaluator.  Nothing else
+    declares one.  The declaration is read in place of the evaluator by
+    the testers (``cert``: F at the drawn points, and the Loewner matrices
+    of f in the derivative test) and by a lift's support validation
+    (``represent._graph_margins``), each only under one rule
+    (``_declared_at``).  So ``replace(fn, evaluator=...)`` with an
+    evaluator that computes anything but the same F has to pass
+    ``scalar=None``.
     """
 
     name: str
@@ -193,6 +198,18 @@ class FreeFn:
         if not all(np.isfinite(x).all() for x in xs):
             raise DomainViolation(f"{self.name} argument has a non-finite entry")
         return xs
+
+    def _declared_at(self, lam: np.ndarray) -> np.ndarray | None:
+        """f(lam) at drawn spectra ``lam`` where the declaration may be read, else None.
+
+        The one rule of every reader of ``scalar``: every drawn eigenvalue is
+        positive and f is finite on all of them.
+        """
+        if self.scalar is None or not np.all(lam > 0):
+            return None
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            d = self.scalar[0](lam)
+        return d if np.isfinite(d).all() else None
 
     def __call__(self, *mats: np.ndarray) -> np.ndarray:
         return self.evaluator(self._args(mats))
@@ -235,20 +252,56 @@ def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[
     return apply
 
 
-_SCALAR_LIFTS: dict[str, tuple[Callable, Callable, Callable, bool, bool]] = {
-    # name: (f, f', complex f, positive definite arguments only, monotone and concave)
-    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x), np.sqrt, True, True),
-    "log1p": (np.log1p, lambda x: 1.0 / (1.0 + x), lambda z: np.log(1.0 + z), True, True),
-    "identity": (lambda x: x, lambda x: np.ones_like(x), lambda z: z, False, True),
-    "xsq": (lambda x: x**2, lambda x: 2.0 * x, lambda z: z**2, False, False),
+_SCALAR_LIFTS: dict[str, tuple[Callable, Callable, bool, bool]] = {
+    # name: (f, f', positive definite arguments only, monotone and concave); f also takes complex input
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x), True, True),
+    "log1p": (np.log1p, lambda x: 1.0 / (1.0 + x), True, True),
+    "identity": (lambda x: x, lambda x: np.ones_like(x), False, True),
+    "xsq": (lambda x: x**2, lambda x: 2.0 * x, False, False),
 }
 
 
-def _dk_vgrad(f: Callable, fprime: Callable) -> Callable[[MatTuple, np.ndarray], list[np.ndarray]]:
-    def vgrad(xs: MatTuple, w: np.ndarray) -> list[np.ndarray]:
-        return [herm_part(dk_map(xs[0], f, fprime)(w))]
+def _loewner_pair(w: np.ndarray, f: Callable, fprime: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """[Psi, Phi] on M's spectrum w: slot 1's Loewner matrix, of the transpose x f(1/x) on 1/w, and slot 2's, of f."""
+    psi = loewner_matrix(1.0 / w, lambda v: v * f(1.0 / v), lambda v: f(1.0 / v) - fprime(1.0 / v) / v)
+    return psi, loewner_matrix(w, f, fprime)
 
-    return vgrad
+
+def _loewner_vgrad(f: Callable, fprime: Callable, xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
+    """Exact adjoint of the lift or two-argument mean that (f, f') represents (``FreeFn.scalar``).
+
+    Each derivative is a congruence of Loewner matrices, DF(X)[H] =
+    C (sum_i Theta_i o C^{-1} H_i C^{-*}) C*, so slot i's G_i is
+    P (Theta_i o C* W C) P* with P = C^{-*}.  A lift takes C = P = U from
+    one ``eigh`` of X = U diag(lam) U* and Theta = [Phi], which is
+    ``dk_map``'s expression; a mean takes C = L U and P = L^{-*} U from
+    ``_congruence_eig`` (one ``cholesky`` and one ``eigh``, its SVD
+    fallback included) and Theta = ``_loewner_pair``.
+    """
+    if len(xs) == 1:
+        w, c = _eigh(xs[0])
+        p, thetas = c, (loewner_matrix(w, f, fprime),)
+    else:
+        c, linv, u, w = _congruence_eig(*xs)
+        p, thetas = dagger(linv) @ u, _loewner_pair(w, f, fprime)
+    cwc = dagger(c) @ seed @ c
+    return [herm_part(p @ (theta * cwc) @ dagger(p)) for theta in thetas]
+
+
+def _declared_fn(name: str, arity: int, f: Callable, fp: Callable, checked=True, monotone=True, weights=None) -> FreeFn:
+    """The FreeFn that (f, f') declares, its evaluator, continuation and adjoint all built from them.
+
+    A lift evaluates U f(Lambda) U* by one ``eigh`` (positive definite
+    arguments only when ``checked``) and continues by ``_principal_matfun``,
+    a two-argument mean evaluates L f(M) L* (``_congruence_fun``); both take
+    ``_loewner_vgrad`` and are declared monotone and concave if ``monotone``.
+    """
+    vgrad = partial(_loewner_vgrad, f, fp)
+    if arity == 1:
+        what = "argument" if checked else None
+        return FreeFn(name, 1, lambda xs: _eigh_fun(f, xs[0], what), _principal_matfun(f), vgrad,
+                      monotone=monotone, concave=monotone, scalar=(f, fp))
+    return FreeFn(name, 2, lambda xs: _congruence_fun(*xs, f), vgrad=vgrad, weights=weights, scalar=(f, fp))
 
 
 def lift_scalar(name: str, p: float | None = None) -> FreeFn:
@@ -261,17 +314,10 @@ def lift_scalar(name: str, p: float | None = None) -> FreeFn:
     if name == "pow":
         if p is None or not (0.0 < p < 1.0):
             raise UnknownFunction("pow requires an exponent p in (0, 1)")
-        name, row = f"pow:{p:g}", (lambda x: np.power(x, p), lambda x: p * np.power(x, p - 1),
-                                   lambda z: np.power(z, p), True, True)
+        name, row = f"pow:{p:g}", (lambda x: np.power(x, p), lambda x: p * np.power(x, p - 1), True, True)
     if row is None:
         raise UnknownFunction(f"no scalar lift named {name!r}")
-    f, fp, fc, checked, monotone = row
-
-    def _ev(xs: MatTuple) -> np.ndarray:
-        return _eigh_fun(f, xs[0], "argument" if checked else None)
-
-    return FreeFn(name, 1, _ev, _principal_matfun(fc), _dk_vgrad(f, fp), monotone=monotone, concave=monotone,
-                  scalar=(f, fp))
+    return _declared_fn(name, 1, *row)
 
 
 def fake_trace_fn() -> FreeFn:
@@ -362,7 +408,7 @@ _EIGH_COND = 1e6
 
 
 def _congruence_eig(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(L U, w) with Z = L L* and L^{-1} X L^{-*} = U diag(w) U*: one ``cholesky`` and one ``eigh`` per stack.
+    """(L U, L^{-1}, U, w) with Z = L L*, L^{-1} X L^{-*} = U diag(w) U*: one ``cholesky``, one ``eigh`` per stack.
 
     The two factorizations check both arguments: Z by its Cholesky factor
     (``_factor``), and X by the eigenvalues w, which must be positive.  A
@@ -377,7 +423,7 @@ def _congruence_eig(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
         lx = _factor(np.broadcast_to(x, u.shape)[wide], "second argument")[0]
         v, s, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ lx)
         w[wide], u[wide] = s[..., ::-1] ** 2, v[..., ::-1]
-    return low @ u, w
+    return low @ u, linv, u, w
 
 
 def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -386,7 +432,7 @@ def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.n
     This is the mean by congruence invariance (module docstring); f never
     sees an eigenvalue that is not positive.
     """
-    lu, w = _congruence_eig(z, x)
+    lu, _, _, w = _congruence_eig(z, x)
     return herm_part((lu * f(w)[..., None, :]) @ dagger(lu))
 
 
@@ -412,27 +458,6 @@ def _pair_function(t: float, w1: float, w2: float) -> tuple[Callable, Callable]:
         lambda x: np.power(w1 + w2 * np.power(x, t), 1.0 / t),
         lambda x: w2 * np.power(x, t - 1) * np.power(w1 + w2 * np.power(x, t), 1.0 / t - 1),
     )
-
-
-def _pair_vgrad(xs: MatTuple, seed: np.ndarray, t: float, w: np.ndarray) -> list[np.ndarray]:
-    """Exact adjoint of the two-argument mean represented by ``_pair_function(t, *w)``.
-
-    With A = L L* the mean is L f(M) L*, M = L^{-1} B L^{-*} (module
-    docstring), so the second slot is the Daleckii-Krein sandwich
-    L^{-*} Df(M)[L* W L] L^{-1}: one ``cholesky`` and one ``eigh``.  The
-    first slot is the same sandwich on the swapped pair (B, A) with the
-    transpose of f, that is with the weights swapped.
-    """
-    a, b = xs
-    w1, w2 = w
-
-    def second_slot(a: np.ndarray, b: np.ndarray, f: Callable, fprime: Callable, what: str) -> np.ndarray:
-        low, linv = _factor(a, what)
-        df = dk_map(linv @ b @ dagger(linv), f, fprime)
-        return herm_part(dagger(linv) @ df(dagger(low) @ seed @ low) @ linv)
-
-    return [second_slot(b, a, *_pair_function(t, w2, w1), "second argument"),
-            second_slot(a, b, *_pair_function(t, w1, w2), "first argument")]
 
 
 class _Arguments(tuple):
@@ -507,7 +532,7 @@ def _implicit_vgrad(
     Df and D(Z^{-1/2}) are Daleckii-Krein maps, self-adjoint under the trace
     pairing, and the Z-block is inverted on the Hermitian basis.  One
     ``eigh`` of Z gives both Z^{-1/2} and D(Z^{-1/2}).  Two arguments take
-    the closed form ``_pair_vgrad`` instead.
+    ``_loewner_vgrad`` instead.
     """
     lam, u = _eigh(z)
     rinv = (u / np.sqrt(lam)[..., None, :]) @ dagger(u)
@@ -567,18 +592,14 @@ def _mean_fn(name: str, w: np.ndarray, evaluate: Callable, t: float, f: Callable
              weights: tuple[float, ...] | None = None) -> FreeFn:
     """FreeFn of a power-family mean.
 
-    Two arguments declare the representing function ``_pair_function(t, *w)``
-    and take the adjoint ``_pair_vgrad``; more take ``_implicit_vgrad`` of
-    the equation's f and declare nothing.
+    Two arguments are the mean that ``_pair_function(t, *w)`` declares
+    (``_declared_fn``); more evaluate ``evaluate``, take ``_implicit_vgrad``
+    of the equation's f and declare nothing.
     """
-
-    def vgrad(xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
-        if w.size == 2:
-            return _pair_vgrad(xs, seed, t, w)
-        return _implicit_vgrad(evaluate(xs), xs, seed, w, f, fprime)
-
-    return FreeFn(name=name, arity=w.size, evaluator=evaluate, vgrad=vgrad, weights=weights,
-                  scalar=_pair_function(t, *w) if w.size == 2 else None)
+    if w.size == 2:
+        return _declared_fn(name, 2, *_pair_function(t, *w), weights=weights)
+    return FreeFn(name=name, arity=w.size, evaluator=evaluate, weights=weights,
+                  vgrad=lambda xs, seed: _implicit_vgrad(evaluate(xs), xs, seed, w, f, fprime))
 
 
 def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
@@ -711,7 +732,7 @@ def mobius_fn(g: MobiusMap) -> FreeFn:
         arity=1,
         evaluator=_ev,
         complex_evaluator=lambda xs: mobius_apply(g, xs[0]),
-        vgrad=_dk_vgrad(g.scalar, lambda x: det / (g.c * x + g.d) ** 2),
+        vgrad=partial(_loewner_vgrad, g.scalar, lambda x: det / (g.c * x + g.d) ** 2),
     )
 
 

@@ -7,12 +7,11 @@ amplified through the (often barely-conditioned) eliminated block.  For
 every catalogue function the adjoint of the slot derivative applied to a
 Hermitian seed W (usually vv*) is available in closed form:
 
-  * functional-calculus lifts: the Daleckii-Krein divided-difference map,
-    which is self-adjoint under the trace pairing, its table the Loewner
-    matrix of f on the spectrum (``loewner_matrix``);
+  * the lifts and the two-argument geometric, power and Karcher means: one
+    congruence of the Loewner matrices (``loewner_matrix``) of their
+    representing function (``freefun._loewner_vgrad``), for a lift the
+    Daleckii-Krein map, which is self-adjoint under the trace pairing;
   * harmonic/arithmetic means: explicit congruence sandwiches;
-  * the two-argument geometric, power and Karcher means: a Daleckii-Krein
-    sandwich on their representing function (``freefun._pair_vgrad``);
   * power and Karcher means of three or more arguments: one implicit-function
     solve of the equation they share, sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I
     (``freefun._implicit_vgrad``), assembled on a real Hermitian basis.  Only

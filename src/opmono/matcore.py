@@ -50,6 +50,7 @@ __all__ = [
     "sector_estimate",
     "sector_certified_alpha",
     "truncated_pinv",
+    "unit_vector",
 ]
 
 
@@ -152,6 +153,15 @@ def fro_norm(a: np.ndarray) -> np.ndarray | float:
     """Frobenius norm over the last two axes."""
     out = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-1, -2)))
     return float(out) if out.ndim == 0 else out
+
+
+def unit_vector(v: np.ndarray) -> np.ndarray:
+    """v / ||v|| as a flat complex vector; DomainViolation unless v is finite and nonzero."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v) if np.isfinite(v).all() else 0.0
+    if not 0.0 < norm < np.inf:
+        raise DomainViolation("base vector must be finite and nonzero")
+    return v / norm
 
 
 def _require_square(a: np.ndarray) -> None:

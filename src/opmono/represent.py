@@ -38,10 +38,10 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import (DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, min_eig_above,
-                      require_psd)
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, min_eig, min_eig_above, require_psd,
+                      unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import draw, finish_unitary, from_spectrum, slots, spd_plan
+from .sampling import draw, finish_spd, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
 
 __all__ = [
@@ -110,32 +110,22 @@ def _support_eval(b0, grads, v, y, x) -> np.ndarray:
 
 
 def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
-    """Per-sample lower bounds on lambda_min L(F(X), X), X = U diag(lam) U* = finish_spd(z, lam).
+    """Per-sample lambda_min L(F(X), X), X = U diag(lam) U* = finish_spd(z, lam).
 
-    L decreases in Y, so the graph is the worst hypograph member at X.  For
-    one argument T = U* F(X) U = diag(d) + O gives (I (x) U)* L (I (x) U) =
-    (+)_j M_j - vv* (x) O, M_j = B_0 + (lam_j - 1) G - d_j vv*, and Weyl
-    bounds lambda_min L by min_j lambda_min M_j - ||O||_F.  A lift
-    (``fn.scalar`` = (f, f')) has T = f(diag(lam)) exactly, so d = f(lam),
-    O = 0 and the bound is lambda_min L itself, read from the drawn spectra
-    without forming U, X or F(X).  Any other one-variable F pays its
-    remainder O (rounding for a unitarily equivariant F).  For k >= 2 the
-    bound is lambda_min L at the evaluated F(X); a two-argument mean's
-    declaration is not read here.
+    L decreases in Y, so the graph is the worst hypograph member at X.  A
+    lift whose declaration may be read (``FreeFn._declared_at``) has
+    U* F(X) U = diag(f(lam)), so (I (x) U)* L (I (x) U) is the direct sum of
+    M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*, and lambda_min L is the least
+    lambda_min M_j, read from the drawn spectra without forming U, X or
+    F(X).  Every other function, whatever its arity, takes lambda_min L at
+    the evaluated F(X) over the whole pencil.
     """
-    if fn.scalar is not None and fn.arity == 1:
-        d, remainder = fn.scalar[0](lam), 0.0
-    else:
-        u = finish_unitary(z)
-        x = from_spectrum(u, lam)
-        if fn.arity > 1:
-            xs = slots(x, fn.arity)
-            return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
-        t = herm_part(dagger(u) @ fn((x,)) @ u)
-        d = np.diagonal(t, axis1=-2, axis2=-1).real
-        remainder = fro_norm(t - d[..., None] * np.eye(lam.shape[-1]))
+    d = fn._declared_at(lam) if fn.arity == 1 else None
+    if d is None:
+        xs = slots(finish_spd(z, lam), fn.arity)
+        return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
     blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
-    return np.min(min_eig(blocks), axis=-1) - remainder
+    return np.min(min_eig(blocks), axis=-1)
 
 
 def support_pencil(
@@ -168,10 +158,9 @@ def support_pencil(
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
     a = fn._args(tuple(a))  # eigvalsh below needs finite input; fn.gradient repeats this cheap check
     n = a[0].shape[0]
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = unit_vector(v)
     if v.size != n:
         raise DimensionMismatch("base vector dimension does not match the tuple")
-    v = v / np.linalg.norm(v)
     c1, c2 = interval
     slack_dom = tol.eq * (1.0 + c2)
     for i, ai in enumerate(a):
@@ -393,13 +382,13 @@ def direct_sum_rep(
     if not points:
         raise BadConfig("need at least one base point")
     k = fn.arity
-    sizes = [p[0][0].shape[0] for p in points]
+    vs = [unit_vector(v_j) for _, v_j in points]  # each base vector is checked before any evaluation
+    sizes = [p[0][0].shape[0] for p in points] + [v.size for v in vs]
     n = sizes[0]
     if any(s != n for s in sizes):
-        raise DimensionMismatch("all base points must share one dimension")
+        raise DimensionMismatch("all base points and vectors must share one dimension")
     big_a = [block_diag(*(a_j[i] for a_j, _ in points)) for i in range(k)]
-    w = np.concatenate([np.asarray(vj, dtype=complex).reshape(-1) for _, vj in points])
-    w = w / np.linalg.norm(w)
+    w = unit_vector(np.concatenate([np.asarray(vj, dtype=complex).reshape(-1) for _, vj in points]))
 
     cert = support_pencil(
         fn, tuple(big_a), w, interval, validation_samples, seed=seed, tol=tol
@@ -411,8 +400,7 @@ def direct_sum_rep(
         meta={"kind": "direct_sum", "function": fn.name, "points": len(points)},
     )
     xs = tuple(np.stack([a_j[i] for a_j, _ in points]) for i in range(k))
-    vs = np.stack([np.asarray(v_j, dtype=complex).reshape(-1) for _, v_j in points])
-    vs = (vs / np.linalg.norm(vs, axis=-1, keepdims=True))[..., None]
+    vs = np.stack(vs)[..., None]
     lhs = herm_part(fn(xs)) @ vs
     residuals = fro_norm(rep_eval(rep, xs, tol) @ vs - lhs)
     if not np.all(residuals <= _DIRECT_SUM_GATE * (1.0 + fro_norm(lhs))):

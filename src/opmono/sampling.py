@@ -31,11 +31,9 @@ __all__ = [
     "rand_herm",
     "rand_psd",
     "rand_unitary",
-    "rand_isometry",
     "rand_unit_vector",
     "rand_spd_interval",
     "rand_tuple_interval",
-    "ordered_pair_interval",
     "normal",
     "uniform",
     "spd_plan",
@@ -197,13 +195,6 @@ def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return finish_unitary(_gaussian(rng, n, n))
 
 
-def rand_isometry(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """Random isometry from C^m into C^n (1 <= m <= n), V* V = I_m."""
-    if not 0 < m <= n:
-        raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
-    return finish_isometry(_gaussian(rng, n, m))
-
-
 def rand_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rand_complex(rng, n)
     return v / np.linalg.norm(v)
@@ -220,11 +211,3 @@ def rand_tuple_interval(
     rng: np.random.Generator, k: int, n: int, c1: float, c2: float
 ) -> tuple[np.ndarray, ...]:
     return tuple(finish_spd(*_one_by_one(rng, k, spd_plan(n, c1, c2))))
-
-
-def ordered_pair_interval(
-    rng: np.random.Generator, k: int, n: int, c1: float, c2: float
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """A <= B componentwise, both with spectra inside [c1, c2] (see ``finish_pair``)."""
-    a, b = finish_pair(*_one_by_one(rng, k, pair_plan(n, c1, c2)), c2)
-    return tuple(a), tuple(b)

@@ -43,6 +43,7 @@ from .matcore import (
     sector_certified_alpha,
     sector_estimate,
     truncated_pinv,
+    unit_vector,
 )
 from .pencil import RawPencil, kron_sum, pencil_arguments, range_eigh
 
@@ -87,8 +88,8 @@ class PivotSubspace:
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "PivotSubspace":
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        return cls(v.size, (v / np.linalg.norm(v))[:, None])
+        v = unit_vector(v)
+        return cls(v.size, v[:, None])
 
     @classmethod
     def from_basis(cls, basis: np.ndarray) -> "PivotSubspace":

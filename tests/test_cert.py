@@ -196,7 +196,7 @@ class TestMeanLoewnerPath:
         z, lam, g = draw(np.random.default_rng(n), 64, spd_plan(n, 0.8, 1.7) * 2 + [normal(2, n, n)] * 2)
         a, b = slots(finish_spd(z, lam), 2)
         ha, hb = slots(finish_psd(g), 2)
-        lu, w = _congruence_eig(a, b)
+        lu, _, _, w = _congruence_eig(a, b)
         phi = loewner_matrix(w, f, fprime)
         psi = loewner_matrix(1.0 / w, lambda v: v * f(1.0 / v), lambda v: f(1.0 / v) - fprime(1.0 / v) / v)
         ci = np.linalg.inv(lu)
@@ -245,18 +245,23 @@ class TestMeanLoewnerPath:
 class TestOutsideTheDomain:
     """Where a drawn spectrum leaves the domain the declaration is not read: the reports are the evaluator's."""
 
-    @pytest.mark.parametrize("tester", ["monotone", "concave", "hypograph"])
+    @pytest.mark.parametrize("tester", ["monotone", "concave", "derivative", "hypograph"])
     @pytest.mark.parametrize("ident,c1,low", [
-        ("sqrt", -2.5, ("-2.500e+00", "-2.497e+00")), ("log1p", -2.5, ("-2.500e+00", "-2.497e+00")),
-        ("pow:0.7", -2.5, ("-2.500e+00", "-2.497e+00")),
-        ("log1p", -0.9, ("-9.000e-01", "-8.978e-01")),  # f is finite on every draw, yet the evaluator refuses
+        # the lowest eigenvalue the evaluator sees: monotone's A, concave's and hypograph's A or B, and
+        # derivative's X, drawn from the interval shrunk by 0.15 of its width at each end
+        ("sqrt", -2.5, ("-2.500e+00", "-2.497e+00", "-1.820e+00")),
+        ("log1p", -2.5, ("-2.500e+00", "-2.497e+00", "-1.820e+00")),
+        ("pow:0.7", -2.5, ("-2.500e+00", "-2.497e+00", "-1.820e+00")),
+        # f is finite on every draw, yet the evaluator refuses
+        ("log1p", -0.9, ("-9.000e-01", "-8.978e-01", "-4.625e-01")),
     ])
     def test_a_lift_reports_as_its_evaluator(self, ident, c1, low, tester):
-        run = {"monotone": monotone_test, "concave": concave_test,
+        run = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test,
                "hypograph": lambda *a, **kw: hypograph_convexity_test(*a, m=2, **kw)}[tester]
         rep = run(resolve_function(ident), n=4, trials=512, seed=1, interval=(c1, 2.0))
+        which = {"monotone": 0, "concave": 1, "hypograph": 1, "derivative": 2}[tester]
         assert (rep.verdict, rep.trials_run) == ("inconclusive", 0)
-        assert rep.details == {"error": f"argument has minimum eigenvalue {low[tester != 'monotone']}"}
+        assert rep.details == {"error": f"argument has minimum eigenvalue {low[which]}"}
 
     @pytest.mark.parametrize("tester", ["monotone", "concave", "hypograph"])
     def test_a_value_that_is_not_finite_goes_to_the_evaluator(self, tester):

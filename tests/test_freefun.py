@@ -515,6 +515,73 @@ class TestExactAdjoints:
         assert len(calls) == value + 1 + 3 and set(calls) == {(3, 3)}
 
 
+def two_factorization_vgrad(fn, xs, seed):
+    """The adjoint of a declared two-argument mean with each slot on its own Cholesky factor, as a reference.
+
+    The second slot is L^-* Df(M)[L* W L] L^-1 with A = L L* and M = L^-1 B L^-*; the first is the same
+    sandwich on the swapped pair (B, A) with the transpose x f(1/x): two cholesky and two eigh.
+    """
+    f, fp = fn.scalar
+
+    def second_slot(a, b, f, fp):
+        low = np.linalg.cholesky(a)
+        linv = np.linalg.inv(low)
+        return herm_part(dagger(linv) @ dk_map(linv @ b @ dagger(linv), f, fp)(dagger(low) @ seed @ low) @ linv)
+
+    a, b = xs
+    return [second_slot(b, a, lambda v: v * f(1.0 / v), lambda v: f(1.0 / v) - fp(1.0 / v) / v),
+            second_slot(a, b, f, fp)]
+
+
+class TestOneAdjoint:
+    """Every declared function's adjoint is P (Theta o C* W C) P* on the Loewner matrices Theta of its (f, f')."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("ident", DECLARED_MEANS)
+    def test_a_mean_matches_the_two_factorization_formula(self, ident, n):
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(60 + n)
+        for _ in range(8):
+            x, seed = rand_tuple_interval(rng, 2, n, 0.5, 2.0), rand_herm(rng, n)
+            for g, ref in zip(fn.gradient(x, seed), two_factorization_vgrad(fn, x, seed)):
+                assert fro_norm(g - ref) <= 1e-12 * fro_norm(ref), (ident, n)
+
+    @pytest.mark.parametrize("ident", SCALAR_LIFTS + DECLARED_MEANS + ("mobius:1,0,1,1",))
+    def test_the_pairing_is_the_directional_derivative(self, ident):
+        # sum_i tr(G_i H_i) = tr(W DF(X)[H]) for every direction H
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(62)
+        x, seed = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0), rand_herm(rng, 3)
+        directions = [tuple(rand_herm(rng, 3) for _ in range(fn.arity)) for _ in range(6)]
+        grads = fn.gradient(x, seed)
+        for h, d in zip(directions, frechet_many(fn, x, directions, 1e-3)):
+            pairing = sum(float(np.trace(g @ hi).real) for g, hi in zip(grads, h))
+            assert abs(pairing - float(np.trace(seed @ d).real)) <= 1e-9 * (1.0 + abs(pairing)), ident
+
+    @pytest.mark.parametrize("ident", [ident for ident in DECLARED_MEANS if not ident.startswith("harmonic")])
+    def test_a_mean_gradient_takes_one_cholesky_and_one_eigh(self, count_calls, ident):
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(63)
+        x, seed = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_herm(rng, 3)
+        calls = {name: count_calls(np.linalg, name) for name in ("cholesky", "eigh", "svd")}
+        fn.gradient(x, seed)
+        assert calls == {"cholesky": [(3, 3)], "eigh": [(3, 3)], "svd": []}
+
+    @pytest.mark.parametrize("ident", SCALAR_LIFTS + ("mobius:1,0,1,1", "mobius:2,1,1,3"))
+    def test_a_lift_is_the_daleckii_krein_map_bit_for_bit(self, ident):
+        fn = resolve_function(ident)
+        if ident.startswith("mobius"):
+            a, b, c, d = (float(v) for v in ident.split(":")[1].split(","))
+            f, fp = MobiusMap(a, b, c, d).scalar, lambda x: (a * d - b * c) / (c * x + d) ** 2
+        else:
+            f, fp = fn.scalar
+        rng = np.random.default_rng(64)
+        for n in (1, 2, 4):
+            x, seed = rand_tuple_interval(rng, 1, n, 0.5, 2.0), rand_herm(rng, n)
+            (g,) = fn.gradient(x, seed)
+            assert g.tobytes() == herm_part(dk_map(x[0], f, fp)(seed)).tobytes(), (ident, n)
+
+
 def basis_loop(n):
     """The Hermitian basis built one matrix at a time: diagonals, then each p < q."""
     out = []

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from opmono import errors, represent
 from opmono.freefun import (
     FreeFn,
+    MobiusMap,
     geometric_mean_2_fn,
     harmonic_mean,
     karcher_mean_fn,
     lift_scalar,
+    mobius_fn,
     power_mean_fn,
     resolve_function,
 )
@@ -204,7 +208,7 @@ def trace_coupled_sqrt():
 
 
 class TestGraphValidation:
-    """The graph samples of ``support_pencil``: for one argument, the split by each sample's own unitary."""
+    """The graph samples of ``support_pencil``: a declared lift's split by each sample's spectrum, else the full pencil."""
 
     @pytest.fixture(scope="class")
     def lift_cert(self):
@@ -222,7 +226,8 @@ class TestGraphValidation:
         assert np.all(np.abs(bound - min_eig(full)) <= 1e-12 * (1.0 + fro_norm(full)))
 
     @pytest.mark.parametrize("ns", [3, 6])
-    def test_non_equivariant_function_pays_its_remainder(self, lift_cert, ns):
+    def test_non_equivariant_function_takes_the_full_pencil(self, lift_cert, ns):
+        # U* F(X) U is far from diagonal, so no split by the sample's unitary could be exact
         z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
         fn, c = trace_coupled_sqrt(), lift_cert
         u, x = finish_unitary(z), (finish_spd(z, lam),)
@@ -231,7 +236,21 @@ class TestGraphValidation:
         assert np.all(remainder > 1e-3)
         bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
         full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(x)), x))
-        assert np.all(bound <= full)
+        assert bound.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("fn", [mobius_fn(MobiusMap(1.0, 0.0, 1.0, 1.0)), replace(lift_scalar("sqrt"), scalar=None),
+                                    rep_from_quadrature("sqrt", nodes=8, target=1.0).fn],
+                             ids=["mobius", "sqrt-undeclared", "representation"])
+    def test_an_undeclared_function_takes_the_exact_margin(self, fn):
+        # support_margin is the least lambda_min L(F(X), X) over the certificate's own graph samples
+        rng = np.random.default_rng(46)
+        a, v = rand_tuple_interval(rng, 1, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        cert = support_pencil(fn, a, v, validation_samples=40, seed=47)
+        samples, exact = np.random.default_rng(47), []
+        for ns in (3, 6):
+            x = (finish_spd(*draw(samples, 20, spd_plan(ns, 0.5, 2.0))),)
+            exact.append(min_eig(_support_eval(cert.pencil.b0, cert.gradients, cert.v, herm_part(fn(x)), x)))
+        assert cert.support_margin == float(np.min(np.concatenate(exact)))
 
     @pytest.mark.parametrize("fn,n", [(lift_scalar("sqrt"), 3), (lift_scalar("log1p"), 3),
                                       (geometric_mean_2_fn(), 2), (harmonic_mean((0.5, 0.5)), 2)],
@@ -268,17 +287,6 @@ class TestGraphValidation:
         qr = count_calls(np.linalg, "qr")
         support_pencil(traced, a, v, validation_samples=200, seed=45)
         assert qr == [] and rows == [(4, 4), (1, 1), (9, 1, 1)]
-
-    @pytest.mark.parametrize("ns", [3, 6])
-    def test_lift_bound_equals_the_weyl_split(self, lift_cert, ns):
-        # the declared path and the split by each sample's unitary agree to rounding
-        from dataclasses import replace
-
-        z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
-        fn, c = lift_scalar("sqrt"), lift_cert
-        declared = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
-        split = _graph_margins(replace(fn, scalar=None), c.pencil.b0, c.gradients, c.v, z, lam)
-        assert np.all(np.abs(declared - split) <= 1e-13)
 
 
     @pytest.mark.parametrize("ident", ["harmonic", "geomean2", "power:t=0.25", "karcher:w=0.3,0.7"])
@@ -532,6 +540,31 @@ class TestSupportPreconditions:
         x[0, 2] = bad
         with pytest.raises(errors.DomainViolation):
             support_pencil(fn, (x,) * fn.arity, np.ones(3))
+
+
+class TestBaseVector:
+    """A zero or non-finite base vector is refused before any evaluation, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [np.zeros(3), np.array([1.0, np.nan, 0.5])], ids=["zero", "nan"])
+    @pytest.mark.parametrize("call", ["support_pencil", "direct_sum_rep", "from_vector"])
+    def test_refused_with_one_message(self, call, v):
+        def refuse(*args):
+            raise AssertionError("evaluated before the base vector was checked")
+
+        fn = replace(lift_scalar("sqrt"), evaluator=refuse, vgrad=refuse, scalar=None)
+        a = rand_tuple_interval(np.random.default_rng(48), 1, 3, 0.5, 2.0)
+        run = {"support_pencil": lambda: support_pencil(fn, a, v),
+               "direct_sum_rep": lambda: direct_sum_rep(fn, [(a, np.ones(3)), (a, v)]),
+               "from_vector": lambda: PivotSubspace.from_vector(v)}[call]
+        with pytest.raises(errors.DomainViolation, match="^base vector must be finite and nonzero$"):
+            run()
+
+    def test_direct_sum_vectors_of_another_size_are_refused(self):
+        # sizes 1 and 3 fill the 2 + 2 of the stacked tuple, so only the per-point check can see them
+        a = (np.diag([1.0, 1.5]).astype(complex),)
+        with pytest.raises(errors.DimensionMismatch, match="share one dimension"):
+            direct_sum_rep(lift_scalar("sqrt"), [(a, np.ones(1)), (a, np.ones(3))], validation_samples=20)
 
 
 def per_row(evaluate, rep, x):

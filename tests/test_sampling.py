@@ -53,10 +53,6 @@ def ref_isometry_of(g):
     return q
 
 
-def ref_isometry(rng, n, m):
-    return ref_isometry_of(ref_complex(rng, n, m))
-
-
 def ref_spd_of(g, lam):
     u = ref_unitary_of(g)
     return herm_part((u * lam) @ dagger(u))
@@ -107,8 +103,6 @@ class TestSameStream:
             assert same(sampling.rand_complex(r1, n, n), ref_complex(r2, n, n))
             assert same(sampling.rand_psd(r1, n, 0.7), ref_psd(r2, n, 0.7))
             assert same(sampling.rand_unitary(r1, n), ref_unitary(r2, n))
-            for m in range(1, n + 1):
-                assert same(sampling.rand_isometry(r1, n, m), ref_isometry(r2, n, m))
             assert same(sampling.rand_spd_interval(r1, n, *INTERVAL), ref_spd_interval(r2, n, *INTERVAL))
             assert r1.normal() == r2.normal()
 
@@ -119,8 +113,8 @@ class TestSameStream:
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
             ref = tuple(ref_spd_interval(r2, n, *INTERVAL) for _ in range(k))
             assert same(sampling.rand_tuple_interval(r1, k, n, *INTERVAL), ref)
-            pair = sampling.ordered_pair_interval(r1, k, n, *INTERVAL)
-            assert same(pair, ref_ordered_pair(r2, k, n, *INTERVAL))
+            a, b = sampling.finish_pair(*sampling._one_by_one(r1, k, sampling.pair_plan(n, *INTERVAL)), INTERVAL[1])
+            assert same((tuple(a), tuple(b)), ref_ordered_pair(r2, k, n, *INTERVAL))
             assert r1.normal() == r2.normal()
 
     @pytest.mark.parametrize("n", SIZES)
@@ -156,11 +150,6 @@ class TestSameStream:
         z, lam = sampling.draw(np.random.default_rng(0), 1, sampling.spd_plan(3, *INTERVAL))
         a, b = sampling.finish_pair(z[0], lam[0], np.zeros((2, 3, 3)), 0.5, 2.0)
         assert same(a, b)
-
-    @pytest.mark.parametrize("m", [0, 4])
-    def test_bad_isometry_dimension_is_bad_config(self, m):
-        with pytest.raises(BadConfig):
-            sampling.rand_isometry(np.random.default_rng(0), 3, m)
 
 
 def ref_draw(rng, rounds, calls):
@@ -215,9 +204,7 @@ def library_plans(monkeypatch):
     for sampler in (sampling.rand_complex, sampling.rand_herm, sampling.rand_psd, sampling.rand_unitary,
                     sampling.rand_unit_vector):
         drawing(sampler, rng, 2)
-    drawing(sampling.rand_isometry, rng, 3, 2)
     drawing(sampling.rand_spd_interval, rng, 2, 0.5, 2.0)
-    drawing(sampling.ordered_pair_interval, rng, 2, 2, 0.5, 2.0)
     monkeypatch.undo()
     return seen
 
@@ -330,9 +317,8 @@ class TestDraw:
 
     @pytest.mark.parametrize("call", [
         lambda rng: sampling.rand_tuple_interval(rng, 0, 2, *INTERVAL),
-        lambda rng: sampling.ordered_pair_interval(rng, 0, 2, *INTERVAL),
         lambda rng: lipschitz_estimate(resolve_function("sqrt"), (np.eye(2),), 0.1, samples=0),
-    ], ids=["empty-tuple", "empty-pair", "no-lipschitz-samples"])
+    ], ids=["empty-tuple", "no-lipschitz-samples"])
     def test_nothing_to_draw_is_bad_config(self, call):
         with pytest.raises(BadConfig):
             call(np.random.default_rng(0))

@@ -86,10 +86,10 @@ class TestPivotSubspace:
         with pytest.raises(errors.DimensionMismatch):
             PivotSubspace.from_basis(np.array([[1.0], [1.0]]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_vector_rejected(self, bad):
-        with pytest.raises(errors.DomainViolation, match="non-finite"):
+        with pytest.raises(errors.DomainViolation, match="base vector must be finite and nonzero"):
             PivotSubspace.from_vector(np.array([1.0, bad]))
 
 
