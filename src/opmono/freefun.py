@@ -193,7 +193,11 @@ class FreeFn:
         if len(mats) != self.arity:
             raise ArityMismatch(f"{self.name} takes {self.arity} arguments, got {len(mats)}")
         xs = tuple(np.asarray(m, dtype=complex) for m in mats)
-        if any(x.shape[-2:] == (0, 0) for x in xs):
+        if any(x.ndim < 2 or x.shape[-1] != x.shape[-2] for x in xs):
+            raise DimensionMismatch(f"{self.name} takes square matrices, got shapes {[x.shape for x in xs]}")
+        if len({x.shape[-1] for x in xs}) > 1:  # leading stack axes broadcast
+            raise DimensionMismatch(f"{self.name} takes matrices of one size, got shapes {[x.shape for x in xs]}")
+        if xs[0].shape[-1] == 0:
             raise DimensionMismatch(f"{self.name} takes matrices of size at least 1x1")
         if not all(np.isfinite(x).all() for x in xs):
             raise DomainViolation(f"{self.name} argument has a non-finite entry")

@@ -8,12 +8,15 @@ one or two arguments, exactly tight at the base point.  For means of three
 or more arguments the completion is in general not tight (on random base
 points the harmonic mean was tight only when n >= k, the Karcher mean at
 no n from 2 to 5), so ``reconstruct``'s residual must be read first.
-Tightness forces a Schur-complement identity that reconstructs F(A)v from
-the pencil alone, direct sums of base points give finite-dimensional
-conditional-expectation representations of F itself, and Gauss quadrature
-on the one-variable integral form gives representations that lie below F,
-with their accuracy sampled on the interval.
-Reconstruction and every representation evaluate through ``schur``'s one
+A certificate is itself a pencil representation (``SupportCertificate.rep``):
+the Schur complement R(X) of its pencil that keeps span(v) (x) I, read in
+the state vv*, lies above F wherever the certificate holds and, where it
+is tight, reproduces F(A)v at the base point.  ``reconstruct`` evaluates
+that representation at A, and a direct sum of base points is the
+representation of one certificate at their block-diagonal tuple, exact on
+every F(A_j) v_j.  Gauss quadrature on the one-variable integral form gives
+representations that lie below F, with their accuracy sampled on the
+interval.  Every representation evaluates through ``schur``'s one
 ``SchurCore``, which splits the eliminated space into decoupled components
 so that large quadrature pencils cost a few stacked solves.
 """
@@ -77,7 +80,8 @@ class SupportCertificate:
     ``support_margin`` is a lower bound on the pencil's smallest eigenvalue
     at ``samples`` graph points (F(X), X) of sizes n and 2n
     (``_graph_margins``); for a lift it is that smallest eigenvalue, taken
-    blockwise from f on each sample's spectrum.
+    blockwise from f on each sample's spectrum.  The certificate is a
+    pencil representation of an upper bound of F (``rep``).
     """
 
     function: str
@@ -97,6 +101,28 @@ class SupportCertificate:
     def gradients(self) -> tuple[np.ndarray, ...]:
         """The gradient matrices G_i, stored once as the pencil's B_1, ..., B_k."""
         return self.pencil.bi
+
+    @cached_property
+    def rep(self) -> PencilRepresentation:
+        """The certificate as a representation: the pencil, pivot span(v), state vv*.
+
+        With A(X) = B_0 (x) I + sum G_i (x) (X_i - I), the pencil is
+        L(Y, X) = A(X) - vv* (x) Y.  Where the block of A(X) off v (x) C^n is
+        positive definite, L(Y, X) >= 0 exactly when Y <= R(X), R(X) the
+        Schur complement of A(X) that keeps v (x) C^n.  So R >= F wherever the
+        certificate holds, on the interval it validated, and R(A)v = F(A)v
+        when it is tight, as it is for one or two arguments (``reconstruct``
+        reports how far it is off).  Built once per certificate.
+        """
+        return PencilRepresentation(self.pencil, PivotSubspace.from_vector(self.v),
+                                    np.outer(self.v, np.conj(self.v)),
+                                    {"kind": "support", "function": self.function})
+
+
+def _tangent(grads, a: MatTuple) -> float:
+    """The tangent term sum tr G_i (A_i - I) of the support functional at A."""
+    eye = np.eye(a[0].shape[-1])
+    return sum(float(np.trace(g @ (ai - eye)).real) for g, ai in zip(grads, a))
 
 
 def _support_eval(b0, grads, v, y, x) -> np.ndarray:
@@ -180,9 +206,7 @@ def support_pencil(
 
     fa = herm_part(fn(a))
     eye = np.eye(n)
-    alpha = float((np.conj(v) @ fa @ v).real) - sum(
-        float(np.trace(g @ (ai - eye)).real) for g, ai in zip(grads, a)
-    )
+    alpha = float((np.conj(v) @ fa @ v).real) - _tangent(grads, a)
     if alpha <= tol.eq:
         raise NegativeNormalization(f"support intercept alpha = {alpha:.3e} is not positive")
     slack = alpha - float(np.trace(sum(grads)).real)
@@ -243,27 +267,18 @@ class ReconstructionResult:
 def reconstruct(
     cert: SupportCertificate, tol: Tolerances = DEFAULT_TOL
 ) -> ReconstructionResult:
-    """Recover F(A)v from the certificate by pivot elimination at span(v).
+    """Recover F(A)v from the certificate: its representation R at the base point.
 
-    Eliminates the complement of span(v) (x) I from the shifted pencil at
-    the base point (``SchurCore``) and reports the tightness residual: the
-    pivot-compressed defect of the support identity, computable from the
+    ``value_op`` is R(A), the whole Schur complement of ``cert.rep``'s pencil
+    at A keeping span(v) (x) I (its ``core``, not read in the state), and
+    ``value`` is R(A)v.  The residual is the tightness defect
+    sqrt|v* R(A) v - c - sum tr G_i (A_i - I)|, computable from the
     certificate alone.  Values are trustworthy when the residual is small.
     """
-    a = cert.base_point
-    v = cert.v
-    eye = np.eye(v.size)
-    core = SchurCore(cert.pencil, PivotSubspace.from_vector(v), tol)
-    value_op = herm_part(core.evaluate(a))
-    value = value_op @ v
-
-    anchor = cert.c + sum(
-        float(np.trace(g @ (ai - eye)).real) for g, ai in zip(cert.gradients, a)
-    )
-    excess = float((np.conj(v) @ value_op @ v).real) - anchor
-    return ReconstructionResult(
-        value=value, residual=float(np.sqrt(abs(excess))), value_op=value_op
-    )
+    a, v = cert.base_point, cert.v
+    value_op = herm_part(cert.rep.core(tol).evaluate(a))
+    excess = float((np.conj(v) @ value_op @ v).real) - (cert.c + _tangent(cert.gradients, a))
+    return ReconstructionResult(value=value_op @ v, residual=float(np.sqrt(abs(excess))), value_op=value_op)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +371,18 @@ def rep_eval_complex(
 
 @dataclass(frozen=True)
 class DirectSumRepresentation:
-    rep: PencilRepresentation
-    w_vector: np.ndarray
+    """One certificate at the block-diagonal tuple of J base points, and its residuals.
+
+    ``rep`` is the certificate's own representation, exact on every
+    F(A_j) v_j up to ``residuals[j]``.
+    """
+
     certificate: SupportCertificate
     residuals: tuple[float, ...]
+
+    @property
+    def rep(self) -> PencilRepresentation:
+        return self.certificate.rep
 
 
 def direct_sum_rep(
@@ -373,43 +396,33 @@ def direct_sum_rep(
     """Representation exact on finitely many directions F(A_j) v_j.
 
     Stacks the points into one block-diagonal tuple with the balanced
-    vector (1/sqrt J) (+) v_j, takes a single supporting certificate there,
-    and uses the pure state at that vector.  The reconstruction identity
-    then splits blockwise, so the representation reproduces F(A_j) v_j for
-    every j; each residual must be within ``_DIRECT_SUM_GATE``
-    (1 + ||F(A_j) v_j||) before the representation is returned.
+    vector (1/sqrt J) (+) v_j and takes a single supporting certificate
+    there; its representation (``SupportCertificate.rep``, tagged
+    ``direct_sum`` in ``meta``) is the result.  The reconstruction identity
+    splits blockwise, so the representation reproduces F(A_j) v_j for every
+    j; each residual must be within ``_DIRECT_SUM_GATE``
+    (1 + ||F(A_j) v_j||) before it is returned.  Every point is checked
+    against ``fn``'s arity first (ArityMismatch).
     """
     if not points:
         raise BadConfig("need at least one base point")
-    k = fn.arity
+    pts = [fn._args(tuple(a_j)) for a_j, _ in points]
     vs = [unit_vector(v_j) for _, v_j in points]  # each base vector is checked before any evaluation
-    sizes = [p[0][0].shape[0] for p in points] + [v.size for v in vs]
-    n = sizes[0]
-    if any(s != n for s in sizes):
+    if len({a_j[0].shape[-1] for a_j in pts} | {v.size for v in vs}) > 1:
         raise DimensionMismatch("all base points and vectors must share one dimension")
-    big_a = [block_diag(*(a_j[i] for a_j, _ in points)) for i in range(k)]
+    xs = tuple(np.stack(x) for x in zip(*pts))
     w = unit_vector(np.concatenate([np.asarray(vj, dtype=complex).reshape(-1) for _, vj in points]))
 
-    cert = support_pencil(
-        fn, tuple(big_a), w, interval, validation_samples, seed=seed, tol=tol
-    )
-    rep = PencilRepresentation(
-        pencil=cert.pencil,
-        pivot=PivotSubspace.from_vector(w),
-        state=np.outer(w, np.conj(w)),
-        meta={"kind": "direct_sum", "function": fn.name, "points": len(points)},
-    )
-    xs = tuple(np.stack([a_j[i] for a_j, _ in points]) for i in range(k))
+    cert = support_pencil(fn, tuple(block_diag(*x) for x in xs), w, interval, validation_samples, seed, tol)
+    cert.rep.meta.update(kind="direct_sum", points=len(points))
     vs = np.stack(vs)[..., None]
     lhs = herm_part(fn(xs)) @ vs
-    residuals = fro_norm(rep_eval(rep, xs, tol) @ vs - lhs)
+    residuals = fro_norm(rep_eval(cert.rep, xs, tol) @ vs - lhs)
     if not np.all(residuals <= _DIRECT_SUM_GATE * (1.0 + fro_norm(lhs))):
         raise VerificationFailed(
             f"direct-sum representation misses F(A_j)v_j by {np.max(residuals):.3e}"
         )
-    return DirectSumRepresentation(
-        rep=rep, w_vector=w, certificate=cert, residuals=tuple(map(float, residuals))
-    )
+    return DirectSumRepresentation(certificate=cert, residuals=tuple(map(float, residuals)))
 
 
 # ---------------------------------------------------------------------------

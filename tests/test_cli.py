@@ -233,6 +233,16 @@ class TestMean:
         code, _ = run_cli("mean", "karcher", str(tuple_path))
         assert code == 1
 
+    @pytest.mark.parametrize("ident", ["harmonic", "karcher"])
+    def test_components_of_two_sizes_exit_one(self, ident, tmp_path, capsys):
+        tuple_path = tmp_path / "x.json"
+        io.save(str(tuple_path), "tuple", io.encode_tuple((np.eye(2), np.eye(3))))
+        code, _ = run_cli("mean", ident, str(tuple_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: DimensionMismatch")
+        assert "Traceback" not in err
+
 
 def _edit(payload, path, value):
     """Set payload[path] to value, or delete the key when value is None."""

@@ -1112,6 +1112,14 @@ def test_empty_stacks_and_empty_matrices(ident):
     assert out.shape == (0, 3, 3)
     with pytest.raises(errors.DimensionMismatch):
         fn(*[np.zeros((0, 0))] * fn.arity)
+    bad = [[np.ones((2, 3))] * fn.arity]  # non-square
+    if fn.arity > 1:
+        bad.append([np.eye(2)] + [np.eye(3)] * (fn.arity - 1))  # square, of two sizes
+    for xs in bad:
+        with pytest.raises(errors.DimensionMismatch):
+            fn(*xs)
+        with pytest.raises(errors.DimensionMismatch):
+            fn.gradient(xs, np.eye(2))
 
 
 @pytest.mark.parametrize("ident,scalar", SCALAR_MEANS, ids=[ident for ident, _ in SCALAR_MEANS])

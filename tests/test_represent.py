@@ -7,6 +7,7 @@ from opmono import errors, represent
 from opmono.freefun import (
     FreeFn,
     MobiusMap,
+    _declared_fn,
     geometric_mean_2_fn,
     harmonic_mean,
     karcher_mean_fn,
@@ -15,7 +16,7 @@ from opmono.freefun import (
     power_mean_fn,
     resolve_function,
 )
-from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig
+from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig, psd_floor
 from opmono.pencil import pencil_new
 from opmono.represent import (
     PencilRepresentation,
@@ -341,6 +342,39 @@ class TestReconstruct:
         assert rec.residual > 0.1
 
 
+class TestCertificateRepresentation:
+    """A certificate is the representation R of its pencil with pivot span(v) and state vv*."""
+
+    IDENTS = ["sqrt", "log1p", "harmonic", "geomean2", "power:t=0.25"]
+
+    @staticmethod
+    def certificates(ident, seed):
+        fn = resolve_function(ident)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            a, v = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+            yield fn, support_pencil(fn, a, v, seed=seed + 1, validation_samples=40)
+
+    @pytest.mark.parametrize("ident", IDENTS)
+    def test_its_value_at_the_base_point_is_reconstruct(self, ident):
+        for _, cert in self.certificates(ident, 60):
+            value = reconstruct(cert).value
+            assert cert.rep is cert.rep
+            got = rep_eval(cert.rep, cert.base_point) @ cert.v
+            assert np.linalg.norm(got - value) <= 1e-12 * np.linalg.norm(value)
+
+    @pytest.mark.parametrize("ident", IDENTS)
+    def test_it_lies_above_f_on_the_interval(self, ident):
+        # fresh points of sizes n and 2n with spectra in the certificate's interval
+        rng = np.random.default_rng(62)
+        for fn, cert in self.certificates(ident, 63):
+            for ns in (3, 6):
+                draws = [rand_tuple_interval(rng, fn.arity, ns, *cert.interval) for _ in range(20)]
+                xs = tuple(np.stack(x) for x in zip(*draws))
+                gap = rep_eval(cert.rep, xs) - herm_part(fn(xs))
+                assert np.all(min_eig(gap) >= -psd_floor(gap))
+
+
 class TestDirectSum:
     def test_single_point_reduces_to_reconstruct(self):
         rng = np.random.default_rng(13)
@@ -349,6 +383,18 @@ class TestDirectSum:
         v = rand_unit_vector(rng, 3)
         ds = direct_sum_rep(fn, [(a, v)], validation_samples=40, seed=14)
         assert ds.residuals[0] <= 1e-6
+        assert ds.rep is ds.certificate.rep
+        assert ds.rep.meta == {"kind": "direct_sum", "function": fn.name, "points": 1}
+
+    @pytest.mark.parametrize("arity", [1, 3], ids=["short", "long"])
+    def test_a_point_of_another_arity_is_refused(self, arity):
+        def refuse(*args):
+            raise AssertionError("evaluated before the points were checked")
+
+        fn = replace(geometric_mean_2_fn(), evaluator=refuse, vgrad=refuse, scalar=None)
+        a = rand_tuple_interval(np.random.default_rng(49), 2, 2, 0.5, 2.0)
+        with pytest.raises(errors.ArityMismatch):
+            direct_sum_rep(fn, [(a, np.ones(2)), (a[:1] * arity, np.ones(2))])
 
     def test_duplicated_point(self):
         rng = np.random.default_rng(14)
@@ -529,6 +575,15 @@ class TestSupportPreconditions:
             support_pencil(lift_scalar("sqrt"), a, np.array([1.0, 0.0]),
                            interval=(0.5, 2.0), seed=0)
 
+    @pytest.mark.parametrize("scale,error", [(1.0, errors.NegativeNormalization), (2.0, errors.NegativeSlack)],
+                             ids=["alpha-zero", "alpha-below-trace"])
+    def test_log_has_no_completion(self, scale, error):
+        # log is monotone and concave, but at I its intercept is alpha = log 1 = 0, and at 2I
+        # alpha = log 2 - 1/2 = 0.193 lies below tr G = 1/2
+        fn = _declared_fn("log", 1, np.log, lambda x: 1 / x)
+        with pytest.raises(error):
+            support_pencil(fn, (scale * np.eye(2),), np.array([1.0, 0.0]))
+
     def test_undeclared_function_rejected(self):
         with pytest.raises(errors.BadConfig):
             support_pencil(lift_scalar("xsq"), (np.eye(2),), np.array([1.0, 0.0]))
@@ -580,6 +635,8 @@ def contract_reps():
         "quadrature": rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2),
         "direct_sum": direct_sum_rep(harmonic_mean((0.5, 0.5)), pts, validation_samples=40,
                                      seed=41).rep,
+        "support": support_pencil(lift_scalar("sqrt"), rand_tuple_interval(rng, 1, 3, 0.5, 2.0),
+                                  rand_unit_vector(rng, 3), validation_samples=40, seed=42).rep,
     }
 
 
@@ -598,7 +655,7 @@ def stacks(rng, k, n, size=4):
 
 class TestStackedContract:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("which", ["quadrature", "direct_sum"])
+    @pytest.mark.parametrize("which", ["quadrature", "direct_sum", "support"])
     def test_stack_equals_per_row_loop(self, which, n, contract_reps):
         rep = contract_reps[which]
         pd, right, upper, mixed = stacks(np.random.default_rng(42 + n), rep.arity, n)
@@ -625,7 +682,7 @@ class TestStackedContract:
         with pytest.raises(errors.DomainViolation):
             rep_eval_complex(rep, (bad,))
 
-    @pytest.mark.parametrize("which", ["quadrature", "direct_sum"])
+    @pytest.mark.parametrize("which", ["quadrature", "direct_sum", "support"])
     def test_fn_certified_by_the_testers(self, which, contract_reps):
         # a function with a pencil representation is operator monotone and
         # concave: the library's own testers find no counterexample
