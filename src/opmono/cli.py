@@ -314,7 +314,7 @@ def _cmd_mean(args) -> int:
         raise BadConfig(f"{fn.name} takes {fn.arity} arguments but the tuple has {k}")
     extra = ""
     if fn.name == "karcher":
-        value, info = karcher_mean(fn._args(x), fn.weights, return_info=True)  # the checks fn(x) makes
+        value, info = karcher_mean(x, fn.weights, return_info=True)
         extra = f" ({info['iterations']} polish iterations, residual {info['residual']:.2e})"
     else:
         value = fn(x)

@@ -51,9 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    ArityMismatch,
     BadConfig,
-    DimensionMismatch,
     DomainViolation,
     NoConvergence,
     NotPositiveDefinite,
@@ -68,6 +66,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerances,
     block_diag,
+    check_args,
     dagger,
     fro_norm,
     herm_part,
@@ -156,9 +155,12 @@ class FreeFn:
     present, extends the function to non-Hermitian arguments.  ``vgrad``,
     when present, is the exact adjoint gradient: given one argument tuple
     and a Hermitian seed W it returns the matrices G_i representing the
-    slot derivatives of X -> tr(W F(X)); ``gradient`` checks the arguments
-    and falls back on finite differences without it.  Declared properties
-    are what the catalogue *claims*; the cert module tests them.
+    slot derivatives of X -> tr(W F(X)); ``gradient`` falls back on finite
+    differences without it.  A call, ``eval_complex`` and ``gradient``
+    check the arguments by ``matcore.check_args``, the check of every entry
+    point that takes a matrix tuple, and hand them on as complex arrays.
+    Declared properties are what the catalogue *claims*; the cert module
+    tests them.
 
     ``scalar`` = (f, f') declares the representing function f.  With one
     argument it says F(X) = U f(Lambda) U* for X = U Lambda U*, a lift of
@@ -187,21 +189,10 @@ class FreeFn:
     scalar: tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
 
     def _args(self, mats: tuple) -> MatTuple:
-        """The argument check of every entry point that takes this function's arguments."""
+        """This function's arguments as complex arrays, after ``matcore.check_args``; ``fn((A, B))`` is ``fn(A, B)``."""
         if len(mats) == 1 and isinstance(mats[0], (tuple, list)):
             mats = tuple(mats[0])
-        if len(mats) != self.arity:
-            raise ArityMismatch(f"{self.name} takes {self.arity} arguments, got {len(mats)}")
-        xs = tuple(np.asarray(m, dtype=complex) for m in mats)
-        if any(x.ndim < 2 or x.shape[-1] != x.shape[-2] for x in xs):
-            raise DimensionMismatch(f"{self.name} takes square matrices, got shapes {[x.shape for x in xs]}")
-        if len({x.shape[-1] for x in xs}) > 1:  # leading stack axes broadcast
-            raise DimensionMismatch(f"{self.name} takes matrices of one size, got shapes {[x.shape for x in xs]}")
-        if xs[0].shape[-1] == 0:
-            raise DimensionMismatch(f"{self.name} takes matrices of size at least 1x1")
-        if not all(np.isfinite(x).all() for x in xs):
-            raise DomainViolation(f"{self.name} argument has a non-finite entry")
-        return xs
+        return tuple(np.asarray(x, dtype=complex) for x in check_args(mats, self.arity, self.name))
 
     def _declared_at(self, lam: np.ndarray) -> np.ndarray | None:
         """f(lam) at drawn spectra ``lam`` where the declaration may be read, else None.
@@ -350,15 +341,13 @@ _KARCHER_RTOL = 1e-13
 _MAX_ITER = 10_000
 
 
-def _check_weights(weights: tuple[float, ...], k: int | None = None) -> np.ndarray:
-    """The weights as an array; given ``k``, there must be one weight per argument."""
+def _check_weights(weights: tuple[float, ...]) -> np.ndarray:
+    """The weights as an array, one per argument of the mean they weigh."""
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
         raise BadConfig("weights must be positive")
     if abs(w.sum() - 1.0) > 1e-12:
         raise BadConfig("weights must sum to one")
-    if k is not None and k != w.size:
-        raise ArityMismatch(f"{w.size} weights but {k} arguments")
     return w
 
 
@@ -572,10 +561,16 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     iteration stops once every member's step is at most ``_POWER_RTOL``
     ||Z_0||_F, a rule that scales with the arguments (so P_t(cX) = c P_t(X)
     holds to rounding), and raises NoConvergence after ``_MAX_ITER`` steps.
+    The arguments take ``matcore.check_args``, one per weight.
     """
     if not (0.0 < t <= 1.0):
         raise BadConfig("t must lie in (0, 1]")
-    w = _check_weights(weights, len(xs))
+    w = _check_weights(weights)
+    return _power_mean(check_args(xs, w.size, "power_mean"), t, w)
+
+
+def _power_mean(xs: MatTuple, t: float, w: np.ndarray) -> np.ndarray:
+    """``power_mean`` of checked arguments, one per weight of ``w``."""
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
     f = _pair_function(0.0, 1.0 - t, t)[0]  # x^t, that of Z #_t X
@@ -610,7 +605,7 @@ def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
     if not (0.0 < t <= 1.0):
         raise UnknownFunction(f"power mean requires t in (0, 1], got {t:g}")
     w = _check_weights(weights)
-    return _mean_fn(f"power:t={t:g}", w, lambda xs: power_mean(xs, t, tuple(w)), t,
+    return _mean_fn(f"power:t={t:g}", w, lambda xs: _power_mean(xs, t, w), t,
                     *_pair_function(0.0, 1.0 - t, t))
 
 
@@ -646,9 +641,15 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     convex, so d(Z, Z*) <= ||S||_F, which moves each cond(M_i), and so
     kappa, by a factor of at most exp(2 ||S||_F).  A start
     far from Z*, where kappa may be many times kappa*, cannot stop early.  It
-    raises NoConvergence after ``_MAX_ITER`` steps.
+    raises NoConvergence after ``_MAX_ITER`` steps.  The arguments take
+    ``matcore.check_args``, one per weight.
     """
-    w = _check_weights(weights, len(xs))
+    w = _check_weights(weights)
+    return _karcher_mean(check_args(xs, w.size, "karcher_mean"), w, return_info)
+
+
+def _karcher_mean(xs: MatTuple, w: np.ndarray, return_info: bool = False):
+    """``karcher_mean`` of checked arguments, one per weight of ``w``."""
     xs = _Arguments(xs)
     if len(xs) == 2:
         z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
@@ -678,7 +679,7 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
 
 def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
     w = _check_weights(weights)
-    return _mean_fn("karcher", w, lambda xs: karcher_mean(xs, tuple(w)), 0.0, np.log, lambda x: 1.0 / x,
+    return _mean_fn("karcher", w, lambda xs: _karcher_mean(xs, w), 0.0, np.log, lambda x: 1.0 / x,
                     tuple(w.tolist()))
 
 
@@ -713,10 +714,8 @@ class MobiusMap:
 
 
 def mobius_apply(g: MobiusMap, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """(a X + b I)(c X + d I)^{-1}; raises PoleHit near the pole."""
-    x = np.asarray(x, dtype=complex)
-    if not np.isfinite(x).all():
-        raise DomainViolation("argument has a non-finite entry")
+    """(a X + b I)(c X + d I)^{-1} for X stacked ``(..., n, n)`` (``matcore.check_args``); PoleHit near the pole."""
+    x = np.asarray(check_args((x,), 1, "mobius_apply")[0], dtype=complex)
     n = x.shape[-1]
     eye = np.eye(n)
     denom = g.c * x + g.d * eye
@@ -799,12 +798,11 @@ def frechet_derivative(
     The step is halved, at most ``_MAX_HALVINGS`` times, until two
     successive Richardson-refined estimates agree within the relative ``eq``
     tolerance; StepUnderflow is raised when the step degrades to the
-    vicinity of roundoff or the halvings run out without agreement.
+    vicinity of roundoff or the halvings run out without agreement.  Both
+    ``x`` and ``direction`` take ``matcore.check_args`` against ``fn``'s arity.
     """
-    x = tuple(np.asarray(m, dtype=complex) for m in x)
-    direction = tuple(np.asarray(m, dtype=complex) for m in direction)
-    if len(direction) != len(x):
-        raise ArityMismatch("direction tuple must match the argument tuple")
+    x = check_args(x, fn.arity, fn.name)
+    direction = check_args(direction, fn.arity, f"{fn.name} direction")
     norm_x = max(float(np.max(np.atleast_1d(fro_norm(m)))) for m in x)
     step = h if h is not None else 1e-3 * (1.0 + norm_x)
     floor = 1e-10 * (1.0 + norm_x)

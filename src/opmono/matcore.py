@@ -7,7 +7,10 @@ pseudoinverses.
 
 All matrix functions accept stacked inputs with shape ``(..., n, n)`` and
 broadcast over the leading axes; single matrices are the zero-leading-axes
-case.  Tolerances are relative: every threshold is scaled by
+case.  ``check_args`` is the one argument check of every public entry point
+that takes a tuple of such matrices: ``FreeFn`` calls, the pencil
+evaluations, the representations, the means, ``mobius_apply`` and
+``frechet_derivative``.  Tolerances are relative: every threshold is scaled by
 ``(1 + Frobenius norm)`` of the quantity it guards, member by member.
 """
 
@@ -19,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     BadConfig,
     DimensionMismatch,
     DomainViolation,
@@ -32,6 +36,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "SectorEstimate",
+    "check_args",
     "dagger",
     "herm_part",
     "fro_norm",
@@ -162,6 +167,29 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     if not 0.0 < norm < np.inf:
         raise DomainViolation("base vector must be finite and nonzero")
     return v / norm
+
+
+def check_args(mats, arity: int, name: str) -> tuple[np.ndarray, ...]:
+    """The components of a tuple of matrices, refused unless ``name`` can take them.
+
+    There must be ``arity`` components (ArityMismatch), square of one size
+    of at least 1x1 (DimensionMismatch), with finite entries
+    (DomainViolation).  Leading stack axes broadcast, so an empty stack
+    ``(0, n, n)`` passes.  The check only refuses: each component comes back
+    as ``np.asarray`` gives it, and its caller keeps its own dtype policy.
+    """
+    xs = tuple(np.asarray(m) for m in mats)
+    if len(xs) != arity:
+        raise ArityMismatch(f"{name} takes {arity} arguments, got {len(xs)}")
+    if any(x.ndim < 2 or x.shape[-1] != x.shape[-2] for x in xs):
+        raise DimensionMismatch(f"{name} takes square matrices, got shapes {[x.shape for x in xs]}")
+    if len({x.shape[-1] for x in xs}) > 1:
+        raise DimensionMismatch(f"{name} takes matrices of one size, got shapes {[x.shape for x in xs]}")
+    if xs[0].shape[-1] == 0:
+        raise DimensionMismatch(f"{name} takes matrices of size at least 1x1")
+    if not all(np.isfinite(x).all() for x in xs):
+        raise DomainViolation(f"{name} argument has a non-finite entry")
+    return xs
 
 
 def _require_square(a: np.ndarray) -> None:

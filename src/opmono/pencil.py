@@ -28,12 +28,14 @@ from .errors import (
     DomainViolation,
     DominanceViolated,
     InputNotSectorial,
+    NotSectorial,
 )
 from .matcore import (
     DEFAULT_TOL,
     SectorEstimate,
     Tolerances,
     block_diag,
+    check_args,
     dagger,
     herm_part,
     require_psd,
@@ -142,17 +144,17 @@ def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def pencil_arguments(pencil: RawPencil, x, shifted: bool) -> np.ndarray:
-    """The stack (I, X_1, ..., X_k), or (I, X_1 - I, ..., X_k - I) when shifted.
+    """The stack (I, X_1, ..., X_k), or (I, X_1 - I, ..., X_k - I) when shifted, as complex arrays.
 
-    Arguments may be stacked on leading axes; the stack axis is third from last.
+    The tuple takes ``matcore.check_args`` against the pencil's arity, the
+    one check of every pencil evaluation (``pencil_eval``,
+    ``pencil_eval_shifted``, ``pencil_sectorial_check`` and
+    ``schur.SchurCore.evaluate``, so ``schur_pencil`` and
+    ``represent.rep_eval_complex``).  Arguments may be stacked on leading
+    axes; the stack axis is third from last.
     """
-    xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    if len(xs) != pencil.arity:
-        raise ArityMismatch(f"pencil arity {pencil.arity}, argument tuple has {len(xs)}")
-    n = xs[0].shape[-1]
-    if any(m.shape[-1] != m.shape[-2] or m.shape[-1] != n for m in xs):
-        raise DimensionMismatch("tuple members must be square of equal dimension")
-    eye = np.eye(n)
+    xs = tuple(np.asarray(m, dtype=complex) for m in check_args(x, pencil.arity, "pencil"))
+    eye = np.eye(xs[0].shape[-1])
     terms = (xi - eye for xi in xs) if shifted else xs
     return np.stack(np.broadcast_arrays(eye, *terms), axis=-3)
 
@@ -209,7 +211,7 @@ def pencil_sectorial_check(
     for idx, xi in enumerate(args[1:]):
         try:
             sector_estimate(xi, tol)
-        except Exception as exc:  # noqa: BLE001 - rewrap with the argument index
+        except NotSectorial as exc:
             raise InputNotSectorial(f"argument {idx + 1} is not sectorial: {exc}") from exc
     q = range_basis(pencil.coeff_sum(), tol)
     compressed = kron_sum(dagger(q) @ np.stack(pencil.coeffs) @ q, args)

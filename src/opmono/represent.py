@@ -41,8 +41,8 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import (DEFAULT_TOL, Tolerances, block_diag, fro_norm, herm_part, min_eig, min_eig_above, require_psd,
-                      unit_vector)
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, fro_norm, herm_part, min_eig, min_eig_above,
+                      require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_spd, slots, spd_plan
 from .schur import PivotSubspace, SchurCore
@@ -341,11 +341,12 @@ def rep_eval(
 ) -> np.ndarray:
     """Evaluate the representation at positive definite Hermitian tuples.
 
-    As for every ``FreeFn``, components are stacked ``(..., n, n)`` and the
-    output has one value per member; a member that is not positive definite
-    raises DomainViolation.
+    The tuple takes ``matcore.check_args``, the check of every ``FreeFn``:
+    components are stacked ``(..., n, n)`` and the output has one value per
+    member.  A member that is not positive definite then raises
+    DomainViolation.
     """
-    xs = tuple(np.asarray(m, dtype=complex) for m in x)
+    xs = check_args(x, rep.arity, "rep_eval")
     if any(np.any(min_eig_above(xi, 0.0) <= 0) for xi in xs):
         raise DomainViolation("representation arguments must be positive definite")
     return herm_part(rep.core(tol).evaluate(xs, state=rep.state))
@@ -356,13 +357,13 @@ def rep_eval_complex(
 ) -> np.ndarray:
     """Analytic continuation of the representation into the half-spaces.
 
-    Takes stacked tuples as ``rep_eval`` does.  Every member must lie in the
-    right or upper operator poly-halfspace (else DomainViolation); the
-    certificates and the output check (HalfPlaneViolated) are
-    ``SchurCore.evaluate``'s.
+    Takes stacked tuples as ``rep_eval`` does, checked by the pencil
+    evaluation's ``matcore.check_args`` (``pencil.pencil_arguments``).
+    Every member must lie in the right or upper operator poly-halfspace
+    (else DomainViolation); the certificates and the output check
+    (HalfPlaneViolated) are ``SchurCore.evaluate``'s.
     """
-    xs = tuple(np.asarray(m, dtype=complex) for m in x)
-    return rep.core(tol).evaluate(xs, state=rep.state, halfspace=True)
+    return rep.core(tol).evaluate(x, state=rep.state, halfspace=True)
 
 
 # ---------------------------------------------------------------------------

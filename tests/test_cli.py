@@ -296,6 +296,27 @@ class TestMalformedFiles:
         assert "Traceback" not in err
 
 
+class TestMalformedTuples:
+    @pytest.mark.parametrize("argv", [
+        ("repeval", "{representation}", "{rect}"),
+        ("repeval", "{representation}", "{rect}", "--complex"),
+        ("pencil-eval", "{pencil}", "{two_sizes}"),
+    ], ids=["repeval", "repeval-complex", "pencil-eval"])
+    def test_dimension_mismatch_exits_one(self, argv, good_files, tmp_path, capsys):
+        paths = {"representation": str(good_files["representation"])}
+        files = {"rect": ("matrix", io.encode_matrix(np.ones((2, 3)))),
+                 "two_sizes": ("tuple", io.encode_tuple((np.eye(2), np.eye(3)))),
+                 "pencil": ("pencil", io.pencil_payload(pencil_new([2 * np.eye(2), np.eye(2), np.eye(2)])))}
+        for name, (kind, payload) in files.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            io.save(paths[name], kind, payload)
+        code, _ = run_cli(*(arg.format(**paths) for arg in argv))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: DimensionMismatch")
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("check", "sqrt", "hypograph", "--n", "2", "--m", "3"),

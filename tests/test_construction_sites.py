@@ -3,6 +3,10 @@
 A support certificate evaluates through its representation (``SupportCertificate.rep``)
 and every representation through its ``core``: a second construction elsewhere would be
 a second evaluator of the same object, free to drift from the first.
+
+Likewise an argument tuple of the wrong arity is refused only by ``matcore.check_args``,
+the one check of every entry point that takes a matrix tuple; a pencil's coefficient
+count and a direct sum's common arity are the only other arities refused.
 """
 
 import ast
@@ -17,6 +21,7 @@ ALLOWED = {
     "SchurCore": {"represent.PencilRepresentation.core", "schur.schur_pencil"},
     "PencilRepresentation": {"represent.SupportCertificate.rep", "represent.rep_from_quadrature",
                              "serialize.representation_from_payload"},
+    "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
 }
 
 

@@ -30,8 +30,11 @@ from opmono.freefun import (
 )
 from opmono.gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
 from opmono.matcore import DEFAULT_TOL, dagger, fro_norm, funcalc, herm_part, im_part, min_eig
+from opmono.pencil import pencil_eval, pencil_eval_shifted, pencil_new, pencil_sectorial_check
+from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex
 from opmono.sampling import (draw, finish_spd, finish_unitary, rand_herm, rand_psd, rand_spd_interval,
                              rand_tuple_interval, rand_unitary, spd_plan)
+from opmono.schur import PivotSubspace, SchurCore, schur_pencil
 
 
 def stacked_pair(rng, m, n):
@@ -1120,6 +1123,62 @@ def test_empty_stacks_and_empty_matrices(ident):
             fn(*xs)
         with pytest.raises(errors.DimensionMismatch):
             fn.gradient(xs, np.eye(2))
+
+
+def _tuple_entry_points():
+    """Every public entry point that takes a matrix tuple: name -> (arity, call on a tuple)."""
+    pencil = pencil_new([2 * np.eye(2), np.eye(2), np.eye(2)])
+    pivot = PivotSubspace.from_basis(np.array([[1.0], [0.0]]))
+    rep = PencilRepresentation(pencil, pivot, np.diag([1.0, 0.0]))
+    geo, pair = resolve_function("geomean2"), (np.eye(2), 2 * np.eye(2))
+    return {
+        "FreeFn.__call__": (2, lambda xs: geo(*xs)),
+        "FreeFn.eval_complex": (2, lambda xs: rep.fn.eval_complex(*xs)),
+        "FreeFn.gradient": (2, lambda xs: geo.gradient(xs, np.eye(2))),
+        "rep.fn": (2, lambda xs: rep.fn(*xs)),
+        "pencil_eval": (2, lambda xs: pencil_eval(pencil, xs)),
+        "pencil_eval_shifted": (2, lambda xs: pencil_eval_shifted(pencil, xs)),
+        "pencil_sectorial_check": (2, lambda xs: pencil_sectorial_check(pencil, xs)),
+        "SchurCore.evaluate": (2, lambda xs: SchurCore(pencil, pivot).evaluate(xs)),
+        "schur_pencil": (2, lambda xs: schur_pencil(pencil, xs, pivot)),
+        "rep_eval": (2, lambda xs: rep_eval(rep, xs)),
+        "rep_eval_complex": (2, lambda xs: rep_eval_complex(rep, xs)),
+        "mobius_apply": (1, lambda xs: mobius_apply(MobiusMap(2.0, 1.0, 1.0, 1.0), *xs)),
+        "frechet_derivative:x": (2, lambda xs: frechet_derivative(geo, xs, pair)),
+        "frechet_derivative:direction": (2, lambda xs: frechet_derivative(geo, pair, xs)),
+        "power_mean": (2, lambda xs: power_mean(xs, 0.5, (0.5, 0.5))),
+        "karcher_mean": (2, lambda xs: karcher_mean(xs, (0.5, 0.5))),
+        "geometric_mean_2": (2, lambda xs: geometric_mean_2(*xs)),
+    }
+
+
+TUPLE_ENTRY_POINTS = _tuple_entry_points()
+UNPACKED = {"mobius_apply", "geometric_mean_2"}  # take the matrices themselves, so no wrong arity
+STACKED = {"FreeFn.__call__", "FreeFn.eval_complex", "rep.fn", "pencil_eval", "pencil_eval_shifted", "rep_eval",
+           "rep_eval_complex", "mobius_apply", "power_mean", "karcher_mean", "geometric_mean_2"}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", TUPLE_ENTRY_POINTS)
+def test_every_tuple_entry_point_refuses_a_malformed_tuple_with_a_typed_error(name):
+    # matcore.check_args is the one check: the same malformed tuples get the same typed errors everywhere
+    k, call = TUPLE_ENTRY_POINTS[name]
+    nan, inf = np.eye(2), np.eye(2)
+    nan[0, 1], inf[1, 1] = np.nan, np.inf
+    cases = {"1-D": ([np.ones(2)] * k, errors.DimensionMismatch),
+             "non-square": ([np.ones((2, 3))] * k, errors.DimensionMismatch),
+             "0x0": ([np.zeros((0, 0))] * k, errors.DimensionMismatch),
+             "NaN": ([nan] + [np.eye(2)] * (k - 1), errors.DomainViolation),
+             "Inf": ([np.eye(2)] * (k - 1) + [inf], errors.DomainViolation)}
+    if name not in UNPACKED:
+        cases["wrong arity"] = ([np.eye(2)] * (k + 1), errors.ArityMismatch)
+    if k > 1:
+        cases["two sizes"] = ([np.eye(2)] + [np.eye(3)] * (k - 1), errors.DimensionMismatch)
+    for case, (xs, error) in cases.items():
+        with pytest.raises(error):
+            call(tuple(xs))
+    if name in STACKED:  # an empty stack still evaluates
+        assert call((np.zeros((0, 2, 2)),) * k).shape[0] == 0
 
 
 @pytest.mark.parametrize("ident,scalar", SCALAR_MEANS, ids=[ident for ident, _ in SCALAR_MEANS])

@@ -76,6 +76,13 @@ class TestPencilEval:
         with pytest.raises(errors.ArityMismatch):
             pencil_eval(p, (np.eye(2),))
 
+    def test_nested_list_arguments(self):
+        # a FreeFn unpacks fn((A, B)); the pencil's check takes the tuple as it is
+        rng = np.random.default_rng(2)
+        p = valid_pencil(rng, 2, 2)
+        x = (np.eye(2), np.diag([1.0, 2.0]))
+        assert np.array_equal(pencil_eval(p, tuple(m.tolist() for m in x)), pencil_eval(p, x))
+
     def test_hermitian_on_hermitian_input(self):
         rng = np.random.default_rng(3)
         p = valid_pencil(rng, 2, 3)
