@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import BadConfig, ChainNotIncreasing, OpmonoError
+from .errors import BadConfig, ChainNotIncreasing, DimensionMismatch, OpmonoError
 from .freefun import FreeFn, _congruence_eig, _loewner_pair, frechet_many
 from .gradients import loewner_matrix
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, psd_floor
@@ -475,9 +475,16 @@ def chain_semicontinuity_test(
     chain: list[tuple[np.ndarray, ...]],
     tol: Tolerances = DEFAULT_TOL,
 ) -> CertReport:
-    """F(A_j) <= F(A_last) along a finite increasing chain of tuples."""
+    """F(A_j) <= F(A_last) along a finite increasing chain of tuples.
+
+    Each tuple takes ``fn``'s argument check (``matcore.check_args``), and
+    the chain must keep one size, one matrix per slot (DimensionMismatch).
+    """
     if len(chain) < 2:
         raise BadConfig("chain needs at least two tuples")
+    chain = [fn._args(tuple(step)) for step in chain]
+    if {x.shape for step in chain for x in step} != {chain[0][0].shape[-2:]}:
+        raise DimensionMismatch("a chain takes tuples of single matrices of one size")
     xs = slots(np.asarray(chain), len(chain[0]))
     gaps = np.stack([xi[1:] - xi[:-1] for xi in xs], axis=1)
     down = np.flatnonzero(np.any(min_eig(gaps) < -psd_floor(gaps, tol), axis=1))

@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import (
     BadConfig,
+    DimensionMismatch,
     DomainViolation,
     NoConvergence,
     NotPositiveDefinite,
@@ -799,10 +800,13 @@ def frechet_derivative(
     successive Richardson-refined estimates agree within the relative ``eq``
     tolerance; StepUnderflow is raised when the step degrades to the
     vicinity of roundoff or the halvings run out without agreement.  Both
-    ``x`` and ``direction`` take ``matcore.check_args`` against ``fn``'s arity.
+    ``x`` and ``direction`` take ``matcore.check_args`` against ``fn``'s
+    arity, and must be of one size (DimensionMismatch).
     """
     x = check_args(x, fn.arity, fn.name)
     direction = check_args(direction, fn.arity, f"{fn.name} direction")
+    if x[0].shape[-1] != direction[0].shape[-1]:
+        raise DimensionMismatch(f"{fn.name} direction has size {direction[0].shape[-1]}, the point {x[0].shape[-1]}")
     norm_x = max(float(np.max(np.atleast_1d(fro_norm(m)))) for m in x)
     step = h if h is not None else 1e-3 * (1.0 + norm_x)
     floor = 1e-10 * (1.0 + norm_x)

@@ -8,10 +8,16 @@ pseudoinverses.
 All matrix functions accept stacked inputs with shape ``(..., n, n)`` and
 broadcast over the leading axes; single matrices are the zero-leading-axes
 case.  ``check_args`` is the one argument check of every public entry point
-that takes a tuple of such matrices: ``FreeFn`` calls, the pencil
-evaluations, the representations, the means, ``mobius_apply`` and
-``frechet_derivative``.  Tolerances are relative: every threshold is scaled by
-``(1 + Frobenius norm)`` of the quantity it guards, member by member.
+that takes a tuple of such matrices (``FreeFn`` calls, the pencil
+evaluations, the representations, the means, ``mobius_apply``,
+``frechet_derivative`` and the chain tester), one matrix (``herm_certify``,
+``funcalc``, ``sector_estimate``, ``schur.shorted_psd`` and
+``schur.schur_generic``), a pencil's coefficient list (``pencil.RawPencil``)
+or a representation's state (``represent.PencilRepresentation``).  The
+algebra primitives ``re_part``, ``im_part`` and ``block_diag`` pass through
+what they are given and only refuse a shape that is not square.
+Tolerances are relative: every threshold is scaled by ``(1 + Frobenius
+norm)`` of the quantity it guards, member by member.
 """
 
 from __future__ import annotations
@@ -175,8 +181,11 @@ def check_args(mats, arity: int, name: str) -> tuple[np.ndarray, ...]:
     There must be ``arity`` components (ArityMismatch), square of one size
     of at least 1x1 (DimensionMismatch), with finite entries
     (DomainViolation).  Leading stack axes broadcast, so an empty stack
-    ``(0, n, n)`` passes.  The check only refuses: each component comes back
-    as ``np.asarray`` gives it, and its caller keeps its own dtype policy.
+    ``(0, n, n)`` passes; an entry point that takes one matrix or one tuple
+    refuses a stack itself.  A single matrix or state is checked as a tuple
+    of one, a coefficient list as the tuple of its coefficients.  The check
+    only refuses: each component comes back as ``np.asarray`` gives it, and
+    its caller keeps its own dtype policy.
     """
     xs = tuple(np.asarray(m) for m in mats)
     if len(xs) != arity:
@@ -200,14 +209,10 @@ def _require_square(a: np.ndarray) -> None:
 def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Certify that ``m`` is Hermitian within tolerance and symmetrize it.
 
-    Returns (M + M*)/2.  Raises NotHermitian when the defect of a member
-    exceeds its ``tol.herm * (1 + ||M||_F)`` and DomainViolation for a
-    non-finite entry.
+    Returns (M + M*)/2.  ``m`` takes ``check_args``; raises NotHermitian
+    when the defect of a member exceeds its ``tol.herm * (1 + ||M||_F)``.
     """
-    m = np.asarray(m, dtype=complex)
-    _require_square(m)
-    if not np.isfinite(m).all():
-        raise DomainViolation("matrix has a non-finite entry")
+    (m,) = check_args((np.asarray(m, dtype=complex),), 1, "herm_certify")
     defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1)).ravel()
     bound = tol.herm * (1.0 + np.ravel(fro_norm(m)))
     bad = np.flatnonzero(defect > bound)
@@ -270,13 +275,19 @@ def require_psd(
 
 
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """A <= B in the Loewner order for every member of a stack, within the PSD floor."""
+    """A <= B in the Loewner order for every member of a stack, within the PSD floor.
+
+    A and B must be square of one shape and at least 1x1 (DimensionMismatch).
+    A member whose difference has a non-finite entry is in no order, so the
+    answer is then False.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = b - a
-    return bool(np.all(min_eig(diff) >= -psd_floor(diff, tol)))
+    if a.shape != b.shape or a.ndim < 2 or not a.shape[-1] == a.shape[-2] > 0:
+        raise DimensionMismatch(f"loewner_leq takes square matrices of one shape, got {a.shape} and {b.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = b - a
+    return bool(np.isfinite(diff).all() and np.all(min_eig(diff) >= -psd_floor(diff, tol)))
 
 
 def funcalc(
@@ -287,12 +298,13 @@ def funcalc(
 ) -> np.ndarray:
     """Hermitian functional calculus ``U f(Lambda) U*``.
 
-    ``domain``, when given, is a closed interval the spectrum must lie in
-    (up to the relative eq tolerance); otherwise a non-finite value of
-    ``f`` on the spectrum raises SpectrumOutOfDomain.
+    ``a`` takes ``check_args``.  ``domain``, when given, is a closed
+    interval the spectrum must lie in (up to the relative eq tolerance);
+    otherwise a non-finite value of ``f`` on the spectrum raises
+    SpectrumOutOfDomain.
     """
+    (a,) = check_args((a,), 1, "funcalc")
     a = herm_part(np.asarray(a, dtype=complex))
-    _require_square(a)
     w, u = np.linalg.eigh(a)
     if domain is not None:
         lo, hi = domain
@@ -375,16 +387,18 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstimate:
     """Certified sector of the numerical range of one matrix.
 
+    ``a`` takes ``check_args``, and a stack is refused (DimensionMismatch).
     ``alpha`` and ``margin`` = lambda_min(Re A) are those of
     ``sector_certified_alpha``.  Raises NotSectorial when the margin is not
     positive (within the relative PSD tolerance): W(A) then meets the
     closed left half-plane.
     """
-    a = np.asarray(a, dtype=complex)
-    _require_square(a)
+    (a,) = check_args((a,), 1, "sector_estimate")
+    if a.ndim != 2:
+        raise DimensionMismatch(f"sector_estimate takes one matrix, got a stack of shape {a.shape}")
     alphas, margins = sector_certified_alpha(a[None])
     margin = float(margins[0])
-    if not margin > psd_floor(a, tol):  # false for a non-finite A
+    if not margin > psd_floor(a, tol):
         raise NotSectorial(
             f"numerical range has real part down to {margin:.3e}; "
             "it meets the closed left half-plane"

@@ -25,7 +25,6 @@ from .errors import (
     ArityMismatch,
     CoefficientNotPSD,
     DimensionMismatch,
-    DomainViolation,
     DominanceViolated,
     InputNotSectorial,
     NotSectorial,
@@ -59,18 +58,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RawPencil:
-    """Coefficient list with shape checks only."""
+    """Coefficient list checked by ``matcore.check_args`` only: finite, square, of one size, no stack."""
 
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) < 2:
             raise ArityMismatch("a pencil needs B_0 and at least one B_i")
-        d = self.coeffs[0].shape[0]
-        for b in self.coeffs:
-            if b.shape != (d, d):
-                raise DimensionMismatch("pencil coefficients must share one square shape")
-        object.__setattr__(self, "coeffs", tuple(np.asarray(b, dtype=complex) for b in self.coeffs))
+        coeffs = check_args(self.coeffs, len(self.coeffs), "pencil")
+        if any(b.ndim != 2 for b in coeffs):
+            raise DimensionMismatch("pencil coefficients must be matrices, not stacks")
+        object.__setattr__(self, "coeffs", tuple(np.asarray(b, dtype=complex) for b in coeffs))
 
     @property
     def arity(self) -> int:
@@ -112,15 +110,13 @@ def pencil_new(
 ) -> LinearPencil:
     """Validate coefficients and build a LinearPencil.
 
-    Raises CoefficientNotPSD or DominanceViolated with the offending margin
-    (``matcore.require_psd``), and DomainViolation for a non-finite
-    coefficient.  ``margins``, when given, are lambda_min of B_1, ..., B_k,
-    which the caller has already held to the same PSD floor; they are used
-    as they are, and only B_0 is checked.
+    The coefficients take ``RawPencil``'s check.  Raises CoefficientNotPSD
+    or DominanceViolated with the offending margin (``matcore.require_psd``).
+    ``margins``, when given, are lambda_min of B_1, ..., B_k, which the
+    caller has already held to the same PSD floor; they are used as they
+    are, and only B_0 is checked.
     """
     raw = RawPencil(tuple(coeffs))
-    if not all(np.isfinite(b).all() for b in raw.coeffs):
-        raise DomainViolation("pencil coefficients must be finite")
     hermed = tuple(herm_part(b) for b in raw.coeffs)
     if margins is None:
         margins = [require_psd(b, CoefficientNotPSD, f"B_{idx}", tol) for idx, b in enumerate(hermed[1:], 1)]
@@ -202,12 +198,15 @@ def pencil_sectorial_check(
 ) -> SectorEstimate:
     """Sector estimate of L(X) compressed to ran(sum B_i) (x) E.
 
-    Every argument must itself be sectorial: raises InputNotSectorial when
-    some X_i fails its own sector estimate.  The angle of the compressed
+    Takes one tuple: a stacked one is refused (DimensionMismatch).  Every
+    argument must itself be sectorial: raises InputNotSectorial when some
+    X_i fails its own sector estimate.  The angle of the compressed
     evaluation cannot exceed the largest argument angle (up to rounding):
     each B_i (x) X_i lies in the sector of X_i.
     """
     args = pencil_arguments(pencil, x, shifted=False)
+    if args.ndim != 3:
+        raise DimensionMismatch(f"pencil_sectorial_check takes one tuple, got a stack of shape {args.shape[:-3]}")
     for idx, xi in enumerate(args[1:]):
         try:
             sector_estimate(xi, tol)

@@ -289,8 +289,9 @@ def reconstruct(
 class PencilRepresentation:
     """Pencil + pivot + finite-dimensional state realizing a free function.
 
-    The state is a PSD trace-one density matrix T on the coefficient space;
-    the conditional expectation (w (x) I) acts as the partial trace of
+    The state is a PSD trace-one density matrix T on the coefficient space,
+    checked by ``matcore.check_args`` before its size, PSD and trace; the
+    conditional expectation (w (x) I) acts as the partial trace of
     (T (x) I) against the coefficient tensor factor.  ``fn`` is the realized
     function as a ``FreeFn``, declared operator monotone and concave, as is
     every function with a pencil representation.
@@ -302,11 +303,10 @@ class PencilRepresentation:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        state = herm_part(np.asarray(self.state, dtype=complex))
+        (state,) = check_args((self.state,), 1, "PencilRepresentation state")
+        state = herm_part(np.asarray(state, dtype=complex))
         if state.shape != (self.pencil.size, self.pencil.size):
             raise DimensionMismatch("state must act on the coefficient space")
-        if not np.isfinite(state).all():
-            raise DomainViolation("state must be finite")
         require_psd(state, NotPSD, "the state", DEFAULT_TOL)
         if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
             raise DomainViolation("state must have unit trace")

@@ -31,6 +31,7 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     Tolerances,
+    check_args,
     dagger,
     fro_norm,
     herm_part,
@@ -148,10 +149,9 @@ def _complement(
     range inclusions ran C in ran D and ran B* in ran D* are checked: they
     hold exactly when K - B D^- C is the same for every generalized inverse
     D^- (EliminatedBlockDefective otherwise).  With nothing eliminated the
-    complement is K itself.  A non-finite entry raises DomainViolation.
+    complement is K itself.  Its callers have checked ``a`` by
+    ``matcore.check_args``.
     """
-    if not np.isfinite(a).all():
-        raise DomainViolation("matrix has a non-finite entry")
     a11, a12, a21, a22 = _blocks(a, s)
     if keep == "s":
         k, b, c, d = a11, a12, a21, a22
@@ -172,8 +172,10 @@ def shorted_psd(
 
     Returns ``A_11 - A_12 A_22^+ A_21``, the maximal self-adjoint operator
     on S sitting below A.  A singular A_22 needs no special case: for PSD
-    input ran A_21 lies in ran A_22, which the elimination checks.
+    input ran A_21 lies in ran A_22, which the elimination checks.  ``a``
+    takes ``matcore.check_args``.
     """
+    (a,) = check_args((a,), 1, "shorted_psd")
     a = herm_part(np.asarray(a, dtype=complex))
     require_psd(a, NotPSD, "input", tol)
     _, comp, residual = _complement(a, s, "s", tol)
@@ -191,8 +193,10 @@ def schur_generic(
     ``keep="s"`` keeps the S block and eliminates its complement;
     ``keep="perp"`` keeps the complement and eliminates the S block.  A
     singular eliminated block is accepted when the complement does not
-    depend on the generalized inverse taken (see ``_complement``).
+    depend on the generalized inverse taken (see ``_complement``).  ``a``
+    takes ``matcore.check_args``.
     """
+    (a,) = check_args((a,), 1, "schur_generic")
     return _complement(a, s, keep, tol)[1]
 
 
@@ -214,10 +218,10 @@ def sector_bound_check(
     """Check the sec^2(alpha) singular-value bound for sectorial matrices.
 
     Certifies W(A) within a sector of half-angle alpha by ``sector_estimate``
-    (NotSectorial otherwise), eliminates the S block (keeping its
-    complement, whose raw block is A_22), and compares sigma_j of the
-    complement against sec^2(alpha) * sigma_j(A_22), plus the norm form
-    ||S(A)|| <= sec^2(alpha) ||A||.
+    (NotSectorial otherwise; its check refuses a malformed ``a``),
+    eliminates the S block (keeping its complement, whose raw block is
+    A_22), and compares sigma_j of the complement against sec^2(alpha) *
+    sigma_j(A_22), plus the norm form ||S(A)|| <= sec^2(alpha) ||A||.
     """
     a = np.asarray(a, dtype=complex)
     alpha = sector_estimate(a, tol).alpha
@@ -381,7 +385,8 @@ class SchurCore:
         Returned whole in the coordinates of ``pivot.basis (x) I`` for one
         tuple, or with ``state`` as its partial trace against the state
         compressed to S, shape ``(..., n, n)`` for a tuple stacked on leading
-        axes.  With ``halfspace`` every member must lie in an operator
+        axes; a whole complement takes one tuple (DimensionMismatch for a
+        stack).  With ``halfspace`` every member must lie in an operator
         half-space (else DomainViolation).  Each eliminated component is
         certified sectorial on its normalized essential block L~ = T* L T,
         T = E W^{-1/2} (x) I, at theta = 0 for a right half-space member and
@@ -399,6 +404,8 @@ class SchurCore:
         tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True)
         lead, n = args.shape[:-3], args.shape[-1]
+        if state is None and lead:
+            raise DimensionMismatch(f"a whole Schur complement takes one tuple, got a stack of shape {lead}")
         if halfspace:
             right = np.broadcast_to(in_right_halfspace(x, tol), lead)
             if not (right.all() or np.all(right | in_upper_halfspace(x, tol))):

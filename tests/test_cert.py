@@ -412,6 +412,17 @@ class TestChain:
                 lift_scalar("sqrt"), [(2 * np.eye(2),), (np.eye(2),)]
             )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chain,error", [
+        ([(np.eye(2),), (np.eye(3),)], errors.DimensionMismatch),
+        ([(np.eye(2), np.eye(2)), (np.eye(2), np.eye(2))], errors.ArityMismatch),
+    ], ids=["ragged", "arity"])
+    def test_malformed_chain_refused(self, chain, error):
+        # each tuple takes the function's argument check, and the chain keeps one size;
+        # test_malformed_inputs.py sweeps the malformed matrices
+        with pytest.raises(error):
+            chain_semicontinuity_test(lift_scalar("sqrt"), chain)
+
     def test_xsq_crafted_failure(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]]) + 0.01 * np.eye(2)
         b = np.array([[2.0, 1.0], [1.0, 1.0]]) + 0.01 * np.eye(2)

@@ -6,7 +6,9 @@ a second evaluator of the same object, free to drift from the first.
 
 Likewise an argument tuple of the wrong arity is refused only by ``matcore.check_args``,
 the one check of every entry point that takes a matrix tuple; a pencil's coefficient
-count and a direct sum's common arity are the only other arities refused.
+count and a direct sum's common arity are the only other arities refused.  The same
+check refuses a malformed single matrix, coefficient list or state; the bare square-shape
+test ``_require_square`` is left only to the pass-through algebra primitives.
 """
 
 import ast
@@ -22,6 +24,7 @@ ALLOWED = {
     "PencilRepresentation": {"represent.SupportCertificate.rep", "represent.rep_from_quadrature",
                              "serialize.representation_from_payload"},
     "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
+    "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
 }
 
 

@@ -1156,6 +1156,7 @@ TUPLE_ENTRY_POINTS = _tuple_entry_points()
 UNPACKED = {"mobius_apply", "geometric_mean_2"}  # take the matrices themselves, so no wrong arity
 STACKED = {"FreeFn.__call__", "FreeFn.eval_complex", "rep.fn", "pencil_eval", "pencil_eval_shifted", "rep_eval",
            "rep_eval_complex", "mobius_apply", "power_mean", "karcher_mean", "geometric_mean_2"}
+ONE_TUPLE = {"pencil_sectorial_check", "SchurCore.evaluate", "schur_pencil"}  # refuse a stack themselves
 
 
 @pytest.mark.filterwarnings("error")
@@ -1179,6 +1180,17 @@ def test_every_tuple_entry_point_refuses_a_malformed_tuple_with_a_typed_error(na
             call(tuple(xs))
     if name in STACKED:  # an empty stack still evaluates
         assert call((np.zeros((0, 2, 2)),) * k).shape[0] == 0
+    if name in ONE_TUPLE:
+        for stack in (np.stack([np.eye(2)] * 3), np.zeros((0, 2, 2))):
+            with pytest.raises(errors.DimensionMismatch, match="takes one tuple"):
+                call((stack,) * k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_frechet_direction_of_another_size_is_refused():
+    geo = resolve_function("geomean2")
+    with pytest.raises(errors.DimensionMismatch, match="direction has size 3, the point 2"):
+        frechet_derivative(geo, (np.eye(2), np.eye(2)), (np.eye(3), np.eye(3)))
 
 
 @pytest.mark.parametrize("ident,scalar", SCALAR_MEANS, ids=[ident for ident, _ in SCALAR_MEANS])

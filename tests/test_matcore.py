@@ -91,6 +91,19 @@ class TestLoewnerOrder:
         with pytest.raises(errors.DimensionMismatch):
             loewner_leq(np.eye(2), np.eye(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.ones(2), np.zeros((0, 0))], ids=["non-square", "1-D", "0x0"])
+    def test_malformed_shapes_refused(self, m):
+        with pytest.raises(errors.DimensionMismatch):
+            loewner_leq(m, m)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_member_reads_false_without_warning(self):
+        inf = np.diag([np.inf, 1.0])
+        assert not loewner_leq(inf, inf)  # inf - inf is NaN
+        assert not loewner_leq(np.zeros((2, 2)), inf)
+        assert not loewner_leq(inf, np.eye(2))
+
     def test_reflexive_transitive_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

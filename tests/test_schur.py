@@ -840,7 +840,7 @@ CALLS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("matrix", NON_FINITE, ids=str)
 @pytest.mark.parametrize("call", CALLS, ids=str)
 def test_non_finite_input_raises_typed_error(call, matrix, small_rep):
@@ -868,7 +868,7 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("call", ENTRY_POINTS, ids=str)
 def test_non_finite_entry_raises_typed_error(call, bad):
