@@ -14,12 +14,10 @@ Submodules:
 from . import errors
 from .cert import (
     CertReport,
-    chain_semicontinuity_test,
     concave_test,
     derivative_monotone_test,
     doubling_concavity_check,
     hypograph_convexity_test,
-    lipschitz_estimate,
     monotone_test,
 )
 from .freefun import (
@@ -117,8 +115,6 @@ __all__ = [
     "derivative_monotone_test",
     "doubling_concavity_check",
     "hypograph_convexity_test",
-    "lipschitz_estimate",
-    "chain_semicontinuity_test",
     "SupportCertificate",
     "support_pencil",
     "reconstruct",

@@ -36,23 +36,20 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import BadConfig, ChainNotIncreasing, DimensionMismatch, OpmonoError
+from .errors import BadConfig, OpmonoError
 from .freefun import FreeFn, _congruence_eig, _loewner_pair, frechet_many
 from .gradients import loewner_matrix
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, herm_part, min_eig, psd_floor
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, min_eig, psd_floor
 from .sampling import (draw, finish_isometry, finish_psd, finish_spd, finish_unitary, from_spectrum, normal,
                        pair_above, pair_plan, slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
-    "LipschitzReport",
     "monotone_test",
     "concave_test",
     "derivative_monotone_test",
     "doubling_concavity_check",
     "hypograph_convexity_test",
-    "lipschitz_estimate",
-    "chain_semicontinuity_test",
 ]
 
 DEFAULT_INTERVAL = (0.5, 2.0)
@@ -107,11 +104,6 @@ def _lift_values(fn: FreeFn, u: np.ndarray, lam: np.ndarray) -> np.ndarray | Non
     """
     d = fn._declared_at(lam) if fn.arity == 1 else None
     return None if d is None else from_spectrum(u, d)
-
-
-def _spec_norm(a: np.ndarray) -> np.ndarray:
-    """Spectral norms of stacked matrices."""
-    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def _inconclusive(name: str, seed: int, error: str) -> CertReport:
@@ -412,89 +404,4 @@ def hypograph_convexity_test(
             {"X": _at(x, t), "Y": y[t].copy(), "X2": _at(x2, t), "Y2": y2[t].copy(), "lambda": float(lam[t, 0, 0]),
              "margin": m, "kind": "combination"},
         ][c],
-    )
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Empirical Lipschitz quotient and the two candidate local bounds."""
-
-    quotient: float
-    local_bound: float  # max ||F|| over the doubled ball
-    bound_m_over_r: float
-    bound_2m_over_r: float
-    samples: int
-
-
-def lipschitz_estimate(
-    fn: FreeFn,
-    center: tuple[np.ndarray, ...],
-    radius: float,
-    samples: int = 200,
-    seed: int = 0,
-) -> LipschitzReport:
-    """Empirical Lipschitz quotient of F on a tuple-norm ball.
-
-    The tuple norm is the sum of component operator norms.  The local bound
-    M is taken over the ball of doubled radius; both M/r and 2M/r are
-    reported since either appears as the constant in the continuity
-    estimate for concave functions.  Per sample, x and y lie in the ball and
-    z in the doubled one; all 3 * samples points come from one ``draw`` and
-    are evaluated as one stack.  The center is checked as an argument
-    of ``fn`` (DomainViolation for a non-finite entry), and the radius
-    must be positive and finite.
-    """
-    if not 0.0 < radius < np.inf:
-        raise BadConfig(f"the radius must be positive and finite, got {radius}")
-    rng = np.random.default_rng(seed)
-    center = fn._args(tuple(center))
-    k, n = len(center), center[0].shape[-1]
-    # per sample, in stream order: x, y in the ball and z in the doubled one,
-    # each as k directions and the fraction of its radius it moves
-    z, u = draw(rng, 3 * samples, [normal(2, n, n)] * k + [uniform(0.0, 1.0)])
-    deltas = herm_part(z[:, 0] + 1j * z[:, 1]).reshape(3 * samples, k, n, n)
-    step = u * np.tile((radius, radius, 2 * radius), samples) / _spec_norm(deltas).sum(axis=1)
-    points = np.stack(center) + step[:, None, None, None] * deltas
-    vals = _chunked_eval(fn, slots(points.reshape(-1, n, n), k)).reshape(samples, 3, n, n)
-    points = points.reshape(samples, 3, k, n, n)
-    dist = _spec_norm(points[:, 1] - points[:, 0]).sum(axis=1)
-    moved = dist > 0
-    quotient = float(np.max(_spec_norm(vals[moved, 1] - vals[moved, 0]) / dist[moved], initial=0.0))
-    local = float(np.max(_spec_norm(vals[:, 2]), initial=0.0))
-    return LipschitzReport(
-        quotient=quotient,
-        local_bound=local,
-        bound_m_over_r=local / radius,
-        bound_2m_over_r=2 * local / radius,
-        samples=samples,
-    )
-
-
-def chain_semicontinuity_test(
-    fn: FreeFn,
-    chain: list[tuple[np.ndarray, ...]],
-    tol: Tolerances = DEFAULT_TOL,
-) -> CertReport:
-    """F(A_j) <= F(A_last) along a finite increasing chain of tuples.
-
-    Each tuple takes ``fn``'s argument check (``matcore.check_args``), and
-    the chain must keep one size, one matrix per slot (DimensionMismatch).
-    """
-    if len(chain) < 2:
-        raise BadConfig("chain needs at least two tuples")
-    chain = [fn._args(tuple(step)) for step in chain]
-    if {x.shape for step in chain for x in step} != {chain[0][0].shape[-2:]}:
-        raise DimensionMismatch("a chain takes tuples of single matrices of one size")
-    xs = slots(np.asarray(chain), len(chain[0]))
-    gaps = np.stack([xi[1:] - xi[:-1] for xi in xs], axis=1)
-    down = np.flatnonzero(np.any(min_eig(gaps) < -psd_floor(gaps, tol), axis=1))
-    if down.size:
-        raise ChainNotIncreasing(f"chain decreases between steps {down[0]} and {down[0] + 1}")
-    try:
-        vals = _chunked_eval(fn, xs)
-    except OpmonoError as exc:
-        return _inconclusive("chain", 0, str(exc))
-    return _scan(
-        "chain", 0, tol, [(vals[-1] - vals[:-1])[:, None]],
-        lambda t, c, m: {"index": t, "margin": m},
     )

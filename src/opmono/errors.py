@@ -81,10 +81,6 @@ class StepUnderflow(OpmonoError):
     pass
 
 
-class ChainNotIncreasing(OpmonoError):
-    pass
-
-
 class NegativeNormalization(OpmonoError):
     pass
 

@@ -189,11 +189,11 @@ class FreeFn:
     weights: tuple[float, ...] | None = None  # the Karcher mean's, for the CLI's iteration report
     scalar: tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
 
-    def _args(self, mats: tuple) -> MatTuple:
+    def _args(self, mats: tuple, one: bool = False) -> MatTuple:
         """This function's arguments as complex arrays, after ``matcore.check_args``; ``fn((A, B))`` is ``fn(A, B)``."""
         if len(mats) == 1 and isinstance(mats[0], (tuple, list)):
             mats = tuple(mats[0])
-        return tuple(np.asarray(x, dtype=complex) for x in check_args(mats, self.arity, self.name))
+        return tuple(np.asarray(x, dtype=complex) for x in check_args(mats, self.arity, self.name, one))
 
     def _declared_at(self, lam: np.ndarray) -> np.ndarray | None:
         """f(lam) at drawn spectra ``lam`` where the declaration may be read, else None.
@@ -216,8 +216,8 @@ class FreeFn:
         return self.complex_evaluator(self._args(mats))
 
     def gradient(self, xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
-        """The G_i of X -> tr(W F(X)) at one argument tuple: ``vgrad``, else ``_fd_gradient``."""
-        xs = self._args(tuple(xs))
+        """The G_i of X -> tr(W F(X)) at one argument tuple (a stack is refused): ``vgrad``, else ``_fd_gradient``."""
+        xs = self._args(tuple(xs), one=True)
         if self.vgrad is not None:
             return self.vgrad(xs, seed)
         return _fd_gradient(self, xs, seed)
@@ -801,13 +801,14 @@ def frechet_derivative(
     tolerance; StepUnderflow is raised when the step degrades to the
     vicinity of roundoff or the halvings run out without agreement.  Both
     ``x`` and ``direction`` take ``matcore.check_args`` against ``fn``'s
-    arity, and must be of one size (DimensionMismatch).
+    arity as one tuple, not a stack, and must be of one size
+    (DimensionMismatch).
     """
-    x = check_args(x, fn.arity, fn.name)
-    direction = check_args(direction, fn.arity, f"{fn.name} direction")
+    x = check_args(x, fn.arity, fn.name, one=True)
+    direction = check_args(direction, fn.arity, f"{fn.name} direction", one=True)
     if x[0].shape[-1] != direction[0].shape[-1]:
         raise DimensionMismatch(f"{fn.name} direction has size {direction[0].shape[-1]}, the point {x[0].shape[-1]}")
-    norm_x = max(float(np.max(np.atleast_1d(fro_norm(m)))) for m in x)
+    norm_x = max(float(fro_norm(m)) for m in x)
     step = h if h is not None else 1e-3 * (1.0 + norm_x)
     floor = 1e-10 * (1.0 + norm_x)
     prev = None

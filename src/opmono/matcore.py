@@ -10,7 +10,7 @@ broadcast over the leading axes; single matrices are the zero-leading-axes
 case.  ``check_args`` is the one argument check of every public entry point
 that takes a tuple of such matrices (``FreeFn`` calls, the pencil
 evaluations, the representations, the means, ``mobius_apply``,
-``frechet_derivative`` and the chain tester), one matrix (``herm_certify``,
+``frechet_derivative`` and ``support_pencil``), one matrix (``herm_certify``,
 ``funcalc``, ``sector_estimate``, ``schur.shorted_psd`` and
 ``schur.schur_generic``), a pencil's coefficient list (``pencil.RawPencil``)
 or a representation's state (``represent.PencilRepresentation``).  The
@@ -94,8 +94,8 @@ class Tolerances:
     before, so every decision and every failure message is unchanged; the
     slack only decides which stacks need the eigenvalues.  The checks that
     report a value (``require_psd``, the testers' ``_scan``, the support
-    margins, ``_aim``) keep ``min_eig``, as do ``loewner_leq`` and the
-    chain tester, whose stacks no benchmarked path checks.
+    margins, ``_aim``) keep ``min_eig``, as does ``loewner_leq``, whose
+    stacks no benchmarked path checks.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
@@ -161,8 +161,22 @@ def herm_part(a: np.ndarray) -> np.ndarray:
 
 
 def fro_norm(a: np.ndarray) -> np.ndarray | float:
-    """Frobenius norm over the last two axes."""
-    out = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-1, -2)))
+    """Frobenius norm over the last two axes.
+
+    The plain sum of squares.  Entries up to 1e150 keep every square, and
+    any sum of fewer than 1e8 of them, finite; past that, each member whose
+    sum overflows although its entries are finite is summed again scaled
+    by its largest entry, and every other member keeps the plain sum.
+    """
+    mag = np.abs(a)
+    if np.fmax.reduce(mag, axis=None, initial=0.0) <= 1e150:
+        out = np.sqrt(np.add.reduce(mag * mag, axis=(-1, -2)))
+        return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):
+        out = np.array(np.sqrt(np.add.reduce(mag * mag, axis=(-1, -2))))
+        redo = np.isinf(out) & np.isfinite(mag).all(axis=(-1, -2))
+        big = np.max(mag[redo], axis=(-1, -2), initial=0.0, keepdims=True)
+        out[redo] = big[..., 0, 0] * np.sqrt(np.add.reduce((mag[redo] / big) ** 2, axis=(-1, -2)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,17 +189,18 @@ def unit_vector(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def check_args(mats, arity: int, name: str) -> tuple[np.ndarray, ...]:
+def check_args(mats, arity: int, name: str, one: bool = False) -> tuple[np.ndarray, ...]:
     """The components of a tuple of matrices, refused unless ``name`` can take them.
 
     There must be ``arity`` components (ArityMismatch), square of one size
     of at least 1x1 (DimensionMismatch), with finite entries
     (DomainViolation).  Leading stack axes broadcast, so an empty stack
-    ``(0, n, n)`` passes; an entry point that takes one matrix or one tuple
-    refuses a stack itself.  A single matrix or state is checked as a tuple
-    of one, a coefficient list as the tuple of its coefficients.  The check
-    only refuses: each component comes back as ``np.asarray`` gives it, and
-    its caller keeps its own dtype policy.
+    ``(0, n, n)`` passes, unless ``one``: an entry point that takes one
+    tuple passes it and refuses any stack (DimensionMismatch).  A single
+    matrix or state is checked as a tuple of one, a coefficient list as
+    the tuple of its coefficients.  The check only refuses: each component
+    comes back as ``np.asarray`` gives it, and its caller keeps its own
+    dtype policy.
     """
     xs = tuple(np.asarray(m) for m in mats)
     if len(xs) != arity:
@@ -196,6 +211,8 @@ def check_args(mats, arity: int, name: str) -> tuple[np.ndarray, ...]:
         raise DimensionMismatch(f"{name} takes matrices of one size, got shapes {[x.shape for x in xs]}")
     if xs[0].shape[-1] == 0:
         raise DimensionMismatch(f"{name} takes matrices of size at least 1x1")
+    if one and any(x.ndim > 2 for x in xs):
+        raise DimensionMismatch(f"{name} takes one tuple, got a stack of shape {max(x.shape[:-2] for x in xs)}")
     if not all(np.isfinite(x).all() for x in xs):
         raise DomainViolation(f"{name} argument has a non-finite entry")
     return xs

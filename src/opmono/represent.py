@@ -182,7 +182,7 @@ def support_pencil(
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
-    a = fn._args(tuple(a))  # eigvalsh below needs finite input; fn.gradient repeats this cheap check
+    a = fn._args(tuple(a), one=True)  # eigvalsh below needs finite input; fn.gradient repeats this cheap check
     n = a[0].shape[0]
     v = unit_vector(v)
     if v.size != n:

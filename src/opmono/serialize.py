@@ -99,7 +99,11 @@ def encode_tuple(x: tuple[np.ndarray, ...]) -> list:
 
 
 def decode_tuple(obj: Any) -> tuple[np.ndarray, ...]:
-    return tuple(decode_matrix(m) for m in obj)
+    """The matrices of a tuple payload; one without any raises DataError."""
+    xs = tuple(decode_matrix(m) for m in obj)
+    if not xs:
+        raise DataError("malformed tuple payload: it has no matrices")
+    return xs
 
 
 def _decoder(build):

@@ -4,12 +4,10 @@ import pytest
 from opmono import errors
 from opmono import serialize as io
 from opmono.cert import (
-    chain_semicontinuity_test,
     concave_test,
     derivative_monotone_test,
     doubling_concavity_check,
     hypograph_convexity_test,
-    lipschitz_estimate,
     monotone_test,
 )
 from opmono.freefun import (
@@ -24,8 +22,7 @@ from opmono.freefun import (
 )
 from opmono.gradients import loewner_matrix
 from opmono.matcore import dagger, fro_norm, herm_part, min_eig
-from opmono.sampling import (draw, finish_pair, finish_psd, finish_spd, normal, pair_plan, rand_spd_interval,
-                             slots, spd_plan)
+from opmono.sampling import draw, finish_pair, finish_psd, finish_spd, normal, pair_plan, slots, spd_plan
 
 
 def affine_plus_one():
@@ -34,10 +31,6 @@ def affine_plus_one():
         arity=1,
         evaluator=lambda xs: xs[0] + np.eye(xs[0].shape[-1]),
     )
-
-
-def double_fn():
-    return FreeFn(name="2x", arity=1, evaluator=lambda xs: 2 * xs[0])
 
 
 def nan_above_trace(limit):
@@ -69,14 +62,11 @@ def stalls():
     return FreeFn(name="stalls", arity=1, evaluator=ev)
 
 
-TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph", "chain")
+TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph")
 
 
 def run_tester(name, fn, n, trials, seed):
-    """One call of the named tester; the chain is three seeded steps of 0.5 I."""
-    if name == "chain":
-        a = rand_spd_interval(np.random.default_rng(seed), n, 0.5, 1.5)
-        return chain_semicontinuity_test(fn, [(a + s * np.eye(n),) for s in (0.0, 0.5, 1.0)])
+    """One call of the named tester."""
     if name == "doubling":
         return doubling_concavity_check(fn, n=n, trials=trials, seed=seed)
     if name == "hypograph":
@@ -372,62 +362,6 @@ class TestHypograph:
         rep = hypograph_convexity_test(fake_trace_fn(), n=2, m=2, trials=512, seed=seed)
         assert rep.verdict == "counterexample"
         assert rep.counterexample["kind"] == "combination"
-
-
-class TestLipschitz:
-    def test_identity_quotient_one(self):
-        center = (np.eye(3),)
-        rep = lipschitz_estimate(lift_scalar("identity"), center, radius=0.1, samples=100, seed=16)
-        assert abs(rep.quotient - 1.0) <= 1e-8
-
-    def test_doubling_map_quotient_two(self):
-        center = (np.eye(3),)
-        rep = lipschitz_estimate(double_fn(), center, radius=0.1, samples=100, seed=17)
-        assert abs(rep.quotient - 2.0) <= 1e-8
-
-    def test_sqrt_below_bound(self):
-        center = (np.eye(4),)
-        rep = lipschitz_estimate(lift_scalar("sqrt"), center, radius=0.1, samples=150, seed=18)
-        assert rep.quotient <= rep.bound_2m_over_r
-
-
-class TestChain:
-    def test_constant_chain(self):
-        a = (np.eye(3),)
-        rep = chain_semicontinuity_test(lift_scalar("sqrt"), [a, a, a])
-        assert rep.passed and abs(rep.worst_margin) <= 1e-12
-
-    def test_shifted_chain_monotone(self):
-        rng = np.random.default_rng(19)
-        from opmono.sampling import rand_spd_interval
-
-        a = rand_spd_interval(rng, 3, 0.5, 1.5)
-        chain = [(a,), (a + 0.01 * np.eye(3),), (a + 0.02 * np.eye(3),)]
-        rep = chain_semicontinuity_test(lift_scalar("sqrt"), chain)
-        assert rep.passed
-
-    def test_not_increasing_rejected(self):
-        with pytest.raises(errors.ChainNotIncreasing):
-            chain_semicontinuity_test(
-                lift_scalar("sqrt"), [(2 * np.eye(2),), (np.eye(2),)]
-            )
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("chain,error", [
-        ([(np.eye(2),), (np.eye(3),)], errors.DimensionMismatch),
-        ([(np.eye(2), np.eye(2)), (np.eye(2), np.eye(2))], errors.ArityMismatch),
-    ], ids=["ragged", "arity"])
-    def test_malformed_chain_refused(self, chain, error):
-        # each tuple takes the function's argument check, and the chain keeps one size;
-        # test_malformed_inputs.py sweeps the malformed matrices
-        with pytest.raises(error):
-            chain_semicontinuity_test(lift_scalar("sqrt"), chain)
-
-    def test_xsq_crafted_failure(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]]) + 0.01 * np.eye(2)
-        b = np.array([[2.0, 1.0], [1.0, 1.0]]) + 0.01 * np.eye(2)
-        rep = chain_semicontinuity_test(lift_scalar("xsq"), [(a,), (b,)])
-        assert rep.verdict == "counterexample"
 
 
 class TestCrossValidation:

@@ -303,18 +303,38 @@ class TestMalformedTuples:
         ("pencil-eval", "{pencil}", "{two_sizes}"),
     ], ids=["repeval", "repeval-complex", "pencil-eval"])
     def test_dimension_mismatch_exits_one(self, argv, good_files, tmp_path, capsys):
+        code, err = self.run_on_files(argv, good_files, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error: DimensionMismatch")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("support", "sqrt", "{empty}"),
+        ("mean", "karcher", "{empty}"),
+        ("mean", "harmonic", "{empty}"),
+        ("mean", "geomean2", "{empty}"),
+        ("repeval", "{representation}", "{empty}"),
+        ("pencil-eval", "{pencil}", "{empty}"),
+    ], ids=["support", "mean-karcher", "mean-harmonic", "mean-geomean2", "repeval", "pencil-eval"])
+    def test_empty_tuple_exits_65(self, argv, good_files, tmp_path, capsys):
+        code, err = self.run_on_files(argv, good_files, tmp_path, capsys)
+        assert code == 65
+        assert err.startswith("error: DataError")
+        assert "Traceback" not in err
+
+    @staticmethod
+    def run_on_files(argv, good_files, tmp_path, capsys):
+        """Run the CLI with the named files written under tmp_path: its exit code and standard error."""
         paths = {"representation": str(good_files["representation"])}
         files = {"rect": ("matrix", io.encode_matrix(np.ones((2, 3)))),
                  "two_sizes": ("tuple", io.encode_tuple((np.eye(2), np.eye(3)))),
+                 "empty": ("tuple", []),
                  "pencil": ("pencil", io.pencil_payload(pencil_new([2 * np.eye(2), np.eye(2), np.eye(2)])))}
         for name, (kind, payload) in files.items():
             paths[name] = str(tmp_path / f"{name}.json")
             io.save(paths[name], kind, payload)
         code, _ = run_cli(*(arg.format(**paths) for arg in argv))
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: DimensionMismatch")
-        assert "Traceback" not in err
+        return code, capsys.readouterr().err
 
 
 class TestUsageErrors:

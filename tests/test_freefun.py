@@ -31,7 +31,7 @@ from opmono.freefun import (
 from opmono.gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
 from opmono.matcore import DEFAULT_TOL, dagger, fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.pencil import pencil_eval, pencil_eval_shifted, pencil_new, pencil_sectorial_check
-from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex
+from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex, support_pencil
 from opmono.sampling import (draw, finish_spd, finish_unitary, rand_herm, rand_psd, rand_spd_interval,
                              rand_tuple_interval, rand_unitary, spd_plan)
 from opmono.schur import PivotSubspace, SchurCore, schur_pencil
@@ -770,7 +770,6 @@ class TestResolve:
 
 
 def _bad_parameter_calls():
-    from opmono.cert import chain_semicontinuity_test
     from opmono.represent import direct_sum_rep
     from opmono.schur import PivotSubspace, schur_generic
 
@@ -781,7 +780,6 @@ def _bad_parameter_calls():
         "power-t-above-one": lambda: power_mean(x, 2.0, (0.5, 0.5)),
         "mobius-determinant": lambda: MobiusMap(1, 2, 1, 2),
         "direct-sum-no-points": lambda: direct_sum_rep(lift_scalar("sqrt"), []),
-        "chain-of-one": lambda: chain_semicontinuity_test(lift_scalar("sqrt"), [x[:1]]),
         "schur-bad-keep": lambda: schur_generic(np.eye(2), PivotSubspace.from_indices(2, [0]), keep="x"),
     }
 
@@ -1149,6 +1147,7 @@ def _tuple_entry_points():
         "power_mean": (2, lambda xs: power_mean(xs, 0.5, (0.5, 0.5))),
         "karcher_mean": (2, lambda xs: karcher_mean(xs, (0.5, 0.5))),
         "geometric_mean_2": (2, lambda xs: geometric_mean_2(*xs)),
+        "support_pencil": (2, lambda xs: support_pencil(geo, xs, np.ones(2))),
     }
 
 
@@ -1156,7 +1155,8 @@ TUPLE_ENTRY_POINTS = _tuple_entry_points()
 UNPACKED = {"mobius_apply", "geometric_mean_2"}  # take the matrices themselves, so no wrong arity
 STACKED = {"FreeFn.__call__", "FreeFn.eval_complex", "rep.fn", "pencil_eval", "pencil_eval_shifted", "rep_eval",
            "rep_eval_complex", "mobius_apply", "power_mean", "karcher_mean", "geometric_mean_2"}
-ONE_TUPLE = {"pencil_sectorial_check", "SchurCore.evaluate", "schur_pencil"}  # refuse a stack themselves
+ONE_TUPLE = {"pencil_sectorial_check", "SchurCore.evaluate", "schur_pencil", "FreeFn.gradient", "frechet_derivative:x",
+             "frechet_derivative:direction", "support_pencil"}  # refuse a stack
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,4 @@
-"""Every public entry point that takes one matrix, a coefficient list, a state or a chain
+"""Every public entry point that takes one matrix, a coefficient list or a state
 refuses a malformed one with a typed error, through ``matcore.check_args``.
 
 The matrix-tuple entry points have their own sweep in ``test_freefun.py``; the algebra
@@ -15,11 +15,9 @@ from opmono import (
     PencilRepresentation,
     PivotSubspace,
     RawPencil,
-    chain_semicontinuity_test,
     errors,
     funcalc,
     herm_certify,
-    lift_scalar,
     pencil_new,
     schur_generic,
     sector_bound_check,
@@ -55,7 +53,6 @@ ENTRY_POINTS = {
     "LinearPencil": lambda m: LinearPencil((m, m)),
     "pencil_new": lambda m: pencil_new([m, m]),
     "PencilRepresentation": lambda m: PencilRepresentation(pencil_new([2 * np.eye(2), np.eye(2)]), PIVOT, m),
-    "chain_semicontinuity_test": lambda m: chain_semicontinuity_test(lift_scalar("sqrt"), [(m,), (m,)]),
 }
 STACKED = {"herm_certify", "funcalc"}  # batched over leading axes, so a stack is well formed
 

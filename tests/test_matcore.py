@@ -139,6 +139,17 @@ class TestLoewnerOrder:
         assert loewner_leq(np.zeros((2, 2, 2)), np.stack([np.diag([1.0, -1e-10]), 1e3 * np.eye(2)]))
 
 
+
+class TestFroNorm:
+    @pytest.mark.filterwarnings("error")
+    def test_entries_whose_squares_overflow_keep_a_finite_norm(self):
+        big = 1e200 * np.eye(2)
+        assert np.array_equal(herm_certify(big), big)
+        assert loewner_leq(big, 2 * big)
+        norms = fro_norm(np.stack([big, np.diag([3.0, 4.0]), np.diag([np.inf, 1.0])]))
+        assert norms[0] == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+        assert list(norms[1:]) == [5.0, np.inf]  # the plain sum of squares, and a non-finite member stays so
+
 class TestPsdRule:
     def test_floor_is_per_member(self):
         stack = np.stack([np.zeros((2, 2)), 3.0 * np.eye(2), np.diag([4.0, 0.0])])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from opmono import cert, freefun, represent, sampling
 from opmono.cert import (concave_test, derivative_monotone_test, doubling_concavity_check, hypograph_convexity_test,
-                         lipschitz_estimate, monotone_test)
+                         monotone_test)
 from opmono.errors import BadConfig
 from opmono.freefun import nc_axiom_check, resolve_function
 from opmono.matcore import dagger, herm_part
@@ -198,7 +198,6 @@ def library_plans(monkeypatch):
         drawing(derivative_monotone_test, fn, 2, trials=3)
         drawing(doubling_concavity_check, fn, 2, trials=2)
         drawing(hypograph_convexity_test, fn, 3, m=2, trials=3)
-        drawing(lipschitz_estimate, fn, x, 0.1, samples=2)
         drawing(nc_axiom_check, fn, 2, trials=3)
         drawing(support_pencil, fn, x, np.eye(2)[0], (0.5, 2.0), validation_samples=4)
     for sampler in (sampling.rand_complex, sampling.rand_herm, sampling.rand_psd, sampling.rand_unitary,
@@ -317,8 +316,7 @@ class TestDraw:
 
     @pytest.mark.parametrize("call", [
         lambda rng: sampling.rand_tuple_interval(rng, 0, 2, *INTERVAL),
-        lambda rng: lipschitz_estimate(resolve_function("sqrt"), (np.eye(2),), 0.1, samples=0),
-    ], ids=["empty-tuple", "no-lipschitz-samples"])
+    ], ids=["empty-tuple"])
     def test_nothing_to_draw_is_bad_config(self, call):
         with pytest.raises(BadConfig):
             call(np.random.default_rng(0))
@@ -340,11 +338,6 @@ class TestBadSamplingParameters:
     def test_interval(self, call, interval):
         with pytest.raises(BadConfig):
             call(resolve_function("sqrt"), interval)
-
-    @pytest.mark.parametrize("radius", [0.0, -0.1, np.inf, np.nan])
-    def test_lipschitz_radius(self, radius):
-        with pytest.raises(BadConfig):
-            lipschitz_estimate(resolve_function("sqrt"), (np.eye(2),), radius, samples=2)
 
     @pytest.mark.parametrize("kwargs", [
         {"eps_ladder": ()}, {"eps_ladder": (0.0,)}, {"eps_ladder": (1e-3, -1e-3)},

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from opmono import errors, matcore, sampling, schur
-from opmono.cert import lipschitz_estimate
-from opmono.freefun import lift_scalar, resolve_function
+from opmono.freefun import resolve_function
 from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
@@ -864,7 +863,6 @@ ENTRY_POINTS = {
     "herm_certify": lambda bad: herm_certify(_spoiled(np.eye(2), bad)),
     "shorted_psd": lambda bad: shorted_psd(_spoiled(np.eye(3), bad), PivotSubspace.from_indices(3, [0])),
     "schur_generic": lambda bad: schur_generic(_spoiled(np.eye(3), bad), PivotSubspace.from_indices(3, [0])),
-    "lipschitz_estimate": lambda bad: lipschitz_estimate(lift_scalar("sqrt"), (_spoiled(np.eye(2), bad),), 0.1),
 }
 
 
