@@ -139,16 +139,51 @@ class TestLoewnerOrder:
         assert loewner_leq(np.zeros((2, 2, 2)), np.stack([np.diag([1.0, -1e-10]), 1e3 * np.eye(2)]))
 
 
+BIG = 1e200 * np.eye(2)
+
 
 class TestFroNorm:
     @pytest.mark.filterwarnings("error")
     def test_entries_whose_squares_overflow_keep_a_finite_norm(self):
-        big = 1e200 * np.eye(2)
-        assert np.array_equal(herm_certify(big), big)
-        assert loewner_leq(big, 2 * big)
-        norms = fro_norm(np.stack([big, np.diag([3.0, 4.0]), np.diag([np.inf, 1.0])]))
+        assert np.array_equal(herm_certify(BIG), BIG)
+        assert loewner_leq(BIG, 2 * BIG)
+        norms = fro_norm(np.stack([BIG, np.diag([3.0, 4.0]), np.diag([np.inf, 1.0])]))
         assert norms[0] == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
         assert list(norms[1:]) == [5.0, np.inf]  # the plain sum of squares, and a non-finite member stays so
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e100, 1e151, 1e153])
+    def test_a_finite_sum_of_squares_keeps_its_bits(self, scale):
+        rng = np.random.default_rng(7)
+        x = scale * (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)))
+        assert np.array_equal(fro_norm(x), np.sqrt(np.sum(np.abs(x) ** 2, axis=(-1, -2))))
+        assert fro_norm(x[0]) == np.sqrt(np.sum(np.abs(x[0]) ** 2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1e308])
+    def test_an_overflowing_sum_is_rescaled(self, scale):
+        rng = np.random.default_rng(8)
+        unit = rng.uniform(0.5, 1.0, size=(4, 2, 2)) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(4, 2, 2)))
+        norms = fro_norm(scale * unit)
+        assert np.all(np.isfinite(norms))
+        assert norms == pytest.approx(scale * fro_norm(unit), rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call,expect", [
+    (lambda: herm_certify(BIG), BIG),
+    (lambda: loewner_leq(BIG, 2 * BIG), True),
+    (lambda: loewner_leq(2 * BIG, BIG), False),
+    (lambda: psd_floor(BIG), DEFAULT_TOL.psd * np.sqrt(2) * 1e200),
+    (lambda: require_psd(BIG, errors.NotPSD, "A"), 1e200),
+    (lambda: min_eig_above(BIG, 0.0), np.inf),
+    (lambda: sector_estimate(BIG).margin, 1e200),
+], ids=["herm_certify", "loewner_leq", "loewner_leq-reversed", "psd_floor", "require_psd",
+        "min_eig_above", "sector_estimate"])
+def test_entries_near_the_float_limit_give_finite_answers_without_warning(call, expect):
+    # each call takes fro_norm of a matrix whose squared entries overflow
+    assert np.all(call() == pytest.approx(expect, rel=1e-15))
+
 
 class TestPsdRule:
     def test_floor_is_per_member(self):

@@ -173,3 +173,11 @@ class TestArrayCodec:
     def test_empty_payloads(self):
         assert io.decode_vector([]).shape == (0,)
         assert io.decode_matrix([[], []]).shape == (2, 0)
+
+    def test_a_tuple_payload_without_matrices_is_refused(self, tmp_path):
+        with pytest.raises(errors.DataError, match="no matrices"):
+            io.decode_tuple([])
+        path = tmp_path / "empty.json"
+        io.save(str(path), "tuple", [])
+        with pytest.raises(errors.DataError, match="no matrices"):
+            io.decode_tuple(io.load(str(path), "tuple")[1])
