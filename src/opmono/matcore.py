@@ -195,8 +195,9 @@ def check_args(mats, arity: int, name: str, one: bool = False) -> tuple[np.ndarr
     There must be ``arity`` components (ArityMismatch), square of one size
     of at least 1x1 (DimensionMismatch), with finite entries
     (DomainViolation).  Leading stack axes broadcast, so an empty stack
-    ``(0, n, n)`` passes, unless ``one``: an entry point that takes one
-    tuple passes it and refuses any stack (DimensionMismatch).  A single
+    ``(0, n, n)`` passes, unless ``one``: an entry point that takes no
+    stack (``sector_estimate``, ``RawPencil`` and the one-tuple entry
+    points) passes it, and any stack is refused (DimensionMismatch).  A single
     matrix or state is checked as a tuple of one, a coefficient list as
     the tuple of its coefficients.  The check only refuses: each component
     comes back as ``np.asarray`` gives it, and its caller keeps its own
@@ -404,15 +405,13 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstimate:
     """Certified sector of the numerical range of one matrix.
 
-    ``a`` takes ``check_args``, and a stack is refused (DimensionMismatch).
+    ``a`` takes ``check_args`` as one matrix, not a stack.
     ``alpha`` and ``margin`` = lambda_min(Re A) are those of
     ``sector_certified_alpha``.  Raises NotSectorial when the margin is not
     positive (within the relative PSD tolerance): W(A) then meets the
     closed left half-plane.
     """
-    (a,) = check_args((a,), 1, "sector_estimate")
-    if a.ndim != 2:
-        raise DimensionMismatch(f"sector_estimate takes one matrix, got a stack of shape {a.shape}")
+    (a,) = check_args((a,), 1, "sector_estimate", one=True)
     alphas, margins = sector_certified_alpha(a[None])
     margin = float(margins[0])
     if not margin > psd_floor(a, tol):

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     CoefficientNotPSD,
-    DimensionMismatch,
     DominanceViolated,
     InputNotSectorial,
     NotSectorial,
@@ -65,9 +64,7 @@ class RawPencil:
     def __post_init__(self) -> None:
         if len(self.coeffs) < 2:
             raise ArityMismatch("a pencil needs B_0 and at least one B_i")
-        coeffs = check_args(self.coeffs, len(self.coeffs), "pencil")
-        if any(b.ndim != 2 for b in coeffs):
-            raise DimensionMismatch("pencil coefficients must be matrices, not stacks")
+        coeffs = check_args(self.coeffs, len(self.coeffs), "pencil", one=True)
         object.__setattr__(self, "coeffs", tuple(np.asarray(b, dtype=complex) for b in coeffs))
 
     @property
@@ -139,7 +136,7 @@ def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (size, size))
 
 
-def pencil_arguments(pencil: RawPencil, x, shifted: bool) -> np.ndarray:
+def pencil_arguments(pencil: RawPencil, x, shifted: bool, one: bool = False) -> np.ndarray:
     """The stack (I, X_1, ..., X_k), or (I, X_1 - I, ..., X_k - I) when shifted, as complex arrays.
 
     The tuple takes ``matcore.check_args`` against the pencil's arity, the
@@ -147,9 +144,9 @@ def pencil_arguments(pencil: RawPencil, x, shifted: bool) -> np.ndarray:
     ``pencil_eval_shifted``, ``pencil_sectorial_check`` and
     ``schur.SchurCore.evaluate``, so ``schur_pencil`` and
     ``represent.rep_eval_complex``).  Arguments may be stacked on leading
-    axes; the stack axis is third from last.
+    axes, unless ``one``; the stack axis is third from last.
     """
-    xs = tuple(np.asarray(m, dtype=complex) for m in check_args(x, pencil.arity, "pencil"))
+    xs = tuple(np.asarray(m, dtype=complex) for m in check_args(x, pencil.arity, "pencil", one))
     eye = np.eye(xs[0].shape[-1])
     terms = (xi - eye for xi in xs) if shifted else xs
     return np.stack(np.broadcast_arrays(eye, *terms), axis=-3)
@@ -204,9 +201,7 @@ def pencil_sectorial_check(
     evaluation cannot exceed the largest argument angle (up to rounding):
     each B_i (x) X_i lies in the sector of X_i.
     """
-    args = pencil_arguments(pencil, x, shifted=False)
-    if args.ndim != 3:
-        raise DimensionMismatch(f"pencil_sectorial_check takes one tuple, got a stack of shape {args.shape[:-3]}")
+    args = pencil_arguments(pencil, x, shifted=False, one=True)
     for idx, xi in enumerate(args[1:]):
         try:
             sector_estimate(xi, tol)

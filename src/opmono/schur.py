@@ -402,10 +402,8 @@ class SchurCore:
         ``halfspace``.
         """
         tol = self.tol
-        args = pencil_arguments(self.pencil, x, shifted=True)
+        args = pencil_arguments(self.pencil, x, shifted=True, one=state is None)
         lead, n = args.shape[:-3], args.shape[-1]
-        if state is None and lead:
-            raise DimensionMismatch(f"a whole Schur complement takes one tuple, got a stack of shape {lead}")
         if halfspace:
             right = np.broadcast_to(in_right_halfspace(x, tol), lead)
             if not (right.all() or np.all(right | in_upper_halfspace(x, tol))):

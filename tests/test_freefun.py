@@ -1186,29 +1186,6 @@ def test_every_tuple_entry_point_refuses_a_malformed_tuple_with_a_typed_error(na
                 call((stack,) * k)
 
 
-def _stacked_point_calls():
-    """Calls at a stacked point that reach code paths the geomean2 sweep above does not:
-    the weighted Karcher gradient, the finite-difference gradient, and arity-one points."""
-    s, eye = np.stack([2.0 * np.eye(2)] * 3), np.eye(2)
-    sqrt = resolve_function("sqrt")
-    return {
-        "karcher-gradient": lambda: resolve_function("karcher:w=0.3,0.3,0.4").gradient((s, s, s), eye),
-        "faketrace-gradient": lambda: resolve_function("faketrace").gradient((s,), eye),
-        "frechet_derivative": lambda: frechet_derivative(sqrt, (s,), (s,)),
-        "support_pencil": lambda: support_pencil(sqrt, (s,), np.ones(2)),
-    }
-
-
-STACKED_POINT_CALLS = _stacked_point_calls()
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", STACKED_POINT_CALLS)
-def test_a_stacked_point_is_refused_before_numpy_sees_it(name):
-    with pytest.raises(errors.DimensionMismatch, match=r"takes one tuple, got a stack of shape \(3,\)"):
-        STACKED_POINT_CALLS[name]()
-
-
 @pytest.mark.filterwarnings("error")
 def test_frechet_direction_of_another_size_is_refused():
     geo = resolve_function("geomean2")

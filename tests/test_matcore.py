@@ -144,9 +144,7 @@ BIG = 1e200 * np.eye(2)
 
 class TestFroNorm:
     @pytest.mark.filterwarnings("error")
-    def test_entries_whose_squares_overflow_keep_a_finite_norm(self):
-        assert np.array_equal(herm_certify(BIG), BIG)
-        assert loewner_leq(BIG, 2 * BIG)
+    def test_a_mixed_stack_rescales_only_its_overflowing_member(self):
         norms = fro_norm(np.stack([BIG, np.diag([3.0, 4.0]), np.diag([np.inf, 1.0])]))
         assert norms[0] == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
         assert list(norms[1:]) == [5.0, np.inf]  # the plain sum of squares, and a non-finite member stays so
