@@ -1,9 +1,16 @@
 """JSON file formats for matrices, tuples, pencils, certificates, and
 representations.
 
-Complex entries are two-element arrays [re, im]; matrices are row-major
-nested lists.  Finite doubles round-trip bit-exactly through json's repr
-encoding, and NaN/Inf are rejected in both directions.  Every file is an
+Complex entries are two-element arrays [re, im].  Matrix, tuple, pencil and
+certificate files write matrices dense, as row-major nested lists of pairs
+(a certificate's pencil has no zero entries to leave out).  A representation
+file writes its pencil coefficients, pivot basis and state sparse, as
+{"shape": [r, c], "entries": [[i, j, re, im], ...]}: the entries with any
+bit set, in row-major order, so a block-diagonal quadrature pencil stores
+its cells and no zeros.  ``decode_matrix`` reads either form wherever a
+matrix is expected, so dense representation files keep loading.  Finite
+doubles round-trip bit-exactly through json's repr encoding, -0.0
+included, and NaN/Inf are rejected in both directions.  Every file is an
 envelope {"schema_version": "1", "kind": ..., "payload": ...}.
 """
 
@@ -25,6 +32,7 @@ from .schur import PivotSubspace
 __all__ = [
     "SCHEMA_VERSION",
     "encode_matrix",
+    "encode_sparse",
     "decode_matrix",
     "encode_tuple",
     "decode_tuple",
@@ -65,6 +73,18 @@ def encode_matrix(m: np.ndarray) -> list:
 encode_vector = encode_matrix
 
 
+def encode_sparse(m: np.ndarray) -> dict:
+    """{"shape": [r, c], "entries": [[i, j, re, im], ...]}, row-major, one entry per nonzero bit pattern.
+
+    NaN and Inf have bits set, so ``encode_matrix`` sees and refuses them.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    i, j = np.nonzero(m.view(np.uint64).reshape(m.shape + (2,)).any(axis=-1))
+    pairs = encode_matrix(m[i, j])
+    return {"shape": list(m.shape),
+            "entries": [[a, b, *pair] for a, b, pair in zip(i.tolist(), j.tolist(), pairs)]}
+
+
 def _decode(obj: Any, depth: int, what: str) -> np.ndarray:
     """The complex array with ``depth`` axes whose entries ``obj`` gives as [re, im] pairs.
 
@@ -86,8 +106,41 @@ def _decode(obj: Any, depth: int, what: str) -> np.ndarray:
     return a.astype(float).view(complex)[..., 0]
 
 
+def _is_index(k: Any, bound: float = np.inf) -> bool:
+    return type(k) is int and 0 <= k < bound
+
+
+def _decode_sparse(obj: dict) -> np.ndarray:
+    """The matrix of an ``encode_sparse`` payload.
+
+    The shape must be two non-negative integers, each entry four items with
+    integer indices inside it, and no (i, j) may appear twice; the values
+    pass ``_decode``'s checks.
+    """
+    shape, entries = obj.get("shape"), obj.get("entries")
+    if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_index, shape))
+            and isinstance(entries, list)):
+        raise DataError("malformed matrix payload: a sparse matrix needs a shape of two "
+                        "non-negative integers and a list of entries")
+    rows, cols = shape
+    if not all(isinstance(e, list) and len(e) == 4 and _is_index(e[0], rows)
+               and _is_index(e[1], cols) for e in entries):
+        raise DataError(f"malformed matrix payload: entries must be [i, j, re, im] with "
+                        f"integer indices inside the shape {shape}")
+    if len({(e[0], e[1]) for e in entries}) != len(entries):
+        raise DataError("malformed matrix payload: an (i, j) entry appears twice")
+    values = _decode([e[2:] for e in entries], 1, "matrix")
+    try:
+        m = np.zeros(shape, dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"malformed matrix payload: shape {shape}: {exc}") from exc
+    m[[e[0] for e in entries], [e[1] for e in entries]] = values
+    return m
+
+
 def decode_matrix(obj: Any) -> np.ndarray:
-    return _decode(obj, 2, "matrix")
+    """The matrix of a dense (``encode_matrix``) or sparse (``encode_sparse``) payload."""
+    return _decode_sparse(obj) if isinstance(obj, dict) else _decode(obj, 2, "matrix")
 
 
 def decode_vector(obj: Any) -> np.ndarray:
@@ -178,9 +231,9 @@ def certificate_from_payload(obj: Any) -> SupportCertificate:
 
 def representation_payload(rep: PencilRepresentation) -> dict:
     return {
-        "pencil": pencil_payload(rep.pencil),
-        "pivot_basis": encode_matrix(rep.pivot.basis),
-        "state": encode_matrix(rep.state),
+        "pencil": {"coefficients": [encode_sparse(b) for b in rep.pencil.coeffs]},
+        "pivot_basis": encode_sparse(rep.pivot.basis),
+        "state": encode_sparse(rep.state),
         "meta": {k: v for k, v in rep.meta.items() if isinstance(v, (str, int, float))},
     }
 

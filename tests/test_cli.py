@@ -185,6 +185,33 @@ class TestRepeval:
         _, payload = io.load(str(out_path), expect="matrix")
         assert np.linalg.norm(io.decode_matrix(payload) - np.diag([1.0, 2.0])) <= 1e-3 * 3
 
+    def test_quadrep_file_stores_the_cells_not_the_zeros(self, tmp_path):
+        rep_path = tmp_path / "rep.json"
+        assert run_cli("quadrep", "sqrt", "--nodes", "64", "--out", str(rep_path))[0] == 0
+        assert rep_path.stat().st_size < 64 * 1024  # the dense form takes about 580 KB
+
+    def test_repeval_reads_a_dense_representation_to_the_same_bytes(self, tmp_path):
+        sparse_path, dense_path = tmp_path / "sparse.json", tmp_path / "dense.json"
+        run_cli("quadrep", "pow:0.7", "--nodes", "24", "--interval", "0.5,2", "--out", str(sparse_path))
+        _, payload = io.load(str(sparse_path), expect="representation")
+        coeffs = payload["pencil"]["coefficients"]
+        payload["pencil"]["coefficients"] = [io.encode_matrix(io.decode_matrix(b)) for b in coeffs]
+        for key in ("pivot_basis", "state"):
+            payload[key] = io.encode_matrix(io.decode_matrix(payload[key]))
+        io.save(str(dense_path), "representation", payload)
+        assert dense_path.stat().st_size > 10 * sparse_path.stat().st_size
+        tuple_path = tmp_path / "z.json"
+        z = np.array([[1.0 + 0.5j, 0.2], [0.2, 2.0 + 1.0j]])
+        io.save(str(tuple_path), "tuple", io.encode_tuple((z,)))
+        outputs = []
+        for path in (sparse_path, dense_path):
+            out_path = tmp_path / f"out-{path.stem}.json"
+            code, out = run_cli("repeval", str(path), str(tuple_path), "--complex",
+                                "--format", "json", "--out", str(out_path))
+            assert code == 0
+            outputs.append((out, out_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_arity_mismatch_exit_one(self, tmp_path):
         rep_path = tmp_path / "rep.json"
         run_cli("quadrep", "sqrt", "--nodes", "16", "--interval", "0.5,2", "--out", str(rep_path))
@@ -245,18 +272,28 @@ class TestMean:
 
 
 def _edit(payload, path, value):
-    """Set payload[path] to value, or delete the key when value is None."""
+    """Set payload[path] to value, or to value(payload[path]) when it is callable,
+    or delete the key when value is None."""
     for key in path[:-1]:
         payload = payload[key]
     if value is None:
         del payload[path[-1]]
     else:
-        payload[path[-1]] = value
+        payload[path[-1]] = value(payload[path[-1]]) if callable(value) else value
+
+
+def _dense_negative_corner(sparse):
+    """The matrix in the dense form, with -0.5 at (0, 0)."""
+    m = io.decode_matrix(sparse)
+    m[0, 0] = -0.5
+    return io.encode_matrix(m)
 
 
 MALFORMED = {
-    # name: (file kind, path into the payload, new value or None to delete)
-    "negative_state": ("representation", ("state", 0, 0), [-0.5, 0.0]),
+    # name: (file kind, path into the payload, new value, a function of the
+    # old one, or None to delete)
+    "negative_state": ("representation", ("state", "entries", 0, 2), -0.5),
+    "negative_dense_state": ("representation", ("state",), _dense_negative_corner),
     "no_pencil": ("representation", ("pencil",), None),
     "state_1x1": ("representation", ("state",), [[[1.0, 0.0]]]),
     "no_c": ("certificate", ("c",), None),

@@ -7,8 +7,26 @@ from opmono import errors
 from opmono import serialize as io
 from opmono.freefun import lift_scalar
 from opmono.pencil import pencil_new
-from opmono.represent import reconstruct, rep_from_quadrature, support_pencil
+from opmono.represent import PencilRepresentation, reconstruct, rep_from_quadrature, support_pencil
 from opmono.sampling import rand_complex, rand_psd, rand_tuple_interval, rand_unit_vector
+from opmono.schur import PivotSubspace
+
+
+def bits(m):
+    """The raw 64-bit words of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
+
+
+def rep_matrices(rep):
+    return (*rep.pencil.coeffs, rep.pivot.basis, rep.state)
+
+
+def dense_payload(rep):
+    """A representation payload with every matrix in the dense form, as older files hold it."""
+    payload = io.representation_payload(rep)
+    payload.update(pencil=io.pencil_payload(rep.pencil), pivot_basis=io.encode_matrix(rep.pivot.basis),
+                   state=io.encode_matrix(rep.state))
+    return payload
 
 
 class TestMatrixRoundTrip:
@@ -115,6 +133,46 @@ class TestStructuredPayloads:
         for a, b in zip(back.pencil.coeffs, rep.pencil.coeffs):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("name, nodes, p", [("sqrt", 64, None), ("log1p", 32, None), ("pow", 48, 0.7)],
+                             ids=["sqrt-64", "log1p-32", "pow0.7-48"])
+    def test_quadrature_representations_round_trip_bit_exactly(self, name, nodes, p):
+        rep = rep_from_quadrature(name, nodes=nodes, interval=(0.1, 10.0), p=p)
+        text = io.dumps(io.representation_payload(rep))
+        back = io.representation_from_payload(json.loads(text))
+        for a, b in zip(rep_matrices(back), rep_matrices(rep)):
+            assert a.shape == b.shape and np.array_equal(bits(a), bits(b))
+        assert back.meta == rep.meta and back.meta["nodes"] == nodes
+        assert io.dumps(io.representation_payload(back)) == text
+
+    def test_representation_matrices_are_stored_by_their_nonzero_entries(self):
+        rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.5, 2.0))
+        payload = io.representation_payload(rep)
+        for stored, m in zip([*payload["pencil"]["coefficients"], payload["pivot_basis"],
+                              payload["state"]], rep_matrices(rep)):
+            assert stored["shape"] == list(m.shape)
+            ij = [(i, j) for i, j, _, _ in stored["entries"]]
+            assert ij == sorted(ij) and len(ij) == np.count_nonzero(m)
+
+    def test_a_dense_representation_loads_to_the_same_matrices(self):
+        rep = rep_from_quadrature("log1p", nodes=16, interval=(0.5, 2.0))
+        dense = io.representation_from_payload(json.loads(io.dumps(dense_payload(rep))))
+        sparse = io.representation_from_payload(json.loads(io.dumps(io.representation_payload(rep))))
+        for a, b in zip(rep_matrices(dense), rep_matrices(sparse)):
+            assert np.array_equal(bits(a), bits(b))
+        assert dense.meta == sparse.meta
+
+    def test_negative_zeros_in_the_state_and_basis_round_trip(self):
+        rep = rep_from_quadrature("sqrt", nodes=8, interval=(0.5, 2.0))
+        # the state's Hermitian part keeps an imaginary -0.0 above the diagonal
+        # (and +0.0 below it); negating the basis signs its zeros
+        state = rep.state.copy()
+        state[0, 2], state[2, 0] = complex(0.01, -0.0), complex(0.01, 0.0)
+        signed = PencilRepresentation(rep.pencil, PivotSubspace.from_basis(-rep.pivot.basis), state)
+        assert np.signbit(signed.state[0, 2].imag) and np.signbit(signed.pivot.basis[1, 0].real)
+        back = io.representation_from_payload(json.loads(io.dumps(io.representation_payload(signed))))
+        assert np.array_equal(bits(back.state), bits(signed.state))
+        assert np.array_equal(bits(back.pivot.basis), bits(signed.pivot.basis))
+
     def test_deterministic_dumps(self):
         rng = np.random.default_rng(6)
         m = rand_psd(rng, 3)
@@ -129,6 +187,7 @@ REJECTED = {
     "encode-nan-matrix": lambda: io.encode_matrix(np.array([[1.0, NAN]])),
     "encode-inf-imag-matrix": lambda: io.encode_matrix(np.array([[1.0 + INF * 1j]])),
     "encode-inf-vector": lambda: io.encode_vector(np.array([1.0, -INF])),
+    "encode-sparse-nan": lambda: io.encode_sparse(np.array([[0.0, 0.0], [NAN, 0.0]])),
     "decode-nan": lambda: io.decode_matrix([[[NAN, 0.0]]]),
     "decode-inf-imag": lambda: io.decode_matrix([[[0.0, INF]]]),
     "decode-vector-nan": lambda: io.decode_vector([[1.0, 0.0], [0.0, NAN]]),
@@ -143,6 +202,36 @@ REJECTED = {
     "vector-of-reals": lambda: io.decode_vector([1.0, 2.0]),
     "not-a-list": lambda: io.decode_matrix({"re": 1.0}),
 }
+
+
+def sparse(entries, shape=(2, 2)):
+    return lambda: io.decode_matrix({"shape": list(shape), "entries": entries})
+
+
+REJECTED.update({
+    "sparse-row-out-of-range": sparse([[2, 0, 1.0, 0.0]]),
+    "sparse-column-out-of-range": sparse([[0, 2, 1.0, 0.0]]),
+    "sparse-index-negative": sparse([[-1, 0, 1.0, 0.0]]),
+    "sparse-index-fractional": sparse([[0.5, 0, 1.0, 0.0]]),
+    "sparse-index-float": sparse([[1.0, 0, 1.0, 0.0]]),
+    "sparse-index-string": sparse([["0", 0, 1.0, 0.0]]),
+    "sparse-index-bool": sparse([[True, 0, 1.0, 0.0]]),
+    "sparse-duplicate": sparse([[0, 1, 1.0, 0.0], [1, 1, 2.0, 0.0], [0, 1, 3.0, 0.0]]),
+    "sparse-entry-of-three": sparse([[0, 0, 1.0]]),
+    "sparse-entry-of-five": sparse([[0, 0, 1.0, 0.0, 0.0]]),
+    "sparse-entry-not-a-list": sparse([1.0]),
+    "sparse-nan": sparse([[0, 0, NAN, 0.0]]),
+    "sparse-inf-imag": sparse([[1, 1, 0.0, -INF]]),
+    "sparse-string-value": sparse([[0, 0, "1.0", 0.0]]),
+    "sparse-null-value": sparse([[0, 0, 1.0, None]]),
+    "sparse-no-shape": lambda: io.decode_matrix({"entries": []}),
+    "sparse-no-entries": lambda: io.decode_matrix({"shape": [2, 2]}),
+    "sparse-entries-not-a-list": lambda: io.decode_matrix({"shape": [2, 2], "entries": {}}),
+    "sparse-negative-shape": sparse([], shape=(-1, 2)),
+    "sparse-shape-of-one": sparse([], shape=(2,)),
+    "sparse-shape-of-floats": sparse([], shape=(2.0, 2.0)),
+    "sparse-shape-too-big": sparse([], shape=(2**62, 2**62)),
+})
 
 
 class TestArrayCodec:
@@ -173,6 +262,16 @@ class TestArrayCodec:
     def test_empty_payloads(self):
         assert io.decode_vector([]).shape == (0,)
         assert io.decode_matrix([[], []]).shape == (2, 0)
+
+    def test_sparse_entries_are_the_pairs_bit_for_bit(self):
+        m = np.zeros((3, 4), dtype=complex)
+        m[0, 0], m[0, 3], m[1, 1], m[2, 0] = complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324 - 1e308j, 2.5
+        stored = io.encode_sparse(m)
+        assert stored == {"shape": [3, 4], "entries": [[0, 0, -0.0, 0.0], [0, 3, 0.0, -0.0],
+                                                       [1, 1, 5e-324, -1e308], [2, 0, 2.5, 0.0]]}
+        back = io.decode_matrix(json.loads(io.dumps(stored)))
+        assert np.array_equal(bits(back), bits(m))
+        assert io.decode_matrix({"shape": [0, 3], "entries": []}).shape == (0, 3)
 
     def test_a_tuple_payload_without_matrices_is_refused(self, tmp_path):
         with pytest.raises(errors.DataError, match="no matrices"):
