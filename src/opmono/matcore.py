@@ -52,6 +52,7 @@ __all__ = [
     "min_eig",
     "min_eig_above",
     "psd_floor",
+    "readonly",
     "require_psd",
     "funcalc",
     "tensor",
@@ -132,6 +133,10 @@ class Tolerances:
             if getattr(self, name) < 0:
                 raise BadConfig(f"tolerance {name} must be nonnegative")
 
+    def psd_floor_at(self, norm: np.ndarray | float) -> np.ndarray | float:
+        """The PSD floor ``psd * (1 + norm)`` of members whose Frobenius norms are ``norm``."""
+        return self.psd * (1.0 + norm)
+
 
 DEFAULT_TOL = Tolerances()
 
@@ -153,6 +158,21 @@ class SectorEstimate:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose, acting on the last two axes."""
     return np.conj(np.swapaxes(a, -1, -2))
+
+
+def readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a complex array that cannot be written.
+
+    A writable or borrowed array is copied, so the caller's array stays
+    writable and no later edit of it reaches the copy.  A read-only complex
+    array that owns its data, such as a fresh result its maker has frozen,
+    is kept as it is.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:
@@ -279,7 +299,7 @@ def loewner_margin(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
 
 def psd_floor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | float:
     """The PSD floor ``psd * (1 + ||a||_F)`` of each member of a stack (``Tolerances``)."""
-    return tol.psd * (1.0 + fro_norm(a))
+    return tol.psd_floor_at(fro_norm(a))
 
 
 def require_psd(

@@ -36,6 +36,7 @@ from .matcore import (
     check_args,
     dagger,
     herm_part,
+    readonly,
     require_psd,
     sector_estimate,
 )
@@ -57,7 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RawPencil:
-    """Coefficient list checked by ``matcore.check_args`` only: finite, square, of one size, no stack."""
+    """Coefficient list checked by ``matcore.check_args`` only: finite, square, of one size, no stack.
+
+    The coefficients are kept read-only (``matcore.readonly``, which copies
+    any array the caller can still write), so a ``schur.SchurCore`` built
+    from them cannot go stale.
+    """
 
     coeffs: tuple[np.ndarray, ...]
 
@@ -65,7 +71,7 @@ class RawPencil:
         if len(self.coeffs) < 2:
             raise ArityMismatch("a pencil needs B_0 and at least one B_i")
         coeffs = check_args(self.coeffs, len(self.coeffs), "pencil", one=True)
-        object.__setattr__(self, "coeffs", tuple(np.asarray(b, dtype=complex) for b in coeffs))
+        object.__setattr__(self, "coeffs", tuple(readonly(b) for b in coeffs))
 
     @property
     def arity(self) -> int:
@@ -115,6 +121,8 @@ def pencil_new(
     """
     raw = RawPencil(tuple(coeffs))
     hermed = tuple(herm_part(b) for b in raw.coeffs)
+    for b in hermed:  # fresh, so frozen here and kept by LinearPencil without a copy
+        b.setflags(write=False)
     if margins is None:
         margins = [require_psd(b, CoefficientNotPSD, f"B_{idx}", tol) for idx, b in enumerate(hermed[1:], 1)]
     coeff_margin = min(require_psd(hermed[0], CoefficientNotPSD, "B_0", tol), *margins)

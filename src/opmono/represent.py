@@ -295,6 +295,12 @@ class PencilRepresentation:
     (T (x) I) against the coefficient tensor factor.  ``fn`` is the realized
     function as a ``FreeFn``, declared operator monotone and concave, as is
     every function with a pencil representation.
+
+    The state, like the pencil's coefficients and the pivot basis, is kept
+    as a read-only array of its own: the caller's arrays stay writable, and
+    an in-place edit raises ValueError.  So each cached ``core`` computes
+    the state's pivot-block weights once (``SchurCore.state_weights``) and
+    reuses them on every evaluation.
     """
 
     pencil: LinearPencil
@@ -312,6 +318,7 @@ class PencilRepresentation:
             raise DomainViolation("state must have unit trace")
         if self.pivot.ambient_dim != self.pencil.size:
             raise DimensionMismatch("pivot must live on the coefficient space")
+        state.setflags(write=False)  # herm_part's fresh array, so the caller's stays writable
         object.__setattr__(self, "state", state)
 
     @property

@@ -40,6 +40,7 @@ from .matcore import (
     min_eig_above,
     psd_floor,
     re_part,
+    readonly,
     require_psd,
     sector_certified_alpha,
     sector_estimate,
@@ -62,13 +63,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PivotSubspace:
-    """Orthonormal basis of a distinguished subspace S and its projection."""
+    """Orthonormal basis of a distinguished subspace S and its projection.
+
+    The basis is kept read-only (``matcore.readonly``).
+    """
 
     ambient_dim: int
     basis: np.ndarray  # (ambient_dim, m), orthonormal columns
 
     def __post_init__(self) -> None:
-        basis = np.asarray(self.basis, dtype=complex)
+        basis = readonly(self.basis)
         if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
             raise DimensionMismatch("basis must be ambient_dim x m")
         if not np.isfinite(basis).all():
@@ -239,16 +243,19 @@ def sector_bound_check(
     )
 
 
+def _in_halfspace(part, x: tuple[np.ndarray, ...], floors: list) -> np.ndarray:
+    """Per member of the stacked tuple: ``part`` of each component is above that component's floor."""
+    return np.logical_and.reduce([min_eig_above(part(m), f) > f for m, f in zip(x, floors)])
+
+
 def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Per member of the stacked tuple: all components have positive definite real part."""
-    floors = [psd_floor(m, tol) for m in x]
-    return np.logical_and.reduce([min_eig_above(re_part(m), f) > f for m, f in zip(x, floors)])
+    return _in_halfspace(re_part, x, [psd_floor(m, tol) for m in x])
 
 
 def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Per member of the stacked tuple: all components have positive definite imaginary part."""
-    floors = [psd_floor(m, tol) for m in x]
-    return np.logical_and.reduce([min_eig_above(im_part(m), f) > f for m, f in zip(x, floors)])
+    return _in_halfspace(im_part, x, [psd_floor(m, tol) for m in x])
 
 
 def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -346,7 +353,9 @@ class SchurCore:
     ``tol.rank`` cut of ``range_eigh``; ``essential`` (g, K, r, r) holds the
     coefficients compressed to T = E W^{-1/2}, which sum to the identity:
     every essential direction has unit weight.  Both are None if nothing is
-    eliminated.
+    eliminated.  The constants of a group's half-space checks, sqrt(w) and
+    the 16 eps kappa of its floor, are computed here once, as are a state's
+    weights (``state_weights``).
     """
 
     def __init__(self, pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL):
@@ -368,11 +377,31 @@ class SchurCore:
                 w, e = (range_eigh(c.sum(axis=0), tol) if comp.size > kept
                         else (np.ones(0), np.zeros((comp.size, 0))))
                 shapes.setdefault((kept, comp.size, w.size), []).append((comp, c, e / np.sqrt(w), w))
-        self.groups = []
+        self.groups, self._sector = [], []
         for (kept, _, rank), members in shapes.items():
             index, c, t, w = (np.stack(z) for z in zip(*members))
             essential = dagger(t)[:, None] @ c @ t[:, None] if rank else None
             self.groups.append((kept, index, c, essential, w if rank else None))
+            self._sector.append((np.sqrt(w), 16 * np.finfo(float).eps * (w[:, -1] / w[:, 0])) if rank else None)
+        self._kept_state = (None, None)  # the last read-only state and its weights
+
+    def state_weights(self, state: np.ndarray) -> list[np.ndarray]:
+        """Per group, Q* T Q (T the state, Q ``pivot.basis``) at each member's kept pivot directions.
+
+        These (g, kept, kept) entries are all the partial trace of
+        ``evaluate`` reads of the state.  They are kept for the next call
+        when ``state`` is read-only and owns its data, as a
+        ``PencilRepresentation``'s state does; any other state is compressed
+        afresh on every call, so an edit between calls is seen.
+        """
+        frozen = isinstance(state, np.ndarray) and not state.flags.writeable and state.flags.owndata
+        if frozen and self._kept_state[0] is state:
+            return self._kept_state[1]
+        t = dagger(self.basis) @ state @ self.basis
+        weights = [t[index[:, :kept, None], index[:, None, :kept]] for kept, index, *_ in self.groups]
+        if frozen:
+            self._kept_state = (state, weights)
+        return weights
 
     def evaluate(
         self,
@@ -386,13 +415,16 @@ class SchurCore:
         tuple, or with ``state`` as its partial trace against the state
         compressed to S, shape ``(..., n, n)`` for a tuple stacked on leading
         axes; a whole complement takes one tuple (DimensionMismatch for a
-        stack).  With ``halfspace`` every member must lie in an operator
-        half-space (else DomainViolation).  Each eliminated component is
-        certified sectorial on its normalized essential block L~ = T* L T,
-        T = E W^{-1/2} (x) I, at theta = 0 for a right half-space member and
-        at the ``_aim`` of an upper one: lambda_min(Re(e^{i theta} L~)) must
-        exceed the floor of ``Tolerances``, else NotSectorial for a right
-        member and RotationNotFound for an upper one (a NaN aim included).
+        stack).  The compressed state's weights come from ``state_weights``:
+        once per core for a read-only state such as a representation's,
+        afresh on every call for a writable one.  With ``halfspace`` every
+        member must lie in an operator half-space (else DomainViolation).
+        Each eliminated component is certified sectorial on its normalized
+        essential block L~ = T* L T, T = E W^{-1/2} (x) I, at theta = 0 for a
+        right half-space member and at the ``_aim`` of an upper one:
+        lambda_min(Re(e^{i theta} L~)) must exceed the floor of
+        ``Tolerances``, else NotSectorial for a right member and
+        RotationNotFound for an upper one (a NaN aim included).
         For invertible T, Re(e^{i theta} T* L T) = T* Re(e^{i theta} L) T, so
         this certifies Re(e^{i theta} L) > 0 on the same essential directions,
         and the sector angle is the same.  ``_check_sector_bound`` then checks
@@ -405,8 +437,9 @@ class SchurCore:
         args = pencil_arguments(self.pencil, x, shifted=True, one=state is None)
         lead, n = args.shape[:-3], args.shape[-1]
         if halfspace:
-            right = np.broadcast_to(in_right_halfspace(x, tol), lead)
-            if not (right.all() or np.all(right | in_upper_halfspace(x, tol))):
+            floors = [psd_floor(m, tol) for m in x]  # each slot's, for both half-spaces
+            right = np.broadcast_to(_in_halfspace(re_part, x, floors), lead)
+            if not (right.all() or np.all(right | _in_halfspace(im_part, x, floors))):
                 raise DomainViolation("tuple lies in neither operator half-space")
             theta = np.zeros(lead)
             if not right.all():
@@ -414,34 +447,33 @@ class SchurCore:
         args = args[..., None, :, :, :]  # against the members of each group
         m = self.basis.shape[1]
         out = np.zeros((m, n, m, n) if state is None else lead + (n, n), dtype=complex)
-        t = None if state is None else dagger(self.basis) @ state @ self.basis
+        weights = None if state is None else self.state_weights(state)
         checks = []
-        for kept, index, coeffs, essential, weights in self.groups:
+        for i, (kept, index, coeffs, essential, _) in enumerate(self.groups):
             full = kron_sum(coeffs, args)
             k = kept * n
             comp = full[..., :k, :k]
             if essential is not None:
                 comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k], tol)
                 if halfspace:
-                    checks.append((kron_sum(essential, args), weights, comp))
+                    checks.append((kron_sum(essential, args), *self._sector[i], comp))
             comp = comp.reshape(comp.shape[:-2] + (kept, n, kept, n))
-            rows, cols = index[:, :kept, None], index[:, None, :kept]
             if state is None:
-                out[rows, :, cols, :] = comp.transpose(0, 1, 3, 2, 4)
+                out[index[:, :kept, None], :, index[:, None, :kept], :] = comp.transpose(0, 1, 3, 2, 4)
             else:
-                out += np.einsum("gsr,...grisj->...ij", t[rows, cols], comp)
+                out += np.einsum("gsr,...grisj->...ij", weights[i], comp)
         out = out.reshape(m * n, m * n) if state is None else out
         if halfspace:
-            for normalized, w, comp in checks:
+            for normalized, root, slack, comp in checks:
                 rotated = np.exp(1j * theta)[..., None, None, None] * normalized
-                kappa = w[:, -1] / w[:, 0]
-                floor = psd_floor(normalized, tol) + 16 * np.finfo(float).eps * kappa * fro_norm(normalized)
+                size = fro_norm(normalized)
+                floor = tol.psd_floor_at(size) + slack * size
                 failed = ~(min_eig_above(rotated, floor) > floor)  # NaN aims fail
                 if np.any(failed & right[..., None]):
                     raise NotSectorial("an eliminated component of a right member is not sectorial")
                 if failed.any():
                     raise RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
-                root = np.repeat(np.sqrt(w), n, axis=-1)
+                root = np.repeat(root, n, axis=-1)
                 _check_sector_bound(rotated, root[:, :, None] * normalized * root[:, None, :], comp, tol)
             upper = out[~right]  # right is 0-d for a whole complement, so this adds an axis
             floor = -psd_floor(upper, tol)

@@ -16,8 +16,8 @@ from opmono.freefun import (
     power_mean_fn,
     resolve_function,
 )
-from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig, psd_floor
-from opmono.pencil import pencil_new
+from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig, psd_floor, readonly
+from opmono.pencil import RawPencil, pencil_new
 from opmono.represent import (
     PencilRepresentation,
     _graph_margins,
@@ -41,7 +41,7 @@ from opmono.sampling import (
     rand_unitary,
     spd_plan,
 )
-from opmono.schur import PivotSubspace
+from opmono.schur import PivotSubspace, SchurCore
 
 
 class TestSupportPencil:
@@ -693,3 +693,112 @@ class TestStackedContract:
         assert monotone_test(fn, n=3, trials=60, seed=43).passed
         assert concave_test(fn, n=3, trials=40, seed=44).passed
         assert hypograph_convexity_test(fn, n=3, m=2, trials=40, seed=45).passed
+
+
+# ---------------------------------------------------------------------------
+# the state's pivot-block weights, computed once per core
+
+
+@pytest.fixture(scope="module")
+def workload_reps():
+    """The continuation benchmark's three quadrature representations."""
+    return {
+        "sqrt": rep_from_quadrature("sqrt", nodes=64, interval=(0.1, 10.0)),
+        "log1p": rep_from_quadrature("log1p", nodes=32, interval=(0.1, 10.0)),
+        "pow:0.7": rep_from_quadrature("pow", nodes=48, interval=(0.1, 10.0), p=0.7),
+    }
+
+
+class TestStateWeightsOncePerCore:
+    @pytest.mark.parametrize("which", ["sqrt", "log1p", "pow:0.7"])
+    def test_equal_to_a_fresh_core_on_a_writable_state(self, which, workload_reps):
+        rep = workload_reps[which]
+        fresh = SchurCore(rep.pencil, rep.pivot)
+        rng = np.random.default_rng(60)
+        for n in range(2, 7):
+            for lead in ((), (3,)):  # one tuple and a stack of three
+                h = np.stack([rand_herm(rng, n) for _ in range(max(lead, default=1))]).reshape(lead + (n, n))
+                p = np.stack([rand_psd(rng, n) + 0.1 * np.eye(n) for _ in range(max(lead, default=1))])
+                p = p.reshape(lead + (n, n))
+                for z in (h + 1j * p, p + 1j * h):
+                    assert np.array_equal(rep_eval_complex(rep, (z,)),
+                                          fresh.evaluate((z,), state=rep.state.copy(), halfspace=True))
+                assert np.array_equal(rep_eval(rep, (p,)),
+                                      herm_part(fresh.evaluate((p,), state=rep.state.copy())))
+
+    def test_a_representation_compresses_its_state_once(self, monkeypatch):
+        rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
+        core = rep.core()
+        returned = []
+        weights = SchurCore.state_weights
+        monkeypatch.setattr(SchurCore, "state_weights",
+                            lambda self, s: returned.append(weights(self, s)) or returned[-1])
+        rng = np.random.default_rng(61)
+        for _ in range(3):
+            p = rand_psd(rng, 3) + 0.1 * np.eye(3)
+            h = rand_herm(rng, 3)
+            rep_eval(rep, (p,))
+            rep_eval_complex(rep, (h + 1j * p,))
+            rep_eval_complex(rep, (p + 1j * h,))
+        assert len(returned) == 9 and rep.core() is core
+        assert all(w is returned[0] for w in returned)  # one compression, read nine times
+
+    def test_each_state_gets_its_own_weights(self):
+        rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
+        core = SchurCore(rep.pencil, rep.pivot)
+        rng = np.random.default_rng(62)
+        z = (rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)),)
+        first, second = rep.state.copy(), np.diag(rng.uniform(0.0, 1.0, rep.pencil.size))
+        results = []
+        for state in (first, second, first):
+            results.append(core.evaluate(z, state=state, halfspace=True))
+            assert np.array_equal(results[-1], SchurCore(rep.pencil, rep.pivot).evaluate(z, state=state.copy(),
+                                                                                       halfspace=True))
+        assert not np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
+        first[0, 0] += 1.0  # edited in place between calls
+        edited = core.evaluate(z, state=first, halfspace=True)
+        assert not np.array_equal(edited, results[0])
+        assert np.array_equal(edited, SchurCore(rep.pencil, rep.pivot).evaluate(z, state=first.copy(),
+                                                                                halfspace=True))
+        # read-only states are kept one at a time, each under its own identity
+        for state in (rep.state, readonly(second), rep.state):
+            assert np.array_equal(core.evaluate(z, state=state, halfspace=True),
+                                  results[0] if state is rep.state else results[1])
+
+    def test_each_slot_floor_is_taken_once(self, count_calls, workload_reps):
+        # one psd_floor of the slot serves both half-space tests and one
+        # serves the output's imaginary part; each eliminated component's
+        # floor reads the norm its kappa term takes (Tolerances.psd_floor_at)
+        from opmono import schur
+
+        rep = workload_reps["log1p"]
+        rng = np.random.default_rng(63)
+        h, p = rand_herm(rng, 3), rand_psd(rng, 3) + 0.1 * np.eye(3)
+        for z, upper_members in ((h + 1j * p, 1), (p + 1j * h, 0)):
+            calls = count_calls(schur, "psd_floor")
+            rep_eval_complex(rep, (z,))
+            assert calls == [(3, 3), (upper_members, 3, 3)]
+
+
+class TestReadOnlyArrays:
+    def test_a_representation_refuses_in_place_edits(self):
+        rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
+        x = (np.diag([0.5, 2.0]),)
+        before = rep_eval(rep, x)
+        for target in (rep.pencil.coeffs[0], rep.pencil.b0, rep.pencil.coeffs[1], rep.pivot.basis, rep.state):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] += 1.0
+        assert np.array_equal(rep_eval(rep, x), before)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_the_callers_arrays_stay_writable_and_apart(self, dtype):
+        b0, b1 = np.diag([2.0, 1.0]).astype(dtype), np.diag([1.0, 0.5]).astype(dtype)
+        basis = np.eye(2, 1).astype(dtype)
+        state = np.diag([1.0, 0.0]).astype(dtype)
+        rep = PencilRepresentation(pencil_new([b0, b1]), PivotSubspace.from_basis(basis), state)
+        raw = RawPencil((b0, b1))
+        for mine in (b0, b1, basis, state):
+            assert mine.flags.writeable
+            mine[0, 0] = 7.0
+        assert rep.pencil.b0[0, 0] == 2.0 and raw.coeffs[0][0, 0] == 2.0 and raw.coeffs[1][0, 0] == 1.0
+        assert rep.pivot.basis[0, 0] == 1.0 and rep.state[0, 0] == 1.0
