@@ -95,8 +95,9 @@ class Tolerances:
     before, so every decision and every failure message is unchanged; the
     slack only decides which stacks need the eigenvalues.  The checks that
     report a value (``require_psd``, the testers' ``_scan``, the support
-    margins, ``_aim``) keep ``min_eig``, as does ``loewner_leq``, whose
-    stacks no benchmarked path checks.
+    margins, ``_aim`` and the cone bound's margin and constants) keep
+    ``min_eig``, as does ``loewner_leq``, whose stacks no benchmarked path
+    checks.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
@@ -120,7 +121,15 @@ class Tolerances:
     ||L~||_F, kappa = w_max / w_min < 1 / rank.  Relative to the unit
     weights the congruence amplifies the rounding of the weakest direction
     up to kappa times, and the second term bounds it, so no ``psd``, however
-    tight, certifies a block at rounding level.
+    tight, certifies a block at rounding level.  Most members never form L~:
+    the cone bound of ``SchurCore.evaluate``, m lambda_min(Herm A_0) less
+    the PSD, dominance and Hermitian deficits of the computed coefficients
+    A_j and 32 (r n + K)^2 eps s for rounding, bounds lambda_min(Re(e^{i
+    theta} L~)) from below, with m = min(cos theta, min_i lambda_min Re(e^{i
+    theta} X_i)) and s = sum_j ||A_j||_F ||Y_j||_F >= ||L~||_F.  It settles
+    a member when it exceeds this floor taken at s (1 + 32 (r n + K)^2 eps),
+    which is at least the floor at ||L~||_F; the members it leaves open form
+    L~ and take the check above.
     """
 
     herm: float = 1e-9

@@ -52,7 +52,7 @@ __all__ = [
     "pencil_direct_sum",
     "pencil_sectorial_check",
     "range_basis",
-    "range_eigh",
+    "range_cut",
 ]
 
 
@@ -181,19 +181,18 @@ def pencil_direct_sum(pencils: list[LinearPencil] | list[RawPencil]) -> LinearPe
     return pencil_new([block_diag(*(p.coeffs[i] for p in pencils)) for i in range(k + 1)])
 
 
-def range_eigh(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of PSD ``a`` on its numerical range-space.
+def range_cut(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Which of the ascending eigenvalues ``w`` (..., d) of PSD matrices lie in the numerical range-space.
 
     Eigenvalues at or below ``tol.rank * lambda_max`` count as zero.
     """
-    w, u = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
-    keep = w > tol.rank * max(float(w[-1]), 0.0)
-    return w[keep], u[:, keep]
+    return w > tol.rank * np.maximum(w[..., -1:], 0.0)
 
 
 def range_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the numerical range-space of PSD ``a`` (``range_eigh``)."""
-    return range_eigh(a, tol)[1]
+    """Orthonormal columns spanning the numerical range-space of PSD ``a`` (``range_cut``)."""
+    w, u = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
+    return u[:, range_cut(w, tol)]
 
 
 def pencil_sectorial_check(

@@ -47,7 +47,7 @@ from .matcore import (
     truncated_pinv,
     unit_vector,
 )
-from .pencil import RawPencil, kron_sum, pencil_arguments, range_eigh
+from .pencil import RawPencil, kron_sum, pencil_arguments, range_cut
 
 __all__ = [
     "PivotSubspace",
@@ -302,6 +302,55 @@ def _aim(z: np.ndarray) -> np.ndarray:
     return -0.5 * np.arctan2(1.0, np.min(min_eig(linv @ re_part(z) @ dagger(linv)), axis=-1))
 
 
+def _cone_margin(args: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per member of the shifted stack ``args`` (..., K, n, n): the norms ||Y_j||_F and the margin m.
+
+    m = min(cos theta, min_i lambda_min Re(e^{i theta} X_i)), X_i = Y_i + I,
+    from one batched ``eigvalsh``, less 32 n^2 eps max_i (||Y_i||_F +
+    sqrt n), more than the rounding of cos theta, of e^{i theta} X_i and of
+    ``eigvalsh`` (``SchurCore.evaluate``).  NaN for a NaN aim.
+    """
+    n = args.shape[-1]
+    norms = fro_norm(args)  # ||I||_F = sqrt(n) first
+    lam = min_eig(np.exp(1j * theta)[..., None, None, None] * (args[..., 1:, :, :] + np.eye(n)))
+    slack = 32 * n * n * np.finfo(float).eps * (norms[..., 1:] + norms[..., :1]).max(axis=-1)
+    return norms, np.minimum(np.cos(theta), lam.min(axis=-1)) - slack
+
+
+def _cone_constants(essential: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The constants of the cone bound (``SchurCore.evaluate``) for essential coefficients A_j (g, K, r, r).
+
+    Per member: lambda_min(H_0); the weight ||Z_j||_F + p_j of each
+    ||Y_j||_F in the allowance (p_0 = 0); d + sum_i p_i; and the norms
+    ||A_j||_F.  The eigenvalues come from one ``eigvalsh`` and are moved
+    towards the safe side by 32 (r + K)^2 eps sum_j ||A_j||_F, more than
+    their rounding and that of the Hermitian parts and of D.
+    """
+    g, terms, rank = essential.shape[:2] + essential.shape[-1:]
+    herm = herm_part(essential)
+    sizes = fro_norm(essential)
+    err = 32 * (rank + terms) ** 2 * np.finfo(float).eps * sizes.sum(axis=-1, keepdims=True)
+    lam = min_eig(np.concatenate([herm, herm[:, :1] - herm[:, 1:].sum(axis=1, keepdims=True)], axis=1))
+    deficit = np.maximum(err - lam, 0.0)  # of Herm A_i at 1..K-1, of the dominance at K
+    dev = fro_norm(essential - herm) + np.concatenate([np.zeros((g, 1)), deficit[:, 1:terms]], axis=1)
+    return lam[:, 0] - err[:, 0], dev, deficit[:, 1:].sum(axis=-1), sizes
+
+
+def _where(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The members of ``a`` where ``mask`` holds, or ``a`` itself, uncopied, where it holds for all."""
+    return a if mask.all() else a[mask]
+
+
+def _pick(a: np.ndarray, mask: np.ndarray, tail: int = 0) -> np.ndarray:
+    """``_where`` of ``a`` broadcast against the stack ``mask.shape``, with its last ``tail`` axes."""
+    return _where(np.broadcast_to(a, mask.shape + a.shape[a.ndim - tail:]), mask)
+
+
+def _columns_settle(comp: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """||S||_F <= max_j ||L e_j|| per member: then ||S||_2 <= ||L||_2, so the sec^2(alpha) bound holds."""
+    return fro_norm(comp) <= np.linalg.norm(block, axis=-2).max(axis=-1)
+
+
 def _check_sector_bound(
     rotated: np.ndarray, block: np.ndarray, comp: np.ndarray, tol: Tolerances
 ) -> None:
@@ -310,7 +359,9 @@ def _check_sector_bound(
     ``rotated`` holds the certified blocks e^{i theta} T* L_c T of
     ``SchurCore.evaluate``.  A congruence keeps the argument of every x* L x,
     so alpha_c, the sector angle of ``sector_certified_alpha``, is read from
-    them; the norms are those of ``block``, the L_c.  Three tiers, each
+    them; the norms are those of ``block``, the L_c.  ``SchurCore.evaluate``
+    passes only the members its first check, tier 1 on full_c where the
+    essential basis spans the component, leaves open.  Three tiers, each
     deciding as the exact check does on the members it settles:
 
     1. ||S_c||_F <= max_j ||L_c e_j||: the bound holds for any alpha, as
@@ -322,7 +373,7 @@ def _check_sector_bound(
     3. Only the members left open (NaN norms included) take their exact
        angle, and compare the same spectral norms.
     """
-    unsettled = ~(fro_norm(comp) <= np.linalg.norm(block, axis=-2).max(axis=-1))
+    unsettled = ~_columns_settle(comp, block)
     if unsettled.any():
         lhs = np.linalg.svd(comp[unsettled], compute_uv=False)[..., 0]
         norms = np.linalg.svd(block[unsettled], compute_uv=False)[..., 0]
@@ -350,12 +401,14 @@ class SchurCore:
     directions (g, c), ``kept`` pivot ones first, and its coefficients
     (g, K, c, c).  The essential directions are the eigenvectors E of the
     coefficient sum whose eigenvalues, the ``weights`` w (g, r), pass the
-    ``tol.rank`` cut of ``range_eigh``; ``essential`` (g, K, r, r) holds the
+    ``tol.rank`` cut of ``pencil.range_cut``, from one stacked ``eigh`` per
+    component size; ``essential`` (g, K, r, r) holds the
     coefficients compressed to T = E W^{-1/2}, which sum to the identity:
     every essential direction has unit weight.  Both are None if nothing is
     eliminated.  The constants of a group's half-space checks, sqrt(w) and
     the 16 eps kappa of its floor, are computed here once, as are a state's
-    weights (``state_weights``).
+    weights (``state_weights``); those of the cone bound wait for the first
+    half-space evaluation (``_cone_bound``).
     """
 
     def __init__(self, pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL):
@@ -366,17 +419,25 @@ class SchurCore:
         coeffs = dagger(u) @ np.stack(pencil.coeffs) @ u
         support = np.abs(coeffs).sum(axis=0)
         reach = (support > tol.rank * support.max()) | np.eye(pencil.size, dtype=bool)
-        while not np.array_equal(grown := reach @ reach, reach):  # transitive closure
+        # transitive closure: a product of 0/1 matrices is positive exactly where the boolean one is true;
+        # a BLAS product in the dtype of the core's other products, 5x faster than numpy's boolean one at 128
+        while not np.array_equal(grown := ((f := reach.astype(complex)) @ f).real > 0, reach):
             reach = grown
-        shapes: dict[tuple[int, int, int], list] = {}
+        found, by_size = [], {}  # each component with a pivot direction; those to eliminate by size
         for first in np.unique(reach.argmax(axis=1)):
             comp = np.flatnonzero(reach[first])  # sorted, so pivot directions come first
-            kept = int(np.count_nonzero(comp < pivot.dim))
-            if kept:
-                c = coeffs[:, comp[:, None], comp]
-                w, e = (range_eigh(c.sum(axis=0), tol) if comp.size > kept
-                        else (np.ones(0), np.zeros((comp.size, 0))))
-                shapes.setdefault((kept, comp.size, w.size), []).append((comp, c, e / np.sqrt(w), w))
+            if kept := int(np.count_nonzero(comp < pivot.dim)):
+                if comp.size > kept:
+                    by_size.setdefault(comp.size, []).append(len(found))
+                found.append((comp, kept, coeffs[:, comp[:, None], comp]))
+        spectra = {}  # one eigh per component size, cut per member as range_basis cuts
+        for idx in by_size.values():
+            w, e = np.linalg.eigh(herm_part(np.stack([found[j][2] for j in idx]).sum(axis=1)))
+            spectra.update((j, (wj[keep], ej[:, keep])) for j, wj, ej, keep in zip(idx, w, e, range_cut(w, tol)))
+        shapes: dict[tuple[int, int, int], list] = {}
+        for j, (comp, kept, c) in enumerate(found):
+            w, e = spectra.get(j, (np.ones(0), np.zeros((comp.size, 0))))
+            shapes.setdefault((kept, comp.size, w.size), []).append((comp, c, e / np.sqrt(w), w))
         self.groups, self._sector = [], []
         for (kept, _, rank), members in shapes.items():
             index, c, t, w = (np.stack(z) for z in zip(*members))
@@ -384,6 +445,27 @@ class SchurCore:
             self.groups.append((kept, index, c, essential, w if rank else None))
             self._sector.append((np.sqrt(w), 16 * np.finfo(float).eps * (w[:, -1] / w[:, 0])) if rank else None)
         self._kept_state = (None, None)  # the last read-only state and its weights
+        self._cone = None  # the constants of _cone_bound, per group
+
+    def _cone_bound(self, i: int, norms: np.ndarray, margin: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per member of group ``i`` (..., g): the cone bound on lambda_min Re(e^{i theta} L~) and a floor above L~'s.
+
+        ``norms`` and ``margin`` are ``_cone_margin``'s; the bound and its
+        allowances are derived in ``evaluate``.  The groups' constants are
+        computed on the core's first call, so a core that never checks a
+        half-space, such as ``reconstruct``'s, pays nothing for them.
+        """
+        if self._cone is None:
+            self._cone = [None if group[3] is None else _cone_constants(group[3]) for group in self.groups]
+        lam0, dev, const, sizes = self._cone[i]
+        terms, rank = sizes.shape[-1], self.groups[i][3].shape[-1]
+        u = 32 * (rank * n + terms) ** 2 * np.finfo(float).eps
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound or floor that is not finite settles nothing
+            s = norms @ sizes.T  # >= ||L~||_F
+            top = s * (1.0 + u)
+            floor = self.tol.psd_floor_at(top) + self._sector[i][1] * top
+            m = margin[..., None]
+            return np.where(m > 0, m * lam0 - (norms @ dev.T + const + u * s), -np.inf), floor
 
     def state_weights(self, state: np.ndarray) -> list[np.ndarray]:
         """Per group, Q* T Q (T the state, Q ``pivot.basis``) at each member's kept pivot directions.
@@ -427,11 +509,46 @@ class SchurCore:
         RotationNotFound for an upper one (a NaN aim included).
         For invertible T, Re(e^{i theta} T* L T) = T* Re(e^{i theta} L) T, so
         this certifies Re(e^{i theta} L) > 0 on the same essential directions,
-        and the sector angle is the same.  ``_check_sector_bound`` then checks
-        the sec^2(alpha) bound, and every upper member's output must keep a
-        PSD imaginary part (else HalfPlaneViolated).  Neither the angle nor
-        the scaling enters the complement, so the result equals that without
-        ``halfspace``.
+        and the sector angle is the same.
+
+        The cone bound settles the check without forming L~.  L~ = sum_j
+        A_j (x) Y_j, Y = (I, X_1 - I, ...), and the essential coefficients
+        A_j sum to I (A_0 >= I/2 for a validated pencil).  With H_j, Z_j the
+        Hermitian and skew parts of A_j, D = H_0 - sum H_i, R_i = Re(e^{i
+        theta} X_i), m = min(cos theta, min_i lambda_min R_i), and p_i, d the
+        PSD deficits of H_i and D: Re(e^{i theta} L~) = cos theta D (x) I +
+        sum_i H_i (x) R_i + Herm(e^{i theta} sum_j Z_j (x) Y_j), and for
+        m >= 0, cos theta D >= m (D + d) - d, H_i (x) R_i >= m (H_i + p_i)
+        (x) I - p_i ||R_i||_2, ||R_i||_2 <= ||Y_i||_F + 1, so
+        lambda_min Re(e^{i theta} L~) >= m lambda_min(H_0) - d
+        - sum_i p_i (||Y_i||_F + 1) - sum_j ||Z_j||_F ||Y_j||_F.
+        ``_cone_bound`` subtracts u s more, s = sum_j ||A_j||_F ||Y_j||_F >=
+        ||L~||_F, u = 32 (r n + K)^2 eps, for the rounding of forming,
+        rotating and symmetrizing L~ and of the ``eigvalsh`` deciding it;
+        lambda_min(H_0), d and the p_i move by 32 (r + K)^2 eps
+        sum_j ||A_j||_F (``_cone_constants``), m by 32 n^2 eps
+        max_i (||Y_i||_F + sqrt n) (``_cone_margin``), each to the safe side.
+        A member is settled when the bound exceeds tol.psd_floor_at(s (1 +
+        u)) + 16 eps kappa s (1 + u), at least its floor; m <= 0, so a NaN
+        aim, settles nothing.  It costs one batched ``eigvalsh`` of the
+        arguments in an evaluation that takes it, and one per group in the
+        core's first.
+
+        ``_check_sector_bound``'s first check is made here, before the cone
+        bound, on full_c, the component block eliminated: where a group's
+        essential basis E spans its component (rank equals component size),
+        L_c = E* full_c E, E unitary, so ||S_c||_F <= max_j ||full_c e_j||
+        settles the member.  The cone bound is taken only for a group in
+        which this check settles some member; elsewhere every member forms
+        L~ anyway, and its floor check costs no more than the bound.
+
+        Only the members these two checks leave open form L~ and its
+        rotation; those the cone bound leaves open take the floor check, and
+        all of them take ``_check_sector_bound``, as every member did before,
+        so every outcome and message is unchanged.  Last, every upper
+        member's output must keep a PSD imaginary part (else
+        HalfPlaneViolated).  Neither the angle nor the scaling enters the
+        complement, so the result equals that without ``halfspace``.
         """
         tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True, one=state is None)
@@ -444,6 +561,7 @@ class SchurCore:
             theta = np.zeros(lead)
             if not right.all():
                 theta[~right] = _aim(args[~right][:, 1:] + np.eye(n))  # from the X_i of upper members
+            shifted, cone = args, None  # _cone_margin's, taken when a group first needs it
         args = args[..., None, :, :, :]  # against the members of each group
         m = self.basis.shape[1]
         out = np.zeros((m, n, m, n) if state is None else lead + (n, n), dtype=complex)
@@ -455,8 +573,17 @@ class SchurCore:
             comp = full[..., :k, :k]
             if essential is not None:
                 comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k], tol)
-                if halfspace:
-                    checks.append((kron_sum(essential, args), *self._sector[i], comp))
+                if halfspace:  # full_c settles a member's first sector check, the cone bound its floor check
+                    pick = ~_columns_settle(comp, full) if essential.shape[-1] == coeffs.shape[-1] else True
+                    low = np.broadcast_to(pick, comp.shape[:-2])
+                    if not low.all():  # where every member forms its block, its floor check costs no more
+                        cone = _cone_margin(shifted, theta) if cone is None else cone
+                        bound, floor = self._cone_bound(i, *cone, n)
+                        low = ~(bound > floor)
+                    pick = low | pick
+                    if pick.any():  # only these form their blocks
+                        checks.append((i, pick, low, kron_sum(_pick(essential, pick, 3), _pick(args, pick, 3)),
+                                       _where(comp, pick)))
             comp = comp.reshape(comp.shape[:-2] + (kept, n, kept, n))
             if state is None:
                 out[index[:, :kept, None], :, index[:, None, :kept], :] = comp.transpose(0, 1, 3, 2, 4)
@@ -464,17 +591,20 @@ class SchurCore:
                 out += np.einsum("gsr,...grisj->...ij", weights[i], comp)
         out = out.reshape(m * n, m * n) if state is None else out
         if halfspace:
-            for normalized, root, slack, comp in checks:
-                rotated = np.exp(1j * theta)[..., None, None, None] * normalized
-                size = fro_norm(normalized)
-                floor = tol.psd_floor_at(size) + slack * size
-                failed = ~(min_eig_above(rotated, floor) > floor)  # NaN aims fail
-                if np.any(failed & right[..., None]):
-                    raise NotSectorial("an eliminated component of a right member is not sectorial")
-                if failed.any():
-                    raise RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
-                root = np.repeat(root, n, axis=-1)
-                _check_sector_bound(rotated, root[:, :, None] * normalized * root[:, None, :], comp, tol)
+            for i, pick, low, normalized, comp in checks:
+                root, slack = self._sector[i]
+                rotated = np.exp(1j * _pick(theta[..., None], pick))[..., None, None] * normalized
+                if low.any():
+                    inner = _where(low, pick)
+                    size = fro_norm(_where(normalized, inner))
+                    floor = tol.psd_floor_at(size) + _pick(slack, low) * size
+                    failed = ~(min_eig_above(_where(rotated, inner), floor) > floor)  # NaN aims fail
+                    if np.any(failed & _pick(right[..., None], low)):
+                        raise NotSectorial("an eliminated component of a right member is not sectorial")
+                    if failed.any():
+                        raise RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
+                root = _pick(np.repeat(root, n, axis=-1), pick, 1)
+                _check_sector_bound(rotated, root[..., :, None] * normalized * root[..., None, :], comp, tol)
             upper = out[~right]  # right is 0-d for a whole complement, so this adds an axis
             floor = -psd_floor(upper, tol)
             lam = min_eig_above(im_part(upper), floor)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -9,16 +9,25 @@ from opmono.freefun import resolve_function
 from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
+    block_diag,
     fro_norm,
     herm_certify,
     herm_part,
     im_part,
     min_eig,
+    psd_floor,
     re_part,
     sector_certified_alpha,
     sector_estimate,
 )
-from opmono.pencil import RawPencil, pencil_eval_shifted, pencil_new, pencil_sectorial_check
+from opmono.pencil import (
+    RawPencil,
+    kron_sum,
+    pencil_arguments,
+    pencil_eval_shifted,
+    pencil_new,
+    pencil_sectorial_check,
+)
 from opmono.represent import (
     PencilRepresentation,
     rep_eval,
@@ -455,23 +464,22 @@ class TestAimedRotation:
     def sqrt_rep(self):
         return rep_from_quadrature("sqrt", nodes=64, interval=(0.1, 10.0))
 
-    def test_each_upper_member_makes_one_block_probe(self, count_calls, sqrt_rep):
+    def test_the_cone_bound_settles_every_upper_member(self, count_calls, sqrt_rep):
         # criterion 10's draws outside the right half-space, stacked ten to a
-        # size: one batched cholesky per group proves every member above its
-        # floor at once, so no block takes an eigvalsh; the aim's own
-        # cholesky and eigvalsh are over (members, slots, n, n)
+        # size: the cone bound settles every member's floor check, so no
+        # block takes a cholesky or an eigvalsh; the aim's eigvalsh and the
+        # cone margin's are each one call over (members, slots, n, n)
         rng = np.random.default_rng(120)
         core = sqrt_rep.core()
         for n in range(2, 7):
             draws = (rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n)) for _ in range(100))
             z = np.stack([d for d in draws if not in_right_halfspace((d,))][:10])
             assert len(z) == 10
-            blocks = sorted((len(z), len(index), e.shape[-1] * n, e.shape[-1] * n)
-                            for _, index, _, e, _ in core.groups if e is not None)
+            sizes = {e.shape[-1] * n for _, _, _, e, _ in core.groups if e is not None}
             cholesky, eigvalsh = count_calls(np.linalg, "cholesky"), count_calls(np.linalg, "eigvalsh")
             rep_eval_complex(sqrt_rep, (z,))
-            assert sorted(shape for shape in cholesky if shape in blocks) == blocks
-            assert [shape for shape in eigvalsh if shape in blocks] == []
+            assert [shape for shape in cholesky + eigvalsh if shape[-1] in sizes] == []
+            assert eigvalsh.count((len(z), 1, n, n)) == 2
 
     @pytest.mark.parametrize("case", ["plain", "small_imaginary", "large_real", "both"])
     def test_aim_makes_every_slot_positive(self, case):
@@ -573,8 +581,10 @@ class TestNormalizedCertificate:
                              ids=lambda e: e.__name__)
     def test_a_member_below_its_floor_takes_the_exact_check(self, monkeypatch, error):
         # The first member of each stack passes alone; the second fails the
-        # check named, so the screen's cholesky fails, the whole stack takes
-        # its eigvalsh, and the error and message are the exact check's
+        # check named.  The cone bound settles the first member's floor, so
+        # only the second forms its block; the screen's cholesky fails on
+        # it, it takes its eigvalsh, and the error and message are the exact
+        # check's.  The output check still screens the whole stack.
         pencil, pivot, x, state = below_floor_stack(error)
         core = SchurCore(pencil, pivot)
         core.evaluate(tuple(m[0] for m in x), state=state, halfspace=True)
@@ -587,7 +597,7 @@ class TestNormalizedCertificate:
             assert exact_args[-1] == (2, 2, 2)  # Im of the complements
         else:
             (_, index, _, essential, _), = core.groups
-            assert exact_args[-1] == (2, len(index), essential.shape[-1] * 2, essential.shape[-1] * 2)
+            assert len(index) == 1 and exact_args[-1] == (1, essential.shape[-1] * 2, essential.shape[-1] * 2)
         monkeypatch.setattr(schur, "min_eig_above", lambda a, floor: exact_min_eig(a))
         with pytest.raises(error) as exact:
             core.evaluate(x, state=state, halfspace=True)
@@ -872,3 +882,267 @@ ENTRY_POINTS = {
 def test_non_finite_entry_raises_typed_error(call, bad):
     with pytest.raises(errors.OpmonoError):
         ENTRY_POINTS[call](bad)
+
+
+EPS = np.finfo(float).eps
+
+
+def cone_case(rng, validated):
+    """A core of 1-3 decoupled components and a stack of 1-3 tuples at n = 1..4 and arity 1 or 2.
+
+    Coefficients are PSD of random rank, so some essential ranges miss part
+    of their component.  A validated pencil has B_0 = sum B_i + PSD; an
+    unvalidated one lowers B_0 below that sum, moves a B_i off the PSD cone
+    or off the Hermitian matrices, or has B_0 = 0.  Each member is a right or an upper tuple whose
+    Hermitian part in the half-space runs from about 1e-3 to 10.
+    """
+    k = int(rng.integers(1, 3))
+
+    def psd(d):
+        r = int(rng.integers(0, d + 1))
+        g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        return g @ g.conj().T
+
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        d = int(rng.integers(1, 4))
+        coeffs = [None] + [psd(d) for _ in range(k)]
+        coeffs[0] = sum(coeffs[1:]) + rng.uniform(0.0, 1.0) * psd(d)
+        if not validated:
+            kind = rng.integers(4)
+            if kind == 0:
+                coeffs[0] = coeffs[0] - rng.uniform(0.0, 2.0) * psd(d)
+            elif kind == 1:
+                coeffs[1] = coeffs[1] + rng.uniform(0.0, 0.5) * rand_herm(rng, d)
+            elif kind == 2:
+                coeffs[1] = coeffs[1] + 1j * rng.uniform(0.0, 0.5) * rand_herm(rng, d)  # not Hermitian
+            else:
+                coeffs[0] = np.zeros((d, d))
+        blocks.append(coeffs)
+    coeffs = [block_diag(*(b[j] for b in blocks)) for j in range(k + 1)]
+    if not np.any(coeffs):  # every coefficient drew rank 0
+        coeffs[0] = np.eye(len(coeffs[0]))
+    pencil = pencil_new(coeffs) if validated else RawPencil(tuple(coeffs))
+    size = pencil.size
+    pivot = sorted(rng.choice(size, int(rng.integers(1, size + 1)), replace=False).tolist())
+    n, members = int(rng.integers(1, 5)), []
+    for _ in range(int(rng.integers(1, 4))):
+        upper, scale = rng.random() < 0.6, 10.0 ** rng.uniform(-3, 1)
+        parts = [(rand_herm(rng, n), scale * rand_psd(rng, n) + 1e-3 * np.eye(n)) for _ in range(k)]
+        members.append([h + 1j * p if upper else p + 1j * h for h, p in parts])
+    x = tuple(np.stack([m[i] for m in members]) for i in range(k))
+    return SchurCore(pencil, PivotSubspace.from_indices(size, pivot)), x
+
+
+def blocks_as_formed(core, x):
+    """Per group with eliminated directions: (index, theta, full, comp, rotated, block), every
+    normalized block formed as ``SchurCore.evaluate`` formed it before the cone bound."""
+    tol = core.tol
+    args = pencil_arguments(core.pencil, x, shifted=True)
+    lead, n = args.shape[:-3], args.shape[-1]
+    right = np.broadcast_to(in_right_halfspace(x, tol), lead)
+    theta = np.zeros(lead)
+    if not right.all():
+        theta[~right] = schur._aim(args[~right][:, 1:] + np.eye(n))
+    args = args[..., None, :, :, :]
+    out = []
+    for i, (kept, _, coeffs, essential, weights) in enumerate(core.groups):
+        if essential is None:
+            continue
+        full, k = kron_sum(coeffs, args), kept * n
+        comp = full[..., :k, :k] - full[..., :k, k:] @ schur._eliminate(full[..., k:, k:], full[..., k:, :k], tol)
+        normalized = kron_sum(essential, args)
+        root = np.repeat(np.sqrt(weights), n, axis=-1)
+        rotated = np.exp(1j * theta)[..., None, None, None] * normalized
+        out.append((i, theta, full, comp, rotated, root[:, :, None] * normalized * root[:, None, :]))
+    return right, out
+
+
+def checks_as_before(core, x, state=None):
+    """Reference: ``SchurCore.evaluate(x, state, halfspace=True)`` as it was before the cone bound.
+
+    Every normalized block is formed and held to its floor by its exact
+    smallest eigenvalue, and every member takes the sec^2(alpha) bound at
+    its exact angle.
+    """
+    tol = core.tol
+    args = pencil_arguments(core.pencil, x, shifted=True, one=state is None)
+    floors = [psd_floor(m, tol) for m in x]
+    right = np.broadcast_to(schur._in_halfspace(re_part, x, floors), args.shape[:-3])
+    if not (right.all() or np.all(right | schur._in_halfspace(im_part, x, floors))):
+        raise errors.DomainViolation("tuple lies in neither operator half-space")
+    out = core.evaluate(x, state=state)
+    x = tuple(np.broadcast_to(m, args.shape[:-3] + m.shape[-2:]) for m in x)
+    for i, _, _, comp, rotated, block in blocks_as_formed(core, x)[1]:
+        slack = 16 * EPS * core.groups[i][4][:, -1] / core.groups[i][4][:, 0]
+        size = fro_norm(rotated)
+        failed = ~(min_eig(rotated) > tol.psd_floor_at(size) + slack * size)
+        if np.any(failed & right[..., None]):
+            raise errors.NotSectorial("an eliminated component of a right member is not sectorial")
+        if failed.any():
+            raise errors.RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
+        reference_check_sector_bound(rotated, block, comp, tol)
+    upper = out[~right]
+    lam = min_eig(im_part(upper))
+    if np.any(lam < -psd_floor(upper, tol)):
+        raise errors.HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
+    return out
+
+
+def verdict(f, *args, **kwargs):
+    """("ok", output bytes) or (error type, message)."""
+    try:
+        return "ok", f(*args, **kwargs).tobytes()
+    except errors.OpmonoError as exc:
+        return type(exc), str(exc)
+
+
+class TestConeBound:
+    """The cone bound settles a member's floor check, the check on full_c its first sector check,
+    and every member either leaves open takes the checks it took before, with the same outcome."""
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_bound_never_exceeds_the_exact_smallest_eigenvalue(self, seed, validated):
+        # lambda_min Re(e^{i theta} L~) of the formed block is at least the
+        # bound, and the floor the bound is held to is at least the floor of
+        # the formed block
+        core, x = cone_case(np.random.default_rng(seed), validated)
+        args = pencil_arguments(core.pencil, x, shifted=True)
+        n, tol = args.shape[-1], core.tol
+        _, formed = blocks_as_formed(core, x)
+        for i, theta, _, _, rotated, _ in formed:
+            norms, margin = schur._cone_margin(args, theta)
+            bound, floor = core._cone_bound(i, norms, margin, n)
+            assert np.all(bound <= np.linalg.eigvalsh(herm_part(rotated))[..., 0])
+            weights = core.groups[i][4]
+            size = fro_norm(rotated)
+            assert np.all(floor >= tol.psd_floor_at(size) + 16 * EPS * weights[:, -1] / weights[:, 0] * size)
+
+    def test_bound_settles_validated_members_and_is_sharp(self):
+        # in a half-space a validated pencil's members clear their floors by
+        # far more than the allowances, and the bound is within 1e-6 of the
+        # exact smallest eigenvalue when A_0 = I/2 and m is lambda_min
+        rng = np.random.default_rng(81)
+        settled = total = 0
+        for _ in range(60):
+            core, x = cone_case(rng, validated=True)
+            args = pencil_arguments(core.pencil, x, shifted=True)
+            for i, theta, _, _, _, _ in blocks_as_formed(core, x)[1]:
+                bound, floor = core._cone_bound(i, *schur._cone_margin(args, theta), args.shape[-1])
+                settled += int(np.count_nonzero(bound > floor))
+                total += bound.size
+        assert settled >= 0.9 * total > 0
+        # (B, B): A_0 = A_1 = I/2, so L~ = I/2 (x) X and the bound is lambda_min(Re X)/2
+        b = np.array([[1.0, 0.5], [0.5, 1.0]])
+        core = SchurCore(pencil_new([b, b]), PivotSubspace.from_indices(2, [0]))
+        x = np.diag([0.3, 2.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        args = pencil_arguments(core.pencil, (x,), shifted=True)
+        norms, margin = schur._cone_margin(args, np.zeros(()))
+        bound, _ = core._cone_bound(0, norms, margin, 2)
+        assert 0.0 <= min_eig(x) / 2 - bound[0] <= 1e-6
+        # m * lambda_min(A_0) bounds nothing when m < 0, even where A_0 has a negative eigenvalue
+        core = SchurCore(RawPencil((-b / 2, b)), PivotSubspace.from_indices(2, [0]))  # A_0 = -I
+        bound, _ = core._cone_bound(0, norms, np.array(-1.0), 2)
+        assert core._cone[0][0][0] < 0 and bound[0] == -np.inf
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_check_on_full_c_never_settles_a_failing_member(self, seed, validated):
+        core, x = cone_case(np.random.default_rng(seed), validated)
+        for i, _, full, comp, rotated, block in blocks_as_formed(core, x)[1]:
+            essential = core.groups[i][3]
+            if essential.shape[-1] < core.groups[i][2].shape[-1]:
+                continue  # the check reads full_c only where E spans the component
+            settled = schur._columns_settle(comp, full)
+            for j in zip(*np.nonzero(settled)):
+                member = tuple(m[j][None] for m in (rotated, block, comp))
+                assert outcome(reference_check_sector_bound, *member, core.tol) is None
+
+    @given(settled_pairs(), st.integers(0, 2**32 - 1), st.floats(0.5, 1.5))
+    def test_check_on_full_c_implies_the_exact_bound(self, pair, seed, stretch):
+        # full_c = (E (x) I) L (E (x) I)* for a unitary E holds the block L
+        # in other coordinates, with ||full_c||_2 = ||L||_2 but other columns
+        rotated, block, comp = pair
+        d = block.shape[-1]
+        e = sampling.rand_unitary(np.random.default_rng(seed), d)
+        full = e @ block @ e.conj().T
+        comp = stretch * comp
+        if schur._columns_settle(comp, full):
+            assert outcome(reference_check_sector_bound, rotated[None], block[None], comp[None], DEFAULT_TOL) is None
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_each_member_passes_or_is_refused_as_before(self, seed, validated, with_state):
+        core, x = cone_case(np.random.default_rng(seed), validated)
+        state = None
+        if with_state:
+            state = rand_psd(np.random.default_rng(seed), core.pencil.size)
+            state /= np.trace(state).real
+        for j in range(len(x[0])):
+            member = tuple(m[j] for m in x)
+            assert verdict(core.evaluate, member, halfspace=True) == verdict(checks_as_before, core, member)
+        if state is not None:
+            got = verdict(core.evaluate, x, state=state, halfspace=True)
+            assert got == verdict(checks_as_before, core, x, state)
+
+    def test_every_refusal_is_met_as_before(self):
+        # unvalidated pencils reach every refusal of the half-space path, each
+        # with the type and message it had when every block was formed
+        rng = np.random.default_rng(83)
+        seen = set()
+        for _ in range(400):
+            core, x = cone_case(rng, validated=bool(rng.random() < 0.2))
+            expected = verdict(checks_as_before, core, x, np.eye(core.pencil.size) / core.pencil.size)
+            assert verdict(core.evaluate, x, state=np.eye(core.pencil.size) / core.pencil.size,
+                           halfspace=True) == expected
+            seen.add(expected[0])
+        assert seen >= {"ok", errors.NotSectorial, errors.RotationNotFound, errors.SectorBoundViolated,
+                        errors.HalfPlaneViolated}
+
+    def test_homogeneous_pencil_at_a_right_tuple_is_not_sectorial(self):
+        # B_0 = 0 gives A_0 = 0, so the bound settles nothing and the formed
+        # block I (x) (X - I), whose real part is -I/2, is refused as before
+        core = SchurCore(RawPencil((np.zeros((2, 2)), np.array([[1.0, 0.5], [0.5, 1.0]]))),
+                         PivotSubspace.from_indices(2, [0]))
+        x = (0.5 * np.eye(2) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),)
+        assert in_right_halfspace(x)
+        expected = (errors.NotSectorial, "an eliminated component of a right member is not sectorial")
+        assert verdict(core.evaluate, x, halfspace=True) == expected == verdict(checks_as_before, core, x)
+
+    def test_upper_tuple_without_a_cholesky_factor_is_refused(self):
+        # the NaN aim gives a NaN margin, which settles nothing, so the
+        # formed block takes the floor check and is refused as before
+        rng = np.random.default_rng(85)
+        tight = Tolerances(psd=1e-22)
+        core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]), tight)
+        x = (floor_member(rng, 3, tight),)
+        expected = (errors.RotationNotFound, "the aimed rotation leaves an eliminated component unsectorial")
+        assert verdict(core.evaluate, x, halfspace=True) == expected == verdict(checks_as_before, core, x)
+
+    def test_a_group_without_the_check_on_full_c_takes_no_cone_bound(self, count_calls):
+        # the coefficient sum has rank 2 on a component of 3 directions, so
+        # every member forms its block and takes the floor check on it
+        g = np.array([[1.0, 0.5], [0.3, 1.0], [0.7, -0.4]])
+        core = SchurCore(pencil_new([2 * g @ g.T, g @ g.T]), PivotSubspace.from_indices(3, [0]))
+        (_, _, coeffs, essential, _), = core.groups
+        assert essential.shape[-1] == 2 < coeffs.shape[-1] == 3
+        x = (2 * np.eye(2) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),)
+        cholesky = count_calls(np.linalg, "cholesky")
+        assert verdict(core.evaluate, x, halfspace=True) == verdict(checks_as_before, core, x)
+        assert core._cone is None and (1, 4, 4) in cholesky
+
+    def test_constants_wait_for_the_first_half_space_evaluation(self, count_calls):
+        # reconstruct's cores never check a half-space, so they never pay for them
+        rng = np.random.default_rng(87)
+        core = SchurCore(valid_pencil(rng, 2, 4), PivotSubspace.from_indices(4, [0]))
+        x = (2 * np.eye(2), 3 * np.eye(2))
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        core.evaluate(x)
+        assert eigvalsh == [] and core._cone is None
+        core.evaluate(x, halfspace=True)
+        (_, index, _, essential, _), = core.groups
+        assert (len(index), essential.shape[1] + 1) + essential.shape[-2:] in eigvalsh
+        calls = len(eigvalsh)
+        core.evaluate(x, halfspace=True)
+        assert len(eigvalsh) == 2 * calls - 1  # the constants are kept
