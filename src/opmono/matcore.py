@@ -129,7 +129,13 @@ class Tolerances:
     theta} X_i)) and s = sum_j ||A_j||_F ||Y_j||_F >= ||L~||_F.  It settles
     a member when it exceeds this floor taken at s (1 + 32 (r n + K)^2 eps),
     which is at least the floor at ||L~||_F; the members it leaves open form
-    L~ and take the check above.
+    L~ and take the check above.  The sec^2(alpha) bound on each eliminated
+    component's complement S compares ||S||_2 with sec^2(alpha) ||L||_2 (1 +
+    eq) only for the members two tolerance-free tiers leave open: ||S||_F <=
+    max_j ||L e_j|| / c^2, with c = 1 first, then c = min_j Re d_j / |d_j|
+    over the rotated block's diagonal, raised by 8 eps for rounding (c = 1
+    where some Re d_j <= 0).  As c >= cos alpha, neither settles a member
+    the exact check refuses.
     """
 
     herm: float = 1e-9

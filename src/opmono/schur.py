@@ -346,9 +346,27 @@ def _pick(a: np.ndarray, mask: np.ndarray, tail: int = 0) -> np.ndarray:
     return _where(np.broadcast_to(a, mask.shape + a.shape[a.ndim - tail:]), mask)
 
 
-def _columns_settle(comp: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """||S||_F <= max_j ||L e_j|| per member: then ||S||_2 <= ||L||_2, so the sec^2(alpha) bound holds."""
-    return fro_norm(comp) <= np.linalg.norm(block, axis=-2).max(axis=-1)
+def _sector_settles(comp: np.ndarray, block: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Per member: ||S||_F <= max_j ||L e_j|| / c^2, which implies the sec^2(alpha) bound on S and L.
+
+    ``diag`` is the diagonal of e^{i theta} D L D, theta the certified
+    rotation and D a positive diagonal congruence (or I); each entry d_j is
+    a positive multiple of a point of W(e^{i theta} L), so c = min_j Re d_j
+    / |d_j| >= cos alpha.  Tier 1 takes c = 1, for any alpha: ||S||_2 <=
+    ||S||_F and max_j ||L e_j|| <= ||L||_2.  Tier 2 reads ``diag`` only for
+    the members tier 1 leaves open, and leaves open those with a NaN entry
+    or one at Re d_j <= 0.  Its c takes 8 eps more, above the rounding of
+    d, of c and of the quotient by c^2, so that each moves the bound down.
+    """
+    lhs, cols = fro_norm(comp), np.linalg.norm(block, axis=-2).max(axis=-1)
+    settled = lhs <= cols
+    if not settled.all():
+        rest = ~settled
+        d = diag[rest]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a NaN or nonpositive c settles nothing
+            c = (d.real / np.abs(d)).min(axis=-1) + 8 * np.finfo(float).eps
+            settled[rest] = (d.real > 0).all(axis=-1) & (lhs[rest] <= cols[rest] / (c * c))
+    return settled
 
 
 def _check_sector_bound(
@@ -360,20 +378,23 @@ def _check_sector_bound(
     ``SchurCore.evaluate``.  A congruence keeps the argument of every x* L x,
     so alpha_c, the sector angle of ``sector_certified_alpha``, is read from
     them; the norms are those of ``block``, the L_c.  ``SchurCore.evaluate``
-    passes only the members its first check, tier 1 on full_c where the
-    essential basis spans the component, leaves open.  Three tiers, each
-    deciding as the exact check does on the members it settles:
+    passes only the members its first check, ``_sector_settles`` on full_c
+    where the essential basis spans the component, leaves open.  Four tiers,
+    each settling a member only where the exact check passes:
 
     1. ||S_c||_F <= max_j ||L_c e_j||: the bound holds for any alpha, as
        ||S||_2 <= ||S||_F <= max_j ||L e_j|| <= ||L||_2.
-    2. The others take their spectral norms, one ``svd`` of the S_c and one
+    2. ||S_c||_F <= max_j ||L_c e_j|| / c^2, c = min_j Re d_j / |d_j| over
+       the diagonal d of ``rotated``: each d_j lies in its numerical range,
+       so c >= cos alpha_c (``_sector_settles``, which takes tiers 1 and 2).
+    3. The others take their spectral norms, one ``svd`` of the S_c and one
        of the L_c.  ||S_c||_2 <= ||L_c||_2 (1 + eq) settles a member for any
        alpha: cos^2 alpha <= 1, so ||L_c||_2 / cos^2 alpha >= ||L_c||_2 also
        in IEEE arithmetic.
-    3. Only the members left open (NaN norms included) take their exact
+    4. Only the members left open (NaN norms included) take their exact
        angle, and compare the same spectral norms.
     """
-    unsettled = ~_columns_settle(comp, block)
+    unsettled = ~_sector_settles(comp, block, np.diagonal(rotated, axis1=-2, axis2=-1))
     if unsettled.any():
         lhs = np.linalg.svd(comp[unsettled], compute_uv=False)[..., 0]
         norms = np.linalg.svd(block[unsettled], compute_uv=False)[..., 0]
@@ -534,13 +555,17 @@ class SchurCore:
         arguments in an evaluation that takes it, and one per group in the
         core's first.
 
-        ``_check_sector_bound``'s first check is made here, before the cone
-        bound, on full_c, the component block eliminated: where a group's
-        essential basis E spans its component (rank equals component size),
-        L_c = E* full_c E, E unitary, so ||S_c||_F <= max_j ||full_c e_j||
-        settles the member.  The cone bound is taken only for a group in
-        which this check settles some member; elsewhere every member forms
-        L~ anyway, and its floor check costs no more than the bound.
+        ``_check_sector_bound``'s first two tiers (``_sector_settles``) are
+        taken here, before the cone bound, on full_c, the component block
+        eliminated: where a group's essential basis E spans its component
+        (rank equals component size), L_c = E* full_c E, E unitary, so
+        ||S_c||_F <= max_j ||full_c e_j|| settles a member (tier 1), and so
+        does ||S_c||_F <= max_j ||full_c e_j|| / c^2 (tier 2), c = min_j Re
+        d_j / |d_j| over the diagonal d of e^{i theta} full_c, whose entries
+        lie in W(e^{i theta} L_c), so that c >= cos alpha_c.  The cone bound
+        is taken only for a group in which this check settles some member;
+        elsewhere every member forms L~ anyway, and its floor check costs no
+        more than the bound.
 
         Only the members these two checks leave open form L~ and its
         rotation; those the cone bound leaves open take the floor check, and
@@ -574,7 +599,10 @@ class SchurCore:
             if essential is not None:
                 comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k], tol)
                 if halfspace:  # full_c settles a member's first sector check, the cone bound its floor check
-                    pick = ~_columns_settle(comp, full) if essential.shape[-1] == coeffs.shape[-1] else True
+                    pick = True
+                    if essential.shape[-1] == coeffs.shape[-1]:  # the diagonal of e^{i theta} full_c
+                        diag = np.exp(1j * theta)[..., None, None] * np.diagonal(full, axis1=-2, axis2=-1)
+                        pick = ~_sector_settles(comp, full, diag)
                     low = np.broadcast_to(pick, comp.shape[:-2])
                     if not low.all():  # where every member forms its block, its floor check costs no more
                         cone = _cone_margin(shifted, theta) if cone is None else cone

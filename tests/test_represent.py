@@ -780,6 +780,45 @@ class TestStateWeightsOncePerCore:
             assert calls == [(3, 3), (upper_members, 3, 3)]
 
 
+def half_space_tuples(rng, n):
+    """An upper H + i(P + 0.1 I) and a right (P + 0.1 I) + iH tuple at size n, as the continuation bench draws them."""
+    h, p = rand_herm(rng, n), rand_psd(rng, n) + 0.1 * np.eye(n)
+    return {"upper": h + 1j * p, "right": p + 1j * h}
+
+
+class TestContinuationCost:
+    @pytest.mark.parametrize("which", ["sqrt", "log1p", "pow:0.7"])
+    def test_no_member_takes_a_spectral_norm_or_an_exact_angle(self, which, workload_reps, count_calls,
+                                                               monkeypatch):
+        # every member of the bench's representations is settled by the check
+        # on full_c, tier 1 or the diagonal's angles, and by the cone bound
+        from opmono import schur
+
+        rep = workload_reps[which]
+        rep.core()  # the core's construction takes its own eigh
+        angles = []
+        exact = schur.sector_certified_alpha
+        monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: angles.append(m) or exact(m))
+        svd, eigh = count_calls(np.linalg, "svd"), count_calls(np.linalg, "eigh")
+        rng = np.random.default_rng(64)
+        for n in range(2, 7):
+            for z in half_space_tuples(rng, n).values():
+                out = rep_eval_complex(rep, (z,))
+                assert np.array_equal(out, rep.core().evaluate((z,), state=rep.state))
+        assert svd == [] and eigh == [] and angles == []
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_sqrt_matches_its_rational_form_at_larger_sizes(self, n, workload_reps):
+        # sum_r w_r lam_r Z (lam_r + Z)^{-1}, one batched solve
+        lam, wts = _quad_rational_weights("sqrt", None, 64, (0.1, 10.0))
+        rng = np.random.default_rng(65 + n)
+        for half, z in half_space_tuples(rng, n).items():
+            out = rep_eval_complex(workload_reps["sqrt"], (z,))
+            shifted = lam[:, None, None] * np.eye(n) + z
+            direct = np.einsum("r,rij->ij", wts * lam, np.linalg.solve(shifted, np.broadcast_to(z, shifted.shape)))
+            assert np.linalg.norm(out - direct) <= 1e-10 * np.linalg.norm(direct), half
+
+
 class TestReadOnlyArrays:
     def test_a_representation_refuses_in_place_edits(self):
         rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -659,6 +661,11 @@ def largest_column(block):
     return np.linalg.norm(block, axis=-2).max(axis=-1)
 
 
+def diagonal(block):
+    """The diagonal of each member of a stack, whose arguments bound its sector angle from below."""
+    return np.diagonal(block, axis1=-2, axis2=-1)
+
+
 def placed_complement(rng, block, k, kind):
     """A k x k complement S placed against the block L: by ||S||_F / max_j ||L e_j||
     ("settled", "column_below", "column_above") or by ||S||_2 / (sec^2(alpha) ||L||_2)
@@ -764,13 +771,13 @@ class TestSectorBoundCheck:
         rng = np.random.default_rng(53)
         blocks = np.stack([rand_sectorial(rng, 3) for _ in range(6)]).reshape(3, 2, 3, 3)
         comps = 0.1 * blocks[..., :1, :1]
-        # ||S||_2 = ||L||_2, which the column-norm tier leaves open and the
+        # ||S||_2 = ||L||_2, which the column-norm tiers leave open and the
         # spectral one settles; ||L||_2 < ||S||_2 < sec^2(alpha) ||L||_2, which
-        # both norm tiers leave open and the exact angle passes; or a NaN norm,
-        # which no tier settles
+        # the column-norm and spectral tiers leave open and the exact angle
+        # passes; or a NaN norm, which no tier settles
         norm, alpha = np.linalg.norm(blocks[1, 0], 2), sector_certified_alpha(blocks[1, 0][None])[0][0]
         comps[1, 0] = {"norm": norm, "spectral": norm * (1 + 1 / np.cos(alpha) ** 2) / 2, "nan": np.nan}[open_kind]
-        assert not fro_norm(comps[1, 0]) <= largest_column(blocks[1, 0])
+        assert not fro_norm(comps[1, 0]) <= diagonal_bound(blocks[1, 0], diagonal(blocks[1, 0]))
         # ||S||_2 of a 1 x 1 S
         assert (abs(comps[1, 0, 0, 0]) <= norm * (1 + DEFAULT_TOL.eq)) == (open_kind == "norm")
         expected = outcome_or_linalg_error(reference_check_sector_bound, blocks, blocks, comps, DEFAULT_TOL)
@@ -823,6 +830,84 @@ def test_column_shortcut_implies_the_exact_bound(pair):
     assume(fro_norm(comp[0, 0]) <= largest_column(block[0, 0]))
     assert outcome(reference_check_sector_bound, rotated, block, comp, DEFAULT_TOL) is None
     assert outcome(_check_sector_bound, rotated, block, comp, DEFAULT_TOL) is None
+
+
+def diagonal_bound(block, diag):
+    """max_j ||L e_j|| / c^2, c = min_j Re d_j / |d_j|, where every Re d_j > 0; else max_j ||L e_j||."""
+    with np.errstate(invalid="ignore"):
+        c = (diag.real / np.abs(diag)).min(axis=-1)
+    return largest_column(block) / np.where((diag.real > 0).all(axis=-1), c * c, 1.0)
+
+
+@st.composite
+def open_pairs(draw):
+    """A pair of ``settled_pairs`` turned by e^{i phi}, |phi| up to pi/2, at times with one diagonal
+    entry moved onto or left of the imaginary axis (which makes it unsectorial), and its complement
+    placed against its diagonal bound or against the exact sec^2(alpha) ||L||_2, within 1e-12 of
+    either, 1e-7 above it, or at 0.5-2 times it."""
+    rotated, block, comp = draw(settled_pairs())
+    phase = np.exp(1j * draw(st.sampled_from([1.0, -1.5, 1.57, np.pi / 2]) | st.floats(-np.pi / 2, np.pi / 2)))
+    rotated, block = phase * rotated, phase * block
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(rotated) - 1))
+        moved = abs(rotated[j, j]) * (draw(st.sampled_from([0.0, -1e-12, -0.3, -1.0])) + 1j)
+        block[j, j] *= moved / rotated[j, j]
+        rotated[j, j] = moved
+    comp = comp if fro_norm(comp) > 0 else np.ones_like(comp)
+    alpha = sector_certified_alpha(rotated[None])[0][0]
+    if alpha == np.pi / 2 or draw(st.booleans()):
+        target, norm = diagonal_bound(block, np.diagonal(rotated)), fro_norm(comp)
+    else:
+        target, norm = np.linalg.norm(block, 2) / np.cos(alpha) ** 2, np.linalg.norm(comp, 2)
+    ratio = draw(st.sampled_from([1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-7, 2.0]) | st.floats(0.5, 1.5))
+    comp = comp * (ratio * target / norm) if np.isfinite(target) else comp
+    return rotated, block, comp
+
+
+@settings(max_examples=200, derandomize=True)
+@given(open_pairs())
+def test_diagonal_angles_never_settle_a_member_the_exact_tiers_refuse(pair):
+    rotated, block, comp = (m[None] for m in pair)
+    settled = schur._sector_settles(comp, block, diagonal(rotated))[0]
+    expected = outcome(reference_check_sector_bound, rotated, block, comp, DEFAULT_TOL)
+    assert not (settled and expected is not None)
+    if not (diagonal(rotated).real > 0).all():  # such a member keeps tier 1, c = 1
+        assert settled == (fro_norm(comp[0]) <= largest_column(block[0]))
+    assert outcome(_check_sector_bound, rotated, block, comp, DEFAULT_TOL) is expected
+
+
+class TestDiagonalAngles:
+    """Tier 2 of ``schur._sector_settles``: the angles of the rotated diagonal bound alpha from below."""
+
+    @staticmethod
+    def settles(block, s, diag=None):
+        block = np.asarray(block, dtype=complex)[None]
+        diag = diagonal(block) if diag is None else np.asarray(diag, dtype=complex)[None]
+        return bool(schur._sector_settles(np.array([[[s]]], dtype=complex), block, diag)[0])
+
+    def test_the_rounding_allowance_keeps_the_bound_below_its_exact_value(self):
+        # L = [3 + 4i]: max_j ||L e_j|| = 5 and c = 3/5 exactly, so the bound is 125/9;
+        # 5 / fl(fl(3/5)^2) rounds above it, and an S of that norm must stay open
+        block = [[3 + 4j]]
+        rounded = 5.0 / (0.6 * 0.6)
+        assert Fraction(rounded) > Fraction(125, 9) and 3 / 5 == 0.6
+        assert not self.settles(block, rounded)
+        assert self.settles(block, 125 / 9 * (1 - 32 * EPS))  # the allowance costs a few ulps
+
+    def test_the_largest_angle_sets_the_bound(self):
+        # L = diag(2, 1 + i): max_j ||L e_j|| = 2, c = cos(pi/4), so the bound is 4
+        block = np.diag([2.0, 1.0 + 1.0j])
+        assert not self.settles(block, 3.0, [2.0, 2.0])  # tier 1 alone: 3 > 2
+        assert self.settles(block, 3.0) and not self.settles(block, 4.01)
+
+    @pytest.mark.parametrize("entry", [1j, -1e-3 + 1j, complex(-8 * np.finfo(float).eps, 1.0), -1.0 + 0j, 0j,
+                                       np.nan, np.inf, complex(np.inf, 1.0)],
+                             ids=["axis", "left", "c_zero", "negative", "zero", "nan", "inf", "inf_real"])
+    def test_a_diagonal_entry_on_or_left_of_the_axis_keeps_tier_1(self, entry):
+        # without the guard, an entry on the axis or just left of it would give c near 0 and a
+        # bound 2 / c^2 far above 3
+        block = np.diag([2.0, 1.0 + 0j])
+        assert self.settles(block, 2.0, [2.0, entry]) and not self.settles(block, 3.0, [2.0, entry])
 
 
 @pytest.fixture(scope="module")
@@ -1050,11 +1135,11 @@ class TestConeBound:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_check_on_full_c_never_settles_a_failing_member(self, seed, validated):
         core, x = cone_case(np.random.default_rng(seed), validated)
-        for i, _, full, comp, rotated, block in blocks_as_formed(core, x)[1]:
+        for i, theta, full, comp, rotated, block in blocks_as_formed(core, x)[1]:
             essential = core.groups[i][3]
             if essential.shape[-1] < core.groups[i][2].shape[-1]:
                 continue  # the check reads full_c only where E spans the component
-            settled = schur._columns_settle(comp, full)
+            settled = schur._sector_settles(comp, full, np.exp(1j * theta)[..., None, None] * diagonal(full))
             for j in zip(*np.nonzero(settled)):
                 member = tuple(m[j][None] for m in (rotated, block, comp))
                 assert outcome(reference_check_sector_bound, *member, core.tol) is None
@@ -1068,7 +1153,7 @@ class TestConeBound:
         e = sampling.rand_unitary(np.random.default_rng(seed), d)
         full = e @ block @ e.conj().T
         comp = stretch * comp
-        if schur._columns_settle(comp, full):
+        if schur._sector_settles(comp[None], full[None], diagonal(full)[None])[0]:
             assert outcome(reference_check_sector_bound, rotated[None], block[None], comp[None], DEFAULT_TOL) is None
 
     @settings(max_examples=40)
