@@ -13,12 +13,12 @@ representing function (f, f') alone (``_declared_fn``), its evaluator and
 its exact adjoint (``_loewner_vgrad``, the one adjoint of every declared
 function) included; every two-argument mean but the arithmetic one
 declares f (``FreeFn.scalar``; ``_pair_function``, the harmonic mean's at
-t = -1).  With three or more arguments the fixed-point iterations run all
-batch elements in lockstep.
+t = -1).
 
 The power and Karcher means of three or more arguments solve one equation,
 sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I with f(x) = x^t or f = log: one
-step helper (``_mean_equation``) and one implicit adjoint (``_implicit_vgrad``).
+step helper (``_mean_equation``), one loop (``_fixed_point``, all batch
+elements in lockstep) and one implicit adjoint (``_implicit_vgrad``).
 
 Every mean is invariant under congruence, so none needs a square root.  A
 Kubo-Ando mean is A^{1/2} f(M) A^{1/2}, M = A^{-1/2} B A^{-1/2} (Kubo & Ando
@@ -335,9 +335,7 @@ def fake_trace_fn() -> FreeFn:
 # ---------------------------------------------------------------------------
 # operator means
 
-# stopping rules of the k >= 3 fixed points: power-mean step relative to
-# ||Z_0||_F, absolute Karcher-equation residual, and the iteration cap
-_POWER_RTOL = 1e-12
+# the k >= 3 fixed point's residual floor (over t for the power mean) and its step cap
 _KARCHER_RTOL = 1e-13
 _MAX_ITER = 10_000
 
@@ -485,8 +483,8 @@ def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) ->
     or more arguments are the positive solutions of S = f(1) I (Lim & Palfia
     2012; Lawson & Lim 2014), stated with Z^{-1/2} in place of L^{-1}.  The
     Cholesky form turns S into a unitary conjugate Q* S Q (module
-    docstring), so ||S||_F and kappa are unchanged and the steps
-    Z <- L S L* and Z <- L exp(s S) L* are those of the square root.  Z is
+    docstring), so ||S||_F, kappa and the step Z <- L exp(s G) L* of
+    ``_fixed_point``, G = log(S) / t or S, are those of the square root.  Z is
     checked by its Cholesky factor; Z starts at sum w_i X_i, so if Z fails,
     so does some X_i.  A member whose eigenvalues of M_i are not positive or
     whose cond(M_i) exceeds ``_EIGH_COND`` takes them, as
@@ -543,6 +541,22 @@ def _implicit_vgrad(
     return [herm_part(-wi * rinv @ df(u) @ rinv) for wi, df in zip(w, dfs)]
 
 
+def _fixed_point(xs: _Arguments, w: np.ndarray, gradient: Callable, t: float, name: str) -> tuple[np.ndarray, ...]:
+    """``karcher_mean``'s loop (t = 0) and ``power_mean``'s: ``gradient`` gives L, G, ||G||_F and its floor."""
+    z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
+    damping, prev_res = 1.0, np.inf
+    for iterations in range(1, _MAX_ITER + 1):
+        low, grad, norms, floor = gradient(z, xs, w)
+        res = float(np.max(np.where(norms <= floor, 0.0, norms), initial=0.0))
+        if res == 0.0:
+            return z, iterations, norms
+        if res > (1 - t) * prev_res:
+            damping = max(damping / 2, t or 1 / 64)
+        prev_res = res
+        z = herm_part(low @ _eigh_fun(np.exp, damping * grad) @ dagger(low))
+    raise NoConvergence(f"{name} iteration stalled at residual {prev_res:.3e}")
+
+
 def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray:
     """Matrix power mean P_t: the solution of Z = sum w_i (Z #_t X_i).
 
@@ -554,15 +568,22 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
 
     the congruence of ``_pair_function(t, w_1, w_2)``, evaluated with A's
     Cholesky factor (``_congruence_fun``): one ``cholesky`` and one ``eigh``
-    per stack.  Three or more arguments use plain fixed-point iteration from
-    the arithmetic mean, Z <- Z^{1/2} S Z^{1/2} = L S' L* with S' of
-    ``_mean_equation`` at f(x) = x^t, one ``cholesky`` and k ``eigh`` per
-    step: the map is a Thompson-metric contraction with ratio
-    (1 - t) (Lim & Palfia 2012), so it converges for every t in (0, 1].  The
-    iteration stops once every member's step is at most ``_POWER_RTOL``
-    ||Z_0||_F, a rule that scales with the arguments (so P_t(cX) = c P_t(X)
-    holds to rounding), and raises NoConvergence after ``_MAX_ITER`` steps.
-    The arguments take ``matcore.check_args``, one per weight.
+    per stack.  Three or more arguments run the k >= 3 loop
+    (``_fixed_point``) with the step Z <- L exp(s G) L* = L S^{s/t} L*,
+    G = log(S) / t, S = sum w_i M_i^t (``_mean_equation`` at f(x) = x^t):
+    one ``cholesky`` and k + 2 ``eigh`` a step, exact for commuting
+    arguments.  At s = t it is the contraction Z <- sum w_i (Z #_t X_i),
+    which moves Z by ||log S||_2 in the Thompson metric d and shrinks
+    d(Z, P_t) by 1 - t (Lim & Palfia 2012); s halves, down to t, whenever
+    the largest ||G||_F shrinks by less than 1 - t, so the loop converges for
+    every t.  A member stops at ||G||_F <= max(``_KARCHER_RTOL`` / t,
+    16 eps kappa^{1-t} exp(-2 ||G||_F)).  That cannot stop early, as
+    d(Z, P_t) <= ||log S||_2 / t <= ||G||_F moves kappa^{1-t} by at most
+    exp(2 ||G||_F), nor stall: rounding eps lam_max of M_i moves
+    w_i lam^t <= S = I by t eps w_i lam_max lam^{t-1} <= t eps kappa^{1-t},
+    so G by eps kappa^{1-t}, and summing S and its log move G by about
+    k eps / t.  NoConvergence follows ``_MAX_ITER`` steps.  The arguments
+    take ``matcore.check_args``, one per weight.
     """
     if not (0.0 < t <= 1.0):
         raise BadConfig("t must lie in (0, 1]")
@@ -570,22 +591,19 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     return _power_mean(check_args(xs, w.size, "power_mean"), t, w)
 
 
+def _power_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+    """L, the power step's G = log(S) / t, and per member ||G||_F and its stopping floor."""
+    low, s, kappa = _mean_equation(z, xs, w, _pair_function(0.0, 1.0 - t, t)[0])
+    grad = _eigh_fun(np.log, s) / t
+    res = fro_norm(grad)
+    return low, grad, res, np.maximum(_KARCHER_RTOL / t, 16 * np.finfo(float).eps * kappa ** (1 - t) * np.exp(-2 * res))
+
+
 def _power_mean(xs: MatTuple, t: float, w: np.ndarray) -> np.ndarray:
     """``power_mean`` of checked arguments, one per weight of ``w``."""
     if len(xs) == 2:
         return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
-    f = _pair_function(0.0, 1.0 - t, t)[0]  # x^t, that of Z #_t X
-    xs = _Arguments(xs)
-    z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
-    bound = _POWER_RTOL * fro_norm(z)
-    for _ in range(_MAX_ITER):
-        low, s, _ = _mean_equation(z, xs, w, f)
-        new = herm_part(low @ s @ dagger(low))
-        done = np.all(fro_norm(new - z) <= bound)
-        z = new
-        if done:
-            return z
-    raise NoConvergence(f"power mean t={t} did not converge within {_MAX_ITER} iterations")
+    return _fixed_point(_Arguments(xs), w, partial(_power_gradient, t=t), t, f"power mean t={t:g}")[0]
 
 
 def _mean_fn(name: str, w: np.ndarray, evaluate: Callable, t: float, f: Callable, fprime: Callable,
@@ -625,25 +643,20 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     one ``cholesky`` and one ``eigh`` per stack, and ``return_info`` reports
     zero iterations with the Karcher-equation residual measured at the value.
 
-    Three or more arguments start at the arithmetic mean, as ``power_mean``
-    does, and iterate the fixed-point form of the Karcher equation
-    (``_mean_equation`` at f = log)
-
-        Z <- Z^{1/2} exp( s sum_i w_i log(Z^{-1/2} X_i Z^{-1/2}) ) Z^{1/2},
-
-    taken as L exp(s S') L* with Z = L L*, with the step s halved (down to
-    1/64) whenever the largest residual ||S||_F of the members still running
-    grows.  A member stops once its residual, which does not change when
-    every X_i is scaled, drops to max(``_KARCHER_RTOL``, 16 eps kappa
-    exp(-2 ||S||_F)), kappa the rounding factor of ``_mean_equation``: its
-    largest cond(M_i), or past ``_EIGH_COND`` max(``_EIGH_COND``,
-    sqrt(cond(M_i))).  That is at most the rounding floor 16 eps kappa* of S
-    at the solution Z*: the Karcher objective is 1-strongly geodesically
-    convex, so d(Z, Z*) <= ||S||_F, which moves each cond(M_i), and so
-    kappa, by a factor of at most exp(2 ||S||_F).  A start
-    far from Z*, where kappa may be many times kappa*, cannot stop early.  It
-    raises NoConvergence after ``_MAX_ITER`` steps.  The arguments take
-    ``matcore.check_args``, one per weight.
+    Three or more arguments run the k >= 3 loop (``_fixed_point``) from the
+    arithmetic mean with the step Z <- L exp(s S) L*, Z = L L*, S =
+    sum w_i log M_i (``_mean_equation`` at f = log), the Karcher equation's
+    fixed-point form: one ``cholesky`` and k + 1 ``eigh`` a step.  s halves,
+    down to 1/64, whenever the largest ||S||_F of the members still running
+    grows.  A member stops once ||S||_F, which does not change when every
+    X_i is scaled, drops to max(``_KARCHER_RTOL``, 16 eps kappa
+    exp(-2 ||S||_F)), kappa the rounding factor of ``_mean_equation``.  Near
+    the solution Z* that is S's rounding floor 16 eps kappa, so it does not
+    stall, and it never exceeds 16 eps kappa* at Z*: the Karcher objective
+    is 1-strongly geodesically convex, so d(Z, Z*) <= ||S||_F, which moves
+    each cond(M_i), and so kappa, by a factor of at most exp(2 ||S||_F); a
+    far start cannot stop early.  NoConvergence follows ``_MAX_ITER``
+    steps.  The arguments take ``matcore.check_args``, one per weight.
     """
     w = _check_weights(weights)
     return _karcher_mean(check_args(xs, w.size, "karcher_mean"), w, return_info)
@@ -653,26 +666,10 @@ def _karcher_mean(xs: MatTuple, w: np.ndarray, return_info: bool = False):
     """``karcher_mean`` of checked arguments, one per weight of ``w``."""
     xs = _Arguments(xs)
     if len(xs) == 2:
-        z = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0])
-        if return_info:
-            norms = _karcher_gradient(z, xs, w)[2]
-            return z, {"iterations": 0, "residual": float(np.max(norms, initial=0.0))}
-        return z
-
-    z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
-    damping = 1.0
-    prev_res = np.inf
-    for iterations in range(1, _MAX_ITER + 1):
-        low, grad, norms, floor = _karcher_gradient(z, xs, w)
-        res = float(np.max(np.where(norms <= floor, 0.0, norms), initial=0.0))
-        if res == 0.0:
-            break
-        if res > prev_res:
-            damping = max(damping / 2, 1 / 64)
-        prev_res = res
-        z = herm_part(low @ _eigh_fun(np.exp, damping * grad) @ dagger(low))
+        z, iterations = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0]), 0
+        norms = _karcher_gradient(z, xs, w)[2] if return_info else None
     else:
-        raise NoConvergence(f"Karcher iteration stalled at residual {prev_res:.3e}")
+        z, iterations, norms = _fixed_point(xs, w, _karcher_gradient, 0.0, "Karcher")
     if return_info:
         return z, {"iterations": iterations, "residual": float(np.max(norms, initial=0.0))}
     return z

@@ -191,8 +191,18 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 def herm_part(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2."""
-    return (a + dagger(a)) / 2
+    """(A + A*)/2, with the real and imaginary parts halved apart.
+
+    Complex division by 2 can turn a real part of -0.0 into +0.0; halving
+    the parts, as a real view of the sum, gives the same bits but keeps
+    every signed zero.
+    """
+    h = np.add(a, dagger(a), order="C")
+    if h.dtype.kind != "c":
+        return h / 2
+    parts = h.view(h.real.dtype)
+    parts *= 0.5
+    return h
 
 
 def fro_norm(a: np.ndarray) -> np.ndarray | float:

@@ -7,11 +7,12 @@ certificate files write matrices dense, as row-major nested lists of pairs
 file writes its pencil coefficients, pivot basis and state sparse, as
 {"shape": [r, c], "entries": [[i, j, re, im], ...]}: the entries with any
 bit set, in row-major order, so a block-diagonal quadrature pencil stores
-its cells and no zeros.  ``decode_matrix`` reads either form wherever a
-matrix is expected, so dense representation files keep loading.  Finite
-doubles round-trip bit-exactly through json's repr encoding, -0.0
-included, and NaN/Inf are rejected in both directions.  Every file is an
-envelope {"schema_version": "1", "kind": ..., "payload": ...}.
+its cells and no zeros.  The sparse matrices of one payload may declare
+at most ``MAX_SPARSE_ENTRIES`` entries in all.  ``decode_matrix`` reads
+either form wherever a matrix is expected, so dense representation files
+keep loading.  Finite doubles round-trip bit-exactly through json's repr
+encoding, -0.0 included, and NaN/Inf are rejected in both directions.
+Every file is an envelope {"schema_version": "1", "kind": ..., "payload": ...}.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .schur import PivotSubspace
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_SPARSE_ENTRIES",
     "encode_matrix",
     "encode_sparse",
     "decode_matrix",
@@ -54,6 +56,11 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 KINDS = ("matrix", "tuple", "pencil", "certificate", "representation", "report")
+# the most entries the sparse matrices of one payload may declare together: their text
+# bounds only the entries they store, so this bounds what a file of a few bytes allocates,
+# 64 MiB; an N-node quadrature representation declares 3.5 (2N)^2, so this leaves room
+# for 512 nodes, 8 times the default's 64
+MAX_SPARSE_ENTRIES = 2**22
 
 
 def _check_finite(x: float) -> float:
@@ -110,18 +117,29 @@ def _is_index(k: Any, bound: float = np.inf) -> bool:
     return type(k) is int and 0 <= k < bound
 
 
+def _check_declared(objs: Any) -> None:
+    """Refuse matrix payloads whose sparse shapes declare more than ``MAX_SPARSE_ENTRIES`` entries in all."""
+    shapes = [obj.get("shape") for obj in objs if isinstance(obj, dict)]
+    total = sum(s[0] * s[1] for s in shapes if isinstance(s, list) and len(s) == 2 and all(map(_is_index, s)))
+    if total > MAX_SPARSE_ENTRIES:
+        raise DataError(f"malformed matrix payload: its sparse shapes declare {total} entries, "
+                        f"more than {MAX_SPARSE_ENTRIES}")
+
+
 def _decode_sparse(obj: dict) -> np.ndarray:
     """The matrix of an ``encode_sparse`` payload.
 
-    The shape must be two non-negative integers, each entry four items with
-    integer indices inside it, and no (i, j) may appear twice; the values
-    pass ``_decode``'s checks.
+    The shape must be two non-negative integers with at most
+    ``MAX_SPARSE_ENTRIES`` entries (``_check_declared``), each entry four
+    items with integer indices inside it, and no (i, j) may appear twice;
+    the values pass ``_decode``'s checks.
     """
     shape, entries = obj.get("shape"), obj.get("entries")
     if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_index, shape))
             and isinstance(entries, list)):
         raise DataError("malformed matrix payload: a sparse matrix needs a shape of two "
                         "non-negative integers and a list of entries")
+    _check_declared([obj])
     rows, cols = shape
     if not all(isinstance(e, list) and len(e) == 4 and _is_index(e[0], rows)
                and _is_index(e[1], cols) for e in entries):
@@ -130,10 +148,7 @@ def _decode_sparse(obj: dict) -> np.ndarray:
     if len({(e[0], e[1]) for e in entries}) != len(entries):
         raise DataError("malformed matrix payload: an (i, j) entry appears twice")
     values = _decode([e[2:] for e in entries], 1, "matrix")
-    try:
-        m = np.zeros(shape, dtype=complex)
-    except (ValueError, MemoryError) as exc:
-        raise DataError(f"malformed matrix payload: shape {shape}: {exc}") from exc
+    m = np.zeros(shape, dtype=complex)
     m[[e[0] for e in entries], [e[1] for e in entries]] = values
     return m
 
@@ -153,6 +168,7 @@ def encode_tuple(x: tuple[np.ndarray, ...]) -> list:
 
 def decode_tuple(obj: Any) -> tuple[np.ndarray, ...]:
     """The matrices of a tuple payload; one without any raises DataError."""
+    _check_declared(obj)
     xs = tuple(decode_matrix(m) for m in obj)
     if not xs:
         raise DataError("malformed tuple payload: it has no matrices")
@@ -185,6 +201,7 @@ def pencil_payload(p: LinearPencil) -> dict:
 
 @_decoder
 def pencil_from_payload(obj: Any) -> LinearPencil:
+    _check_declared(obj["coefficients"])
     coeffs = [decode_matrix(b) for b in obj["coefficients"]]
     for b in coeffs:  # the decoder's own arrays, so frozen here and checked by pencil_new without a copy
         b.setflags(write=False)
@@ -211,6 +228,7 @@ def certificate_payload(cert: SupportCertificate) -> dict:
 @_decoder
 def certificate_from_payload(obj: Any) -> SupportCertificate:
     """A ``gradients`` entry is ignored: the gradients are the pencil's B_1, ..., B_k."""
+    _check_declared([*obj["base_point"], *obj["pencil"]["coefficients"]])
     cert = SupportCertificate(
         function=obj["function"],
         base_point=decode_tuple(obj["base_point"]),
@@ -243,6 +261,7 @@ def representation_payload(rep: PencilRepresentation) -> dict:
 
 @_decoder
 def representation_from_payload(obj: Any) -> PencilRepresentation:
+    _check_declared([*obj["pencil"]["coefficients"], obj["pivot_basis"], obj["state"]])
     pencil = pencil_from_payload(obj["pencil"])
     basis = decode_matrix(obj["pivot_basis"])
     return PencilRepresentation(

@@ -332,6 +332,21 @@ class TestMalformedFiles:
         assert err.startswith("error: DataError")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind,payload,argv,declared,size", [
+        # one entry more than serialize.MAX_SPARSE_ENTRIES
+        ("matrix", {"shape": [1, 4194305], "entries": []}, ("schur", "FILE", "--pivot", "0"), 4194305, 100),
+        # two matrices, each under the cap, that pass it together
+        ("tuple", [{"shape": [1449, 1449], "entries": []}] * 2, ("mean", "karcher", "FILE"), 4199202, 150),
+    ])
+    def test_sparse_shapes_past_the_cap_exit_65(self, tmp_path, capsys, kind, payload, argv, declared, size):
+        path = tmp_path / "wide.json"
+        io.save(str(path), kind, payload)
+        assert path.stat().st_size < size
+        code, _ = run_cli(*(str(path) if a == "FILE" else a for a in argv))
+        err = capsys.readouterr().err
+        assert code == 65
+        assert err.startswith("error: DataError") and f"declare {declared} entries, more than 4194304" in err
+
 
 class TestMalformedTuples:
     @pytest.mark.parametrize("argv", [

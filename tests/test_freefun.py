@@ -397,6 +397,115 @@ class TestKarcherMean:
         assert np.all(min_eig(a - z) >= floor)
 
 
+def contraction_power_mean(xs, t, w):
+    """Reference P_t by the contraction Z <- sum w_i (Z #_t X_i) from the arithmetic mean, and its steps.
+
+    It stops once every member's step is at most 1e-12 ||Z_0||_F, so it is
+    accurate to about 1e-12 ||Z_0||_F (1 - t) / t.
+    """
+    z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
+    bound = 1e-12 * fro_norm(z)
+    for steps in range(1, 10_001):
+        new = sum(wi * weighted_geo(z, xi, t) for wi, xi in zip(w, xs))
+        done = np.all(fro_norm(new - z) <= bound)
+        z = new
+        if done:
+            return z, steps
+    raise AssertionError("the reference contraction did not converge")
+
+
+def seeded_stack(seed, k, n, lo, hi, m=4):
+    """Weights and an m-member stack of k-tuples with spectra in [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    w = tuple(rng.dirichlet(np.ones(k)))
+    rows = [rand_tuple_interval(rng, k, n, lo, hi) for _ in range(m)]
+    return tuple(np.stack([r[i] for r in rows]) for i in range(k)), w
+
+
+class TestPowerMeanTakesTheKarcherLoop:
+    """k >= 3 power means run the Karcher mean's loop with the step Z <- L S^{s/t} L*."""
+
+    @staticmethod
+    def counting_steps(monkeypatch):
+        from opmono import freefun
+
+        steps, real = [], freefun._power_gradient
+
+        def recording(z, xs, w, t):
+            steps.append(z.shape)
+            return real(z, xs, w, t)
+
+        monkeypatch.setattr(freefun, "_power_gradient", recording)
+        return steps
+
+    @pytest.mark.parametrize("t", [0.5, 0.25, 0.1, 0.05])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_agrees_with_the_contraction(self, k, t):
+        x, w = seeded_stack(60 + k, k, 4, 0.5, 2.0)
+        assert worst_rel(power_mean(x, t, w), contraction_power_mean(x, t, w)[0]) <= 1e-10
+
+    def test_agrees_with_the_contraction_on_wide_spectra_at_small_t(self):
+        # wide spectra at small t, where the full step S^{1/t} alone need not converge
+        x, w = seeded_stack(65, 5, 4, 0.01, 100.0)
+        ref = contraction_power_mean(x, 0.05, w)[0]
+        assert float(np.max(fro_norm(power_mean(x, 0.05, w) - ref) / fro_norm(ref))) <= 1e-10
+
+    @pytest.mark.parametrize("seed,k,n,t,lo,hi,steps,contraction_steps", [
+        (70, 3, 4, 0.5, 0.5, 2.0, 9, 36),
+        (70, 3, 4, 0.25, 0.5, 2.0, 9, 84),
+        (70, 3, 4, 0.1, 0.5, 2.0, 9, 219),
+        (70, 3, 4, 0.05, 0.5, 2.0, 9, 436),
+        (70, 3, 4, 0.05, 0.01, 100.0, 40, 454),
+        (70, 5, 4, 0.05, 0.01, 100.0, 53, 452),
+        # at s = 1 this stack's step has a linearization eigenvalue near -1: halving s only
+        # when ||G||_F grows left it crawling for 1628 steps
+        (4083, 4, 8, 0.05, 1e-3, 1e3, 32, 451),
+    ])
+    def test_pinned_step_counts(self, monkeypatch, seed, k, n, t, lo, hi, steps, contraction_steps):
+        # one gradient per step, the last of which stops
+        x, w = seeded_stack(seed, k, n, lo, hi)
+        assert contraction_power_mean(x, t, w)[1] == contraction_steps
+        taken = self.counting_steps(monkeypatch)
+        power_mean(x, t, w)
+        assert len(taken) == steps
+
+    def test_an_ill_conditioned_triple_keeps_the_contractions_accuracy(self):
+        # at t = 0.5 the rounding floor 16 eps kappa^{1-t} of G is below 1e-10, though kappa is about 2e7
+        x, w = TestKarcherMean.rotated_triple(1e14, 1.5), (0.2, 0.3, 0.5)
+        ref = contraction_power_mean(x, 0.5, w)[0]
+        assert fro_norm(power_mean(x, 0.5, w) - ref) <= 1e-10 * fro_norm(ref)
+
+    @pytest.mark.parametrize("t", [0.5, 0.25, 0.05])
+    def test_commuting_arguments_take_one_step(self, monkeypatch, t):
+        # with X_i = U D_i U* the first step returns U (sum w_i D_i^t)^{1/t} U*, and the second stops
+        from opmono import freefun
+
+        rng = np.random.default_rng(71)
+        u = rand_unitary(rng, 4)
+        d = [rng.uniform(0.01, 100.0, size=4) for _ in range(3)]
+        x, w = tuple(u @ np.diag(di) @ dagger(u) for di in d), (0.2, 0.3, 0.5)
+        expect = u @ np.diag(sum(wi * di**t for wi, di in zip(w, d)) ** (1 / t)) @ dagger(u)
+        monkeypatch.setattr(freefun, "_MAX_ITER", 2)
+        taken = self.counting_steps(monkeypatch)
+        assert fro_norm(power_mean(x, t, w) - expect) <= 1e-12 * fro_norm(expect)
+        assert len(taken) == 2
+
+    @pytest.mark.parametrize("t", [0.5, 0.25, 0.05])
+    def test_three_argument_fixed_point_residual(self, t):
+        x, w = seeded_stack(72, 3, 4, 0.5, 2.0, m=16)
+        z = power_mean(x, t, w)
+        res = sum(wi * weighted_geo(z, xi, t) for wi, xi in zip(w, x)) - z
+        assert np.all(fro_norm(res) <= 1e-12 * (1 + fro_norm(z)))
+
+    def test_no_convergence_within_the_step_cap(self, monkeypatch):
+        from opmono import freefun
+
+        x, w = seeded_stack(73, 3, 4, 0.5, 2.0)
+        monkeypatch.setattr(freefun, "_MAX_ITER", 2)
+        with pytest.raises(errors.NoConvergence, match=r"^power mean t=0.25 iteration stalled at residual "):
+            power_mean(x, 0.25, w)
+
+
 class TestTwoArgumentClosedForms:
     """The k = 2 power and Karcher means are closed forms; k >= 3 iterates."""
 
@@ -832,8 +941,8 @@ class TestPositivityFromTheEvaluatorsEigh:
     @pytest.mark.parametrize("ident", ["power:t=0.5:w=0.2,0.3,0.5", "karcher:w=0.2,0.3,0.5"])
     def test_three_arguments_check_positivity_without_eigvalsh(self, count_calls, ident):
         # the iterate's Cholesky factor and the eigh of each L^{-1} X_i L^{-*} decide positivity:
-        # a power step makes k eigh and one cholesky, a Karcher step one more eigh for exp(s S),
-        # which the last step, the one that stops, skips
+        # a Karcher step makes k eigh and one cholesky and one more eigh for exp(s G), which the
+        # last step, the one that stops, skips; a power step one more eigh for G = log(S) / t
         rng = np.random.default_rng(32)
         rows = [rand_tuple_interval(rng, 3, 3, 0.5, 2.0) for _ in range(64)]
         xs = tuple(np.stack([r[i] for r in rows]) for i in range(3))
@@ -843,7 +952,7 @@ class TestPositivityFromTheEvaluatorsEigh:
         assert calls["eigvalsh"] == []
         assert steps > 1 and set(calls["eigh"]) == set(calls["cholesky"]) == {(64, 3, 3)}
         if ident.startswith("power"):
-            assert len(calls["eigh"]) == 3 * steps
+            assert len(calls["eigh"]) == 5 * steps - 1
         else:
             assert len(calls["eigh"]) == 4 * steps - 1
 

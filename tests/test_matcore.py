@@ -392,6 +392,15 @@ class TestReImParts:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert np.allclose(re_part(a) + 1j * im_part(a), a)
 
+    def test_herm_part_keeps_signed_zeros_and_the_bits_of_complex_halving(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        a[0, 2], a[2, 0] = complex(-0.0, 0.01), complex(-0.0, -0.01)
+        h = herm_part(a)
+        assert np.signbit(h[0, 2].real) and np.signbit(h[2, 0].real)
+        assert np.array_equal(h, (a + a.conj().T) / 2)
+        assert np.array_equal(herm_part(a.real), (a.real + a.real.T) / 2)
+
 
 class TestSectorEstimate:
     def test_identity(self):

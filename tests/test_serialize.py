@@ -173,6 +173,17 @@ class TestStructuredPayloads:
         assert np.array_equal(bits(back.state), bits(signed.state))
         assert np.array_equal(bits(back.pivot.basis), bits(signed.pivot.basis))
 
+    def test_a_real_negative_zero_beside_an_imaginary_part_round_trips(self):
+        # (-0.0 + 0.01j) above the diagonal and (-0.0 - 0.01j) below it: the state is
+        # symmetrized with its real and imaginary parts halved apart, so both keep their -0.0
+        rep = rep_from_quadrature("sqrt", nodes=8, interval=(0.5, 2.0))
+        state = rep.state.copy()
+        state[0, 2], state[2, 0] = complex(-0.0, 0.01), complex(-0.0, -0.01)
+        signed = PencilRepresentation(rep.pencil, rep.pivot, state)
+        assert np.signbit(signed.state[0, 2].real) and np.signbit(signed.state[2, 0].real)
+        back = io.representation_from_payload(json.loads(io.dumps(io.representation_payload(signed))))
+        assert np.array_equal(bits(back.state), bits(signed.state))
+
     def test_deterministic_dumps(self):
         rng = np.random.default_rng(6)
         m = rand_psd(rng, 3)
@@ -272,6 +283,34 @@ class TestArrayCodec:
         back = io.decode_matrix(json.loads(io.dumps(stored)))
         assert np.array_equal(bits(back), bits(m))
         assert io.decode_matrix({"shape": [0, 3], "entries": []}).shape == (0, 3)
+
+    def test_a_sparse_shape_past_the_cap_is_refused_before_allocating(self, tmp_path):
+        # a file of under 100 bytes declaring one entry more than the cap
+        path = tmp_path / "wide.json"
+        io.save(str(path), "matrix", {"shape": [1, 4194305], "entries": []})
+        assert path.stat().st_size < 100 and io.MAX_SPARSE_ENTRIES == 4194304
+        _, payload = io.load(str(path), expect="matrix")
+        with pytest.raises(errors.DataError, match=r"declare 4194305 entries, more than 4194304$"):
+            io.decode_matrix(payload)
+        at_cap = io.decode_matrix({"shape": [2048, 2048], "entries": [[2047, 2047, 1.0, 0.0]]})
+        assert at_cap.shape == (2048, 2048) and at_cap[2047, 2047] == 1.0
+
+    @pytest.mark.parametrize("kind", ["tuple", "pencil", "certificate", "representation"])
+    def test_the_cap_counts_every_matrix_of_a_file(self, tmp_path, kind):
+        # three 1200 x 1200 matrices, each under the cap, declare 4320000 entries together
+        wide = [{"shape": [1200, 1200], "entries": []}] * 3
+        payload = {"tuple": wide, "pencil": {"coefficients": wide},
+                   "certificate": {"base_point": wide[:1], "pencil": {"coefficients": wide[1:]}},
+                   "representation": {"pencil": {"coefficients": wide[:1]}, "pivot_basis": wide[1],
+                                      "state": wide[2]}}[kind]
+        path = tmp_path / f"{kind}.json"
+        io.save(str(path), kind, payload)
+        assert path.stat().st_size < 300
+        decode = {"tuple": io.decode_tuple, "pencil": io.pencil_from_payload,
+                  "certificate": io.certificate_from_payload,
+                  "representation": io.representation_from_payload}[kind]
+        with pytest.raises(errors.DataError, match=r"declare 4320000 entries, more than 4194304$"):
+            decode(io.load(str(path), expect=kind)[1])
 
     def test_a_tuple_payload_without_matrices_is_refused(self, tmp_path):
         with pytest.raises(errors.DataError, match="no matrices"):
