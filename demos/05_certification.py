@@ -12,8 +12,9 @@ from opmono.cert import (
     doubling_concavity_check,
     hypograph_convexity_test,
     monotone_test,
+    nc_axiom_check,
 )
-from opmono.freefun import harmonic_mean, lift_scalar, nc_axiom_check
+from opmono.freefun import harmonic_mean, lift_scalar
 
 for ident in ("sqrt", "xsq"):
     fn = lift_scalar(ident)
@@ -48,6 +49,7 @@ print(
 # Free-function axioms: unitary equivariance and direct-sum respect.
 axioms = nc_axiom_check(harmonic_mean((0.5, 0.5)), n=3, trials=50, seed=6)
 print(
-    "harmonic mean NC axioms:", "pass" if axioms.passed else "fail",
-    f"(unitary {axioms.unitary_defect:.1e}, direct sum {axioms.direct_sum_defect:.1e})",
+    "harmonic mean NC axioms:", axioms.verdict,
+    f"(unitary defect {axioms.details['unitary_defect']:.1e},",
+    f"direct-sum defect {axioms.details['direct_sum_defect']:.1e})",
 )

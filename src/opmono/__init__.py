@@ -5,7 +5,7 @@ Submodules:
   pencil     -- linear matrix pencils and their tensor evaluations
   schur      -- shorted operators and Schur complements
   freefun    -- free-function catalogue (lifts, operator means, Moebius maps)
-  cert       -- randomized certification of monotonicity/concavity/convexity
+  cert       -- randomized certification of monotonicity/concavity/convexity, NC axioms
   represent  -- supporting pencils, reconstruction, pencil representations
   serialize  -- JSON file formats
   cli        -- batch command-line interface
@@ -19,6 +19,7 @@ from .cert import (
     doubling_concavity_check,
     hypograph_convexity_test,
     monotone_test,
+    nc_axiom_check,
 )
 from .freefun import (
     FreeFn,
@@ -29,7 +30,6 @@ from .freefun import (
     karcher_mean,
     lift_scalar,
     mobius_apply,
-    nc_axiom_check,
     power_mean,
     resolve_function,
 )
@@ -107,7 +107,6 @@ __all__ = [
     "karcher_mean",
     "mobius_apply",
     "frechet_derivative",
-    "nc_axiom_check",
     "resolve_function",
     "CertReport",
     "monotone_test",
@@ -115,6 +114,7 @@ __all__ = [
     "derivative_monotone_test",
     "doubling_concavity_check",
     "hypograph_convexity_test",
+    "nc_axiom_check",
     "SupportCertificate",
     "support_pencil",
     "reconstruct",

@@ -1,32 +1,40 @@
 """Randomized certification and counterexample search.
 
-Each tester draws seeded random inputs, checks a Loewner-order property of
-a free function, and reports a clean pass, the first counterexample found
-(with the inputs stored for replay), or inconclusive when evaluation failed
-or gave a non-finite value.  Identical seeds and trial counts give
-byte-identical reports.  A report replays from its seed and the requested
-trial count, not from ``trials_run``: the draws of each trial depend on the
-count, so a shorter run draws other inputs.
+Six testers, each for one property of a free function: monotonicity
+(``monotone_test``), concavity (``concave_test``), positive derivatives
+(``derivative_monotone_test``), the doubling construction
+(``doubling_concavity_check``), matrix convexity of the hypograph
+(``hypograph_convexity_test``), and the free-function axioms, unitary
+equivariance and respect for direct sums (``nc_axiom_check``).  Each draws
+seeded random inputs and reports a clean pass, the first counterexample
+found (with the inputs stored for replay), or inconclusive when evaluation
+raised a typed error or gave a non-finite value.  Identical seeds and trial
+counts give byte-identical reports.  A report replays from its seed and the
+requested trial count, not from ``trials_run``: the draws of each trial
+depend on the count, so a shorter run draws other inputs.
 
 All testers share one pipeline.  One ``sampling.draw`` takes the inputs of
 every trial, a fixed plan per trial, with one generator call per distinct
 plan entry; the linear algebra of the draws runs once per stack: one
 ``qr`` per tester call, two for the hypograph test (its arguments and its
-isometries), none for the derivative test of a one-variable lift, which
-checks the Loewner matrices of the drawn spectra and forms no X.  The
-inputs are evaluated in chunks of 512 rows (the derivative stencil in
-blocks of 256 trials).  A function that declares ``FreeFn.scalar`` is
-evaluated less where ``FreeFn._declared_at`` lets its declaration be read:
-a lift's values at the drawn points X = U diag(lam) U* are
-U f(diag(lam)) U*, so the monotone, concave and hypograph tests evaluate
-only the points they do not draw (B, the mixtures, the compressions and
-the combinations), and a two-argument mean's derivative test takes one
-``cholesky`` and one ``eigh`` per stack and no evaluation.  The
-differences that must be positive semidefinite form ``(T, C, d, d)``
-stacks, C checks per trial, and one scan (``_scan``) takes their smallest
-eigenvalues and norms in one batched call per stack.  It stops at the
-first violation in trial-major order; ``worst_margin`` is the minimum
-margin over every check up to and including that one.
+isometries) and the axiom test (its arguments and its unitaries), none for
+the derivative test of a one-variable lift, which checks the Loewner
+matrices of the drawn spectra and forms no X.  The inputs are evaluated in
+chunks of 512 rows (the derivative stencil in blocks of 256 trials).  A
+function that declares ``FreeFn.scalar`` is evaluated less where
+``FreeFn._declared_at`` lets its declaration be read: a lift's values at
+the drawn points X = U diag(lam) U* are U f(diag(lam)) U*, so the
+monotone, concave and hypograph tests evaluate only the points they do not
+draw (B, the mixtures, the compressions and the combinations), and a
+two-argument mean's derivative test takes one ``cholesky`` and one ``eigh``
+per stack and no evaluation.  Every check of a trial has a margin and a
+bound.  The Loewner testers' differences that must be positive
+semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and one scan
+(``_scan``) takes their smallest eigenvalues and norms in one batched call
+per stack; the axiom test's margins are minus its two equality defects.
+One routine (``_report``) makes every report from the margins: it stops at
+the first violation in trial-major order, and ``worst_margin`` is the
+minimum margin over every check up to and including that one.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ __all__ = [
     "derivative_monotone_test",
     "doubling_concavity_check",
     "hypograph_convexity_test",
+    "nc_axiom_check",
 ]
 
 DEFAULT_INTERVAL = (0.5, 2.0)
@@ -60,9 +69,9 @@ _CHUNK = 512
 class CertReport:
     """Outcome of one randomized property test.
 
-    ``worst_margin`` is the smallest eigenvalue margin the scan took (see
-    ``_scan``); a counterexample stores the violating inputs so the verdict
-    can be replayed without the seed.
+    ``worst_margin`` is the smallest margin the report took (see
+    ``_report``); a counterexample stores the violating inputs so the
+    verdict can be replayed without the seed.
     """
 
     property_name: str
@@ -110,6 +119,37 @@ def _inconclusive(name: str, seed: int, error: str) -> CertReport:
     return CertReport(name, "inconclusive", 0, float(np.nan), seed, details={"error": error})
 
 
+def _report(
+    name: str,
+    seed: int,
+    margins: np.ndarray,
+    bounds: np.ndarray,
+    counter: Callable[[int, int, float], dict[str, Any]],
+    details: dict[str, np.ndarray] | None = None,
+) -> CertReport:
+    """The report of every tester on the ``(T, C)`` margins of C checks per trial.
+
+    Check (t, c) fails when its margin lies below its bound.  The report
+    stops at the first failure in trial-major order: ``trials_run`` is
+    t + 1 and ``counter(t, c, margin)`` builds the counterexample.
+    ``worst_margin`` is the minimum margin over all checks up to and
+    including the one where the report stops (all checks on a pass).
+    ``details`` maps names to per-trial values, each reported as its
+    maximum over the trials run.  A margin or bound that is not finite, as
+    a non-finite checked difference gives, makes the report inconclusive.
+    """
+    if not (np.isfinite(margins).all() and np.isfinite(bounds).all()):
+        return _inconclusive(name, seed, "non-finite value in a checked difference")
+    flat, fails = margins.ravel(), np.flatnonzero(margins < bounds)
+    stop = int(fails[0]) if fails.size else flat.size - 1
+    worst = float(flat[np.argmin(flat[: stop + 1])]) if flat.size else np.inf
+    t, c = divmod(stop, margins.shape[1])
+    det = {key: float(np.max(v[: t + 1], initial=0.0)) for key, v in (details or {}).items()}
+    if not fails.size:
+        return CertReport(name, "pass", len(margins), worst, seed, details=det)
+    return CertReport(name, "counterexample", t + 1, worst, seed, counter(t, c, float(flat[stop])), det)
+
+
 def _scan(
     name: str,
     seed: int,
@@ -121,28 +161,14 @@ def _scan(
     """Report on stacked differences that must be positive semidefinite.
 
     ``checks`` holds one ``(T, C_s, d_s, d_s)`` stack per matrix size.  The
-    checks of a trial are taken stack by stack, the trials in order; check
-    (t, c) fails when lambda_min < -psd_floor(difference, tol).  The scan
-    stops at the first failure: ``trials_run`` is t + 1 and
-    ``counter(t, c, lambda_min)`` builds the counterexample, c counting
-    across the stacks.  ``worst_margin`` is the minimum of lambda_min over
-    all checks up to and including the one where the scan stops (all
-    checks on a pass).  ``details`` maps names to per-trial values, each
-    reported as its maximum over the trials run.  A non-finite difference
-    gives an inconclusive report before any eigenvalue is taken.
+    checks of a trial are taken stack by stack, c counting across the
+    stacks; check (t, c)'s margin is lambda_min of its difference, taken in
+    one batched call per stack, and its bound -psd_floor(difference, tol).
+    ``_report`` makes the report.
     """
-    if not all(np.isfinite(c).all() for c in checks):
-        return _inconclusive(name, seed, "non-finite value in a checked difference")
     margins = np.concatenate([min_eig(c) for c in checks], axis=1)
     bounds = np.concatenate([-psd_floor(c, tol) for c in checks], axis=1)
-    flat, fails = margins.ravel(), np.flatnonzero(margins < bounds)
-    stop = int(fails[0]) if fails.size else flat.size - 1
-    worst = float(flat[np.argmin(flat[: stop + 1])]) if flat.size else np.inf
-    t, c = divmod(stop, margins.shape[1])
-    det = {key: float(np.max(v[: t + 1], initial=0.0)) for key, v in (details or {}).items()}
-    if not fails.size:
-        return CertReport(name, "pass", len(margins), worst, seed, details=det)
-    return CertReport(name, "counterexample", t + 1, worst, seed, counter(t, c, float(flat[stop])), det)
+    return _report(name, seed, margins, bounds, counter, details)
 
 
 def monotone_test(
@@ -404,4 +430,42 @@ def hypograph_convexity_test(
             {"X": _at(x, t), "Y": y[t].copy(), "X2": _at(x2, t), "Y2": y2[t].copy(), "lambda": float(lam[t, 0, 0]),
              "margin": m, "kind": "combination"},
         ][c],
+    )
+
+
+def nc_axiom_check(
+    fn: FreeFn,
+    n: int,
+    trials: int = 100,
+    seed: int = 0,
+    tol: Tolerances = DEFAULT_TOL,
+    interval: tuple[float, float] = DEFAULT_INTERVAL,
+) -> CertReport:
+    """Test the free-function axioms: unitary equivariance and respect for direct sums.
+
+    Each trial draws X and Y in the interval and a Haar unitary U, and has
+    two checks, with defects ||F(U* X U) - U* F(X) U||_F and ||F(X (+) Y)
+    - F(X) (+) F(Y)||_F, each over 1 + ||F(X)||_F.  A check fails where its
+    defect exceeds ``tol.eq``; its margin is minus the defect.  ``details``
+    reports each defect's maximum over the trials run.
+    """
+    rng = np.random.default_rng(seed)
+    k = fn.arity
+    z, lam, g = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [normal(2, n, n)])
+    xys = finish_spd(z, lam).reshape(trials, 2, k, n, n)
+    x, y = slots(xys[:, 0], k), slots(xys[:, 1], k)
+    u = finish_unitary(g)
+    try:
+        fx, fy = _chunked_eval(fn, x), _chunked_eval(fn, y)
+        conj = _chunked_eval(fn, tuple(dagger(u) @ xi @ u for xi in x))
+        fz = _chunked_eval(fn, tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
+    except OpmonoError as exc:
+        return _inconclusive("nc-axioms", seed, str(exc))
+    defects = np.stack([fro_norm(conj - dagger(u) @ fx @ u), fro_norm(fz - block_diag(fx, fy))], axis=1)
+    defects /= (1.0 + fro_norm(fx))[:, None]
+    return _report(
+        "nc-axioms", seed, -defects, np.full_like(defects, -tol.eq),
+        lambda t, c, m: {"X": _at(x, t), "Y": _at(y, t), "U": u[t].copy(), "kind": ("unitary", "direct_sum")[c],
+                         "margin": m},
+        {"unitary_defect": defects[:, 0], "direct_sum_defect": defects[:, 1]},
     )

@@ -4,7 +4,8 @@ Subcommands wire the library modules over JSON files.  Each one takes
 ``--format text|json`` and ``--out PATH`` and only the options listed:
 
   check        randomized property certification of a catalogue function
-               (--m --seed --tol --trials --n --interval)
+               (--m --seed --tol --trials --n --interval); every property
+               is a ``cert`` tester, reported and exited on alike
   schur        shorted operator / Schur complement / sector bound of a matrix
                (--pivot --pivot-file --mode --keep --tol)
   pencil-eval  evaluate a pencil file at a tuple file (--shifted)
@@ -32,7 +33,7 @@ import numpy as np
 from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
-from .freefun import karcher_mean, nc_axiom_check, resolve_function
+from .freefun import karcher_mean, resolve_function
 from .matcore import Tolerances, min_eig
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
@@ -51,6 +52,14 @@ EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+_TESTERS = {
+    "monotone": certmod.monotone_test,
+    "concave": certmod.concave_test,
+    "derivative": certmod.derivative_monotone_test,
+    "hypograph": certmod.hypograph_convexity_test,
+    "nc-axioms": certmod.nc_axiom_check,
+    "doubling": certmod.doubling_concavity_check,
+}
 
 _SHARED = {
     "--seed": dict(type=int, default=0),
@@ -98,10 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="randomized property certification")
     p.add_argument("function")
-    p.add_argument(
-        "property",
-        choices=("monotone", "concave", "derivative", "hypograph", "nc-axioms", "doubling"),
-    )
+    p.add_argument("property", choices=tuple(_TESTERS))
     p.add_argument("--m", type=int, default=None, help="isometry target dimension (hypograph)")
     _add_options(p, "--seed", "--tol", "--trials", "--n", "--interval")
 
@@ -175,32 +181,13 @@ def _pivot_from_args(args, dim: int) -> PivotSubspace:
 
 def _cmd_check(args) -> int:
     fn = resolve_function(args.function)
-    interval = _parse_interval(args.interval)
-    tol = _tolerances(args)
-    kwargs = dict(n=args.n, trials=args.trials, seed=args.seed, tol=tol, interval=interval)
-    if args.property == "monotone":
-        report = certmod.monotone_test(fn, **kwargs)
-    elif args.property == "concave":
-        report = certmod.concave_test(fn, **kwargs)
-    elif args.property == "derivative":
-        report = certmod.derivative_monotone_test(fn, **kwargs)
-    elif args.property == "hypograph":
-        m = args.m if args.m is not None else max(args.n - 1, 1)
-        report = certmod.hypograph_convexity_test(fn, m=m, **kwargs)
+    kwargs = dict(interval=_parse_interval(args.interval), tol=_tolerances(args), n=args.n, trials=args.trials,
+                  seed=args.seed)
+    if args.property == "hypograph":
+        kwargs["m"] = args.m if args.m is not None else max(args.n - 1, 1)
     elif args.property == "doubling":
         kwargs["trials"] = max(args.trials // 10, 1)
-        report = certmod.doubling_concavity_check(fn, **kwargs)
-    else:  # nc-axioms
-        rep = nc_axiom_check(fn, **kwargs)
-        payload = {"property": "nc-axioms", "function": fn.name,
-                   "verdict": "pass" if rep.passed else "counterexample",
-                   "unitary_defect": rep.unitary_defect, "direct_sum_defect": rep.direct_sum_defect,
-                   "trials": rep.trials, "seed": rep.seed}
-        _emit(args, payload,
-              f"nc-axioms {fn.name}: {'PASS' if rep.passed else 'FAIL'} "
-              f"(unitary {rep.unitary_defect:.2e}, direct-sum {rep.direct_sum_defect:.2e})")
-        return EXIT_PASS if rep.passed else EXIT_COUNTEREXAMPLE
-
+    report = _TESTERS[args.property](fn, **kwargs)
     payload = io.report_payload(report)
     payload["function"] = fn.name
     _emit(

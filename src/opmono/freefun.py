@@ -1,6 +1,7 @@
 """Free-function catalogue.
 
-Concrete noncommutative functions used as certification subjects and as
+Concrete noncommutative functions used as certification subjects (``cert``,
+whose ``nc_axiom_check`` tests the free-function axioms themselves) and as
 inputs to the representation machinery: one-variable functional-calculus
 lifts, multivariable operator means (harmonic, arithmetic, weighted
 geometric, power means and the Karcher mean), Moebius transformations, and
@@ -66,14 +67,12 @@ from .gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
 from .matcore import (
     DEFAULT_TOL,
     Tolerances,
-    block_diag,
     check_args,
     dagger,
     fro_norm,
     herm_part,
     min_eig,
 )
-from .sampling import draw, finish_spd, finish_unitary, normal, slots, spd_plan
 
 __all__ = [
     "FreeFn",
@@ -91,8 +90,6 @@ __all__ = [
     "mobius_fn",
     "frechet_derivative",
     "frechet_many",
-    "nc_axiom_check",
-    "NCAxiomReport",
     "resolve_function",
     "CATALOGUE_IDS",
 ]
@@ -341,11 +338,14 @@ _MAX_ITER = 10_000
 
 
 def _check_weights(weights: tuple[float, ...]) -> np.ndarray:
-    """The weights as an array, one per argument of the mean they weigh."""
+    """The weights as an array, one per argument of the mean they weigh; BadConfig unless positive with sum one.
+
+    Both tests are written so that a NaN weight fails them.
+    """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
+    if w.ndim != 1 or w.size < 1 or not np.all(w > 0):
         raise BadConfig("weights must be positive")
-    if abs(w.sum() - 1.0) > 1e-12:
+    if not abs(w.sum() - 1.0) <= 1e-12:
         raise BadConfig("weights must sum to one")
     return w
 
@@ -696,7 +696,7 @@ def geometric_mean_2_fn() -> FreeFn:
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """x -> (a x + b) / (c x + d) with a d - b c > 0."""
+    """x -> (a x + b) / (c x + d) with 0 < a d - b c < inf, which refuses a NaN or infinite coefficient."""
 
     a: float
     b: float
@@ -704,8 +704,8 @@ class MobiusMap:
     d: float
 
     def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c <= 0:
-            raise BadConfig("Moebius map requires a d - b c > 0")
+        if not 0 < self.a * self.d - self.b * self.c < np.inf:
+            raise BadConfig("Moebius map requires a finite a d - b c > 0")
 
     def scalar(self, x):
         return (self.a * x + self.b) / (self.c * x + self.d)
@@ -820,54 +820,6 @@ def frechet_derivative(
         if step < floor:
             raise StepUnderflow("no stable step found for the Frechet derivative")
     raise StepUnderflow("step halving exhausted without agreement")
-
-
-# ---------------------------------------------------------------------------
-# NC-axiom checking
-
-
-@dataclass(frozen=True)
-class NCAxiomReport:
-    unitary_defect: float
-    direct_sum_defect: float
-    trials: int
-    passed: bool
-    seed: int
-
-
-def nc_axiom_check(
-    fn: FreeFn,
-    n: int,
-    trials: int = 100,
-    seed: int = 0,
-    interval: tuple[float, float] = (0.5, 2.0),
-    tol: Tolerances = DEFAULT_TOL,
-) -> NCAxiomReport:
-    """Test unitary equivariance and direct-sum respect on random inputs.
-
-    All trials are evaluated as stacks: four calls of ``fn``, at X, U* X U,
-    Y and X (+) Y.
-    """
-    rng = np.random.default_rng(seed)
-    k = fn.arity
-    z, lam, g = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [normal(2, n, n)])
-    xys = finish_spd(z, lam).reshape(trials, 2, k, n, n)
-    x, y = slots(xys[:, 0], k), slots(xys[:, 1], k)
-    u = finish_unitary(g)
-    fx = fn(x)
-    scale = 1.0 + fro_norm(fx)
-    conj = fn(tuple(dagger(u) @ xi @ u for xi in x))
-    worst_u = float(np.max(fro_norm(conj - dagger(u) @ fx @ u) / scale))
-    fz = fn(tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
-    worst_ds = float(np.max(fro_norm(fz - block_diag(fx, fn(y))) / scale))
-    passed = worst_u <= tol.eq and worst_ds <= tol.eq
-    return NCAxiomReport(
-        unitary_defect=worst_u,
-        direct_sum_defect=worst_ds,
-        trials=trials,
-        passed=passed,
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ class Tolerances:
 
     herm: Hermitian-defect acceptance, psd: semidefiniteness slack,
     rank: pseudoinverse truncation and range-inclusion residuals,
-    eq: generic equality comparisons.
+    eq: generic equality comparisons.  Each must be finite and nonnegative
+    (BadConfig): a NaN or infinite bound would pass every check.
 
     One PSD rule serves every Loewner check in the package: a Hermitian
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
@@ -145,8 +146,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("herm", "psd", "rank", "eq"):
-            if getattr(self, name) < 0:
-                raise BadConfig(f"tolerance {name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise BadConfig(f"tolerance {name} must be finite and nonnegative")
 
     def psd_floor_at(self, norm: np.ndarray | float) -> np.ndarray | float:
         """The PSD floor ``psd * (1 + norm)`` of members whose Frobenius norms are ``norm``."""

@@ -404,7 +404,8 @@ def direct_sum_rep(
     """Representation exact on finitely many directions F(A_j) v_j.
 
     Stacks the points into one block-diagonal tuple with the balanced
-    vector (1/sqrt J) (+) v_j and takes a single supporting certificate
+    vector (1/sqrt J) (+) v_j / ||v_j||, each block of norm 1/sqrt J
+    whatever the norms of the v_j, and takes a single supporting certificate
     there; its representation (``SupportCertificate.rep``, tagged
     ``direct_sum`` in ``meta``) is the result.  The reconstruction identity
     splits blockwise, so the representation reproduces F(A_j) v_j for every
@@ -419,7 +420,7 @@ def direct_sum_rep(
     if len({a_j[0].shape[-1] for a_j in pts} | {v.size for v in vs}) > 1:
         raise DimensionMismatch("all base points and vectors must share one dimension")
     xs = tuple(np.stack(x) for x in zip(*pts))
-    w = unit_vector(np.concatenate([np.asarray(vj, dtype=complex).reshape(-1) for _, vj in points]))
+    w = unit_vector(np.concatenate(vs))
 
     cert = support_pencil(fn, tuple(block_diag(*x) for x in xs), w, interval, validation_samples, seed, tol)
     cert.rep.meta.update(kind="direct_sum", points=len(points))

@@ -9,6 +9,7 @@ from opmono.cert import (
     doubling_concavity_check,
     hypograph_convexity_test,
     monotone_test,
+    nc_axiom_check,
 )
 from opmono.freefun import (
     FreeFn,
@@ -62,7 +63,7 @@ def stalls():
     return FreeFn(name="stalls", arity=1, evaluator=ev)
 
 
-TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph")
+TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph", "nc-axioms")
 
 
 def run_tester(name, fn, n, trials, seed):
@@ -71,7 +72,8 @@ def run_tester(name, fn, n, trials, seed):
         return doubling_concavity_check(fn, n=n, trials=trials, seed=seed)
     if name == "hypograph":
         return hypograph_convexity_test(fn, n=n, m=n - 1, trials=trials, seed=seed)
-    tester = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test}
+    tester = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test,
+              "nc-axioms": nc_axiom_check}
     return tester[name](fn, n=n, trials=trials, seed=seed)
 
 
@@ -291,12 +293,13 @@ class TestCounterexamplesOwnTheirArrays:
     @pytest.mark.parametrize("tester,ident,m", [
         ("monotone", "xsq", None), ("concave", "xsq", None), ("derivative", "xsq", None),
         ("derivative", "faketrace", None), ("derivative", "bab", None), ("doubling", "xsq", None),
-        ("hypograph", "xsq", 1), ("hypograph", "faketrace", 2),
+        ("hypograph", "xsq", 1), ("hypograph", "faketrace", 2), ("nc-axioms", "faketrace", None),
     ])
     def test_every_array_owns_its_data(self, tester, ident, m):
         fn = b_over_a() if ident == "bab" else resolve_function(ident)
         run = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test,
-               "doubling": doubling_concavity_check, "hypograph": hypograph_convexity_test}[tester]
+               "doubling": doubling_concavity_check, "hypograph": hypograph_convexity_test,
+               "nc-axioms": nc_axiom_check}[tester]
         rep = run(fn, n=2, trials=512, seed=14, **({} if m is None else {"m": m}))
         arrays = list(arrays_in(rep.counterexample))
         assert rep.verdict == "counterexample" and arrays

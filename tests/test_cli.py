@@ -71,6 +71,11 @@ class TestCheck:
         _, payload = io.load(str(out_file))
         assert payload["verdict"] == "inconclusive"
         assert "non-finite" in payload["details"]["error"]
+        code, out = run_cli("check", "sqrt", "nc-axioms", "--n", "3", "--trials", "200", "--format", "json")
+        assert code == 3
+        payload = json.loads(out)["payload"]
+        assert payload["verdict"] == "inconclusive" and payload["property_name"] == "nc-axioms"
+        assert "non-finite" in payload["details"]["error"]
 
     def test_typed_evaluator_error_exits_inconclusive(self, monkeypatch, tmp_path):
         from opmono import errors
@@ -80,7 +85,7 @@ class TestCheck:
             raise errors.NoConvergence("fixed point stalled")
 
         monkeypatch.setattr(cli, "resolve_function", lambda ident: FreeFn("stalls", 1, ev))
-        for prop in ("monotone", "doubling"):
+        for prop in ("monotone", "doubling", "nc-axioms"):
             out_file = tmp_path / f"{prop}.json"
             code, _ = run_cli("check", "sqrt", prop, "--n", "3", "--trials", "20", "--out", str(out_file))
             assert code == 3
@@ -422,8 +427,12 @@ class TestUsageErrors:
         (("schur", "{matrix}", "--pivot", "5"), "BadConfig"),
         (("schur", "{matrix}", "--pivot", "a"), "BadConfig"),
         (("support", "sqrt", "{single}", "--v-index", "7"), "BadConfig"),
+        (("check", "xsq", "monotone", "--tol", "nan"), "BadConfig"),
+        (("check", "harmonic:w=nan,0.5", "monotone"), "UnknownFunction"),
+        (("check", "mobius:nan,0,0,1", "monotone"), "UnknownFunction"),
     ], ids=["mean-t-above-one", "check-t-zero", "quadrep-bad-exponent", "n-zero", "n-negative",
-            "negative-tol", "pivot-out-of-range", "pivot-not-int", "v-index-out-of-range"])
+            "negative-tol", "pivot-out-of-range", "pivot-not-int", "v-index-out-of-range", "nan-tol",
+            "nan-weight", "nan-mobius-coefficient"])
     def test_bad_arguments_exit_64(self, argv, error, tmp_path, capsys):
         files = {"pair": (np.eye(2), 2 * np.eye(2)), "single": (np.eye(3),)}
         paths = {}

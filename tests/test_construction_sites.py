@@ -9,6 +9,9 @@ the one check of every entry point that takes a matrix tuple; a pencil's coeffic
 count and a direct sum's common arity are the only other arities refused.  The same
 check refuses a malformed single matrix, coefficient list or state; the bare square-shape
 test ``_require_square`` is left only to the pass-through algebra primitives.
+
+Every tester's ``CertReport`` comes from ``cert._report``, or from ``cert._inconclusive``
+where evaluation failed, so no tester has a stop rule or a non-finite rule of its own.
 """
 
 import ast
@@ -25,6 +28,7 @@ ALLOWED = {
                              "serialize.representation_from_payload"},
     "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
     "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
+    "CertReport": {"cert._inconclusive", "cert._report"},
 }
 
 

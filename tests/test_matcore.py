@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opmono import errors
 from opmono.matcore import (
     DEFAULT_TOL,
+    Tolerances,
     block_diag,
     fro_norm,
     funcalc,
@@ -187,6 +188,13 @@ class TestPsdRule:
     def test_floor_is_per_member(self):
         stack = np.stack([np.zeros((2, 2)), 3.0 * np.eye(2), np.diag([4.0, 0.0])])
         assert np.array_equal(psd_floor(stack), DEFAULT_TOL.psd * np.array([1.0, 1.0 + np.sqrt(18.0), 5.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["herm", "psd", "rank", "eq"])
+    def test_a_non_finite_tolerance_is_refused(self, name, value):
+        # a NaN or infinite bound would let every check pass
+        with pytest.raises(errors.BadConfig, match=f"tolerance {name} must be finite"):
+            Tolerances(**{name: value})
 
     def test_require_psd_returns_the_margins(self):
         stack = np.stack([np.diag([2.0, 1.0]), np.diag([3.0, -1e-10])])

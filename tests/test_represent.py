@@ -404,6 +404,15 @@ class TestDirectSum:
         ds = direct_sum_rep(fn, [(a, v), (a, v)], validation_samples=40, seed=15)
         assert max(ds.residuals) <= 1e-6
 
+    def test_blocks_are_balanced_whatever_the_vector_norms(self):
+        rng = np.random.default_rng(16)
+        fn = geometric_mean_2_fn()
+        pts = [(rand_tuple_interval(rng, 2, 2, 0.5, 2.0), scale * np.eye(2)[0]) for scale in (10.0, 1.0)]
+        ds = direct_sum_rep(fn, pts, validation_samples=40, seed=17)
+        blocks = np.linalg.norm(ds.certificate.v.reshape(2, 2), axis=1)
+        assert np.allclose(blocks, np.sqrt(0.5), rtol=0, atol=1e-15)
+        assert max(ds.residuals) <= 1e-6
+
     def test_four_points_geometric(self):
         rng = np.random.default_rng(15)
         fn = geometric_mean_2_fn()

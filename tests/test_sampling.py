@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmono import cert, freefun, represent, sampling
+from opmono import cert, represent, sampling
 from opmono.cert import (concave_test, derivative_monotone_test, doubling_concavity_check, hypograph_convexity_test,
-                         monotone_test)
+                         monotone_test, nc_axiom_check)
 from opmono.errors import BadConfig
-from opmono.freefun import nc_axiom_check, resolve_function
+from opmono.freefun import resolve_function
 from opmono.matcore import dagger, herm_part
 from opmono.represent import support_pencil
 
@@ -182,7 +182,7 @@ def library_plans(monkeypatch):
         seen.append((rounds, list(plan)))
         return real(rng, rounds, plan)
 
-    for module in (sampling, cert, freefun, represent):
+    for module in (sampling, cert, represent):
         monkeypatch.setattr(module, "draw", recording)
 
     def drawing(call, *args, **kwargs):
