@@ -63,6 +63,8 @@ __all__ = [
 
 DEFAULT_INTERVAL = (0.5, 2.0)
 _CHUNK = 512
+# every tester runs under it: an infinite value reaches ``_report``'s non-finite rule, not a warning
+_tester = np.errstate(invalid="ignore", over="ignore")
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ def _scan(
     return _report(name, seed, margins, bounds, counter, details)
 
 
+@_tester
 def monotone_test(
     fn: FreeFn,
     n: int,
@@ -200,6 +203,7 @@ def monotone_test(
     )
 
 
+@_tester
 def concave_test(
     fn: FreeFn,
     n: int,
@@ -253,6 +257,7 @@ def _loewner_counter(x: tuple[np.ndarray, ...], c: np.ndarray, slot: int, margin
     return {"X": x, "H": tuple(hs), "margin": margin}
 
 
+@_tester
 def derivative_monotone_test(
     fn: FreeFn,
     n: int,
@@ -323,6 +328,7 @@ def derivative_monotone_test(
     )
 
 
+@_tester
 def doubling_concavity_check(
     fn: FreeFn,
     n: int,
@@ -382,6 +388,7 @@ def doubling_concavity_check(
     )
 
 
+@_tester
 def hypograph_convexity_test(
     fn: FreeFn,
     n: int,
@@ -433,6 +440,7 @@ def hypograph_convexity_test(
     )
 
 
+@_tester
 def nc_axiom_check(
     fn: FreeFn,
     n: int,

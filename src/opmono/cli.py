@@ -33,7 +33,7 @@ import numpy as np
 from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
-from .freefun import karcher_mean, resolve_function
+from .freefun import _parse_identifier, _pow_exponent, karcher_mean, resolve_function
 from .matcore import Tolerances, min_eig
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p)
 
     p = sub.add_parser("quadrep", help="quadrature representation of a scalar function")
-    p.add_argument("function", help="sqrt, log1p, or pow:P")
+    p.add_argument("function", help="sqrt, log1p, or pow:P (also pow:p=P)")
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--target", type=float, default=1e-3)
     _add_options(p, "--interval")
@@ -313,14 +313,13 @@ def _cmd_mean(args) -> int:
 
 def _cmd_quadrep(args) -> int:
     interval = _parse_interval(args.interval)
-    name = args.function
-    p = None
-    if name.startswith("pow:"):
+    head, kv, positional = _parse_identifier(args.function)
+    name, p = args.function, None
+    if head == "pow":  # the catalogue's grammar, as in resolve_function
         try:
-            p = float(name.split(":", 1)[1])
+            name, p = head, _pow_exponent(kv, positional)
         except ValueError as exc:
-            raise BadConfig(f"bad exponent in {name!r}; expected pow:P") from exc
-        name = "pow"
+            raise BadConfig(f"bad exponent in {args.function!r}; expected pow:P or pow:p=P") from exc
     rep = rep_from_quadrature(name, nodes=args.nodes, interval=interval, p=p, target=args.target)
     _emit(args, {"scalar_error": rep.meta["scalar_error"]},
           f"quadrature representation: {rep.meta['nodes']} cells, "

@@ -16,10 +16,12 @@ function) included; every two-argument mean but the arithmetic one
 declares f (``FreeFn.scalar``; ``_pair_function``, the harmonic mean's at
 t = -1).
 
-The power and Karcher means of three or more arguments solve one equation,
-sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I with f(x) = x^t or f = log: one
-step helper (``_mean_equation``), one loop (``_fixed_point``, all batch
-elements in lockstep) and one implicit adjoint (``_implicit_vgrad``).
+The power means P_t, t in (0, 1], and the Karcher mean, their t = 0
+member, are one family at every arity: one mean (``_mean``), whose
+three or more arguments solve sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I
+with f from ``_family(t)`` (x^t, or log at t = 0) by one step
+(``_mean_gradient``), one loop (``_fixed_point``, all batch elements in
+lockstep) and one implicit adjoint (``_implicit_vgrad``).
 
 Every mean is invariant under congruence, so none needs a square root.  A
 Kubo-Ando mean is A^{1/2} f(M) A^{1/2}, M = A^{-1/2} B A^{-1/2} (Kubo & Ando
@@ -33,14 +35,13 @@ Positive definiteness is read from the factorizations an evaluator makes
 anyway: a stack has a Cholesky factor exactly when it is positive definite,
 and for A > 0 the eigenvalues of L^{-1} B L^{-*} are positive exactly when
 B > 0 (Sylvester's law of inertia).  That is one ``eigh`` per lift, one
-``cholesky`` and one ``eigh`` per two-argument mean (and for a member whose
-L^{-1} B L^{-*} is too ill-conditioned for ``eigh``, a ``cholesky`` of B and
-an ``svd``: ``_congruence_fun``), one ``cholesky`` per argument of the
-harmonic mean, and for three or more arguments the ``cholesky`` of the
-iterate Z and the ``eigh`` of each L^{-1} X_i L^{-*} (for a member too
-ill-conditioned for ``eigh``, or made indefinite by rounding, the ``svd`` of
-L^{-1} L_i with X_i's Cholesky factor L_i, taken once per solve).  An
-error's minimum eigenvalue is computed only once a check has failed.
+``cholesky`` per argument of the harmonic mean, and one ``cholesky`` of A
+(or of the iterate Z) and one ``eigh`` of each L^{-1} X L^{-*} per mean of
+the family.  One routine (``_spectrum``) decomposes every L^{-1} X L^{-*}:
+a member with an eigenvalue that is not positive or too ill-conditioned
+for ``eigh`` takes the ``svd`` of L^{-1} L_X, whose Cholesky factor L_X
+then checks X.  An error's minimum eigenvalue is computed only once a
+check has failed.
 """
 
 from __future__ import annotations
@@ -392,29 +393,41 @@ def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
     )
 
 
-_SECOND_ARGUMENT = "second argument is not positive definite: L^-1 B L^-* (A = L L*)"
 # eigh resolves the smallest eigenvalue of M = L^{-1} X L^{-*} to a relative
 # eps cond(M); past this cond(M), M = K K* with K = L^{-1} L_X, X = L_X L_X*,
 # is decomposed by the SVD of K, to about eps sqrt(cond(M))
 _EIGH_COND = 1e6
 
 
+def _spectrum(linv: np.ndarray, x: np.ndarray, low_x: Callable) -> tuple[np.ndarray, ...]:
+    """(w, U, wide) with L^{-1} X L^{-*} = U diag(w) U*: one ``eigh``, and an ``svd`` for the ``wide`` members.
+
+    The one decomposition of every mean's M.  A member whose eigenvalues are
+    not all positive or whose cond(M) exceeds ``_EIGH_COND`` is ``wide``: it
+    takes w and U from the SVD of L^{-1} L_X, with ``low_x(wide)`` the
+    Cholesky factors L_X of its X, so X's own factor checks X (only rounding
+    leaves M indefinite where L_X exists).  A non-finite X goes to ``low_x``
+    whole, before ``eigh`` sees it.
+    """
+    if not np.isfinite(x).all():
+        low_x(np.ones(x.shape[:-2], dtype=bool))
+    w, u = _eigh(linv @ x @ dagger(linv))
+    wide = ~(_EIGH_COND * w[..., 0] >= w[..., -1])  # also a member with w_min <= 0
+    if np.any(wide):
+        v, s, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ low_x(wide))
+        w[wide], u[wide] = s[..., ::-1] ** 2, v[..., ::-1]
+    return w, u, wide
+
+
 def _congruence_eig(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """(L U, L^{-1}, U, w) with Z = L L*, L^{-1} X L^{-*} = U diag(w) U*: one ``cholesky``, one ``eigh`` per stack.
 
-    The two factorizations check both arguments: Z by its Cholesky factor
-    (``_factor``), and X by the eigenvalues w, which must be positive.  A
-    member whose cond(M) exceeds ``_EIGH_COND`` takes w and U from the SVD
-    of L^{-1} L_X instead, at the cost of a ``cholesky`` of its X and an
-    ``svd``.
+    Z is checked by its Cholesky factor (``_factor``), and X by ``_spectrum``:
+    a wide member takes a ``cholesky`` of its X, which refuses an X that is
+    not positive definite as the second argument, and an ``svd``.
     """
     low, linv = _factor(z, "first argument")
-    w, u = _eigh(linv @ x @ dagger(linv), _SECOND_ARGUMENT)
-    wide = w[..., -1] > _EIGH_COND * w[..., 0]
-    if np.any(wide):
-        lx = _factor(np.broadcast_to(x, u.shape)[wide], "second argument")[0]
-        v, s, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ lx)
-        w[wide], u[wide] = s[..., ::-1] ** 2, v[..., ::-1]
+    w, u, _ = _spectrum(linv, x, lambda m: _factor(np.broadcast_to(x, m.shape + x.shape[-2:])[m], "second argument")[0])
     return low @ u, linv, u, w
 
 
@@ -452,8 +465,13 @@ def _pair_function(t: float, w1: float, w2: float) -> tuple[Callable, Callable]:
     )
 
 
+def _family(t: float) -> tuple[Callable, Callable]:
+    """(f, f') of the mean equation sum w_i f(M_i) = f(1) I of P_t: x^t for t in (0, 1], log at t = 0."""
+    return _pair_function(0.0, 1.0 - t, t) if t else (np.log, lambda x: 1.0 / x)
+
+
 class _Arguments(tuple):
-    """The arguments X_i of one k >= 3 solve, each one's Cholesky factor taken once, on first need."""
+    """The arguments X_i of one mean solve, each one's Cholesky factor taken once, on first need."""
 
     def __new__(cls, xs: MatTuple) -> "_Arguments":
         self = super().__new__(cls, xs)
@@ -479,32 +497,24 @@ class _Arguments(tuple):
 def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) -> tuple[np.ndarray, ...]:
     """L (Z = L L*), S = sum w_i f(M_i) and kappa, M_i = L^{-1} X_i L^{-*}: one ``cholesky``, k ``eigh``.
 
-    The power mean P_t (f(x) = x^t) and the Karcher mean (f = log) of three
-    or more arguments are the positive solutions of S = f(1) I (Lim & Palfia
-    2012; Lawson & Lim 2014), stated with Z^{-1/2} in place of L^{-1}.  The
-    Cholesky form turns S into a unitary conjugate Q* S Q (module
-    docstring), so ||S||_F, kappa and the step Z <- L exp(s G) L* of
-    ``_fixed_point``, G = log(S) / t or S, are those of the square root.  Z is
-    checked by its Cholesky factor; Z starts at sum w_i X_i, so if Z fails,
-    so does some X_i.  A member whose eigenvalues of M_i are not positive or
-    whose cond(M_i) exceeds ``_EIGH_COND`` takes them, as
-    ``_congruence_fun`` does, from the SVD of L^{-1} L_i, X_i = L_i L_i*,
-    with X_i's factor taken once per solve (``_Arguments.low``), which also
-    checks X_i: for Z > 0, M_i > 0 exactly when X_i > 0, so only rounding
-    leaves M_i indefinite when L_i exists.  kappa bounds the factor by which
-    a member's eigenvalues amplify rounding: cond(M_i) from ``eigh``, and
-    from the SVD cond(L^{-1} L_i) = sqrt(cond(M_i)), raised to ``_EIGH_COND``
-    so that kappa never falls as cond(M_i) grows.
+    The power mean P_t (f(x) = x^t) and the Karcher mean (f = log, t = 0)
+    are the positive solutions of S = f(1) I (Lim & Palfia 2012; Lawson &
+    Lim 2014), stated with Z^{-1/2} in place of L^{-1}.  The Cholesky form
+    turns S into a unitary conjugate Q* S Q (module docstring), so ||S||_F,
+    kappa and the step Z <- L exp(s G) L* of ``_fixed_point``, G = log(S) / t
+    or S, are those of the square root.  Z is checked by its Cholesky
+    factor; Z starts at sum w_i X_i, so if Z fails, so does some X_i.  Each
+    M_i is decomposed by ``_spectrum``, whose wide members take X_i's factor,
+    taken once per solve (``_Arguments.low``), which also checks X_i.
+    kappa bounds the factor by which a member's eigenvalues amplify
+    rounding: cond(M_i) from ``eigh``, and from the SVD cond(L^{-1} L_i) =
+    sqrt(cond(M_i)), raised to ``_EIGH_COND`` so that kappa never falls as
+    cond(M_i) grows.
     """
     low, linv = _factor(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
     s, kappa = 0, 1.0
     for i, (wi, xi) in enumerate(zip(w, xs), 1):
-        lam, u = _eigh(linv @ xi @ dagger(linv))
-        wide = ~(_EIGH_COND * lam[..., 0] >= lam[..., -1])  # also a member with lam_min <= 0
-        if np.any(wide):
-            li = np.broadcast_to(xs.low(i), u.shape)[wide]
-            v, sv, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ li)
-            lam[wide], u[wide] = sv[..., ::-1] ** 2, v[..., ::-1]
+        lam, u, wide = _spectrum(linv, xi, lambda m: np.broadcast_to(xs.low(i), m.shape + xi.shape[-2:])[m])
         s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
         cond = lam[..., -1] / lam[..., 0]
         kappa = np.maximum(kappa, np.where(wide, np.maximum(_EIGH_COND, np.sqrt(cond)), cond))
@@ -541,12 +551,21 @@ def _implicit_vgrad(
     return [herm_part(-wi * rinv @ df(u) @ rinv) for wi, df in zip(w, dfs)]
 
 
-def _fixed_point(xs: _Arguments, w: np.ndarray, gradient: Callable, t: float, name: str) -> tuple[np.ndarray, ...]:
-    """``karcher_mean``'s loop (t = 0) and ``power_mean``'s: ``gradient`` gives L, G, ||G||_F and its floor."""
+def _mean_gradient(z: np.ndarray, xs: _Arguments, w: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+    """L, the step's G = log(S) / t, or S at t = 0, and per member ||G||_F and its stopping floor (``power_mean``)."""
+    low, s, kappa = _mean_equation(z, xs, w, _family(t)[0])
+    grad = _eigh_fun(np.log, s) / t if t else s
+    res = fro_norm(grad)
+    floor = 16 * np.finfo(float).eps * kappa ** (1 - t) * np.exp(-2 * res)
+    return low, grad, res, np.maximum(_KARCHER_RTOL / (t or 1), floor)
+
+
+def _fixed_point(xs: _Arguments, w: np.ndarray, t: float, name: str) -> tuple[np.ndarray, ...]:
+    """The k >= 3 loop of P_t, the Karcher mean at t = 0: Z <- L exp(s G) L* from ``_mean_gradient``."""
     z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
     damping, prev_res = 1.0, np.inf
     for iterations in range(1, _MAX_ITER + 1):
-        low, grad, norms, floor = gradient(z, xs, w)
+        low, grad, norms, floor = _mean_gradient(z, xs, w, t)
         res = float(np.max(np.where(norms <= floor, 0.0, norms), initial=0.0))
         if res == 0.0:
             return z, iterations, norms
@@ -555,6 +574,19 @@ def _fixed_point(xs: _Arguments, w: np.ndarray, gradient: Callable, t: float, na
         prev_res = res
         z = herm_part(low @ _eigh_fun(np.exp, damping * grad) @ dagger(low))
     raise NoConvergence(f"{name} iteration stalled at residual {prev_res:.3e}")
+
+
+def _mean(xs: MatTuple, w: np.ndarray, t: float, return_info: bool = False):
+    """``power_mean`` (t in (0, 1]) and ``karcher_mean`` (t = 0) of checked arguments, one per weight of ``w``."""
+    xs = _Arguments(xs)
+    if len(xs) == 2:
+        z, iterations = _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0]), 0
+        norms = _mean_gradient(z, xs, w, t)[2] if return_info else None
+    else:
+        z, iterations, norms = _fixed_point(xs, w, t, f"power mean t={t:g}" if t else "Karcher")
+    if return_info:
+        return z, {"iterations": iterations, "residual": float(np.max(norms, initial=0.0))}
+    return z
 
 
 def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray:
@@ -583,60 +615,36 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     w_i lam^t <= S = I by t eps w_i lam_max lam^{t-1} <= t eps kappa^{1-t},
     so G by eps kappa^{1-t}, and summing S and its log move G by about
     k eps / t.  NoConvergence follows ``_MAX_ITER`` steps.  The arguments
-    take ``matcore.check_args``, one per weight.
+    take ``matcore.check_args``, one per weight.  The Karcher mean is the
+    same family at t = 0 (``_mean``).
     """
     if not (0.0 < t <= 1.0):
         raise BadConfig("t must lie in (0, 1]")
     w = _check_weights(weights)
-    return _power_mean(check_args(xs, w.size, "power_mean"), t, w)
+    return _mean(check_args(xs, w.size, "power_mean"), w, t)
 
 
-def _power_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
-    """L, the power step's G = log(S) / t, and per member ||G||_F and its stopping floor."""
-    low, s, kappa = _mean_equation(z, xs, w, _pair_function(0.0, 1.0 - t, t)[0])
-    grad = _eigh_fun(np.log, s) / t
-    res = fro_norm(grad)
-    return low, grad, res, np.maximum(_KARCHER_RTOL / t, 16 * np.finfo(float).eps * kappa ** (1 - t) * np.exp(-2 * res))
+def _mean_fn(name: str, w: np.ndarray, t: float, weights: tuple[float, ...] | None = None) -> FreeFn:
+    """FreeFn of P_t, the Karcher mean at t = 0.
 
-
-def _power_mean(xs: MatTuple, t: float, w: np.ndarray) -> np.ndarray:
-    """``power_mean`` of checked arguments, one per weight of ``w``."""
-    if len(xs) == 2:
-        return _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
-    return _fixed_point(_Arguments(xs), w, partial(_power_gradient, t=t), t, f"power mean t={t:g}")[0]
-
-
-def _mean_fn(name: str, w: np.ndarray, evaluate: Callable, t: float, f: Callable, fprime: Callable,
-             weights: tuple[float, ...] | None = None) -> FreeFn:
-    """FreeFn of a power-family mean.
-
-    Two arguments are the mean that ``_pair_function(t, *w)`` declares
-    (``_declared_fn``); more evaluate ``evaluate``, take ``_implicit_vgrad``
-    of the equation's f and declare nothing.
+    Two arguments declare ``_pair_function(t, *w)`` (``_declared_fn``); more take ``_mean`` and the
+    ``_implicit_vgrad`` of f from ``_family(t)``, and declare nothing.
     """
     if w.size == 2:
         return _declared_fn(name, 2, *_pair_function(t, *w), weights=weights)
+    evaluate = partial(_mean, w=w, t=t)
     return FreeFn(name=name, arity=w.size, evaluator=evaluate, weights=weights,
-                  vgrad=lambda xs, seed: _implicit_vgrad(evaluate(xs), xs, seed, w, f, fprime))
+                  vgrad=lambda xs, seed: _implicit_vgrad(evaluate(xs), xs, seed, w, *_family(t)))
 
 
 def power_mean_fn(t: float, weights: tuple[float, ...]) -> FreeFn:
     if not (0.0 < t <= 1.0):
         raise UnknownFunction(f"power mean requires t in (0, 1], got {t:g}")
-    w = _check_weights(weights)
-    return _mean_fn(f"power:t={t:g}", w, lambda xs: _power_mean(xs, t, w), t,
-                    *_pair_function(0.0, 1.0 - t, t))
-
-
-def _karcher_gradient(z: np.ndarray, xs: MatTuple, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """L, the Karcher gradient S = sum w_i log(M_i), and per member ||S||_F and its stopping floor."""
-    low, grad, kappa = _mean_equation(z, xs, w, np.log)
-    res = fro_norm(grad)
-    return low, grad, res, np.maximum(_KARCHER_RTOL, 16 * np.finfo(float).eps * kappa * np.exp(-2 * res))
+    return _mean_fn(f"power:t={t:g}", _check_weights(weights), t)
 
 
 def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = False):
-    """Karcher (least-squares) mean of a positive definite tuple.
+    """Karcher (least-squares) mean of a positive definite tuple: P_t at t = 0 (``_mean``).
 
     Two arguments have a closed form, Karcher(w_1, w_2; A, B) = A #_{w_2} B,
     the congruence of ``_pair_function(0, w_1, w_2)`` (``_congruence_fun``):
@@ -659,26 +667,12 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     steps.  The arguments take ``matcore.check_args``, one per weight.
     """
     w = _check_weights(weights)
-    return _karcher_mean(check_args(xs, w.size, "karcher_mean"), w, return_info)
-
-
-def _karcher_mean(xs: MatTuple, w: np.ndarray, return_info: bool = False):
-    """``karcher_mean`` of checked arguments, one per weight of ``w``."""
-    xs = _Arguments(xs)
-    if len(xs) == 2:
-        z, iterations = _congruence_fun(xs[0], xs[1], _pair_function(0.0, *w)[0]), 0
-        norms = _karcher_gradient(z, xs, w)[2] if return_info else None
-    else:
-        z, iterations, norms = _fixed_point(xs, w, _karcher_gradient, 0.0, "Karcher")
-    if return_info:
-        return z, {"iterations": iterations, "residual": float(np.max(norms, initial=0.0))}
-    return z
+    return _mean(check_args(xs, w.size, "karcher_mean"), w, 0.0, return_info)
 
 
 def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
     w = _check_weights(weights)
-    return _mean_fn("karcher", w, lambda xs: _karcher_mean(xs, w), 0.0, np.log, lambda x: 1.0 / x,
-                    tuple(w.tolist()))
+    return _mean_fn("karcher", w, 0.0, tuple(w.tolist()))
 
 
 def geometric_mean_2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -845,24 +839,25 @@ def _parse_weights(spec: str | None) -> tuple[float, ...]:
     return (0.5, 0.5) if spec is None else tuple(float(s) for s in spec.split(","))
 
 
+def _parse_identifier(identifier: str) -> tuple[str, dict[str, str], list[str]]:
+    """(head, key=value parameters, positional parameters) of a catalogue identifier ``head:a:k=v``."""
+    head, *parts = identifier.split(":")
+    return head, dict(p.split("=", 1) for p in parts if "=" in p), [p for p in parts if "=" not in p]
+
+
+def _pow_exponent(kv: dict[str, str], positional: list[str]) -> float:
+    """The exponent P of ``pow:P`` or ``pow:p=P`` (NaN when absent); ValueError where it is not a number."""
+    return float(kv.get("p", positional[0] if positional else "nan"))
+
+
 def resolve_function(identifier: str) -> FreeFn:
     """Resolve a catalogue identifier like ``sqrt`` or ``karcher:w=0.5,0.5``."""
-    parts = identifier.split(":")
-    head = parts[0]
-    kv: dict[str, str] = {}
-    positional: list[str] = []
-    for p in parts[1:]:
-        if "=" in p:
-            key, val = p.split("=", 1)
-            kv[key] = val
-        else:
-            positional.append(p)
+    head, kv, positional = _parse_identifier(identifier)
     try:
         if head in ("sqrt", "log1p", "identity", "xsq"):
             return lift_scalar(head)
         if head == "pow":
-            p = float(kv.get("p", positional[0] if positional else "nan"))
-            return lift_scalar("pow", p)
+            return lift_scalar("pow", _pow_exponent(kv, positional))
         if head == "faketrace":
             return fake_trace_fn()
         if head == "harmonic":

@@ -34,14 +34,14 @@ def affine_plus_one():
     )
 
 
-def nan_above_trace(limit):
-    """The identity, except NaN wherever tr X > limit."""
+def value_above_trace(limit, value):
+    """The identity, except ``value`` in every entry wherever tr X > limit."""
 
     def ev(xs):
         tr = np.trace(xs[0], axis1=-2, axis2=-1).real
-        return np.where((tr > limit)[..., None, None], np.nan, xs[0])
+        return np.where((tr > limit)[..., None, None], value, xs[0])
 
-    return FreeFn(name="nan-above-trace", arity=1, evaluator=ev)
+    return FreeFn(name="value-above-trace", arity=1, evaluator=ev)
 
 
 def b_over_a():
@@ -439,9 +439,11 @@ class TestScan:
         # one scan call per matrix size
         assert shapes == [(512, 1, 2, 2), (512, 1, 3, 3)]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("tester", TESTERS)
-    def test_non_finite_values_are_inconclusive(self, tester):
-        rep = run_tester(tester, nan_above_trace(4.0), n=3, trials=200, seed=0)
+    def test_non_finite_values_are_inconclusive(self, tester, value):
+        # an infinite value must reach the report's non-finite rule, not raise a RuntimeWarning
+        rep = run_tester(tester, value_above_trace(4.0, value), n=3, trials=200, seed=0)
         assert rep.verdict == "inconclusive" and rep.trials_run == 0
         assert "non-finite" in rep.details["error"]
 

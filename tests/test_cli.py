@@ -195,6 +195,15 @@ class TestRepeval:
         assert run_cli("quadrep", "sqrt", "--nodes", "64", "--out", str(rep_path))[0] == 0
         assert rep_path.stat().st_size < 64 * 1024  # the dense form takes about 580 KB
 
+    def test_quadrep_reads_the_exponent_as_the_catalogue_does(self, tmp_path):
+        # pow:P and pow:p=P name one function, here as in `check`
+        files = []
+        for ident in ("pow:0.7", "pow:p=0.7"):
+            path = tmp_path / f"{ident.replace(':', '_')}.json"
+            assert run_cli("quadrep", ident, "--nodes", "16", "--interval", "0.5,2", "--out", str(path))[0] == 0
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
     def test_repeval_reads_a_dense_representation_to_the_same_bytes(self, tmp_path):
         sparse_path, dense_path = tmp_path / "sparse.json", tmp_path / "dense.json"
         run_cli("quadrep", "pow:0.7", "--nodes", "24", "--interval", "0.5,2", "--out", str(sparse_path))

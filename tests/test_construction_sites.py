@@ -12,6 +12,10 @@ test ``_require_square`` is left only to the pass-through algebra primitives.
 
 Every tester's ``CertReport`` comes from ``cert._report``, or from ``cert._inconclusive``
 where evaluation failed, so no tester has a stop rule or a non-finite rule of its own.
+
+Every operator mean decomposes L^{-1} X L^{-*} through ``freefun._spectrum``, and the power
+and Karcher means take their step and stop from ``freefun._mean_gradient``, so neither the
+SVD fallback nor the family's step has a second copy.
 """
 
 import ast
@@ -29,6 +33,8 @@ ALLOWED = {
     "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
     "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
     "CertReport": {"cert._inconclusive", "cert._report"},
+    "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation"},
+    "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
 }
 
 
