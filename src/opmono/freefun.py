@@ -170,9 +170,10 @@ class FreeFn:
     ``_pair_function(-1, *w)`` beside its own evaluator.  Nothing else
     declares one.  The declaration is read in place of the evaluator by
     the testers (``cert``: F at the drawn points, and the Loewner matrices
-    of f in the derivative test) and by a lift's support validation
-    (``represent._graph_margins``), each only under one rule
-    (``_declared_at``).  So ``replace(fn, evaluator=...)`` with an
+    of f in the derivative test) and by the support validation of a lift
+    and of a two-argument mean (``represent._graph_margins``: f on each
+    sample's spectrum, or on the spectrum of its M), each only under one
+    rule (``_declared_at``).  So ``replace(fn, evaluator=...)`` with an
     evaluator that computes anything but the same F has to pass
     ``scalar=None``.
     """
@@ -194,10 +195,11 @@ class FreeFn:
         return tuple(np.asarray(x, dtype=complex) for x in check_args(mats, self.arity, self.name, one))
 
     def _declared_at(self, lam: np.ndarray) -> np.ndarray | None:
-        """f(lam) at drawn spectra ``lam`` where the declaration may be read, else None.
+        """f(lam) at spectra ``lam`` where the declaration may be read, else None.
 
-        The one rule of every reader of ``scalar``: every drawn eigenvalue is
-        positive and f is finite on all of them.
+        The one rule of every reader of ``scalar``: every eigenvalue (drawn,
+        or of a mean's M in the support validation) is positive and f is
+        finite on all of them.
         """
         if self.scalar is None or not np.all(lam > 0):
             return None

@@ -17,7 +17,9 @@ intermediate work (homogeneous pencils with B_0 = 0 in particular).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +93,15 @@ class RawPencil:
 
     def coeff_sum(self) -> np.ndarray:
         return sum(self.coeffs[1:])
+
+    @cached_property
+    def cores(self) -> weakref.WeakSet:
+        """This pencil's live ``schur.SchurCore``s (``schur.shared_core``).
+
+        Held weakly: a core refers to its pencil, so a strong reference would
+        keep both alive until the cyclic garbage collector ran.
+        """
+        return weakref.WeakSet()
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,12 @@ from .errors import (
     SupportViolated,
     VerificationFailed,
 )
-from .freefun import FreeFn, lift_scalar
+from .freefun import FreeFn, _congruence_eig, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, fro_norm, herm_part, min_eig, min_eig_above,
                       require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_spd, slots, spd_plan
-from .schur import PivotSubspace, SchurCore
+from .schur import PivotSubspace, SchurCore, shared_core
 
 __all__ = [
     "SupportCertificate",
@@ -79,9 +79,14 @@ class SupportCertificate:
     need not be, and ``reconstruct``'s residual shows how far it is off.
     ``support_margin`` is a lower bound on the pencil's smallest eigenvalue
     at ``samples`` graph points (F(X), X) of sizes n and 2n
-    (``_graph_margins``); for a lift it is that smallest eigenvalue, taken
-    blockwise from f on each sample's spectrum.  The certificate is a
-    pencil representation of an upper bound of F (``rep``).
+    (``_graph_margins``).  For a lift it is that smallest eigenvalue, taken
+    exactly from n x n blocks on each sample's spectrum; for a declared
+    two-argument mean it is a certified lower bound from n x n blocks on
+    the spectrum of M = L^{-1} X_2 L^{-*}, below the smallest eigenvalue by
+    its rounding allowances (``_congruence_margins``), or by up to a factor
+    cond(X_1) where that eigenvalue is positive; for every other function
+    it is the smallest eigenvalue of the whole pencil.  The certificate is
+    a pencil representation of an upper bound of F (``rep``).
     """
 
     function: str
@@ -136,22 +141,68 @@ def _support_eval(b0, grads, v, y, x) -> np.ndarray:
 
 
 def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
-    """Per-sample lambda_min L(F(X), X), X = U diag(lam) U* = finish_spd(z, lam).
+    """Per-sample lower bounds on lambda_min L(F(X), X), X = finish_spd(z, lam).
 
     L decreases in Y, so the graph is the worst hypograph member at X.  A
-    lift whose declaration may be read (``FreeFn._declared_at``) has
-    U* F(X) U = diag(f(lam)), so (I (x) U)* L (I (x) U) is the direct sum of
-    M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*, and lambda_min L is the least
-    lambda_min M_j, read from the drawn spectra without forming U, X or
-    F(X).  Every other function, whatever its arity, takes lambda_min L at
-    the evaluated F(X) over the whole pencil.
+    declaration is read only under ``FreeFn._declared_at``'s rule, and then
+    every matrix decomposed is n x n.  A lift has U* F(X) U = diag(f(lam))
+    for X = U diag(lam) U*, so (I (x) U)* L (I (x) U) is the direct sum of
+    M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*: the bound is lambda_min L
+    itself, read from the drawn spectra without forming U, X or F(X).  A
+    two-argument mean takes M's spectrum w from ``_congruence_eig`` and
+    bounds lambda_min L from blocks on w (``_congruence_margins``).  Every
+    other function, and a declared one where the rule gives None, takes
+    lambda_min L at the evaluated F(X) over the whole (n ns)^2 pencil.
     """
-    d = fn._declared_at(lam) if fn.arity == 1 else None
-    if d is None:
-        xs = slots(finish_spd(z, lam), fn.arity)
-        return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
-    blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
-    return np.min(min_eig(blocks), axis=-1)
+    if fn.arity == 1 and (d := fn._declared_at(lam)) is not None:
+        blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
+        return np.min(min_eig(blocks), axis=-1)
+    xs = slots(finish_spd(z, lam), fn.arity)
+    if fn.arity == 2 and fn.scalar is not None and np.all(lam > 0):
+        w = _congruence_eig(*xs)[3]
+        if (d := fn._declared_at(w)) is not None:
+            return _congruence_margins(b0, grads, v, w, d, lam[::2])
+    return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
+
+
+def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
+    """Certified lower bounds on lambda_min L at the graph points (C C*, C W C*, C f(W) C*), f(w) = d.
+
+    C = L U and W = diag(w) are ``_congruence_eig``'s, so X_1 = C C* and
+    X_2 = C W C*, and a Kubo-Ando mean's congruence invariance,
+    F(S A S*) = S F(A) S* (Kubo & Ando 1980), makes F(X) = C f(W) C*: the
+    points certified are the exact graph points of the computed C and W,
+    within rounding of the drawn X.  With E = B_0 - G_1 - G_2 and
+    N(w) = G_1 + w G_2 - f(w) vv*,
+
+        L = E (x) I + (I (x) C) [sum_j N(w_j) (x) e_j e_j*] (I (x) C)*,
+
+    so lambda_min L >= lambda_min E + theta min_j lambda_min N(w_j)
+    (Weyl), with theta in sigma(C)^2 = spec(X_1) (Ostrowski, Horn & Johnson,
+    *Matrix Analysis*, Thm 4.5.9): its least value where the minimum is
+    >= 0, its largest where not.  Differentiating tr(vv* F(S A S*)) at
+    S = I along any K and keeping the K-linear part gives
+    sum G_i A_i = vv* F(A), so B_0 = G_1 + G_2 and E is zero but for
+    rounding.  Each rounding allowance is taken off:
+
+    - a block's lambda_min: 32 n^2 eps (||G_1||_F + w ||G_2||_F + |f(w)|),
+      the rounding of forming N(w) from G_i, vv* and f(w), and of ``eigvalsh``;
+    - theta: the drawn spectrum ``lam1`` of X_1, widened by
+      32 ns^2 eps lambda_max, which covers C C* against the drawn X_1
+      (``finish_spd``, ``cholesky`` and the product L U);
+    - lambda_min E: 32 n^2 eps ||E||_F + 4 eps (||B_0||_F + ||G_1||_F + ||G_2||_F),
+      the rounding of ``eigvalsh`` on the computed E and of its two differences.
+    """
+    eps, n, ns = np.finfo(float).eps, v.size, w.shape[-1]
+    g1, g2 = grads
+    norms = fro_norm(np.stack([b0, g1, g2]))
+    blocks = g1 + w[..., None, None] * g2 - d[..., None, None] * np.outer(v, np.conj(v))
+    mu = np.min(min_eig(blocks) - 32 * n**2 * eps * (norms[1] + w * norms[2] + np.abs(d)), axis=-1)
+    top = np.max(lam1, axis=-1)
+    spread = 32 * ns**2 * eps * top
+    theta = np.where(mu >= 0, np.maximum(np.min(lam1, axis=-1) - spread, 0.0), top + spread)
+    e = b0 - g1 - g2
+    return min_eig(e) - 32 * n**2 * eps * fro_norm(e) - 4 * eps * np.sum(norms) + theta * mu
 
 
 def support_pencil(
@@ -177,8 +228,9 @@ def support_pencil(
     [B_0, G_1, ..., G_k], reusing the margins of the G_i: a B_0 that is not
     PSD raises CoefficientNotPSD, one that does not dominate sum G_i
     DominanceViolated.  The pencil must then stay positive on a scalar grid
-    and on random graph points at sizes n and 2n (``_graph_margins``) before
-    a certificate is issued, else SupportViolated.
+    and on random graph points at sizes n and 2n (``_graph_margins``: n x n
+    blocks for a lift and a declared two-argument mean, the whole pencil
+    otherwise) before a certificate is issued, else SupportViolated.
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
@@ -337,9 +389,9 @@ class PencilRepresentation:
         return {}
 
     def core(self, tol: Tolerances = DEFAULT_TOL) -> SchurCore:
-        """The pencil partitioned against the pivot, built once per tolerance."""
+        """The pencil partitioned against the pivot, held once per tolerance (``schur.shared_core``)."""
         if tol not in self._cores:
-            self._cores[tol] = SchurCore(self.pencil, self.pivot, tol)
+            self._cores[tol] = shared_core(self.pencil, self.pivot, tol)
         return self._cores[tol]
 
 

@@ -641,6 +641,25 @@ class SchurCore:
         return out
 
 
+def shared_core(pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL) -> SchurCore:
+    """The ``SchurCore`` of a pencil, pivot basis and tolerances, built where none is alive.
+
+    The pencil, whose coefficients are read-only, lists its cores
+    (``RawPencil.cores``) for as long as a caller holds them, as a
+    ``PencilRepresentation`` holds its own: every caller handed the same
+    pencil and a pivot basis of the same dtype, shape and bytes meanwhile
+    evaluates through one partition and one set of check constants.
+    """
+    basis = pivot.basis
+    for core in pencil.cores:
+        if core.tol == tol and core.basis.dtype == basis.dtype and core.basis.shape == basis.shape \
+                and core.basis.tobytes() == basis.tobytes():
+            return core
+    core = SchurCore(pencil, pivot, tol)
+    pencil.cores.add(core)
+    return core
+
+
 def schur_pencil(
     pencil: RawPencil,
     x: tuple[np.ndarray, ...],
@@ -651,6 +670,6 @@ def schur_pencil(
 
     Arguments must lie in one of the operator half-spaces: all Re X_i > 0 or
     all Im X_i > 0.  The certificates and checks are those of
-    ``SchurCore.evaluate``.
+    ``SchurCore.evaluate``, on the pencil's shared core (``shared_core``).
     """
-    return SchurCore(pencil, s, tol).evaluate(x, halfspace=True)
+    return shared_core(pencil, s, tol).evaluate(x, halfspace=True)

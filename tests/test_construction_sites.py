@@ -1,8 +1,9 @@
 """The objects that evaluate a pencil are built in a fixed set of places, so no path assembles its own copy.
 
-A support certificate evaluates through its representation (``SupportCertificate.rep``)
-and every representation through its ``core``: a second construction elsewhere would be
-a second evaluator of the same object, free to drift from the first.
+A support certificate evaluates through its representation (``SupportCertificate.rep``),
+and every representation and ``schur_pencil`` through the pencil's live core for that pivot
+and those tolerances (``schur.shared_core``): a second construction elsewhere would be a
+second evaluator of the same object, free to drift from the first.
 
 Likewise an argument tuple of the wrong arity is refused only by ``matcore.check_args``,
 the one check of every entry point that takes a matrix tuple; a pencil's coefficient
@@ -15,7 +16,9 @@ where evaluation failed, so no tester has a stop rule or a non-finite rule of it
 
 Every operator mean decomposes L^{-1} X L^{-*} through ``freefun._spectrum``, and the power
 and Karcher means take their step and stop from ``freefun._mean_gradient``, so neither the
-SVD fallback nor the family's step has a second copy.
+SVD fallback nor the family's step has a second copy.  A two-argument mean's L U and the
+spectrum of M come from ``freefun._congruence_eig`` alone, so its evaluator, its adjoint,
+the derivative test and the support validation's graph samples share one decomposition.
 """
 
 import ast
@@ -27,13 +30,15 @@ import opmono
 
 PACKAGE = Path(opmono.__file__).parent
 ALLOWED = {
-    "SchurCore": {"represent.PencilRepresentation.core", "schur.schur_pencil"},
+    "SchurCore": {"schur.shared_core"},
     "PencilRepresentation": {"represent.SupportCertificate.rep", "represent.rep_from_quadrature",
                              "serialize.representation_from_payload"},
     "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
     "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
     "CertReport": {"cert._inconclusive", "cert._report"},
     "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation"},
+    "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert.derivative_monotone_test",
+                        "represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
 }
 

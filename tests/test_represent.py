@@ -39,6 +39,7 @@ from opmono.sampling import (
     rand_tuple_interval,
     rand_unit_vector,
     rand_unitary,
+    slots,
     spd_plan,
 )
 from opmono.schur import PivotSubspace, SchurCore
@@ -208,8 +209,28 @@ def trace_coupled_sqrt():
     return FreeFn("sqrt+tr", 1, ev)
 
 
+PAIR_MEANS = ["harmonic", "geomean2", "power:t=1", "power:t=0.5", "karcher", "power:t=0.25",
+              "karcher:w=0.3,0.7", "power:t=0.25:w=0.3,0.7"]
+
+
+def pair_allowance(cert, fn, ns):
+    """Twice the rounding allowances ``_congruence_margins`` takes off at size ns, at their worst on the interval.
+
+    M's spectrum lies in [c1/c2, c2/c1] and f increases, so a block's term is
+    largest at w = c2/c1 with theta = c2; the (1 + c2/c1) ||E||_F term is what
+    E may move the bound against lambda_min L by.
+    """
+    (c1, c2), eps, n = cert.interval, np.finfo(float).eps, cert.v.size
+    b0, (g1, g2) = cert.pencil.b0, cert.gradients
+    norms = [float(fro_norm(b)) for b in (b0, g1, g2)]
+    e, w = float(fro_norm(b0 - g1 - g2)), c2 / c1
+    block = 32 * n**2 * eps * (norms[1] + w * norms[2] + float(fn.scalar[0](np.array(w)))) * c2 * (1 + 32 * ns**2 * eps)
+    return 2 * (block + 32 * n**2 * eps * e + 4 * eps * sum(norms) + (1 + w) * e)
+
+
 class TestGraphValidation:
-    """The graph samples of ``support_pencil``: a declared lift's split by each sample's spectrum, else the full pencil."""
+    """The graph samples of ``support_pencil``: a declared lift's split by each sample's spectrum, a declared
+    two-argument mean's bounded by blocks on the spectrum of M, else the full pencil."""
 
     @pytest.fixture(scope="class")
     def lift_cert(self):
@@ -254,8 +275,10 @@ class TestGraphValidation:
         assert cert.support_margin == float(np.min(np.concatenate(exact)))
 
     @pytest.mark.parametrize("fn,n", [(lift_scalar("sqrt"), 3), (lift_scalar("log1p"), 3),
-                                      (geometric_mean_2_fn(), 2), (harmonic_mean((0.5, 0.5)), 2)],
-                             ids=["sqrt", "log1p", "geomean2", "harmonic"])
+                                      (geometric_mean_2_fn(), 2), (harmonic_mean((0.5, 0.5)), 2),
+                                      (resolve_function("power:t=0.25"), 2),
+                                      (resolve_function("karcher:w=0.3,0.7"), 2)],
+                             ids=["sqrt", "log1p", "geomean2", "harmonic", "power:t=0.25", "karcher:w=0.3,0.7"])
     def test_lowered_b0_is_refused(self, monkeypatch, fn, n):
         # B_0 - 1e-6 I in place of B_0 in the graph validation only: the
         # graph touches the pencil's null space, so the loss shows in full
@@ -291,11 +314,10 @@ class TestGraphValidation:
 
 
     @pytest.mark.parametrize("ident", ["harmonic", "geomean2", "power:t=0.25", "karcher:w=0.3,0.7"])
-    def test_a_declared_mean_validates_on_its_evaluator(self, ident):
-        # the two-argument declaration is not read by the graph samples: the
-        # certificate is the one built without it, bit for bit
-        from dataclasses import replace
-
+    def test_a_declared_mean_moves_only_its_support_margin(self, ident):
+        # the certificate built without the declaration takes the full pencil: every other
+        # payload field is the same bit for bit, and its margin lies between the declared
+        # bound and what that bound may lose (test_a_declared_mean_bound_is_sound_and_not_vacuous)
         from opmono import serialize as io
 
         rng = np.random.default_rng(42)
@@ -304,7 +326,69 @@ class TestGraphValidation:
         declared = support_pencil(fn, a, v, seed=43, validation_samples=60)
         bare = support_pencil(replace(fn, scalar=None), a, v, seed=43, validation_samples=60)
         assert fn.scalar is not None
-        assert io.dumps(io.certificate_payload(declared)) == io.dumps(io.certificate_payload(bare))
+        payloads = [io.certificate_payload(c) for c in (declared, bare)]
+        low, full = (p.pop("support_margin") for p in payloads)
+        assert io.dumps(payloads[0]) == io.dumps(payloads[1])
+        kappa, top = 4.0, low + pair_allowance(declared, fn, 6)
+        assert low <= full <= max(kappa * top, top / kappa)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("ident", PAIR_MEANS)
+    def test_a_declared_mean_bound_is_sound_and_not_vacuous(self, ident, n):
+        # per sample the bound is at most lambda_min of the whole pencil at the drawn X; over the
+        # samples its least value is at least g(m) less the allowance, m the least lambda_min and
+        # g(m) = min(m / kappa, kappa m), kappa = c2 / c1 >= cond(X_1) the spread of Ostrowski's theta
+        rng = np.random.default_rng(50 + n)
+        fn = resolve_function(ident)
+        a, v = rand_tuple_interval(rng, 2, n, 0.5, 2.0), rand_unit_vector(rng, n)
+        c = support_pencil(fn, a, v, seed=51, validation_samples=40)
+        for ns in (n, 2 * n):
+            z, lam = draw(np.random.default_rng(ns), 2 * 20, spd_plan(ns, 0.5, 2.0))
+            bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
+            xs = slots(finish_spd(z, lam), 2)
+            full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(xs)), xs))
+            assert np.all(bound <= full)
+            m = float(np.min(full))
+            assert float(np.min(bound)) >= min(m / 4.0, 4.0 * m) - pair_allowance(c, fn, ns)
+
+    @pytest.mark.parametrize("ident", PAIR_MEANS)
+    def test_a_declared_mean_bound_holds_where_the_pencil_is_indefinite(self, ident):
+        # vv* scaled by 1.05**2 makes every N(w) indefinite, so theta must take spec(X_1)'s top
+        rng = np.random.default_rng(53)
+        fn = resolve_function(ident)
+        a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        c = support_pencil(fn, a, v, seed=54, validation_samples=40)
+        for ns in (3, 6):
+            z, lam = draw(np.random.default_rng(ns), 2 * 20, spd_plan(ns, 0.5, 2.0))
+            bound = _graph_margins(fn, c.pencil.b0, c.gradients, 1.05 * c.v, z, lam)
+            xs = slots(finish_spd(z, lam), 2)
+            full = min_eig(_support_eval(c.pencil.b0, c.gradients, 1.05 * c.v, herm_part(fn(xs)), xs))
+            assert np.all(full < -1e-3) and np.all(bound <= full)
+            m = float(np.min(full))
+            assert float(np.min(bound)) >= 4.0 * m - pair_allowance(c, fn, ns)
+
+    def test_mean_validation_takes_only_n_by_n_eigenvalues(self, count_calls):
+        rng = np.random.default_rng(44)
+        a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        shapes = count_calls(np.linalg, "eigvalsh")
+        support_pencil(resolve_function("karcher:w=0.3,0.7"), a, v, validation_samples=200, seed=45)
+        assert shapes and all(s[-2:] == (3, 3) for s in shapes)
+        # the graph samples: 100 at size 3 and 100 at size 6, one 3 x 3 block per eigenvalue of M
+        assert (100, 3, 3, 3) in shapes and (100, 6, 3, 3) in shapes
+
+    @pytest.mark.parametrize("ns", [3, 6])
+    def test_a_mean_whose_f_is_not_finite_takes_the_full_pencil(self, ns):
+        # f is NaN above 1, where M's spectrum reaches on every draw: the rule gives None
+        rng = np.random.default_rng(48)
+        fn = geometric_mean_2_fn()
+        a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        c = support_pencil(fn, a, v, seed=49, validation_samples=40)
+        cut = replace(fn, scalar=(lambda x: np.where(x > 1.0, np.nan, np.sqrt(x)), fn.scalar[1]))
+        z, lam = draw(np.random.default_rng(ns), 2 * 20, spd_plan(ns, 0.5, 2.0))
+        bound = _graph_margins(cut, c.pencil.b0, c.gradients, c.v, z, lam)
+        xs = slots(finish_spd(z, lam), 2)
+        full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(xs)), xs))
+        assert bound.tobytes() == full.tobytes()
 
 
 class TestReconstruct:
@@ -373,6 +457,23 @@ class TestCertificateRepresentation:
                 xs = tuple(np.stack(x) for x in zip(*draws))
                 gap = rep_eval(cert.rep, xs) - herm_part(fn(xs))
                 assert np.all(min_eig(gap) >= -psd_floor(gap))
+
+
+    @pytest.mark.parametrize("ident", ["sqrt", "harmonic"])
+    def test_schur_pencil_evaluates_on_its_core(self, ident):
+        # schur_pencil at the certificate's pencil and an equal pivot builds no second core,
+        # and its value is a fresh core's bit for bit; other tolerances take a core of their own
+        from opmono.matcore import Tolerances
+        from opmono.schur import schur_pencil
+
+        rng = np.random.default_rng(64)
+        for fn, cert in self.certificates(ident, 65):
+            core, pivot = cert.rep.core(), PivotSubspace.from_vector(cert.v)
+            z = tuple(rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)) for _ in range(fn.arity))
+            out = schur_pencil(cert.pencil, z, pivot)
+            assert set(cert.pencil.cores) == {core}
+            assert np.array_equal(out, SchurCore(cert.pencil, pivot).evaluate(z, halfspace=True))
+            assert cert.rep.core(Tolerances(rank=1e-9)) is not core
 
 
 class TestDirectSum:
