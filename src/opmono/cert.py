@@ -15,20 +15,26 @@ depend on the count, so a shorter run draws other inputs.
 
 All testers share one pipeline.  One ``sampling.draw`` takes the inputs of
 every trial, a fixed plan per trial, with one generator call per distinct
-plan entry; the linear algebra of the draws runs once per stack: one
-``qr`` per tester call, two for the hypograph test (its arguments and its
-isometries) and the axiom test (its arguments and its unitaries), none for
-the derivative test of a one-variable lift, which checks the Loewner
-matrices of the drawn spectra and forms no X.  The inputs are evaluated in
-chunks of 512 rows (the derivative stencil in blocks of 256 trials).  A
-function that declares ``FreeFn.scalar`` is evaluated less where
-``FreeFn._declared_at`` lets its declaration be read: a lift's values at
-the drawn points X = U diag(lam) U* are U f(diag(lam)) U*, so the
-monotone, concave and hypograph tests evaluate only the points they do not
-draw (B, the mixtures, the compressions and the combinations), and a
-two-argument mean's derivative test takes one ``cholesky`` and one ``eigh``
-per stack and no evaluation.  Every check of a trial has a margin and a
-bound.  The Loewner testers' differences that must be positive
+plan entry.  The four Loewner testers (monotone, concave, derivative and
+hypograph) take the free-function axioms as given, as ``nc_axiom_check``
+tests them: a trial's margins do not change when all its inputs are
+conjugated by one unitary, so each trial is drawn as a frame
+(``sampling.frame_plan``) in the eigenbasis of its first matrix, which is
+diag(lam), and only its other matrices take Haar unitaries.  The linear
+algebra of the draws runs once per stack: one ``qr`` of the (m - 1) T
+unitaries of T trials of m drawn matrices (m = k for the monotone and
+derivative tests, so none for a lift's, and 2k for the concave and
+hypograph tests), one more for the hypograph test's isometries, one for
+the doubling check and two for the axiom test (its arguments and its
+unitaries).  The inputs are evaluated in chunks of 512 rows (the
+derivative stencil in blocks of 256 trials).  A function that declares
+``FreeFn.scalar`` is evaluated less where ``FreeFn._declared_at`` lets its
+declaration be read: a lift's values at the drawn points X = U diag(lam) U*
+are U f(diag(lam)) U*, so the monotone, concave and hypograph tests
+evaluate only the points they do not draw (B, the mixtures, the
+compressions and the combinations), and a two-argument mean's derivative
+test takes one ``cholesky`` and one ``eigh`` per stack and no evaluation.
+Every check of a trial has a margin and a bound.  The Loewner testers' differences that must be positive
 semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and one scan
 (``_scan``) takes their smallest eigenvalues and norms in one batched call
 per stack; the axiom test's margins are minus its two equality defects.
@@ -48,8 +54,8 @@ from .errors import BadConfig, OpmonoError
 from .freefun import FreeFn, _congruence_eig, _loewner_pair, frechet_many
 from .gradients import loewner_matrix
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, min_eig, psd_floor
-from .sampling import (draw, finish_isometry, finish_psd, finish_spd, finish_unitary, from_spectrum, normal,
-                       pair_above, pair_plan, slots, spd_plan, uniform)
+from .sampling import (draw, finish_frame, finish_isometry, finish_psd, finish_spd, finish_unitary, frame_plan,
+                       from_frame, normal, pair_above, pair_plan, slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
@@ -107,14 +113,14 @@ def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _lift_values(fn: FreeFn, u: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
-    """F(X) = Herm(U f(lam) U*) at drawn points X = Herm(U diag(lam) U*) of a declared lift, else None.
+    """F(X) = ``from_frame(u, f(lam))`` at the members X = ``from_frame(u, lam)`` of a declared lift's frame, else None.
 
     The declaration is read only under ``FreeFn._declared_at``'s rule;
     otherwise the evaluator takes the points, so a draw outside the domain
     is reported as the evaluator reports it.
     """
     d = fn._declared_at(lam) if fn.arity == 1 else None
-    return None if d is None else from_spectrum(u, d)
+    return None if d is None else from_frame(u, d)
 
 
 def _inconclusive(name: str, seed: int, error: str) -> CertReport:
@@ -184,13 +190,15 @@ def monotone_test(
 ) -> CertReport:
     """Sample ordered pairs A <= B inside the interval and check F(A) <= F(B).
 
-    A declared lift reads F(A) from A's drawn spectrum (``_lift_values``).
+    The NC axioms are taken as given (``nc_axiom_check``): a trial is drawn
+    in the eigenbasis of A_1, so A_1 = diag(lam).  A declared lift reads
+    F(A) = diag(f(lam)) from A's drawn spectrum (``_lift_values``), and its
+    trials take no ``qr``.
     """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
-    z, lam, h, w = draw(rng, trials * fn.arity, pair_plan(n, c1, c2))
-    u = finish_unitary(z)
-    a, b = (slots(x, fn.arity) for x in pair_above(from_spectrum(u, lam), h, w, c2))
+    u, lam, (h, w) = finish_frame(fn.arity, draw(rng, trials, pair_plan(n, c1, c2, fn.arity)))
+    a, b = (slots(x, fn.arity) for x in pair_above(from_frame(u, lam), lam, h, w, c2))
     fa = _lift_values(fn, u, lam)
     try:
         fa = _chunked_eval(fn, a) if fa is None else fa
@@ -214,14 +222,15 @@ def concave_test(
 ) -> CertReport:
     """Check the matrix Jensen inequality on random pairs and mixing weights.
 
-    A declared lift reads F(A) and F(B) from the drawn spectra
-    (``_lift_values``) and evaluates only the four mixtures.
+    The NC axioms are taken as given (``nc_axiom_check``): a trial is drawn
+    in the eigenbasis of A_1, so A_1 = diag(lam).  A declared lift reads
+    F(A) and F(B) from the drawn spectra (``_lift_values``) and evaluates
+    only the four mixtures.
     """
     rng = np.random.default_rng(seed)
     k = fn.arity
-    z, lam, mix = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [uniform(0.05, 0.95)])
-    u = finish_unitary(z)
-    ab = slots(from_spectrum(u, lam), 2 * k)
+    u, lam, (mix,) = finish_frame(2 * k, draw(rng, trials, frame_plan(n, *interval, 2 * k) + [uniform(0.05, 0.95)]))
+    ab = slots(from_frame(u, lam), 2 * k)
     a, b = ab[:k], ab[k:]
     lams = np.column_stack([np.tile((0.25, 0.5, 0.75), (trials, 1)), mix])
     w = lams[..., None, None]
@@ -268,13 +277,15 @@ def derivative_monotone_test(
 ) -> CertReport:
     """Check DF(X)(H) >= 0 at random interior points and PSD directions.
 
-    A function that declares ``fn.scalar`` = (f, f') is checked on Loewner
-    matrices of f, at the plain ``tol``, with no evaluation (Daleckii-Krein;
-    Schur's product theorem makes each condition exact):
+    The NC axioms are taken as given (``nc_axiom_check``): a trial is drawn
+    in the eigenbasis of X_1, so X_1 = diag(lam).  A function that declares
+    ``fn.scalar`` = (f, f') is checked on Loewner matrices of f, at the
+    plain ``tol``, with no evaluation (Daleckii-Krein; Schur's product
+    theorem makes each condition exact):
 
-    * a lift, X = U diag(lam) U*: DF(X)[H] = U (Phi o U* H U) U*, Phi the
-      Loewner matrix of f on the drawn spectrum lam, is PSD for every PSD H
-      exactly when Phi is.  No X is formed but a counterexample's.
+    * a lift, X = diag(lam): DF(X)[H] = Phi o H, Phi the Loewner matrix of
+      f on the drawn spectrum lam, is PSD for every PSD H exactly when Phi
+      is.  No Gaussian is drawn and no ``qr`` taken.
     * a two-argument mean, F(A, B) = L f(M) L* with A = L L* and
       M = L^{-1} B L^{-*} = U diag(w) U* (``freefun._congruence_eig``):
       DF(A, B)[H_A, H_B] = L U (Psi o K_A + Phi o K_B) U* L*, K_. =
@@ -282,7 +293,7 @@ def derivative_monotone_test(
       of the transpose x f(1/x) on 1/w (``freefun._loewner_pair``).  Each
       trial scans [Psi, Phi].
 
-    A counterexample's H is C 1 1* C* normalized in the failing slot, C = U
+    A counterexample's H is C 1 1* C* normalized in the failing slot, C = I
     or L U (``_loewner_counter``).  Either path is taken only under
     ``FreeFn._declared_at``'s rule.  Any other draw or function takes a
     Richardson stencil, 4 evaluations per trial in blocks of 256 trials,
@@ -293,15 +304,15 @@ def derivative_monotone_test(
     c1, c2 = interval
     pad = 0.15 * (c2 - c1)
     k = fn.arity
-    # the spectra come before the directions in the stream, so every path draws the same X
-    z, lam = draw(rng, trials, spd_plan(n, c1 + pad, c2 - pad) * k)
+    # the frame comes before the directions in the stream, so every path draws the same X
+    u, lam, _ = finish_frame(k, draw(rng, trials, frame_plan(n, c1 + pad, c2 - pad, k)))
+    x = slots(from_frame(u, lam), k)
     declared = fn._declared_at(lam) is not None
     if declared and k == 1:
         return _scan(
             "derivative", seed, tol, [loewner_matrix(lam, *fn.scalar)[:, None]],
-            lambda t, c, m: _loewner_counter((finish_spd(z[t], lam[t]),), finish_unitary(z[t]), c, m),
+            lambda t, c, m: _loewner_counter(_at(x, t), np.eye(n, dtype=complex), c, m),
         )
-    x = slots(finish_spd(z, lam), k)
     if declared and k == 2:
         try:
             lu, _, _, w = _congruence_eig(*x)
@@ -401,10 +412,12 @@ def hypograph_convexity_test(
     """Isometry compressions and convex combinations of hypograph members.
 
     Compressions by random isometries V : C^m -> C^n and scalar convex
-    combinations of two members must stay members.  The members are graph
-    points (F(X), X): a PSD slack below the graph only adds a PSD term to
-    each checked difference, so the graph is the worst member (the Jensen
-    operator inequality; Hansen & Pedersen, *Math. Ann.* 258, 1982).  A
+    combinations of two members must stay members.  The NC axioms are taken
+    as given (``nc_axiom_check``): a trial is drawn in the eigenbasis of
+    X_1, so X_1 = diag(lam).  The members are graph points (F(X), X): a PSD
+    slack below the graph only adds a PSD term to each checked difference,
+    so the graph is the worst member (the Jensen operator inequality;
+    Hansen & Pedersen, *Math. Ann.* 258, 1982).  A
     declared lift reads the graph values F(X) and F(X2) from the drawn
     spectra (``_lift_values``) and evaluates only the compressions and the
     combinations.
@@ -413,11 +426,10 @@ def hypograph_convexity_test(
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
     rng = np.random.default_rng(seed)
     k = fn.arity
-    # per trial, in stream order: X, X2, V, lambda
-    plan = spd_plan(n, *interval) * (2 * k) + [normal(2, n, m), uniform(0.0, 1.0)]
-    z, spec, iso, mix = draw(rng, trials, plan)
-    u = finish_unitary(z)
-    both = slots(from_spectrum(u, spec), 2 * k)
+    # per trial, in stream order: the frame of X and X2, V, lambda
+    plan = frame_plan(n, *interval, 2 * k) + [normal(2, n, m), uniform(0.0, 1.0)]
+    u, spec, (iso, mix) = finish_frame(2 * k, draw(rng, trials, plan))
+    both = slots(from_frame(u, spec), 2 * k)
     x, x2 = both[:k], both[k:]
     lam = mix[:, None, None]
     v = finish_isometry(iso)

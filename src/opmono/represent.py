@@ -44,7 +44,7 @@ from .freefun import FreeFn, _congruence_eig, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, fro_norm, herm_part, min_eig, min_eig_above,
                       require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import draw, finish_spd, slots, spd_plan
+from .sampling import draw, finish_frame, frame_plan, from_frame, slots
 from .schur import PivotSubspace, SchurCore, shared_core
 
 __all__ = [
@@ -140,15 +140,18 @@ def _support_eval(b0, grads, v, y, x) -> np.ndarray:
     return kron_sum(np.stack([b0, np.outer(v, np.conj(v)), *grads]), mats)
 
 
-def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
-    """Per-sample lower bounds on lambda_min L(F(X), X), X = finish_spd(z, lam).
+def _graph_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
+    """Per-sample lower bounds on lambda_min L(F(X), X), X = from_frame(u, lam).
 
-    L decreases in Y, so the graph is the worst hypograph member at X.  A
+    The samples are frames (``sampling.frame_plan``): X_1 = diag(lam_1),
+    and (I (x) U)* L(Y, X) (I (x) U) = L(U* Y U, U* X U) for a unitary U,
+    so a free function's margins are those of Haar-rotated samples.  L
+    decreases in Y, so the graph is the worst hypograph member at X.  A
     declaration is read only under ``FreeFn._declared_at``'s rule, and then
-    every matrix decomposed is n x n.  A lift has U* F(X) U = diag(f(lam))
-    for X = U diag(lam) U*, so (I (x) U)* L (I (x) U) is the direct sum of
+    every matrix decomposed is n x n.  A lift has F(X) = diag(f(lam)) at
+    X = diag(lam), so L is the direct sum of
     M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*: the bound is lambda_min L
-    itself, read from the drawn spectra without forming U, X or F(X).  A
+    itself, read from the drawn spectra without forming X or F(X).  A
     two-argument mean takes M's spectrum w from ``_congruence_eig`` and
     bounds lambda_min L from blocks on w (``_congruence_margins``).  Every
     other function, and a declared one where the rule gives None, takes
@@ -157,7 +160,7 @@ def _graph_margins(fn: FreeFn, b0, grads, v, z, lam) -> np.ndarray:
     if fn.arity == 1 and (d := fn._declared_at(lam)) is not None:
         blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
         return np.min(min_eig(blocks), axis=-1)
-    xs = slots(finish_spd(z, lam), fn.arity)
+    xs = slots(from_frame(u, lam), fn.arity)
     if fn.arity == 2 and fn.scalar is not None and np.all(lam > 0):
         w = _congruence_eig(*xs)[3]
         if (d := fn._declared_at(w)) is not None:
@@ -188,8 +191,10 @@ def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
     - a block's lambda_min: 32 n^2 eps (||G_1||_F + w ||G_2||_F + |f(w)|),
       the rounding of forming N(w) from G_i, vv* and f(w), and of ``eigvalsh``;
     - theta: the drawn spectrum ``lam1`` of X_1, widened by
-      32 ns^2 eps lambda_max, which covers C C* against the drawn X_1
-      (``finish_spd``, ``cholesky`` and the product L U);
+      32 ns^2 eps lambda_max, which covers C C* against the drawn X_1.
+      X_1 = diag(lam1) is exact in a frame, so the allowance still holds:
+      it now covers only ``cholesky`` and the product L U, less rounding
+      than it did with a rotated X_1;
     - lambda_min E: 32 n^2 eps ||E||_F + 4 eps (||B_0||_F + ||G_1||_F + ||G_2||_F),
       the rounding of ``eigvalsh`` on the computed E and of its two differences.
     """
@@ -282,8 +287,8 @@ def support_pencil(
     grid = np.stack(np.meshgrid(*([pts] * fn.arity)), axis=-1).reshape(-1, fn.arity)
     scalars = tuple(grid[:, i].reshape(-1, 1, 1).astype(complex) for i in range(fn.arity))
     # the graph samples: per_size draws of X at each of sizes n and 2n, with Y = F(X)
-    draws = [draw(rng, per_size * fn.arity, spd_plan(ns, c1, c2)) for ns in (n, 2 * n)]
-    support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, *zl))) for zl in draws)
+    draws = [finish_frame(fn.arity, draw(rng, per_size, frame_plan(ns, c1, c2, fn.arity))) for ns in (n, 2 * n)]
+    support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, u, lam))) for u, lam, _ in draws)
     scalar_margin = float(np.min(min_eig(_support_eval(b0, grads, v, fn(scalars), scalars))))
     if not scalar_margin >= gate:
         raise SupportViolated(f"the pencil fails the scalar grid: margin {scalar_margin:.3e}")

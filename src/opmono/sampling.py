@@ -13,7 +13,15 @@ tuples draw one object at a time, so their streams are those of the
 generator's own per-matrix calls.  The finish (``finish_*``) does the
 arithmetic over a whole stack at once: one ``qr`` with Mezzadri's phase
 fix (*Notices AMS* 54, 2007) for unitaries, isometries and SPD matrices,
-one ``g g*`` for PSD matrices, one ``eigvalsh`` for ordered pairs.
+one ``g g*`` for PSD matrices, one ``eigvalsh`` for the bumps of ordered
+pairs.
+
+The testers draw each round as a frame (``frame_plan``, ``finish_frame``,
+``from_frame``): k matrices with spectra in an interval, in the eigenbasis
+of the first, which is diag(lam) exactly and takes no Gaussian, ``qr`` or
+product.  For a function unitarily equivariant in all its arguments
+jointly, that is the law of k Haar-rotated matrices conjugated by the
+first one's U*: the other U_1* U_j are again Haar and independent.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "normal",
     "uniform",
     "spd_plan",
+    "frame_plan",
     "pair_plan",
     "draw",
     "slots",
@@ -44,8 +53,9 @@ __all__ = [
     "finish_isometry",
     "finish_psd",
     "finish_spd",
+    "finish_frame",
     "from_spectrum",
-    "finish_pair",
+    "from_frame",
     "pair_above",
 ]
 
@@ -82,9 +92,14 @@ def spd_plan(n: int, c1: float, c2: float) -> list[Draw]:
     return [normal(2, n, n), uniform(c1, c2, n)]
 
 
-def pair_plan(n: int, c1: float, c2: float) -> list[Draw]:
-    """Draws of one ``finish_pair`` component: A's draws in [c1, mid], the bump's Gaussian, its scale."""
-    return spd_plan(n, c1, c1 + 0.6 * (c2 - c1)) + [normal(2, n, n), uniform(0.05, 0.95)]
+def frame_plan(n: int, c1: float, c2: float, k: int) -> list[Draw]:
+    """Draws of one round of a k-member frame: k spectra in [c1, c2], then the k - 1 other members' Gaussians (n, n)."""
+    return [uniform(c1, c2, n)] * k + [normal(2, n, n)] * (k - 1)
+
+
+def pair_plan(n: int, c1: float, c2: float, k: int) -> list[Draw]:
+    """Draws of k ordered pairs (``pair_above``): A's frame in [c1, mid], then k bump Gaussians and k bump scales."""
+    return frame_plan(n, c1, c1 + 0.6 * (c2 - c1), k) + [normal(2, n, n)] * k + [uniform(0.05, 0.95)] * k
 
 
 def draw(rng: np.random.Generator, rounds: int, plan: Sequence[Draw]) -> tuple[np.ndarray, ...]:
@@ -162,24 +177,43 @@ def finish_spd(z: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return from_spectrum(finish_unitary(z), lam)
 
 
-def finish_pair(
-    z: np.ndarray, lam: np.ndarray, h: np.ndarray, w: np.ndarray, c2: float
+def finish_frame(k: int, stacks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The Haar unitaries, the spectra and the other stacks of a draw whose plan begins with ``frame_plan(.., k)``.
+
+    R rounds give R (k - 1) unitaries from one ``finish_unitary``, none for k = 1, and R k spectra.
+    """
+    lam, *rest = stacks
+    u = finish_unitary(rest.pop(0)) if k > 1 else np.empty((0, *lam.shape[-1:] * 2), dtype=complex)
+    return u, lam, tuple(rest)
+
+
+def from_frame(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The trial-major ``(R k, n, n)`` members of a frame: per round diag(lam) first, then Herm(U diag(lam) U*).
+
+    ``lam`` holds the R k spectra (or any values on them, as f(lam)) and ``u`` the R (k - 1) unitaries.
+    """
+    rounds, n = len(lam) - len(u), lam.shape[-1]
+    lam = lam.reshape(rounds, -1, n)
+    out = np.zeros((*lam.shape, n), dtype=complex)
+    out[:, 0, np.arange(n), np.arange(n)] = lam[:, 0]
+    out[:, 1:] = from_spectrum(u.reshape(rounds, -1, n, n), lam[:, 1:])
+    return out.reshape(-1, n, n)
+
+
+def pair_above(
+    a: np.ndarray, lam: np.ndarray, h: np.ndarray, w: np.ndarray, c2: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A <= B from the draws of ``pair_plan``, both with spectra below c2: ``pair_above(finish_spd(z, lam), ...)``."""
-    return pair_above(finish_spd(z, lam), h, w, c2)
+    """A and B = Herm(A + P) >= A with spectrum below c2, from A's drawn spectra and the bump draws of ``pair_plan``.
 
-
-def pair_above(a: np.ndarray, h: np.ndarray, w: np.ndarray, c2: float) -> tuple[np.ndarray, np.ndarray]:
-    """A and B = Herm(A + P) >= A with spectrum below c2, from the bump draws of ``pair_plan``.
-
-    The bump P = finish_psd(h) is scaled to w (c2 - lambda_max(A)) /
-    lambda_max(P).  The scale is drawn for every component: lambda_max(P)
-    > 0 unless h = 0, which a Gaussian draw never gives, and where it is 0
-    the bump is left unscaled.
+    The bump P = finish_psd(h) is scaled to w (c2 - max lam) /
+    lambda_max(P), so lambda_max(B) <= c2 - (1 - w)(c2 - max lam), far
+    below c2 against the rounding of A's spectrum for w <= 0.95.  The scale
+    is drawn for every component: lambda_max(P) > 0 unless h = 0, which a
+    Gaussian draw never gives, and where it is 0 the bump is left unscaled.
     """
     bump = finish_psd(h)
-    top_a, top = np.linalg.eigvalsh(np.stack([a, bump]))[..., -1]
-    scale = np.divide(w * (c2 - top_a), top, out=np.ones_like(top), where=top > 0)
+    top = np.linalg.eigvalsh(bump)[..., -1]
+    scale = np.divide(w * (c2 - np.max(lam, axis=-1)), top, out=np.ones_like(top), where=top > 0)
     return a, herm_part(a + bump * scale[..., None, None])
 
 

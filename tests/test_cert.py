@@ -23,7 +23,8 @@ from opmono.freefun import (
 )
 from opmono.gradients import loewner_matrix
 from opmono.matcore import dagger, fro_norm, herm_part, min_eig
-from opmono.sampling import draw, finish_pair, finish_psd, finish_spd, normal, pair_plan, slots, spd_plan
+from opmono.sampling import (draw, finish_frame, finish_psd, finish_spd, from_frame, normal, pair_above, pair_plan,
+                             rand_unitary, slots, spd_plan)
 
 
 def affine_plus_one():
@@ -225,7 +226,7 @@ class TestMeanLoewnerPath:
     def test_one_eigh_one_qr_and_one_scan(self, count_calls):
         calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh")}
         assert derivative_monotone_test(resolve_function("geomean2"), n=3, trials=512, seed=0).passed
-        assert calls == {"eigh": [(512, 3, 3)], "qr": [(1024, 3, 3)], "eigvalsh": [(512, 2, 3, 3)]}
+        assert calls == {"eigh": [(512, 3, 3)], "qr": [(512, 3, 3)], "eigvalsh": [(512, 2, 3, 3)]}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ident", MEANS)
@@ -239,19 +240,20 @@ class TestOutsideTheDomain:
 
     @pytest.mark.parametrize("tester", ["monotone", "concave", "derivative", "hypograph"])
     @pytest.mark.parametrize("ident,c1,low", [
-        # the lowest eigenvalue the evaluator sees: monotone's A, concave's and hypograph's A or B, and
-        # derivative's X, drawn from the interval shrunk by 0.15 of its width at each end
-        ("sqrt", -2.5, ("-2.500e+00", "-2.497e+00", "-1.820e+00")),
-        ("log1p", -2.5, ("-2.500e+00", "-2.497e+00", "-1.820e+00")),
-        ("pow:0.7", -2.5, ("-2.500e+00", "-2.497e+00", "-1.820e+00")),
+        # the lowest eigenvalue of the first rows the evaluator refuses: monotone's A, concave's A, B and
+        # mixtures of its first 85 trials, hypograph's X, and derivative's stencil points about X, drawn
+        # from the interval shrunk by 0.15 of its width at each end
+        ("sqrt", -2.5, ("-2.500e+00", "-2.491e+00", "-2.500e+00", "-1.820e+00")),
+        ("log1p", -2.5, ("-2.500e+00", "-2.491e+00", "-2.500e+00", "-1.820e+00")),
+        ("pow:0.7", -2.5, ("-2.500e+00", "-2.491e+00", "-2.500e+00", "-1.820e+00")),
         # f is finite on every draw, yet the evaluator refuses
-        ("log1p", -0.9, ("-9.000e-01", "-8.978e-01", "-4.625e-01")),
+        ("log1p", -0.9, ("-8.998e-01", "-8.940e-01", "-8.997e-01", "-4.622e-01")),
     ])
     def test_a_lift_reports_as_its_evaluator(self, ident, c1, low, tester):
         run = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test,
                "hypograph": lambda *a, **kw: hypograph_convexity_test(*a, m=2, **kw)}[tester]
         rep = run(resolve_function(ident), n=4, trials=512, seed=1, interval=(c1, 2.0))
-        which = {"monotone": 0, "concave": 1, "hypograph": 1, "derivative": 2}[tester]
+        which = {"monotone": 0, "concave": 1, "hypograph": 2, "derivative": 3}[tester]
         assert (rep.verdict, rep.trials_run) == ("inconclusive", 0)
         assert rep.details == {"error": f"argument has minimum eigenvalue {low[which]}"}
 
@@ -275,7 +277,7 @@ class TestOutsideTheDomain:
         rep = derivative_monotone_test(resolve_function(ident), n=3, trials=512, seed=1, interval=(-2.5, 2.0))
         what = "harmonic mean argument" if ident == "harmonic" else "first argument"
         assert (rep.verdict, rep.trials_run) == ("inconclusive", 0)
-        assert rep.details == {"error": f"{what} has minimum eigenvalue -1.817e+00"}
+        assert rep.details == {"error": f"{what} has minimum eigenvalue -1.820e+00"}
 
 
 def arrays_in(value):
@@ -399,13 +401,82 @@ class TestNegativeControls:
         assert [r.verdict for r in reps] == ["counterexample"] * 4
 
 
+def pinching():
+    """X -> diag(X_11, ..., X_nn): linear, positive and monotone, but not unitarily equivariant."""
+
+    def ev(xs):
+        x = xs[0]
+        return np.diagonal(x, axis1=-2, axis2=-1)[..., None] * np.eye(x.shape[-1])
+
+    return FreeFn(name="pinching", arity=1, evaluator=ev)
+
+
+def replayed_margin(tester, fn, ce):
+    """The margin of a stored counterexample, recomputed from its inputs alone."""
+    if tester == "monotone":
+        diff = fn(ce["B"]) - fn(ce["A"])
+    elif tester == "concave":
+        lam = ce["lambda"]
+        mix = tuple((1 - lam) * a + lam * b for a, b in zip(ce["A"], ce["B"]))
+        diff = fn(mix) - ((1 - lam) * fn(ce["A"]) + lam * fn(ce["B"]))
+    elif tester == "derivative":  # the tester's own stencil step on the default interval
+        diff = frechet_many(fn, ce["X"], [ce["H"]], 1e-3 * 3.0)[0]
+    elif ce["kind"] == "isometry":
+        v = ce["V"]
+        diff = fn(tuple(dagger(v) @ x @ v for x in ce["X"])) - dagger(v) @ ce["Y"] @ v
+    else:
+        lam = ce["lambda"]
+        mix = tuple((1 - lam) * x + lam * x2 for x, x2 in zip(ce["X"], ce["X2"]))
+        diff = fn(mix) - ((1 - lam) * ce["Y"] + lam * ce["Y2"])
+    return float(min_eig(herm_part(diff)))
+
+
+def conjugated(ce, u, w):
+    """Every stored n x n input M as U M U*, an isometry V as U V W*; scalars kept."""
+
+    def conj(key, value):
+        if isinstance(value, tuple):
+            return tuple(conj(key, x) for x in value)
+        if key == "V":
+            return u @ value @ dagger(w)
+        return u @ value @ dagger(u) if isinstance(value, np.ndarray) else value
+
+    return {key: conj(key, value) for key, value in ce.items()}
+
+
+class TestTheFrameTakesTheAxiomsAsGiven:
+    """The Loewner testers draw a trial in its first matrix's eigenbasis: a free function's margins do not see it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("tester", ["monotone", "concave", "derivative", "hypograph"])
+    @pytest.mark.parametrize("fn", [lift_scalar("xsq"), fake_trace_fn()], ids=["xsq", "faketrace"])
+    def test_a_counterexample_margin_is_conjugation_invariant(self, fn, tester, seed):
+        rep = run_tester(tester, fn, n=2, trials=512, seed=seed)
+        assert rep.verdict == "counterexample"
+        ce = rep.counterexample
+        rng = np.random.default_rng(100 + seed)
+        u, w = rand_unitary(rng, 2), rand_unitary(rng, ce["V"].shape[1] if "V" in ce else 1)
+        margin = replayed_margin(tester, fn, ce)
+        assert margin < 0
+        assert abs(replayed_margin(tester, fn, conjugated(ce, u, w)) - margin) <= 1e-11 * (1.0 + abs(margin))
+
+    def test_the_axiom_check_refutes_a_function_that_is_not_equivariant(self):
+        # the pinching is monotone, so the monotone test passes it; only the axiom check sees the difference
+        fn = pinching()
+        assert monotone_test(fn, n=3, trials=200, seed=0).passed
+        rep = nc_axiom_check(fn, n=3, trials=50, seed=0)
+        assert rep.verdict == "counterexample" and rep.counterexample["kind"] == "unitary"
+        assert rep.details["direct_sum_defect"] <= 1e-15
+
+
 class TestScan:
     @pytest.mark.parametrize("bad", [(), (37, 120, 300)])
     def test_reference_first_violation_and_worst_margin(self, bad):
         # the same seeded pairs the tester draws, all trials in one draw; F lowers
         # B by (1 + t/100) I on the listed pairs only, so monotonicity fails there and nowhere else
         n, trials, seed = 3, 400, 23
-        a, b = finish_pair(*draw(np.random.default_rng(seed), trials, pair_plan(n, 0.5, 2.0)), 2.0)
+        u, lam, (h, w) = finish_frame(1, draw(np.random.default_rng(seed), trials, pair_plan(n, 0.5, 2.0, 1)))
+        a, b = pair_above(from_frame(u, lam), lam, h, w, 2.0)
         dip = {b[t].tobytes(): 1.0 + t / 100 for t in bad}
 
         def ev(xs):

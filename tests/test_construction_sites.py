@@ -19,6 +19,12 @@ and Karcher means take their step and stop from ``freefun._mean_gradient``, so n
 SVD fallback nor the family's step has a second copy.  A two-argument mean's L U and the
 spectrum of M come from ``freefun._congruence_eig`` alone, so its evaluator, its adjoint,
 the derivative test and the support validation's graph samples share one decomposition.
+
+A Haar unitary is finished (``sampling.finish_unitary``) only for a frame's other members
+(``sampling.finish_frame``), for a matrix drawn alone (``finish_spd``, ``rand_unitary``) and
+for the NC-axiom check, which tests the unitary equivariance that lets the Loewner testers and
+the support validation draw each trial in its first matrix's eigenbasis: a tester that finished
+its own unitaries would draw one per argument again.
 """
 
 import ast
@@ -40,6 +46,7 @@ ALLOWED = {
     "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert.derivative_monotone_test",
                         "represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
+    "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
 }
 
 

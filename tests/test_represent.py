@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_ei
 from opmono.pencil import RawPencil, pencil_new
 from opmono.represent import (
     PencilRepresentation,
+    _congruence_margins,
     _graph_margins,
     _quad_rational_weights,
     _support_eval,
@@ -32,15 +34,15 @@ from opmono.represent import (
 )
 from opmono.sampling import (
     draw,
-    finish_spd,
-    finish_unitary,
+    finish_frame,
+    frame_plan,
+    from_frame,
     rand_psd,
     rand_herm,
     rand_tuple_interval,
     rand_unit_vector,
     rand_unitary,
     slots,
-    spd_plan,
 )
 from opmono.schur import PivotSubspace, SchurCore
 
@@ -209,6 +211,11 @@ def trace_coupled_sqrt():
     return FreeFn("sqrt+tr", 1, ev)
 
 
+def graph_samples(rng, rounds, ns, k):
+    """The unitaries and spectra of ``support_pencil``'s graph samples at size ns: frames of k members."""
+    return finish_frame(k, draw(rng, rounds, frame_plan(ns, 0.5, 2.0, k)))[:2]
+
+
 PAIR_MEANS = ["harmonic", "geomean2", "power:t=1", "power:t=0.5", "karcher", "power:t=0.25",
               "karcher:w=0.3,0.7", "power:t=0.25:w=0.3,0.7"]
 
@@ -240,23 +247,25 @@ class TestGraphValidation:
 
     @pytest.mark.parametrize("ns", [3, 6])
     def test_split_bound_equals_the_full_pencil(self, lift_cert, ns):
-        z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
+        u, lam = graph_samples(np.random.default_rng(ns), 40, ns, 1)
         fn, c = lift_scalar("sqrt"), lift_cert
-        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
-        x = (finish_spd(z, lam),)
+        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, u, lam)
+        x = (from_frame(u, lam),)
         full = _support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(x)), x)
         assert np.all(np.abs(bound - min_eig(full)) <= 1e-12 * (1.0 + fro_norm(full)))
 
     @pytest.mark.parametrize("ns", [3, 6])
     def test_non_equivariant_function_takes_the_full_pencil(self, lift_cert, ns):
-        # U* F(X) U is far from diagonal, so no split by the sample's unitary could be exact
-        z, lam = draw(np.random.default_rng(ns), 40, spd_plan(ns, 0.5, 2.0))
+        # V* F(V X V*) V is far from diagonal for a Haar V, so no split by the spectrum could be exact
+        u, lam = graph_samples(np.random.default_rng(ns), 40, ns, 1)
         fn, c = trace_coupled_sqrt(), lift_cert
-        u, x = finish_unitary(z), (finish_spd(z, lam),)
-        t = herm_part(dagger(u) @ fn(x) @ u)
+        x = (from_frame(u, lam),)
+        rng = np.random.default_rng(ns)
+        rot = np.stack([rand_unitary(rng, ns) for _ in lam])
+        t = herm_part(dagger(rot) @ fn(rot @ x[0] @ dagger(rot)) @ rot)
         remainder = fro_norm(t - np.diagonal(t, axis1=-2, axis2=-1)[..., None] * np.eye(ns))
         assert np.all(remainder > 1e-3)
-        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
+        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, u, lam)
         full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(x)), x))
         assert bound.tobytes() == full.tobytes()
 
@@ -270,7 +279,7 @@ class TestGraphValidation:
         cert = support_pencil(fn, a, v, validation_samples=40, seed=47)
         samples, exact = np.random.default_rng(47), []
         for ns in (3, 6):
-            x = (finish_spd(*draw(samples, 20, spd_plan(ns, 0.5, 2.0))),)
+            x = (from_frame(*graph_samples(samples, 20, ns, 1)),)
             exact.append(min_eig(_support_eval(cert.pencil.b0, cert.gradients, cert.v, herm_part(fn(x)), x)))
         assert cert.support_margin == float(np.min(np.concatenate(exact)))
 
@@ -343,9 +352,9 @@ class TestGraphValidation:
         a, v = rand_tuple_interval(rng, 2, n, 0.5, 2.0), rand_unit_vector(rng, n)
         c = support_pencil(fn, a, v, seed=51, validation_samples=40)
         for ns in (n, 2 * n):
-            z, lam = draw(np.random.default_rng(ns), 2 * 20, spd_plan(ns, 0.5, 2.0))
-            bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, z, lam)
-            xs = slots(finish_spd(z, lam), 2)
+            u, lam = graph_samples(np.random.default_rng(ns), 20, ns, 2)
+            bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, u, lam)
+            xs = slots(from_frame(u, lam), 2)
             full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(xs)), xs))
             assert np.all(bound <= full)
             m = float(np.min(full))
@@ -359,9 +368,9 @@ class TestGraphValidation:
         a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
         c = support_pencil(fn, a, v, seed=54, validation_samples=40)
         for ns in (3, 6):
-            z, lam = draw(np.random.default_rng(ns), 2 * 20, spd_plan(ns, 0.5, 2.0))
-            bound = _graph_margins(fn, c.pencil.b0, c.gradients, 1.05 * c.v, z, lam)
-            xs = slots(finish_spd(z, lam), 2)
+            u, lam = graph_samples(np.random.default_rng(ns), 20, ns, 2)
+            bound = _graph_margins(fn, c.pencil.b0, c.gradients, 1.05 * c.v, u, lam)
+            xs = slots(from_frame(u, lam), 2)
             full = min_eig(_support_eval(c.pencil.b0, c.gradients, 1.05 * c.v, herm_part(fn(xs)), xs))
             assert np.all(full < -1e-3) and np.all(bound <= full)
             m = float(np.min(full))
@@ -384,11 +393,39 @@ class TestGraphValidation:
         a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
         c = support_pencil(fn, a, v, seed=49, validation_samples=40)
         cut = replace(fn, scalar=(lambda x: np.where(x > 1.0, np.nan, np.sqrt(x)), fn.scalar[1]))
-        z, lam = draw(np.random.default_rng(ns), 2 * 20, spd_plan(ns, 0.5, 2.0))
-        bound = _graph_margins(cut, c.pencil.b0, c.gradients, c.v, z, lam)
-        xs = slots(finish_spd(z, lam), 2)
+        u, lam = graph_samples(np.random.default_rng(ns), 20, ns, 2)
+        bound = _graph_margins(cut, c.pencil.b0, c.gradients, c.v, u, lam)
+        xs = slots(from_frame(u, lam), 2)
         full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(xs)), xs))
         assert bound.tobytes() == full.tobytes()
+
+
+class TestCongruenceAllowances:
+    """``_congruence_margins``' rounding allowances, each on an input where it alone keeps the bound sound.
+
+    At n = 1 the pencil at the graph point (C C*, C W C*, C f(W) C*) is E I + C diag(N(w_j)) C*, with
+    E = B_0 - G_1 - G_2 and N(w) = G_1 + w G_2 - f(w): its least eigenvalue is exact in rationals.
+    """
+
+    EPS = np.finfo(float).eps
+
+    def test_the_rounding_of_e_is_taken_off(self):
+        # B_0 - G_1 - G_2 rounds to 1 where it is 1 - 2^-59, and N(w) = 0 exactly: the pencil is E I
+        g = np.array([[2.0**-60]])
+        bound = _congruence_margins(np.eye(1), (g, g), np.ones(1), np.ones((1, 1)), np.full((1, 1), 2.0**-59),
+                                    np.ones((1, 1)))
+        exact = 1 - Fraction(2.0**-59)
+        assert Fraction(float(bound[0])) <= exact
+        assert exact - Fraction(float(bound[0])) <= 64 * Fraction(self.EPS)
+
+    def test_theta_is_widened_below_the_drawn_spectrum(self):
+        # E = 0 and N(w) = 1 on both eigenvalues of M, so the pencil is C C*; the drawn X_1 = I, and C C*
+        # lies 100 eps below it in one direction, within the 32 ns^2 eps = 128 eps that theta allows
+        g = np.array([[0.5]])
+        bound = _congruence_margins(np.eye(1), (g, g), np.ones(1), np.ones((1, 2)), np.zeros((1, 2)), np.ones((1, 2)))
+        exact = 1 - 100 * Fraction(self.EPS)
+        assert Fraction(float(bound[0])) <= exact
+        assert exact - Fraction(float(bound[0])) <= 256 * Fraction(self.EPS)
 
 
 class TestReconstruct:

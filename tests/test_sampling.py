@@ -18,7 +18,7 @@ from opmono.cert import (concave_test, derivative_monotone_test, doubling_concav
                          monotone_test, nc_axiom_check)
 from opmono.errors import BadConfig
 from opmono.freefun import resolve_function
-from opmono.matcore import dagger, herm_part
+from opmono.matcore import dagger, fro_norm, herm_part
 from opmono.represent import support_pencil
 
 
@@ -63,22 +63,32 @@ def ref_spd_interval(rng, n, c1, c2):
     return ref_spd_of(g, rng.uniform(c1, c2, size=n))
 
 
-def ref_bumped(a, bump, w, c2):
-    """B = Herm(A + s P), s scaling lambda_max(P) to w (c2 - lambda_max(A))."""
+def ref_bumped(a, lam, bump, w, c2):
+    """B = Herm(A + s P), s scaling lambda_max(P) to w (c2 - max lam), lam the drawn spectrum of A."""
     top = float(np.linalg.eigvalsh(bump)[-1])
     if top > 0:
-        bump = bump * (w * (c2 - float(np.linalg.eigvalsh(a)[-1])) / top)
+        bump = bump * (w * (c2 - float(np.max(lam))) / top)
     return herm_part(a + bump)
 
 
-def ref_ordered_pair(rng, k, n, c1, c2):
-    a, b = [], []
-    for _ in range(k):
-        ai = ref_spd_interval(rng, n, c1, c1 + 0.6 * (c2 - c1))
-        bump = ref_psd(rng, n)
-        a.append(ai)
-        b.append(ref_bumped(ai, bump, rng.uniform(0.05, 0.95), c2))
-    return tuple(a), tuple(b)
+def ref_frame_member(g, lam):
+    """A frame member: diag(lam) for the first (no Gaussian, g None), else U diag(lam) U* from g."""
+    return np.diag(lam).astype(complex) if g is None else ref_spd_of(g, lam)
+
+
+def ref_complex_parts(rng, *shape):
+    """Complex Gaussians from one ``normal`` call of their (..., 2, n, m) real and imaginary parts."""
+    z = rng.normal(size=(*shape[:-2], 2, *shape[-2:]))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def ref_ordered_pairs(rng, k, n, c1, c2):
+    """One round of ``pair_plan``: k spectra, k - 1 Gaussians, k bumps and k scales, one call each."""
+    lam = rng.uniform(c1, c1 + 0.6 * (c2 - c1), size=(k, n))
+    g = [None, *ref_complex_parts(rng, k - 1, n, n)]
+    bumps, w = ref_complex_parts(rng, k, n, n), rng.uniform(0.05, 0.95, size=k)
+    a = tuple(ref_frame_member(gi, li) for gi, li in zip(g, lam))
+    return a, tuple(ref_bumped(ai, li, ref_psd_of(hi), wi, c2) for ai, li, hi, wi in zip(a, lam, bumps, w))
 
 
 def same(x, y):
@@ -113,8 +123,9 @@ class TestSameStream:
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
             ref = tuple(ref_spd_interval(r2, n, *INTERVAL) for _ in range(k))
             assert same(sampling.rand_tuple_interval(r1, k, n, *INTERVAL), ref)
-            a, b = sampling.finish_pair(*sampling._one_by_one(r1, k, sampling.pair_plan(n, *INTERVAL)), INTERVAL[1])
-            assert same((tuple(a), tuple(b)), ref_ordered_pair(r2, k, n, *INTERVAL))
+            u, lam, (h, w) = sampling.finish_frame(k, sampling.draw(r1, 1, sampling.pair_plan(n, *INTERVAL, k)))
+            a, b = sampling.pair_above(sampling.from_frame(u, lam), lam, h, w, INTERVAL[1])
+            assert same((tuple(a), tuple(b)), ref_ordered_pairs(r2, k, n, *INTERVAL))
             assert r1.normal() == r2.normal()
 
     @pytest.mark.parametrize("n", SIZES)
@@ -125,21 +136,25 @@ class TestSameStream:
         # the same values with the generator's own calls and factors each matrix
         trials, m = 40, max(n - 1, 1)
         r1, r2 = np.random.default_rng(100 + n), np.random.default_rng(100 + n)
-        plan = (sampling.spd_plan(n, *INTERVAL) * k + sampling.pair_plan(n, *INTERVAL) * k
+        plan = (sampling.spd_plan(n, *INTERVAL) * k + sampling.pair_plan(n, *INTERVAL, k)
                 + [sampling.uniform(0.05, 0.95), sampling.normal(2, n, m), sampling.normal(2, n, n)])
-        z, lam, pz, plam, h, w, mix, iso, psd = sampling.draw(r1, trials, plan)
+        z, lam, *frame = sampling.draw(r1, trials, plan)
+        u, plam, (h, w, mix, iso, psd) = sampling.finish_frame(k, frame)
         x = sampling.slots(sampling.finish_spd(z, lam), k)
-        a, b = (sampling.slots(s, k) for s in sampling.finish_pair(pz, plam, h, w, INTERVAL[1]))
+        pairs = sampling.pair_above(sampling.from_frame(u, plam), plam, h, w, INTERVAL[1])
+        a, b = (sampling.slots(s, k) for s in pairs)
         v = sampling.finish_isometry(iso)
         p = sampling.finish_psd(psd)
-        rz, rlam, rpz, rplam, rh, rw, rmix, riso, rpsd = (
+        rz, rlam, rplam, *rpz, rh, rw, rmix, riso, rpsd = (
             s[..., 0, :, :] + 1j * s[..., 1, :, :] if s.ndim == 4 else s  # Gaussian parts as complex
             for s in ref_draw(r2, trials, as_calls(plan)))
+        rpz = [None if i == 0 else rpz[0][t * (k - 1) + i - 1] for t in range(trials) for i in range(k)]
         for t in range(trials):
             for i, j in enumerate(range(t * k, (t + 1) * k)):
                 assert same(x[i][t], ref_spd_of(rz[j], rlam[j]))
-                ra = ref_spd_of(rpz[j], rplam[j])
-                assert same(a[i][t], ra) and same(b[i][t], ref_bumped(ra, ref_psd_of(rh[j]), rw[j], INTERVAL[1]))
+                ra = ref_frame_member(rpz[j], rplam[j])
+                assert same(a[i][t], ra)
+                assert same(b[i][t], ref_bumped(ra, rplam[j], ref_psd_of(rh[j]), rw[j], INTERVAL[1]))
             assert mix[t] == rmix[t]
             assert same(v[t], ref_isometry_of(riso[t]))
             assert same(p[t], ref_psd_of(rpsd[t]))
@@ -148,8 +163,39 @@ class TestSameStream:
 
     def test_zero_bump_is_left_unscaled(self):
         z, lam = sampling.draw(np.random.default_rng(0), 1, sampling.spd_plan(3, *INTERVAL))
-        a, b = sampling.finish_pair(z[0], lam[0], np.zeros((2, 3, 3)), 0.5, 2.0)
+        a, b = sampling.pair_above(sampling.finish_spd(z, lam)[0], lam[0], np.zeros((2, 3, 3)), 0.5, 2.0)
         assert same(a, b)
+
+
+class TestFrame:
+    """A frame's first member per round is diag(lam), the others Haar-rotated; the spectra come first."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("k", ARITIES)
+    def test_first_member_is_diagonal_and_the_others_rotated(self, n, k):
+        rounds = 30
+        r1, r2 = np.random.default_rng(200 + n), np.random.default_rng(200 + n)
+        u, lam, rest = sampling.finish_frame(k, sampling.draw(r1, rounds, sampling.frame_plan(n, *INTERVAL, k)))
+        x = sampling.from_frame(u, lam).reshape(rounds, k, n, n)
+        assert rest == () and u.shape == (rounds * (k - 1), n, n) and lam.shape == (rounds * k, n)
+        lam = lam.reshape(rounds, k, n)
+        assert same(x[:, 0], np.stack([np.diag(li).astype(complex) for li in lam[:, 0]]))
+        assert np.max(fro_norm(dagger(u) @ u - np.eye(n)), initial=0.0) <= 1e-14
+        assert same(x[:, 1:].reshape(-1, n, n), sampling.from_spectrum(u, lam[:, 1:].reshape(-1, n)))
+        # the stream: every spectrum in one call, then every Gaussian of the other members in one call,
+        # none for k = 1
+        ref_lam = r2.uniform(*INTERVAL, size=(rounds * k, n))
+        ref_u = np.stack([ref_unitary_of(g) for g in ref_complex_parts(r2, rounds * (k - 1), n, n)]) if k > 1 else u
+        assert same(lam.reshape(-1, n), ref_lam) and same(u, ref_u)
+        assert r1.normal() == r2.normal()
+
+    def test_values_on_the_spectra_share_the_frame(self):
+        # from_frame(u, f(lam)) is F at the members of a lift's frame, the first one diag(f(lam))
+        n, k = 3, 2
+        plan = sampling.frame_plan(n, *INTERVAL, k)
+        u, lam, _ = sampling.finish_frame(k, sampling.draw(np.random.default_rng(1), 8, plan))
+        x, fx = sampling.from_frame(u, lam), sampling.from_frame(u, np.sqrt(lam))
+        assert np.max(fro_norm(fx @ fx - x)) <= 1e-14
 
 
 def ref_draw(rng, rounds, calls):
@@ -282,7 +328,7 @@ class TestDraw:
     @pytest.mark.parametrize("rounds", [1, 7, 512])
     def test_one_generator_call_per_distinct_entry(self, rounds):
         n, rng = 3, Counting(np.random.default_rng(0))
-        plan = sampling.spd_plan(n, *INTERVAL) * 4 + sampling.pair_plan(n, *INTERVAL) * 2 + [sampling.uniform(0, 1)]
+        plan = sampling.spd_plan(n, *INTERVAL) * 4 + sampling.pair_plan(n, *INTERVAL, 2) + [sampling.uniform(0, 1)]
         sampling.draw(rng, rounds, plan)
         assert rng.calls == len(set(plan)) == 7
 
@@ -363,17 +409,19 @@ class TestQrCallsPerTester:
 
     @pytest.mark.parametrize("name", ["sqrt", "geomean2"])
     def test_concave_and_monotone_factor_once(self, qr_calls, name):
+        # a trial of m drawn matrices takes m - 1 unitaries, its first matrix being diag(lam),
+        # so a lift's monotone trial takes none
         fn = resolve_function(name)
         concave_test(fn, n=3, trials=50, seed=1)
-        assert qr_calls == [(2 * fn.arity * 50, 3, 3)]
+        assert qr_calls == [((2 * fn.arity - 1) * 50, 3, 3)]
         qr_calls.clear()
         monotone_test(fn, n=3, trials=50, seed=1)
-        assert qr_calls == [(fn.arity * 50, 3, 3)]
+        assert qr_calls == ([] if fn.arity == 1 else [((fn.arity - 1) * 50, 3, 3)])
 
     def test_hypograph_factors_twice(self, qr_calls):
         fn = resolve_function("geomean2")
         hypograph_convexity_test(fn, n=3, m=2, trials=50, seed=1)
-        assert qr_calls == [(2 * 2 * 50, 3, 3), (50, 3, 2)]
+        assert qr_calls == [((2 * 2 - 1) * 50, 3, 3), (50, 3, 2)]
 
     def test_hypograph_rejects_large_m_before_drawing(self, qr_calls):
         with pytest.raises(BadConfig):
