@@ -33,7 +33,7 @@ declaration be read: a lift's values at the drawn points X = U diag(lam) U*
 are U f(diag(lam)) U*, so the monotone, concave and hypograph tests
 evaluate only the points they do not draw (B, the mixtures, the
 compressions and the combinations), and a two-argument mean's derivative
-test takes one ``cholesky`` and one ``eigh`` per stack and no evaluation.
+test takes one ``eigvalsh`` of M per stack and no evaluation.
 Every check of a trial has a margin and a bound.  The Loewner testers' differences that must be positive
 semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and one scan
 (``_scan``) takes their smallest eigenvalues and norms in one batched call
@@ -51,7 +51,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BadConfig, OpmonoError
-from .freefun import FreeFn, _congruence_eig, _loewner_pair, frechet_many
+from .freefun import FreeFn, _congruence_eig, _frame_spectrum, _loewner_pair, frechet_many
 from .gradients import loewner_matrix
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, min_eig, psd_floor
 from .sampling import (draw, finish_frame, finish_isometry, finish_psd, finish_spd, finish_unitary, frame_plan,
@@ -287,15 +287,18 @@ def derivative_monotone_test(
       f on the drawn spectrum lam, is PSD for every PSD H exactly when Phi
       is.  No Gaussian is drawn and no ``qr`` taken.
     * a two-argument mean, F(A, B) = L f(M) L* with A = L L* and
-      M = L^{-1} B L^{-*} = U diag(w) U* (``freefun._congruence_eig``):
+      M = L^{-1} B L^{-*} = U diag(w) U*:
       DF(A, B)[H_A, H_B] = L U (Psi o K_A + Phi o K_B) U* L*, K_. =
       U* L^{-1} H_. L^{-*} U, Phi the Loewner matrix of f on w and Psi that
       of the transpose x f(1/x) on 1/w (``freefun._loewner_pair``).  Each
-      trial scans [Psi, Phi].
+      trial scans [Psi, Phi], which need only w: A = diag(lam_1), so
+      ``freefun._frame_spectrum`` forms M = A^{-1/2} B A^{-1/2} entrywise
+      and takes one ``eigvalsh`` per stack.
 
     A counterexample's H is C 1 1* C* normalized in the failing slot, C = I
-    or L U (``_loewner_counter``).  Either path is taken only under
-    ``FreeFn._declared_at``'s rule.  Any other draw or function takes a
+    or, for a mean, the L U that ``freefun._congruence_eig`` gives for the
+    reported trial alone (``_loewner_counter``).  Either path is taken only
+    under ``FreeFn._declared_at``'s rule.  Any other draw or function takes a
     Richardson stencil, 4 evaluations per trial in blocks of 256 trials,
     whose scan allows 10 ``psd`` for the differences; so a draw outside the
     domain is reported as the evaluator reports it.
@@ -315,12 +318,12 @@ def derivative_monotone_test(
         )
     if declared and k == 2:
         try:
-            lu, _, _, w = _congruence_eig(*x)
+            w = _frame_spectrum(lam[::2], x[1])
         except OpmonoError as exc:
             return _inconclusive("derivative", seed, str(exc))
         return _scan(
             "derivative", seed, tol, [np.stack(_loewner_pair(w, *fn.scalar), axis=1)],
-            lambda t, c, m: _loewner_counter(_at(x, t), lu[t], c, m),
+            lambda t, c, m: _loewner_counter(_at(x, t), _congruence_eig(*_at(x, t))[0], c, m),
         )
     (g,) = draw(rng, trials, [normal(2, n, n)] * k)
     h = finish_psd(g).reshape(trials, k, n, n)

@@ -9,19 +9,22 @@ two deliberately broken negative controls.
 
 Evaluators are batched: each accepts a tuple of stacked Hermitian arguments
 ``(..., n, n)`` and broadcasts over the leading axes.  A lift and every
-two-argument mean but the harmonic and arithmetic ones is built from its
-representing function (f, f') alone (``_declared_fn``), its evaluator and
-its exact adjoint (``_loewner_vgrad``, the one adjoint of every declared
-function) included; every two-argument mean but the arithmetic one
-declares f (``FreeFn.scalar``; ``_pair_function``, the harmonic mean's at
-t = -1).
+two-argument mean but the harmonic, arithmetic and P_1 ones is built from
+its representing function (f, f') alone (``_declared_fn``), its evaluator
+and its exact adjoint (``_loewner_vgrad``, the adjoint of every declared
+function but P_1) included; every two-argument mean but the arithmetic
+one declares f (``FreeFn.scalar``; ``_pair_function``, the harmonic
+mean's at t = -1).
 
 The power means P_t, t in (0, 1], and the Karcher mean, their t = 0
 member, are one family at every arity: one mean (``_mean``), whose
 three or more arguments solve sum w_i f(Z^{-1/2} X_i Z^{-1/2}) = f(1) I
 with f from ``_family(t)`` (x^t, or log at t = 0) by one step
 (``_mean_gradient``), one loop (``_fixed_point``, all batch elements in
-lockstep) and one implicit adjoint (``_implicit_vgrad``).
+lockstep) and one implicit adjoint (``_implicit_vgrad``).  P_1 is the
+arithmetic mean sum w_i X_i at every arity, returned in closed form with
+the adjoint w_i W; it keeps the family's domain, so each argument is
+still checked by its Cholesky factor.
 
 Every mean is invariant under congruence, so none needs a square root.  A
 Kubo-Ando mean is A^{1/2} f(M) A^{1/2}, M = A^{-1/2} B A^{-1/2} (Kubo & Ando
@@ -35,13 +38,16 @@ Positive definiteness is read from the factorizations an evaluator makes
 anyway: a stack has a Cholesky factor exactly when it is positive definite,
 and for A > 0 the eigenvalues of L^{-1} B L^{-*} are positive exactly when
 B > 0 (Sylvester's law of inertia).  That is one ``eigh`` per lift, one
-``cholesky`` per argument of the harmonic mean, and one ``cholesky`` of A
-(or of the iterate Z) and one ``eigh`` of each L^{-1} X L^{-*} per mean of
-the family.  One routine (``_spectrum``) decomposes every L^{-1} X L^{-*}:
-a member with an eigenvalue that is not positive or too ill-conditioned
-for ``eigh`` takes the ``svd`` of L^{-1} L_X, whose Cholesky factor L_X
-then checks X.  An error's minimum eigenvalue is computed only once a
-check has failed.
+``cholesky`` per argument of the harmonic mean and of P_1, and one
+``cholesky`` of A (or of the iterate Z) and one ``eigh`` of each
+L^{-1} X L^{-*} per other mean of the family.  One routine (``_spectrum``)
+decomposes every such M: a member with an eigenvalue that is not positive
+or too ill-conditioned for ``eigh`` takes the ``svd`` of L^{-1} L_X, whose
+Cholesky factor L_X then checks X.  Where A is diagonal, as the first
+member of every tester frame and graph sample is, M = A^{-1/2} B A^{-1/2}
+is formed entrywise and only its spectrum taken (``_frame_spectrum``: one
+``eigvalsh``, singular values for the wide members).  An error's minimum
+eigenvalue is computed only once a check has failed.
 """
 
 from __future__ import annotations
@@ -125,8 +131,8 @@ def _eigh_fun(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, what: str | 
     return (u * f(w)[..., None, :]) @ dagger(u)
 
 
-def _factor(z: np.ndarray, what: str, error: type[OpmonoError] = NotPositiveDefinite) -> tuple[np.ndarray, ...]:
-    """(L, L^{-1}) with Herm(Z) = L L*, the Cholesky factor of a positive definite stack.
+def _cholesky(z: np.ndarray, what: str, error: type[OpmonoError] = NotPositiveDefinite) -> np.ndarray:
+    """L with Herm(Z) = L L*, the Cholesky factor of a positive definite stack.
 
     A non-finite stack, or one with no Cholesky factor, raises ``error``
     with its minimum eigenvalue, which is computed only then.
@@ -134,11 +140,16 @@ def _factor(z: np.ndarray, what: str, error: type[OpmonoError] = NotPositiveDefi
     h = herm_part(z)
     if np.isfinite(h).all():
         try:
-            low = np.linalg.cholesky(h)
-            return low, np.linalg.inv(low)
+            return np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             pass
     raise error(f"{what} has minimum eigenvalue {float(np.min(min_eig(h), initial=np.inf)):.3e}")
+
+
+def _factor(z: np.ndarray, what: str, error: type[OpmonoError] = NotPositiveDefinite) -> tuple[np.ndarray, ...]:
+    """(L, L^{-1}) with L from ``_cholesky``."""
+    low = _cholesky(z, what, error)
+    return low, np.linalg.inv(low)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +176,15 @@ class FreeFn:
     argument it says F(X) = U f(Lambda) U* for X = U Lambda U*, a lift of
     the scalar f; with two, F(A, B) = L f(M) L* for A = L L* and
     M = L^{-1} B L^{-*}, a Kubo-Ando mean.  The lifts and the two-argument
-    power, Karcher and geometric means are built from (f, f') alone
-    (``_declared_fn``); the two-argument harmonic mean declares
-    ``_pair_function(-1, *w)`` beside its own evaluator.  Nothing else
-    declares one.  The declaration is read in place of the evaluator by
-    the testers (``cert``: F at the drawn points, and the Loewner matrices
-    of f in the derivative test) and by the support validation of a lift
-    and of a two-argument mean (``represent._graph_margins``: f on each
-    sample's spectrum, or on the spectrum of its M), each only under one
-    rule (``_declared_at``).  So ``replace(fn, evaluator=...)`` with an
+    power (t < 1), Karcher and geometric means are built from (f, f')
+    alone (``_declared_fn``); the two-argument harmonic mean and P_1
+    declare ``_pair_function(t, *w)`` (t = -1 and 1) beside their own
+    evaluators.  Nothing else declares one.  The declaration is read in
+    place of the evaluator by the testers (``cert``: F at the drawn
+    points, and the Loewner matrices of f in the derivative test) and by
+    the support validation of a lift and of a two-argument mean
+    (``represent._graph_margins``: f on each sample's spectrum, or on the
+    spectrum of its M), each only under one rule (``_declared_at``).  So ``replace(fn, evaluator=...)`` with an
     evaluator that computes anything but the same F has to pass
     ``scalar=None``.
     """
@@ -381,16 +392,17 @@ def harmonic_mean(weights: tuple[float, ...]) -> FreeFn:
                   scalar=_pair_function(-1.0, *w) if w.size == 2 else None)
 
 
+def _weighted_sum(xs: MatTuple, w: np.ndarray) -> np.ndarray:
+    """Herm(sum w_i X_i)."""
+    return herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
+
+
 def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
     w = _check_weights(weights)
-
-    def _ev(xs: MatTuple) -> np.ndarray:
-        return herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
-
     return FreeFn(
         name="arithmetic",
         arity=w.size,
-        evaluator=_ev,
+        evaluator=partial(_weighted_sum, w=w),
         vgrad=lambda xs, seed: [wi * seed for wi in w],
     )
 
@@ -401,36 +413,65 @@ def arithmetic_mean(weights: tuple[float, ...]) -> FreeFn:
 _EIGH_COND = 1e6
 
 
-def _spectrum(linv: np.ndarray, x: np.ndarray, low_x: Callable) -> tuple[np.ndarray, ...]:
-    """(w, U, wide) with L^{-1} X L^{-*} = U diag(w) U*: one ``eigh``, and an ``svd`` for the ``wide`` members.
+def _spectrum(m: np.ndarray, factor: Callable, vectors: bool = True) -> tuple[np.ndarray, ...]:
+    """(w, U, wide) with Herm(M) = U diag(w) U*: one ``eigh``, or one ``eigvalsh`` and U None without ``vectors``.
 
-    The one decomposition of every mean's M.  A member whose eigenvalues are
-    not all positive or whose cond(M) exceeds ``_EIGH_COND`` is ``wide``: it
-    takes w and U from the SVD of L^{-1} L_X, with ``low_x(wide)`` the
-    Cholesky factors L_X of its X, so X's own factor checks X (only rounding
-    leaves M indefinite where L_X exists).  A non-finite X goes to ``low_x``
-    whole, before ``eigh`` sees it.
+    The one decomposition of every mean's M = K K*, K = L^{-1} L_X for
+    M = L^{-1} X L^{-*} and X = L_X L_X*.  A member whose eigenvalues are not
+    all positive or whose cond(M) exceeds ``_EIGH_COND`` is ``wide``: it
+    takes w, and U, from the SVD of K (only the singular values without
+    ``vectors``), with ``factor(wide)`` those members' K.  Forming K takes
+    the Cholesky factor L_X, so X's own factor checks X (only rounding
+    leaves M indefinite where L_X exists).  M must be finite: a caller
+    whose X may not be checks X first.
     """
-    if not np.isfinite(x).all():
-        low_x(np.ones(x.shape[:-2], dtype=bool))
-    w, u = _eigh(linv @ x @ dagger(linv))
+    h = herm_part(m)
+    w, u = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
     wide = ~(_EIGH_COND * w[..., 0] >= w[..., -1])  # also a member with w_min <= 0
     if np.any(wide):
-        v, s, _ = np.linalg.svd(np.broadcast_to(linv, u.shape)[wide] @ low_x(wide))
-        w[wide], u[wide] = s[..., ::-1] ** 2, v[..., ::-1]
+        if vectors:
+            v, s, _ = np.linalg.svd(factor(wide))
+            u[wide] = v[..., ::-1]
+        else:
+            s = np.linalg.svd(factor(wide), compute_uv=False)
+        w[wide] = s[..., ::-1] ** 2
     return w, u, wide
 
 
 def _congruence_eig(z: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """(L U, L^{-1}, U, w) with Z = L L*, L^{-1} X L^{-*} = U diag(w) U*: one ``cholesky``, one ``eigh`` per stack.
 
-    Z is checked by its Cholesky factor (``_factor``), and X by ``_spectrum``:
-    a wide member takes a ``cholesky`` of its X, which refuses an X that is
-    not positive definite as the second argument, and an ``svd``.
+    Z is checked by its Cholesky factor (``_factor``), and X by its own
+    (``_cholesky``), taken only for ``_spectrum``'s wide members and for a
+    non-finite X: that refuses an X that is not positive definite as the
+    second argument.
     """
     low, linv = _factor(z, "first argument")
-    w, u, _ = _spectrum(linv, x, lambda m: _factor(np.broadcast_to(x, m.shape + x.shape[-2:])[m], "second argument")[0])
+    if not np.isfinite(x).all():
+        _cholesky(x, "second argument")
+    m = linv @ x @ dagger(linv)
+    w, u, _ = _spectrum(m, lambda wide: np.broadcast_to(linv, m.shape)[wide] @ _cholesky_members(x, wide))
     return low @ u, linv, u, w
+
+
+def _cholesky_members(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``_cholesky`` of the members ``mask`` of a mean's second argument X, broadcast to the mask's stack."""
+    return _cholesky(np.broadcast_to(x, mask.shape + x.shape[-2:])[mask], "second argument")
+
+
+def _frame_spectrum(lam1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """spec(M), M = D^{-1/2} X_2 D^{-1/2}, of pairs whose first argument is D = diag(lam1), lam1 > 0.
+
+    A tester frame or graph sample draws its first member as diag(lam1)
+    exactly, so M is formed entrywise as X_2 o (s s*), s = lam1^{-1/2},
+    with no ``cholesky``, inverse or product, and ``_spectrum`` takes one
+    ``eigvalsh`` per stack and no eigenvectors.  A wide member takes the
+    singular values of K = D^{-1/2} L_2, L_2 the Cholesky factor of X_2,
+    which checks X_2.
+    """
+    s = 1.0 / np.sqrt(lam1)
+    m = x2 * (s[..., :, None] * s[..., None, :])
+    return _spectrum(m, lambda wide: s[wide][..., :, None] * _cholesky_members(x2, wide), vectors=False)[0]
 
 
 def _congruence_fun(z: np.ndarray, x: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -485,7 +526,7 @@ class _Arguments(tuple):
         if i not in self.lows:
             xi = self[i - 1]
             try:
-                self.lows[i] = _factor(xi, f"argument {i} is not positive definite: X_{i}")[0]
+                self.lows[i] = _cholesky(xi, f"argument {i} is not positive definite: X_{i}")
             except NotPositiveDefinite:
                 if not (np.isfinite(xi).all() and np.all(np.linalg.eigvalsh(herm_part(xi))[..., 0] > 0)):
                     raise
@@ -516,7 +557,9 @@ def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) ->
     low, linv = _factor(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
     s, kappa = 0, 1.0
     for i, (wi, xi) in enumerate(zip(w, xs), 1):
-        lam, u, wide = _spectrum(linv, xi, lambda m: np.broadcast_to(xs.low(i), m.shape + xi.shape[-2:])[m])
+        m = linv @ xi @ dagger(linv)
+        lam, u, wide = _spectrum(m, lambda wide: (np.broadcast_to(linv, m.shape)[wide]
+                                                  @ np.broadcast_to(xs.low(i), m.shape)[wide]))
         s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
         cond = lam[..., -1] / lam[..., 0]
         kappa = np.maximum(kappa, np.where(wide, np.maximum(_EIGH_COND, np.sqrt(cond)), cond))
@@ -564,7 +607,7 @@ def _mean_gradient(z: np.ndarray, xs: _Arguments, w: np.ndarray, t: float) -> tu
 
 def _fixed_point(xs: _Arguments, w: np.ndarray, t: float, name: str) -> tuple[np.ndarray, ...]:
     """The k >= 3 loop of P_t, the Karcher mean at t = 0: Z <- L exp(s G) L* from ``_mean_gradient``."""
-    z = herm_part(sum(wi * xi for wi, xi in zip(w, xs)))
+    z = _weighted_sum(xs, w)
     damping, prev_res = 1.0, np.inf
     for iterations in range(1, _MAX_ITER + 1):
         low, grad, norms, floor = _mean_gradient(z, xs, w, t)
@@ -579,24 +622,38 @@ def _fixed_point(xs: _Arguments, w: np.ndarray, t: float, name: str) -> tuple[np
 
 
 def _mean(xs: MatTuple, w: np.ndarray, t: float, return_info: bool = False):
-    """``power_mean`` (t in (0, 1]) and ``karcher_mean`` (t = 0) of checked arguments, one per weight of ``w``."""
-    xs = _Arguments(xs)
-    if len(xs) == 2:
-        z, iterations = _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0]), 0
-        norms = _mean_gradient(z, xs, w, t)[2] if return_info else None
+    """``power_mean`` (t in (0, 1]) and ``karcher_mean`` (t = 0) of checked arguments, one per weight of ``w``.
+
+    P_1 is the arithmetic mean Herm(sum w_i X_i) at every arity, returned
+    once each X_i's Cholesky factor (``_Arguments.low``) has checked it.
+    Two arguments take their congruence, more the k >= 3 loop.
+    """
+    xs, iterations, norms = _Arguments(xs), 0, None
+    if t == 1:
+        for i in range(1, len(xs) + 1):
+            xs.low(i)
+        z = _weighted_sum(xs, w)
+    elif len(xs) == 2:
+        z = _congruence_fun(xs[0], xs[1], _pair_function(t, *w)[0])
     else:
         z, iterations, norms = _fixed_point(xs, w, t, f"power mean t={t:g}" if t else "Karcher")
-    if return_info:
-        return z, {"iterations": iterations, "residual": float(np.max(norms, initial=0.0))}
-    return z
+    if not return_info:
+        return z
+    norms = _mean_gradient(z, xs, w, t)[2] if norms is None else norms
+    return z, {"iterations": iterations, "residual": float(np.max(norms, initial=0.0))}
 
 
 def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray:
     """Matrix power mean P_t: the solution of Z = sum w_i (Z #_t X_i).
 
-    Two arguments have a closed form.  Congruence by A^{-1/2} turns the
-    equation into Y = w_1 Y^{1-t} + w_2 (Y #_t M) with M = A^{-1/2} B A^{-1/2},
-    whose unique solution commutes with M, so
+    P_1 is the arithmetic mean: Z = sum w_i Z #_1 X_i = sum w_i X_i.  At
+    every arity it returns Herm(sum w_i X_i), after one ``cholesky`` of each
+    argument and no inverse, which refuses an argument that is not positive
+    definite by its number (``_mean``).
+
+    For t < 1, two arguments have a closed form.  Congruence by A^{-1/2}
+    turns the equation into Y = w_1 Y^{1-t} + w_2 (Y #_t M) with
+    M = A^{-1/2} B A^{-1/2}, whose unique solution commutes with M, so
 
         P_t(w_1, w_2; A, B) = A^{1/2} (w_1 I + w_2 M^t)^{1/t} A^{1/2},
 
@@ -610,7 +667,7 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     which moves Z by ||log S||_2 in the Thompson metric d and shrinks
     d(Z, P_t) by 1 - t (Lim & Palfia 2012); s halves, down to t, whenever
     the largest ||G||_F shrinks by less than 1 - t, so the loop converges for
-    every t.  A member stops at ||G||_F <= max(``_KARCHER_RTOL`` / t,
+    every t < 1.  A member stops at ||G||_F <= max(``_KARCHER_RTOL`` / t,
     16 eps kappa^{1-t} exp(-2 ||G||_F)).  That cannot stop early, as
     d(Z, P_t) <= ||log S||_2 / t <= ||G||_F moves kappa^{1-t} by at most
     exp(2 ||G||_F), nor stall: rounding eps lam_max of M_i moves
@@ -630,8 +687,13 @@ def _mean_fn(name: str, w: np.ndarray, t: float, weights: tuple[float, ...] | No
     """FreeFn of P_t, the Karcher mean at t = 0.
 
     Two arguments declare ``_pair_function(t, *w)`` (``_declared_fn``); more take ``_mean`` and the
-    ``_implicit_vgrad`` of f from ``_family(t)``, and declare nothing.
+    ``_implicit_vgrad`` of f from ``_family(t)``, and declare nothing.  P_1 evaluates by ``_mean`` at
+    every arity, the arithmetic mean, whose adjoint is w_i W; two arguments still declare f(x) = w_1 + w_2 x.
     """
+    if t == 1:
+        return FreeFn(name=name, arity=w.size, evaluator=partial(_mean, w=w, t=t), weights=weights,
+                      vgrad=lambda xs, seed: [wi * seed for wi in w],
+                      scalar=_pair_function(t, *w) if w.size == 2 else None)
     if w.size == 2:
         return _declared_fn(name, 2, *_pair_function(t, *w), weights=weights)
     evaluate = partial(_mean, w=w, t=t)

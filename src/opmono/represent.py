@@ -40,7 +40,7 @@ from .errors import (
     SupportViolated,
     VerificationFailed,
 )
-from .freefun import FreeFn, _congruence_eig, lift_scalar
+from .freefun import FreeFn, _frame_spectrum, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, fro_norm, herm_part, min_eig, min_eig_above,
                       require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
@@ -82,7 +82,7 @@ class SupportCertificate:
     (``_graph_margins``).  For a lift it is that smallest eigenvalue, taken
     exactly from n x n blocks on each sample's spectrum; for a declared
     two-argument mean it is a certified lower bound from n x n blocks on
-    the spectrum of M = L^{-1} X_2 L^{-*}, below the smallest eigenvalue by
+    the spectrum of M = X_1^{-1/2} X_2 X_1^{-1/2}, below the smallest eigenvalue by
     its rounding allowances (``_congruence_margins``), or by up to a factor
     cond(X_1) where that eigenvalue is positive; for every other function
     it is the smallest eigenvalue of the whole pencil.  The certificate is
@@ -152,17 +152,20 @@ def _graph_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
     X = diag(lam), so L is the direct sum of
     M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*: the bound is lambda_min L
     itself, read from the drawn spectra without forming X or F(X).  A
-    two-argument mean takes M's spectrum w from ``_congruence_eig`` and
-    bounds lambda_min L from blocks on w (``_congruence_margins``).  Every
-    other function, and a declared one where the rule gives None, takes
-    lambda_min L at the evaluated F(X) over the whole (n ns)^2 pencil.
+    two-argument mean takes the spectrum w of M = D^{-1/2} X_2 D^{-1/2},
+    D = X_1 = diag(lam_1), formed entrywise by ``freefun._frame_spectrum``
+    (one ``eigvalsh`` a stack, and no ``cholesky``, inverse, product or
+    eigenvectors), and bounds lambda_min L from blocks on w
+    (``_congruence_margins``).  Every other function, and a declared one
+    where the rule gives None, takes lambda_min L at the evaluated F(X)
+    over the whole (n ns)^2 pencil.
     """
     if fn.arity == 1 and (d := fn._declared_at(lam)) is not None:
         blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
         return np.min(min_eig(blocks), axis=-1)
     xs = slots(from_frame(u, lam), fn.arity)
     if fn.arity == 2 and fn.scalar is not None and np.all(lam > 0):
-        w = _congruence_eig(*xs)[3]
+        w = _frame_spectrum(lam[::2], xs[1])
         if (d := fn._declared_at(w)) is not None:
             return _congruence_margins(b0, grads, v, w, d, lam[::2])
     return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
@@ -171,11 +174,16 @@ def _graph_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
 def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
     """Certified lower bounds on lambda_min L at the graph points (C C*, C W C*, C f(W) C*), f(w) = d.
 
-    C = L U and W = diag(w) are ``_congruence_eig``'s, so X_1 = C C* and
-    X_2 = C W C*, and a Kubo-Ando mean's congruence invariance,
-    F(S A S*) = S F(A) S* (Kubo & Ando 1980), makes F(X) = C f(W) C*: the
-    points certified are the exact graph points of the computed C and W,
-    within rounding of the drawn X.  With E = B_0 - G_1 - G_2 and
+    W = diag(w) is the spectrum of M = D^{-1/2} X_2 D^{-1/2} that
+    ``freefun._frame_spectrum`` forms entrywise from the drawn X_1 =
+    D = diag(lam1): ``eigvalsh`` (or, for a wide member, the SVD of
+    D^{-1/2} L_2) returns the exact spectrum of a matrix M' within rounding
+    of the computed M.  With U exact eigenvectors of M', C = D^{1/2} U, so
+    C C* = X_1 exactly and X_2' = C W C* = D^{1/2} M' D^{1/2} lies within
+    rounding of the drawn X_2; a Kubo-Ando mean's congruence invariance,
+    F(S A S*) = S F(A) S* (Kubo & Ando 1980), makes F(X') = C f(W) C*.  So
+    the points certified are exact graph points within rounding of the
+    drawn X, and neither C nor U is ever formed.  With E = B_0 - G_1 - G_2 and
     N(w) = G_1 + w G_2 - f(w) vv*,
 
         L = E (x) I + (I (x) C) [sum_j N(w_j) (x) e_j e_j*] (I (x) C)*,
@@ -192,9 +200,9 @@ def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
       the rounding of forming N(w) from G_i, vv* and f(w), and of ``eigvalsh``;
     - theta: the drawn spectrum ``lam1`` of X_1, widened by
       32 ns^2 eps lambda_max, which covers C C* against the drawn X_1.
-      X_1 = diag(lam1) is exact in a frame, so the allowance still holds:
-      it now covers only ``cholesky`` and the product L U, less rounding
-      than it did with a rotated X_1;
+      Since C C* = X_1 = diag(lam1) exactly, the widening is slack here; it
+      is kept so that the bound stays sound for any C whose C C* lies that
+      close to X_1;
     - lambda_min E: 32 n^2 eps ||E||_F + 4 eps (||B_0||_F + ||G_1||_F + ||G_2||_F),
       the rounding of ``eigvalsh`` on the computed E and of its two differences.
     """

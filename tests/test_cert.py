@@ -14,6 +14,7 @@ from opmono.cert import (
 from opmono.freefun import (
     FreeFn,
     _congruence_eig,
+    _congruence_fun,
     fake_trace_fn,
     frechet_derivative,
     frechet_many,
@@ -223,10 +224,35 @@ class TestMeanLoewnerPath:
         rep = derivative_monotone_test(replace(resolve_function(ident), evaluator=refuse), n=3, trials=512, seed=1)
         assert rep.passed
 
-    def test_one_eigh_one_qr_and_one_scan(self, count_calls):
-        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh")}
+    def test_one_eigvalsh_of_m_one_qr_and_one_scan(self, count_calls):
+        # X_1 = diag(lam_1), so M = D^-1/2 X_2 D^-1/2 is formed entrywise: no factorization, inverse or eigh
+        calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh", "cholesky", "inv", "svd")}
         assert derivative_monotone_test(resolve_function("geomean2"), n=3, trials=512, seed=0).passed
-        assert calls == {"eigh": [(512, 3, 3)], "qr": [(512, 3, 3)], "eigvalsh": [(512, 2, 3, 3)]}
+        assert calls == {"eigh": [], "qr": [(512, 3, 3)], "eigvalsh": [(512, 3, 3), (512, 2, 3, 3)], "cholesky": [],
+                         "inv": [], "svd": []}
+
+    @pytest.mark.parametrize("f,fprime,slot", [
+        # x^1.5 is not operator monotone, and its transpose x^-0.5 decreases: Psi fails
+        (lambda x: x**1.5, lambda x: 1.5 * x**0.5, 0),
+        # x - 0.15 x^2 increases on M's spectrum but is not operator monotone, while its transpose
+        # 1 - 0.15 / x is: Psi passes and Phi fails
+        (lambda x: x - 0.15 * x**2, lambda x: 1.0 - 0.3 * x, 1),
+    ], ids=["psi", "phi"])
+    def test_a_counterexample_replays_in_its_slot(self, f, fprime, slot):
+        # the scan reads only M's spectrum; the reported trial's C = L U is built for its H alone
+        fn = FreeFn(name="pair", arity=2, evaluator=lambda xs: _congruence_fun(*xs, f), scalar=(f, fprime))
+        rep = derivative_monotone_test(fn, n=3, trials=512, seed=2)
+        assert rep.verdict == "counterexample"
+        x, h, margin = rep.counterexample["X"], rep.counterexample["H"], rep.counterexample["margin"]
+        assert not h[1 - slot].any() and abs(fro_norm(h[slot]) - 1.0) <= 1e-12 and min_eig(h[slot]) >= -1e-12
+        assert np.array_equal(x[0], np.diag(np.diagonal(x[0])))
+        # DF(X)[H] = C Theta C* / ||(C 1)(C 1)*||_F, so the scanned Theta comes back by congruence
+        replay = frechet_derivative(fn, x, h)
+        c = _congruence_eig(*x)[0]
+        ones = c.sum(axis=-1)
+        ci = np.linalg.inv(c)
+        theta = ci @ replay @ dagger(ci) * fro_norm(np.outer(ones, np.conj(ones)))
+        assert margin < 0 and abs(float(min_eig(theta)) - margin) <= 1e-6 * abs(margin)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("ident", MEANS)

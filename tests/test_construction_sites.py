@@ -14,11 +14,13 @@ test ``_require_square`` is left only to the pass-through algebra primitives.
 Every tester's ``CertReport`` comes from ``cert._report``, or from ``cert._inconclusive``
 where evaluation failed, so no tester has a stop rule or a non-finite rule of its own.
 
-Every operator mean decomposes L^{-1} X L^{-*} through ``freefun._spectrum``, and the power
-and Karcher means take their step and stop from ``freefun._mean_gradient``, so neither the
-SVD fallback nor the family's step has a second copy.  A two-argument mean's L U and the
-spectrum of M come from ``freefun._congruence_eig`` alone, so its evaluator, its adjoint,
-the derivative test and the support validation's graph samples share one decomposition.
+Every operator mean decomposes its M = L^{-1} X L^{-*} through ``freefun._spectrum``, and the
+power and Karcher means take their step and stop from ``freefun._mean_gradient``, so neither
+the SVD fallback nor the family's step has a second copy.  A two-argument mean's L U and the
+spectrum of M come from ``freefun._congruence_eig``, shared by its evaluator, its adjoint and
+the derivative test's reported counterexample.  Where the first argument is a frame's
+diag(lam_1), M's spectrum alone comes from ``freefun._frame_spectrum``, which forms M
+entrywise: the derivative test's scan and the support validation's graph samples share it.
 
 A Haar unitary is finished (``sampling.finish_unitary``) only for a frame's other members
 (``sampling.finish_frame``), for a matrix drawn alone (``finish_spd``, ``rand_unitary``) and
@@ -42,9 +44,9 @@ ALLOWED = {
     "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
     "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
     "CertReport": {"cert._inconclusive", "cert._report"},
-    "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation"},
-    "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert.derivative_monotone_test",
-                        "represent._graph_margins"},
+    "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation", "freefun._frame_spectrum"},
+    "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert.derivative_monotone_test"},
+    "_frame_spectrum": {"cert.derivative_monotone_test", "represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
 }

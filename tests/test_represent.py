@@ -379,11 +379,42 @@ class TestGraphValidation:
     def test_mean_validation_takes_only_n_by_n_eigenvalues(self, count_calls):
         rng = np.random.default_rng(44)
         a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
-        shapes = count_calls(np.linalg, "eigvalsh")
+        calls = {name: count_calls(np.linalg, name) for name in ("eigvalsh", "eigh", "cholesky", "inv", "svd")}
         support_pencil(resolve_function("karcher:w=0.3,0.7"), a, v, validation_samples=200, seed=45)
-        assert shapes and all(s[-2:] == (3, 3) for s in shapes)
-        # the graph samples: 100 at size 3 and 100 at size 6, one 3 x 3 block per eigenvalue of M
-        assert (100, 3, 3, 3) in shapes and (100, 6, 3, 3) in shapes
+        # the graph samples: 100 at size 3 and 100 at size 6, each stack one eigvalsh of M, formed
+        # entrywise from X_1 = diag(lam_1), and one 3 x 3 block per eigenvalue of M
+        samples = {name: [s for s in shapes if s[0] == 100] for name, shapes in calls.items()}
+        assert samples == {"eigvalsh": [(100, 3, 3), (100, 3, 3, 3), (100, 6, 6), (100, 6, 3, 3)], "eigh": [],
+                           "cholesky": [], "inv": [], "svd": []}
+        assert all(s[-2:] == (3, 3) for s in calls["eigvalsh"] if s[0] != 100)
+
+    @pytest.mark.parametrize("ident", PAIR_MEANS)
+    def test_a_wide_sample_takes_singular_values_and_stays_sound(self, monkeypatch, ident):
+        # the first 10 of 20 samples take spectra log-uniform in 10^-4 .. 10^4, so cond(M) passes 1e6 on
+        # most of them: only those take the singular values of D^-1/2 L_2, and each sample's bound stays
+        # below lambda_min of the whole pencil
+        rng = np.random.default_rng(55)
+        fn = resolve_function(ident)
+        a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        c = support_pencil(fn, a, v, seed=56, validation_samples=40)
+        svd, real = [], np.linalg.svd
+
+        def recording(x, *args, **kwargs):
+            svd.append((x.shape, kwargs))
+            return real(x, *args, **kwargs)
+
+        for ns in (3, 6):
+            u, lam = graph_samples(np.random.default_rng(ns), 20, ns, 2)
+            lam[:20] = 10.0 ** np.random.default_rng(ns + 1).uniform(-4.0, 4.0, (20, ns))
+            monkeypatch.setattr(np.linalg, "svd", recording)
+            bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, u, lam)
+            monkeypatch.setattr(np.linalg, "svd", real)
+            (shape, kwargs), = svd
+            assert 0 < shape[0] <= 10 and shape[1:] == (ns, ns) and kwargs == {"compute_uv": False}
+            svd.clear()
+            xs = slots(from_frame(u, lam), 2)
+            full = min_eig(_support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(xs)), xs))
+            assert np.all(bound <= full)
 
     @pytest.mark.parametrize("ns", [3, 6])
     def test_a_mean_whose_f_is_not_finite_takes_the_full_pencil(self, ns):
