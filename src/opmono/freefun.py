@@ -538,7 +538,7 @@ class _Arguments(tuple):
 
 
 def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) -> tuple[np.ndarray, ...]:
-    """L (Z = L L*), S = sum w_i f(M_i) and kappa, M_i = L^{-1} X_i L^{-*}: one ``cholesky``, k ``eigh``.
+    """L (Z = L L*), S = sum w_i f(M_i), kappa and the spread, M_i = L^{-1} X_i L^{-*}: one ``cholesky``, k ``eigh``.
 
     The power mean P_t (f(x) = x^t) and the Karcher mean (f = log, t = 0)
     are the positive solutions of S = f(1) I (Lim & Palfia 2012; Lawson &
@@ -552,10 +552,12 @@ def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) ->
     kappa bounds the factor by which a member's eigenvalues amplify
     rounding: cond(M_i) from ``eigh``, and from the SVD cond(L^{-1} L_i) =
     sqrt(cond(M_i)), raised to ``_EIGH_COND`` so that kappa never falls as
-    cond(M_i) grows.
+    cond(M_i) grows.  The spread sum w_i ((c_i + 1) / (c_i - 1)) log c_i,
+    c_i = cond(M_i) and each term 2 at c_i = 1, sets the Karcher loop's
+    Richardson step (``karcher_mean``).
     """
     low, linv = _factor(z, "an argument is not positive definite: the iterate Z, from sum w_i X_i,")
-    s, kappa = 0, 1.0
+    s, kappa, spread = 0, 1.0, 0.0
     for i, (wi, xi) in enumerate(zip(w, xs), 1):
         m = linv @ xi @ dagger(linv)
         lam, u, wide = _spectrum(m, lambda wide: (np.broadcast_to(linv, m.shape)[wide]
@@ -563,7 +565,9 @@ def _mean_equation(z: np.ndarray, xs: _Arguments, w: np.ndarray, f: Callable) ->
         s = s + wi * ((u * f(lam)[..., None, :]) @ dagger(u))
         cond = lam[..., -1] / lam[..., 0]
         kappa = np.maximum(kappa, np.where(wide, np.maximum(_EIGH_COND, np.sqrt(cond)), cond))
-    return low, s, kappa
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = spread + wi * np.where(cond > 1, np.log(cond) * (1 + 2 / (cond - 1)), 2.0)
+    return low, s, kappa, spread
 
 
 def _implicit_vgrad(
@@ -597,25 +601,32 @@ def _implicit_vgrad(
 
 
 def _mean_gradient(z: np.ndarray, xs: _Arguments, w: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
-    """L, the step's G = log(S) / t, or S at t = 0, and per member ||G||_F and its stopping floor (``power_mean``)."""
-    low, s, kappa = _mean_equation(z, xs, w, _family(t)[0])
+    """L, the step's G = log(S) / t, or S at t = 0, per member ||G||_F and its stopping floor (``power_mean``),
+    and the Richardson step 2 / sum w_i ((c_i + 1) / (c_i - 1)) log c_i of the Karcher loop (``karcher_mean``)."""
+    low, s, kappa, spread = _mean_equation(z, xs, w, _family(t)[0])
     grad = _eigh_fun(np.log, s) / t if t else s
     res = fro_norm(grad)
     floor = 16 * np.finfo(float).eps * kappa ** (1 - t) * np.exp(-2 * res)
-    return low, grad, res, np.maximum(_KARCHER_RTOL / (t or 1), floor)
+    return low, grad, res, np.maximum(_KARCHER_RTOL / (t or 1), floor), 2 / spread
 
 
 def _fixed_point(xs: _Arguments, w: np.ndarray, t: float, name: str) -> tuple[np.ndarray, ...]:
-    """The k >= 3 loop of P_t, the Karcher mean at t = 0: Z <- L exp(s G) L* from ``_mean_gradient``."""
+    """The k >= 3 loop of P_t, the Karcher mean at t = 0: Z <- L exp(s G) L* from ``_mean_gradient``.
+
+    s halves for t > 0 (``power_mean``); at t = 0 it turns from 1 to the Richardson step (``karcher_mean``).
+    """
     z = _weighted_sum(xs, w)
-    damping, prev_res = 1.0, np.inf
+    damping, prev_res, richardson = 1.0, np.inf, False
     for iterations in range(1, _MAX_ITER + 1):
-        low, grad, norms, floor = _mean_gradient(z, xs, w, t)
+        low, grad, norms, floor, theta = _mean_gradient(z, xs, w, t)
         res = float(np.max(np.where(norms <= floor, 0.0, norms), initial=0.0))
         if res == 0.0:
             return z, iterations, norms
-        if res > (1 - t) * prev_res:
-            damping = max(damping / 2, t or 1 / 64)
+        if t == 0:
+            richardson = richardson or res > prev_res / 2
+            damping = theta[..., None, None] if richardson else 1.0
+        elif res > (1 - t) * prev_res:
+            damping = max(damping / 2, t)
         prev_res = res
         z = herm_part(low @ _eigh_fun(np.exp, damping * grad) @ dagger(low))
     raise NoConvergence(f"{name} iteration stalled at residual {prev_res:.3e}")
@@ -718,9 +729,23 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
     Three or more arguments run the k >= 3 loop (``_fixed_point``) from the
     arithmetic mean with the step Z <- L exp(s S) L*, Z = L L*, S =
     sum w_i log M_i (``_mean_equation`` at f = log), the Karcher equation's
-    fixed-point form: one ``cholesky`` and k + 1 ``eigh`` a step.  s halves,
-    down to 1/64, whenever the largest ||S||_F of the members still running
-    grows.  A member stops once ||S||_F, which does not change when every
+    fixed-point form: one ``cholesky`` and k + 1 ``eigh`` a step.  s is 1
+    while the largest ||S||_F of the members still running at least halves;
+    from the first step where it does not, each member takes the Richardson
+    step s = theta = 2 / sum w_i ((c_i + 1) / (c_i - 1)) log c_i,
+    c_i = cond(M_i) at the current Z (Bini & Iannazzo, *Linear Algebra
+    Appl.* 438, 2013).  Why it converges: at the mean, taken to be I by
+    congruence, Z = exp(E) gives M_i = X_i - (E X_i + X_i E) / 2 + O(E^2),
+    and the Daleckii-Krein derivative of log turns that into
+    S = -J[E] + O(E^2), J = sum w_i J_i, J_i the Schur multiplier by
+    h(mu_a / mu_b) in X_i's eigenbasis, h(g) = ((g + 1) / (g - 1)) log(g) / 2.
+    h is 1 at g = 1 and grows with |log g|, so J is self-adjoint under the
+    trace pairing with its spectrum in [1, beta], beta = sum w_i h(c_i) =
+    1 / theta.  The step maps E to (I - s J) E + O(E^2): at s = theta its
+    spectrum lies in [0, 1 - theta], a contraction near the mean for every
+    spectrum, while s = 1 contracts by beta - 1 only, which the halving
+    test watches; the c_i read at Z move theta by O(E).  A member stops
+    once ||S||_F, which does not change when every
     X_i is scaled, drops to max(``_KARCHER_RTOL``, 16 eps kappa
     exp(-2 ||S||_F)), kappa the rounding factor of ``_mean_equation``.  Near
     the solution Z* that is S's rounding floor 16 eps kappa, so it does not

@@ -41,8 +41,8 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, _frame_spectrum, lift_scalar
-from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, fro_norm, herm_part, min_eig, min_eig_above,
-                      require_psd, unit_vector)
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, dagger, fro_norm, herm_part, min_eig,
+                      min_eig_above, require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_frame, frame_plan, from_frame, slots
 from .schur import PivotSubspace, SchurCore, shared_core
@@ -79,14 +79,18 @@ class SupportCertificate:
     need not be, and ``reconstruct``'s residual shows how far it is off.
     ``support_margin`` is a lower bound on the pencil's smallest eigenvalue
     at ``samples`` graph points (F(X), X) of sizes n and 2n
-    (``_graph_margins``).  For a lift it is that smallest eigenvalue, taken
-    exactly from n x n blocks on each sample's spectrum; for a declared
-    two-argument mean it is a certified lower bound from n x n blocks on
-    the spectrum of M = X_1^{-1/2} X_2 X_1^{-1/2}, below the smallest eigenvalue by
-    its rounding allowances (``_congruence_margins``), or by up to a factor
-    cond(X_1) where that eigenvalue is positive; for every other function
-    it is the smallest eigenvalue of the whole pencil.  The certificate is
-    a pencil representation of an upper bound of F (``rep``).
+    (``_graph_margins``).  For a declared lift it is a certified lower
+    bound from real n x n blocks on each sample's spectrum, in the base
+    point's phased eigenbasis, below the smallest eigenvalue by its
+    rounding allowances (``_lift_margins``); for a declared two-argument
+    mean it is a certified lower bound from n x n blocks on the spectrum of
+    M = X_1^{-1/2} X_2 X_1^{-1/2}, below the smallest eigenvalue by its
+    rounding allowances (``_congruence_margins``), or by up to a factor
+    cond(X_1) where that eigenvalue is positive.  A sample whose declared
+    bound falls below the validation gate, and every sample of any other
+    function, takes the smallest eigenvalue of the whole pencil.  The
+    certificate is a pencil representation of an upper bound of F
+    (``rep``).
     """
 
     function: str
@@ -140,7 +144,7 @@ def _support_eval(b0, grads, v, y, x) -> np.ndarray:
     return kron_sum(np.stack([b0, np.outer(v, np.conj(v)), *grads]), mats)
 
 
-def _graph_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
+def _graph_margins(fn: FreeFn, b0, grads, v, u, lam, basis=None, gate=-np.inf) -> np.ndarray:
     """Per-sample lower bounds on lambda_min L(F(X), X), X = from_frame(u, lam).
 
     The samples are frames (``sampling.frame_plan``): X_1 = diag(lam_1),
@@ -150,25 +154,96 @@ def _graph_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
     declaration is read only under ``FreeFn._declared_at``'s rule, and then
     every matrix decomposed is n x n.  A lift has F(X) = diag(f(lam)) at
     X = diag(lam), so L is the direct sum of
-    M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*: the bound is lambda_min L
-    itself, read from the drawn spectra without forming X or F(X).  A
-    two-argument mean takes the spectrum w of M = D^{-1/2} X_2 D^{-1/2},
-    D = X_1 = diag(lam_1), formed entrywise by ``freefun._frame_spectrum``
-    (one ``eigvalsh`` a stack, and no ``cholesky``, inverse, product or
-    eigenvectors), and bounds lambda_min L from blocks on w
-    (``_congruence_margins``).  Every other function, and a declared one
-    where the rule gives None, takes lambda_min L at the evaluated F(X)
-    over the whole (n ns)^2 pencil.
+    M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*, read from the drawn spectra
+    without forming X or F(X); its bound comes from real n x n blocks in
+    the phased eigenbasis of the base point, whose eigenvectors ``basis``
+    holds (``_lift_margins``), below lambda_min L by rounding allowances.
+    A two-argument mean takes the spectrum w of
+    M = D^{-1/2} X_2 D^{-1/2}, D = X_1 = diag(lam_1), formed entrywise by
+    ``freefun._frame_spectrum`` (one ``eigvalsh`` a stack, and no
+    ``cholesky``, inverse, product or eigenvectors), and bounds
+    lambda_min L from blocks on w (``_congruence_margins``).  A sample
+    whose declared bound falls below ``gate`` (``support_pencil``'s) takes
+    lambda_min L exactly.  Every other function, and a declared one where
+    the rule gives None, takes lambda_min L at the evaluated F(X) over the
+    whole (n ns)^2 pencil.
     """
+    bound = None
     if fn.arity == 1 and (d := fn._declared_at(lam)) is not None:
-        blocks = b0 + (lam - 1.0)[..., None, None] * grads[0] - d[..., None, None] * np.outer(v, np.conj(v))
-        return np.min(min_eig(blocks), axis=-1)
-    xs = slots(from_frame(u, lam), fn.arity)
-    if fn.arity == 2 and fn.scalar is not None and np.all(lam > 0):
-        w = _frame_spectrum(lam[::2], xs[1])
+        bound = _lift_margins(b0, grads[0], v, basis, lam, d)
+    elif fn.arity == 2 and fn.scalar is not None and np.all(lam > 0):
+        w = _frame_spectrum(lam[::2], slots(from_frame(u, lam), 2)[1])
         if (d := fn._declared_at(w)) is not None:
-            return _congruence_margins(b0, grads, v, w, d, lam[::2])
+            bound = _congruence_margins(b0, grads, v, w, d, lam[::2])
+    if bound is None:
+        return _full_margins(fn, b0, grads, v, u, lam)
+    low = ~(bound >= gate)
+    if np.any(low):
+        k, ns = fn.arity, lam.shape[-1]
+        ul = u.reshape(bound.size, k - 1, ns, ns)[low].reshape(-1, ns, ns)
+        bound[low] = _full_margins(fn, b0, grads, v, ul, lam.reshape(bound.size, k, ns)[low].reshape(-1, ns))
+    return bound
+
+
+def _full_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
+    """lambda_min L(F(X), X) over the whole (n ns)^2 pencil, X = from_frame(u, lam), F(X) evaluated."""
+    xs = slots(from_frame(u, lam), fn.arity)
     return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
+
+
+def _lift_margins(b0, g, v, basis, lam, d) -> np.ndarray:
+    """Lower bounds on lambda_min of M_j = B_0 + (lam_j - 1) G - d_j vv*, d = f(lam), from real blocks.
+
+    At A = U Lambda U* the exact adjoint (``freefun._loewner_vgrad``) is
+    G = U (Phi o r r*) U*, r = U* v and Phi the Loewner matrix of f on
+    Lambda (Daleckii & Krein 1965; Bhatia, *Matrix Analysis*, ch. V).  In
+    the phased eigenbasis W = U diag(r / |r|) (phase 1 where r_i = 0) the
+    matrices C_0 = B_0, C_1 = G and C_2 = vv* are therefore real, and
+    W* M_j W = sum_k c_k W* C_k W with c = (1, lam_j - 1, -d_j).  So each
+    block R_j = sum_k c_k R_k is formed from the real parts R_k of the
+    rotated C_k, and a stack takes one float64 ``eigvalsh``.  The bound is
+    sound for any ``basis`` U and tight where the rotated C_k are real:
+    with s = sum_k |c_k| ||C_k||_F it takes off
+
+    - the imaginary parts S_k: for H = R + i S, lambda_min H >=
+      lambda_min R - ||S||_2 (Weyl), and ||S||_2 <= sum_k |c_k| ||S_k||_F;
+    - W's unitarity defect, 2 delta s, delta = ||fl(W* W) - I||_F: by
+      Ostrowski (Horn & Johnson, *Matrix Analysis*, Thm 4.5.9)
+      lambda_min W* M W = theta lambda_min M with |theta - 1| <=
+      ||W* W - I||_2, and |lambda_min W* M W| <= (1 + delta) s, so for
+      delta <= 1/8 lambda_min M >= lambda_min W* M W - (9/7) delta s.  A
+      basis with a larger delta gives -inf;
+    - rounding, 32 n^2 eps (s + ||R_j||_F): ``eigvalsh`` of R_j,
+      32 n^2 eps ||R_j||_F as everywhere in the library, and the rest
+      within 24 n^2 eps s.  The rotation fl(fl(W* C_k) W) and its Hermitian
+      part lie within 2 sqrt(2) gamma_{n+2} ||W||_F^2 ||C_k||_F +
+      eps ||C_k||_F <= 11 n^2 eps ||C_k||_F of W* C_k W (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, sec. 3.6); fl(W* W) moves
+      delta by 5 n^2 eps, so the bound by 6.5 n^2 eps s; forming R_j,
+      lam_j - 1 included, 5 eps s; the norms ||S_k||_F, 1.5 n^2 eps s.
+
+    d is taken as the graph value, as ``_congruence_margins`` takes f(w).
+    """
+    eps, n = np.finfo(float).eps, v.size
+    r = dagger(basis) @ v
+    mag = np.abs(r)
+    w = basis * np.divide(r, mag, out=np.ones_like(r), where=mag > 0)
+    defect = fro_norm(dagger(w) @ w - np.eye(n))
+    if not defect <= 0.125:
+        return np.full(lam.shape[:-1], -np.inf)
+    mats = np.stack([b0, g, np.outer(v, np.conj(v))])
+    rot = herm_part(dagger(w) @ mats @ w)
+    re, imag, norms = rot.real, fro_norm(rot.imag), fro_norm(mats)
+    c1 = lam - 1.0
+    a1, a2 = np.abs(c1), np.abs(d)
+    scale = norms[0] + a1 * norms[1] + a2 * norms[2]
+    blocks = re[0] + c1[..., None, None] * re[1] - d[..., None, None] * re[2]
+    finite = scale <= 1e300  # a block's entries are at most about s, so these blocks are finite
+    if not finite.all():
+        blocks[~finite] = np.eye(n)
+    mu = np.where(finite, np.linalg.eigvalsh(blocks)[..., 0], -np.inf)
+    weyl = imag[0] + a1 * imag[1] + a2 * imag[2]
+    return np.min(mu - weyl - 2 * defect * scale - 32 * n**2 * eps * (scale + fro_norm(blocks)), axis=-1)
 
 
 def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
@@ -242,8 +317,10 @@ def support_pencil(
     PSD raises CoefficientNotPSD, one that does not dominate sum G_i
     DominanceViolated.  The pencil must then stay positive on a scalar grid
     and on random graph points at sizes n and 2n (``_graph_margins``: n x n
-    blocks for a lift and a declared two-argument mean, the whole pencil
-    otherwise) before a certificate is issued, else SupportViolated.
+    blocks for a declared lift, real in the phased eigenbasis of A that one
+    ``eigh`` gives, and for a declared two-argument mean; the whole pencil
+    for every other function and for each declared sample whose bound falls
+    below the gate) before a certificate is issued, else SupportViolated.
     """
     if not (fn.monotone and fn.concave):
         raise BadConfig(f"{fn.name} is not declared monotone and concave")
@@ -296,7 +373,9 @@ def support_pencil(
     scalars = tuple(grid[:, i].reshape(-1, 1, 1).astype(complex) for i in range(fn.arity))
     # the graph samples: per_size draws of X at each of sizes n and 2n, with Y = F(X)
     draws = [finish_frame(fn.arity, draw(rng, per_size, frame_plan(ns, c1, c2, fn.arity))) for ns in (n, 2 * n)]
-    support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, u, lam))) for u, lam, _ in draws)
+    # a declared lift's blocks are real in the base point's phased eigenbasis (_lift_margins)
+    basis = np.linalg.eigh(herm_part(a[0]))[1] if fn.arity == 1 and fn.scalar is not None else None
+    support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, u, lam, basis, gate))) for u, lam, _ in draws)
     scalar_margin = float(np.min(min_eig(_support_eval(b0, grads, v, fn(scalars), scalars))))
     if not scalar_margin >= gate:
         raise SupportViolated(f"the pencil fails the scalar grid: margin {scalar_margin:.3e}")

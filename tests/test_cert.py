@@ -395,6 +395,15 @@ class TestHypograph:
         assert rep.counterexample["kind"] == "combination"
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("fn", [lift_scalar("xsq"), fake_trace_fn()], ids=["xsq", "faketrace"])
+    def test_at_m_equal_n_only_the_combination_half_catches_a_control(self, fn, seed):
+        # at m = n the isometry V is unitary and F(V* X V) = V* F(X) V for every free function, so the
+        # compression half checks nothing there: in certify's setting both controls fall to combinations
+        rep = hypograph_convexity_test(fn, n=2, m=2, trials=512, seed=seed)
+        assert rep.verdict == "counterexample" and rep.counterexample["kind"] == "combination"
+
+
 class TestCrossValidation:
     # monotone <=> concave <=> derivative agreement per function
     @pytest.mark.parametrize(

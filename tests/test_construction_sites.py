@@ -21,6 +21,7 @@ spectrum of M come from ``freefun._congruence_eig``, shared by its evaluator, it
 the derivative test's reported counterexample.  Where the first argument is a frame's
 diag(lam_1), M's spectrum alone comes from ``freefun._frame_spectrum``, which forms M
 entrywise: the derivative test's scan and the support validation's graph samples share it.
+A declared lift's graph samples take their real blocks from ``represent._lift_margins`` alone.
 
 A Haar unitary is finished (``sampling.finish_unitary``) only for a frame's other members
 (``sampling.finish_frame``), for a matrix drawn alone (``finish_spd``, ``rand_unitary``) and
@@ -47,6 +48,7 @@ ALLOWED = {
     "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation", "freefun._frame_spectrum"},
     "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert.derivative_monotone_test"},
     "_frame_spectrum": {"cert.derivative_monotone_test", "represent._graph_margins"},
+    "_lift_margins": {"represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
 }

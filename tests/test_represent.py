@@ -23,6 +23,7 @@ from opmono.represent import (
     PencilRepresentation,
     _congruence_margins,
     _graph_margins,
+    _lift_margins,
     _quad_rational_weights,
     _support_eval,
     direct_sum_rep,
@@ -249,7 +250,7 @@ class TestGraphValidation:
     def test_split_bound_equals_the_full_pencil(self, lift_cert, ns):
         u, lam = graph_samples(np.random.default_rng(ns), 40, ns, 1)
         fn, c = lift_scalar("sqrt"), lift_cert
-        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, u, lam)
+        bound = _graph_margins(fn, c.pencil.b0, c.gradients, c.v, u, lam, np.linalg.eigh(herm_part(c.base_point[0]))[1])
         x = (from_frame(u, lam),)
         full = _support_eval(c.pencil.b0, c.gradients, c.v, herm_part(fn(x)), x)
         assert np.all(np.abs(bound - min_eig(full)) <= 1e-12 * (1.0 + fro_norm(full)))
@@ -308,6 +309,71 @@ class TestGraphValidation:
         assert shapes and all(s[-2:] == (4, 4) for s in shapes)
         # the graph samples: 100 at size 4 and 100 at size 8, one 4 x 4 block per eigenvalue of X
         assert (100, 4, 4, 4) in shapes and (100, 8, 4, 4) in shapes
+
+    def test_lift_validation_decomposes_only_real_blocks(self, monkeypatch):
+        # the graph samples take one float64 eigvalsh a stack; no complex stack of blocks is decomposed
+        rng = np.random.default_rng(44)
+        a, v = rand_tuple_interval(rng, 1, 4, 0.5, 2.0), rand_unit_vector(rng, 4)
+        calls, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x, *args: calls.append((x.shape, x.dtype)) or real(x, *args))
+        support_pencil(lift_scalar("sqrt"), a, v, validation_samples=200, seed=45)
+        assert [c for c in calls if len(c[0]) == 4] == [((100, 4, 4, 4), np.float64), ((100, 8, 4, 4), np.float64)]
+        assert all(len(shape) < 4 and shape[0] != 100 for shape, dtype in calls if dtype != np.float64)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("ident", ["sqrt", "log1p", "pow:0.7"])
+    def test_a_lift_bound_is_sound_and_tight(self, ident, n):
+        # per sample the bound is at most lambda_min of the stored complex blocks M_j, and below it
+        # by no more than its rounding allowance 32 n^2 eps (s + ||M_j||_F) and the small defect terms
+        fn, eps = resolve_function(ident), np.finfo(float).eps
+        rng = np.random.default_rng(70 + n)
+        a, v = rand_tuple_interval(rng, 1, n, 0.5, 2.0), rand_unit_vector(rng, n)
+        c = support_pencil(fn, a, v, seed=71, validation_samples=40)
+        b0, (g,), vv = c.pencil.b0, c.gradients, np.outer(c.v, np.conj(c.v))
+        basis = np.linalg.eigh(herm_part(c.base_point[0]))[1]
+        for ns in (n, 2 * n):
+            u, lam = graph_samples(np.random.default_rng(ns), 20, ns, 1)
+            bound = _graph_margins(fn, b0, (g,), c.v, u, lam, basis)
+            d = fn.scalar[0](lam)
+            blocks = b0 + (lam - 1.0)[..., None, None] * g - d[..., None, None] * vv
+            exact = np.min(min_eig(blocks), axis=-1)
+            s = np.max(fro_norm(b0) + np.abs(lam - 1) * fro_norm(g) + d + fro_norm(blocks), axis=-1)
+            assert np.all(bound <= exact)
+            assert np.all(exact - bound <= 40 * n**2 * eps * s)
+
+    @pytest.mark.parametrize("interval", [(1e-4, 1e4), (1e-3, 1e3)])
+    def test_a_declared_mean_below_the_gate_takes_the_full_pencil(self, interval):
+        # on wide intervals the harmonic mean's congruence bound is theta = lambda_max(X_1) times a
+        # rounding-level block margin; each sample whose bound falls below the gate takes lambda_min L
+        # exactly, so the certificate the undeclared function gets is issued here too
+        rng = np.random.default_rng(3)
+        a, v = rand_tuple_interval(rng, 2, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        fn = harmonic_mean((0.5, 0.5))
+        declared = support_pencil(fn, a, v, interval=interval, seed=4, validation_samples=40)
+        bare = support_pencil(replace(fn, scalar=None), a, v, interval=interval, seed=4, validation_samples=40)
+        assert -1e-8 <= declared.support_margin <= bare.support_margin
+        samples = np.random.default_rng(4)  # support_pencil's own draws, without the gate
+        low = min(float(np.min(_graph_margins(fn, declared.pencil.b0, declared.gradients, declared.v,
+                                              *finish_frame(2, draw(samples, 20, frame_plan(ns, *interval, 2)))[:2])))
+                  for ns in (3, 6))
+        assert (low < -1e-8) == (interval[1] == 1e4)
+
+    def test_a_lift_whose_gradient_is_not_the_adjoint_takes_the_full_pencil_below_the_gate(self):
+        # G + 1e-6 W (iJ) W*, J real antisymmetric, is Hermitian and imaginary in the phased eigenbasis W:
+        # the real blocks lose about 1e-6 to the Weyl term, the pencil only about its square
+        rng = np.random.default_rng(60)
+        a, v = rand_tuple_interval(rng, 1, 3, 0.5, 2.0), rand_unit_vector(rng, 3)
+        fn = lift_scalar("sqrt")
+        u = np.linalg.eigh(herm_part(a[0]))[1]
+        r = dagger(u) @ v
+        w = u * (r / np.abs(r))
+        k = w @ (1j * (np.eye(3, k=1) - np.eye(3, k=-1))) @ dagger(w)
+        bent = replace(fn, vgrad=lambda xs, s: [g + 1e-6 * k for g in fn.vgrad(xs, s)])
+        cert = support_pencil(bent, a, v, seed=61, validation_samples=40)
+        bare = support_pencil(replace(bent, scalar=None), a, v, seed=61, validation_samples=40)
+        assert cert.support_margin == bare.support_margin >= -1e-8
+        u1, lam = graph_samples(np.random.default_rng(61), 20, 3, 1)
+        assert np.min(_graph_margins(bent, cert.pencil.b0, cert.gradients, cert.v, u1, lam, u)) < -1e-8
 
     def test_lift_validation_reads_f_on_the_drawn_spectra(self, count_calls):
         # a lift declares F(X) = U f(Lambda) U*: no unitary is finished and no X is evaluated
@@ -457,6 +523,39 @@ class TestCongruenceAllowances:
         exact = 1 - 100 * Fraction(self.EPS)
         assert Fraction(float(bound[0])) <= exact
         assert exact - Fraction(float(bound[0])) <= 256 * Fraction(self.EPS)
+
+
+class TestLiftAllowances:
+    """``_lift_margins``' allowances, each on an input where it alone keeps the bound sound.
+
+    At n = 1 the block is the number M = B_0 + (lam - 1) G - d |v|^2, exact in rationals; at n = 2 the
+    least eigenvalue of [[p, q], [q*, p]] is p - |q|.
+    """
+
+    EPS = np.finfo(float).eps
+
+    def test_the_imaginary_parts_are_taken_off(self):
+        # in the standard basis G = i (e_1 e_2* - e_2 e_1*) has real part 0, so the real block is I while
+        # M = I + (lam - 1) G has least eigenvalue 1 - |lam - 1|
+        g = 1j * (np.eye(2, k=1) - np.eye(2, k=-1))
+        bound = _lift_margins(np.eye(2), g, np.zeros(2), np.eye(2), np.array([[1.5]]), np.array([[0.0]]))
+        assert bound[0] <= 0.5 and 0.5 - bound[0] <= (np.sqrt(2) - 1) * 0.5 + 1e-12
+
+    def test_the_unitarity_defect_is_taken_off(self):
+        # W = (1 - 2^-30) I shrinks M = -2 to W* M W = -2 (1 - 2^-30)^2, above M by about 2^-28
+        bound = _lift_margins(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1), np.full((1, 1), 1 - 2.0**-30),
+                              np.array([[1.5]]), np.array([[2.0]]))
+        assert Fraction(float(bound[0])) <= -2
+        assert -2 - Fraction(float(bound[0])) <= 2.0**-26
+
+    def test_the_rounding_is_taken_off(self):
+        # 1 - 2^-60 rounds to 1, so the block 1 + (0.5 - 1) 2^-59 - (1 - 2^-53) is formed as 2^-53 where it is
+        # 2^-53 - 2^-60: only the rounding allowance, 32 eps s with s about 2, keeps the bound below
+        bound = _lift_margins(np.eye(1), np.full((1, 1), 2.0**-59), np.ones(1), np.eye(1), np.array([[0.5]]),
+                              np.array([[1 - 2.0**-53]]))
+        exact = Fraction(2.0**-53) - Fraction(2.0**-60)
+        assert Fraction(float(bound[0])) <= exact
+        assert exact - Fraction(float(bound[0])) <= 128 * Fraction(self.EPS)
 
 
 class TestReconstruct:
