@@ -34,10 +34,12 @@ are U f(diag(lam)) U*, so the monotone, concave and hypograph tests
 evaluate only the points they do not draw (B, the mixtures, the
 compressions and the combinations), and a two-argument mean's derivative
 test takes one ``eigvalsh`` of M per stack and no evaluation.
-Every check of a trial has a margin and a bound.  The Loewner testers' differences that must be positive
-semidefinite form ``(T, C, d, d)`` stacks, C checks per trial, and one scan
-(``_scan``) takes their smallest eigenvalues and norms in one batched call
-per stack; the axiom test's margins are minus its two equality defects.
+Every check of a trial has a margin and a bound.  The Loewner testers'
+differences P - Q that must be positive semidefinite come as pairs of
+``(T, C, d, d)`` stacks, C checks per trial, and one scan (``_scan``)
+takes the smallest eigenvalues of P - Q in one batched call per stack and
+bounds each by the norms of both terms (``Tolerances``); the axiom test's
+margins are minus its two equality defects.
 One routine (``_report``) makes every report from the margins: it stops at
 the first violation in trial-major order, and ``worst_margin`` is the
 minimum margin over every check up to and including that one.
@@ -51,9 +53,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import BadConfig, OpmonoError
-from .freefun import FreeFn, _congruence_eig, _frame_spectrum, _loewner_pair, frechet_many
-from .gradients import loewner_matrix
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, min_eig, psd_floor
+from .freefun import FreeFn, _congruence_eig, frechet_many
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, min_eig
 from .sampling import (draw, finish_frame, finish_isometry, finish_psd, finish_spd, finish_unitary, frame_plan,
                        from_frame, normal, pair_above, pair_plan, slots, spd_plan, uniform)
 
@@ -115,12 +116,12 @@ def _chunked_eval(fn: FreeFn, xs: tuple[np.ndarray, ...]) -> np.ndarray:
 def _lift_values(fn: FreeFn, u: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
     """F(X) = ``from_frame(u, f(lam))`` at the members X = ``from_frame(u, lam)`` of a declared lift's frame, else None.
 
-    The declaration is read only under ``FreeFn._declared_at``'s rule;
-    otherwise the evaluator takes the points, so a draw outside the domain
-    is reported as the evaluator reports it.
+    None wherever ``FreeFn._declared_at`` refuses, a mean included: the
+    evaluator then takes the points, so a draw outside the domain is
+    reported as the evaluator reports it.
     """
-    d = fn._declared_at(lam) if fn.arity == 1 else None
-    return None if d is None else from_frame(u, d)
+    d = fn._declared_at(lam)
+    return None if d is None else from_frame(u, d[1])
 
 
 def _inconclusive(name: str, seed: int, error: str) -> CertReport:
@@ -162,21 +163,22 @@ def _scan(
     name: str,
     seed: int,
     tol: Tolerances,
-    checks: list[np.ndarray],
+    checks: list[tuple[np.ndarray, np.ndarray | float]],
     counter: Callable[[int, int, float], dict[str, Any]],
     details: dict[str, np.ndarray] | None = None,
 ) -> CertReport:
-    """Report on stacked differences that must be positive semidefinite.
+    """Report on stacked differences P - Q that must be positive semidefinite.
 
-    ``checks`` holds one ``(T, C_s, d_s, d_s)`` stack per matrix size.  The
-    checks of a trial are taken stack by stack, c counting across the
-    stacks; check (t, c)'s margin is lambda_min of its difference, taken in
-    one batched call per stack, and its bound -psd_floor(difference, tol).
-    ``_report`` makes the report.
+    ``checks`` holds one pair (P, Q) of ``(T, C_s, d_s, d_s)`` stacks per
+    matrix size, Q broadcast against P or 0.  The checks of a trial are
+    taken stack by stack, c counting across the stacks; check (t, c)'s
+    margin is lambda_min(P - Q), taken in one batched call per stack, and
+    its bound -psd (1 + ||P||_F + ||Q||_F), the PSD rule for a checked
+    difference (``Tolerances``).  ``_report`` makes the report.
     """
-    margins = np.concatenate([min_eig(c) for c in checks], axis=1)
-    bounds = np.concatenate([-psd_floor(c, tol) for c in checks], axis=1)
-    return _report(name, seed, margins, bounds, counter, details)
+    margins = np.concatenate([min_eig(p - q) for p, q in checks], axis=1)
+    norms = np.concatenate([fro_norm(p) + (fro_norm(q) if np.ndim(q) else 0.0) for p, q in checks], axis=1)
+    return _report(name, seed, margins, -tol.psd_floor_at(norms), counter, details)
 
 
 @_tester
@@ -202,11 +204,11 @@ def monotone_test(
     fa = _lift_values(fn, u, lam)
     try:
         fa = _chunked_eval(fn, a) if fa is None else fa
-        diff = _chunked_eval(fn, b) - fa
+        fb = _chunked_eval(fn, b)
     except OpmonoError as exc:
         return _inconclusive("monotone", seed, str(exc))
     return _scan(
-        "monotone", seed, tol, [diff[:, None]],
+        "monotone", seed, tol, [(fb[:, None], fa[:, None])],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "margin": m},
     )
 
@@ -245,20 +247,22 @@ def concave_test(
             vals = np.concatenate([graph.reshape(-1, 2, n, n), fmix], axis=1)
     except OpmonoError as exc:
         return _inconclusive("concave", seed, str(exc))
-    diff = vals[:, 2:] - ((1 - w) * vals[:, :1] + w * vals[:, 1:2])
     return _scan(
-        "concave", seed, tol, [diff],
+        "concave", seed, tol, [(vals[:, 2:], (1 - w) * vals[:, :1] + w * vals[:, 1:2])],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "lambda": float(lams[t, c]), "margin": m},
     )
 
 
-def _loewner_counter(x: tuple[np.ndarray, ...], c: np.ndarray, slot: int, margin: float) -> dict[str, Any]:
+def _loewner_counter(x: tuple[np.ndarray, ...], slot: int, margin: float) -> dict[str, Any]:
     """The counterexample at X whose H is (C 1)(C 1)* / ||(C 1)(C 1)*||_F in ``slot`` and 0 elsewhere.
 
     1 is the all-ones vector.  Where DF(X)[H] = C (Theta o C^{-1} H C^{-*}) C*
     with Theta the Loewner matrix of that slot, DF(X)[H] is C Theta C* over
-    the norm, congruent to the failing Theta.
+    the norm, congruent to the failing Theta: C = I for a lift at X =
+    diag(lam), and for a mean the L U that ``freefun._congruence_eig``
+    gives for this X alone.
     """
+    c = np.eye(len(x[0]), dtype=complex) if len(x) == 1 else _congruence_eig(*x)[0]
     ones = c.sum(axis=-1)
     h = np.outer(ones, np.conj(ones))
     hs = [np.zeros_like(h) for _ in x]
@@ -278,10 +282,11 @@ def derivative_monotone_test(
     """Check DF(X)(H) >= 0 at random interior points and PSD directions.
 
     The NC axioms are taken as given (``nc_axiom_check``): a trial is drawn
-    in the eigenbasis of X_1, so X_1 = diag(lam).  A function that declares
-    ``fn.scalar`` = (f, f') is checked on Loewner matrices of f, at the
-    plain ``tol``, with no evaluation (Daleckii-Krein; Schur's product
-    theorem makes each condition exact):
+    in the eigenbasis of X_1, so X_1 = diag(lam).  Where
+    ``FreeFn._declared_at`` reads the declaration ``fn.scalar`` = (f, f')
+    at the frame, each trial scans the Loewner matrices of f on its s
+    (``FreeFn._loewner``), at the plain ``tol``, with no evaluation
+    (Daleckii-Krein; Schur's product theorem makes each condition exact):
 
     * a lift, X = diag(lam): DF(X)[H] = Phi o H, Phi the Loewner matrix of
       f on the drawn spectrum lam, is PSD for every PSD H exactly when Phi
@@ -290,18 +295,15 @@ def derivative_monotone_test(
       M = L^{-1} B L^{-*} = U diag(w) U*:
       DF(A, B)[H_A, H_B] = L U (Psi o K_A + Phi o K_B) U* L*, K_. =
       U* L^{-1} H_. L^{-*} U, Phi the Loewner matrix of f on w and Psi that
-      of the transpose x f(1/x) on 1/w (``freefun._loewner_pair``).  Each
-      trial scans [Psi, Phi], which need only w: A = diag(lam_1), so
-      ``freefun._frame_spectrum`` forms M = A^{-1/2} B A^{-1/2} entrywise
-      and takes one ``eigvalsh`` per stack.
+      of the transpose x f(1/x) on 1/w.  [Psi, Phi] need only s = w, which
+      the rule forms entrywise from A = diag(lam_1), one ``eigvalsh`` per
+      stack.
 
-    A counterexample's H is C 1 1* C* normalized in the failing slot, C = I
-    or, for a mean, the L U that ``freefun._congruence_eig`` gives for the
-    reported trial alone (``_loewner_counter``).  Either path is taken only
-    under ``FreeFn._declared_at``'s rule.  Any other draw or function takes a
-    Richardson stencil, 4 evaluations per trial in blocks of 256 trials,
-    whose scan allows 10 ``psd`` for the differences; so a draw outside the
-    domain is reported as the evaluator reports it.
+    A counterexample's H is C 1 1* C* normalized in the failing slot
+    (``_loewner_counter``).  Any other draw or function takes a Richardson
+    stencil, 4 evaluations per trial in blocks of 256 trials, whose scan
+    allows 10 ``psd`` for the differences; so a draw outside the domain is
+    reported as the evaluator reports it.
     """
     rng = np.random.default_rng(seed)
     c1, c2 = interval
@@ -310,20 +312,14 @@ def derivative_monotone_test(
     # the frame comes before the directions in the stream, so every path draws the same X
     u, lam, _ = finish_frame(k, draw(rng, trials, frame_plan(n, c1 + pad, c2 - pad, k)))
     x = slots(from_frame(u, lam), k)
-    declared = fn._declared_at(lam) is not None
-    if declared and k == 1:
+    try:
+        declared = fn._declared_at(lam, x[1] if k == 2 else None)
+    except OpmonoError as exc:
+        return _inconclusive("derivative", seed, str(exc))
+    if declared is not None:
         return _scan(
-            "derivative", seed, tol, [loewner_matrix(lam, *fn.scalar)[:, None]],
-            lambda t, c, m: _loewner_counter(_at(x, t), np.eye(n, dtype=complex), c, m),
-        )
-    if declared and k == 2:
-        try:
-            w = _frame_spectrum(lam[::2], x[1])
-        except OpmonoError as exc:
-            return _inconclusive("derivative", seed, str(exc))
-        return _scan(
-            "derivative", seed, tol, [np.stack(_loewner_pair(w, *fn.scalar), axis=1)],
-            lambda t, c, m: _loewner_counter(_at(x, t), _congruence_eig(*_at(x, t))[0], c, m),
+            "derivative", seed, tol, [(np.stack(fn._loewner(declared[0]), axis=1), 0.0)],
+            lambda t, c, m: _loewner_counter(_at(x, t), c, m),
         )
     (g,) = draw(rng, trials, [normal(2, n, n)] * k)
     h = finish_psd(g).reshape(trials, k, n, n)
@@ -337,7 +333,7 @@ def derivative_monotone_test(
     except OpmonoError as exc:
         return _inconclusive("derivative", seed, str(exc))
     return _scan(
-        "derivative", seed, replace(tol, psd=10 * tol.psd), [deriv],  # the stencil's allowance
+        "derivative", seed, replace(tol, psd=10 * tol.psd), [(deriv, 0.0)],  # the stencil's allowance
         lambda t, c, m: {"X": _at(x, t), "H": tuple(hi.copy() for hi in h[t]), "margin": m},
     )
 
@@ -376,14 +372,15 @@ def doubling_concavity_check(
     rot = np.block([[np.sqrt(g) * eye, -np.sqrt(1 - g) * eye], [np.sqrt(1 - g) * eye, np.sqrt(g) * eye]])
     unit_defect = fro_norm(dagger(rot) @ rot - np.eye(2 * n))
     v, lam = np.repeat(rot, trials, axis=0), np.repeat(g, trials, axis=0)
-    block_defect, dom = np.zeros(len(lam)), []
+    block_defect, dom, conjs = np.zeros(len(lam)), [], []
     for ai, bi in zip(a, b):
         conj = dagger(v) @ block_diag(ai, bi) @ v
         mix = lam * ai + (1 - lam) * bi
         anti = (1 - lam) * ai + lam * bi
         d = -np.sqrt(lam * (1 - lam)) * (bi - ai)
         block_defect = np.maximum(block_defect, fro_norm(conj - np.block([[mix, -d], [-d, anti]])))
-        dom += [block_diag(mix + eps * eye, 2 * (anti + (d @ d) / eps)) - conj for eps in eps_ladder]
+        dom += [block_diag(mix + eps * eye, 2 * (anti + (d @ d) / eps)) for eps in eps_ladder]
+        conjs += [conj] * len(eps_ladder)
     eps = np.asarray(eps_ladder, dtype=float)[:, None, None]
     shifted = tuple((lam * ai + (1 - lam) * bi)[:, None] + eps * eye for ai, bi in zip(a, b))
     try:
@@ -391,9 +388,9 @@ def doubling_concavity_check(
         fs = _chunked_eval(fn, tuple(s.reshape(-1, n, n) for s in shifted))
     except OpmonoError as exc:
         return _inconclusive("doubling", seed, str(exc))
-    jensen = fs.reshape(len(lam), -1, n, n) - (lam * fa + (1 - lam) * fb)[:, None]
+    jensen = (fs.reshape(len(lam), -1, n, n), (lam * fa + (1 - lam) * fb)[:, None])
     return _scan(
-        "doubling", seed, tol, [np.stack(dom, axis=1), jensen],
+        "doubling", seed, tol, [(np.stack(dom, axis=1), np.stack(conjs, axis=1)), jensen],
         lambda t, c, m: {
             "A": _at(a, t), "B": _at(b, t), "lambda": lambda_grid[t // trials],
             "eps": eps_ladder[c % len(eps_ladder)], "margin": m,
@@ -443,10 +440,9 @@ def hypograph_convexity_test(
         fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
     except OpmonoError as exc:
         return _inconclusive("hypograph", seed, str(exc))
-    comp_diff = fcomp - dagger(v) @ y @ v
-    mix_diff = fmix - ((1 - lam) * y + lam * y2)
     return _scan(
-        "hypograph", seed, tol, [comp_diff[:, None], mix_diff[:, None]],
+        "hypograph", seed, tol, [(fcomp[:, None], (dagger(v) @ y @ v)[:, None]),
+                                 (fmix[:, None], ((1 - lam) * y + lam * y2)[:, None])],
         lambda t, c, m: [
             {"X": _at(x, t), "Y": y[t].copy(), "V": v[t].copy(), "margin": m, "kind": "isometry"},
             {"X": _at(x, t), "Y": y[t].copy(), "X2": _at(x2, t), "Y2": y2[t].copy(), "lambda": float(lam[t, 0, 0]),

@@ -179,14 +179,18 @@ class FreeFn:
     power (t < 1), Karcher and geometric means are built from (f, f')
     alone (``_declared_fn``); the two-argument harmonic mean and P_1
     declare ``_pair_function(t, *w)`` (t = -1 and 1) beside their own
-    evaluators.  Nothing else declares one.  The declaration is read in
-    place of the evaluator by the testers (``cert``: F at the drawn
-    points, and the Loewner matrices of f in the derivative test) and by
-    the support validation of a lift and of a two-argument mean
-    (``represent._graph_margins``: f on each sample's spectrum, or on the
-    spectrum of its M), each only under one rule (``_declared_at``).  So ``replace(fn, evaluator=...)`` with an
-    evaluator that computes anything but the same F has to pass
-    ``scalar=None``.
+    evaluators.  Nothing else declares one.
+
+    The declaration is read in place of the evaluator at a tester frame or
+    a support-validation sample, whose first member is diag(lam_1), under
+    one rule (``_declared_at``): f is declared, the arity is 1 or 2, every
+    drawn eigenvalue and every entry of s is positive, and f is finite on
+    s, the drawn spectrum for a lift and the spectrum of M = X_1^{-1/2}
+    X_2 X_1^{-1/2} for a mean.  The testers (``cert``) and the support
+    validation (``represent._graph_margins``) read f and its Loewner
+    matrices (``_loewner``) on s; elsewhere the evaluator takes the points.
+    So ``replace(fn, evaluator=...)`` with an evaluator that computes
+    anything but the same F has to pass ``scalar=None``.
     """
 
     name: str
@@ -205,18 +209,25 @@ class FreeFn:
             mats = tuple(mats[0])
         return tuple(np.asarray(x, dtype=complex) for x in check_args(mats, self.arity, self.name, one))
 
-    def _declared_at(self, lam: np.ndarray) -> np.ndarray | None:
-        """f(lam) at spectra ``lam`` where the declaration may be read, else None.
+    def _declared_at(self, lam: np.ndarray, x2: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+        """(s, f(s)) at a frame (``sampling.from_frame``) of spectra ``lam`` where the one rule reads f, else None.
 
-        The one rule of every reader of ``scalar``: every eigenvalue (drawn,
-        or of a mean's M in the support validation) is positive and f is
-        finite on all of them.
+        A mean passes its frame's second members ``x2``; ``_frame_spectrum``
+        forms its s, and its typed error for an X_2 that is not positive
+        definite propagates.
         """
-        if self.scalar is None or not np.all(lam > 0):
+        if self.scalar is None or self.arity != (1 if x2 is None else 2) or not np.all(lam > 0):
+            return None
+        s = lam if x2 is None else _frame_spectrum(lam[::2], x2)
+        if not np.all(s > 0):
             return None
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            d = self.scalar[0](lam)
-        return d if np.isfinite(d).all() else None
+            d = self.scalar[0](s)
+        return (s, d) if np.isfinite(d).all() else None
+
+    def _loewner(self, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The Loewner matrices on ``_declared_at``'s s, one per slot: [Phi] for a lift, [Psi, Phi] for a mean."""
+        return (loewner_matrix(s, *self.scalar),) if self.arity == 1 else _loewner_pair(s, *self.scalar)
 
     def __call__(self, *mats: np.ndarray) -> np.ndarray:
         return self.evaluator(self._args(mats))
@@ -467,7 +478,7 @@ def _frame_spectrum(lam1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     with no ``cholesky``, inverse or product, and ``_spectrum`` takes one
     ``eigvalsh`` per stack and no eigenvectors.  A wide member takes the
     singular values of K = D^{-1/2} L_2, L_2 the Cholesky factor of X_2,
-    which checks X_2.
+    which checks X_2.  Its one caller is ``FreeFn._declared_at``.
     """
     s = 1.0 / np.sqrt(lam1)
     m = x2 * (s[..., :, None] * s[..., None, :])

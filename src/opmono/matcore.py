@@ -78,9 +78,13 @@ class Tolerances:
     One PSD rule serves every Loewner check in the package: a Hermitian
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
     floor taken per member of a stack (``psd_floor``; ``require_psd`` raises
-    the caller's typed error).  Only the derivative tester's
-    finite-difference stencil widens it, to 10 psd; its Loewner-matrix paths
-    for the lifts and the two-argument means keep the plain rule.
+    the caller's typed error).  A checked difference x = P - Q is formed
+    with the rounding of its terms, about eps (||P||_F + ||Q||_F) however
+    small x is, so the testers' scan (``cert._scan``) takes the floor at
+    the norm ||P||_F + ||Q||_F >= ||x||_F instead; Q = 0 for a matrix
+    checked alone.  Only the derivative tester's finite-difference stencil
+    widens the rule, to 10 psd; its Loewner-matrix paths for the lifts and
+    the two-argument means keep the plain rule.
 
     The half-space checks (``schur``'s membership tests and
     ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) and

@@ -40,7 +40,7 @@ from .errors import (
     SupportViolated,
     VerificationFailed,
 )
-from .freefun import FreeFn, _frame_spectrum, lift_scalar
+from .freefun import FreeFn, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, dagger, fro_norm, herm_part, min_eig,
                       min_eig_above, require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
@@ -79,18 +79,18 @@ class SupportCertificate:
     need not be, and ``reconstruct``'s residual shows how far it is off.
     ``support_margin`` is a lower bound on the pencil's smallest eigenvalue
     at ``samples`` graph points (F(X), X) of sizes n and 2n
-    (``_graph_margins``).  For a declared lift it is a certified lower
-    bound from real n x n blocks on each sample's spectrum, in the base
+    (``_graph_margins``).  Where ``FreeFn._declared_at``'s rule reads the
+    declaration it is a certified lower bound from n x n blocks on the
+    rule's s: for a lift, real blocks on each sample's spectrum in the base
     point's phased eigenbasis, below the smallest eigenvalue by its
-    rounding allowances (``_lift_margins``); for a declared two-argument
-    mean it is a certified lower bound from n x n blocks on the spectrum of
-    M = X_1^{-1/2} X_2 X_1^{-1/2}, below the smallest eigenvalue by its
-    rounding allowances (``_congruence_margins``), or by up to a factor
-    cond(X_1) where that eigenvalue is positive.  A sample whose declared
-    bound falls below the validation gate, and every sample of any other
-    function, takes the smallest eigenvalue of the whole pencil.  The
-    certificate is a pencil representation of an upper bound of F
-    (``rep``).
+    rounding allowances (``_lift_margins``); for a two-argument mean,
+    blocks on the spectrum of M = X_1^{-1/2} X_2 X_1^{-1/2}, below the
+    smallest eigenvalue by its rounding allowances
+    (``_congruence_margins``), or by up to a factor cond(X_1) where that
+    eigenvalue is positive.  A sample whose declared bound falls below the
+    validation gate, and every other sample, takes the smallest eigenvalue
+    of the whole pencil.  The certificate is a pencil representation of an
+    upper bound of F (``rep``).
     """
 
     function: str
@@ -150,44 +150,37 @@ def _graph_margins(fn: FreeFn, b0, grads, v, u, lam, basis=None, gate=-np.inf) -
     The samples are frames (``sampling.frame_plan``): X_1 = diag(lam_1),
     and (I (x) U)* L(Y, X) (I (x) U) = L(U* Y U, U* X U) for a unitary U,
     so a free function's margins are those of Haar-rotated samples.  L
-    decreases in Y, so the graph is the worst hypograph member at X.  A
-    declaration is read only under ``FreeFn._declared_at``'s rule, and then
-    every matrix decomposed is n x n.  A lift has F(X) = diag(f(lam)) at
-    X = diag(lam), so L is the direct sum of
-    M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*, read from the drawn spectra
-    without forming X or F(X); its bound comes from real n x n blocks in
-    the phased eigenbasis of the base point, whose eigenvectors ``basis``
-    holds (``_lift_margins``), below lambda_min L by rounding allowances.
-    A two-argument mean takes the spectrum w of
-    M = D^{-1/2} X_2 D^{-1/2}, D = X_1 = diag(lam_1), formed entrywise by
-    ``freefun._frame_spectrum`` (one ``eigvalsh`` a stack, and no
-    ``cholesky``, inverse, product or eigenvectors), and bounds
-    lambda_min L from blocks on w (``_congruence_margins``).  A sample
-    whose declared bound falls below ``gate`` (``support_pencil``'s) takes
-    lambda_min L exactly.  Every other function, and a declared one where
-    the rule gives None, takes lambda_min L at the evaluated F(X) over the
-    whole (n ns)^2 pencil.
+    decreases in Y, so the graph is the worst hypograph member at X.
+    Where ``FreeFn._declared_at`` reads the declaration at the samples, L
+    splits into n x n blocks on its s, read without evaluating F(X).  A
+    lift's s is the drawn spectrum: F(X) = diag(f(lam)) at X = diag(lam),
+    so L is the direct sum of M_j = B_0 + (lam_j - 1) G - f(lam_j) vv*,
+    bounded from real blocks in the phased eigenbasis of the base point,
+    whose eigenvectors ``basis`` holds (``_lift_margins``).  A two-argument
+    mean's s is the spectrum w of M = X_1^{-1/2} X_2 X_1^{-1/2} (one
+    ``eigvalsh`` a stack, and no ``cholesky``, inverse, product or
+    eigenvectors), and lambda_min L is bounded from blocks on w
+    (``_congruence_margins``).  Either bound lies below lambda_min L by its
+    rounding allowances.  A sample whose declared bound falls below
+    ``gate`` (``support_pencil``'s) takes lambda_min L exactly.  Every
+    other function, and a declared one where the rule gives None, takes
+    lambda_min L at the evaluated F(X) over the whole (n ns)^2 pencil.
     """
-    bound = None
-    if fn.arity == 1 and (d := fn._declared_at(lam)) is not None:
-        bound = _lift_margins(b0, grads[0], v, basis, lam, d)
-    elif fn.arity == 2 and fn.scalar is not None and np.all(lam > 0):
-        w = _frame_spectrum(lam[::2], slots(from_frame(u, lam), 2)[1])
-        if (d := fn._declared_at(w)) is not None:
-            bound = _congruence_margins(b0, grads, v, w, d, lam[::2])
-    if bound is None:
-        return _full_margins(fn, b0, grads, v, u, lam)
+    xs = slots(from_frame(u, lam), fn.arity)
+    declared = fn._declared_at(lam, xs[1] if fn.arity == 2 else None)
+    if declared is None:
+        return _full_margins(fn, b0, grads, v, xs)
+    s, d = declared
+    bound = (_lift_margins(b0, grads[0], v, basis, s, d) if fn.arity == 1
+             else _congruence_margins(b0, grads, v, s, d, lam[::2]))
     low = ~(bound >= gate)
     if np.any(low):
-        k, ns = fn.arity, lam.shape[-1]
-        ul = u.reshape(bound.size, k - 1, ns, ns)[low].reshape(-1, ns, ns)
-        bound[low] = _full_margins(fn, b0, grads, v, ul, lam.reshape(bound.size, k, ns)[low].reshape(-1, ns))
+        bound[low] = _full_margins(fn, b0, grads, v, tuple(x[low] for x in xs))
     return bound
 
 
-def _full_margins(fn: FreeFn, b0, grads, v, u, lam) -> np.ndarray:
-    """lambda_min L(F(X), X) over the whole (n ns)^2 pencil, X = from_frame(u, lam), F(X) evaluated."""
-    xs = slots(from_frame(u, lam), fn.arity)
+def _full_margins(fn: FreeFn, b0, grads, v, xs) -> np.ndarray:
+    """lambda_min L(F(X), X) over the whole (n ns)^2 pencil at the sample tuple X, F(X) evaluated."""
     return min_eig(_support_eval(b0, grads, v, herm_part(fn(xs)), xs))
 
 
@@ -250,7 +243,7 @@ def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
     """Certified lower bounds on lambda_min L at the graph points (C C*, C W C*, C f(W) C*), f(w) = d.
 
     W = diag(w) is the spectrum of M = D^{-1/2} X_2 D^{-1/2} that
-    ``freefun._frame_spectrum`` forms entrywise from the drawn X_1 =
+    ``FreeFn._declared_at`` forms entrywise from the drawn X_1 =
     D = diag(lam1): ``eigvalsh`` (or, for a wide member, the SVD of
     D^{-1/2} L_2) returns the exact spectrum of a matrix M' within rounding
     of the computed M.  With U exact eigenvectors of M', C = D^{1/2} U, so
@@ -317,9 +310,9 @@ def support_pencil(
     PSD raises CoefficientNotPSD, one that does not dominate sum G_i
     DominanceViolated.  The pencil must then stay positive on a scalar grid
     and on random graph points at sizes n and 2n (``_graph_margins``: n x n
-    blocks for a declared lift, real in the phased eigenbasis of A that one
-    ``eigh`` gives, and for a declared two-argument mean; the whole pencil
-    for every other function and for each declared sample whose bound falls
+    blocks where ``FreeFn._declared_at``'s rule reads the declaration, a
+    lift's real in the phased eigenbasis of A that one ``eigh`` gives; the
+    whole pencil elsewhere and for each declared sample whose bound falls
     below the gate) before a certificate is issued, else SupportViolated.
     """
     if not (fn.monotone and fn.concave):

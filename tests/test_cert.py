@@ -305,6 +305,35 @@ class TestOutsideTheDomain:
         assert (rep.verdict, rep.trials_run) == ("inconclusive", 0)
         assert rep.details == {"error": f"{what} has minimum eigenvalue -1.820e+00"}
 
+    def test_a_mean_whose_f_fails_on_m_takes_the_stencil(self):
+        # the declared f, sqrt above 0.7, is finite on every drawn spectrum, which the interval shrunk by
+        # 0.15 of its width keeps in [0.725, 1.775], but not on M's spectrum, which reaches below 0.7; the
+        # declaration is read on M's spectrum alone, so the evaluator's stencil decides the report
+        from dataclasses import replace
+
+        def f(x):
+            return np.where(x > 0.7, np.sqrt(x), np.nan)
+
+        fn = replace(resolve_function("geomean2"), scalar=(f, lambda x: 0.5 / f(x)))
+        rep = derivative_monotone_test(fn, n=3, trials=512, seed=1)
+        assert rep.passed and rep.trials_run == 512
+
+
+class TestCheckedDifferences:
+    """A checked difference P - Q is bounded by the norms of both terms, whose rounding it carries."""
+
+    @pytest.mark.parametrize("tester", ["concave", "hypograph"])
+    @pytest.mark.parametrize("ident,interval", [
+        ("identity", (1e-6, 1e6)), ("identity", (1.0, 1e6)), ("identity", (1e-8, 1e8)),
+        ("arithmetic", (1e-8, 1e8)), ("power:t=1", (1e-8, 1e8)),
+    ])
+    def test_a_linear_function_passes_on_a_wide_interval(self, ident, interval, tester):
+        # F is linear, so each difference is zero but for rounding of about eps (||P||_F + ||Q||_F), which
+        # the spectra up to 1e6 or 1e8 carry far past psd (1 + ||P - Q||_F)
+        run = {"concave": concave_test, "hypograph": lambda *a, **kw: hypograph_convexity_test(*a, m=2, **kw)}[tester]
+        fn = resolve_function(ident)
+        assert [run(fn, n=3, trials=100, seed=seed, interval=interval).verdict for seed in range(5)] == ["pass"] * 5
+
 
 def arrays_in(value):
     """Every ndarray inside nested tuples, lists and dicts."""

@@ -18,10 +18,12 @@ Every operator mean decomposes its M = L^{-1} X L^{-*} through ``freefun._spectr
 power and Karcher means take their step and stop from ``freefun._mean_gradient``, so neither
 the SVD fallback nor the family's step has a second copy.  A two-argument mean's L U and the
 spectrum of M come from ``freefun._congruence_eig``, shared by its evaluator, its adjoint and
-the derivative test's reported counterexample.  Where the first argument is a frame's
-diag(lam_1), M's spectrum alone comes from ``freefun._frame_spectrum``, which forms M
-entrywise: the derivative test's scan and the support validation's graph samples share it.
-A declared lift's graph samples take their real blocks from ``represent._lift_margins`` alone.
+the derivative test's reported counterexample.  A declaration is read at a frame, whose first
+argument is diag(lam_1), only under ``freefun.FreeFn._declared_at``'s rule: it alone forms a
+mean's M entrywise (``freefun._frame_spectrum``), for the derivative test's scan and the support
+validation's graph samples, and ``FreeFn._loewner`` reads the Loewner matrices on its spectrum as
+the adjoint does (``freefun._loewner_pair``).  A declared lift's graph samples take their real
+blocks from ``represent._lift_margins`` alone.
 
 A Haar unitary is finished (``sampling.finish_unitary``) only for a frame's other members
 (``sampling.finish_frame``), for a matrix drawn alone (``finish_spd``, ``rand_unitary``) and
@@ -46,8 +48,9 @@ ALLOWED = {
     "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
     "CertReport": {"cert._inconclusive", "cert._report"},
     "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation", "freefun._frame_spectrum"},
-    "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert.derivative_monotone_test"},
-    "_frame_spectrum": {"cert.derivative_monotone_test", "represent._graph_margins"},
+    "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert._loewner_counter"},
+    "_frame_spectrum": {"freefun.FreeFn._declared_at"},
+    "_loewner_pair": {"freefun._loewner_vgrad", "freefun.FreeFn._loewner"},
     "_lift_margins": {"represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},

@@ -166,6 +166,63 @@ class TestScalarDeclaration:
         assert rep_from_quadrature("sqrt", nodes=8, target=1.0).fn.scalar is None
 
 
+def seeded_frame(k, n=3, trials=64, lo=0.5, hi=2.0):
+    """The drawn spectra and members of a seeded k-member tester frame."""
+    from opmono.sampling import finish_frame, frame_plan, from_frame, slots
+
+    u, lam, _ = finish_frame(k, draw(np.random.default_rng(k), trials, frame_plan(n, lo, hi, k)))
+    return lam, slots(from_frame(u, lam), k)
+
+
+class TestDeclaredAt:
+    """``FreeFn._declared_at`` is the one rule under which a declaration is read at a frame."""
+
+    @pytest.mark.parametrize("ident", SCALAR_LIFTS)
+    def test_a_lift_reads_f_on_the_drawn_spectrum(self, ident):
+        fn = resolve_function(ident)
+        lam, _ = seeded_frame(1)
+        s, d = fn._declared_at(lam)
+        assert s is lam and np.array_equal(d, fn.scalar[0](lam))
+
+    @pytest.mark.parametrize("ident", ["harmonic", "geomean2", "power:t=0.25", "power:t=1", "karcher"])
+    def test_a_mean_reads_f_on_the_spectrum_of_m(self, ident):
+        fn = resolve_function(ident)
+        lam, (_, x2) = seeded_frame(2)
+        s, d = fn._declared_at(lam, x2)
+        root = lam[::2, :, None] ** -0.5 * np.eye(3)  # X_1^{-1/2}, X_1 = diag(lam_1)
+        assert np.max(np.abs(s - np.linalg.eigvalsh(root @ x2 @ root))) <= 1e-13
+        assert np.array_equal(d, fn.scalar[0](s))
+
+    def test_an_undeclared_function_reads_nothing(self):
+        lam, (_, x2) = seeded_frame(2)
+        assert replace(resolve_function("sqrt"), scalar=None)._declared_at(seeded_frame(1)[0]) is None
+        assert resolve_function("arithmetic")._declared_at(lam, x2) is None
+
+    def test_arity_three_reads_nothing(self):
+        fn = replace(resolve_function("geomean2"), name="three", arity=3)
+        lam, (_, x2) = seeded_frame(2)
+        assert fn._declared_at(lam, x2) is None and fn._declared_at(lam) is None
+
+    @pytest.mark.parametrize("ident,slot", [("sqrt", 0), ("log1p", 0), ("geomean2", 0), ("geomean2", 1)])
+    def test_a_drawn_eigenvalue_that_is_not_positive_reads_nothing(self, ident, slot):
+        fn = resolve_function(ident)
+        lam, xs = seeded_frame(fn.arity)
+        lam = lam.copy()
+        lam[fn.arity * 5 + slot, 1] = 0.0
+        assert fn._declared_at(lam, *xs[1:]) is None
+
+    def test_f_not_finite_on_the_spectrum_of_m_reads_nothing(self):
+        # sqrt above 0.7 is finite on every drawn spectrum in [0.75, 2], not on M's, which reaches below 0.7
+        def f(x):
+            return np.where(x > 0.7, np.sqrt(x), np.nan)
+
+        geo = resolve_function("geomean2")
+        lam, (_, x2) = seeded_frame(2, lo=0.75)
+        s, _ = geo._declared_at(lam, x2)
+        assert np.isfinite(f(lam)).all() and np.min(s) < 0.7
+        assert replace(geo, scalar=(f, lambda x: 0.5 / f(x)))._declared_at(lam, x2) is None
+
+
 class TestLoewnerMatrix:
     def test_stacked_spectra_match_one_at_a_time(self):
         lam = np.random.default_rng(3).uniform(0.5, 2.0, size=(4, 5, 3))
