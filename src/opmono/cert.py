@@ -37,9 +37,12 @@ test takes one ``eigvalsh`` of M per stack and no evaluation.
 Every check of a trial has a margin and a bound.  The Loewner testers'
 differences P - Q that must be positive semidefinite come as pairs of
 ``(T, C, d, d)`` stacks, C checks per trial, and one scan (``_scan``)
-takes the smallest eigenvalues of P - Q in one batched call per stack and
-bounds each by the norms of both terms (``Tolerances``); the axiom test's
-margins are minus its two equality defects.
+bounds each by the norms of both terms (``Tolerances``).  It takes the
+smallest eigenvalues of P - Q only where one can set the report: on 32
+candidates per stack and on the members a per-member Cholesky screen at
+the candidates' smallest margin leaves open, or on every member where a
+check fails (``_screened``).  The axiom test's margins are minus its two
+equality defects.
 One routine (``_report``) makes every report from the margins: it stops at
 the first violation in trial-major order, and ``worst_margin`` is the
 minimum margin over every check up to and including that one.
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import BadConfig, OpmonoError
 from .freefun import FreeFn, _congruence_eig, frechet_many
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, min_eig
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, cholesky_proves, dagger, fro_norm, min_eig
 from .sampling import (draw, finish_frame, finish_isometry, finish_psd, finish_spd, finish_unitary, frame_plan,
                        from_frame, normal, pair_above, pair_plan, slots, spd_plan, uniform)
 
@@ -70,6 +73,8 @@ __all__ = [
 
 DEFAULT_INTERVAL = (0.5, 2.0)
 _CHUNK = 512
+_CANDIDATES = 32  # members per stack whose margins ``_screened`` takes before it screens the others
+_TINY = np.finfo(float).tiny
 # every tester runs under it: an infinite value reaches ``_report``'s non-finite rule, not a warning
 _tester = np.errstate(invalid="ignore", over="ignore")
 
@@ -172,13 +177,49 @@ def _scan(
     ``checks`` holds one pair (P, Q) of ``(T, C_s, d_s, d_s)`` stacks per
     matrix size, Q broadcast against P or 0.  The checks of a trial are
     taken stack by stack, c counting across the stacks; check (t, c)'s
-    margin is lambda_min(P - Q), taken in one batched call per stack, and
-    its bound -psd (1 + ||P||_F + ||Q||_F), the PSD rule for a checked
-    difference (``Tolerances``).  ``_report`` makes the report.
+    margin is lambda_min(P - Q) (``_screened``), and its bound -psd
+    max(||P||_F + ||Q||_F, tiny), the PSD rule for a checked difference
+    (``Tolerances``).  ``_report`` makes the report.
     """
-    margins = np.concatenate([min_eig(p - q) for p, q in checks], axis=1)
-    norms = np.concatenate([fro_norm(p) + (fro_norm(q) if np.ndim(q) else 0.0) for p, q in checks], axis=1)
-    return _report(name, seed, margins, -tol.psd_floor_at(norms), counter, details)
+    bounds = [-tol.psd * np.maximum(fro_norm(p) + (fro_norm(q) if np.ndim(q) else 0.0), _TINY) for p, q in checks]
+    margins = []
+    for (p, q), bound in zip(checks, bounds):
+        screened = _screened(p, q, bound)
+        if screened is None:  # a check may fail, or a value is not finite: the report reads every margin
+            margins = [min_eig(p - q) for p, q in checks]
+            break
+        margins.append(screened)
+    return _report(name, seed, np.concatenate(margins, axis=1), np.concatenate(bounds, axis=1), counter, details)
+
+
+def _screened(p: np.ndarray, q: np.ndarray | float, bound: np.ndarray) -> np.ndarray | None:
+    """lambda_min(Herm(P - Q)) per check, or a level below it where that cannot set the report.
+
+    The margins of the ``_CANDIDATES`` members with the smallest diagonal
+    entry, and of those a Cholesky at the level max(their least margin,
+    bound) leaves open, are ``min_eig``'s bits; a member the Cholesky proves
+    keeps its level (the rule in ``Tolerances``).  None where a margin falls
+    below its bound or a value is not finite: a counterexample or an
+    inconclusive report needs ``min_eig`` of every member.
+    """
+    x = p - q
+    if not (np.isfinite(x).all() and np.isfinite(bound).all()):
+        return None
+    flat, floor = x.reshape(-1, *x.shape[2:]), bound.ravel()
+    picks = np.arange(len(flat))
+    if len(flat) > _CANDIDATES:
+        picks = np.argpartition(np.diagonal(flat, axis1=1, axis2=2).real.min(axis=1), _CANDIDATES)[:_CANDIDATES]
+    exact = min_eig(flat[picks])
+    if np.any(exact < floor[picks]):
+        return None
+    level = np.maximum(np.min(exact, initial=np.inf), floor)
+    unproved = ~cholesky_proves(flat, level)  # overwrites x
+    unproved[picks], level[picks] = False, exact
+    t, c = np.nonzero(unproved.reshape(bound.shape))
+    if t.size:
+        pb, qb = np.broadcast_arrays(p, q)
+        level[unproved] = min_eig(pb[t, c] - qb[t, c])
+    return None if np.any(level < floor) else level.reshape(bound.shape)
 
 
 @_tester

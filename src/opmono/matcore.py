@@ -17,7 +17,9 @@ or a representation's state (``represent.PencilRepresentation``).  The
 algebra primitives ``re_part``, ``im_part`` and ``block_diag`` pass through
 what they are given and only refuse a shape that is not square.
 Tolerances are relative: every threshold is scaled by ``(1 + Frobenius
-norm)`` of the quantity it guards, member by member.
+norm)`` of the quantity it guards, member by member, except the testers'
+floor, which is scaled by the norms of a checked difference's terms alone
+(``Tolerances``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "DEFAULT_TOL",
     "SectorEstimate",
     "check_args",
+    "cholesky_proves",
+    "cholesky_shift",
     "dagger",
     "herm_part",
     "fro_norm",
@@ -80,11 +84,15 @@ class Tolerances:
     floor taken per member of a stack (``psd_floor``; ``require_psd`` raises
     the caller's typed error).  A checked difference x = P - Q is formed
     with the rounding of its terms, about eps (||P||_F + ||Q||_F) however
-    small x is, so the testers' scan (``cert._scan``) takes the floor at
-    the norm ||P||_F + ||Q||_F >= ||x||_F instead; Q = 0 for a matrix
-    checked alone.  Only the derivative tester's finite-difference stencil
-    widens the rule, to 10 psd; its Loewner-matrix paths for the lifts and
-    the two-argument means keep the plain rule.
+    small x is, so the testers' scan (``cert._scan``) takes the floor
+    psd max(||P||_F + ||Q||_F, tiny) instead, Q = 0 for a matrix checked
+    alone.  It has no absolute 1: the terms carry the unit of the
+    arguments, so the floor scales with the margins and no verdict depends
+    on that unit, and tiny, the smallest normal number, keeps a floor below
+    a difference of exact zeros.  Only the derivative tester's
+    finite-difference stencil widens the rule, to 10 psd; its
+    Loewner-matrix paths for the lifts and the two-argument means keep the
+    plain rule.
 
     The half-space checks (``schur``'s membership tests and
     ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) and
@@ -98,11 +106,24 @@ class Tolerances:
     and ``eigvalsh`` would have passed them too.  A stack with a member it
     cannot prove, at or near the floor or not finite, takes ``min_eig`` as
     before, so every decision and every failure message is unchanged; the
-    slack only decides which stacks need the eigenvalues.  The checks that
-    report a value (``require_psd``, the testers' ``_scan``, the support
-    margins, ``_aim`` and the cone bound's margin and constants) keep
-    ``min_eig``, as does ``loewner_leq``, whose stacks no benchmarked path
-    checks.
+    slack only decides which stacks need the eigenvalues.  Both screens
+    take this shift (``cholesky_shift``).
+
+    The testers' scan reports a value, but a passing report reads only the
+    smallest margin, and a failing one the first margin below its bound.
+    So the scan takes ``min_eig`` of the 32 members of a stack with the
+    smallest diagonal entry, an upper bound on lambda_min, and m, the
+    least of these margins, and screens every other member at its own level
+    max(m, bound) with the same shifted Cholesky, one outcome per member
+    (``cholesky_proves``, an outer-product loop over the columns,
+    vectorized over the members).  A member it proves has a margin above m
+    and above its bound, as ``eigvalsh`` computes it, so it can set neither
+    reading; only the members left open take ``eigvalsh``.  Where an exact
+    margin falls below its bound, or a value is not finite, every member
+    takes ``min_eig``, so every report keeps its bits.  The other checks
+    that report a value (``require_psd``, the support margins, ``_aim`` and
+    the cone bound's margin and constants) keep ``min_eig``, as does
+    ``loewner_leq``, whose stacks no benchmarked path checks.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
@@ -299,6 +320,39 @@ def min_eig(a: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def cholesky_shift(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray | float:
+    """The shift ``floor + 32 n^2 eps (||a||_F + |floor|)`` whose Cholesky proves each member above ``floor``.
+
+    A Cholesky of Herm(a) minus this shift times I that runs to completion
+    puts lambda_min(Herm a), and ``eigvalsh``'s value of it, above
+    ``floor`` (``Tolerances``).
+    """
+    n = np.shape(a)[-1]
+    return floor + 32 * n * n * np.finfo(float).eps * (fro_norm(a) + np.abs(floor))
+
+
+def cholesky_proves(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray:
+    """Per member of a finite stack: True where a Cholesky at ``cholesky_shift`` proves it above ``floor``.
+
+    An outer-product Cholesky of Herm(a) - shift I over the n columns,
+    vectorized over the members, so each member has its own outcome.  It
+    reads the diagonal and the Hermitian part of each column below it, so
+    ``a`` need not be Hermitian, and overwrites ``a``: pass a copy.
+    """
+    n = a.shape[-1]
+    diag = np.arange(n)
+    a[..., diag, diag] -= np.asarray(cholesky_shift(a, floor))[..., None]
+    proved = np.ones(a.shape[:-2], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            pivot = a[..., j, j].real
+            proved &= (pivot > 0) & (pivot < np.inf)  # a NaN pivot fails both
+            root = np.sqrt(np.where(proved, pivot, 1.0))[..., None]
+            col = (a[..., j + 1 :, j] + np.conj(a[..., j, j + 1 :])) / (2 * root)
+            a[..., j + 1 :, j + 1 :] -= col[..., :, None] * np.conj(col[..., None, :])
+    return proved
+
+
 def min_eig_above(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray | float:
     """``min_eig(a)``, or +inf for every member when one ``cholesky`` proves each above ``floor``.
 
@@ -308,10 +362,7 @@ def min_eig_above(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray | floa
     ``floor`` decide as they do on ``min_eig(a)``.
     """
     a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    floor = np.asarray(floor, dtype=float)
-    shift = floor + 32 * n * n * np.finfo(float).eps * (fro_norm(a) + np.abs(floor))
-    shifted = herm_part(a) - shift[..., None, None] * np.eye(n)
+    shifted = herm_part(a) - np.asarray(cholesky_shift(a, floor))[..., None, None] * np.eye(a.shape[-1])
     if np.isfinite(shifted).all():
         try:
             proved = np.isfinite(np.linalg.cholesky(shifted)).all()  # overflow leaves inf or NaN

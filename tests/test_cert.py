@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opmono import errors
+from opmono import cert, errors
 from opmono import serialize as io
 from opmono.cert import (
     concave_test,
@@ -23,7 +23,7 @@ from opmono.freefun import (
     resolve_function,
 )
 from opmono.gradients import loewner_matrix
-from opmono.matcore import dagger, fro_norm, herm_part, min_eig
+from opmono.matcore import DEFAULT_TOL, dagger, fro_norm, herm_part, min_eig
 from opmono.sampling import (draw, finish_frame, finish_psd, finish_spd, from_frame, normal, pair_above, pair_plan,
                              rand_unitary, slots, spd_plan)
 
@@ -68,15 +68,15 @@ def stalls():
 TESTERS = ("monotone", "concave", "derivative", "doubling", "hypograph", "nc-axioms")
 
 
-def run_tester(name, fn, n, trials, seed):
+def run_tester(name, fn, n, trials, seed, **kwargs):
     """One call of the named tester."""
     if name == "doubling":
-        return doubling_concavity_check(fn, n=n, trials=trials, seed=seed)
+        return doubling_concavity_check(fn, n=n, trials=trials, seed=seed, **kwargs)
     if name == "hypograph":
-        return hypograph_convexity_test(fn, n=n, m=n - 1, trials=trials, seed=seed)
+        return hypograph_convexity_test(fn, n=n, m=n - 1, trials=trials, seed=seed, **kwargs)
     tester = {"monotone": monotone_test, "concave": concave_test, "derivative": derivative_monotone_test,
               "nc-axioms": nc_axiom_check}
-    return tester[name](fn, n=n, trials=trials, seed=seed)
+    return tester[name](fn, n=n, trials=trials, seed=seed, **kwargs)
 
 
 class TestMonotone:
@@ -164,7 +164,8 @@ class TestLoewnerPath:
     def test_no_eigh_and_no_qr(self, count_calls):
         calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh")}
         assert derivative_monotone_test(lift_scalar("sqrt"), n=4, trials=512, seed=0).passed
-        assert calls == {"eigh": [], "qr": [], "eigvalsh": [(512, 1, 4, 4)]}
+        # the scan's 32 candidates and the 32 members its Cholesky screen leaves open
+        assert calls == {"eigh": [], "qr": [], "eigvalsh": [(32, 4, 4), (32, 4, 4)]}
 
     def test_the_stencil_is_kept_for_undeclared_functions(self, count_calls):
         # the same lift without its declaration evaluates X +- h H, X +- h/2 H
@@ -228,8 +229,9 @@ class TestMeanLoewnerPath:
         # X_1 = diag(lam_1), so M = D^-1/2 X_2 D^-1/2 is formed entrywise: no factorization, inverse or eigh
         calls = {name: count_calls(np.linalg, name) for name in ("eigh", "qr", "eigvalsh", "cholesky", "inv", "svd")}
         assert derivative_monotone_test(resolve_function("geomean2"), n=3, trials=512, seed=0).passed
-        assert calls == {"eigh": [], "qr": [(512, 3, 3)], "eigvalsh": [(512, 3, 3), (512, 2, 3, 3)], "cholesky": [],
-                         "inv": [], "svd": []}
+        # M's spectrum, then the scan's 32 candidates and the 131 members its Cholesky screen leaves open
+        assert calls == {"eigh": [], "qr": [(512, 3, 3)], "eigvalsh": [(512, 3, 3), (32, 3, 3), (131, 3, 3)],
+                         "cholesky": [], "inv": [], "svd": []}
 
     @pytest.mark.parametrize("f,fprime,slot", [
         # x^1.5 is not operator monotone, and its transpose x^-0.5 decreases: Psi fails
@@ -566,13 +568,13 @@ class TestScan:
         shapes = count_calls(np.linalg, "eigvalsh")
         fn = lift_scalar("sqrt")
         assert concave_test(fn, n=3, trials=512, seed=0).passed
-        # sqrt checks positivity from its own eigh, so the only call is the
-        # one scan of the (512, 4, 3, 3) stack
-        assert shapes == [(512, 4, 3, 3)]
+        # sqrt checks positivity from its own eigh, so the only calls are the scan's of the
+        # (512, 4, 3, 3) stack: its 32 candidates and the 52 members its Cholesky screen leaves open
+        assert shapes == [(32, 3, 3), (52, 3, 3)]
         shapes.clear()
         assert hypograph_convexity_test(fn, n=3, m=2, trials=512, seed=0).passed
-        # one scan call per matrix size
-        assert shapes == [(512, 1, 2, 2), (512, 1, 3, 3)]
+        # the candidates of each matrix size; the screen proves every other member
+        assert shapes == [(32, 2, 2), (32, 3, 3)]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("tester", TESTERS)
@@ -587,3 +589,96 @@ class TestScan:
         rep = run_tester(tester, stalls(), n=3, trials=20, seed=0)
         assert rep.verdict == "inconclusive" and rep.trials_run == 0
         assert rep.details["error"] == "fixed point stalled"
+
+
+# perfbench's certify catalogue, each function at its size there
+CATALOGUE = (("sqrt", 4), ("log1p", 4), ("pow:0.7", 4), ("harmonic", 3), ("geomean2", 3), ("power:t=0.25", 3),
+             ("power:t=1", 3), ("karcher", 3), ("xsq", 2), ("faketrace", 2))
+LOEWNER = ("monotone", "concave", "derivative", "hypograph")
+
+
+def report_bits(rep):
+    """A report as its JSON text and the bits of its worst margin."""
+    return io.dumps(io.report_payload(rep)), float(rep.worst_margin).hex()
+
+
+def screened_and_full(monkeypatch, run):
+    """The bits of ``run()``'s report with the scan's screen and with every check taking ``min_eig``."""
+    screened = report_bits(run())
+    with monkeypatch.context() as patch:
+        patch.setattr(cert, "_screened", lambda p, q, bound: None)
+        return screened, report_bits(run())
+
+
+def ladder():
+    """100 trials of one check each, P = (1 + t/100) I and Q = 0: the candidates are trials 0..31, smallest margin 1."""
+    return np.stack([(1.0 + t / 100) * np.eye(2, dtype=complex) for t in range(100)])[:, None]
+
+
+class TestTheScreen:
+    """``_scan`` takes ``eigvalsh`` only where a margin can set the report, and every report keeps its bits."""
+
+    @pytest.mark.parametrize("tester", LOEWNER + ("doubling",))
+    @pytest.mark.parametrize("ident,n", CATALOGUE)
+    def test_every_report_is_the_full_scans(self, monkeypatch, ident, n, tester):
+        fn = resolve_function(ident)
+        trials = 100 if tester == "doubling" else 512
+        for seed in range(3):
+            screened, full = screened_and_full(monkeypatch, lambda: run_tester(tester, fn, n, trials, seed))
+            assert screened == full
+
+    @pytest.mark.parametrize("tester", LOEWNER + ("doubling",))
+    @pytest.mark.parametrize("fn", [
+        # linear functions, whose differences are zero but for rounding, which the screen cannot prove,
+        # and non-finite values
+        lift_scalar("identity"), resolve_function("arithmetic"), affine_plus_one(),
+        value_above_trace(4.0, np.nan), value_above_trace(4.0, np.inf),
+    ], ids=["identity", "arithmetic", "xplus1", "nan", "inf"])
+    def test_rounding_level_and_non_finite_stacks_keep_their_reports(self, monkeypatch, fn, tester):
+        n = 3 if fn.arity == 1 else 2
+        screened, full = screened_and_full(monkeypatch, lambda: run_tester(tester, fn, n, 200, 1))
+        assert screened == full
+
+    @pytest.mark.parametrize("off,verdict", [(9.5, "pass"), (10.25, "counterexample")])
+    def test_a_minimum_outside_the_candidates_is_found(self, count_calls, off, verdict):
+        # trial 70's diagonal 10 keeps it out of the 32 candidates, whose smallest margin is 1; its
+        # lambda_min, 10 - off, lies below that, so the screen leaves it open and it sets the report
+        p = ladder()
+        p[70, 0] = [[10.0, off], [off, 10.0]]
+        if verdict == "counterexample":
+            p[90, 0] = [[10.0, 11.0], [11.0, 10.0]]  # a deeper failure after the first
+        exact = min_eig(p[:, 0])
+        shapes = count_calls(np.linalg, "eigvalsh")
+        rep = cert._scan("scan", 0, DEFAULT_TOL, [(p, 0.0)], lambda t, c, m: {"trial": t, "margin": m})
+        assert rep.verdict == verdict
+        if verdict == "pass":
+            assert rep.worst_margin == exact.min() == exact[70] and abs(exact[70] - (10.0 - off)) <= 1e-13
+            assert shapes == [(32, 2, 2), (1, 2, 2)]  # the candidates, then trial 70 alone
+        else:  # the first failure, trial 70, not the deeper one at trial 90
+            assert rep.trials_run == 71 and rep.counterexample["trial"] == 70
+            assert rep.worst_margin == exact[:71].min() == exact[70] and abs(exact[70] - (10.0 - off)) <= 1e-13
+            # trial 70 fails once the screen leaves it open, and a failure takes every margin
+            assert shapes == [(32, 2, 2), (2, 2, 2), (100, 1, 2, 2)]
+
+    def test_the_candidates_fail_before_any_screen(self, count_calls):
+        # a failing candidate sends the stack to min_eig at once: no member is screened
+        p = ladder()
+        p[5, 0] = -np.eye(2)
+        shapes = count_calls(np.linalg, "eigvalsh")
+        rep = cert._scan("scan", 0, DEFAULT_TOL, [(p, 0.0)], lambda t, c, m: {"trial": t, "margin": m})
+        assert (rep.verdict, rep.trials_run, rep.worst_margin) == ("counterexample", 6, -1.0)
+        assert shapes == [(32, 2, 2), (100, 1, 2, 2)]
+
+
+class TestScaleCovariance:
+    """The scan bounds a difference by the norms of its terms alone, so no verdict sees the unit of the arguments."""
+
+    @pytest.mark.parametrize("tester", LOEWNER)
+    @pytest.mark.parametrize("ident", ["sqrt", "pow:0.7", "geomean2", "harmonic", "karcher", "power:t=0.25",
+                                       "power:t=1", "xsq"])
+    def test_verdicts_and_trial_counts_do_not_see_the_unit(self, ident, tester):
+        # each function is homogeneous, so its margins scale with c (sqrt's and pow's as a power of c)
+        fn = resolve_function(ident)
+        seen = {c: run_tester(tester, fn, 3, 256, 2, interval=(0.5 * c, 2.0 * c)) for c in (1e-6, 1.0, 1e6)}
+        assert len({(r.verdict, r.trials_run) for r in seen.values()}) == 1
+        assert seen[1.0].verdict == ("counterexample" if ident == "xsq" else "pass")

@@ -49,6 +49,14 @@ class TestCheck:
         code, _ = run_cli("check", "nosuchfn", "monotone")
         assert code == 64
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("prop", ["monotone", "concave", "hypograph", "derivative"])
+    def test_xsq_is_caught_at_every_scale(self, prop, scale):
+        # each floor is relative to the terms of the checked difference, so no unit hides x^2's failure
+        interval = f"{0.5 * scale!r},{2.0 * scale!r}"
+        code, out = run_cli("check", "xsq", prop, "--n", "2", "--trials", "512", "--seed", "0", "--interval", interval)
+        assert code == 2 and "COUNTEREXAMPLE" in out
+
     def test_nc_axioms(self):
         code, out = run_cli("check", "harmonic", "nc-axioms", "--n", "3", "--trials", "30")
         assert code == 0

@@ -10,6 +10,8 @@ from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
     block_diag,
+    cholesky_proves,
+    cholesky_shift,
     fro_norm,
     funcalc,
     herm_certify,
@@ -301,6 +303,54 @@ class TestScreenedMinEig:
         with np.errstate(invalid="ignore"):
             out = min_eig_above(stack, 0.5)
         assert list(out) == [1.0, -np.inf, -np.inf] and cholesky == []
+
+
+def flat_members(case):
+    """A ``screened_stacks`` case as a flat stack and one floor per member."""
+    a, floor = case
+    n = a.shape[-1]
+    return a.reshape(-1, n, n), np.broadcast_to(floor, a.shape[:-2]).ravel()
+
+
+class TestCholeskyProves:
+    """``cholesky_proves`` factors each member alone and proves only members above their floors."""
+
+    @settings(max_examples=120)
+    @given(screened_stacks())
+    def test_a_proved_member_lies_above_its_floor(self, case):
+        # eigvalsh's value too, since the shift holds more than its rounding; a non-finite member is never proved
+        a, floor = flat_members(case)
+        with np.errstate(invalid="ignore", over="ignore"):
+            proved, exact = cholesky_proves(a.copy(), floor), min_eig(a)
+        assert proved.shape == floor.shape
+        assert np.all(exact[proved] > floor[proved])
+
+    @settings(max_examples=120)
+    @given(screened_stacks())
+    def test_it_agrees_with_lapack_away_from_the_threshold(self, case):
+        # members whose shifted lambda_min lies within 1e-8 of their size of zero may go either way
+        a, floor = flat_members(case)
+        shift = cholesky_shift(a, floor)
+        with np.errstate(invalid="ignore", over="ignore"):
+            proved = cholesky_proves(a.copy(), floor)
+        for member, s, ok in zip(a, shift, proved):
+            if not np.isfinite(member).all():
+                assert not ok
+                continue
+            shifted = herm_part(member) - s * np.eye(len(member))
+            if abs(np.linalg.eigvalsh(shifted)[0]) <= 1e-8 * (fro_norm(member) + abs(s)):
+                continue
+            try:
+                factored = bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+            except np.linalg.LinAlgError:
+                factored = False
+            assert ok == factored
+
+    def test_each_member_has_its_own_outcome(self):
+        # numpy's cholesky raises for the whole stack; here only the indefinite member fails
+        stack = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), 2 * np.eye(3)]).astype(complex)
+        assert list(cholesky_proves(stack.copy(), 0.5)) == [True, False, True]
+        assert list(cholesky_proves(stack.copy(), np.array([0.5, -2.0, 2.5]))) == [True, True, False]
 
 
 class TestFuncalc:
