@@ -812,7 +812,7 @@ def mobius_apply(g: MobiusMap, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
     eye = np.eye(n)
     denom = g.c * x + g.d * eye
     sv = np.linalg.svd(denom, compute_uv=False)
-    if float(np.min(sv, initial=np.inf)) <= tol.rank * float(np.max(sv, initial=0.0)):
+    if np.any(sv[..., -1] <= tol.rank * sv[..., 0]):  # each member against its own largest
         raise PoleHit("c X + d I is numerically singular")
     return (g.a * x + g.b * eye) @ np.linalg.inv(denom)
 

@@ -54,7 +54,6 @@ __all__ = [
     "loewner_leq",
     "loewner_margin",
     "min_eig",
-    "min_eig_above",
     "psd_floor",
     "readonly",
     "require_psd",
@@ -96,34 +95,29 @@ class Tolerances:
 
     The half-space checks (``schur``'s membership tests and
     ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) and
-    ``rep_eval``'s domain check only compare lambda_min with a floor and
-    report no value when they pass.  They take ``min_eig_above``: one
-    ``cholesky`` of Herm(x) - (floor + 32 n^2 eps (||x||_F + |floor|)) I
-    over the whole stack.  Cholesky runs to completion only on a matrix that is positive
-    definite up to a backward error of about n^2 eps times its norm
-    (Demmel, LAPACK Working Note 14; Higham, Thm 10.5), so its success
-    puts every member above its floor by more than ``eigvalsh``'s rounding,
-    and ``eigvalsh`` would have passed them too.  A stack with a member it
-    cannot prove, at or near the floor or not finite, takes ``min_eig`` as
-    before, so every decision and every failure message is unchanged; the
-    slack only decides which stacks need the eigenvalues.  Both screens
-    take this shift (``cholesky_shift``).
+    ``rep_eval``'s domain check compare ``min_eig`` with a floor.  Every
+    benchmarked path hands them one matrix at a time, where a Cholesky
+    screen costs more than the eigenvalue it would save.
 
     The testers' scan reports a value, but a passing report reads only the
     smallest margin, and a failing one the first margin below its bound.
     So the scan takes ``min_eig`` of the 32 members of a stack with the
     smallest diagonal entry, an upper bound on lambda_min, and m, the
     least of these margins, and screens every other member at its own level
-    max(m, bound) with the same shifted Cholesky, one outcome per member
+    max(m, bound): a Cholesky of Herm(x) - (level + 32 n^2 eps (||x||_F +
+    |level|)) I (``cholesky_shift``), one outcome per member
     (``cholesky_proves``, an outer-product loop over the columns,
-    vectorized over the members).  A member it proves has a margin above m
-    and above its bound, as ``eigvalsh`` computes it, so it can set neither
-    reading; only the members left open take ``eigvalsh``.  Where an exact
-    margin falls below its bound, or a value is not finite, every member
-    takes ``min_eig``, so every report keeps its bits.  The other checks
-    that report a value (``require_psd``, the support margins, ``_aim`` and
-    the cone bound's margin and constants) keep ``min_eig``, as does
-    ``loewner_leq``, whose stacks no benchmarked path checks.
+    vectorized over the members).  Cholesky runs to completion only on a
+    matrix that is positive definite up to a backward error of about n^2 eps
+    times its norm (Demmel, LAPACK Working Note 14; Higham, Thm 10.5), so a
+    member it proves has a margin above m and above its bound by more than
+    ``eigvalsh``'s rounding, and it can set neither reading; only the
+    members left open take ``eigvalsh``.  Where an exact margin falls below
+    its bound, or a value is not finite, every member takes ``min_eig``, so
+    every report keeps its bits.  The other checks that report a value
+    (``require_psd``, the support margins, ``_aim`` and the cone bound's
+    margin and constants) keep ``min_eig``, as does ``loewner_leq``, whose
+    stacks no benchmarked path checks.
 
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
@@ -353,26 +347,6 @@ def cholesky_proves(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray:
     return proved
 
 
-def min_eig_above(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray | float:
-    """``min_eig(a)``, or +inf for every member when one ``cholesky`` proves each above ``floor``.
-
-    The rule and its slack are written in ``Tolerances``.  A stack with a
-    member the factorization does not prove, or with a non-finite entry or
-    floor, gets ``min_eig(a)`` itself, so ``>``, ``>=`` and ``<`` against
-    ``floor`` decide as they do on ``min_eig(a)``.
-    """
-    a = np.asarray(a, dtype=complex)
-    shifted = herm_part(a) - np.asarray(cholesky_shift(a, floor))[..., None, None] * np.eye(a.shape[-1])
-    if np.isfinite(shifted).all():
-        try:
-            proved = np.isfinite(np.linalg.cholesky(shifted)).all()  # overflow leaves inf or NaN
-        except np.linalg.LinAlgError:
-            proved = False
-        if proved:
-            return np.inf if a.ndim == 2 else np.full(a.shape[:-2], np.inf)
-    return min_eig(a)
-
-
 def loewner_margin(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     """lambda_min(B - A): nonnegative iff A <= B in the Loewner order."""
     return min_eig(np.asarray(b, dtype=complex) - np.asarray(a, dtype=complex))
@@ -418,19 +392,21 @@ def funcalc(
     """Hermitian functional calculus ``U f(Lambda) U*``.
 
     ``a`` takes ``check_args``.  ``domain``, when given, is a closed
-    interval the spectrum must lie in (up to the relative eq tolerance);
-    otherwise a non-finite value of ``f`` on the spectrum raises
-    SpectrumOutOfDomain.
+    interval each member's spectrum w must lie in, up to eq (1 + max |w|)
+    of that member; otherwise a non-finite value of ``f`` on the spectrum
+    raises SpectrumOutOfDomain.
     """
     (a,) = check_args((a,), 1, "funcalc")
     a = herm_part(np.asarray(a, dtype=complex))
     w, u = np.linalg.eigh(a)
     if domain is not None:
         lo, hi = domain
-        slack = tol.eq * (1.0 + float(np.max(np.abs(w))))
-        if np.any(w < lo - slack) or np.any(w > hi + slack):
+        slack = tol.eq * (1.0 + np.max(np.abs(w), axis=-1, keepdims=True))  # each member's own
+        outside = np.any((w < lo - slack) | (w > hi + slack), axis=-1)
+        if outside.any():
+            bad = w[outside][0]
             raise SpectrumOutOfDomain(
-                f"spectrum [{w.min():.4g}, {w.max():.4g}] outside [{lo:.4g}, {hi:.4g}]"
+                f"spectrum [{bad.min():.4g}, {bad.max():.4g}] outside [{lo:.4g}, {hi:.4g}]"
             )
     with np.errstate(invalid="ignore", divide="ignore"):
         fw = np.asarray(f(w))

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .freefun import FreeFn, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, dagger, fro_norm, herm_part, min_eig,
-                      min_eig_above, require_psd, unit_vector)
+                      require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_frame, frame_plan, from_frame, slots
 from .schur import PivotSubspace, SchurCore, shared_core
@@ -491,7 +491,7 @@ def rep_eval(
     DomainViolation.
     """
     xs = check_args(x, rep.arity, "rep_eval")
-    if any(np.any(min_eig_above(xi, 0.0) <= 0) for xi in xs):
+    if any(np.any(min_eig(xi) <= 0) for xi in xs):
         raise DomainViolation("representation arguments must be positive definite")
     return herm_part(rep.core(tol).evaluate(xs, state=rep.state))
 

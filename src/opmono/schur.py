@@ -37,7 +37,6 @@ from .matcore import (
     herm_part,
     im_part,
     min_eig,
-    min_eig_above,
     psd_floor,
     re_part,
     readonly,
@@ -245,7 +244,7 @@ def sector_bound_check(
 
 def _in_halfspace(part, x: tuple[np.ndarray, ...], floors: list) -> np.ndarray:
     """Per member of the stacked tuple: ``part`` of each component is above that component's floor."""
-    return np.logical_and.reduce([min_eig_above(part(m), f) > f for m, f in zip(x, floors)])
+    return np.logical_and.reduce([min_eig(part(m)) > f for m, f in zip(x, floors)])
 
 
 def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -626,7 +625,7 @@ class SchurCore:
                     inner = _where(low, pick)
                     size = fro_norm(_where(normalized, inner))
                     floor = tol.psd_floor_at(size) + _pick(slack, low) * size
-                    failed = ~(min_eig_above(_where(rotated, inner), floor) > floor)  # NaN aims fail
+                    failed = ~(min_eig(_where(rotated, inner)) > floor)  # NaN aims fail
                     if np.any(failed & _pick(right[..., None], low)):
                         raise NotSectorial("an eliminated component of a right member is not sectorial")
                     if failed.any():
@@ -635,7 +634,7 @@ class SchurCore:
                 _check_sector_bound(rotated, root[..., :, None] * normalized * root[..., None, :], comp, tol)
             upper = out[~right]  # right is 0-d for a whole complement, so this adds an axis
             floor = -psd_floor(upper, tol)
-            lam = min_eig_above(im_part(upper), floor)
+            lam = min_eig(im_part(upper))
             if np.any(lam < floor):
                 raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
         return out

@@ -30,6 +30,10 @@ A Haar unitary is finished (``sampling.finish_unitary``) only for a frame's othe
 for the NC-axiom check, which tests the unitary equivariance that lets the Loewner testers and
 the support validation draw each trial in its first matrix's eigenbasis: a tester that finished
 its own unitaries would draw one per argument again.
+
+The one Cholesky screen, ``matcore.cholesky_proves``, serves the testers' scan alone
+(``cert._screened``): every other check that compares a smallest eigenvalue with a floor
+reads ``min_eig``, so a second screen beside it would be a second decision path.
 """
 
 import ast
@@ -53,6 +57,7 @@ ALLOWED = {
     "_loewner_pair": {"freefun._loewner_vgrad", "freefun.FreeFn._loewner"},
     "_lift_margins": {"represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
+    "cholesky_proves": {"cert._screened"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
 }
 

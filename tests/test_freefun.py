@@ -924,6 +924,13 @@ class TestMobius:
         with pytest.raises(errors.PoleHit):
             mobius_apply(g, np.eye(2))
 
+    def test_each_member_meets_its_own_pole_test(self):
+        # the pole test of I is 2 against its own largest singular value, not 1e12 + 1
+        out = mobius_apply(MobiusMap(1, 0, 1, 1), np.stack([np.eye(2), 1e12 * np.eye(2)]))
+        assert np.allclose(out[0], 0.5 * np.eye(2)) and np.allclose(out[1], np.eye(2))
+        with pytest.raises(errors.PoleHit):
+            mobius_apply(MobiusMap(-1, 0, 1, -1), np.stack([2 * np.eye(2), np.eye(2)]))
+
     def test_maps_upper_halfspace_to_itself(self):
         rng = np.random.default_rng(12)
         g = MobiusMap(1, 0, 1, 1)

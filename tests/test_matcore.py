@@ -1,4 +1,3 @@
-import operator
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from opmono.matcore import (
     loewner_leq,
     loewner_margin,
     min_eig,
-    min_eig_above,
     psd_floor,
     re_part,
     require_psd,
@@ -177,10 +175,9 @@ class TestFroNorm:
     (lambda: loewner_leq(2 * BIG, BIG), False),
     (lambda: psd_floor(BIG), DEFAULT_TOL.psd * np.sqrt(2) * 1e200),
     (lambda: require_psd(BIG, errors.NotPSD, "A"), 1e200),
-    (lambda: min_eig_above(BIG, 0.0), np.inf),
     (lambda: sector_estimate(BIG).margin, 1e200),
 ], ids=["herm_certify", "loewner_leq", "loewner_leq-reversed", "psd_floor", "require_psd",
-        "min_eig_above", "sector_estimate"])
+        "sector_estimate"])
 def test_entries_near_the_float_limit_give_finite_answers_without_warning(call, expect):
     # each call takes fro_norm of a matrix whose squared entries overflow
     assert np.all(call() == pytest.approx(expect, rel=1e-15))
@@ -262,49 +259,6 @@ def screened_stacks(draw):
     return a.reshape(lead + (n, n)), floor
 
 
-class TestScreenedMinEig:
-    """``min_eig_above`` decides every comparison with its floor as ``min_eig`` does."""
-
-    @settings(max_examples=120)
-    @given(screened_stacks())
-    def test_comparisons_with_the_floor_are_unchanged(self, case):
-        a, floor = case
-        with np.errstate(invalid="ignore", over="ignore"):
-            screened, exact = min_eig_above(a, floor), min_eig(a)
-        assert np.shape(screened) == np.shape(exact)
-        for compare in (operator.gt, operator.ge, operator.lt):
-            assert np.array_equal(compare(screened, floor), compare(exact, floor))
-
-    def test_proved_stack_takes_one_cholesky_and_no_eigvalsh(self, count_calls):
-        rng = np.random.default_rng(81)
-        stack = np.stack([rand_psd(rng, 4) + 1e-3 * np.eye(4) + 0.5j * rand_herm(rng, 4)
-                          for _ in range(6)]).reshape(2, 3, 4, 4)
-        cholesky, eigvalsh = count_calls(np.linalg, "cholesky"), count_calls(np.linalg, "eigvalsh")
-        out = min_eig_above(stack, -psd_floor(stack))
-        assert out.shape == (2, 3) and np.all(out == np.inf)
-        assert cholesky == [(2, 3, 4, 4)] and eigvalsh == []
-        assert min_eig_above(stack[0, 0], 0.0) == np.inf
-
-    def test_one_member_at_its_floor_returns_min_eig_of_the_stack(self, count_calls):
-        # 1e-3 I clears the floor 1e-3 (1 - 1e-14) by 1e-17, under the screen's slack of about 4e-16
-        rng = np.random.default_rng(82)
-        stack = np.stack([rand_psd(rng, 3) + np.eye(3), 1e-3 * np.eye(3), rand_psd(rng, 3) + np.eye(3)])
-        floor, exact = 1e-3 * (1 - 1e-14), min_eig(stack)
-        eigvalsh = count_calls(np.linalg, "eigvalsh")
-        out = min_eig_above(stack, floor)
-        assert np.array_equal(out, exact) and eigvalsh == [(3, 3, 3)]
-        assert np.all(out > floor)
-
-    def test_non_finite_member_is_not_factored(self, count_calls):
-        # numpy's cholesky can return a NaN factor without raising, so a
-        # non-finite stack must not reach it
-        stack = np.stack([np.eye(2), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])])
-        cholesky = count_calls(np.linalg, "cholesky")
-        with np.errstate(invalid="ignore"):
-            out = min_eig_above(stack, 0.5)
-        assert list(out) == [1.0, -np.inf, -np.inf] and cholesky == []
-
-
 def flat_members(case):
     """A ``screened_stacks`` case as a flat stack and one floor per member."""
     a, floor = case
@@ -371,6 +325,13 @@ class TestFuncalc:
     def test_domain_violation(self):
         with pytest.raises(errors.SpectrumOutOfDomain):
             funcalc(np.sqrt, np.diag([1.0, -4.0]), domain=(0.0, np.inf))
+
+    def test_each_member_takes_its_own_domain_slack(self):
+        # -1e-5 lies outside [0, 1e12] by more than 1e-8 (1 + 1), though not by 1e-8 (1 + 1e10)
+        own = np.diag([-1e-5, 1.0])
+        for a in (own, np.stack([own, np.diag([1e10, 1.0])]), np.stack([np.diag([1e10, 1.0]), own])):
+            with pytest.raises(errors.SpectrumOutOfDomain, match=r"spectrum \[-1e-05, 1\]"):
+                funcalc(lambda w: w, a, domain=(0.0, 1e12))
 
     def test_nonfinite_detected(self):
         with pytest.raises(errors.SpectrumOutOfDomain):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from opmono import errors, matcore, sampling, schur
+from opmono import errors, sampling, schur
 from opmono.freefun import resolve_function
 from opmono.matcore import (
     DEFAULT_TOL,
@@ -584,26 +584,21 @@ class TestNormalizedCertificate:
     def test_a_member_below_its_floor_takes_the_exact_check(self, monkeypatch, error):
         # The first member of each stack passes alone; the second fails the
         # check named.  The cone bound settles the first member's floor, so
-        # only the second forms its block; the screen's cholesky fails on
-        # it, it takes its eigvalsh, and the error and message are the exact
-        # check's.  The output check still screens the whole stack.
+        # only the second forms its block and takes its eigvalsh.  The output
+        # check reads the whole stack.
         pencil, pivot, x, state = below_floor_stack(error)
         core = SchurCore(pencil, pivot)
         core.evaluate(tuple(m[0] for m in x), state=state, halfspace=True)
         exact_args = []
-        exact_min_eig = matcore.min_eig
-        monkeypatch.setattr(matcore, "min_eig", lambda a: exact_args.append(np.shape(a)) or exact_min_eig(a))
-        with pytest.raises(error) as screened:
+        exact_min_eig = schur.min_eig
+        monkeypatch.setattr(schur, "min_eig", lambda a: exact_args.append(np.shape(a)) or exact_min_eig(a))
+        with pytest.raises(error):
             core.evaluate(x, state=state, halfspace=True)
         if error is errors.HalfPlaneViolated:
             assert exact_args[-1] == (2, 2, 2)  # Im of the complements
         else:
             (_, index, _, essential, _), = core.groups
             assert len(index) == 1 and exact_args[-1] == (1, essential.shape[-1] * 2, essential.shape[-1] * 2)
-        monkeypatch.setattr(schur, "min_eig_above", lambda a, floor: exact_min_eig(a))
-        with pytest.raises(error) as exact:
-            core.evaluate(x, state=state, halfspace=True)
-        assert str(screened.value) == str(exact.value)
 
 
 def below_floor_stack(error):
@@ -1213,9 +1208,10 @@ class TestConeBound:
         (_, _, coeffs, essential, _), = core.groups
         assert essential.shape[-1] == 2 < coeffs.shape[-1] == 3
         x = (2 * np.eye(2) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),)
-        cholesky = count_calls(np.linalg, "cholesky")
-        assert verdict(core.evaluate, x, halfspace=True) == verdict(checks_as_before, core, x)
-        assert core._cone is None and (1, 4, 4) in cholesky
+        eigvalsh = count_calls(np.linalg, "eigvalsh")
+        checked = verdict(core.evaluate, x, halfspace=True)
+        assert core._cone is None and (1, 4, 4) in eigvalsh
+        assert checked == verdict(checks_as_before, core, x)
 
     def test_constants_wait_for_the_first_half_space_evaluation(self, count_calls):
         # reconstruct's cores never check a half-space, so they never pay for them
