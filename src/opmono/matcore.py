@@ -12,14 +12,16 @@ that takes a tuple of such matrices (``FreeFn`` calls, the pencil
 evaluations, the representations, the means, ``mobius_apply``,
 ``frechet_derivative`` and ``support_pencil``), one matrix (``herm_certify``,
 ``funcalc``, ``sector_estimate``, ``schur.shorted_psd`` and
-``schur.schur_generic``), a pencil's coefficient list (``pencil.RawPencil``)
-or a representation's state (``represent.PencilRepresentation``).  The
-algebra primitives ``re_part``, ``im_part`` and ``block_diag`` pass through
-what they are given and only refuse a shape that is not square.
-Tolerances are relative: every threshold is scaled by ``(1 + Frobenius
-norm)`` of the quantity it guards, member by member, except the testers'
-floor, which is scaled by the norms of a checked difference's terms alone
-(``Tolerances``).
+``schur.schur_generic``), a pencil's coefficient list (``pencil.RawPencil``
+and ``pencil.pencil_new``) or a representation's state
+(``represent.PencilRepresentation``).  The algebra primitives
+``re_part``, ``im_part`` and ``block_diag`` pass through what they are
+given and only refuse a shape that is not square.  A matrix whose exact
+nonzero pattern splits into blocks (``components``, ``exact_blocks``)
+takes ``min_eig`` one block size at a time.  Tolerances are relative:
+every threshold is scaled by ``(1 + Frobenius norm)`` of the quantity it
+guards, member by member, except the testers' floor, which is scaled by
+the norms of a checked difference's terms alone (``Tolerances``).
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ __all__ = [
     "check_args",
     "cholesky_proves",
     "cholesky_shift",
+    "components",
+    "block_index",
+    "exact_blocks",
     "dagger",
     "herm_part",
     "fro_norm",
@@ -304,8 +309,69 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return herm_part(m)
 
 
-def min_eig(a: np.ndarray) -> np.ndarray | float:
-    """Smallest eigenvalue of the Hermitian part, batched; -inf where an entry is not finite."""
+def components(pattern: np.ndarray) -> np.ndarray:
+    """Per index of a stack (..., d, d) of boolean patterns: the least index of its connected component.
+
+    Indices run through the stack, member m's index i being m d + i, and i
+    and j of one member are joined by a True entry at (i, j) or (j, i).  A
+    stack without a False entry is one component per member, labelled
+    without propagation.  Otherwise every pass hooks the larger root of each
+    True entry's two indices under the smaller (``np.minimum.at``), and
+    pointer jumping then points every index at its root again: a pass costs
+    about the number of True entries, and a chain of d indices takes about
+    log d jumps, not d passes.
+    """
+    pattern = np.asarray(pattern, dtype=bool)
+    d = pattern.shape[-1]
+    root = np.arange(pattern.size // d)
+    if pattern.all():
+        return (root - root % d).reshape(pattern.shape[:-1])
+    i, j = np.divmod(np.flatnonzero(pattern), d)  # i counts the rows of every member before its own
+    j += i - i % d
+    while (hook := (ri := root[i]) != (rj := root[j])).any():
+        np.minimum.at(root, ri[hook], rj[hook])
+        np.minimum.at(root, rj[hook], ri[hook])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    return root.reshape(pattern.shape[:-1])
+
+
+def block_index(labels: np.ndarray) -> list[np.ndarray]:
+    """The blocks of a flat labelling by least index (``components``), grouped by size.
+
+    One (g, s) array per block size s, ascending: each row lists one block's
+    indices in ascending order, and the rows are ordered by least index.
+    """
+    if not labels.any():
+        return [np.arange(labels.size)[None]]
+    order, size = np.argsort(labels, kind="stable"), np.bincount(labels)  # each block's size at its least index
+    root = np.flatnonzero(size)
+    start, size = (np.cumsum(size) - size)[root], size[root]
+    return [order[start[size == s, None] + np.arange(s)] for s in sorted(set(size.tolist()))]
+
+
+def exact_blocks(mats) -> list[np.ndarray] | None:
+    """The blocks (``block_index``) of the union of the exact nonzero patterns of ``mats``.
+
+    None where one of them has no zero entry, so that they form one block,
+    found without a pattern.
+    """
+    if any(m.all() for m in mats):
+        return None
+    return block_index(components(np.logical_or.reduce([m != 0 for m in mats])))
+
+
+def min_eig(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np.ndarray | float:
+    """Smallest eigenvalue of the Hermitian part, batched; -inf where an entry is not finite.
+
+    ``blocks`` (``block_index``), when given, must hold every nonzero entry
+    of ``a``, whose eigenvalues are then those of its blocks: each block
+    size takes one ``eigvalsh`` of its blocks' stack, and a matrix that
+    forms a single block takes it on itself.
+    """
+    if blocks is not None and (len(blocks) > 1 or len(blocks[0]) > 1):
+        out = np.minimum.reduce([min_eig(a[..., b[:, :, None], b[:, None, :]]).min(axis=-1) for b in blocks])
+        return float(out) if np.ndim(out) == 0 else out
     a = np.asarray(a, dtype=complex)
     finite = np.isfinite(a).all(axis=(-2, -1))
     if not finite.all():
@@ -358,10 +424,14 @@ def psd_floor(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | floa
 
 
 def require_psd(
-    a: np.ndarray, error: type[OpmonoError], what: str, tol: Tolerances = DEFAULT_TOL
+    a: np.ndarray, error: type[OpmonoError], what: str, tol: Tolerances = DEFAULT_TOL, blocks: list | None = None
 ) -> np.ndarray | float:
-    """lambda_min(Herm a) per member; raises ``error`` when one lies below minus its ``psd_floor``."""
-    lam = min_eig(a)
+    """lambda_min(Herm a) per member; raises ``error`` when one lies below minus its ``psd_floor``.
+
+    Given ``blocks``, lambda_min is taken block by block (``min_eig``), and
+    the floor is still that of the whole matrix.
+    """
+    lam = min_eig(a, blocks)
     if np.any(lam < -psd_floor(a, tol)):
         raise error(f"{what} has minimum eigenvalue {np.min(lam):.3e}")
     return lam

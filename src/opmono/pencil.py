@@ -13,6 +13,12 @@ arguments at once.
 Validated pencils carry the semidefiniteness invariants: every B_i is PSD
 and B_0 dominates the coefficient sum.  ``RawPencil`` skips validation for
 intermediate work (homogeneous pencils with B_0 = 0 in particular).
+
+Validation works one exact block at a time.  The blocks are the connected
+components of the union of the coefficients' exact nonzero patterns
+(``matcore.exact_blocks``), so a direct sum of cells, such as a quadrature
+representation's, takes one small ``eigvalsh`` per cell size where a dense
+pencil, one block, takes one of the whole matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .matcore import (
     block_diag,
     check_args,
     dagger,
+    exact_blocks,
     herm_part,
     readonly,
     require_psd,
@@ -124,20 +131,25 @@ def pencil_new(
 ) -> LinearPencil:
     """Validate coefficients and build a LinearPencil.
 
-    The coefficients take ``RawPencil``'s check.  Raises CoefficientNotPSD
-    or DominanceViolated with the offending margin (``matcore.require_psd``).
-    ``margins``, when given, are lambda_min of B_1, ..., B_k, which the
-    caller has already held to the same PSD floor; they are used as they
-    are, and only B_0 is checked.
+    The coefficients take ``matcore.check_args``, as ``RawPencil``'s do,
+    and fewer than two are refused (ArityMismatch); their Hermitian parts
+    are taken once and kept by the pencil without a further copy.  B_0, the B_i
+    and B_0 - sum B_i are checked block by block, on the blocks of the union
+    of their nonzero patterns, each against the ``psd_floor`` of its whole
+    matrix.  Raises CoefficientNotPSD or DominanceViolated with the
+    offending margin (``matcore.require_psd``).  ``margins``, when given,
+    are lambda_min of B_1, ..., B_k, which the caller has already held to
+    the same PSD floor; they are used as they are, and only B_0 is checked.
     """
-    raw = RawPencil(tuple(coeffs))
-    hermed = tuple(herm_part(b) for b in raw.coeffs)
+    coeffs = check_args(coeffs, max(len(coeffs), 2), "pencil", one=True)  # B_0 and at least one B_i
+    hermed = tuple(herm_part(np.asarray(b, dtype=complex)) for b in coeffs)
     for b in hermed:  # fresh, so frozen here and kept by LinearPencil without a copy
         b.setflags(write=False)
+    blocks = exact_blocks(hermed)
     if margins is None:
-        margins = [require_psd(b, CoefficientNotPSD, f"B_{idx}", tol) for idx, b in enumerate(hermed[1:], 1)]
-    coeff_margin = min(require_psd(hermed[0], CoefficientNotPSD, "B_0", tol), *margins)
-    dom = require_psd(hermed[0] - sum(hermed[1:]), DominanceViolated, "B_0 - sum(B_i)", tol)
+        margins = [require_psd(b, CoefficientNotPSD, f"B_{idx}", tol, blocks) for idx, b in enumerate(hermed[1:], 1)]
+    coeff_margin = min(require_psd(hermed[0], CoefficientNotPSD, "B_0", tol, blocks), *margins)
+    dom = require_psd(hermed[0] - sum(hermed[1:]), DominanceViolated, "B_0 - sum(B_i)", tol, blocks)
     return LinearPencil(hermed, coeff_margin=float(coeff_margin), dominance_margin=float(dom))
 
 

@@ -41,8 +41,8 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, dagger, fro_norm, herm_part, min_eig,
-                      require_psd, unit_vector)
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, dagger, exact_blocks, fro_norm, herm_part,
+                      min_eig, require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_frame, frame_plan, from_frame, slots
 from .schur import PivotSubspace, SchurCore, shared_core
@@ -427,7 +427,8 @@ class PencilRepresentation:
     """Pencil + pivot + finite-dimensional state realizing a free function.
 
     The state is a PSD trace-one density matrix T on the coefficient space,
-    checked by ``matcore.check_args`` before its size, PSD and trace; the
+    checked by ``matcore.check_args`` before its size, PSD (block by block,
+    on the components of its own nonzero pattern) and trace; the
     conditional expectation (w (x) I) acts as the partial trace of
     (T (x) I) against the coefficient tensor factor.  ``fn`` is the realized
     function as a ``FreeFn``, declared operator monotone and concave, as is
@@ -450,7 +451,7 @@ class PencilRepresentation:
         state = herm_part(np.asarray(state, dtype=complex))
         if state.shape != (self.pencil.size, self.pencil.size):
             raise DimensionMismatch("state must act on the coefficient space")
-        require_psd(state, NotPSD, "the state", DEFAULT_TOL)
+        require_psd(state, NotPSD, "the state", DEFAULT_TOL, exact_blocks((state,)))
         if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
             raise DomainViolation("state must have unit trace")
         if self.pivot.ambient_dim != self.pencil.size:

@@ -31,7 +31,9 @@ from .errors import (
 from .matcore import (
     DEFAULT_TOL,
     Tolerances,
+    block_index,
     check_args,
+    components,
     dagger,
     fro_norm,
     herm_part,
@@ -110,13 +112,20 @@ class PivotSubspace:
 
     def perp_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement."""
-        p = np.eye(self.ambient_dim) - self.projection
-        w, u = np.linalg.eigh(herm_part(p))
-        return u[:, w > 0.5]
+        return _perp(self.basis)
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """Zero-pad an operator on S into the ambient space."""
         return self.basis @ np.asarray(y, dtype=complex) @ dagger(self.basis)
+
+
+def _perp(q: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (..., d, d - m) of the complements of orthonormal columns q (..., d, m).
+
+    The eigenvectors of I - q q* at eigenvalue 1, which ``eigh`` lists last.
+    """
+    w, u = np.linalg.eigh(herm_part(np.eye(q.shape[-2]) - q @ dagger(q)))
+    return u[..., q.shape[-1]:]
 
 
 @dataclass(frozen=True)
@@ -408,59 +417,117 @@ def _check_sector_bound(
                 )
 
 
+def _pivot_blocks(coeffs: tuple[np.ndarray, ...], basis: np.ndarray) -> tuple[list, float]:
+    """The exact blocks of coefficients against a pivot basis (d, m), and the coupling of those without a pivot.
+
+    The blocks are the components (``matcore.components``) of the union of
+    the coefficients' nonzero patterns, in which each pivot column's support
+    is joined, so that every pivot column lies in one block; a coefficient
+    without a zero entry makes the whole space one block, found without a
+    pattern.  The blocks that hold a pivot column come per shape as (kept,
+    rows (g, s), cols (g, kept)): each block's rows and its pivot columns,
+    in ascending order.  The others drop out, but their coupling, max_ij
+    sum_k |B_k[i, j]| over their rows, counts towards ``SchurCore``'s
+    ``tol.rank`` cut, as their entries did when the whole space was adapted
+    at once.
+    """
+    dim, m = basis.shape
+    if any(x.all() for x in coeffs):
+        return [(m, np.arange(dim)[None], np.arange(m)[None])] if m else [], 0.0
+    pattern, support = np.logical_or.reduce([x != 0 for x in coeffs]), basis != 0
+    anchor = support.argmax(axis=0)  # a row of each pivot column, joined to the column's other rows
+    rows, cols = np.nonzero(support)
+    pattern[anchor[cols], rows] = True
+    labels = components(pattern)
+    held, by_block = np.bincount(labels[anchor], minlength=dim), np.argsort(labels[anchor], kind="stable")
+    shapes = []
+    for block in block_index(labels):
+        owned = held[block[:, 0]]
+        for kept in set(owned[owned > 0].tolist()):
+            b = block[owned == kept]
+            shapes.append((kept, b, by_block[(np.cumsum(held) - held)[b[:, :1]] + np.arange(kept)]))
+    return shapes, sum(np.abs(x[held[labels] == 0]) for x in coeffs).max(initial=0.0)
+
+
 class SchurCore:
     """A pencil partitioned once against a pivot subspace S, for the Schur
     complements of its shifted evaluations that keep S (x) I.
 
-    In the basis [Q, Q_perp] adapted to S two directions are coupled when a
-    coefficient entry between them exceeds ``tol.rank`` times the largest.
-    The complement is block diagonal over the connected components; those
-    without a pivot direction drop out, the others are stacked by their
-    numbers of pivot directions, of directions and of essential ones into
-    ``groups`` of (kept, index, coeffs, essential, weights): each member's
-    directions (g, c), ``kept`` pivot ones first, and its coefficients
-    (g, K, c, c).  The essential directions are the eigenvectors E of the
-    coefficient sum whose eigenvalues, the ``weights`` w (g, r), pass the
-    ``tol.rank`` cut of ``pencil.range_cut``, from one stacked ``eigh`` per
-    component size; ``essential`` (g, K, r, r) holds the
-    coefficients compressed to T = E W^{-1/2}, which sum to the identity:
-    every essential direction has unit weight.  Both are None if nothing is
-    eliminated.  The constants of a group's half-space checks, sqrt(w) and
-    the 16 eps kappa of its floor, are computed here once, as are a state's
-    weights (``state_weights``); those of the cone bound wait for the first
-    half-space evaluation (``_cone_bound``).
+    The partition works one exact block at a time.  The blocks are the
+    connected components of the coefficients' exact nonzero pattern, joined
+    by each pivot column's support (``_pivot_blocks``), so a direct sum of
+    cells, such as a quadrature representation's, is partitioned cell by
+    cell, and a pencil with a coefficient without zero entries, such as
+    every support certificate, is one block.  Each block b that holds a
+    pivot column takes the basis [Q_b, Q_b_perp] adapted to S within it and
+    its coefficients u_b* C_b u_b, for all blocks of one shape at once.  Two
+    directions of a block are coupled when a coefficient entry between them
+    exceeds ``tol.rank`` times the largest over all blocks.  The complement
+    is block diagonal over the connected components of the couplings
+    (``matcore.components``), gathered across the blocks; those without a
+    pivot direction drop out, the others are stacked by their numbers of
+    pivot directions, of directions and of essential ones into ``groups`` of
+    (kept, index, coeffs, essential, weights), ordered by their first pivot
+    direction: each member's directions (g, c), ``kept`` pivot ones first,
+    numbered by their columns of ``pivot.basis`` and the complement's after
+    them, block by block, and its coefficients (g, K, c, c).  The essential
+    directions are the eigenvectors E of the coefficient sum whose
+    eigenvalues, the ``weights`` w (g, r), pass the ``tol.rank`` cut of
+    ``pencil.range_cut``, from one stacked ``eigh`` per component shape;
+    ``essential`` (g, K, r, r) holds the coefficients compressed to T = E
+    W^{-1/2}, which sum to the identity: every essential direction has unit
+    weight.  Both are None if nothing is eliminated.  The constants of a
+    group's half-space checks, sqrt(w) and the 16 eps kappa of its floor,
+    are computed here once, as are a state's weights (``state_weights``);
+    those of the cone bound wait for the first half-space evaluation
+    (``_cone_bound``).
     """
 
     def __init__(self, pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL):
         if pivot.ambient_dim != pencil.size:
             raise DimensionMismatch("pivot subspace must live on the coefficient space")
         self.pencil, self.basis, self.tol = pencil, pivot.basis, tol
-        u = np.hstack([pivot.basis, pivot.perp_basis()])
-        coeffs = dagger(u) @ np.stack(pencil.coeffs) @ u
-        support = np.abs(coeffs).sum(axis=0)
-        reach = (support > tol.rank * support.max()) | np.eye(pencil.size, dtype=bool)
-        # transitive closure: a product of 0/1 matrices is positive exactly where the boolean one is true;
-        # a BLAS product in the dtype of the core's other products, 5x faster than numpy's boolean one at 128
-        while not np.array_equal(grown := ((f := reach.astype(complex)) @ f).real > 0, reach):
-            reach = grown
-        found, by_size = [], {}  # each component with a pivot direction; those to eliminate by size
-        for first in np.unique(reach.argmax(axis=1)):
-            comp = np.flatnonzero(reach[first])  # sorted, so pivot directions come first
-            if kept := int(np.count_nonzero(comp < pivot.dim)):
-                if comp.size > kept:
-                    by_size.setdefault(comp.size, []).append(len(found))
-                found.append((comp, kept, coeffs[:, comp[:, None], comp]))
-        spectra = {}  # one eigh per component size, cut per member as range_basis cuts
-        for idx in by_size.values():
-            w, e = np.linalg.eigh(herm_part(np.stack([found[j][2] for j in idx]).sum(axis=1)))
-            spectra.update((j, (wj[keep], ej[:, keep])) for j, wj, ej, keep in zip(idx, w, e, range_cut(w, tol)))
-        shapes: dict[tuple[int, int, int], list] = {}
-        for j, (comp, kept, c) in enumerate(found):
-            w, e = spectra.get(j, (np.ones(0), np.zeros((comp.size, 0))))
-            shapes.setdefault((kept, comp.size, w.size), []).append((comp, c, e / np.sqrt(w), w))
+        shapes, top = _pivot_blocks(pencil.coeffs, pivot.basis)
+        parts, perp = [], pivot.dim  # per block shape: the directions, numbered as in index, and the coefficients
+        for kept, b, c in shapes:
+            q = pivot.basis[b[:, :, None], c[:, None, :]]
+            u = np.concatenate([q, _perp(q)], axis=-1)
+            a = np.stack([x[b[:, :, None], b[:, None, :]] for x in pencil.coeffs], axis=1)  # (g, K, size, size)
+            a = dagger(u)[:, None] @ a @ u[:, None]
+            top = max(top, np.abs(a).sum(axis=1).max())
+            at = perp + np.arange(b.size - c.size).reshape(len(b), -1)  # the complement's, block by block
+            parts.append((kept, np.concatenate([c, at], axis=1), a))
+            perp += b.size - c.size
+        found = {}  # by (kept, size): the directions and coefficients of each component with a pivot direction
+        for kept, at, a in parts:
+            size = at.shape[1]
+            reach = (np.abs(a).sum(axis=1) > tol.rank * top) | np.eye(size, dtype=bool)
+            if reach.all():  # each block is one component
+                found.setdefault((kept, size), []).append((at, a))
+                continue
+            for comp in block_index(components(reach).ravel()):
+                comp = comp[comp[:, 0] % size < kept]  # pivot directions come first
+                held = (comp % size < kept).sum(axis=1)
+                for k in set(held.tolist()):
+                    one = comp[held == k]
+                    local = one % size
+                    c = a[one[:, :1, None, None] // size, np.arange(a.shape[1])[:, None, None],
+                          local[:, None, :, None], local[:, None, None, :]]
+                    found.setdefault((k, one.shape[1]), []).append((at.ravel()[one], c))
+        groups = []  # by (kept, size, rank), each with its members ordered by first pivot column
+        for (kept, size), got in found.items():
+            index, c = got[0] if len(got) == 1 else (np.concatenate(z) for z in zip(*got))
+            w, e = np.ones((len(c), 0)), np.zeros((len(c), size, 0))  # nothing to eliminate
+            if kept < size:  # one eigh per shape, cut per member as range_basis cuts
+                w, e = np.linalg.eigh(herm_part(c.sum(axis=1)))
+            rank = range_cut(w, tol).sum(axis=-1)
+            for r in set(rank.tolist()):
+                sel = np.flatnonzero(rank == r)
+                sel = sel[np.argsort(index[sel, 0])]
+                groups.append((kept, index[sel], c[sel], w[sel, w.shape[1] - r:], e[sel, :, e.shape[2] - r:]))
         self.groups, self._sector = [], []
-        for (kept, _, rank), members in shapes.items():
-            index, c, t, w = (np.stack(z) for z in zip(*members))
+        for kept, index, c, w, e in sorted(groups, key=lambda group: group[1][0, 0]):
+            t, rank = e / np.sqrt(w)[:, None, :], w.shape[1]
             essential = dagger(t)[:, None] @ c @ t[:, None] if rank else None
             self.groups.append((kept, index, c, essential, w if rank else None))
             self._sector.append((np.sqrt(w), 16 * np.finfo(float).eps * (w[:, -1] / w[:, 0])) if rank else None)

@@ -202,10 +202,7 @@ def pencil_payload(p: LinearPencil) -> dict:
 @_decoder
 def pencil_from_payload(obj: Any) -> LinearPencil:
     _check_declared(obj["coefficients"])
-    coeffs = [decode_matrix(b) for b in obj["coefficients"]]
-    for b in coeffs:  # the decoder's own arrays, so frozen here and checked by pencil_new without a copy
-        b.setflags(write=False)
-    return pencil_new(coeffs)
+    return pencil_new([decode_matrix(b) for b in obj["coefficients"]])
 
 
 def certificate_payload(cert: SupportCertificate) -> dict:

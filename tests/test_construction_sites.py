@@ -31,6 +31,11 @@ for the NC-axiom check, which tests the unitary equivariance that lets the Loewn
 the support validation draw each trial in its first matrix's eigenbasis: a tester that finished
 its own unitaries would draw one per argument again.
 
+The one component finder, ``matcore.components``, labels every exact block: those of a
+matrix or coefficient list (``matcore.exact_blocks``, so ``pencil_new`` and a representation's
+state check) and those of a Schur core's partition, before and after its coupling cut, so a
+second finder of blocks cannot grow back.
+
 The one Cholesky screen, ``matcore.cholesky_proves``, serves the testers' scan alone
 (``cert._screened``): every other check that compares a smallest eigenvalue with a floor
 reads ``min_eig``, so a second screen beside it would be a second decision path.
@@ -58,6 +63,7 @@ ALLOWED = {
     "_lift_margins": {"represent._graph_margins"},
     "_mean_gradient": {"freefun._fixed_point", "freefun._mean"},
     "cholesky_proves": {"cert._screened"},
+    "components": {"matcore.exact_blocks", "schur._pivot_blocks", "schur.SchurCore.__init__"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
 }
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opmono.freefun import harmonic_mean, lift_scalar
-from opmono.matcore import herm_part
+from opmono.matcore import block_diag, herm_part
 from opmono.pencil import RawPencil, pencil_direct_sum, pencil_eval_shifted, pencil_new
 from opmono.represent import (
     PencilRepresentation,
@@ -23,7 +23,7 @@ from opmono.represent import (
     support_pencil,
 )
 from opmono.sampling import rand_herm, rand_psd, rand_tuple_interval, rand_unit_vector
-from opmono.schur import PivotSubspace, schur_generic, schur_pencil
+from opmono.schur import PivotSubspace, SchurCore, schur_generic, schur_pencil
 
 
 def dense_complement(pencil, pivot, x):
@@ -130,3 +130,57 @@ def test_reconstruct(name):
     cert = support_pencil(lift_scalar(name), a, v, seed=8, validation_samples=40)
     ref = dense_complement(cert.pencil, PivotSubspace.from_vector(cert.v), a)
     assert_close(reconstruct(cert).value_op, herm_part(ref))
+
+
+def interleaved_pencil(rng, sizes, k):
+    """A validated pencil block diagonal over ``sizes`` (1 to 4), its blocks interleaved by one permutation.
+
+    Returns the pencil and, per block, its scattered indices.
+    """
+    parts = [valid_pencil(rng, k, s) for s in sizes]
+    perm = rng.permutation(sum(sizes))
+    coeffs = [block_diag(*(p.coeffs[i] for p in parts))[np.ix_(perm, perm)] for i in range(k + 1)]
+    where = np.argsort(perm)  # the new index of each old one
+    starts = np.cumsum((0,) + tuple(sizes))
+    return pencil_new(coeffs), [np.sort(where[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+
+
+class TestExactBlocks:
+    SIZES = (2, 1, 3, 4, 2, 1, 3)
+
+    def check(self, pencil, pivot, rng, n=2):
+        for x in tuples(rng, pencil.arity, n)[1:]:
+            assert_close(schur_pencil(pencil, x, pivot), dense_complement(pencil, pivot, x))
+        g = rng.normal(size=(pencil.size,) * 2) + 1j * rng.normal(size=(pencil.size,) * 2)
+        state = g @ g.conj().T
+        check_representation(PencilRepresentation(pencil, pivot, state / np.trace(state).real), rng, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coordinate_pivot(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        pencil, blocks = interleaved_pencil(rng, self.SIZES, 2)
+        cols = sorted(int(b[0]) for b in blocks[::2]) + [int(blocks[3][1])]
+        pivot = PivotSubspace.from_indices(pencil.size, sorted(cols))
+        self.check(pencil, pivot, rng)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pivot_in_general_position_inside_one_block(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        pencil, blocks = interleaved_pencil(rng, self.SIZES, 2)
+        v = np.zeros(pencil.size, dtype=complex)
+        v[blocks[3]] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        pivot = PivotSubspace.from_vector(v)
+        core = SchurCore(pencil, pivot)
+        assert [index.shape for _, index, *_ in core.groups] == [(1, 4)]  # the other blocks drop out
+        self.check(pencil, pivot, rng)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_pivot_column_spanning_two_blocks_merges_them(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        pencil, blocks = interleaved_pencil(rng, self.SIZES, 1)
+        v = np.zeros(pencil.size, dtype=complex)
+        v[blocks[2][0]], v[blocks[4][1]] = 0.6, 0.8j  # a unit vector; a second column lies in block 0
+        pivot = PivotSubspace.from_basis(np.stack([v, np.eye(pencil.size)[blocks[0][0]]], axis=1))
+        core = SchurCore(pencil, pivot)
+        assert sorted((kept, index.shape) for kept, index, *_ in core.groups) == [(1, (1, 2)), (1, (1, 5))]
+        self.check(pencil, pivot, rng, n=3)

@@ -9,8 +9,11 @@ from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
     block_diag,
+    block_index,
     cholesky_proves,
     cholesky_shift,
+    components,
+    exact_blocks,
     fro_norm,
     funcalc,
     herm_certify,
@@ -500,3 +503,78 @@ class TestDouglasFactor:
             v = u[:, 0]  # kernel vector
             assert abs(v.conj() @ a @ v) <= 1e-12 * np.linalg.norm(a)
             assert np.linalg.norm(a @ v) <= 1e-10 * np.linalg.norm(a)
+
+
+def reference_components(pattern):
+    """Least index of each index's component, by depth-first search."""
+    d = pattern.shape[0]
+    joined = pattern | pattern.T
+    label = np.full(d, -1)
+    for start in range(d):
+        if label[start] < 0:
+            label[start], todo = start, [start]
+            while todo:
+                for j in np.flatnonzero(joined[todo.pop()] & (label < 0)):
+                    label[j] = start
+                    todo.append(j)
+    return label
+
+
+class TestComponents:
+    def test_a_long_chain_is_one_component(self):
+        # a chain visits its indices in random order, each joined in one direction only
+        rng = np.random.default_rng(0)
+        d = 3000
+        order = rng.permutation(d)
+        pattern = np.zeros((d, d), dtype=bool)
+        pattern[order[:-1], order[1:]] = True
+        assert np.array_equal(components(pattern), np.zeros(d, dtype=int))
+        pattern[order[1499], order[1500]] = False  # cut in two halves
+        labels = components(pattern)
+        assert np.array_equal(labels, reference_components(pattern))
+        assert len(set(labels.tolist())) == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_patterns_match_a_search(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 40))
+        group = rng.integers(0, 6, size=d)
+        pattern = (group[:, None] == group[None, :]) & (rng.random((d, d)) < 0.3)
+        labels = components(pattern)
+        assert np.array_equal(labels, reference_components(pattern))
+        blocks = block_index(labels)
+        assert sorted(np.concatenate([b.ravel() for b in blocks]).tolist()) == list(range(d))
+        for b in blocks:
+            assert all(np.array_equal(np.flatnonzero(labels == row[0]), row) for row in b)
+
+    def test_a_stack_numbers_its_members_through(self):
+        pattern = np.stack([np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool)])
+        pattern[0, 0, 2] = True
+        assert components(pattern).tolist() == [[0, 1, 0], [3, 3, 3]]
+        assert components(np.ones((2, 3, 3), dtype=bool)).tolist() == [[0, 0, 0], [3, 3, 3]]
+
+
+class TestBlockwiseMinEig:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_it_matches_the_dense_value(self, seed, count_calls):
+        rng = np.random.default_rng(seed)
+        sizes = (1, 4, 2, 3, 1, 4, 2)
+        a = block_diag(*(rand_herm(rng, s) for s in sizes))
+        perm = rng.permutation(a.shape[0])
+        a = a[np.ix_(perm, perm)]
+        blocks = exact_blocks((a,))
+        assert [b.shape for b in blocks] == [(2, 1), (2, 2), (1, 3), (2, 4)]
+        shapes = count_calls(np.linalg, "eigvalsh")
+        lam = min_eig(a, blocks)
+        assert shapes == [(2, 1, 1), (2, 2, 2), (1, 3, 3), (2, 4, 4)]  # one per block size
+        d = a.shape[0]
+        assert abs(lam - min_eig(a)) <= 64 * d * d * np.finfo(float).eps * np.linalg.norm(a)
+        stack = np.stack([a, 2 * a])
+        assert np.allclose(min_eig(stack, blocks), min_eig(stack), rtol=0, atol=1e-12 * np.linalg.norm(a))
+
+    def test_a_matrix_without_a_zero_entry_is_one_block(self, count_calls):
+        a = np.ones((3, 3)) + np.eye(3)
+        assert exact_blocks((np.eye(3), a)) is None
+        shapes = count_calls(np.linalg, "eigvalsh")
+        assert min_eig(a, exact_blocks((a,))) == min_eig(a)
+        assert shapes == [(3, 3), (3, 3)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opmono import errors
-from opmono.matcore import DEFAULT_TOL, herm_part, min_eig, tensor
+from opmono.matcore import DEFAULT_TOL, block_diag, herm_part, min_eig, require_psd, tensor
 from opmono.pencil import (
     RawPencil,
     pencil_direct_sum,
@@ -47,6 +47,84 @@ class TestPencilNew:
     def test_shape_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             pencil_new([np.eye(2), np.eye(3)])
+
+
+class TestCoefficientsAreKept:
+    def test_hermitian_parts_own_their_data_and_the_callers_stay_writable(self):
+        rng = np.random.default_rng(20)
+        bi = [rand_psd(rng, 3) for _ in range(2)]
+        coeffs = [sum(bi) + np.eye(3)] + bi
+        before = [c.copy() for c in coeffs]
+        p = pencil_new(coeffs)
+        for kept, given, copy in zip(p.coeffs, coeffs, before):
+            assert kept.flags.owndata and not kept.flags.writeable
+            assert given.flags.writeable and not np.shares_memory(kept, given)
+            assert np.array_equal(kept, herm_part(copy))
+        coeffs[1][0, 0] += 5.0  # an edit of the caller's array does not reach the pencil
+        assert np.array_equal(p.coeffs[1], herm_part(before[1]))
+
+    def test_a_pencil_of_one_coefficient_is_refused_by_arity(self):
+        for coeffs in ([], [np.eye(2)]):
+            with pytest.raises(errors.ArityMismatch):
+                pencil_new(coeffs)
+
+
+def interleaved_blocks(rng, sizes, k):
+    """B_1..B_k and B_0 = sum B_i + a PSD slack, each block diagonal over ``sizes``, permuted alike.
+
+    Blocks of size 1 to 4 are interleaved by one random permutation, so each
+    block's indices are scattered over the whole matrix.
+    """
+    parts = [[rand_psd(rng, s) for s in sizes] for _ in range(k)]
+    slack = [rand_psd(rng, s) + 0.05 * np.eye(s) for s in sizes]
+    bi = [block_diag(*blocks) for blocks in parts]
+    b0 = sum(bi) + block_diag(*slack)
+    perm = rng.permutation(sum(sizes))
+    return [m[np.ix_(perm, perm)] for m in [b0] + bi], perm
+
+
+class TestBlockwiseValidation:
+    SIZES = (1, 3, 2, 4, 1, 2, 3, 4, 2, 1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_margins_match_the_dense_ones(self, seed, count_calls):
+        rng = np.random.default_rng(seed)
+        coeffs, _ = interleaved_blocks(rng, self.SIZES, 2)
+        shapes = count_calls(np.linalg, "eigvalsh")
+        p = pencil_new(coeffs)
+        assert max(shape[-1] for shape in shapes) == max(self.SIZES)  # no eigvalsh of the whole matrix
+        d = p.size
+        eps = np.finfo(float).eps
+        dense = min(min_eig(herm_part(c)) for c in coeffs)
+        assert abs(p.coeff_margin - dense) <= 64 * d * d * eps * max(np.linalg.norm(c) for c in coeffs)
+        dom = herm_part(coeffs[0]) - herm_part(coeffs[1]) - herm_part(coeffs[2])
+        assert abs(p.dominance_margin - min_eig(dom)) <= 64 * d * d * eps * np.linalg.norm(dom)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("spoil", ["B_1", "B_0", "dominance"])
+    def test_one_perturbed_block_gives_the_dense_error(self, seed, spoil):
+        rng = np.random.default_rng(10 + seed)
+        sizes = self.SIZES
+        coeffs, perm = interleaved_blocks(rng, sizes, 2)
+        start = int(np.cumsum((0,) + sizes)[5])
+        idx = np.flatnonzero(np.isin(perm, np.arange(start, start + sizes[5])))  # block 5, scattered
+        bump = np.zeros_like(coeffs[0])
+        bump[np.ix_(idx, idx)] = np.eye(idx.size) * (1.0 + np.abs(coeffs[0]).max())
+        if spoil == "B_1":
+            coeffs[1] = coeffs[1] - bump
+        elif spoil == "B_0":
+            coeffs[0] = coeffs[0] - 3 * bump
+        else:  # B_1 grows past B_0 on one block only
+            coeffs[1] = coeffs[1] + bump
+        error = errors.DominanceViolated if spoil == "dominance" else errors.CoefficientNotPSD
+        with pytest.raises(error):
+            pencil_new(coeffs)
+        hermed = [herm_part(c) for c in coeffs]
+        checks = [(hermed[1], errors.CoefficientNotPSD), (hermed[2], errors.CoefficientNotPSD),
+                  (hermed[0], errors.CoefficientNotPSD), (hermed[0] - hermed[1] - hermed[2], errors.DominanceViolated)]
+        with pytest.raises(error):  # the same checks, taken on the whole matrices
+            for m, err in checks:
+                require_psd(m, err, "dense", DEFAULT_TOL)
 
 
 class TestPencilEval:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from opmono.freefun import (
     power_mean_fn,
     resolve_function,
 )
-from opmono.matcore import dagger, fro_norm, funcalc, herm_part, im_part, min_eig, psd_floor, readonly
+from opmono.matcore import (block_diag, dagger, fro_norm, funcalc, herm_part, im_part, min_eig, psd_floor, readonly,
+                            require_psd)
 from opmono.pencil import RawPencil, pencil_new
 from opmono.represent import (
     PencilRepresentation,
@@ -1118,3 +1120,36 @@ class TestReadOnlyArrays:
             mine[0, 0] = 7.0
         assert rep.pencil.b0[0, 0] == 2.0 and raw.coeffs[0][0, 0] == 2.0 and raw.coeffs[1][0, 0] == 1.0
         assert rep.pivot.basis[0, 0] == 1.0 and rep.state[0, 0] == 1.0
+
+
+class TestBlockwiseSetUp:
+    def test_building_loading_and_a_first_evaluation_take_no_large_eigendecomposition(self, count_calls):
+        # a 128-node representation's set-up works cell by cell: the only eigh or
+        # eigvalsh on a matrix larger than 2 x 2 is the Golub-Welsch tridiagonal one
+        from opmono import serialize as io
+
+        eigh, eigvalsh = count_calls(np.linalg, "eigh"), count_calls(np.linalg, "eigvalsh")
+        rep = rep_from_quadrature("sqrt", nodes=128)
+        text = io.dumps(io.envelope("representation", io.representation_payload(rep)))
+        _, payload = io.parse_envelope(json.loads(text), expect="representation")
+        loaded = io.representation_from_payload(payload)
+        z = np.array([[1.0 + 1.0j, 0.3], [0.3, 2.0 + 0.5j]])
+        assert np.array_equal(rep_eval_complex(loaded, (z,)), rep_eval_complex(rep, (z,)))
+        large = [shape for shape in eigh + eigvalsh if shape[-1] > 2]
+        assert large == [(128, 128)] and eigh.count((128, 128)) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_state_with_one_negative_block_is_refused(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        sizes = (2, 1, 3, 2, 1)
+        blocks = [rand_psd(rng, s) + 0.1 * np.eye(s) for s in sizes]
+        blocks[2] = blocks[2] - (1.0 + np.linalg.norm(blocks[2])) * np.eye(3)
+        perm = rng.permutation(sum(sizes))
+        state = block_diag(*blocks)[np.ix_(perm, perm)]
+        state = state / np.trace(state).real
+        d = state.shape[0]
+        pencil = pencil_new([2 * np.eye(d), np.eye(d)])
+        with pytest.raises(errors.NotPSD):
+            PencilRepresentation(pencil, PivotSubspace.from_indices(d, [0]), state)
+        with pytest.raises(errors.NotPSD):  # the check on the whole matrix refuses it too
+            require_psd(herm_part(state), errors.NotPSD, "the state")
