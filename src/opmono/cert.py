@@ -75,6 +75,8 @@ DEFAULT_INTERVAL = (0.5, 2.0)
 _CHUNK = 512
 _CANDIDATES = 32  # members per stack whose margins ``_screened`` takes before it screens the others
 _TINY = np.finfo(float).tiny
+_DOUBLING_WEIGHTS = (0.25, 0.5, 0.75)  # the doubling check's mixing weights lambda, in trial order
+_DOUBLING_EPS = (1e-1, 1e-3, 1e-6)  # and its dominance shifts eps, checked at every weight
 # every tester runs under it: an infinite value reaches ``_report``'s non-finite rule, not a warning
 _tester = np.errstate(invalid="ignore", over="ignore")
 
@@ -383,8 +385,6 @@ def derivative_monotone_test(
 def doubling_concavity_check(
     fn: FreeFn,
     n: int,
-    lambda_grid: tuple[float, ...] = (0.25, 0.5, 0.75),
-    eps_ladder: tuple[float, ...] = (1e-1, 1e-3, 1e-6),
     trials: int = 100,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
@@ -400,16 +400,15 @@ def doubling_concavity_check(
     the mixed block form, (iii) the dominance by diag(mix + eps I, 2Z) for
     Z = (1-lam) A + lam B + D^2 / eps, and (iv) the shifted Jensen
     inequality that follows by monotonicity at doubled size.  A trial is
-    one pair at one weight, ``trials`` per weight, weights in grid order.
-    The weights must lie in [0, 1] and the shifts eps be positive.
+    one pair at one weight, ``trials`` per weight, at the weights
+    lam = 1/4, 1/2, 3/4 in this order, each with the shifts eps = 1e-1,
+    1e-3, 1e-6.
     """
-    if not (eps_ladder and all(0 < e < np.inf for e in eps_ladder) and all(0 <= w <= 1 for w in lambda_grid)):
-        raise BadConfig(f"need weights in [0, 1] and positive finite eps, got {lambda_grid} and {eps_ladder}")
     rng = np.random.default_rng(seed)
     k, eye = fn.arity, np.eye(n)
-    ab = slots(finish_spd(*draw(rng, 2 * len(lambda_grid) * trials * k, spd_plan(n, *interval))), 2 * k)
+    ab = slots(finish_spd(*draw(rng, 2 * len(_DOUBLING_WEIGHTS) * trials * k, spd_plan(n, *interval))), 2 * k)
     a, b = ab[:k], ab[k:]
-    g = np.asarray(lambda_grid, dtype=float)[:, None, None]
+    g = np.asarray(_DOUBLING_WEIGHTS)[:, None, None]
     rot = np.block([[np.sqrt(g) * eye, -np.sqrt(1 - g) * eye], [np.sqrt(1 - g) * eye, np.sqrt(g) * eye]])
     unit_defect = fro_norm(dagger(rot) @ rot - np.eye(2 * n))
     v, lam = np.repeat(rot, trials, axis=0), np.repeat(g, trials, axis=0)
@@ -420,9 +419,9 @@ def doubling_concavity_check(
         anti = (1 - lam) * ai + lam * bi
         d = -np.sqrt(lam * (1 - lam)) * (bi - ai)
         block_defect = np.maximum(block_defect, fro_norm(conj - np.block([[mix, -d], [-d, anti]])))
-        dom += [block_diag(mix + eps * eye, 2 * (anti + (d @ d) / eps)) for eps in eps_ladder]
-        conjs += [conj] * len(eps_ladder)
-    eps = np.asarray(eps_ladder, dtype=float)[:, None, None]
+        dom += [block_diag(mix + eps * eye, 2 * (anti + (d @ d) / eps)) for eps in _DOUBLING_EPS]
+        conjs += [conj] * len(_DOUBLING_EPS)
+    eps = np.asarray(_DOUBLING_EPS)[:, None, None]
     shifted = tuple((lam * ai + (1 - lam) * bi)[:, None] + eps * eye for ai, bi in zip(a, b))
     try:
         fa, fb = _chunked_eval(fn, a), _chunked_eval(fn, b)
@@ -433,8 +432,8 @@ def doubling_concavity_check(
     return _scan(
         "doubling", seed, tol, [(np.stack(dom, axis=1), np.stack(conjs, axis=1)), jensen],
         lambda t, c, m: {
-            "A": _at(a, t), "B": _at(b, t), "lambda": lambda_grid[t // trials],
-            "eps": eps_ladder[c % len(eps_ladder)], "margin": m,
+            "A": _at(a, t), "B": _at(b, t), "lambda": _DOUBLING_WEIGHTS[t // trials],
+            "eps": _DOUBLING_EPS[c % len(_DOUBLING_EPS)], "margin": m,
         },
         {"unitarity_defect": np.repeat(unit_defect, trials), "block_defect": block_defect},
     )

@@ -33,7 +33,7 @@ import numpy as np
 from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
-from .freefun import _parse_identifier, _pow_exponent, karcher_mean, resolve_function
+from .freefun import _parse_identifier, _parse_weights, _pow_exponent, karcher_mean, resolve_function
 from .matcore import Tolerances, min_eig
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
@@ -91,7 +91,7 @@ def _parse_interval(spec: str) -> tuple[float, float]:
 def _tolerances(args) -> Tolerances:
     if args.tol is None:
         return Tolerances()
-    return Tolerances(psd=args.tol, herm=args.tol, eq=max(args.tol, 1e-8))
+    return Tolerances(psd=args.tol, eq=max(args.tol, 1e-8))
 
 
 def _emit(args, payload: dict, text: str, saved: tuple[str, object] | None = None) -> None:
@@ -301,7 +301,7 @@ def _cmd_mean(args) -> int:
         raise BadConfig(f"{fn.name} takes {fn.arity} arguments but the tuple has {k}")
     extra = ""
     if fn.name == "karcher":
-        value, info = karcher_mean(x, fn.weights, return_info=True)
+        value, info = karcher_mean(x, _parse_weights(_parse_identifier(ident)[1].get("w")), return_info=True)
         extra = f" ({info['iterations']} polish iterations, residual {info['residual']:.2e})"
     else:
         value = fn(x)

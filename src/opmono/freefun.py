@@ -200,7 +200,6 @@ class FreeFn:
     vgrad: Callable[[MatTuple, np.ndarray], list[np.ndarray]] | None = None
     monotone: bool = True
     concave: bool = True
-    weights: tuple[float, ...] | None = None  # the Karcher mean's, for the CLI's iteration report
     scalar: tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
 
     def _args(self, mats: tuple, one: bool = False) -> MatTuple:
@@ -306,7 +305,7 @@ def _loewner_vgrad(f: Callable, fprime: Callable, xs: MatTuple, seed: np.ndarray
     return [herm_part(p @ (theta * cwc) @ dagger(p)) for theta in thetas]
 
 
-def _declared_fn(name: str, arity: int, f: Callable, fp: Callable, checked=True, monotone=True, weights=None) -> FreeFn:
+def _declared_fn(name: str, arity: int, f: Callable, fp: Callable, checked=True, monotone=True) -> FreeFn:
     """The FreeFn that (f, f') declares, its evaluator, continuation and adjoint all built from them.
 
     A lift evaluates U f(Lambda) U* by one ``eigh`` (positive definite
@@ -319,7 +318,7 @@ def _declared_fn(name: str, arity: int, f: Callable, fp: Callable, checked=True,
         what = "argument" if checked else None
         return FreeFn(name, 1, lambda xs: _eigh_fun(f, xs[0], what), _principal_matfun(f), vgrad,
                       monotone=monotone, concave=monotone, scalar=(f, fp))
-    return FreeFn(name, 2, lambda xs: _congruence_fun(*xs, f), vgrad=vgrad, weights=weights, scalar=(f, fp))
+    return FreeFn(name, 2, lambda xs: _congruence_fun(*xs, f), vgrad=vgrad, scalar=(f, fp))
 
 
 def lift_scalar(name: str, p: float | None = None) -> FreeFn:
@@ -705,7 +704,7 @@ def power_mean(xs: MatTuple, t: float, weights: tuple[float, ...]) -> np.ndarray
     return _mean(check_args(xs, w.size, "power_mean"), w, t)
 
 
-def _mean_fn(name: str, w: np.ndarray, t: float, weights: tuple[float, ...] | None = None) -> FreeFn:
+def _mean_fn(name: str, w: np.ndarray, t: float) -> FreeFn:
     """FreeFn of P_t, the Karcher mean at t = 0.
 
     Two arguments declare ``_pair_function(t, *w)`` (``_declared_fn``); more take ``_mean`` and the
@@ -713,13 +712,13 @@ def _mean_fn(name: str, w: np.ndarray, t: float, weights: tuple[float, ...] | No
     every arity, the arithmetic mean, whose adjoint is w_i W; two arguments still declare f(x) = w_1 + w_2 x.
     """
     if t == 1:
-        return FreeFn(name=name, arity=w.size, evaluator=partial(_mean, w=w, t=t), weights=weights,
+        return FreeFn(name=name, arity=w.size, evaluator=partial(_mean, w=w, t=t),
                       vgrad=lambda xs, seed: [wi * seed for wi in w],
                       scalar=_pair_function(t, *w) if w.size == 2 else None)
     if w.size == 2:
-        return _declared_fn(name, 2, *_pair_function(t, *w), weights=weights)
+        return _declared_fn(name, 2, *_pair_function(t, *w))
     evaluate = partial(_mean, w=w, t=t)
-    return FreeFn(name=name, arity=w.size, evaluator=evaluate, weights=weights,
+    return FreeFn(name=name, arity=w.size, evaluator=evaluate,
                   vgrad=lambda xs, seed: _implicit_vgrad(evaluate(xs), xs, seed, w, *_family(t)))
 
 
@@ -771,8 +770,7 @@ def karcher_mean(xs: MatTuple, weights: tuple[float, ...], return_info: bool = F
 
 
 def karcher_mean_fn(weights: tuple[float, ...]) -> FreeFn:
-    w = _check_weights(weights)
-    return _mean_fn("karcher", w, 0.0, tuple(w.tolist()))
+    return _mean_fn("karcher", _check_weights(weights), 0.0)
 
 
 def geometric_mean_2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -818,16 +816,26 @@ def mobius_apply(g: MobiusMap, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def mobius_fn(g: MobiusMap) -> FreeFn:
+    """The lift of the map, declared monotone and concave exactly when its pole misses (0, inf).
+
+    With a d - b c > 0 the map is a/c - (a d - b c) / (c^2 (x + d/c)) for
+    c != 0, operator monotone and concave on (0, inf) when the pole -d/c is
+    at most 0; c = 0 makes it affine with positive slope.  A pole inside
+    (0, inf), as x / (1 - x) has, breaks both on the positive matrices.
+    """
+
     def _ev(xs: MatTuple) -> np.ndarray:
         return herm_part(mobius_apply(g, xs[0]))
 
     det = g.a * g.d - g.b * g.c
+    declared = g.c == 0 or g.d / g.c >= 0
     return FreeFn(
         name=f"mobius:{g.a:g},{g.b:g},{g.c:g},{g.d:g}",
         arity=1,
         evaluator=_ev,
         complex_evaluator=lambda xs: mobius_apply(g, xs[0]),
         vgrad=partial(_loewner_vgrad, g.scalar, lambda x: det / (g.c * x + g.d) ** 2),
+        monotone=declared, concave=declared,
     )
 
 
@@ -882,12 +890,12 @@ def frechet_derivative(
     fn: FreeFn,
     x: MatTuple,
     direction: MatTuple,
-    h: float | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Central-difference Frechet derivative DF(X)(H) with step validation.
 
-    The step is halved, at most ``_MAX_HALVINGS`` times, until two
+    The step starts at 1e-3 (1 + max_i ||X_i||_F), as ``_fd_gradient``'s
+    does, and is halved, at most ``_MAX_HALVINGS`` times, until two
     successive Richardson-refined estimates agree within the relative ``eq``
     tolerance; StepUnderflow is raised when the step degrades to the
     vicinity of roundoff or the halvings run out without agreement.  Both
@@ -900,7 +908,7 @@ def frechet_derivative(
     if x[0].shape[-1] != direction[0].shape[-1]:
         raise DimensionMismatch(f"{fn.name} direction has size {direction[0].shape[-1]}, the point {x[0].shape[-1]}")
     norm_x = max(float(fro_norm(m)) for m in x)
-    step = h if h is not None else 1e-3 * (1.0 + norm_x)
+    step = 1e-3 * (1.0 + norm_x)
     floor = 1e-10 * (1.0 + norm_x)
     prev = None
     for _ in range(_MAX_HALVINGS):

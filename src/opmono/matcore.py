@@ -78,10 +78,10 @@ __all__ = [
 class Tolerances:
     """Relative tolerance bundle.
 
-    herm: Hermitian-defect acceptance, psd: semidefiniteness slack,
-    rank: pseudoinverse truncation and range-inclusion residuals,
-    eq: generic equality comparisons.  Each must be finite and nonnegative
-    (BadConfig): a NaN or infinite bound would pass every check.
+    psd: semidefiniteness slack and Hermitian-defect acceptance
+    (``herm_certify``), rank: pseudoinverse truncation and range-inclusion
+    residuals, eq: generic equality comparisons.  Each must be finite and
+    nonnegative (BadConfig): a NaN or infinite bound would pass every check.
 
     One PSD rule serves every Loewner check in the package: a Hermitian
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
@@ -163,13 +163,12 @@ class Tolerances:
     the exact check refuses.
     """
 
-    herm: float = 1e-9
     psd: float = 1e-9
     rank: float = 1e-10
     eq: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("herm", "psd", "rank", "eq"):
+        for name in ("psd", "rank", "eq"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise BadConfig(f"tolerance {name} must be finite and nonnegative")
 
@@ -298,11 +297,11 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Certify that ``m`` is Hermitian within tolerance and symmetrize it.
 
     Returns (M + M*)/2.  ``m`` takes ``check_args``; raises NotHermitian
-    when the defect of a member exceeds its ``tol.herm * (1 + ||M||_F)``.
+    when the defect of a member exceeds its ``tol.psd * (1 + ||M||_F)``.
     """
     (m,) = check_args((np.asarray(m, dtype=complex),), 1, "herm_certify")
     defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1)).ravel()
-    bound = tol.herm * (1.0 + np.ravel(fro_norm(m)))
+    bound = tol.psd * (1.0 + np.ravel(fro_norm(m)))
     bad = np.flatnonzero(defect > bound)
     if bad.size:
         raise NotHermitian(f"Hermitian defect {defect[bad[0]]:.3e} exceeds {bound[bad[0]]:.3e}")
@@ -529,7 +528,8 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     H and one ``eigvalsh`` of the congruence.  The sector is the
     intersection of the rotated half-planes {Re(e^{+-i(pi/2 - alpha)} z)
     >= 0}, so alpha is certified when lambda_min of both rotated real parts
-    is at least -1e-12 (1 + ||A||_F).  Returns (alphas, margins) with
+    is at least -32 n^2 eps ||A||_F, their rounding allowance (as in
+    ``cholesky_shift``), which scales with A.  Returns (alphas, margins) with
     margin = lambda_min(H); a member with margin <= 0 or an uncertified
     angle gets alpha = pi/2, and one with a non-finite entry margin -inf
     (the identity is factored in its place).
@@ -545,7 +545,7 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alphas = np.arctan(np.abs(np.linalg.eigvalsh(congruence)).max(axis=-1))
     phases = np.exp(1j * np.multiply.outer([1.0, -1.0], np.pi / 2 - alphas))
     edges = np.linalg.eigvalsh(herm_part(phases[..., None, None] * a))[..., 0].min(axis=0)
-    certified = (margins > 0) & (edges >= -1e-12 * (1.0 + fro_norm(a)))
+    certified = (margins > 0) & (edges >= -32 * a.shape[-1] ** 2 * np.finfo(float).eps * fro_norm(a))
     return np.where(certified, alphas, np.pi / 2), margins
 
 

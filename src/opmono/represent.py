@@ -102,9 +102,13 @@ class SupportCertificate:
     support_margin: float
     scalar_margin: float
     trace_bound: float
-    trace_slack: float
     samples: int
     seed: int
+
+    @property
+    def trace_slack(self) -> float:
+        """``trace_bound`` - tr(B_0): how far the trace normalization stays below its bound."""
+        return self.trace_bound - float(np.trace(self.pencil.b0).real)
 
     @property
     def gradients(self) -> tuple[np.ndarray, ...]:
@@ -384,7 +388,6 @@ def support_pencil(
         support_margin=float(support_margin),
         scalar_margin=float(scalar_margin),
         trace_bound=trace_bound,
-        trace_slack=float(trace_bound - float(np.trace(b0).real)),
         samples=2 * per_size,
         seed=seed,
     )

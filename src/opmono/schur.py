@@ -85,8 +85,11 @@ class PivotSubspace:
 
     @classmethod
     def from_indices(cls, ambient_dim: int, indices: list[int]) -> "PivotSubspace":
+        """span(e_i) for the distinct ``indices`` i in 0..ambient_dim - 1, else BadConfig."""
         if any(not 0 <= idx < ambient_dim for idx in indices):
             raise BadConfig(f"pivot indices {list(indices)} must lie in 0..{ambient_dim - 1}")
+        if len(set(indices)) != len(indices):
+            raise BadConfig(f"pivot indices {list(indices)} repeat an index")
         basis = np.zeros((ambient_dim, len(indices)), dtype=complex)
         for col, idx in enumerate(indices):
             basis[idx, col] = 1.0

@@ -224,7 +224,7 @@ def certificate_payload(cert: SupportCertificate) -> dict:
 
 @_decoder
 def certificate_from_payload(obj: Any) -> SupportCertificate:
-    """A ``gradients`` entry is ignored: the gradients are the pencil's B_1, ..., B_k."""
+    """``gradients`` and ``trace_slack`` entries are ignored: both follow from the pencil (``SupportCertificate``)."""
     _check_declared([*obj["base_point"], *obj["pencil"]["coefficients"]])
     cert = SupportCertificate(
         function=obj["function"],
@@ -236,7 +236,6 @@ def certificate_from_payload(obj: Any) -> SupportCertificate:
         support_margin=float(obj["support_margin"]),
         scalar_margin=float(obj["scalar_margin"]),
         trace_bound=float(obj["trace_bound"]),
-        trace_slack=float(obj["trace_slack"]),
         samples=int(obj["samples"]),
         seed=int(obj["seed"]),
     )

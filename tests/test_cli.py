@@ -443,12 +443,13 @@ class TestUsageErrors:
         (("check", "sqrt", "monotone", "--n", "2", "--tol", "-1"), "BadConfig"),
         (("schur", "{matrix}", "--pivot", "5"), "BadConfig"),
         (("schur", "{matrix}", "--pivot", "a"), "BadConfig"),
+        (("schur", "{matrix}", "--pivot", "0,0"), "BadConfig"),
         (("support", "sqrt", "{single}", "--v-index", "7"), "BadConfig"),
         (("check", "xsq", "monotone", "--tol", "nan"), "BadConfig"),
         (("check", "harmonic:w=nan,0.5", "monotone"), "UnknownFunction"),
         (("check", "mobius:nan,0,0,1", "monotone"), "UnknownFunction"),
     ], ids=["mean-t-above-one", "check-t-zero", "quadrep-bad-exponent", "n-zero", "n-negative",
-            "negative-tol", "pivot-out-of-range", "pivot-not-int", "v-index-out-of-range", "nan-tol",
+            "negative-tol", "pivot-out-of-range", "pivot-not-int", "pivot-repeated", "v-index-out-of-range", "nan-tol",
             "nan-weight", "nan-mobius-coefficient"])
     def test_bad_arguments_exit_64(self, argv, error, tmp_path, capsys):
         files = {"pair": (np.eye(2), 2 * np.eye(2)), "single": (np.eye(3),)}

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opmono import errors
-from opmono.cert import nc_axiom_check
+from opmono.cert import concave_test, nc_axiom_check
 from opmono.freefun import (
     CATALOGUE_IDS,
     MobiusMap,
@@ -941,6 +941,25 @@ class TestMobius:
             z = z + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n))
             out = fn.eval_complex(z)
             assert min_eig(im_part(out)) >= -1e-9 * (1 + fro_norm(out))
+
+    @pytest.mark.parametrize("coeffs,declared", [
+        ((1, 0, 1, 1), True),  # x / (x + 1), criterion 11's map
+        ((2, 1, 1, 3), True),
+        ((0, -1, 1, 0), True),  # -1 / x, pole at 0
+        ((1, 0, -1, 1), False),  # x / (1 - x), pole at 1
+    ], ids=["x-over-x-plus-1", "pole-at-minus-3", "minus-inverse", "x-over-1-minus-x"])
+    def test_declared_exactly_when_the_pole_misses_the_half_line(self, coeffs, declared):
+        a, b, c, d = coeffs
+        fn = resolve_function("mobius:" + ",".join(map(str, coeffs)))
+        assert fn.monotone is fn.concave is declared is (c == 0 or d / c >= 0)
+        if declared:
+            assert concave_test(fn, 3, trials=256, seed=0, interval=(0.1, 0.5)).passed
+
+    def test_a_pole_inside_the_half_line_is_refused_support(self):
+        # x / (1 - x) is not concave on (0.1, 0.5); undeclared, it is refused before any validation
+        with pytest.raises(errors.BadConfig):
+            support_pencil(resolve_function("mobius:1,0,-1,1"), (np.diag([0.2, 0.3]),), np.array([1.0, 0.0]),
+                           interval=(0.1, 0.5))
 
 
 class TestFrechetDerivative:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmono import errors
+from opmono import errors, sampling
 from opmono.matcore import (
     DEFAULT_TOL,
     Tolerances,
@@ -192,7 +192,7 @@ class TestPsdRule:
         assert np.array_equal(psd_floor(stack), DEFAULT_TOL.psd * np.array([1.0, 1.0 + np.sqrt(18.0), 5.0]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["herm", "psd", "rank", "eq"])
+    @pytest.mark.parametrize("name", ["psd", "rank", "eq"])
     def test_a_non_finite_tolerance_is_refused(self, name, value):
         # a NaN or infinite bound would let every check pass
         with pytest.raises(errors.BadConfig, match=f"tolerance {name} must be finite"):
@@ -484,6 +484,41 @@ class TestSectorEstimate:
             top = np.linalg.eigh(herm_part(phases[:, None, None] * a))[1][..., -1]
             points = np.einsum("ti,ij,tj->t", top.conj(), a, top)
             assert est.alpha >= np.max(np.abs(np.angle(points)))
+
+    def test_certification_does_not_depend_on_the_unit(self):
+        # criterion 03's sectorial draws, and real parts of condition number up to 1e15: the
+        # floor is the rounding allowance 32 n^2 eps ||A||_F, so 2^k A, scaled exactly, has
+        # the same angles and certifications and 2^k times the margins
+        rng = np.random.default_rng(103)
+        mats = []
+        for _ in range(500):
+            n = int(rng.integers(2, 13))
+            r = sampling.rand_psd(rng, n) + 0.3 * np.eye(n)
+            sk = sampling.rand_herm(rng, n)
+            alpha_t = rng.uniform(0.05, np.deg2rad(75))
+            lam_min = float(np.linalg.eigvalsh(r)[0])
+            mats.append(r + 1j * sk / np.linalg.norm(sk, 2) * np.tan(alpha_t) * lam_min * 0.95)
+            m = int(rng.integers(1, n))  # criterion 03's pivot draw, so that the stream stays its own
+            rng.normal(size=(2, n, m))
+        for cond in np.logspace(3, 15, 25):
+            u = rand_unitary(rng, 4)
+            h = (u * np.geomspace(1.0, 1.0 / cond, 4)) @ u.conj().T
+            w = rand_unitary(rng, 4)
+            mats.append(h + 1j * rng.uniform(0.1, 2.0) * (w * rng.uniform(-1, 1, 4) / cond) @ w.conj().T)
+        for a in mats:
+            alphas, margins = sector_certified_alpha(a[None])
+            for k in (-40, 40):
+                scaled_alphas, scaled_margins = sector_certified_alpha(2.0**k * a[None])
+                assert np.array_equal(scaled_alphas, alphas) and np.array_equal(scaled_margins, 2.0**k * margins)
+
+    def test_an_overflowing_congruence_certifies_no_angle(self):
+        # W(A) holds 5e-324 + 1e-13 i, at an angle pi/2 up to 1e-310; the congruence H^{-1/2} K H^{-1/2}
+        # overflows and is zeroed to alpha = 0, whose rotated real parts reach -1e-13: within an
+        # absolute floor of 1e-12, far outside their rounding allowance
+        a = np.diag([5e-324, 1.0]) + 1j * np.diag([1e-13, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            alphas, margins = sector_certified_alpha(a[None])
+        assert alphas[0] == np.pi / 2 and margins[0] == 5e-324
 
 
 class TestDouglasFactor:

@@ -385,14 +385,6 @@ class TestBadSamplingParameters:
         with pytest.raises(BadConfig):
             call(resolve_function("sqrt"), interval)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"eps_ladder": ()}, {"eps_ladder": (0.0,)}, {"eps_ladder": (1e-3, -1e-3)},
-        {"lambda_grid": (1.5,)}, {"lambda_grid": (-0.25, 0.5)},
-    ], ids=["no-eps", "zero-eps", "negative-eps", "lambda-above-one", "lambda-below-zero"])
-    def test_doubling(self, kwargs):
-        with pytest.raises(BadConfig):
-            doubling_concavity_check(resolve_function("sqrt"), 2, trials=2, **kwargs)
-
 
 class TestQrCallsPerTester:
     @pytest.fixture

@@ -123,6 +123,18 @@ class TestStructuredPayloads:
         assert rec.residual == expected.residual <= 1e-6
         assert np.array_equal(rec.value, expected.value)
 
+    def test_certificate_derives_its_trace_slack(self):
+        # trace_slack is trace_bound - tr(B_0): the file still writes it, with the bits the
+        # certificate had, and a load reads it from the pencil, whatever value the file holds
+        rng = np.random.default_rng(4)
+        a = rand_tuple_interval(rng, 1, 3, 0.5, 2.0)
+        cert = support_pencil(lift_scalar("sqrt"), a, rand_unit_vector(rng, 3), seed=5, validation_samples=40)
+        payload = io.certificate_payload(cert)
+        assert payload["trace_slack"] == cert.trace_bound - float(np.trace(cert.pencil.b0).real)
+        payload["trace_slack"] = -1.0
+        back = io.certificate_from_payload(json.loads(io.dumps(payload)))
+        assert back.trace_slack == cert.trace_slack > 0
+
     def test_representation_round_trip(self):
         rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.5, 2.0))
         back = io.representation_from_payload(
