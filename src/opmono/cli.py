@@ -7,7 +7,8 @@ Subcommands wire the library modules over JSON files.  Each one takes
                (--m --seed --tol --trials --n --interval); every property
                is a ``cert`` tester, reported and exited on alike
   schur        shorted operator / Schur complement / sector bound of a matrix
-               (--pivot --pivot-file --mode --keep --tol)
+               (--pivot --pivot-file --mode --keep --tol; --tol reaches
+               the psd and sector-bound modes only)
   pencil-eval  evaluate a pencil file at a tuple file (--shifted)
   support      supporting pencil certificate at a base point
                (--v-file --v-index --samples --seed --tol --interval)
@@ -213,7 +214,7 @@ def _cmd_schur(args) -> int:
               f"range-inclusion residual {result.defect:.2e}", ("matrix", shorted))
         return EXIT_PASS
     if args.mode == "generic":
-        comp = schur_generic(a, pivot, keep=args.keep, tol=tol)
+        comp = schur_generic(a, pivot, keep=args.keep)
         lam = min_eig(comp)
         _emit(args, {"mode": "generic", "min_eig_herm_part": lam},
               f"Schur complement keeping {args.keep!r}: Hermitian-part min eigenvalue {lam:.6g}",

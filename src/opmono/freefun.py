@@ -73,6 +73,7 @@ from .errors import (
 from .gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
 from .matcore import (
     DEFAULT_TOL,
+    RANK_CUT,
     Tolerances,
     check_args,
     dagger,
@@ -803,14 +804,14 @@ class MobiusMap:
         return (self.a * x + self.b) / (self.c * x + self.d)
 
 
-def mobius_apply(g: MobiusMap, x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def mobius_apply(g: MobiusMap, x: np.ndarray) -> np.ndarray:
     """(a X + b I)(c X + d I)^{-1} for X stacked ``(..., n, n)`` (``matcore.check_args``); PoleHit near the pole."""
     x = np.asarray(check_args((x,), 1, "mobius_apply")[0], dtype=complex)
     n = x.shape[-1]
     eye = np.eye(n)
     denom = g.c * x + g.d * eye
     sv = np.linalg.svd(denom, compute_uv=False)
-    if np.any(sv[..., -1] <= tol.rank * sv[..., 0]):  # each member against its own largest
+    if np.any(sv[..., -1] <= RANK_CUT * sv[..., 0]):  # each member against its own largest
         raise PoleHit("c X + d I is numerically singular")
     return (g.a * x + g.b * eye) @ np.linalg.inv(denom)
 

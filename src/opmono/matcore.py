@@ -18,10 +18,13 @@ and ``pencil.pencil_new``) or a representation's state
 ``re_part``, ``im_part`` and ``block_diag`` pass through what they are
 given and only refuse a shape that is not square.  A matrix whose exact
 nonzero pattern splits into blocks (``components``, ``exact_blocks``)
-takes ``min_eig`` one block size at a time.  Tolerances are relative:
-every threshold is scaled by ``(1 + Frobenius norm)`` of the quantity it
-guards, member by member, except the testers' floor, which is scaled by
-the norms of a checked difference's terms alone (``Tolerances``).
+takes ``min_eig`` one block size at a time.  The two ``Tolerances``,
+``psd`` and ``eq``, are relative: every threshold is scaled by ``(1 +
+Frobenius norm)`` of the quantity it guards, member by member, except the
+testers' floor, which is scaled by the norms of a checked difference's
+terms alone.  The rank cut is one constant, ``RANK_CUT``, taken relative
+to the largest singular value, eigenvalue or coefficient entry it cuts
+against, and to ``(1 + ||rhs||_F)`` for an elimination's residual.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .errors import (
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "RANK_CUT",
     "SectorEstimate",
     "check_args",
     "cholesky_proves",
@@ -79,9 +83,11 @@ class Tolerances:
     """Relative tolerance bundle.
 
     psd: semidefiniteness slack and Hermitian-defect acceptance
-    (``herm_certify``), rank: pseudoinverse truncation and range-inclusion
-    residuals, eq: generic equality comparisons.  Each must be finite and
-    nonnegative (BadConfig): a NaN or infinite bound would pass every check.
+    (``herm_certify``), eq: generic equality comparisons.  Each must be
+    finite and nonnegative (BadConfig): a NaN or infinite bound would pass
+    every check.  These are the two that ``--tol`` sets; the rank cut of
+    every elimination, range cut and pole test is the constant
+    ``RANK_CUT``, which no caller chooses.
 
     One PSD rule serves every Loewner check in the package: a Hermitian
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
@@ -127,23 +133,23 @@ class Tolerances:
     One elimination policy serves every Schur complement: pencil
     evaluations (``schur.SchurCore``), shorted operators and general
     matrices.  An eliminated block D is inverted by LU when
-    ``rank * ||D||_F ||D^{-1}||_F < 1``, so that no singular value lies at
-    or below ``rank * sigma_max``, and through the pseudoinverse truncated
-    there otherwise.  Either inverse takes two steps of iterative
+    ``RANK_CUT * ||D||_F ||D^{-1}||_F < 1``, so that no singular value lies
+    at or below ``RANK_CUT * sigma_max``, and through the pseudoinverse
+    truncated there otherwise.  Either inverse takes two steps of iterative
     refinement, and the residual ||D sol - rhs||_F must then stay within
-    ``rank * (1 + ||rhs||_F)``, else EliminatedBlockDefective.  The
+    ``RANK_CUT * (1 + ||rhs||_F)``, else EliminatedBlockDefective.  The
     condition test, not an LU residual, picks the route: on a numerically
     singular block a small LU residual holds for any right-hand side and
     does not show range inclusion.  The essential subspace of a set of PSD
-    coefficients is the range of their sum cut at ``rank * lambda_max``
-    (``pencil.range_basis``); coefficient entries at or below ``rank``
+    coefficients is the range of their sum cut at ``RANK_CUT * lambda_max``
+    (``pencil.range_basis``); coefficient entries at or below ``RANK_CUT``
     times the largest do not couple two directions.
 
     ``schur.SchurCore`` certifies an eliminated component sectorial on its
     essential block L~ normalized to unit coefficient weights by the
     congruence W^{-1/2}, W the weights kept by the cut: the floor is
     lambda_min(Re(e^{i theta} L~)) > psd (1 + ||L~||_F) + 16 eps kappa
-    ||L~||_F, kappa = w_max / w_min < 1 / rank.  Relative to the unit
+    ||L~||_F, kappa = w_max / w_min < 1 / RANK_CUT.  Relative to the unit
     weights the congruence amplifies the rounding of the weakest direction
     up to kappa times, and the second term bounds it, so no ``psd``, however
     tight, certifies a block at rounding level.  Most members never form L~:
@@ -164,11 +170,10 @@ class Tolerances:
     """
 
     psd: float = 1e-9
-    rank: float = 1e-10
     eq: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("psd", "rank", "eq"):
+        for name in ("psd", "eq"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise BadConfig(f"tolerance {name} must be finite and nonnegative")
 
@@ -178,6 +183,7 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+RANK_CUT = 1e-10  # relative rank threshold of every elimination, range cut and pole test (``Tolerances``)
 
 
 @dataclass(frozen=True)
@@ -452,31 +458,15 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
     return bool(np.isfinite(diff).all() and np.all(min_eig(diff) >= -psd_floor(diff, tol)))
 
 
-def funcalc(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    domain: tuple[float, float] | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def funcalc(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
     """Hermitian functional calculus ``U f(Lambda) U*``.
 
-    ``a`` takes ``check_args``.  ``domain``, when given, is a closed
-    interval each member's spectrum w must lie in, up to eq (1 + max |w|)
-    of that member; otherwise a non-finite value of ``f`` on the spectrum
-    raises SpectrumOutOfDomain.
+    ``a`` takes ``check_args``, and ``f`` must be finite on the spectrum of
+    each member (SpectrumOutOfDomain otherwise).
     """
     (a,) = check_args((a,), 1, "funcalc")
     a = herm_part(np.asarray(a, dtype=complex))
     w, u = np.linalg.eigh(a)
-    if domain is not None:
-        lo, hi = domain
-        slack = tol.eq * (1.0 + np.max(np.abs(w), axis=-1, keepdims=True))  # each member's own
-        outside = np.any((w < lo - slack) | (w > hi + slack), axis=-1)
-        if outside.any():
-            bad = w[outside][0]
-            raise SpectrumOutOfDomain(
-                f"spectrum [{bad.min():.4g}, {bad.max():.4g}] outside [{lo:.4g}, {hi:.4g}]"
-            )
     with np.errstate(invalid="ignore", divide="ignore"):
         fw = np.asarray(f(w))
     if not np.all(np.isfinite(fw)):
@@ -540,7 +530,8 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, u = np.linalg.eigh(herm_part(a))
     margins = np.where(finite, w[..., 0], -np.inf)
     v = u / np.sqrt(np.where(w > 0, w, 1.0))[..., None, :]
-    congruence = dagger(v) @ im_part(a) @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        congruence = dagger(v) @ im_part(a) @ v
     congruence[~np.isfinite(congruence)] = 0.0  # overflow at a vanishing margin
     alphas = np.arctan(np.abs(np.linalg.eigvalsh(congruence)).max(axis=-1))
     phases = np.exp(1j * np.multiply.outer([1.0, -1.0], np.pi / 2 - alphas))
@@ -569,10 +560,10 @@ def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstim
     return SectorEstimate(alpha=float(alphas[0]), margin=margin)
 
 
-def truncated_pinv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """SVD pseudoinverse with singular values <= tol.rank * sigma_max dropped, batched."""
+def truncated_pinv(a: np.ndarray) -> np.ndarray:
+    """SVD pseudoinverse with singular values <= RANK_CUT * sigma_max dropped, batched."""
     a = np.asarray(a, dtype=complex)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    cut = tol.rank * s[..., :1]
+    cut = RANK_CUT * s[..., :1]
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return dagger(vh) @ (inv[..., :, None] * dagger(u))

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    RANK_CUT,
     SectorEstimate,
     Tolerances,
     block_diag,
@@ -204,18 +205,18 @@ def pencil_direct_sum(pencils: list[LinearPencil] | list[RawPencil]) -> LinearPe
     return pencil_new([block_diag(*(p.coeffs[i] for p in pencils)) for i in range(k + 1)])
 
 
-def range_cut(w: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def range_cut(w: np.ndarray) -> np.ndarray:
     """Which of the ascending eigenvalues ``w`` (..., d) of PSD matrices lie in the numerical range-space.
 
-    Eigenvalues at or below ``tol.rank * lambda_max`` count as zero.
+    Eigenvalues at or below ``RANK_CUT * lambda_max`` count as zero.
     """
-    return w > tol.rank * np.maximum(w[..., -1:], 0.0)
+    return w > RANK_CUT * np.maximum(w[..., -1:], 0.0)
 
 
-def range_basis(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def range_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the numerical range-space of PSD ``a`` (``range_cut``)."""
     w, u = np.linalg.eigh(herm_part(np.asarray(a, dtype=complex)))
-    return u[:, range_cut(w, tol)]
+    return u[:, range_cut(w)]
 
 
 def pencil_sectorial_check(
@@ -237,6 +238,6 @@ def pencil_sectorial_check(
             sector_estimate(xi, tol)
         except NotSectorial as exc:
             raise InputNotSectorial(f"argument {idx + 1} is not sectorial: {exc}") from exc
-    q = range_basis(pencil.coeff_sum(), tol)
+    q = range_basis(pencil.coeff_sum())
     compressed = kron_sum(dagger(q) @ np.stack(pencil.coeffs) @ q, args)
     return sector_estimate(compressed, tol)

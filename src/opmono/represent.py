@@ -628,8 +628,11 @@ def rep_from_quadrature(
     uniform on the pivot slots, and the quadrature weights are folded into
     per-cell scalings.  The scalar accuracy is sampled at 100 equispaced
     points of the interval against the exact function, and must be within
-    ``target`` before the representation is returned.
+    ``target`` before the representation is returned.  ``target`` must be
+    finite and positive (BadConfig): a NaN one would pass every error.
     """
+    if not 0 < target < np.inf:
+        raise BadConfig("quadrature target must be finite and positive")
     if nodes < 4:
         raise QuadratureInaccurate("need at least four quadrature nodes")
     fn = lift_scalar(name, p)

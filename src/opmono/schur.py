@@ -7,8 +7,9 @@ complementary to the eliminated one.  ``schur_generic`` takes an explicit
 ``keep`` selector so each call site states its convention.
 
 Every complement is eliminated by ``_eliminate`` under the one policy in
-``Tolerances``.  A singular eliminated block is accepted exactly when the
-complement is the same for every generalized inverse (``_complement``).
+``Tolerances``, at the rank cut ``matcore.RANK_CUT``.  A singular
+eliminated block is accepted exactly when the complement is the same for
+every generalized inverse (``_complement``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
+    RANK_CUT,
     Tolerances,
     block_index,
     check_args,
@@ -64,7 +66,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PivotSubspace:
-    """Orthonormal basis of a distinguished subspace S and its projection.
+    """Orthonormal basis of a distinguished subspace S.
 
     The basis is kept read-only (``matcore.readonly``).
     """
@@ -109,10 +111,6 @@ class PivotSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def projection(self) -> np.ndarray:
-        return self.basis @ dagger(self.basis)
-
     def perp_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement."""
         return _perp(self.basis)
@@ -153,9 +151,7 @@ def _blocks(a: np.ndarray, s: PivotSubspace) -> tuple[np.ndarray, ...]:
     )
 
 
-def _complement(
-    a: np.ndarray, s: PivotSubspace, keep: str, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _complement(a: np.ndarray, s: PivotSubspace, keep: str) -> tuple[np.ndarray, np.ndarray, float]:
     """The kept block K, its Schur complement K - B D^- C and ||D sol - C||_F.
 
     ``keep="s"`` keeps the S block and eliminates D on its complement;
@@ -176,7 +172,7 @@ def _complement(
         raise BadConfig("keep must be 's' or 'perp'")
     if d.size == 0:
         return k, k, 0.0
-    sol = _eliminate(np.stack([d, dagger(d)]), np.stack([c, dagger(b)]), tol)[0]
+    sol = _eliminate(np.stack([d, dagger(d)]), np.stack([c, dagger(b)]))[0]
     return k, k - b @ sol, fro_norm(d @ sol - c)
 
 
@@ -193,16 +189,11 @@ def shorted_psd(
     (a,) = check_args((a,), 1, "shorted_psd")
     a = herm_part(np.asarray(a, dtype=complex))
     require_psd(a, NotPSD, "input", tol)
-    _, comp, residual = _complement(a, s, "s", tol)
+    _, comp, residual = _complement(a, s, "s")
     return ShortedResult(shorted=herm_part(comp), defect=residual)
 
 
-def schur_generic(
-    a: np.ndarray,
-    s: PivotSubspace,
-    keep: str = "s",
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def schur_generic(a: np.ndarray, s: PivotSubspace, keep: str = "s") -> np.ndarray:
     """Schur complement of a general matrix: kept block minus cross terms.
 
     ``keep="s"`` keeps the S block and eliminates its complement;
@@ -212,7 +203,7 @@ def schur_generic(
     takes ``matcore.check_args``.
     """
     (a,) = check_args((a,), 1, "schur_generic")
-    return _complement(a, s, keep, tol)[1]
+    return _complement(a, s, keep)[1]
 
 
 @dataclass(frozen=True)
@@ -240,7 +231,7 @@ def sector_bound_check(
     """
     a = np.asarray(a, dtype=complex)
     alpha = sector_estimate(a, tol).alpha
-    a22, comp, _ = _complement(a, s, "perp", tol)
+    a22, comp, _ = _complement(a, s, "perp")
     sec2 = 1.0 / np.cos(alpha) ** 2
     sv_s = np.linalg.svd(comp, compute_uv=False)
     sv_a22 = np.linalg.svd(a22, compute_uv=False)
@@ -269,20 +260,20 @@ def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL)
     return _in_halfspace(im_part, x, [psd_floor(m, tol) for m in x])
 
 
-def _eliminate(d: np.ndarray, rhs: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _eliminate(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the stacked systems D sol = rhs under the policy in ``Tolerances``."""
     try:
         inv = np.linalg.inv(d)
-        full = tol.rank * fro_norm(d) * fro_norm(inv) < 1.0  # no singular value to truncate
+        full = RANK_CUT * fro_norm(d) * fro_norm(inv) < 1.0  # no singular value to truncate
     except np.linalg.LinAlgError:
         inv, full = np.zeros_like(d), np.zeros(d.shape[:-2], dtype=bool)
     if not full.all():
-        inv[~full] = truncated_pinv(d[~full], tol)
+        inv[~full] = truncated_pinv(d[~full])
     sol = inv @ rhs
     for _ in range(2):
         sol = sol + inv @ (rhs - d @ sol)
     residual = fro_norm(d @ sol - rhs)
-    bound = tol.rank * (1.0 + fro_norm(rhs))
+    bound = RANK_CUT * (1.0 + fro_norm(rhs))
     if not np.all(residual <= bound):
         worst = np.unravel_index(np.argmax(residual / bound), residual.shape)
         raise EliminatedBlockDefective(
@@ -431,7 +422,7 @@ def _pivot_blocks(coeffs: tuple[np.ndarray, ...], basis: np.ndarray) -> tuple[li
     rows (g, s), cols (g, kept)): each block's rows and its pivot columns,
     in ascending order.  The others drop out, but their coupling, max_ij
     sum_k |B_k[i, j]| over their rows, counts towards ``SchurCore``'s
-    ``tol.rank`` cut, as their entries did when the whole space was adapted
+    ``RANK_CUT`` cut, as their entries did when the whole space was adapted
     at once.
     """
     dim, m = basis.shape
@@ -465,7 +456,7 @@ class SchurCore:
     pivot column takes the basis [Q_b, Q_b_perp] adapted to S within it and
     its coefficients u_b* C_b u_b, for all blocks of one shape at once.  Two
     directions of a block are coupled when a coefficient entry between them
-    exceeds ``tol.rank`` times the largest over all blocks.  The complement
+    exceeds ``RANK_CUT`` times the largest over all blocks.  The complement
     is block diagonal over the connected components of the couplings
     (``matcore.components``), gathered across the blocks; those without a
     pivot direction drop out, the others are stacked by their numbers of
@@ -475,7 +466,7 @@ class SchurCore:
     numbered by their columns of ``pivot.basis`` and the complement's after
     them, block by block, and its coefficients (g, K, c, c).  The essential
     directions are the eigenvectors E of the coefficient sum whose
-    eigenvalues, the ``weights`` w (g, r), pass the ``tol.rank`` cut of
+    eigenvalues, the ``weights`` w (g, r), pass the ``RANK_CUT`` cut of
     ``pencil.range_cut``, from one stacked ``eigh`` per component shape;
     ``essential`` (g, K, r, r) holds the coefficients compressed to T = E
     W^{-1/2}, which sum to the identity: every essential direction has unit
@@ -504,7 +495,7 @@ class SchurCore:
         found = {}  # by (kept, size): the directions and coefficients of each component with a pivot direction
         for kept, at, a in parts:
             size = at.shape[1]
-            reach = (np.abs(a).sum(axis=1) > tol.rank * top) | np.eye(size, dtype=bool)
+            reach = (np.abs(a).sum(axis=1) > RANK_CUT * top) | np.eye(size, dtype=bool)
             if reach.all():  # each block is one component
                 found.setdefault((kept, size), []).append((at, a))
                 continue
@@ -523,7 +514,7 @@ class SchurCore:
             w, e = np.ones((len(c), 0)), np.zeros((len(c), size, 0))  # nothing to eliminate
             if kept < size:  # one eigh per shape, cut per member as range_basis cuts
                 w, e = np.linalg.eigh(herm_part(c.sum(axis=1)))
-            rank = range_cut(w, tol).sum(axis=-1)
+            rank = range_cut(w).sum(axis=-1)
             for r in set(rank.tolist()):
                 sel = np.flatnonzero(rank == r)
                 sel = sel[np.argsort(index[sel, 0])]
@@ -666,7 +657,7 @@ class SchurCore:
             k = kept * n
             comp = full[..., :k, :k]
             if essential is not None:
-                comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k], tol)
+                comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k])
                 if halfspace:  # full_c settles a member's first sector check, the cone bound its floor check
                     pick = True
                     if essential.shape[-1] == coeffs.shape[-1]:  # the diagonal of e^{i theta} full_c

@@ -448,9 +448,12 @@ class TestUsageErrors:
         (("check", "xsq", "monotone", "--tol", "nan"), "BadConfig"),
         (("check", "harmonic:w=nan,0.5", "monotone"), "UnknownFunction"),
         (("check", "mobius:nan,0,0,1", "monotone"), "UnknownFunction"),
+        (("quadrep", "sqrt", "--nodes", "8", "--target", "nan"), "BadConfig"),
+        (("quadrep", "sqrt", "--nodes", "8", "--target", "-1"), "BadConfig"),
+        (("quadrep", "sqrt", "--nodes", "8", "--target", "inf"), "BadConfig"),
     ], ids=["mean-t-above-one", "check-t-zero", "quadrep-bad-exponent", "n-zero", "n-negative",
             "negative-tol", "pivot-out-of-range", "pivot-not-int", "pivot-repeated", "v-index-out-of-range", "nan-tol",
-            "nan-weight", "nan-mobius-coefficient"])
+            "nan-weight", "nan-mobius-coefficient", "nan-target", "negative-target", "infinite-target"])
     def test_bad_arguments_exit_64(self, argv, error, tmp_path, capsys):
         files = {"pair": (np.eye(2), 2 * np.eye(2)), "single": (np.eye(3),)}
         paths = {}

@@ -39,6 +39,10 @@ second finder of blocks cannot grow back.
 The one Cholesky screen, ``matcore.cholesky_proves``, serves the testers' scan alone
 (``cert._screened``): every other check that compares a smallest eigenvalue with a floor
 reads ``min_eig``, so a second screen beside it would be a second decision path.
+
+The rank cut is one constant, ``matcore.RANK_CUT``, read where an elimination, a range cut, a
+coupling cut, a truncated pseudoinverse or a pole test takes it, and no module reads a ``rank``
+attribute: a second rank threshold, or a settable one, would be a second policy.
 """
 
 import ast
@@ -68,26 +72,47 @@ ALLOWED = {
 }
 
 
-def construction_sites(name: str) -> set[str]:
-    """Qualified names of the functions in the package that call ``name(...)``."""
-    sites = set()
+def sites(match) -> set[str]:
+    """Qualified names of the functions in the package that hold a node for which ``match`` holds."""
+    found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                    sites.add(".".join(scope))
+            if match(child):
+                found.add(".".join(scope))
             visit(child, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), [path.stem])
-    return sites
+    return found
+
+
+def construction_sites(name: str) -> set[str]:
+    """Qualified names of the functions in the package that call ``name(...)``."""
+
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == name
+
+    return sites(calls)
 
 
 @pytest.mark.parametrize("name", sorted(ALLOWED))
 def test_built_only_where_allowed(name):
     assert construction_sites(name) == ALLOWED[name]
+
+
+def test_the_rank_cut_is_read_only_in_its_sites():
+    def reads(node):  # a bare name or an attribute, where it is loaded
+        return getattr(node, "id", getattr(node, "attr", None)) == "RANK_CUT" and isinstance(node.ctx, ast.Load)
+
+    assert sites(reads) == {"schur._eliminate", "matcore.truncated_pinv", "pencil.range_cut",
+                            "freefun.mobius_apply", "schur.SchurCore.__init__"}
+
+
+def test_no_module_reads_a_rank_attribute():
+    assert not sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "rank")

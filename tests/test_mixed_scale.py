@@ -54,7 +54,7 @@ ALMOST_PSD = np.diag([-1e-5, 1.0, 2.0])  # outside every floor and slack at its 
 
 # name: (call on a tuple of stacks, draw of one member at scale c, one member refused alone or None)
 CASES = {
-    "funcalc": (lambda x: funcalc(lambda w: w, x[0], domain=(0.0, 1e12)), one, (ALMOST_PSD,)),
+    "funcalc": (lambda x: funcalc(np.sqrt, x[0]), one, (ALMOST_PSD,)),
     "mobius_apply": (lambda x: mobius_apply(MobiusMap(0, -1, 1, 0), x[0]), one, (np.diag([0.0, 1.0, 2.0]),)),
     "herm_certify": (lambda x: herm_certify(x[0]), lambda rng, c: (c * rand_herm(rng, N),),
                      (np.eye(N) + 1e-6j * np.diag([1.0, 0.0, 0.0]),)),

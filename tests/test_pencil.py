@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opmono import errors
-from opmono.matcore import DEFAULT_TOL, block_diag, herm_part, min_eig, require_psd, tensor
+from opmono.matcore import DEFAULT_TOL, RANK_CUT, block_diag, herm_part, min_eig, require_psd, tensor
 from opmono.pencil import (
     RawPencil,
     pencil_direct_sum,
@@ -282,7 +282,7 @@ class TestSectorialCheck:
             )
             s = sum(bi)
             w = np.linalg.eigvalsh(s)
-            delta = w[w > DEFAULT_TOL.rank * w[-1]].min()
+            delta = w[w > RANK_CUT * w[-1]].min()
             from opmono.pencil import range_basis
 
             q = range_basis(s)

@@ -642,7 +642,7 @@ class TestCertificateRepresentation:
             out = schur_pencil(cert.pencil, z, pivot)
             assert set(cert.pencil.cores) == {core}
             assert np.array_equal(out, SchurCore(cert.pencil, pivot).evaluate(z, halfspace=True))
-            assert cert.rep.core(Tolerances(rank=1e-9)) is not core
+            assert cert.rep.core(Tolerances(psd=1e-8)) is not core
 
 
 class TestDirectSum:
@@ -756,6 +756,12 @@ class TestRepEval:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(errors.QuadratureInaccurate):
             rep_from_quadrature("sqrt", nodes=2)
+
+    @pytest.mark.parametrize("target", [np.nan, np.inf, 0.0, -1.0])
+    def test_a_target_that_is_not_finite_and_positive_is_refused(self, target):
+        # no error exceeds a NaN or infinite target, so it would accept any representation
+        with pytest.raises(errors.BadConfig, match="target must be finite and positive"):
+            rep_from_quadrature("sqrt", nodes=8, target=target)
 
 
 class TestGaussJacobiRule:

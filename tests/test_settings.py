@@ -1,12 +1,14 @@
-"""Every setting of the package's central objects is one that a caller outside the tests chooses.
+"""Every setting of the package's public objects is one that a caller outside the tests chooses.
 
 A field or parameter that every caller leaves at one value is not a setting but a constant
 with an extra name: each one doubles what the tests must cover and what a reader must rule
-out.  So the stored fields of ``Tolerances``, ``FreeFn`` and ``SupportCertificate`` and the
-parameter lists of the six testers, ``support_pencil`` and ``frechet_derivative`` are pinned
-here, each entry beside the non-test caller that sets a second value, or the ``tol`` contract
-(one ``Tolerances`` on every entry point that checks, as ``matcore.check_args`` is one argument
-check).  A new setting has to be added here together with the caller that needs it.
+out.  So the stored fields of every dataclass and the parameter lists of every callable in
+``opmono.__all__`` that has a default are pinned here, each optional entry beside the non-test
+caller (the CLI, a library function, a demo or ``perfbench``) that sets a second value, or the
+``tol`` contract: one ``Tolerances`` on every entry point that applies its ``psd`` or ``eq``,
+as ``matcore.check_args`` is one argument check.  The rank cut is no setting but the constant
+``matcore.RANK_CUT``, so the functions that only applied it take no ``tol``.  A new setting has
+to be added here together with the caller that needs it.
 """
 
 import dataclasses
@@ -14,10 +16,23 @@ import inspect
 
 import pytest
 
+import opmono
 from opmono import cert
-from opmono.freefun import FreeFn, frechet_derivative
-from opmono.matcore import Tolerances
-from opmono.represent import SupportCertificate, support_pencil
+from opmono.cert import CertReport
+from opmono.freefun import FreeFn, frechet_derivative, karcher_mean, lift_scalar, mobius_apply
+from opmono.matcore import Tolerances, funcalc, herm_certify, loewner_leq, sector_estimate, truncated_pinv
+from opmono.pencil import LinearPencil, pencil_new, pencil_sectorial_check, range_basis, range_cut
+from opmono.represent import (
+    PencilRepresentation,
+    SupportCertificate,
+    direct_sum_rep,
+    reconstruct,
+    rep_eval,
+    rep_eval_complex,
+    rep_from_quadrature,
+    support_pencil,
+)
+from opmono.schur import schur_generic, schur_pencil, sector_bound_check, shorted_psd
 
 TESTER_PARAMETERS = (
     "fn",  # the catalogue function: cli._cmd_check
@@ -31,7 +46,6 @@ TESTER_PARAMETERS = (
 FIELDS = {
     Tolerances: (
         "psd",  # cli --tol; also herm_certify's Hermitian-defect bound
-        "rank",  # the tol contract: the elimination, range-cut and pole threshold of every check
         "eq",  # cli --tol, floored at 1e-8
     ),
     FreeFn: (
@@ -57,6 +71,26 @@ FIELDS = {
         "samples",  # cli --samples, represent.direct_sum_rep's 100
         "seed",  # cli --seed
     ),
+    LinearPencil: (
+        "coeffs",
+        "coeff_margin",  # pencil_new, the only constructor, sets both margins
+        "dominance_margin",
+    ),
+    CertReport: (
+        "property_name",
+        "verdict",
+        "trials_run",
+        "worst_margin",
+        "seed",
+        "counterexample",  # cert._report on a counterexample; None otherwise
+        "details",  # cert._report and cert._inconclusive
+    ),
+    PencilRepresentation: (
+        "pencil",
+        "pivot",
+        "state",
+        "meta",  # rep_from_quadrature, SupportCertificate.rep, serialize's loader
+    ),
 }
 
 PARAMETERS = {
@@ -75,12 +109,52 @@ PARAMETERS = {
         "seed",  # cli --seed
         "tol",  # the tol contract; cli --tol
     ),
+    direct_sum_rep: (
+        "fn",
+        "points",
+        "interval",  # passed on to support_pencil; no caller sets a second value yet (ROADMAP item 8)
+        "validation_samples",  # demo 06's 80
+        "seed",  # demo 06's 8
+        "tol",  # the tol contract: support_pencil's and rep_eval's
+    ),
     frechet_derivative: (
         "fn",
         "x",
         "direction",
         "tol",  # the tol contract: its agreement test reads eq
     ),
+    reconstruct: ("cert", "tol"),  # the tol contract; cli reconstruct --tol
+    rep_eval: ("rep", "x", "tol"),  # the tol contract: its domain check reads psd; cli repeval --tol
+    rep_eval_complex: ("rep", "x", "tol"),  # the tol contract; cli repeval --complex --tol
+    rep_from_quadrature: (
+        "name",
+        "nodes",  # cli --nodes, perfbench's 64, 32 and 48
+        "interval",  # cli --interval
+        "p",  # cli quadrep pow:P
+        "target",  # cli --target
+        "tol",  # the tol contract: pencil_new's and rep_eval's psd
+    ),
+    herm_certify: ("m", "tol"),  # the tol contract: its defect bound reads psd
+    loewner_leq: ("a", "b", "tol"),  # the tol contract: the PSD floor
+    sector_estimate: ("a", "tol"),  # the tol contract: the PSD floor; pencil_sectorial_check's, sector_bound_check's
+    funcalc: ("f", "a"),
+    pencil_new: (
+        "coeffs",
+        "tol",  # the tol contract: the PSD floor; support_pencil's and rep_from_quadrature's
+        "margins",  # represent.support_pencil's, its gradients' margins from require_psd
+    ),
+    pencil_sectorial_check: ("pencil", "x", "tol"),  # the tol contract: sector_estimate's
+    shorted_psd: ("a", "s", "tol"),  # the tol contract; cli schur --mode psd --tol
+    schur_generic: ("a", "s", "keep"),  # cli --keep, demo 03's "perp"
+    sector_bound_check: ("a", "s", "tol"),  # the tol contract; cli schur --mode sector-bound --tol
+    schur_pencil: ("pencil", "x", "s", "tol"),  # the tol contract: SchurCore's floors read psd and eq
+    lift_scalar: ("name", "p"),  # resolve_function's pow:P, rep_from_quadrature's p
+    karcher_mean: ("xs", "weights", "return_info"),  # cli mean's karcher
+    mobius_apply: ("g", "x"),
+    # the rank cut is matcore.RANK_CUT, so these take no tol
+    truncated_pinv: ("a",),
+    range_cut: ("w",),
+    range_basis: ("a",),
 }
 
 
@@ -92,3 +166,16 @@ def test_stored_fields(cls):
 @pytest.mark.parametrize("func", list(PARAMETERS), ids=lambda f: f.__name__)
 def test_parameters(func):
     assert tuple(inspect.signature(func).parameters) == PARAMETERS[func]
+
+
+def _has_default(obj) -> bool:
+    if dataclasses.is_dataclass(obj):
+        return any(f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+                   for f in dataclasses.fields(obj))
+    return any(p.default is not inspect.Parameter.empty for p in inspect.signature(obj).parameters.values())
+
+
+def test_every_public_default_is_pinned():
+    public = [getattr(opmono, name) for name in opmono.__all__]
+    with_defaults = {obj for obj in public if (isinstance(obj, type) or inspect.isfunction(obj)) and _has_default(obj)}
+    assert not with_defaults - set(FIELDS) - set(PARAMETERS)
