@@ -7,11 +7,13 @@ Six testers, each for one property of a free function: monotonicity
 (``hypograph_convexity_test``), and the free-function axioms, unitary
 equivariance and respect for direct sums (``nc_axiom_check``).  Each draws
 seeded random inputs and reports a clean pass, the first counterexample
-found (with the inputs stored for replay), or inconclusive when evaluation
-raised a typed error or gave a non-finite value.  Identical seeds and trial
-counts give byte-identical reports.  A report replays from its seed and the
-requested trial count, not from ``trials_run``: the draws of each trial
-depend on the count, so a shorter run draws other inputs.
+found (with the inputs stored for replay), or inconclusive.  One rule
+(``_tester``) makes every tester inconclusive on a typed error, its text in
+``details["error"]``, but for ``BadConfig``, a malformed request, which
+reaches the caller; ``_report`` does so on a non-finite value.  Identical
+seeds and trial counts give byte-identical reports.  A report replays from
+its seed and the requested trial count, not from ``trials_run``: the draws
+of each trial depend on the count, so a shorter run draws other inputs.
 
 All testers share one pipeline.  One ``sampling.draw`` takes the inputs of
 every trial, a fixed plan per trial, with one generator call per distinct
@@ -51,6 +53,8 @@ minimum margin over every check up to and including that one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import wraps
+from inspect import signature
 from typing import Any, Callable
 
 import numpy as np
@@ -77,8 +81,6 @@ _CANDIDATES = 32  # members per stack whose margins ``_screened`` takes before i
 _TINY = np.finfo(float).tiny
 _DOUBLING_WEIGHTS = (0.25, 0.5, 0.75)  # the doubling check's mixing weights lambda, in trial order
 _DOUBLING_EPS = (1e-1, 1e-3, 1e-6)  # and its dominance shifts eps, checked at every weight
-# every tester runs under it: an infinite value reaches ``_report``'s non-finite rule, not a warning
-_tester = np.errstate(invalid="ignore", over="ignore")
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,33 @@ def _lift_values(fn: FreeFn, u: np.ndarray, lam: np.ndarray) -> np.ndarray | Non
 
 def _inconclusive(name: str, seed: int, error: str) -> CertReport:
     return CertReport(name, "inconclusive", 0, float(np.nan), seed, details={"error": error})
+
+
+def _tester(name: str) -> Callable[[Callable[..., CertReport]], Callable[..., CertReport]]:
+    """The failure rule of every tester, for the one that reports as ``name``.
+
+    It runs the tester under an ``np.errstate``, so an infinite value reaches
+    ``_report``'s non-finite rule, not a warning.  ``BadConfig`` is raised
+    only by a malformed request, before any evaluation, and reaches the
+    caller; any other ``OpmonoError`` gives the inconclusive report.
+    """
+
+    def wrap(test: Callable[..., CertReport]) -> Callable[..., CertReport]:
+        @wraps(test)
+        def run(*args: Any, **kwargs: Any) -> CertReport:
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    return test(*args, **kwargs)
+            except BadConfig:
+                raise
+            except OpmonoError as exc:
+                call = signature(test).bind(*args, **kwargs)
+                call.apply_defaults()
+                return _inconclusive(name, call.arguments["seed"], str(exc))
+
+        return run
+
+    return wrap
 
 
 def _report(
@@ -224,7 +253,7 @@ def _screened(p: np.ndarray, q: np.ndarray | float, bound: np.ndarray) -> np.nda
     return None if np.any(level < floor) else level.reshape(bound.shape)
 
 
-@_tester
+@_tester("monotone")
 def monotone_test(
     fn: FreeFn,
     n: int,
@@ -245,18 +274,15 @@ def monotone_test(
     u, lam, (h, w) = finish_frame(fn.arity, draw(rng, trials, pair_plan(n, c1, c2, fn.arity)))
     a, b = (slots(x, fn.arity) for x in pair_above(from_frame(u, lam), lam, h, w, c2))
     fa = _lift_values(fn, u, lam)
-    try:
-        fa = _chunked_eval(fn, a) if fa is None else fa
-        fb = _chunked_eval(fn, b)
-    except OpmonoError as exc:
-        return _inconclusive("monotone", seed, str(exc))
+    fa = _chunked_eval(fn, a) if fa is None else fa
+    fb = _chunked_eval(fn, b)
     return _scan(
         "monotone", seed, tol, [(fb[:, None], fa[:, None])],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "margin": m},
     )
 
 
-@_tester
+@_tester("concave")
 def concave_test(
     fn: FreeFn,
     n: int,
@@ -281,15 +307,12 @@ def concave_test(
     w = lams[..., None, None]
     mixes = tuple((1 - w) * ai[:, None] + w * bi[:, None] for ai, bi in zip(a, b))
     graph = _lift_values(fn, u, lam)
-    try:
-        if graph is None:  # per trial, in this order: A, B and the four mixtures, 6 rows
-            rows = tuple(np.concatenate([ai[:, None], bi[:, None], mi], axis=1) for ai, bi, mi in zip(a, b, mixes))
-            vals = _chunked_eval(fn, tuple(r.reshape(-1, n, n) for r in rows)).reshape(-1, 6, n, n)
-        else:
-            fmix = _chunked_eval(fn, tuple(mi.reshape(-1, n, n) for mi in mixes)).reshape(-1, 4, n, n)
-            vals = np.concatenate([graph.reshape(-1, 2, n, n), fmix], axis=1)
-    except OpmonoError as exc:
-        return _inconclusive("concave", seed, str(exc))
+    if graph is None:  # per trial, in this order: A, B and the four mixtures, 6 rows
+        rows = tuple(np.concatenate([ai[:, None], bi[:, None], mi], axis=1) for ai, bi, mi in zip(a, b, mixes))
+        vals = _chunked_eval(fn, tuple(r.reshape(-1, n, n) for r in rows)).reshape(-1, 6, n, n)
+    else:
+        fmix = _chunked_eval(fn, tuple(mi.reshape(-1, n, n) for mi in mixes)).reshape(-1, 4, n, n)
+        vals = np.concatenate([graph.reshape(-1, 2, n, n), fmix], axis=1)
     return _scan(
         "concave", seed, tol, [(vals[:, 2:], (1 - w) * vals[:, :1] + w * vals[:, 1:2])],
         lambda t, c, m: {"A": _at(a, t), "B": _at(b, t), "lambda": float(lams[t, c]), "margin": m},
@@ -313,7 +336,7 @@ def _loewner_counter(x: tuple[np.ndarray, ...], slot: int, margin: float) -> dic
     return {"X": x, "H": tuple(hs), "margin": margin}
 
 
-@_tester
+@_tester("derivative")
 def derivative_monotone_test(
     fn: FreeFn,
     n: int,
@@ -355,10 +378,7 @@ def derivative_monotone_test(
     # the frame comes before the directions in the stream, so every path draws the same X
     u, lam, _ = finish_frame(k, draw(rng, trials, frame_plan(n, c1 + pad, c2 - pad, k)))
     x = slots(from_frame(u, lam), k)
-    try:
-        declared = fn._declared_at(lam, x[1] if k == 2 else None)
-    except OpmonoError as exc:
-        return _inconclusive("derivative", seed, str(exc))
+    declared = fn._declared_at(lam, x[1] if k == 2 else None)
     if declared is not None:
         return _scan(
             "derivative", seed, tol, [(np.stack(fn._loewner(declared[0]), axis=1), 0.0)],
@@ -369,19 +389,16 @@ def derivative_monotone_test(
     h = h / np.max(fro_norm(h), axis=1)[:, None, None, None]
     step = 1e-3 * (1.0 + c2)
     deriv = np.empty((trials, 1, n, n), dtype=complex)
-    try:
-        for lo in range(0, trials, 256):  # one batched stencil, 1024 rows, per 256 trials
-            block = tuple(xi[lo : lo + 256] for xi in x)
-            deriv[lo : lo + 256, 0] = frechet_many(fn, block, h[lo : lo + 256], step)
-    except OpmonoError as exc:
-        return _inconclusive("derivative", seed, str(exc))
+    for lo in range(0, trials, 256):  # one batched stencil, 1024 rows, per 256 trials
+        block = tuple(xi[lo : lo + 256] for xi in x)
+        deriv[lo : lo + 256, 0] = frechet_many(fn, block, h[lo : lo + 256], step)
     return _scan(
         "derivative", seed, replace(tol, psd=10 * tol.psd), [(deriv, 0.0)],  # the stencil's allowance
         lambda t, c, m: {"X": _at(x, t), "H": tuple(hi.copy() for hi in h[t]), "margin": m},
     )
 
 
-@_tester
+@_tester("doubling")
 def doubling_concavity_check(
     fn: FreeFn,
     n: int,
@@ -423,11 +440,8 @@ def doubling_concavity_check(
         conjs += [conj] * len(_DOUBLING_EPS)
     eps = np.asarray(_DOUBLING_EPS)[:, None, None]
     shifted = tuple((lam * ai + (1 - lam) * bi)[:, None] + eps * eye for ai, bi in zip(a, b))
-    try:
-        fa, fb = _chunked_eval(fn, a), _chunked_eval(fn, b)
-        fs = _chunked_eval(fn, tuple(s.reshape(-1, n, n) for s in shifted))
-    except OpmonoError as exc:
-        return _inconclusive("doubling", seed, str(exc))
+    fa, fb = _chunked_eval(fn, a), _chunked_eval(fn, b)
+    fs = _chunked_eval(fn, tuple(s.reshape(-1, n, n) for s in shifted))
     jensen = (fs.reshape(len(lam), -1, n, n), (lam * fa + (1 - lam) * fb)[:, None])
     return _scan(
         "doubling", seed, tol, [(np.stack(dom, axis=1), np.stack(conjs, axis=1)), jensen],
@@ -439,7 +453,7 @@ def doubling_concavity_check(
     )
 
 
-@_tester
+@_tester("hypograph")
 def hypograph_convexity_test(
     fn: FreeFn,
     n: int,
@@ -474,12 +488,9 @@ def hypograph_convexity_test(
     lam = mix[:, None, None]
     v = finish_isometry(iso)
     graph = _lift_values(fn, u, spec)
-    try:
-        y, y2 = (_chunked_eval(fn, x), _chunked_eval(fn, x2)) if graph is None else slots(graph, 2)
-        fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
-        fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
-    except OpmonoError as exc:
-        return _inconclusive("hypograph", seed, str(exc))
+    y, y2 = (_chunked_eval(fn, x), _chunked_eval(fn, x2)) if graph is None else slots(graph, 2)
+    fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
+    fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
     return _scan(
         "hypograph", seed, tol, [(fcomp[:, None], (dagger(v) @ y @ v)[:, None]),
                                  (fmix[:, None], ((1 - lam) * y + lam * y2)[:, None])],
@@ -491,7 +502,7 @@ def hypograph_convexity_test(
     )
 
 
-@_tester
+@_tester("nc-axioms")
 def nc_axiom_check(
     fn: FreeFn,
     n: int,
@@ -514,12 +525,9 @@ def nc_axiom_check(
     xys = finish_spd(z, lam).reshape(trials, 2, k, n, n)
     x, y = slots(xys[:, 0], k), slots(xys[:, 1], k)
     u = finish_unitary(g)
-    try:
-        fx, fy = _chunked_eval(fn, x), _chunked_eval(fn, y)
-        conj = _chunked_eval(fn, tuple(dagger(u) @ xi @ u for xi in x))
-        fz = _chunked_eval(fn, tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
-    except OpmonoError as exc:
-        return _inconclusive("nc-axioms", seed, str(exc))
+    fx, fy = _chunked_eval(fn, x), _chunked_eval(fn, y)
+    conj = _chunked_eval(fn, tuple(dagger(u) @ xi @ u for xi in x))
+    fz = _chunked_eval(fn, tuple(block_diag(xi, yi) for xi, yi in zip(x, y)))
     defects = np.stack([fro_norm(conj - dagger(u) @ fx @ u), fro_norm(fz - block_diag(fx, fy))], axis=1)
     defects /= (1.0 + fro_norm(fx))[:, None]
     return _report(

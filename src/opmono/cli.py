@@ -4,11 +4,12 @@ Subcommands wire the library modules over JSON files.  Each one takes
 ``--format text|json`` and ``--out PATH`` and only the options listed:
 
   check        randomized property certification of a catalogue function
-               (--m --seed --tol --trials --n --interval); every property
-               is a ``cert`` tester, reported and exited on alike
+               (--m --seed --tol --trials --n --interval; --m for hypograph
+               only); every property is a ``cert`` tester, reported and
+               exited on alike
   schur        shorted operator / Schur complement / sector bound of a matrix
-               (--pivot --pivot-file --mode --keep --tol; --tol reaches
-               the psd and sector-bound modes only)
+               (--pivot --pivot-file --mode --keep --tol; --keep for the
+               generic mode only, --tol for the others)
   pencil-eval  evaluate a pencil file at a tuple file (--shifted)
   support      supporting pencil certificate at a base point
                (--v-file --v-index --samples --seed --tol --interval)
@@ -20,8 +21,9 @@ Subcommands wire the library modules over JSON files.  Each one takes
 
 ``--out`` writes a ``certificate`` (support), a ``representation``
 (quadrep), the report (check, schur --mode sector-bound) or the value as a
-``matrix`` (every other subcommand).  Exit codes: 0 pass, 1 math error,
-2 property counterexample, 3 inconclusive, 64 usage error, 65 data error.
+``matrix`` (every other subcommand).  An option the chosen mode does not
+read is a usage error.  Exit codes: 0 pass, 1 math error, 2 property
+counterexample, 3 inconclusive, 64 usage error, 65 data error.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot", type=str, default=None, help="comma-separated index list")
     p.add_argument("--pivot-file", type=str, default=None, help="basis matrix file")
     p.add_argument("--mode", choices=("psd", "generic", "sector-bound"), default="psd")
-    p.add_argument("--keep", choices=("s", "perp"), default="s")
+    p.add_argument("--keep", choices=("s", "perp"), default=None, help="generic mode only; s by default")
     _add_options(p, "--tol")
 
     p = sub.add_parser("pencil-eval", help="evaluate a pencil at a tuple")
@@ -181,6 +183,8 @@ def _pivot_from_args(args, dim: int) -> PivotSubspace:
 
 
 def _cmd_check(args) -> int:
+    if args.m is not None and args.property != "hypograph":
+        raise BadConfig(f"--m is not read by the {args.property} property")
     fn = resolve_function(args.function)
     kwargs = dict(interval=_parse_interval(args.interval), tol=_tolerances(args), n=args.n, trials=args.trials,
                   seed=args.seed)
@@ -201,12 +205,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_schur(args) -> int:
+    unread = "tol" if args.mode == "generic" else "keep"
+    if getattr(args, unread) is not None:
+        raise BadConfig(f"--{unread} is not read by --mode {args.mode}")
     _, payload = io.load(args.input, expect="matrix")
     a = io.decode_matrix(payload)
     pivot = _pivot_from_args(args, a.shape[0])
-    tol = _tolerances(args)
     if args.mode == "psd":
-        result = shorted_psd(a, pivot, tol)
+        result = shorted_psd(a, pivot, _tolerances(args))
         lam = min_eig(result.shorted)
         shorted = io.encode_matrix(result.shorted)
         _emit(args, {"mode": "psd", "shorted": shorted, "defect": result.defect, "min_eig": lam},
@@ -214,13 +220,14 @@ def _cmd_schur(args) -> int:
               f"range-inclusion residual {result.defect:.2e}", ("matrix", shorted))
         return EXIT_PASS
     if args.mode == "generic":
-        comp = schur_generic(a, pivot, keep=args.keep)
+        keep = args.keep or "s"
+        comp = schur_generic(a, pivot, keep=keep)
         lam = min_eig(comp)
         _emit(args, {"mode": "generic", "min_eig_herm_part": lam},
-              f"Schur complement keeping {args.keep!r}: Hermitian-part min eigenvalue {lam:.6g}",
+              f"Schur complement keeping {keep!r}: Hermitian-part min eigenvalue {lam:.6g}",
               ("matrix", io.encode_matrix(comp)))
         return EXIT_PASS
-    report = sector_bound_check(a, pivot, tol=tol)
+    report = sector_bound_check(a, pivot, tol=_tolerances(args))
     payload = {"mode": "sector-bound", "alpha": report.alpha, "passed": report.passed,
                "singular_value_pairs": [list(p) for p in report.singular_value_pairs],
                "norm_pair": list(report.norm_pair)}
@@ -282,7 +289,7 @@ def _cmd_repeval(args) -> int:
     x = _load_tuple(args.tuple)
     tol = _tolerances(args)
     out = rep_eval_complex(rep, x, tol=tol) if args.complex else rep_eval(rep, x, tol)
-    norm = float(np.linalg.norm(out, 2))
+    norm = float(np.linalg.svd(out, compute_uv=False)[0])
     _emit(args, {"norm": norm}, f"representation value: dimension {out.shape[0]}, norm {norm:.6g}",
           ("matrix", io.encode_matrix(out)))
     return EXIT_PASS
@@ -306,7 +313,7 @@ def _cmd_mean(args) -> int:
         extra = f" ({info['iterations']} polish iterations, residual {info['residual']:.2e})"
     else:
         value = fn(x)
-    norm = float(np.linalg.norm(value, 2))
+    norm = float(np.linalg.svd(value, compute_uv=False)[0])
     _emit(args, {"norm": norm}, f"{fn.name} of {k} matrices: norm {norm:.6g}{extra}",
           ("matrix", io.encode_matrix(value)))
     return EXIT_PASS

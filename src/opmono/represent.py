@@ -537,7 +537,6 @@ class DirectSumRepresentation:
 def direct_sum_rep(
     fn: FreeFn,
     points: list[tuple[MatTuple, np.ndarray]],
-    interval: tuple[float, float] = (0.5, 2.0),
     validation_samples: int = 100,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
@@ -563,7 +562,8 @@ def direct_sum_rep(
     xs = tuple(np.stack(x) for x in zip(*pts))
     w = unit_vector(np.concatenate(vs))
 
-    cert = support_pencil(fn, tuple(block_diag(*x) for x in xs), w, interval, validation_samples, seed, tol)
+    cert = support_pencil(fn, tuple(block_diag(*x) for x in xs), w, validation_samples=validation_samples, seed=seed,
+                          tol=tol)
     cert.rep.meta.update(kind="direct_sum", points=len(points))
     vs = np.stack(vs)[..., None]
     lhs = herm_part(fn(xs)) @ vs

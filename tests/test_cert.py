@@ -584,11 +584,35 @@ class TestScan:
         assert rep.verdict == "inconclusive" and rep.trials_run == 0
         assert "non-finite" in rep.details["error"]
 
+
+class TestTheFailureRule:
+    """``cert._tester``: a typed error gives the inconclusive report at the call's seed, but BadConfig is raised."""
+
     @pytest.mark.parametrize("tester", TESTERS)
     def test_typed_evaluator_error_is_inconclusive(self, tester):
-        rep = run_tester(tester, stalls(), n=3, trials=20, seed=0)
+        rep = run_tester(tester, stalls(), n=3, trials=20, seed=5)
         assert rep.verdict == "inconclusive" and rep.trials_run == 0
         assert rep.details["error"] == "fixed point stalled"
+        assert io.dumps(io.report_payload(rep)) == (
+            '{"counterexample":null,"details":{"error":"fixed point stalled"},'
+            f'"property_name":"{tester}","seed":5,"trials_run":0,"verdict":"inconclusive","worst_margin":null}}'
+        )
+
+    def test_the_seed_is_read_from_the_call(self):
+        fn = stalls()
+        assert monotone_test(fn, 2, 20, 7).seed == 7
+        assert hypograph_convexity_test(fn, 2, 1, 20, 7).seed == 7  # m comes before the seed
+        assert nc_axiom_check(fn, 2, seed=7).seed == 7
+        assert concave_test(fn, 2).seed == 0  # the default
+
+    @pytest.mark.parametrize("tester", TESTERS)
+    def test_no_trials_is_refused(self, tester):
+        with pytest.raises(errors.BadConfig, match="the trial count must be positive"):
+            run_tester(tester, lift_scalar("sqrt"), n=3, trials=0, seed=0)
+
+    def test_an_isometry_target_above_n_is_refused(self):
+        with pytest.raises(errors.BadConfig, match="m = 4 must lie in 1..3"):
+            hypograph_convexity_test(lift_scalar("sqrt"), n=3, m=4)
 
 
 # perfbench's certify catalogue, each function at its size there

@@ -621,6 +621,29 @@ class TestOptions:
         kind, _ = io.load(str(out))
         assert kind == RUNS[name][1]
 
+    @pytest.mark.parametrize("argv,option", [
+        (("schur", "{matrix}", "--pivot", "0", "--mode", "generic", "--tol", "1e-3"), "--tol"),
+        (("schur", "{matrix}", "--pivot", "0", "--keep", "perp"), "--keep"),
+        (("schur", "{matrix}", "--pivot", "0", "--mode", "sector-bound", "--keep", "s"), "--keep"),
+        (("check", "sqrt", "monotone", "--m", "5"), "--m"),
+        (("check", "sqrt", "doubling", "--n", "3", "--m", "2"), "--m"),
+    ], ids=["generic-tol", "psd-keep", "sector-bound-keep", "monotone-m", "doubling-m"])
+    def test_an_option_the_mode_does_not_read_exits_64(self, argv, option, run_files, capsys):
+        code, out = run_cli(*(arg.format(**run_files) for arg in argv))
+        assert code == 64
+        assert out == ""
+        assert capsys.readouterr().err.startswith(f"error: BadConfig: {option} is not read by")
+
+    def test_generic_mode_keeps_s_by_default(self, run_files, tmp_path):
+        saved = []
+        for keep in ((), ("--keep", "s")):
+            out = tmp_path / f"keep{len(keep)}.json"
+            code, text = run_cli("schur", run_files["matrix"], "--pivot", "0", "--mode", "generic", *keep,
+                                 "--out", str(out))
+            assert code == 0 and "keeping 's'" in text
+            saved.append(out.read_bytes())
+        assert saved[0] == saved[1]
+
     @pytest.mark.parametrize("argv", [
         ("mean", "geomean2", "{pair}", "--seed", "3"),
         ("quadrep", "sqrt", "--tol", "1e-9"),

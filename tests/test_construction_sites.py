@@ -12,7 +12,11 @@ check refuses a malformed single matrix, coefficient list or state; the bare squ
 test ``_require_square`` is left only to the pass-through algebra primitives.
 
 Every tester's ``CertReport`` comes from ``cert._report``, or from ``cert._inconclusive``
-where evaluation failed, so no tester has a stop rule or a non-finite rule of its own.
+where evaluation failed, so no tester has a stop rule or a non-finite rule of its own.  One
+failure rule, ``cert._tester``, wraps every tester: a typed error other than ``BadConfig``
+gives the inconclusive report, and ``BadConfig`` reaches the caller.  Only the rule and
+``_report`` build that report, and no other function in ``cert`` holds a ``try``, so no
+tester catches an error by a rule of its own.
 
 Every operator mean decomposes its M = L^{-1} X L^{-*} through ``freefun._spectrum``, and the
 power and Karcher means take their step and stop from ``freefun._mean_gradient``, so neither
@@ -43,9 +47,14 @@ reads ``min_eig``, so a second screen beside it would be a second decision path.
 The rank cut is one constant, ``matcore.RANK_CUT``, read where an elimination, a range cut, a
 coupling cut, a truncated pseudoinverse or a pole test takes it, and no module reads a ``rank``
 attribute: a second rank threshold, or a settable one, would be a second policy.
+
+Every ``numpy.linalg`` call is pinned, kernel by kernel, to the functions that make it
+(``KERNEL_SITES``), and the package names ``np.linalg`` nowhere else: a counter of the LAPACK
+calls then has a fixed list of sites, and a new kernel call fails here until it is listed.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,6 +69,7 @@ ALLOWED = {
     "ArityMismatch": {"matcore.check_args", "pencil.RawPencil.__post_init__", "pencil.pencil_direct_sum"},
     "_require_square": {"matcore.re_part", "matcore.im_part", "matcore.block_diag"},
     "CertReport": {"cert._inconclusive", "cert._report"},
+    "_inconclusive": {"cert._tester.wrap.run", "cert._report"},
     "_spectrum": {"freefun._congruence_eig", "freefun._mean_equation", "freefun._frame_spectrum"},
     "_congruence_eig": {"freefun._congruence_fun", "freefun._loewner_vgrad", "cert._loewner_counter"},
     "_frame_spectrum": {"freefun.FreeFn._declared_at"},
@@ -70,6 +80,32 @@ ALLOWED = {
     "components": {"matcore.exact_blocks", "schur._pivot_blocks", "schur.SchurCore.__init__"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
 }
+
+# every numpy.linalg call in the package, by kernel: the functions that make it
+KERNEL_SITES = {
+    "cholesky": {"freefun._cholesky", "schur._aim"},
+    "cond": {"freefun._Arguments.low", "freefun._principal_matfun.apply"},
+    "eig": {"freefun._principal_matfun.apply"},
+    "eigh": {"freefun._eigh", "freefun._spectrum", "gradients.dk_map", "matcore.funcalc",
+             "matcore.sector_certified_alpha", "pencil.range_basis", "represent._quad_rational_weights",
+             "represent.support_pencil", "schur.SchurCore.__init__", "schur._perp"},
+    "eigvalsh": {"freefun._Arguments.low", "freefun._spectrum", "matcore.min_eig", "matcore.sector_certified_alpha",
+                 "represent._lift_margins", "represent.support_pencil", "sampling.pair_above"},
+    "inv": {"freefun._factor", "freefun._principal_matfun.apply", "freefun.harmonic_mean._mean",
+            "freefun.mobius_apply", "schur._aim", "schur._eliminate"},
+    # Frobenius, vector and column norms only: a spectral norm is a first singular value, an svd site
+    "norm": {"matcore.unit_vector", "sampling.rand_unit_vector", "schur.PivotSubspace.__post_init__",
+             "schur._sector_settles"},
+    "qr": {"sampling.finish_isometry", "sampling.finish_unitary"},
+    "solve": {"gradients.solve_linear_map"},
+    "svd": {"cli._cmd_mean", "cli._cmd_repeval", "freefun._spectrum", "freefun.mobius_apply",
+            "matcore.truncated_pinv", "schur._check_sector_bound", "schur.sector_bound_check"},
+}
+
+
+def modules():
+    """The parsed modules of the package, by name."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def sites(match) -> set[str]:
@@ -85,8 +121,8 @@ def sites(match) -> set[str]:
                 found.add(".".join(scope))
             visit(child, scope)
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text()), [path.stem])
+    for name, tree in modules().items():
+        visit(tree, [name])
     return found
 
 
@@ -116,3 +152,28 @@ def test_the_rank_cut_is_read_only_in_its_sites():
 
 def test_no_module_reads_a_rank_attribute():
     assert not sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "rank")
+
+
+def test_only_the_failure_rule_holds_a_try_in_cert():
+    assert {site for site in sites(lambda node: isinstance(node, ast.Try)) if site.startswith("cert.")} == {
+        "cert._tester.wrap.run"}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_SITES))
+def test_every_kernel_call_is_pinned(kernel):
+    assert sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == f"np.linalg.{kernel}") == \
+        KERNEL_SITES[kernel]
+
+
+@pytest.mark.parametrize("module", sorted(modules()))
+def test_no_kernel_is_reached_past_the_pin(module):
+    # each np.linalg names a pinned kernel, or the error a kernel raises, in place: no alias and no import
+    tree = modules()[module]
+    named = Counter(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "np.linalg")
+    bare = sum(isinstance(node, ast.Attribute) and node.attr == "linalg" for node in ast.walk(tree))
+    assert bare == sum(named.values())
+    assert set(named) <= set(KERNEL_SITES) | {"LinAlgError"}
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not {name for name in imported if name.startswith(("numpy.", "scipy"))}

@@ -112,7 +112,6 @@ PARAMETERS = {
     direct_sum_rep: (
         "fn",
         "points",
-        "interval",  # passed on to support_pencil; no caller sets a second value yet (ROADMAP item 8)
         "validation_samples",  # demo 06's 80
         "seed",  # demo 06's 8
         "tol",  # the tol contract: support_pencil's and rep_eval's
