@@ -8,13 +8,17 @@ Subcommands wire the library modules over JSON files.  Each one takes
                only); every property is a ``cert`` tester, reported and
                exited on alike
   schur        shorted operator / Schur complement / sector bound of a matrix
-               (--pivot --pivot-file --mode --keep --tol; --keep for the
-               generic mode only, --tol for the others)
+               (--pivot --pivot-file --mode --keep --tol; --pivot or
+               --pivot-file, --keep for the generic mode only, --tol for the
+               others)
   pencil-eval  evaluate a pencil file at a tuple file (--shifted)
   support      supporting pencil certificate at a base point
-               (--v-file --v-index --samples --seed --tol --interval)
-  reconstruct  recover F(A)v from a certificate file (--residual-tol --tol)
-  repeval      evaluate a representation file (--complex --tol)
+               (--v-file --v-index --samples --seed --tol --interval;
+               --v-file or --v-index, 0 by default)
+  reconstruct  recover F(A)v from a certificate file (--residual-tol)
+  repeval      evaluate a representation file (--complex --tol; --tol with
+               --complex only, as only the half-space continuation compares
+               a floor)
   mean         operator means of a tuple file
   quadrep      quadrature representation of a one-variable function
                (--nodes --target --interval)
@@ -132,14 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function")
     p.add_argument("tuple", help="tuple file with the base point")
     p.add_argument("--v-file", type=str, default=None, help="vector as an n x 1 matrix file")
-    p.add_argument("--v-index", type=int, default=0, help="basis vector index when no file")
+    p.add_argument("--v-index", type=int, default=None, help="basis vector index when no file; 0 by default")
     p.add_argument("--samples", type=int, default=200)
     _add_options(p, "--seed", "--tol", "--interval")
 
     p = sub.add_parser("reconstruct", help="recover F(A)v from a certificate")
     p.add_argument("certificate", help="certificate file")
     p.add_argument("--residual-tol", type=float, default=1e-6)
-    _add_options(p, "--tol")
+    _add_options(p)
 
     p = sub.add_parser("repeval", help="evaluate a representation")
     p.add_argument("representation", help="representation file")
@@ -208,6 +212,8 @@ def _cmd_schur(args) -> int:
     unread = "tol" if args.mode == "generic" else "keep"
     if getattr(args, unread) is not None:
         raise BadConfig(f"--{unread} is not read by --mode {args.mode}")
+    if args.pivot_file and args.pivot is not None:
+        raise BadConfig("--pivot is not read by schur with --pivot-file")
     _, payload = io.load(args.input, expect="matrix")
     a = io.decode_matrix(payload)
     pivot = _pivot_from_args(args, a.shape[0])
@@ -249,6 +255,8 @@ def _cmd_pencil_eval(args) -> int:
 
 
 def _cmd_support(args) -> int:
+    if args.v_file and args.v_index is not None:
+        raise BadConfig("--v-index is not read by support with --v-file")
     fn = resolve_function(args.function)
     a = _load_tuple(args.tuple)
     n = a[0].shape[0]
@@ -256,10 +264,10 @@ def _cmd_support(args) -> int:
         _, payload = io.load(args.v_file, expect="matrix")
         v = io.decode_matrix(payload).reshape(-1)
     else:
-        if not 0 <= args.v_index < n:
-            raise BadConfig(f"--v-index {args.v_index} must lie in 0..{n - 1}")
-        v = np.zeros(n)
-        v[args.v_index] = 1.0
+        index = args.v_index or 0
+        if not 0 <= index < n:
+            raise BadConfig(f"--v-index {index} must lie in 0..{n - 1}")
+        v = np.eye(n)[index]
     interval = _parse_interval(args.interval)
     cert = support_pencil(
         fn, a, v, interval, validation_samples=args.samples, seed=args.seed, tol=_tolerances(args)
@@ -277,18 +285,19 @@ def _cmd_support(args) -> int:
 def _cmd_reconstruct(args) -> int:
     _, payload = io.load(args.certificate, expect="certificate")
     cert = io.certificate_from_payload(payload)
-    result = reconstruct(cert, _tolerances(args))
+    result = reconstruct(cert)
     _emit(args, {"residual": result.residual}, f"reconstruction residual {result.residual:.3e}",
           ("matrix", io.encode_matrix(result.value.reshape(-1, 1))))
     return EXIT_PASS if result.residual <= args.residual_tol else EXIT_MATH
 
 
 def _cmd_repeval(args) -> int:
+    if args.tol is not None and not args.complex:
+        raise BadConfig("--tol is not read by repeval without --complex")
     _, payload = io.load(args.representation, expect="representation")
     rep = io.representation_from_payload(payload)
     x = _load_tuple(args.tuple)
-    tol = _tolerances(args)
-    out = rep_eval_complex(rep, x, tol=tol) if args.complex else rep_eval(rep, x, tol)
+    out = rep_eval_complex(rep, x, _tolerances(args)) if args.complex else rep_eval(rep, x)
     norm = float(np.linalg.svd(out, compute_uv=False)[0])
     _emit(args, {"norm": norm}, f"representation value: dimension {out.shape[0]}, norm {norm:.6g}",
           ("matrix", io.encode_matrix(out)))

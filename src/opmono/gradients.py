@@ -59,14 +59,15 @@ def loewner_matrix(
     """The Loewner matrices [f[w_i, w_j]] of stacked spectra ``(..., n)``, shape ``(..., n, n)``.
 
     f[a, b] = (f(a) - f(b)) / (a - b), and f'((a + b) / 2) where |a - b| is
-    below 1e-8 (1 + |a| + |b|), on the diagonal too.  For a real spectrum the
+    at most 1e-8 (|a| + |b|), on the diagonal too: which pairs count as
+    close does not depend on the unit of the spectrum.  For a real spectrum the
     matrix is the divided-difference table of the Daleckii-Krein map, and it
     is PSD for every spectrum exactly when f is operator monotone (Loewner,
     *Math. Z.* 38, 1934).
     """
     lam_i, lam_j = w[..., :, None], w[..., None, :]
     diff = lam_i - lam_j
-    close = np.abs(diff) < 1e-8 * (1.0 + np.abs(lam_i) + np.abs(lam_j))
+    close = np.abs(diff) <= 1e-8 * (np.abs(lam_i) + np.abs(lam_j))
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = (f(lam_i) - f(lam_j)) / np.where(close, 1.0, diff)
     return np.where(close, fprime((lam_i + lam_j) / 2), phi)

@@ -105,8 +105,8 @@ class Tolerances:
     plain rule.
 
     The half-space checks (``schur``'s membership tests and
-    ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) and
-    ``rep_eval``'s domain check compare ``min_eig`` with a floor.  Every
+    ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) compare
+    ``min_eig`` with a floor, and ``rep_eval``'s domain check with 0.  Every
     benchmarked path hands them one matrix at a time, where a Cholesky
     screen costs more than the eigenvalue it would save.
 

@@ -404,9 +404,7 @@ class ReconstructionResult:
     value_op: np.ndarray
 
 
-def reconstruct(
-    cert: SupportCertificate, tol: Tolerances = DEFAULT_TOL
-) -> ReconstructionResult:
+def reconstruct(cert: SupportCertificate) -> ReconstructionResult:
     """Recover F(A)v from the certificate: its representation R at the base point.
 
     ``value_op`` is R(A), the whole Schur complement of ``cert.rep``'s pencil
@@ -414,9 +412,11 @@ def reconstruct(
     ``value`` is R(A)v.  The residual is the tightness defect
     sqrt|v* R(A) v - c - sum tr G_i (A_i - I)|, computable from the
     certificate alone.  Values are trustworthy when the residual is small.
+    The complement is not certified (``SchurCore.evaluate`` without
+    ``tol``) and no floor is compared, so no tolerance is taken.
     """
     a, v = cert.base_point, cert.v
-    value_op = herm_part(cert.rep.core(tol).evaluate(a))
+    value_op = herm_part(cert.rep.core().evaluate(a))
     excess = float((np.conj(v) @ value_op @ v).real) - (cert.c + _tangent(cert.gradients, a))
     return ReconstructionResult(value=value_op @ v, residual=float(np.sqrt(abs(excess))), value_op=value_op)
 
@@ -439,9 +439,9 @@ class PencilRepresentation:
 
     The state, like the pencil's coefficients and the pivot basis, is kept
     as a read-only array of its own: the caller's arrays stay writable, and
-    an in-place edit raises ValueError.  So each cached ``core`` computes
-    the state's pivot-block weights once (``SchurCore.state_weights``) and
-    reuses them on every evaluation.
+    an in-place edit raises ValueError.  So its one ``core`` computes the
+    state's pivot-block weights once (``SchurCore.state_weights``) and
+    reuses them on every evaluation, at any tolerances.
     """
 
     pencil: LinearPencil
@@ -474,30 +474,28 @@ class PencilRepresentation:
                       monotone=True, concave=True)
 
     @cached_property
-    def _cores(self) -> dict[Tolerances, SchurCore]:
-        return {}
+    def _core(self) -> SchurCore:
+        return shared_core(self.pencil, self.pivot)
 
-    def core(self, tol: Tolerances = DEFAULT_TOL) -> SchurCore:
-        """The pencil partitioned against the pivot, held once per tolerance (``schur.shared_core``)."""
-        if tol not in self._cores:
-            self._cores[tol] = shared_core(self.pencil, self.pivot, tol)
-        return self._cores[tol]
+    def core(self) -> SchurCore:
+        """The pencil partitioned against the pivot, held once (``schur.shared_core``)."""
+        return self._core
 
 
-def rep_eval(
-    rep: PencilRepresentation, x: MatTuple, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def rep_eval(rep: PencilRepresentation, x: MatTuple) -> np.ndarray:
     """Evaluate the representation at positive definite Hermitian tuples.
 
     The tuple takes ``matcore.check_args``, the check of every ``FreeFn``:
     components are stacked ``(..., n, n)`` and the output has one value per
-    member.  A member that is not positive definite then raises
-    DomainViolation.
+    member.  A member whose least eigenvalue is not above 0 then raises
+    DomainViolation.  Neither that check nor the traced complement
+    (``SchurCore.evaluate`` without ``tol``) compares a floor, so no
+    tolerance is taken.
     """
     xs = check_args(x, rep.arity, "rep_eval")
     if any(np.any(min_eig(xi) <= 0) for xi in xs):
         raise DomainViolation("representation arguments must be positive definite")
-    return herm_part(rep.core(tol).evaluate(xs, state=rep.state))
+    return herm_part(rep.core().evaluate(xs, state=rep.state))
 
 
 def rep_eval_complex(
@@ -509,9 +507,10 @@ def rep_eval_complex(
     evaluation's ``matcore.check_args`` (``pencil.pencil_arguments``).
     Every member must lie in the right or upper operator poly-halfspace
     (else DomainViolation); the certificates and the output check
-    (HalfPlaneViolated) are ``SchurCore.evaluate``'s.
+    (HalfPlaneViolated) are ``SchurCore.evaluate``'s, at the floors of
+    ``tol``.
     """
-    return rep.core(tol).evaluate(x, state=rep.state, halfspace=True)
+    return rep.core().evaluate(x, state=rep.state, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +566,7 @@ def direct_sum_rep(
     cert.rep.meta.update(kind="direct_sum", points=len(points))
     vs = np.stack(vs)[..., None]
     lhs = herm_part(fn(xs)) @ vs
-    residuals = fro_norm(rep_eval(cert.rep, xs, tol) @ vs - lhs)
+    residuals = fro_norm(rep_eval(cert.rep, xs) @ vs - lhs)
     if not np.all(residuals <= _DIRECT_SUM_GATE * (1.0 + fro_norm(lhs))):
         raise VerificationFailed(
             f"direct-sum representation misses F(A_j)v_j by {np.max(residuals):.3e}"
@@ -657,7 +656,7 @@ def rep_from_quadrature(
     )
 
     xs = np.linspace(interval[0], interval[1], 100).reshape(-1, 1, 1)
-    approx = rep_eval(rep, (xs,), tol)[:, 0, 0].real
+    approx = rep_eval(rep, (xs,))[:, 0, 0].real
     exact = fn(xs)[:, 0, 0].real
     rel = float(np.max(np.abs(approx - exact) / np.abs(exact)))
     if rel > target:

@@ -261,7 +261,7 @@ def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL)
 
 
 def _eliminate(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the stacked systems D sol = rhs under the policy in ``Tolerances``."""
+    """Solve the stacked systems D sol = rhs, cut at ``RANK_CUT``, and check their residual."""
     try:
         inv = np.linalg.inv(d)
         full = RANK_CUT * fro_norm(d) * fro_norm(inv) < 1.0  # no singular value to truncate
@@ -474,13 +474,15 @@ class SchurCore:
     group's half-space checks, sqrt(w) and the 16 eps kappa of its floor,
     are computed here once, as are a state's weights (``state_weights``);
     those of the cone bound wait for the first half-space evaluation
-    (``_cone_bound``).
+    (``_cone_bound``).  None of them reads a tolerance: one core serves
+    every ``Tolerances``, which each half-space evaluation names
+    (``evaluate``).
     """
 
-    def __init__(self, pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, pencil: RawPencil, pivot: PivotSubspace):
         if pivot.ambient_dim != pencil.size:
             raise DimensionMismatch("pivot subspace must live on the coefficient space")
-        self.pencil, self.basis, self.tol = pencil, pivot.basis, tol
+        self.pencil, self.basis = pencil, pivot.basis
         shapes, top = _pivot_blocks(pencil.coeffs, pivot.basis)
         parts, perp = [], pivot.dim  # per block shape: the directions, numbered as in index, and the coefficients
         for kept, b, c in shapes:
@@ -528,13 +530,15 @@ class SchurCore:
         self._kept_state = (None, None)  # the last read-only state and its weights
         self._cone = None  # the constants of _cone_bound, per group
 
-    def _cone_bound(self, i: int, norms: np.ndarray, margin: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _cone_bound(self, i: int, norms: np.ndarray, margin: np.ndarray, n: int,
+                    tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
         """Per member of group ``i`` (..., g): the cone bound on lambda_min Re(e^{i theta} L~) and a floor above L~'s.
 
-        ``norms`` and ``margin`` are ``_cone_margin``'s; the bound and its
-        allowances are derived in ``evaluate``.  The groups' constants are
-        computed on the core's first call, so a core that never checks a
-        half-space, such as ``reconstruct``'s, pays nothing for them.
+        ``norms`` and ``margin`` are ``_cone_margin``'s and the floor is
+        ``tol``'s; the bound and its allowances are derived in ``evaluate``.
+        The groups' constants are computed on the core's first call, so a core
+        that never checks a half-space, such as one that only ``reconstruct``
+        and ``rep_eval`` have used, pays nothing for them.
         """
         if self._cone is None:
             self._cone = [None if group[3] is None else _cone_constants(group[3]) for group in self.groups]
@@ -544,7 +548,7 @@ class SchurCore:
         with np.errstate(over="ignore", invalid="ignore"):  # a bound or floor that is not finite settles nothing
             s = norms @ sizes.T  # >= ||L~||_F
             top = s * (1.0 + u)
-            floor = self.tol.psd_floor_at(top) + self._sector[i][1] * top
+            floor = tol.psd_floor_at(top) + self._sector[i][1] * top
             m = margin[..., None]
             return np.where(m > 0, m * lam0 - (norms @ dev.T + const + u * s), -np.inf), floor
 
@@ -570,7 +574,7 @@ class SchurCore:
         self,
         x: tuple[np.ndarray, ...],
         state: np.ndarray | None = None,
-        halfspace: bool = False,
+        tol: Tolerances | None = None,
     ) -> np.ndarray:
         """Schur complement of the shifted evaluation at ``x``, keeping S (x) I.
 
@@ -580,14 +584,16 @@ class SchurCore:
         axes; a whole complement takes one tuple (DimensionMismatch for a
         stack).  The compressed state's weights come from ``state_weights``:
         once per core for a read-only state such as a representation's,
-        afresh on every call for a writable one.  With ``halfspace`` every
-        member must lie in an operator half-space (else DomainViolation).
-        Each eliminated component is certified sectorial on its normalized
-        essential block L~ = T* L T, T = E W^{-1/2} (x) I, at theta = 0 for a
-        right half-space member and at the ``_aim`` of an upper one:
-        lambda_min(Re(e^{i theta} L~)) must exceed the floor of
-        ``Tolerances``, else NotSectorial for a right member and
-        RotationNotFound for an upper one (a NaN aim included).
+        afresh on every call for a writable one.  Without ``tol`` nothing is
+        certified and no floor is read.  A ``Tolerances`` asks for the
+        half-space certification at its floors: every member must lie in an
+        operator half-space (else DomainViolation), and each eliminated
+        component is certified sectorial on its normalized essential block
+        L~ = T* L T, T = E W^{-1/2} (x) I, at theta = 0 for a right
+        half-space member and at the ``_aim`` of an upper one:
+        lambda_min(Re(e^{i theta} L~)) must exceed the floor of ``tol``, else
+        NotSectorial for a right member and RotationNotFound for an upper one
+        (a NaN aim included).
         For invertible T, Re(e^{i theta} T* L T) = T* Re(e^{i theta} L) T, so
         this certifies Re(e^{i theta} L) > 0 on the same essential directions,
         and the sector angle is the same.
@@ -633,12 +639,11 @@ class SchurCore:
         so every outcome and message is unchanged.  Last, every upper
         member's output must keep a PSD imaginary part (else
         HalfPlaneViolated).  Neither the angle nor the scaling enters the
-        complement, so the result equals that without ``halfspace``.
+        complement, so the result equals that without ``tol``.
         """
-        tol = self.tol
         args = pencil_arguments(self.pencil, x, shifted=True, one=state is None)
         lead, n = args.shape[:-3], args.shape[-1]
-        if halfspace:
+        if tol is not None:
             floors = [psd_floor(m, tol) for m in x]  # each slot's, for both half-spaces
             right = np.broadcast_to(_in_halfspace(re_part, x, floors), lead)
             if not (right.all() or np.all(right | _in_halfspace(im_part, x, floors))):
@@ -658,7 +663,7 @@ class SchurCore:
             comp = full[..., :k, :k]
             if essential is not None:
                 comp = comp - full[..., :k, k:] @ _eliminate(full[..., k:, k:], full[..., k:, :k])
-                if halfspace:  # full_c settles a member's first sector check, the cone bound its floor check
+                if tol is not None:  # full_c settles a member's first sector check, the cone bound its floor check
                     pick = True
                     if essential.shape[-1] == coeffs.shape[-1]:  # the diagonal of e^{i theta} full_c
                         diag = np.exp(1j * theta)[..., None, None] * np.diagonal(full, axis1=-2, axis2=-1)
@@ -666,7 +671,7 @@ class SchurCore:
                     low = np.broadcast_to(pick, comp.shape[:-2])
                     if not low.all():  # where every member forms its block, its floor check costs no more
                         cone = _cone_margin(shifted, theta) if cone is None else cone
-                        bound, floor = self._cone_bound(i, *cone, n)
+                        bound, floor = self._cone_bound(i, *cone, n, tol)
                         low = ~(bound > floor)
                     pick = low | pick
                     if pick.any():  # only these form their blocks
@@ -678,7 +683,7 @@ class SchurCore:
             else:
                 out += np.einsum("gsr,...grisj->...ij", weights[i], comp)
         out = out.reshape(m * n, m * n) if state is None else out
-        if halfspace:
+        if tol is not None:
             for i, pick, low, normalized, comp in checks:
                 root, slack = self._sector[i]
                 rotated = np.exp(1j * _pick(theta[..., None], pick))[..., None, None] * normalized
@@ -701,21 +706,24 @@ class SchurCore:
         return out
 
 
-def shared_core(pencil: RawPencil, pivot: PivotSubspace, tol: Tolerances = DEFAULT_TOL) -> SchurCore:
-    """The ``SchurCore`` of a pencil, pivot basis and tolerances, built where none is alive.
+def shared_core(pencil: RawPencil, pivot: PivotSubspace) -> SchurCore:
+    """The ``SchurCore`` of a pencil and pivot basis, built where none is alive.
 
     The pencil, whose coefficients are read-only, lists its cores
     (``RawPencil.cores``) for as long as a caller holds them, as a
     ``PencilRepresentation`` holds its own: every caller handed the same
     pencil and a pivot basis of the same dtype, shape and bytes meanwhile
-    evaluates through one partition and one set of check constants.
+    evaluates through one partition and one set of check constants, at
+    whatever tolerances it hands ``SchurCore.evaluate``.  So every support
+    op's ``schur_pencil`` reuses the core that ``reconstruct`` built on the
+    certificate's pencil.
     """
     basis = pivot.basis
     for core in pencil.cores:
-        if core.tol == tol and core.basis.dtype == basis.dtype and core.basis.shape == basis.shape \
+        if core.basis.dtype == basis.dtype and core.basis.shape == basis.shape \
                 and core.basis.tobytes() == basis.tobytes():
             return core
-    core = SchurCore(pencil, pivot, tol)
+    core = SchurCore(pencil, pivot)
     pencil.cores.add(core)
     return core
 
@@ -730,6 +738,7 @@ def schur_pencil(
 
     Arguments must lie in one of the operator half-spaces: all Re X_i > 0 or
     all Im X_i > 0.  The certificates and checks are those of
-    ``SchurCore.evaluate``, on the pencil's shared core (``shared_core``).
+    ``SchurCore.evaluate`` at the floors of ``tol``, on the pencil's shared
+    core (``shared_core``).
     """
-    return shared_core(pencil, s, tol).evaluate(x, halfspace=True)
+    return shared_core(pencil, s).evaluate(x, tol=tol)

@@ -539,7 +539,7 @@ OPTIONS = {
     "schur": {"pivot", "pivot_file", "mode", "keep", "tol"},
     "pencil-eval": {"shifted"},
     "support": {"v_file", "v_index", "samples", "seed", "tol", "interval"},
-    "reconstruct": {"residual_tol", "tol"},
+    "reconstruct": {"residual_tol"},
     "repeval": {"complex", "tol"},
     "mean": set(),
     "quadrep": {"nodes", "target", "interval"},
@@ -561,8 +561,7 @@ RUNS = {
                         "--seed", "2", "--tol", "1e-9", "--interval", "0.5,2"), "certificate"),
     "support-v-index": (("support", "sqrt", "{tuple}", "--v-index", "1", "--samples", "20"),
                         "certificate"),
-    "reconstruct": (("reconstruct", "{certificate}", "--residual-tol", "1e-6", "--tol", "1e-9"),
-                    "matrix"),
+    "reconstruct": (("reconstruct", "{certificate}", "--residual-tol", "1e-6"), "matrix"),
     "repeval": (("repeval", "{representation}", "{upper}", "--complex", "--tol", "1e-9"), "matrix"),
     "mean": (("mean", "geomean2", "{pair}"), "matrix"),
     "quadrep": (("quadrep", "sqrt", "--nodes", "16", "--target", "1e-2", "--interval", "0.5,2"),
@@ -627,7 +626,11 @@ class TestOptions:
         (("schur", "{matrix}", "--pivot", "0", "--mode", "sector-bound", "--keep", "s"), "--keep"),
         (("check", "sqrt", "monotone", "--m", "5"), "--m"),
         (("check", "sqrt", "doubling", "--n", "3", "--m", "2"), "--m"),
-    ], ids=["generic-tol", "psd-keep", "sector-bound-keep", "monotone-m", "doubling-m"])
+        (("support", "sqrt", "{tuple}", "--v-file", "{v}", "--v-index", "1"), "--v-index"),
+        (("schur", "{matrix}", "--pivot", "0", "--pivot-file", "{basis}"), "--pivot"),
+        (("repeval", "{representation}", "{pair}", "--tol", "1e-9"), "--tol"),
+    ], ids=["generic-tol", "psd-keep", "sector-bound-keep", "monotone-m", "doubling-m", "v-file-v-index",
+            "pivot-file-pivot", "repeval-real-tol"])
     def test_an_option_the_mode_does_not_read_exits_64(self, argv, option, run_files, capsys):
         code, out = run_cli(*(arg.format(**run_files) for arg in argv))
         assert code == 64
@@ -648,7 +651,8 @@ class TestOptions:
         ("mean", "geomean2", "{pair}", "--seed", "3"),
         ("quadrep", "sqrt", "--tol", "1e-9"),
         ("pencil-eval", "{pencil}", "{pair}", "--interval", "0.5,2"),
-    ], ids=["mean-seed", "quadrep-tol", "pencil-eval-interval"])
+        ("reconstruct", "{certificate}", "--tol", "1e-9"),
+    ], ids=["mean-seed", "quadrep-tol", "pencil-eval-interval", "reconstruct-tol"])
     def test_removed_option_exits_64(self, argv, run_files, capsys):
         code, out = run_cli(*(arg.format(**run_files) for arg in argv))
         assert code == 64

@@ -2,7 +2,7 @@
 
 A support certificate evaluates through its representation (``SupportCertificate.rep``),
 and every representation and ``schur_pencil`` through the pencil's live core for that pivot
-and those tolerances (``schur.shared_core``): a second construction elsewhere would be a
+(``schur.shared_core``): a second construction elsewhere would be a
 second evaluator of the same object, free to drift from the first.
 
 Likewise an argument tuple of the wrong arity is refused only by ``matcore.check_args``,

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from opmono.freefun import (
     power_mean_fn,
     resolve_function,
 )
-from opmono.matcore import (block_diag, dagger, fro_norm, funcalc, herm_part, im_part, min_eig, psd_floor, readonly,
-                            require_psd)
+from opmono.matcore import (DEFAULT_TOL, Tolerances, block_diag, dagger, fro_norm, funcalc, herm_part, im_part,
+                            min_eig, psd_floor, readonly, require_psd)
 from opmono.pencil import RawPencil, pencil_new
 from opmono.represent import (
     PencilRepresentation,
@@ -594,6 +595,21 @@ class TestReconstruct:
         rec = reconstruct(bad)
         assert rec.residual > 0.1
 
+    @pytest.mark.parametrize("ident", ["sqrt", "log1p", "pow:0.7"])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_a_rescaled_base_point_is_certified_and_reconstructed(self, ident, scale):
+        # the lift's gradient is its Daleckii-Krein adjoint at every unit of the
+        # spectrum, so F(cA)v comes back from a certificate for c from 1e-8 to 1e8;
+        # the absolute residual is the root of an absolute defect, so it is not read
+        rng = np.random.default_rng(3)
+        a = rand_tuple_interval(rng, 1, 3, 0.5, 2.0)
+        v = rand_unit_vector(rng, 3)
+        fn = resolve_function(ident)
+        ca = tuple(scale * x for x in a)
+        cert = support_pencil(fn, ca, v, interval=(0.5 * scale, 2.0 * scale), seed=1)
+        truth = fn(ca) @ cert.v
+        assert np.linalg.norm(reconstruct(cert).value - truth) <= 1e-6 * np.linalg.norm(truth)
+
 
 class TestCertificateRepresentation:
     """A certificate is the representation R of its pencil with pivot span(v) and state vv*."""
@@ -631,8 +647,7 @@ class TestCertificateRepresentation:
     @pytest.mark.parametrize("ident", ["sqrt", "harmonic"])
     def test_schur_pencil_evaluates_on_its_core(self, ident):
         # schur_pencil at the certificate's pencil and an equal pivot builds no second core,
-        # and its value is a fresh core's bit for bit; other tolerances take a core of their own
-        from opmono.matcore import Tolerances
+        # and its value is a fresh core's bit for bit
         from opmono.schur import schur_pencil
 
         rng = np.random.default_rng(64)
@@ -641,8 +656,21 @@ class TestCertificateRepresentation:
             z = tuple(rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)) for _ in range(fn.arity))
             out = schur_pencil(cert.pencil, z, pivot)
             assert set(cert.pencil.cores) == {core}
-            assert np.array_equal(out, SchurCore(cert.pencil, pivot).evaluate(z, halfspace=True))
-            assert cert.rep.core(Tolerances(psd=1e-8)) is not core
+            assert np.array_equal(out, SchurCore(cert.pencil, pivot).evaluate(z, tol=DEFAULT_TOL))
+
+    def test_schur_pencil_at_any_tolerance_shares_the_representation_core(self, count_calls):
+        # the partition reads no tolerance, so the certificate's one core serves
+        # schur_pencil at the default floors and at other ones alike, and none is built
+        from opmono import schur
+
+        rng = np.random.default_rng(66)
+        for _, cert in self.certificates("sqrt", 67):
+            core = cert.rep.core()
+            z = (rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)),)
+            built = count_calls(schur, "_pivot_blocks")
+            for tol in (DEFAULT_TOL, Tolerances(psd=1e-8)):
+                schur.schur_pencil(cert.pencil, z, PivotSubspace.from_vector(cert.v), tol)
+            assert built == [] and set(cert.pencil.cores) == {cert.rep.core()} == {core}
 
 
 class TestDirectSum:
@@ -1007,9 +1035,30 @@ class TestStateWeightsOncePerCore:
                 p = p.reshape(lead + (n, n))
                 for z in (h + 1j * p, p + 1j * h):
                     assert np.array_equal(rep_eval_complex(rep, (z,)),
-                                          fresh.evaluate((z,), state=rep.state.copy(), halfspace=True))
+                                          fresh.evaluate((z,), state=rep.state.copy(), tol=DEFAULT_TOL))
                 assert np.array_equal(rep_eval(rep, (p,)),
                                       herm_part(fresh.evaluate((p,), state=rep.state.copy())))
+
+    def test_one_core_serves_every_tolerance(self):
+        # a call at tight floors and one at the default floors evaluate through one
+        # core, which the pencil lists alone, and the tight call is a fresh core's
+        rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
+        rng = np.random.default_rng(64)
+        tight = Tolerances(psd=1e-8)
+        z = (rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)),)
+        fresh = SchurCore(rep.pencil, rep.pivot)
+        assert np.array_equal(rep_eval_complex(rep, z, tight), fresh.evaluate(z, state=rep.state.copy(), tol=tight))
+        core = rep.core()
+        rep_eval_complex(rep, z)
+        assert rep.core() is core and set(rep.pencil.cores) == {core}
+        # above the default floors and below the tight ones: each call reads its own
+        between = (8e-9 * (1 + 1j) * np.eye(3),)
+        for evaluate in (partial(rep_eval_complex, rep), partial(fresh.evaluate, state=rep.state.copy())):
+            with pytest.raises(errors.DomainViolation):
+                evaluate(between, tol=tight)
+        assert np.array_equal(rep_eval_complex(rep, between), fresh.evaluate(between, state=rep.state.copy(),
+                                                                             tol=DEFAULT_TOL))
+        assert rep.core() is core and set(rep.pencil.cores) == {core}
 
     def test_a_representation_compresses_its_state_once(self, monkeypatch):
         rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
@@ -1036,18 +1085,18 @@ class TestStateWeightsOncePerCore:
         first, second = rep.state.copy(), np.diag(rng.uniform(0.0, 1.0, rep.pencil.size))
         results = []
         for state in (first, second, first):
-            results.append(core.evaluate(z, state=state, halfspace=True))
+            results.append(core.evaluate(z, state=state, tol=DEFAULT_TOL))
             assert np.array_equal(results[-1], SchurCore(rep.pencil, rep.pivot).evaluate(z, state=state.copy(),
-                                                                                       halfspace=True))
+                                                                                       tol=DEFAULT_TOL))
         assert not np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
         first[0, 0] += 1.0  # edited in place between calls
-        edited = core.evaluate(z, state=first, halfspace=True)
+        edited = core.evaluate(z, state=first, tol=DEFAULT_TOL)
         assert not np.array_equal(edited, results[0])
         assert np.array_equal(edited, SchurCore(rep.pencil, rep.pivot).evaluate(z, state=first.copy(),
-                                                                                halfspace=True))
+                                                                                tol=DEFAULT_TOL))
         # read-only states are kept one at a time, each under its own identity
         for state in (rep.state, readonly(second), rep.state):
-            assert np.array_equal(core.evaluate(z, state=state, halfspace=True),
+            assert np.array_equal(core.evaluate(z, state=state, tol=DEFAULT_TOL),
                                   results[0] if state is rep.state else results[1])
 
     def test_each_slot_floor_is_taken_once(self, count_calls, workload_reps):

@@ -436,8 +436,8 @@ class TestFirstCertifiedAngle:
             state = rand_psd(rng, d) if with_state else None
             if with_state:
                 state /= np.trace(state).real
-            checked = core.evaluate(x, state=state, halfspace=True)
-            assert np.array_equal(checked, core.evaluate(x, state=state, halfspace=False))
+            checked = core.evaluate(x, state=state, tol=DEFAULT_TOL)
+            assert np.array_equal(checked, core.evaluate(x, state=state))
 
 
 def floor_member(rng, n, tol):
@@ -505,13 +505,13 @@ class TestAimedRotation:
         good = rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n))
         assert np.isnan(schur._aim(np.stack([floor, good])[:, None])).all()
         assert np.isfinite(schur._aim(good[None, None])).all()
-        core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]), tight)
+        core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]))
         state = np.diag([1.0, 0.0, 0.0])
-        core.evaluate((good,), state=state, halfspace=True)
+        core.evaluate((good,), state=state, tol=tight)
         for _ in range(10):
             x = (np.stack([floor_member(rng, n, tight), good]),)
             with pytest.raises(errors.RotationNotFound):
-                core.evaluate(x, state=state, halfspace=True)
+                core.evaluate(x, state=state, tol=tight)
 
 
 def support_op(seed, index):
@@ -553,7 +553,7 @@ class TestNormalizedCertificate:
         assert np.allclose(essential.sum(axis=1), np.eye(4), rtol=0, atol=1e-6)
         for _ in range(5):
             x = (rand_herm(rng, 2) + 1j * (rand_psd(rng, 2) + 0.1 * np.eye(2)),)
-            checked = core.evaluate(x, halfspace=True)
+            checked = core.evaluate(x, tol=DEFAULT_TOL)
             assert np.array_equal(checked, core.evaluate(x))
 
     def test_near_pi_cone_is_refused(self):
@@ -582,12 +582,12 @@ class TestNormalizedCertificate:
         # check reads the whole stack.
         pencil, pivot, x, state = below_floor_stack(error)
         core = SchurCore(pencil, pivot)
-        core.evaluate(tuple(m[0] for m in x), state=state, halfspace=True)
+        core.evaluate(tuple(m[0] for m in x), state=state, tol=DEFAULT_TOL)
         exact_args = []
         exact_min_eig = schur.min_eig
         monkeypatch.setattr(schur, "min_eig", lambda a: exact_args.append(np.shape(a)) or exact_min_eig(a))
         with pytest.raises(error):
-            core.evaluate(x, state=state, halfspace=True)
+            core.evaluate(x, state=state, tol=DEFAULT_TOL)
         if error is errors.HalfPlaneViolated:
             assert exact_args[-1] == (2, 2, 2)  # Im of the complements
         else:
@@ -738,11 +738,11 @@ class TestSectorBoundCheck:
         assert in_right_halfspace((np.stack([weak, bad]),)).all()
         state = np.diag([1.0, 0.0])
         for x in (weak, np.stack([upper, weak])):
-            checked = core.evaluate((x,), state=state, halfspace=True)
+            checked = core.evaluate((x,), state=state, tol=DEFAULT_TOL)
             assert np.array_equal(checked, core.evaluate((x,), state=state))
         for x in (bad, np.stack([upper, bad])):
             with pytest.raises(errors.NotSectorial):
-                core.evaluate((x,), state=state, halfspace=True)
+                core.evaluate((x,), state=state, tol=DEFAULT_TOL)
 
     def test_settled_members_make_no_svd_or_eigh(self, count_calls, small_rep):
         # two upper half-space members and one right half-space member, every
@@ -1008,10 +1008,9 @@ def cone_case(rng, validated):
     return SchurCore(pencil, PivotSubspace.from_indices(size, pivot)), x
 
 
-def blocks_as_formed(core, x):
+def blocks_as_formed(core, x, tol=DEFAULT_TOL):
     """Per group with eliminated directions: (index, theta, full, comp, rotated, block), every
     normalized block formed as ``SchurCore.evaluate`` formed it before the cone bound."""
-    tol = core.tol
     args = pencil_arguments(core.pencil, x, shifted=True)
     lead, n = args.shape[:-3], args.shape[-1]
     right = np.broadcast_to(in_right_halfspace(x, tol), lead)
@@ -1032,14 +1031,13 @@ def blocks_as_formed(core, x):
     return right, out
 
 
-def checks_as_before(core, x, state=None):
-    """Reference: ``SchurCore.evaluate(x, state, halfspace=True)`` as it was before the cone bound.
+def checks_as_before(core, x, state=None, tol=DEFAULT_TOL):
+    """Reference: ``SchurCore.evaluate(x, state, tol)`` as it was before the cone bound.
 
     Every normalized block is formed and held to its floor by its exact
     smallest eigenvalue, and every member takes the sec^2(alpha) bound at
     its exact angle.
     """
-    tol = core.tol
     args = pencil_arguments(core.pencil, x, shifted=True, one=state is None)
     floors = [psd_floor(m, tol) for m in x]
     right = np.broadcast_to(schur._in_halfspace(re_part, x, floors), args.shape[:-3])
@@ -1047,7 +1045,7 @@ def checks_as_before(core, x, state=None):
         raise errors.DomainViolation("tuple lies in neither operator half-space")
     out = core.evaluate(x, state=state)
     x = tuple(np.broadcast_to(m, args.shape[:-3] + m.shape[-2:]) for m in x)
-    for i, _, _, comp, rotated, block in blocks_as_formed(core, x)[1]:
+    for i, _, _, comp, rotated, block in blocks_as_formed(core, x, tol)[1]:
         slack = 16 * EPS * core.groups[i][4][:, -1] / core.groups[i][4][:, 0]
         size = fro_norm(rotated)
         failed = ~(min_eig(rotated) > tol.psd_floor_at(size) + slack * size)
@@ -1083,11 +1081,11 @@ class TestConeBound:
         # the formed block
         core, x = cone_case(np.random.default_rng(seed), validated)
         args = pencil_arguments(core.pencil, x, shifted=True)
-        n, tol = args.shape[-1], core.tol
+        n, tol = args.shape[-1], DEFAULT_TOL
         _, formed = blocks_as_formed(core, x)
         for i, theta, _, _, rotated, _ in formed:
             norms, margin = schur._cone_margin(args, theta)
-            bound, floor = core._cone_bound(i, norms, margin, n)
+            bound, floor = core._cone_bound(i, norms, margin, n, tol)
             assert np.all(bound <= np.linalg.eigvalsh(herm_part(rotated))[..., 0])
             weights = core.groups[i][4]
             size = fro_norm(rotated)
@@ -1103,7 +1101,7 @@ class TestConeBound:
             core, x = cone_case(rng, validated=True)
             args = pencil_arguments(core.pencil, x, shifted=True)
             for i, theta, _, _, _, _ in blocks_as_formed(core, x)[1]:
-                bound, floor = core._cone_bound(i, *schur._cone_margin(args, theta), args.shape[-1])
+                bound, floor = core._cone_bound(i, *schur._cone_margin(args, theta), args.shape[-1], DEFAULT_TOL)
                 settled += int(np.count_nonzero(bound > floor))
                 total += bound.size
         assert settled >= 0.9 * total > 0
@@ -1113,11 +1111,11 @@ class TestConeBound:
         x = np.diag([0.3, 2.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
         args = pencil_arguments(core.pencil, (x,), shifted=True)
         norms, margin = schur._cone_margin(args, np.zeros(()))
-        bound, _ = core._cone_bound(0, norms, margin, 2)
+        bound, _ = core._cone_bound(0, norms, margin, 2, DEFAULT_TOL)
         assert 0.0 <= min_eig(x) / 2 - bound[0] <= 1e-6
         # m * lambda_min(A_0) bounds nothing when m < 0, even where A_0 has a negative eigenvalue
         core = SchurCore(RawPencil((-b / 2, b)), PivotSubspace.from_indices(2, [0]))  # A_0 = -I
-        bound, _ = core._cone_bound(0, norms, np.array(-1.0), 2)
+        bound, _ = core._cone_bound(0, norms, np.array(-1.0), 2, DEFAULT_TOL)
         assert core._cone[0][0][0] < 0 and bound[0] == -np.inf
 
     @settings(max_examples=40)
@@ -1131,7 +1129,7 @@ class TestConeBound:
             settled = schur._sector_settles(comp, full, np.exp(1j * theta)[..., None, None] * diagonal(full))
             for j in zip(*np.nonzero(settled)):
                 member = tuple(m[j][None] for m in (rotated, block, comp))
-                assert outcome(reference_check_sector_bound, *member, core.tol) is None
+                assert outcome(reference_check_sector_bound, *member, DEFAULT_TOL) is None
 
     @given(settled_pairs(), st.integers(0, 2**32 - 1), st.floats(0.5, 1.5))
     def test_check_on_full_c_implies_the_exact_bound(self, pair, seed, stretch):
@@ -1155,9 +1153,9 @@ class TestConeBound:
             state /= np.trace(state).real
         for j in range(len(x[0])):
             member = tuple(m[j] for m in x)
-            assert verdict(core.evaluate, member, halfspace=True) == verdict(checks_as_before, core, member)
+            assert verdict(core.evaluate, member, tol=DEFAULT_TOL) == verdict(checks_as_before, core, member)
         if state is not None:
-            got = verdict(core.evaluate, x, state=state, halfspace=True)
+            got = verdict(core.evaluate, x, state=state, tol=DEFAULT_TOL)
             assert got == verdict(checks_as_before, core, x, state)
 
     def test_every_refusal_is_met_as_before(self):
@@ -1169,7 +1167,7 @@ class TestConeBound:
             core, x = cone_case(rng, validated=bool(rng.random() < 0.2))
             expected = verdict(checks_as_before, core, x, np.eye(core.pencil.size) / core.pencil.size)
             assert verdict(core.evaluate, x, state=np.eye(core.pencil.size) / core.pencil.size,
-                           halfspace=True) == expected
+                           tol=DEFAULT_TOL) == expected
             seen.add(expected[0])
         assert seen >= {"ok", errors.NotSectorial, errors.RotationNotFound, errors.SectorBoundViolated,
                         errors.HalfPlaneViolated}
@@ -1182,17 +1180,17 @@ class TestConeBound:
         x = (0.5 * np.eye(2) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),)
         assert in_right_halfspace(x)
         expected = (errors.NotSectorial, "an eliminated component of a right member is not sectorial")
-        assert verdict(core.evaluate, x, halfspace=True) == expected == verdict(checks_as_before, core, x)
+        assert verdict(core.evaluate, x, tol=DEFAULT_TOL) == expected == verdict(checks_as_before, core, x)
 
     def test_upper_tuple_without_a_cholesky_factor_is_refused(self):
         # the NaN aim gives a NaN margin, which settles nothing, so the
         # formed block takes the floor check and is refused as before
         rng = np.random.default_rng(85)
         tight = Tolerances(psd=1e-22)
-        core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]), tight)
+        core = SchurCore(valid_pencil(rng, 1, 3), PivotSubspace.from_indices(3, [0]))
         x = (floor_member(rng, 3, tight),)
         expected = (errors.RotationNotFound, "the aimed rotation leaves an eliminated component unsectorial")
-        assert verdict(core.evaluate, x, halfspace=True) == expected == verdict(checks_as_before, core, x)
+        assert verdict(core.evaluate, x, tol=tight) == expected == verdict(checks_as_before, core, x, tol=tight)
 
     def test_a_group_without_the_check_on_full_c_takes_no_cone_bound(self, count_calls):
         # the coefficient sum has rank 2 on a component of 3 directions, so
@@ -1203,7 +1201,7 @@ class TestConeBound:
         assert essential.shape[-1] == 2 < coeffs.shape[-1] == 3
         x = (2 * np.eye(2) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),)
         eigvalsh = count_calls(np.linalg, "eigvalsh")
-        checked = verdict(core.evaluate, x, halfspace=True)
+        checked = verdict(core.evaluate, x, tol=DEFAULT_TOL)
         assert core._cone is None and (1, 4, 4) in eigvalsh
         assert checked == verdict(checks_as_before, core, x)
 
@@ -1215,9 +1213,9 @@ class TestConeBound:
         eigvalsh = count_calls(np.linalg, "eigvalsh")
         core.evaluate(x)
         assert eigvalsh == [] and core._cone is None
-        core.evaluate(x, halfspace=True)
+        core.evaluate(x, tol=DEFAULT_TOL)
         (_, index, _, essential, _), = core.groups
         assert (len(index), essential.shape[1] + 1) + essential.shape[-2:] in eigvalsh
         calls = len(eigvalsh)
-        core.evaluate(x, halfspace=True)
+        core.evaluate(x, tol=DEFAULT_TOL)
         assert len(eigvalsh) == 2 * calls - 1  # the constants are kept

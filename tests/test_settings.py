@@ -6,13 +6,17 @@ out.  So the stored fields of every dataclass and the parameter lists of every c
 ``opmono.__all__`` that has a default are pinned here, each optional entry beside the non-test
 caller (the CLI, a library function, a demo or ``perfbench``) that sets a second value, or the
 ``tol`` contract: one ``Tolerances`` on every entry point that applies its ``psd`` or ``eq``,
-as ``matcore.check_args`` is one argument check.  The rank cut is no setting but the constant
-``matcore.RANK_CUT``, so the functions that only applied it take no ``tol``.  A new setting has
-to be added here together with the caller that needs it.
+as ``matcore.check_args`` is one argument check, and on no other.  The rank cut is no setting
+but the constant ``matcore.RANK_CUT``, so the functions that only applied it take no ``tol``,
+and a function that compares no floor takes none either: every ``tol`` parameter in the
+package is read (``test_every_tol_is_read``).  A new setting has to be added here together with
+the caller that needs it.
 """
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -114,7 +118,7 @@ PARAMETERS = {
         "points",
         "validation_samples",  # demo 06's 80
         "seed",  # demo 06's 8
-        "tol",  # the tol contract: support_pencil's and rep_eval's
+        "tol",  # the tol contract: support_pencil's
     ),
     frechet_derivative: (
         "fn",
@@ -122,16 +126,14 @@ PARAMETERS = {
         "direction",
         "tol",  # the tol contract: its agreement test reads eq
     ),
-    reconstruct: ("cert", "tol"),  # the tol contract; cli reconstruct --tol
-    rep_eval: ("rep", "x", "tol"),  # the tol contract: its domain check reads psd; cli repeval --tol
-    rep_eval_complex: ("rep", "x", "tol"),  # the tol contract; cli repeval --complex --tol
+    rep_eval_complex: ("rep", "x", "tol"),  # the tol contract: SchurCore.evaluate's floors; cli repeval --complex --tol
     rep_from_quadrature: (
         "name",
         "nodes",  # cli --nodes, perfbench's 64, 32 and 48
         "interval",  # cli --interval
         "p",  # cli quadrep pow:P
         "target",  # cli --target
-        "tol",  # the tol contract: pencil_new's and rep_eval's psd
+        "tol",  # the tol contract: pencil_new's psd
     ),
     herm_certify: ("m", "tol"),  # the tol contract: its defect bound reads psd
     loewner_leq: ("a", "b", "tol"),  # the tol contract: the PSD floor
@@ -146,7 +148,7 @@ PARAMETERS = {
     shorted_psd: ("a", "s", "tol"),  # the tol contract; cli schur --mode psd --tol
     schur_generic: ("a", "s", "keep"),  # cli --keep, demo 03's "perp"
     sector_bound_check: ("a", "s", "tol"),  # the tol contract; cli schur --mode sector-bound --tol
-    schur_pencil: ("pencil", "x", "s", "tol"),  # the tol contract: SchurCore's floors read psd and eq
+    schur_pencil: ("pencil", "x", "s", "tol"),  # the tol contract: SchurCore.evaluate's floors read psd and eq
     lift_scalar: ("name", "p"),  # resolve_function's pow:P, rep_from_quadrature's p
     karcher_mean: ("xs", "weights", "return_info"),  # cli mean's karcher
     mobius_apply: ("g", "x"),
@@ -154,6 +156,10 @@ PARAMETERS = {
     truncated_pinv: ("a",),
     range_cut: ("w",),
     range_basis: ("a",),
+    # these compare no floor: the whole complement and the traced value are not certified,
+    # and rep_eval's domain check compares with 0
+    reconstruct: ("cert",),
+    rep_eval: ("rep", "x"),
 }
 
 
@@ -178,3 +184,60 @@ def test_every_public_default_is_pinned():
     public = [getattr(opmono, name) for name in opmono.__all__]
     with_defaults = {obj for obj in public if (isinstance(obj, type) or inspect.isfunction(obj)) and _has_default(obj)}
     assert not with_defaults - set(FIELDS) - set(PARAMETERS)
+
+
+def _tol_functions():
+    """Every function of the package with a ``tol`` parameter, and the classes' ``__init__`` by class name."""
+    functions, inits = [], {}
+    for path in sorted(Path(opmono.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if "tol" in [param.arg for param in params]:
+                    functions.append((path.stem, node))
+            elif isinstance(node, ast.ClassDef):
+                inits.update((node.name, item) for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name == "__init__")
+    return functions, inits
+
+
+def _callee(call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def _is_tol(node):
+    return isinstance(node, ast.Name) and node.id == "tol"
+
+
+def test_every_tol_is_read():
+    # a tol counts as read where the function reads one of its attributes, passes it to
+    # dataclasses.replace, or passes it to a package function, matched by name (a class by
+    # its __init__), whose own tol counts as read; storing it, on self or elsewhere, is no read
+    functions, inits = _tol_functions()
+    by_name = {}
+    for _, node in functions:
+        by_name.setdefault(node.name, []).append(node)
+    for name, init in inits.items():
+        if any(init is node for _, node in functions):
+            by_name.setdefault(name, []).append(init)
+
+    def reads(node):
+        return any(isinstance(n, ast.Attribute) and _is_tol(n.value)
+                   or isinstance(n, ast.Call) and _callee(n) == "replace" and n.args and _is_tol(n.args[0])
+                   for n in ast.walk(node))
+
+    def passed_to(node):
+        return {_callee(n) for n in ast.walk(node) if isinstance(n, ast.Call)
+                and any(_is_tol(a) for a in n.args + [k.value for k in n.keywords])}
+
+    read = {id(node) for _, node in functions if reads(node)}
+    grown = True
+    while grown:
+        grown = False
+        for _, node in functions:
+            if id(node) not in read and any(name in by_name and all(id(m) in read for m in by_name[name])
+                                            for name in passed_to(node)):
+                read.add(id(node))
+                grown = True
+    assert functions
+    assert [f"{module}.{node.name} (line {node.lineno})" for module, node in functions if id(node) not in read] == []
