@@ -63,7 +63,7 @@ from .errors import BadConfig, OpmonoError
 from .freefun import FreeFn, _congruence_eig, frechet_many
 from .matcore import DEFAULT_TOL, Tolerances, block_diag, cholesky_proves, dagger, fro_norm, min_eig
 from .sampling import (draw, finish_frame, finish_isometry, finish_psd, finish_spd, finish_unitary, frame_plan,
-                       from_frame, normal, pair_above, pair_plan, slots, spd_plan, uniform)
+                       from_frame, generator, normal, pair_above, pair_plan, slots, spd_plan, uniform)
 
 __all__ = [
     "CertReport",
@@ -269,7 +269,7 @@ def monotone_test(
     F(A) = diag(f(lam)) from A's drawn spectrum (``_lift_values``), and its
     trials take no ``qr``.
     """
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     c1, c2 = interval
     u, lam, (h, w) = finish_frame(fn.arity, draw(rng, trials, pair_plan(n, c1, c2, fn.arity)))
     a, b = (slots(x, fn.arity) for x in pair_above(from_frame(u, lam), lam, h, w, c2))
@@ -298,7 +298,7 @@ def concave_test(
     F(A) and F(B) from the drawn spectra (``_lift_values``) and evaluates
     only the four mixtures.
     """
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     k = fn.arity
     u, lam, (mix,) = finish_frame(2 * k, draw(rng, trials, frame_plan(n, *interval, 2 * k) + [uniform(0.05, 0.95)]))
     ab = slots(from_frame(u, lam), 2 * k)
@@ -371,7 +371,7 @@ def derivative_monotone_test(
     allows 10 ``psd`` for the differences; so a draw outside the domain is
     reported as the evaluator reports it.
     """
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     c1, c2 = interval
     pad = 0.15 * (c2 - c1)
     k = fn.arity
@@ -421,7 +421,7 @@ def doubling_concavity_check(
     lam = 1/4, 1/2, 3/4 in this order, each with the shifts eps = 1e-1,
     1e-3, 1e-6.
     """
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     k, eye = fn.arity, np.eye(n)
     ab = slots(finish_spd(*draw(rng, 2 * len(_DOUBLING_WEIGHTS) * trials * k, spd_plan(n, *interval))), 2 * k)
     a, b = ab[:k], ab[k:]
@@ -478,7 +478,7 @@ def hypograph_convexity_test(
     """
     if not 0 < m <= n:
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     k = fn.arity
     # per trial, in stream order: the frame of X and X2, V, lambda
     plan = frame_plan(n, *interval, 2 * k) + [normal(2, n, m), uniform(0.0, 1.0)]
@@ -519,7 +519,7 @@ def nc_axiom_check(
     defect exceeds ``tol.eq``; its margin is minus the defect.  ``details``
     reports each defect's maximum over the trials run.
     """
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     k = fn.arity
     z, lam, g = draw(rng, trials, spd_plan(n, *interval) * (2 * k) + [normal(2, n, n)])
     xys = finish_spd(z, lam).reshape(trials, 2, k, n, n)

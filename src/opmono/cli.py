@@ -26,8 +26,12 @@ Subcommands wire the library modules over JSON files.  Each one takes
 ``--out`` writes a ``certificate`` (support), a ``representation``
 (quadrep), the report (check, schur --mode sector-bound) or the value as a
 ``matrix`` (every other subcommand).  An option the chosen mode does not
-read is a usage error.  Exit codes: 0 pass, 1 math error, 2 property
-counterexample, 3 inconclusive, 64 usage error, 65 data error.
+read is a usage error, as are an ``--interval`` c1,c2 outside 0 < c1 < c2 <
+inf (``matcore.check_interval``), a negative ``--seed``
+(``sampling.generator``) and ``--samples`` below 1.  ``--tol`` sets the PSD
+tolerance, and the equality tolerance follows it (``Tolerances.eq``).  Exit
+codes: 0 pass, 1 math error, 2 property counterexample, 3 inconclusive, 64
+usage error, 65 data error.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
 from .freefun import _parse_identifier, _parse_weights, _pow_exponent, karcher_mean, resolve_function
-from .matcore import Tolerances, min_eig
+from .matcore import Tolerances, check_interval, min_eig
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
     reconstruct,
@@ -90,15 +94,12 @@ def _parse_interval(spec: str) -> tuple[float, float]:
         c1, c2 = (float(s) for s in spec.split(","))
     except ValueError as exc:
         raise BadConfig(f"bad interval {spec!r}; expected c1,c2") from exc
-    if not (0 < c1 < c2):
-        raise BadConfig("interval must satisfy 0 < c1 < c2")
+    check_interval((c1, c2))
     return c1, c2
 
 
 def _tolerances(args) -> Tolerances:
-    if args.tol is None:
-        return Tolerances()
-    return Tolerances(psd=args.tol, eq=max(args.tol, 1e-8))
+    return Tolerances() if args.tol is None else Tolerances(psd=args.tol)
 
 
 def _emit(args, payload: dict, text: str, saved: tuple[str, object] | None = None) -> None:

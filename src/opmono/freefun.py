@@ -159,7 +159,7 @@ def _factor(z: np.ndarray, what: str, error: type[OpmonoError] = NotPositiveDefi
 
 @dataclass(frozen=True)
 class FreeFn:
-    """A concrete noncommutative function together with its declared flags.
+    """A concrete noncommutative function together with its declared property.
 
     ``evaluator`` maps a k-tuple of stacked Hermitian matrices to a stacked
     Hermitian result of the same dimension.  ``complex_evaluator``, when
@@ -170,8 +170,11 @@ class FreeFn:
     differences without it.  A call, ``eval_complex`` and ``gradient``
     check the arguments by ``matcore.check_args``, the check of every entry
     point that takes a matrix tuple, and hand them on as complex arrays.
-    Declared properties are what the catalogue *claims*; the cert module
-    tests them.
+    ``monotone`` is what the catalogue *claims*: F is operator monotone on
+    the positive matrices, and so operator concave, as the paper's
+    representation formula covers both as one class.  The cert module
+    tests the claim, and ``represent.support_pencil`` refuses a function
+    that does not make it.
 
     ``scalar`` = (f, f') declares the representing function f.  With one
     argument it says F(X) = U f(Lambda) U* for X = U Lambda U*, a lift of
@@ -200,7 +203,6 @@ class FreeFn:
     complex_evaluator: Callable[[MatTuple], np.ndarray] | None = None
     vgrad: Callable[[MatTuple, np.ndarray], list[np.ndarray]] | None = None
     monotone: bool = True
-    concave: bool = True
     scalar: tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None
 
     def _args(self, mats: tuple, one: bool = False) -> MatTuple:
@@ -271,7 +273,7 @@ def _principal_matfun(f_scalar: Callable[[np.ndarray], np.ndarray]) -> Callable[
 
 
 _SCALAR_LIFTS: dict[str, tuple[Callable, Callable, bool, bool]] = {
-    # name: (f, f', positive definite arguments only, monotone and concave); f also takes complex input
+    # name: (f, f', positive definite arguments only, declared monotone); f also takes complex input
     "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x), True, True),
     "log1p": (np.log1p, lambda x: 1.0 / (1.0 + x), True, True),
     "identity": (lambda x: x, lambda x: np.ones_like(x), False, True),
@@ -312,13 +314,13 @@ def _declared_fn(name: str, arity: int, f: Callable, fp: Callable, checked=True,
     A lift evaluates U f(Lambda) U* by one ``eigh`` (positive definite
     arguments only when ``checked``) and continues by ``_principal_matfun``,
     a two-argument mean evaluates L f(M) L* (``_congruence_fun``); both take
-    ``_loewner_vgrad`` and are declared monotone and concave if ``monotone``.
+    ``_loewner_vgrad``, and a lift is declared operator monotone if ``monotone``.
     """
     vgrad = partial(_loewner_vgrad, f, fp)
     if arity == 1:
         what = "argument" if checked else None
         return FreeFn(name, 1, lambda xs: _eigh_fun(f, xs[0], what), _principal_matfun(f), vgrad,
-                      monotone=monotone, concave=monotone, scalar=(f, fp))
+                      monotone=monotone, scalar=(f, fp))
     return FreeFn(name, 2, lambda xs: _congruence_fun(*xs, f), vgrad=vgrad, scalar=(f, fp))
 
 
@@ -351,7 +353,7 @@ def fake_trace_fn() -> FreeFn:
         t = np.trace(x, axis1=-2, axis2=-1).real
         return x + np.sin(t)[..., None, None] * np.eye(n)
 
-    return FreeFn(name="faketrace", arity=1, evaluator=_ev, monotone=False, concave=False)
+    return FreeFn(name="faketrace", arity=1, evaluator=_ev, monotone=False)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +819,7 @@ def mobius_apply(g: MobiusMap, x: np.ndarray) -> np.ndarray:
 
 
 def mobius_fn(g: MobiusMap) -> FreeFn:
-    """The lift of the map, declared monotone and concave exactly when its pole misses (0, inf).
+    """The lift of the map, declared operator monotone exactly when its pole misses (0, inf).
 
     With a d - b c > 0 the map is a/c - (a d - b c) / (c^2 (x + d/c)) for
     c != 0, operator monotone and concave on (0, inf) when the pole -d/c is
@@ -836,7 +838,7 @@ def mobius_fn(g: MobiusMap) -> FreeFn:
         evaluator=_ev,
         complex_evaluator=lambda xs: mobius_apply(g, xs[0]),
         vgrad=partial(_loewner_vgrad, g.scalar, lambda x: det / (g.c * x + g.d) ** 2),
-        monotone=declared, concave=declared,
+        monotone=declared,
     )
 
 

@@ -18,11 +18,11 @@ and ``pencil.pencil_new``) or a representation's state
 ``re_part``, ``im_part`` and ``block_diag`` pass through what they are
 given and only refuse a shape that is not square.  A matrix whose exact
 nonzero pattern splits into blocks (``components``, ``exact_blocks``)
-takes ``min_eig`` one block size at a time.  The two ``Tolerances``,
-``psd`` and ``eq``, are relative: every threshold is scaled by ``(1 +
-Frobenius norm)`` of the quantity it guards, member by member, except the
-testers' floor, which is scaled by the norms of a checked difference's
-terms alone.  The rank cut is one constant, ``RANK_CUT``, taken relative
+takes ``min_eig`` one block size at a time.  The two tolerances of
+``Tolerances``, ``psd`` and the ``eq`` it fixes, are relative: every
+threshold is scaled by ``(1 + Frobenius norm)`` of the quantity it guards,
+member by member, except the testers' floor, which is scaled by the norms
+of a checked difference's terms alone.  The rank cut is one constant, ``RANK_CUT``, taken relative
 to the largest singular value, eigenvalue or coefficient entry it cuts
 against, and to ``(1 + ||rhs||_F)`` for an elimination's residual.
 """
@@ -51,6 +51,7 @@ __all__ = [
     "RANK_CUT",
     "SectorEstimate",
     "check_args",
+    "check_interval",
     "cholesky_proves",
     "cholesky_shift",
     "components",
@@ -83,11 +84,12 @@ class Tolerances:
     """Relative tolerance bundle.
 
     psd: semidefiniteness slack and Hermitian-defect acceptance
-    (``herm_certify``), eq: generic equality comparisons.  Each must be
+    (``herm_certify``), the one value that ``--tol`` sets.  It must be
     finite and nonnegative (BadConfig): a NaN or infinite bound would pass
-    every check.  These are the two that ``--tol`` sets; the rank cut of
+    every check.  The tolerance of generic equality comparisons is no
+    setting but the property ``eq`` = max(psd, 1e-8), and the rank cut of
     every elimination, range cut and pole test is the constant
-    ``RANK_CUT``, which no caller chooses.
+    ``RANK_CUT``; no caller chooses either.
 
     One PSD rule serves every Loewner check in the package: a Hermitian
     matrix x counts as PSD when lambda_min(x) >= -psd (1 + ||x||_F), the
@@ -170,12 +172,15 @@ class Tolerances:
     """
 
     psd: float = 1e-9
-    eq: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("psd", "eq"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise BadConfig(f"tolerance {name} must be finite and nonnegative")
+        if not 0 <= self.psd < np.inf:
+            raise BadConfig("tolerance psd must be finite and nonnegative")
+
+    @property
+    def eq(self) -> float:
+        """The tolerance of generic equality comparisons: ``psd``, floored at 1e-8."""
+        return max(self.psd, 1e-8)
 
     def psd_floor_at(self, norm: np.ndarray | float) -> np.ndarray | float:
         """The PSD floor ``psd * (1 + norm)`` of members whose Frobenius norms are ``norm``."""
@@ -292,6 +297,19 @@ def check_args(mats, arity: int, name: str, one: bool = False) -> tuple[np.ndarr
     if not all(np.isfinite(x).all() for x in xs):
         raise DomainViolation(f"{name} argument has a non-finite entry")
     return xs
+
+
+def check_interval(interval: tuple[float, float]) -> None:
+    """Refuse a spectral interval unless it is (c1, c2) with 0 < c1 < c2 < inf (BadConfig); a NaN end fails it.
+
+    The check only refuses, so a stored interval keeps the values, and the
+    bytes, its caller gave.  ``cli``'s ``--interval``, ``support_pencil``
+    and ``rep_from_quadrature`` take it; the testers keep ``sampling``'s
+    rule, under which an interval at or below 0 serves the functions
+    defined there.
+    """
+    if len(interval) != 2 or not 0 < interval[0] < interval[1] < np.inf:
+        raise BadConfig(f"interval {tuple(interval)} must be (c1, c2) with 0 < c1 < c2 < inf")
 
 
 def _require_square(a: np.ndarray) -> None:

@@ -41,10 +41,10 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, lift_scalar
-from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, dagger, exact_blocks, fro_norm, herm_part,
-                      min_eig, require_psd, unit_vector)
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, check_interval, dagger, exact_blocks, fro_norm,
+                      herm_part, min_eig, require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
-from .sampling import draw, finish_frame, frame_plan, from_frame, slots
+from .sampling import draw, finish_frame, frame_plan, from_frame, generator, slots
 from .schur import PivotSubspace, SchurCore, shared_core
 
 __all__ = [
@@ -318,9 +318,18 @@ def support_pencil(
     lift's real in the phased eigenbasis of A that one ``eigh`` gives; the
     whole pencil elsewhere and for each declared sample whose bound falls
     below the gate) before a certificate is issued, else SupportViolated.
+
+    A request is refused with BadConfig before any evaluation unless ``fn``
+    is declared operator monotone (``FreeFn.monotone``), the interval passes
+    ``matcore.check_interval``, ``validation_samples`` is at least 1, and the
+    seed passes ``sampling.generator``.
     """
-    if not (fn.monotone and fn.concave):
-        raise BadConfig(f"{fn.name} is not declared monotone and concave")
+    if not fn.monotone:
+        raise BadConfig(f"{fn.name} is not declared operator monotone")
+    check_interval(interval)
+    if validation_samples < 1:
+        raise BadConfig(f"validation_samples must be at least 1, got {validation_samples}")
+    rng = generator(seed)
     a = fn._args(tuple(a), one=True)  # eigvalsh below needs finite input; fn.gradient repeats this cheap check
     n = a[0].shape[0]
     v = unit_vector(v)
@@ -335,7 +344,6 @@ def support_pencil(
                 f"base point component {i + 1} has spectrum "
                 f"[{w[0]:.4g}, {w[-1]:.4g}] outside [{c1:.4g}, {c2:.4g}]"
             )
-    rng = np.random.default_rng(seed)
 
     vv = np.outer(v, np.conj(v))
     grads = [herm_part(g) for g in fn.gradient(a, vv)]
@@ -457,7 +465,7 @@ class PencilRepresentation:
         require_psd(state, NotPSD, "the state", DEFAULT_TOL, exact_blocks((state,)))
         if abs(float(np.trace(state).real) - 1.0) > DEFAULT_TOL.eq:
             raise DomainViolation("state must have unit trace")
-        if self.pivot.ambient_dim != self.pencil.size:
+        if len(self.pivot.basis) != self.pencil.size:
             raise DimensionMismatch("pivot must live on the coefficient space")
         state.setflags(write=False)  # herm_part's fresh array, so the caller's stays writable
         object.__setattr__(self, "state", state)
@@ -470,8 +478,7 @@ class PencilRepresentation:
     def fn(self) -> FreeFn:
         """``rep_eval``, continued by ``rep_eval_complex``."""
         name = f"{self.meta.get('function', 'pencil')}-rep"
-        return FreeFn(name, self.arity, partial(rep_eval, self), partial(rep_eval_complex, self),
-                      monotone=True, concave=True)
+        return FreeFn(name, self.arity, partial(rep_eval, self), partial(rep_eval_complex, self))
 
     @cached_property
     def _core(self) -> SchurCore:
@@ -628,10 +635,13 @@ def rep_from_quadrature(
     per-cell scalings.  The scalar accuracy is sampled at 100 equispaced
     points of the interval against the exact function, and must be within
     ``target`` before the representation is returned.  ``target`` must be
-    finite and positive (BadConfig): a NaN one would pass every error.
+    finite and positive (BadConfig): a NaN one would pass every error.  The
+    interval must pass ``matcore.check_interval`` (BadConfig), so no rule is
+    formed on a spectrum that reaches 0 or infinity.
     """
     if not 0 < target < np.inf:
         raise BadConfig("quadrature target must be finite and positive")
+    check_interval(interval)
     if nodes < 4:
         raise QuadratureInaccurate("need at least four quadrature nodes")
     fn = lift_scalar(name, p)

@@ -35,6 +35,7 @@ from .errors import BadConfig
 from .matcore import dagger, herm_part
 
 __all__ = [
+    "generator",
     "rand_complex",
     "rand_herm",
     "rand_psd",
@@ -62,7 +63,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """A plan entry, one stack per object: ``random`` or ``standard_normal`` values mapped to lo + scale * x."""
+    """A plan entry, one stack per object: ``random`` or ``standard_normal`` values mapped to lo + scale * x.
+
+    A ``normal`` entry takes lo = 0.0 and scale = 1.0; a ``uniform`` one its interval.
+    """
 
     shape: tuple[int, ...]
     uniform: bool
@@ -73,13 +77,22 @@ class Draw:
         if min(self.shape, default=1) < 1:
             raise BadConfig(f"matrix dimensions must be positive, got {self.shape}")
         if not (np.isfinite(self.lo) and np.isfinite(self.scale) and self.scale >= 0):
-            what = f"interval ({self.lo}, {self.lo + self.scale})" if self.uniform else f"scale {self.scale}"
-            raise BadConfig(f"bad sampling {what}: it must be finite, with lo <= hi and scale >= 0")
+            raise BadConfig(f"bad sampling interval ({self.lo}, {self.lo + self.scale}): it needs finite lo <= hi")
 
 
-def normal(*shape: int, scale: float = 1.0) -> Draw:
-    """The draw of ``Generator.normal(0.0, scale, size=shape)``: 0.0 + scale * z, which clears a -0.0."""
-    return Draw(shape, False, 0.0, float(scale))
+def generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, the one generator a seed pins; BadConfig unless the seed is an integer >= 0.
+
+    A bool is refused with the other non-integers: a certificate stores its seed, and True is no seed.
+    """
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise BadConfig(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def normal(*shape: int) -> Draw:
+    """The draw of ``Generator.normal(0.0, 1.0, size=shape)``: 0.0 + 1.0 * z, which clears a -0.0."""
+    return Draw(shape, False, 0.0, 1.0)
 
 
 def uniform(lo: float, hi: float, *shape: int) -> Draw:
@@ -161,10 +174,10 @@ def finish_isometry(z: np.ndarray) -> np.ndarray:
     return np.linalg.qr(_complex(z))[0]
 
 
-def finish_psd(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale * g g* / n for Gaussian draws ``(..., 2, n, n)`` of g."""
+def finish_psd(z: np.ndarray) -> np.ndarray:
+    """g g* / n for Gaussian draws ``(..., 2, n, n)`` of g."""
     g = _complex(z)
-    return scale * (g @ dagger(g)) / g.shape[-1]
+    return (g @ dagger(g)) / g.shape[-1]
 
 
 def from_spectrum(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -217,12 +230,14 @@ def pair_above(
     return a, herm_part(a + bump * scale[..., None, None])
 
 
-def rand_herm(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return scale * herm_part(rand_complex(rng, n, n))
+def rand_herm(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Herm(G) for a complex Gaussian n x n G; a caller scales it as it needs."""
+    return herm_part(rand_complex(rng, n, n))
 
 
-def rand_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return finish_psd(_gaussian(rng, n, n), scale)
+def rand_psd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """g g* / n for a complex Gaussian n x n g (``finish_psd``); a caller scales it as it needs."""
+    return finish_psd(_gaussian(rng, n, n))
 
 
 def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

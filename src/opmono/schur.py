@@ -68,16 +68,17 @@ __all__ = [
 class PivotSubspace:
     """Orthonormal basis of a distinguished subspace S.
 
-    The basis is kept read-only (``matcore.readonly``).
+    The basis, a d x m matrix with orthonormal columns, is all that is
+    stored: the ambient dimension d is its row count, which each reader
+    takes from it.  It is kept read-only (``matcore.readonly``).
     """
 
-    ambient_dim: int
-    basis: np.ndarray  # (ambient_dim, m), orthonormal columns
+    basis: np.ndarray
 
     def __post_init__(self) -> None:
         basis = readonly(self.basis)
-        if basis.ndim != 2 or basis.shape[0] != self.ambient_dim:
-            raise DimensionMismatch("basis must be ambient_dim x m")
+        if basis.ndim != 2:
+            raise DimensionMismatch(f"basis must be a matrix, got shape {basis.shape}")
         if not np.isfinite(basis).all():
             raise DomainViolation("basis has a non-finite entry")
         gram = dagger(basis) @ basis
@@ -95,17 +96,15 @@ class PivotSubspace:
         basis = np.zeros((ambient_dim, len(indices)), dtype=complex)
         for col, idx in enumerate(indices):
             basis[idx, col] = 1.0
-        return cls(ambient_dim, basis)
+        return cls(basis)
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "PivotSubspace":
-        v = unit_vector(v)
-        return cls(v.size, v[:, None])
+        return cls(unit_vector(v)[:, None])
 
     @classmethod
     def from_basis(cls, basis: np.ndarray) -> "PivotSubspace":
-        basis = np.asarray(basis, dtype=complex)
-        return cls(basis.shape[0], basis)
+        return cls(basis)
 
     @property
     def dim(self) -> int:
@@ -141,8 +140,8 @@ def _blocks(a: np.ndarray, s: PivotSubspace) -> tuple[np.ndarray, ...]:
     q = s.basis
     qp = s.perp_basis()
     a = np.asarray(a, dtype=complex)
-    if a.shape != (s.ambient_dim, s.ambient_dim):
-        raise DimensionMismatch(f"matrix shape {a.shape} vs ambient {s.ambient_dim}")
+    if a.shape != (len(q), len(q)):
+        raise DimensionMismatch(f"matrix shape {a.shape} vs ambient {len(q)}")
     return (
         dagger(q) @ a @ q,
         dagger(q) @ a @ qp,
@@ -480,7 +479,7 @@ class SchurCore:
     """
 
     def __init__(self, pencil: RawPencil, pivot: PivotSubspace):
-        if pivot.ambient_dim != pencil.size:
+        if len(pivot.basis) != pencil.size:
             raise DimensionMismatch("pivot subspace must live on the coefficient space")
         self.pencil, self.basis = pencil, pivot.basis
         shapes, top = _pivot_blocks(pencil.coeffs, pivot.basis)

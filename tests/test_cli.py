@@ -121,6 +121,11 @@ class TestCheck:
         assert code1 == code2 == 0
         assert out1 == out2  # byte-identical reports
 
+    @pytest.mark.parametrize("tol,eq", [("1e-6", 1e-6), ("1e-12", 1e-8)])
+    def test_tol_sets_psd_alone_and_eq_follows_it(self, tol, eq):
+        tols = cli._tolerances(cli.build_parser().parse_args(["check", "sqrt", "monotone", "--tol", tol]))
+        assert tols.psd == float(tol) and tols.eq == eq
+
 
 class TestSchur:
     def test_identity_pivot(self, tmp_path):
@@ -451,9 +456,16 @@ class TestUsageErrors:
         (("quadrep", "sqrt", "--nodes", "8", "--target", "nan"), "BadConfig"),
         (("quadrep", "sqrt", "--nodes", "8", "--target", "-1"), "BadConfig"),
         (("quadrep", "sqrt", "--nodes", "8", "--target", "inf"), "BadConfig"),
+        (("support", "sqrt", "{single}", "--interval", "0.5,inf"), "BadConfig"),
+        (("quadrep", "sqrt", "--interval", "0.1,inf"), "BadConfig"),
+        (("support", "sqrt", "{single}", "--samples", "-3"), "BadConfig"),
+        (("check", "sqrt", "monotone", "--seed", "-1"), "BadConfig"),
+        (("support", "sqrt", "{single}", "--seed", "-1"), "BadConfig"),
     ], ids=["mean-t-above-one", "check-t-zero", "quadrep-bad-exponent", "n-zero", "n-negative",
             "negative-tol", "pivot-out-of-range", "pivot-not-int", "pivot-repeated", "v-index-out-of-range", "nan-tol",
-            "nan-weight", "nan-mobius-coefficient", "nan-target", "negative-target", "infinite-target"])
+            "nan-weight", "nan-mobius-coefficient", "nan-target", "negative-target", "infinite-target",
+            "support-infinite-interval", "quadrep-infinite-interval", "negative-samples", "check-negative-seed",
+            "support-negative-seed"])
     def test_bad_arguments_exit_64(self, argv, error, tmp_path, capsys):
         files = {"pair": (np.eye(2), 2 * np.eye(2)), "single": (np.eye(3),)}
         paths = {}

@@ -29,6 +29,9 @@ validation's graph samples, and ``FreeFn._loewner`` reads the Loewner matrices o
 the adjoint does (``freefun._loewner_pair``).  A declared lift's graph samples take their real
 blocks from ``represent._lift_margins`` alone.
 
+A seed becomes a generator only in ``sampling.generator``, which refuses a seed that is not a
+non-negative integer (BadConfig), so every tester and the support validation refuse it alike.
+
 A Haar unitary is finished (``sampling.finish_unitary``) only for a frame's other members
 (``sampling.finish_frame``), for a matrix drawn alone (``finish_spd``, ``rand_unitary``) and
 for the NC-axiom check, which tests the unitary equivariance that lets the Loewner testers and
@@ -79,6 +82,7 @@ ALLOWED = {
     "cholesky_proves": {"cert._screened"},
     "components": {"matcore.exact_blocks", "schur._pivot_blocks", "schur.SchurCore.__init__"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
+    "default_rng": {"sampling.generator"},
 }
 
 # every numpy.linalg call in the package, by kernel: the functions that make it

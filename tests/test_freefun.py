@@ -951,7 +951,7 @@ class TestMobius:
     def test_declared_exactly_when_the_pole_misses_the_half_line(self, coeffs, declared):
         a, b, c, d = coeffs
         fn = resolve_function("mobius:" + ",".join(map(str, coeffs)))
-        assert fn.monotone is fn.concave is declared is (c == 0 or d / c >= 0)
+        assert fn.monotone is declared is (c == 0 or d / c >= 0)
         if declared:
             assert concave_test(fn, 3, trials=256, seed=0, interval=(0.1, 0.5)).passed
 

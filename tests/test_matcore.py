@@ -194,11 +194,17 @@ class TestPsdRule:
         assert np.array_equal(psd_floor(stack), DEFAULT_TOL.psd * np.array([1.0, 1.0 + np.sqrt(18.0), 5.0]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["psd", "eq"])
+    @pytest.mark.parametrize("name", ["psd"])
     def test_a_non_finite_tolerance_is_refused(self, name, value):
         # a NaN or infinite bound would let every check pass
         with pytest.raises(errors.BadConfig, match=f"tolerance {name} must be finite"):
             Tolerances(**{name: value})
+
+    @pytest.mark.parametrize("psd", [0.0, 1e-22, 1e-9, 1e-8, 1e-6])
+    def test_eq_is_psd_floored_at_1e_8(self, psd):
+        # a read-only property that psd fixes, no field a caller sets
+        assert isinstance(Tolerances.eq, property) and Tolerances.eq.fset is None
+        assert Tolerances(psd=psd).eq == max(psd, 1e-8)
 
     def test_require_psd_returns_the_margins(self):
         stack = np.stack([np.diag([2.0, 1.0]), np.diag([3.0, -1e-10])])

@@ -100,7 +100,7 @@ class TestSupportPencil:
         from dataclasses import replace
 
         rng = np.random.default_rng(5)
-        bad = replace(lift_scalar("xsq"), monotone=True, concave=True)
+        bad = replace(lift_scalar("xsq"), monotone=True)
         a = rand_tuple_interval(rng, 1, 2, 0.5, 2.0)
         v = rand_unit_vector(rng, 2)
         with pytest.raises(errors.GradientNotPSD):
@@ -791,6 +791,15 @@ class TestRepEval:
         with pytest.raises(errors.BadConfig, match="target must be finite and positive"):
             rep_from_quadrature("sqrt", nodes=8, target=target)
 
+    @pytest.mark.parametrize("interval", [(2.0, 1.0), (0.0, 2.0), (-1.0, 2.0), (0.1, np.inf), (np.nan, 2.0),
+                                          (0.1, np.nan), (1.0, 1.0), (0.5,), (0.1, 1.0, 2.0)],
+                             ids=["reversed", "zero", "negative", "infinite", "nan-low", "nan-high", "empty", "one-end",
+                                  "three-ends"])
+    def test_a_malformed_interval_is_refused_before_any_rule(self, interval):
+        # a reversed interval used to give a representation, one reaching 0 numpy warnings first
+        with pytest.raises(errors.BadConfig, match=r"must be \(c1, c2\) with 0 < c1 < c2 < inf"):
+            rep_from_quadrature("sqrt", nodes=8, interval=interval)
+
 
 class TestGaussJacobiRule:
     """The power family's rule is Gauss-Jacobi in t, lam = c (1+t)/(1-t), c = sqrt(c1 c2)."""
@@ -901,6 +910,29 @@ class TestSupportPreconditions:
         with pytest.raises(errors.BadConfig):
             support_pencil(lift_scalar("xsq"), (np.eye(2),), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("interval", [(0.0, 2.0), (2.0, 0.5), (0.5, np.inf), (np.nan, 2.0)],
+                             ids=["zero", "reversed", "infinite", "nan"])
+    def test_a_malformed_interval_is_refused(self, interval):
+        # c1 = 0 used to raise a raw ZeroDivisionError from the trace bound f(c2) / min(1, c1)
+        with pytest.raises(errors.BadConfig, match="0 < c1 < c2 < inf"):
+            support_pencil(lift_scalar("sqrt"), (np.eye(2),), np.ones(2), interval=interval)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_validation_sample_is_refused(self, samples):
+        # -3 used to give a certificate validated on two samples
+        with pytest.raises(errors.BadConfig, match="validation_samples must be at least 1"):
+            support_pencil(lift_scalar("sqrt"), (np.eye(2),), np.ones(2), validation_samples=samples)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_a_seed_that_is_not_a_non_negative_integer_is_refused(self, seed):
+        with pytest.raises(errors.BadConfig, match="seed must be a non-negative integer"):
+            support_pencil(lift_scalar("sqrt"), (np.eye(2),), np.ones(2), seed=seed)
+
+    def test_one_validation_sample_and_interval_stored_as_given(self):
+        interval = (0.5, 2)
+        cert = support_pencil(lift_scalar("sqrt"), (np.eye(2),), np.ones(2), interval=interval, validation_samples=1)
+        assert cert.samples == 2 and cert.interval is interval
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("fn", [lift_scalar("sqrt"), geometric_mean_2_fn()], ids=["sqrt", "geomean2"])
     def test_non_finite_base_point_rejected(self, fn, bad):
@@ -1002,7 +1034,7 @@ class TestStackedContract:
         from opmono.cert import concave_test, hypograph_convexity_test, monotone_test
 
         fn = contract_reps[which].fn
-        assert fn.monotone and fn.concave and fn.arity == contract_reps[which].arity
+        assert fn.monotone and fn.arity == contract_reps[which].arity
         assert monotone_test(fn, n=3, trials=60, seed=43).passed
         assert concave_test(fn, n=3, trials=40, seed=44).passed
         assert hypograph_convexity_test(fn, n=3, m=2, trials=40, seed=45).passed

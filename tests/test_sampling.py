@@ -29,13 +29,13 @@ def ref_complex(rng, *shape):
 # each ref_*_of factors one matrix from its drawn values; each ref_* draws them first
 
 
-def ref_psd_of(g, scale=1.0):
+def ref_psd_of(g):
     out = g @ dagger(g)
-    return scale * out / g.shape[-1]
+    return out / g.shape[-1]
 
 
-def ref_psd(rng, n, scale=1.0):
-    return ref_psd_of(ref_complex(rng, n, n), scale)
+def ref_psd(rng, n):
+    return ref_psd_of(ref_complex(rng, n, n))
 
 
 def ref_unitary_of(g):
@@ -111,7 +111,7 @@ class TestSameStream:
         for seed in range(5):
             r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
             assert same(sampling.rand_complex(r1, n, n), ref_complex(r2, n, n))
-            assert same(sampling.rand_psd(r1, n, 0.7), ref_psd(r2, n, 0.7))
+            assert same(sampling.rand_psd(r1, n), ref_psd(r2, n))
             assert same(sampling.rand_unitary(r1, n), ref_unitary(r2, n))
             assert same(sampling.rand_spd_interval(r1, n, *INTERVAL), ref_spd_interval(r2, n, *INTERVAL))
             assert r1.normal() == r2.normal()
@@ -280,7 +280,7 @@ class TestDraw:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        pool=st.lists(  # (method, lo, width or scale, shape) per entry
+        pool=st.lists(  # (method, lo, width, shape) per entry; a normal entry reads only its shape
             st.tuples(st.sampled_from(["normal", "uniform"]), st.floats(-10, 10), st.floats(0, 10),
                       st.lists(st.integers(1, 3), max_size=3).map(tuple)),
             min_size=1, max_size=4,
@@ -293,7 +293,7 @@ class TestDraw:
         entries = []
         for method, lo, width, shape in pool:
             if method == "normal":
-                entries.append((sampling.normal(*shape, scale=width), method, (0.0, width), shape))
+                entries.append((sampling.normal(*shape), method, (0.0, 1.0), shape))
             else:
                 entries.append((sampling.uniform(lo, lo + width, *shape), method, (lo, lo + width), shape))
         calls = [entries[i % len(entries)] for i in picks]
@@ -345,13 +345,13 @@ class TestDraw:
         assert [rng.calls for rng in made] == [3]
 
     def test_scalar_entries_come_back_flat(self):
-        s, v = sampling.draw(np.random.default_rng(0), 4, [sampling.normal(scale=0.3), sampling.uniform(0, 1, 2)])
+        s, v = sampling.draw(np.random.default_rng(0), 4, [sampling.normal(), sampling.uniform(0, 1, 2)])
         assert s.shape == (4,) and v.shape == (4, 2)
 
     @pytest.mark.parametrize("make", [
         lambda: sampling.uniform(2.0, 0.5), lambda: sampling.uniform(0.5, np.inf), lambda: sampling.uniform(0.5, np.nan),
-        lambda: sampling.normal(2, scale=-1.0), lambda: sampling.normal(2, scale=np.inf), lambda: sampling.normal(2, 0),
-    ], ids=["reversed", "infinite", "nan", "negative-scale", "infinite-scale", "zero-dimension"])
+        lambda: sampling.normal(2, 0),
+    ], ids=["reversed", "infinite", "nan", "zero-dimension"])
     def test_bad_entry_is_bad_config(self, make):
         with pytest.raises(BadConfig):
             make()
@@ -384,6 +384,32 @@ class TestBadSamplingParameters:
     def test_interval(self, call, interval):
         with pytest.raises(BadConfig):
             call(resolve_function("sqrt"), interval)
+
+
+class TestGenerator:
+    """``sampling.generator``, the one place a seed becomes a generator."""
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), 2**40])
+    def test_a_valid_seed_gives_numpys_generator(self, seed):
+        assert same(sampling.generator(seed).random(8), np.random.default_rng(seed).random(8))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "1", None, True])
+    def test_any_other_seed_is_bad_config(self, seed):
+        with pytest.raises(BadConfig, match="seed must be a non-negative integer"):
+            sampling.generator(seed)
+
+    @pytest.mark.parametrize("call", [
+        lambda fn: monotone_test(fn, 2, trials=4, seed=-1),
+        lambda fn: concave_test(fn, 2, trials=4, seed=-1),
+        lambda fn: derivative_monotone_test(fn, 2, trials=4, seed=-1),
+        lambda fn: doubling_concavity_check(fn, 2, trials=4, seed=-1),
+        lambda fn: hypograph_convexity_test(fn, 2, 1, trials=4, seed=-1),
+        lambda fn: nc_axiom_check(fn, 2, trials=4, seed=-1),
+    ], ids=["monotone", "concave", "derivative", "doubling", "hypograph", "nc_axiom_check"])
+    def test_every_tester_refuses_a_negative_seed(self, call):
+        # numpy's own ValueError used to reach the caller
+        with pytest.raises(BadConfig, match="seed must be a non-negative integer"):
+            call(resolve_function("sqrt"))
 
 
 class TestQrCallsPerTester:

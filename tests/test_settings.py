@@ -3,7 +3,8 @@
 A field or parameter that every caller leaves at one value is not a setting but a constant
 with an extra name: each one doubles what the tests must cover and what a reader must rule
 out.  So the stored fields of every dataclass and the parameter lists of every callable in
-``opmono.__all__`` that has a default are pinned here, each optional entry beside the non-test
+the ``__all__`` of any module of the package that has a default are pinned here, each optional
+entry beside the non-test
 caller (the CLI, a library function, a demo or ``perfbench``) that sets a second value, or the
 ``tol`` contract: one ``Tolerances`` on every entry point that applies its ``psd`` or ``eq``,
 as ``matcore.check_args`` is one argument check, and on no other.  The rank cut is no setting
@@ -15,17 +16,21 @@ the caller that needs it.
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import opmono
-from opmono import cert
+from opmono import cert, serialize
 from opmono.cert import CertReport
 from opmono.freefun import FreeFn, frechet_derivative, karcher_mean, lift_scalar, mobius_apply
-from opmono.matcore import Tolerances, funcalc, herm_certify, loewner_leq, sector_estimate, truncated_pinv
-from opmono.pencil import LinearPencil, pencil_new, pencil_sectorial_check, range_basis, range_cut
+from opmono.gradients import dk_map
+from opmono.matcore import (Tolerances, check_args, funcalc, herm_certify, loewner_leq, min_eig, psd_floor,
+                            require_psd, sector_estimate, truncated_pinv)
+from opmono.pencil import LinearPencil, pencil_arguments, pencil_new, pencil_sectorial_check, range_basis, range_cut
 from opmono.represent import (
     PencilRepresentation,
     SupportCertificate,
@@ -36,7 +41,7 @@ from opmono.represent import (
     rep_from_quadrature,
     support_pencil,
 )
-from opmono.schur import schur_generic, schur_pencil, sector_bound_check, shorted_psd
+from opmono.schur import PivotSubspace, schur_generic, schur_pencil, sector_bound_check, shorted_psd
 
 TESTER_PARAMETERS = (
     "fn",  # the catalogue function: cli._cmd_check
@@ -48,10 +53,7 @@ TESTER_PARAMETERS = (
 )
 
 FIELDS = {
-    Tolerances: (
-        "psd",  # cli --tol; also herm_certify's Hermitian-defect bound
-        "eq",  # cli --tol, floored at 1e-8
-    ),
+    Tolerances: ("psd",),  # cli --tol; also herm_certify's Hermitian-defect bound; eq is derived from it
     FreeFn: (
         "name",  # every catalogue constructor
         "arity",  # 1 for the lifts, the weight count for the means
@@ -59,7 +61,6 @@ FIELDS = {
         "complex_evaluator",  # freefun._declared_fn's lifts and mobius_fn; None for the means
         "vgrad",  # freefun._declared_fn and freefun._mean_fn; None for fake_trace_fn
         "monotone",  # False for xsq, faketrace and a Moebius map with a pole in (0, inf)
-        "concave",  # as monotone
         "scalar",  # freefun._declared_fn and freefun._mean_fn at t = 1; None elsewhere
     ),
     SupportCertificate: (  # stored fields; trace_slack and gradients are derived
@@ -95,6 +96,7 @@ FIELDS = {
         "state",
         "meta",  # rep_from_quadrature, SupportCertificate.rep, serialize's loader
     ),
+    PivotSubspace: ("basis",),  # the ambient dimension is the basis' row count
 }
 
 PARAMETERS = {
@@ -160,6 +162,14 @@ PARAMETERS = {
     # and rep_eval's domain check compares with 0
     reconstruct: ("cert",),
     rep_eval: ("rep", "x"),
+    check_args: ("mats", "arity", "name", "one"),  # one=True: pencil_new, sector_estimate, FreeFn.gradient
+    min_eig: ("a", "blocks"),  # require_psd's blocks: pencil_new's and the representation state's exact blocks
+    psd_floor: ("a", "tol"),  # the tol contract
+    require_psd: ("a", "error", "what", "tol", "blocks"),  # the tol contract; pencil_new's and the state's blocks
+    pencil_arguments: ("pencil", "x", "shifted", "one"),  # one=True: pencil_sectorial_check, SchurCore.evaluate
+    dk_map: ("a", "f", "fprime", "eig"),  # freefun._implicit_vgrad passes its own eigh of Z
+    serialize.parse_envelope: ("obj", "expect"),  # serialize.load's, perfbench's "certificate" and "representation"
+    serialize.load: ("path", "expect"),  # cli's "matrix", "pencil", "certificate" and "representation"
 }
 
 
@@ -181,7 +191,10 @@ def _has_default(obj) -> bool:
 
 
 def test_every_public_default_is_pinned():
-    public = [getattr(opmono, name) for name in opmono.__all__]
+    # every module's __all__; importing __main__ would run the CLI
+    modules = [opmono] + [importlib.import_module(f"opmono.{info.name}")
+                          for info in pkgutil.iter_modules(opmono.__path__) if info.name != "__main__"]
+    public = [getattr(module, name) for module in modules for name in getattr(module, "__all__", ())]
     with_defaults = {obj for obj in public if (isinstance(obj, type) or inspect.isfunction(obj)) and _has_default(obj)}
     assert not with_defaults - set(FIELDS) - set(PARAMETERS)
 
