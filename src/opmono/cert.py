@@ -9,7 +9,8 @@ equivariance and respect for direct sums (``nc_axiom_check``).  Each draws
 seeded random inputs and reports a clean pass, the first counterexample
 found (with the inputs stored for replay), or inconclusive.  One rule
 (``_tester``) makes every tester inconclusive on a typed error, its text in
-``details["error"]``, but for ``BadConfig``, a malformed request, which
+``details["error"]``, but for ``BadConfig``, a malformed request (a seed,
+trial count or dimension that fails ``matcore.is_count`` among them), which
 reaches the caller; ``_report`` does so on a non-finite value.  Identical
 seeds and trial counts give byte-identical reports.  A report replays from
 its seed and the requested trial count, not from ``trials_run``: the draws
@@ -61,7 +62,7 @@ import numpy as np
 
 from .errors import BadConfig, OpmonoError
 from .freefun import FreeFn, _congruence_eig, frechet_many
-from .matcore import DEFAULT_TOL, Tolerances, block_diag, cholesky_proves, dagger, fro_norm, min_eig
+from .matcore import DEFAULT_TOL, Tolerances, block_diag, cholesky_proves, dagger, fro_norm, is_count, min_eig
 from .sampling import (draw, finish_frame, finish_isometry, finish_psd, finish_spd, finish_unitary, frame_plan,
                        from_frame, generator, normal, pair_above, pair_plan, slots, spd_plan, uniform)
 
@@ -421,10 +422,9 @@ def doubling_concavity_check(
     lam = 1/4, 1/2, 3/4 in this order, each with the shifts eps = 1e-1,
     1e-3, 1e-6.
     """
-    rng = generator(seed)
-    k, eye = fn.arity, np.eye(n)
-    ab = slots(finish_spd(*draw(rng, 2 * len(_DOUBLING_WEIGHTS) * trials * k, spd_plan(n, *interval))), 2 * k)
-    a, b = ab[:k], ab[k:]
+    rng, k = generator(seed), fn.arity
+    ab = slots(finish_spd(*draw(rng, trials, spd_plan(n, *interval) * (2 * len(_DOUBLING_WEIGHTS) * k))), 2 * k)
+    a, b, eye = ab[:k], ab[k:], np.eye(n)
     g = np.asarray(_DOUBLING_WEIGHTS)[:, None, None]
     rot = np.block([[np.sqrt(g) * eye, -np.sqrt(1 - g) * eye], [np.sqrt(1 - g) * eye, np.sqrt(g) * eye]])
     unit_defect = fro_norm(dagger(rot) @ rot - np.eye(2 * n))
@@ -474,9 +474,11 @@ def hypograph_convexity_test(
     Hansen & Pedersen, *Math. Ann.* 258, 1982).  A
     declared lift reads the graph values F(X) and F(X2) from the drawn
     spectra (``_lift_values``) and evaluates only the compressions and the
-    combinations.
+    combinations.  ``m`` must be an integer in 1..n (``matcore.is_count``),
+    else BadConfig, as must every tester's ``n`` and ``trials`` be integers
+    of at least 1, which ``sampling`` refuses where it draws.
     """
-    if not 0 < m <= n:
+    if not (is_count(m, 1) and m <= n):
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
     rng = generator(seed)
     k = fn.arity

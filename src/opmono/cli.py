@@ -30,8 +30,11 @@ read is a usage error, as are an ``--interval`` c1,c2 outside 0 < c1 < c2 <
 inf (``matcore.check_interval``), a negative ``--seed``
 (``sampling.generator``) and ``--samples`` below 1.  ``--tol`` sets the PSD
 tolerance, and the equality tolerance follows it (``Tolerances.eq``).  Exit
-codes: 0 pass, 1 math error, 2 property counterexample, 3 inconclusive, 64
-usage error, 65 data error.
+codes: 0 pass, 2 property counterexample, 3 inconclusive, and for a
+refusal, printed as one ``error:`` line, the first of ``_EXITS`` that
+its class matches: 64 usage error (``UnknownFunction``, ``BadConfig``), 65
+data error (``DataError``, a missing file), 1 any other ``OpmonoError``, a
+math error.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from . import cert as certmod
 from . import serialize as io
 from .errors import BadConfig, DataError, OpmonoError, UnknownFunction
 from .freefun import _parse_identifier, _parse_weights, _pow_exponent, karcher_mean, resolve_function
-from .matcore import Tolerances, check_interval, min_eig
+from .matcore import Tolerances, check_interval, is_count, min_eig
 from .pencil import pencil_eval, pencil_eval_shifted
 from .represent import (
     reconstruct,
@@ -62,6 +65,8 @@ EXIT_COUNTEREXAMPLE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+# the exit code of a refusal, by the first entry its class matches
+_EXITS = {(UnknownFunction, BadConfig): EXIT_USAGE, (DataError, FileNotFoundError): EXIT_DATA, OpmonoError: EXIT_MATH}
 
 _TESTERS = {
     "monotone": certmod.monotone_test,
@@ -177,7 +182,7 @@ def _load_tuple(path: str) -> tuple[np.ndarray, ...]:
 def _pivot_from_args(args, dim: int) -> PivotSubspace:
     if args.pivot_file:
         _, payload = io.load(args.pivot_file, expect="matrix")
-        return PivotSubspace.from_basis(io.decode_matrix(payload))
+        return PivotSubspace(io.decode_matrix(payload))
     if args.pivot is None:
         raise BadConfig("schur needs --pivot or --pivot-file")
     try:
@@ -266,7 +271,7 @@ def _cmd_support(args) -> int:
         v = io.decode_matrix(payload).reshape(-1)
     else:
         index = args.v_index or 0
-        if not 0 <= index < n:
+        if not (is_count(index, 0) and index < n):
             raise BadConfig(f"--v-index {index} must lie in 0..{n - 1}")
         v = np.eye(n)[index]
     interval = _parse_interval(args.interval)
@@ -366,15 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
-    except (UnknownFunction, BadConfig) as exc:
+    except (OpmonoError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OpmonoError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        return next(code for kinds, code in _EXITS.items() if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -541,7 +541,7 @@ class _Arguments(tuple):
             try:
                 self.lows[i] = _cholesky(xi, f"argument {i} is not positive definite: X_{i}")
             except NotPositiveDefinite:
-                if not (np.isfinite(xi).all() and np.all(np.linalg.eigvalsh(herm_part(xi))[..., 0] > 0)):
+                if not np.all(min_eig(xi) > 0):
                     raise
                 raise NotPositiveDefinite(
                     f"X_{i} has no Cholesky factor although argument {i} is positive definite: at condition "

@@ -52,6 +52,7 @@ __all__ = [
     "SectorEstimate",
     "check_args",
     "check_interval",
+    "is_count",
     "cholesky_proves",
     "cholesky_shift",
     "components",
@@ -312,6 +313,16 @@ def check_interval(interval: tuple[float, float]) -> None:
         raise BadConfig(f"interval {tuple(interval)} must be (c1, c2) with 0 < c1 < c2 < inf")
 
 
+def is_count(value, least: int) -> bool:
+    """True for a Python or numpy integer of at least ``least`` that is not a bool: the rule of every count and index.
+
+    A float, even 3.0, is no count, and neither is True, which numpy reads
+    as a mask where 1 would be an index.  Each caller refuses what fails it
+    (BadConfig, or DataError for a file's index).
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def _require_square(a: np.ndarray) -> None:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrix, got shape {a.shape}")
@@ -321,11 +332,11 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Certify that ``m`` is Hermitian within tolerance and symmetrize it.
 
     Returns (M + M*)/2.  ``m`` takes ``check_args``; raises NotHermitian
-    when the defect of a member exceeds its ``tol.psd * (1 + ||M||_F)``.
+    when the defect of a member exceeds its ``psd_floor``.
     """
     (m,) = check_args((np.asarray(m, dtype=complex),), 1, "herm_certify")
     defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1)).ravel()
-    bound = tol.psd * (1.0 + np.ravel(fro_norm(m)))
+    bound = np.ravel(psd_floor(m, tol))
     bad = np.flatnonzero(defect > bound)
     if bad.size:
         raise NotHermitian(f"Hermitian defect {defect[bad[0]]:.3e} exceeds {bound[bad[0]]:.3e}")

@@ -40,9 +40,9 @@ from .errors import (
     SupportViolated,
     VerificationFailed,
 )
-from .freefun import FreeFn, lift_scalar
+from .freefun import FreeFn, _eigh, lift_scalar
 from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, check_interval, dagger, exact_blocks, fro_norm,
-                      herm_part, min_eig, require_psd, unit_vector)
+                      herm_part, is_count, min_eig, require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_frame, frame_plan, from_frame, generator, slots
 from .schur import PivotSubspace, SchurCore, shared_core
@@ -315,20 +315,23 @@ def support_pencil(
     DominanceViolated.  The pencil must then stay positive on a scalar grid
     and on random graph points at sizes n and 2n (``_graph_margins``: n x n
     blocks where ``FreeFn._declared_at``'s rule reads the declaration, a
-    lift's real in the phased eigenbasis of A that one ``eigh`` gives; the
-    whole pencil elsewhere and for each declared sample whose bound falls
-    below the gate) before a certificate is issued, else SupportViolated.
+    lift's real in the phased eigenbasis of A that one ``freefun._eigh``
+    gives; the whole pencil elsewhere and for each declared sample whose
+    bound falls below the gate) before a certificate is issued, else
+    SupportViolated.
 
     A request is refused with BadConfig before any evaluation unless ``fn``
     is declared operator monotone (``FreeFn.monotone``), the interval passes
-    ``matcore.check_interval``, ``validation_samples`` is at least 1, and the
-    seed passes ``sampling.generator``.
+    ``matcore.check_interval``, ``validation_samples`` is an integer of at
+    least 1 (``matcore.is_count``, so neither a float nor a bool), and the
+    seed passes ``sampling.generator``.  The certificate stores the seed and
+    its sample count as ``int``, so a numpy integer serializes as its value.
     """
     if not fn.monotone:
         raise BadConfig(f"{fn.name} is not declared operator monotone")
     check_interval(interval)
-    if validation_samples < 1:
-        raise BadConfig(f"validation_samples must be at least 1, got {validation_samples}")
+    if not is_count(validation_samples, 1):
+        raise BadConfig(f"validation_samples must be at least 1 and an integer, got {validation_samples!r}")
     rng = generator(seed)
     a = fn._args(tuple(a), one=True)  # eigvalsh below needs finite input; fn.gradient repeats this cheap check
     n = a[0].shape[0]
@@ -379,7 +382,7 @@ def support_pencil(
     # the graph samples: per_size draws of X at each of sizes n and 2n, with Y = F(X)
     draws = [finish_frame(fn.arity, draw(rng, per_size, frame_plan(ns, c1, c2, fn.arity))) for ns in (n, 2 * n)]
     # a declared lift's blocks are real in the base point's phased eigenbasis (_lift_margins)
-    basis = np.linalg.eigh(herm_part(a[0]))[1] if fn.arity == 1 and fn.scalar is not None else None
+    basis = _eigh(a[0])[1] if fn.arity == 1 and fn.scalar is not None else None
     support_margin = min(float(np.min(_graph_margins(fn, b0, grads, v, u, lam, basis, gate))) for u, lam, _ in draws)
     scalar_margin = float(np.min(min_eig(_support_eval(b0, grads, v, fn(scalars), scalars))))
     if not scalar_margin >= gate:
@@ -396,8 +399,8 @@ def support_pencil(
         support_margin=float(support_margin),
         scalar_margin=float(scalar_margin),
         trace_bound=trace_bound,
-        samples=2 * per_size,
-        seed=seed,
+        samples=int(2 * per_size),
+        seed=int(seed),
     )
 
 
@@ -637,11 +640,15 @@ def rep_from_quadrature(
     ``target`` before the representation is returned.  ``target`` must be
     finite and positive (BadConfig): a NaN one would pass every error.  The
     interval must pass ``matcore.check_interval`` (BadConfig), so no rule is
-    formed on a spectrum that reaches 0 or infinity.
+    formed on a spectrum that reaches 0 or infinity.  ``nodes`` must be an
+    integer (``matcore.is_count``: a float such as 8.5 or a bool is
+    BadConfig, not rounded), and below 4 it is QuadratureInaccurate.
     """
     if not 0 < target < np.inf:
         raise BadConfig("quadrature target must be finite and positive")
     check_interval(interval)
+    if not is_count(nodes, 1):
+        raise BadConfig(f"nodes must be a positive integer, got {nodes!r}")
     if nodes < 4:
         raise QuadratureInaccurate("need at least four quadrature nodes")
     fn = lift_scalar(name, p)

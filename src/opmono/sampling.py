@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadConfig
-from .matcore import dagger, herm_part
+from .matcore import dagger, herm_part, is_count, unit_vector
 
 __all__ = [
     "generator",
@@ -65,7 +65,9 @@ __all__ = [
 class Draw:
     """A plan entry, one stack per object: ``random`` or ``standard_normal`` values mapped to lo + scale * x.
 
-    A ``normal`` entry takes lo = 0.0 and scale = 1.0; a ``uniform`` one its interval.
+    A ``normal`` entry takes lo = 0.0 and scale = 1.0; a ``uniform`` one its
+    interval.  Each shape entry must be a count of at least 1
+    (``matcore.is_count``), else BadConfig.
     """
 
     shape: tuple[int, ...]
@@ -74,8 +76,8 @@ class Draw:
     scale: float
 
     def __post_init__(self) -> None:
-        if min(self.shape, default=1) < 1:
-            raise BadConfig(f"matrix dimensions must be positive, got {self.shape}")
+        if not all(is_count(d, 1) for d in self.shape):
+            raise BadConfig(f"matrix dimensions must be positive integers, got {self.shape}")
         if not (np.isfinite(self.lo) and np.isfinite(self.scale) and self.scale >= 0):
             raise BadConfig(f"bad sampling interval ({self.lo}, {self.lo + self.scale}): it needs finite lo <= hi")
 
@@ -83,9 +85,10 @@ class Draw:
 def generator(seed: int) -> np.random.Generator:
     """``np.random.default_rng(seed)``, the one generator a seed pins; BadConfig unless the seed is an integer >= 0.
 
-    A bool is refused with the other non-integers: a certificate stores its seed, and True is no seed.
+    The seed must pass ``matcore.is_count`` at 0: a bool is refused with the
+    other non-integers, as a certificate stores its seed and True is no seed.
     """
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not is_count(seed, 0):
         raise BadConfig(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 
@@ -122,9 +125,11 @@ def draw(rng: np.random.Generator, rounds: int, plan: Sequence[Draw]) -> tuple[n
     ``(rounds * c, *shape)`` stack, drawn in one call; the calls and the
     stacks follow the entries' first appearance.  Only a one-round draw of
     distinct entries takes the stream of the plan's calls made one by one.
+    ``rounds`` must be a count of at least 1 (``matcore.is_count``), else
+    BadConfig.
     """
-    if rounds < 1:
-        raise BadConfig("nothing to draw: the trial count must be positive")
+    if not is_count(rounds, 1):
+        raise BadConfig(f"nothing to draw: the trial count must be positive and an integer, got {rounds!r}")
     stacks = []
     for d in dict.fromkeys(plan):
         s = (rng.random if d.uniform else rng.standard_normal)((rounds * plan.count(d), *d.shape))
@@ -136,8 +141,8 @@ def draw(rng: np.random.Generator, rounds: int, plan: Sequence[Draw]) -> tuple[n
 
 def _one_by_one(rng: np.random.Generator, k: int, plan: Sequence[Draw]) -> tuple[np.ndarray, ...]:
     """k one-round draws of the plan, stacked: the stream of k separate objects."""
-    if k < 1:
-        raise BadConfig("nothing to draw: a tuple needs at least one component")
+    if not is_count(k, 1):
+        raise BadConfig(f"nothing to draw: a tuple needs an integer count of at least one component, got {k!r}")
     return tuple(np.concatenate(s) for s in zip(*(draw(rng, 1, plan) for _ in range(k))))
 
 
@@ -245,8 +250,7 @@ def rand_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def rand_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rand_complex(rng, n)
-    return v / np.linalg.norm(v)
+    return unit_vector(rand_complex(rng, n))
 
 
 def rand_spd_interval(

@@ -40,6 +40,7 @@ from .matcore import (
     fro_norm,
     herm_part,
     im_part,
+    is_count,
     min_eig,
     psd_floor,
     re_part,
@@ -70,7 +71,11 @@ class PivotSubspace:
 
     The basis, a d x m matrix with orthonormal columns, is all that is
     stored: the ambient dimension d is its row count, which each reader
-    takes from it.  It is kept read-only (``matcore.readonly``).
+    takes from it.  It is kept read-only (``matcore.readonly``).  The
+    constructor ``PivotSubspace(basis)`` is the one way in: it refuses a
+    basis that is not a finite matrix with orthonormal columns.
+    ``from_indices`` and ``from_vector`` build the basis of a coordinate
+    span and of a line and hand it to it.
     """
 
     basis: np.ndarray
@@ -82,15 +87,19 @@ class PivotSubspace:
         if not np.isfinite(basis).all():
             raise DomainViolation("basis has a non-finite entry")
         gram = dagger(basis) @ basis
-        if np.linalg.norm(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq * basis.shape[1]:
+        if fro_norm(gram - np.eye(basis.shape[1])) > DEFAULT_TOL.eq * basis.shape[1]:
             raise DimensionMismatch("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
     @classmethod
     def from_indices(cls, ambient_dim: int, indices: list[int]) -> "PivotSubspace":
-        """span(e_i) for the distinct ``indices`` i in 0..ambient_dim - 1, else BadConfig."""
-        if any(not 0 <= idx < ambient_dim for idx in indices):
-            raise BadConfig(f"pivot indices {list(indices)} must lie in 0..{ambient_dim - 1}")
+        """span(e_i) for the distinct ``indices`` i in 0..ambient_dim - 1, else BadConfig.
+
+        The dimension and every index must pass ``matcore.is_count`` (at 1
+        and 0): a float or a bool, which numpy would read as a mask, is refused.
+        """
+        if not (is_count(ambient_dim, 1) and all(is_count(idx, 0) and idx < ambient_dim for idx in indices)):
+            raise BadConfig(f"pivot indices {list(indices)} must be integers in 0..d - 1, got d = {ambient_dim!r}")
         if len(set(indices)) != len(indices):
             raise BadConfig(f"pivot indices {list(indices)} repeat an index")
         basis = np.zeros((ambient_dim, len(indices)), dtype=complex)
@@ -100,11 +109,8 @@ class PivotSubspace:
 
     @classmethod
     def from_vector(cls, v: np.ndarray) -> "PivotSubspace":
+        """The line spanned by ``v`` (``matcore.unit_vector``: DomainViolation unless v is finite and nonzero)."""
         return cls(unit_vector(v)[:, None])
-
-    @classmethod
-    def from_basis(cls, basis: np.ndarray) -> "PivotSubspace":
-        return cls(basis)
 
     @property
     def dim(self) -> int:

@@ -3,11 +3,14 @@ representations.
 
 Complex entries are two-element arrays [re, im].  Matrix, tuple, pencil and
 certificate files write matrices dense, as row-major nested lists of pairs
-(a certificate's pencil has no zero entries to leave out).  A representation
+(a certificate's pencil has no zero entries to leave out), through the one
+dense encoder ``encode_matrix``, which writes a vector, such as a
+certificate's v, as a list of pairs.  A representation
 file writes its pencil coefficients, pivot basis and state sparse, as
 {"shape": [r, c], "entries": [[i, j, re, im], ...]}: the entries with any
 bit set, in row-major order, so a block-diagonal quadrature pencil stores
-its cells and no zeros.  The sparse matrices of one payload may declare
+its cells and no zeros; a shape entry or index that fails
+``matcore.is_count`` (a float or a bool included) is a DataError.  The sparse matrices of one payload may declare
 at most ``MAX_SPARSE_ENTRIES`` entries in all.  ``decode_matrix`` reads
 either form wherever a matrix is expected, so dense representation files
 keep loading.  Finite doubles round-trip bit-exactly through json's repr
@@ -26,6 +29,7 @@ import numpy as np
 
 from .cert import CertReport
 from .errors import DataError, DimensionMismatch, OpmonoError
+from .matcore import is_count
 from .pencil import LinearPencil, pencil_new
 from .represent import PencilRepresentation, SupportCertificate
 from .schur import PivotSubspace
@@ -38,7 +42,6 @@ __all__ = [
     "decode_matrix",
     "encode_tuple",
     "decode_tuple",
-    "encode_vector",
     "decode_vector",
     "envelope",
     "parse_envelope",
@@ -70,14 +73,11 @@ def _check_finite(x: float) -> float:
 
 
 def encode_matrix(m: np.ndarray) -> list:
-    """Nested lists of [re, im] pairs, one pair per entry; ``encode_vector`` is the same."""
+    """Nested lists of [re, im] pairs, one pair per entry: the one dense encoder, of matrices and vectors alike."""
     m = np.asarray(m, dtype=complex)
     if not np.isfinite(m).all():
         raise DataError("NaN/Inf are not permitted in data files")
     return np.stack([m.real, m.imag], axis=-1).tolist()
-
-
-encode_vector = encode_matrix
 
 
 def encode_sparse(m: np.ndarray) -> dict:
@@ -114,7 +114,7 @@ def _decode(obj: Any, depth: int, what: str) -> np.ndarray:
 
 
 def _is_index(k: Any, bound: float = np.inf) -> bool:
-    return type(k) is int and 0 <= k < bound
+    return is_count(k, 0) and k < bound
 
 
 def _check_declared(objs: Any) -> None:
@@ -209,7 +209,7 @@ def certificate_payload(cert: SupportCertificate) -> dict:
     return {
         "function": cert.function,
         "base_point": encode_tuple(cert.base_point),
-        "v": encode_vector(cert.v),
+        "v": encode_matrix(cert.v),
         "pencil": pencil_payload(cert.pencil),
         "c": _check_finite(cert.c),
         "interval": [cert.interval[0], cert.interval[1]],
@@ -259,10 +259,9 @@ def representation_payload(rep: PencilRepresentation) -> dict:
 def representation_from_payload(obj: Any) -> PencilRepresentation:
     _check_declared([*obj["pencil"]["coefficients"], obj["pivot_basis"], obj["state"]])
     pencil = pencil_from_payload(obj["pencil"])
-    basis = decode_matrix(obj["pivot_basis"])
     return PencilRepresentation(
         pencil=pencil,
-        pivot=PivotSubspace.from_basis(basis),
+        pivot=PivotSubspace(decode_matrix(obj["pivot_basis"])),
         state=decode_matrix(obj["state"]),
         meta=dict(obj.get("meta", {})),
     )

@@ -70,7 +70,7 @@ def announce(num: int, ok: bool, desc: str) -> None:
 def rand_pivot(rng, n):
     m = int(rng.integers(1, n))
     q, _ = np.linalg.qr(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
-    return PivotSubspace.from_basis(q)
+    return PivotSubspace(q)
 
 
 # the monotone catalogue exercised by criteria 5 and 7: (function, n, k)

@@ -92,14 +92,13 @@ KERNEL_SITES = {
     "eig": {"freefun._principal_matfun.apply"},
     "eigh": {"freefun._eigh", "freefun._spectrum", "gradients.dk_map", "matcore.funcalc",
              "matcore.sector_certified_alpha", "pencil.range_basis", "represent._quad_rational_weights",
-             "represent.support_pencil", "schur.SchurCore.__init__", "schur._perp"},
-    "eigvalsh": {"freefun._Arguments.low", "freefun._spectrum", "matcore.min_eig", "matcore.sector_certified_alpha",
-                 "represent._lift_margins", "represent.support_pencil", "sampling.pair_above"},
+             "schur.SchurCore.__init__", "schur._perp"},
+    "eigvalsh": {"freefun._spectrum", "matcore.min_eig", "matcore.sector_certified_alpha", "represent._lift_margins",
+                 "represent.support_pencil", "sampling.pair_above"},
     "inv": {"freefun._factor", "freefun._principal_matfun.apply", "freefun.harmonic_mean._mean",
             "freefun.mobius_apply", "schur._aim", "schur._eliminate"},
     # Frobenius, vector and column norms only: a spectral norm is a first singular value, an svd site
-    "norm": {"matcore.unit_vector", "sampling.rand_unit_vector", "schur.PivotSubspace.__post_init__",
-             "schur._sector_settles"},
+    "norm": {"matcore.unit_vector", "schur._sector_settles"},
     "qr": {"sampling.finish_isometry", "sampling.finish_unitary"},
     "solve": {"gradients.solve_linear_map"},
     "svd": {"cli._cmd_mean", "cli._cmd_repeval", "freefun._spectrum", "freefun.mobius_apply",

@@ -41,7 +41,7 @@ def dense_complement(pencil, pivot, x):
     m = pencil_eval_shifted(pencil, x)
     explicit = sum(np.kron(c, s) for c, s in zip(pencil.coeffs, [eye] + [xi - eye for xi in x]))
     assert np.linalg.norm(m - explicit) <= 1e-12 * (1 + np.linalg.norm(explicit))
-    big = PivotSubspace.from_basis(np.kron(e.conj().T @ pivot.basis, eye))
+    big = PivotSubspace(np.kron(e.conj().T @ pivot.basis, eye))
     return schur_generic(m, big, keep="s")
 
 
@@ -98,7 +98,7 @@ def test_direct_sum_pencil_generic_pivot():
     rng = np.random.default_rng(3)
     pencil = pencil_direct_sum([valid_pencil(rng, 1, d) for d in (2, 3)])
     q, _ = np.linalg.qr(rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)))
-    pivot = PivotSubspace.from_basis(q)
+    pivot = PivotSubspace(q)
     for x in tuples(rng, 1, 3)[1:]:
         assert_close(schur_pencil(pencil, x, pivot), dense_complement(pencil, pivot, x))
 
@@ -180,7 +180,7 @@ class TestExactBlocks:
         pencil, blocks = interleaved_pencil(rng, self.SIZES, 1)
         v = np.zeros(pencil.size, dtype=complex)
         v[blocks[2][0]], v[blocks[4][1]] = 0.6, 0.8j  # a unit vector; a second column lies in block 0
-        pivot = PivotSubspace.from_basis(np.stack([v, np.eye(pencil.size)[blocks[0][0]]], axis=1))
+        pivot = PivotSubspace(np.stack([v, np.eye(pencil.size)[blocks[0][0]]], axis=1))
         core = SchurCore(pencil, pivot)
         assert sorted((kept, index.shape) for kept, index, *_ in core.groups) == [(1, (1, 2)), (1, (1, 5))]
         self.check(pencil, pivot, rng, n=3)

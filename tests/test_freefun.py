@@ -1419,7 +1419,7 @@ def test_empty_stacks_and_empty_matrices(ident):
 def _tuple_entry_points():
     """Every public entry point that takes a matrix tuple: name -> (arity, call on a tuple)."""
     pencil = pencil_new([2 * np.eye(2), np.eye(2), np.eye(2)])
-    pivot = PivotSubspace.from_basis(np.array([[1.0], [0.0]]))
+    pivot = PivotSubspace(np.array([[1.0], [0.0]]))
     rep = PencilRepresentation(pencil, pivot, np.diag([1.0, 0.0]))
     geo, pair = resolve_function("geomean2"), (np.eye(2), 2 * np.eye(2))
     return {

@@ -1200,7 +1200,7 @@ class TestReadOnlyArrays:
         b0, b1 = np.diag([2.0, 1.0]).astype(dtype), np.diag([1.0, 0.5]).astype(dtype)
         basis = np.eye(2, 1).astype(dtype)
         state = np.diag([1.0, 0.0]).astype(dtype)
-        rep = PencilRepresentation(pencil_new([b0, b1]), PivotSubspace.from_basis(basis), state)
+        rep = PencilRepresentation(pencil_new([b0, b1]), PivotSubspace(basis), state)
         raw = RawPencil((b0, b1))
         for mine in (b0, b1, basis, state):
             assert mine.flags.writeable

@@ -66,7 +66,7 @@ def rand_pivot(rng, n):
     m = int(rng.integers(1, n))
     g = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     q, _ = np.linalg.qr(g)
-    return PivotSubspace.from_basis(q)
+    return PivotSubspace(q)
 
 
 def rand_sectorial(rng, n, alpha_max=np.deg2rad(75)):
@@ -88,7 +88,7 @@ class TestPivotSubspace:
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(errors.DimensionMismatch):
-            PivotSubspace.from_basis(np.array([[1.0], [1.0]]))
+            PivotSubspace(np.array([[1.0], [1.0]]))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -271,7 +271,7 @@ def nested_pivots(rng, n):
     m2 = int(rng.integers(2, n))
     q2, _ = np.linalg.qr(rng.normal(size=(n, m2)) + 1j * rng.normal(size=(n, m2)))
     inner = rand_pivot(rng, m2)
-    return PivotSubspace.from_basis(q2 @ inner.basis), PivotSubspace.from_basis(q2), inner
+    return PivotSubspace(q2 @ inner.basis), PivotSubspace(q2), inner
 
 
 class TestQuotientProperty:
@@ -352,7 +352,7 @@ class TestSchurPencil:
         assert np.linalg.norm(out - out.conj().T) <= 1e-9 * (1 + np.linalg.norm(out))
         # matches direct elimination of the real shifted pencil
         m = pencil_eval_shifted(p, x)
-        big = PivotSubspace.from_basis(np.kron(s.basis, np.eye(2)))
+        big = PivotSubspace(np.kron(s.basis, np.eye(2)))
         direct = schur_generic(m, big, keep="s")
         assert np.allclose(out, direct, atol=1e-8)
 
@@ -365,7 +365,7 @@ class TestSchurPencil:
         core = SchurCore(p, s)
         assert [index.tolist() for _, index, _, _, _ in core.groups] == [[[0, 1, 2]]]
         x = (np.array([[1.5, 0.2j], [-0.2j, 0.8]]),)
-        big = PivotSubspace.from_basis(np.kron(s.basis, np.eye(2)))
+        big = PivotSubspace(np.kron(s.basis, np.eye(2)))
         dense = schur_generic(pencil_eval_shifted(p, x), big, keep="s")
         assert np.allclose(core.evaluate(x), dense, rtol=0, atol=1e-13)
 
@@ -943,7 +943,7 @@ ENTRY_POINTS = {
     "PencilRepresentation": lambda bad: PencilRepresentation(
         pencil_new([2 * np.eye(2), np.eye(2)]), PivotSubspace.from_indices(2, [0]), _spoiled(np.eye(2) / 2, bad)
     ),
-    "PivotSubspace": lambda bad: PivotSubspace.from_basis(_spoiled(np.eye(3)[:, :2], bad)),
+    "PivotSubspace": lambda bad: PivotSubspace(_spoiled(np.eye(3)[:, :2], bad)),
     "herm_certify": lambda bad: herm_certify(_spoiled(np.eye(2), bad)),
     "shorted_psd": lambda bad: shorted_psd(_spoiled(np.eye(3), bad), PivotSubspace.from_indices(3, [0])),
     "schur_generic": lambda bad: schur_generic(_spoiled(np.eye(3), bad), PivotSubspace.from_indices(3, [0])),
