@@ -195,6 +195,8 @@ def _pivot_from_args(args, dim: int) -> PivotSubspace:
 def _cmd_check(args) -> int:
     if args.m is not None and args.property != "hypograph":
         raise BadConfig(f"--m is not read by the {args.property} property")
+    if not is_count(args.trials, 1):  # before doubling's tenth, which would lift any count to 1
+        raise BadConfig(f"--trials must be a positive integer, got {args.trials}")
     fn = resolve_function(args.function)
     kwargs = dict(interval=_parse_interval(args.interval), tol=_tolerances(args), n=args.n, trials=args.trials,
                   seed=args.seed)

@@ -55,6 +55,7 @@ __all__ = [
     "is_count",
     "cholesky_proves",
     "cholesky_shift",
+    "eig_rounding",
     "components",
     "block_index",
     "exact_blocks",
@@ -107,28 +108,27 @@ class Tolerances:
     Loewner-matrix paths for the lifts and the two-argument means keep the
     plain rule.
 
-    The half-space checks (``schur``'s membership tests and
-    ``SchurCore.evaluate``'s rotated-block and ``Im F`` checks) compare
-    ``min_eig`` with a floor, and ``rep_eval``'s domain check with 0.  Every
-    benchmarked path hands them one matrix at a time, where a Cholesky
-    screen costs more than the eigenvalue it would save.
+    The half-space checks (``SchurCore.evaluate``'s membership,
+    rotated-block and ``Im F`` checks) compare ``min_eig`` with a floor,
+    and ``rep_eval``'s domain check with 0.  Every benchmarked path hands
+    them one matrix at a time, where a Cholesky screen costs more than the
+    eigenvalue it would save.
 
     The testers' scan reports a value, but a passing report reads only the
     smallest margin, and a failing one the first margin below its bound.
     So the scan takes ``min_eig`` of the 32 members of a stack with the
     smallest diagonal entry, an upper bound on lambda_min, and m, the
     least of these margins, and screens every other member at its own level
-    max(m, bound): a Cholesky of Herm(x) - (level + 32 n^2 eps (||x||_F +
-    |level|)) I (``cholesky_shift``), one outcome per member
+    max(m, bound): a Cholesky of Herm(x) - (level + ``eig_rounding(n,
+    ||x||_F + |level|)``) I (``cholesky_shift``), one outcome per member
     (``cholesky_proves``, an outer-product loop over the columns,
     vectorized over the members).  Cholesky runs to completion only on a
-    matrix that is positive definite up to a backward error of about n^2 eps
-    times its norm (Demmel, LAPACK Working Note 14; Higham, Thm 10.5), so a
-    member it proves has a margin above m and above its bound by more than
-    ``eigvalsh``'s rounding, and it can set neither reading; only the
-    members left open take ``eigvalsh``.  Where an exact margin falls below
-    its bound, or a value is not finite, every member takes ``min_eig``, so
-    every report keeps its bits.  The other checks that report a value
+    matrix that is positive definite up to its backward error
+    (``eig_rounding``), so a member it proves has a margin above m and
+    above its bound by more than ``eigvalsh``'s rounding, and it can set
+    neither reading; only the members left open take ``eigvalsh``.  Where
+    an exact margin falls below its bound, or a value is not finite, every
+    member takes ``min_eig``, so every report keeps its bits.  The other checks that report a value
     (``require_psd``, the support margins, ``_aim`` and the cone bound's
     margin and constants) keep ``min_eig``, as does ``loewner_leq``, whose
     stacks no benchmarked path checks.
@@ -158,12 +158,12 @@ class Tolerances:
     tight, certifies a block at rounding level.  Most members never form L~:
     the cone bound of ``SchurCore.evaluate``, m lambda_min(Herm A_0) less
     the PSD, dominance and Hermitian deficits of the computed coefficients
-    A_j and 32 (r n + K)^2 eps s for rounding, bounds lambda_min(Re(e^{i
-    theta} L~)) from below, with m = min(cos theta, min_i lambda_min Re(e^{i
-    theta} X_i)) and s = sum_j ||A_j||_F ||Y_j||_F >= ||L~||_F.  It settles
-    a member when it exceeds this floor taken at s (1 + 32 (r n + K)^2 eps),
-    which is at least the floor at ||L~||_F; the members it leaves open form
-    L~ and take the check above.  The sec^2(alpha) bound on each eliminated
+    A_j and u s for rounding, u = ``eig_rounding(r n + K, 1)``, bounds
+    lambda_min(Re(e^{i theta} L~)) from below, with m = min(cos theta,
+    min_i lambda_min Re(e^{i theta} X_i)) and s = sum_j ||A_j||_F ||Y_j||_F
+    >= ||L~||_F.  It settles a member when it exceeds this floor taken at
+    s (1 + u), which is at least the floor at ||L~||_F; the members it
+    leaves open form L~ and take the check above.  The sec^2(alpha) bound on each eliminated
     component's complement S compares ||S||_2 with sec^2(alpha) ||L||_2 (1 +
     eq) only for the members two tolerance-free tiers leave open: ||S||_F <=
     max_j ||L e_j|| / c^2, with c = 1 first, then c = min_j Re d_j / |d_j|
@@ -347,19 +347,17 @@ def components(pattern: np.ndarray) -> np.ndarray:
     """Per index of a stack (..., d, d) of boolean patterns: the least index of its connected component.
 
     Indices run through the stack, member m's index i being m d + i, and i
-    and j of one member are joined by a True entry at (i, j) or (j, i).  A
-    stack without a False entry is one component per member, labelled
-    without propagation.  Otherwise every pass hooks the larger root of each
-    True entry's two indices under the smaller (``np.minimum.at``), and
-    pointer jumping then points every index at its root again: a pass costs
-    about the number of True entries, and a chain of d indices takes about
-    log d jumps, not d passes.
+    and j of one member are joined by a True entry at (i, j) or (j, i).
+    Every pass hooks the larger root of each True entry's two indices under
+    the smaller (``np.minimum.at``), and pointer jumping then points every
+    index at its root again: a pass costs about the number of True entries,
+    and a chain of d indices takes about log d jumps, not d passes.  A
+    caller whose pattern may have no False entry takes that one block
+    itself, without a pattern (``exact_blocks``).
     """
     pattern = np.asarray(pattern, dtype=bool)
     d = pattern.shape[-1]
     root = np.arange(pattern.size // d)
-    if pattern.all():
-        return (root - root % d).reshape(pattern.shape[:-1])
     i, j = np.divmod(np.flatnonzero(pattern), d)  # i counts the rows of every member before its own
     j += i - i % d
     while (hook := (ri := root[i]) != (rj := root[j])).any():
@@ -376,8 +374,6 @@ def block_index(labels: np.ndarray) -> list[np.ndarray]:
     One (g, s) array per block size s, ascending: each row lists one block's
     indices in ascending order, and the rows are ordered by least index.
     """
-    if not labels.any():
-        return [np.arange(labels.size)[None]]
     order, size = np.argsort(labels, kind="stable"), np.bincount(labels)  # each block's size at its least index
     root = np.flatnonzero(size)
     start, size = (np.cumsum(size) - size)[root], size[root]
@@ -414,15 +410,27 @@ def min_eig(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np.ndarray
     return float(out) if out.ndim == 0 else out
 
 
+def eig_rounding(k: int, size: np.ndarray | float) -> np.ndarray | float:
+    """The rounding allowance 32 k^2 eps ``size`` of a smallest eigenvalue of order k matrices of norm ``size``.
+
+    ``eigvalsh`` and a Cholesky that runs to completion are backward stable:
+    each is exact for a matrix within about k^2 eps ||A||_F of the one given
+    (Demmel, LAPACK Working Note 14; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.5), and the factor 32 covers the rounding
+    of forming A as well.  Every certificate that reads positivity from a
+    smallest eigenvalue takes its allowance here, and nowhere else.
+    """
+    return 32 * k * k * np.finfo(float).eps * size
+
+
 def cholesky_shift(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray | float:
-    """The shift ``floor + 32 n^2 eps (||a||_F + |floor|)`` whose Cholesky proves each member above ``floor``.
+    """The shift ``floor`` + ``eig_rounding(n, ||a||_F + |floor|)`` whose Cholesky proves each member above ``floor``.
 
     A Cholesky of Herm(a) minus this shift times I that runs to completion
     puts lambda_min(Herm a), and ``eigvalsh``'s value of it, above
     ``floor`` (``Tolerances``).
     """
-    n = np.shape(a)[-1]
-    return floor + 32 * n * n * np.finfo(float).eps * (fro_norm(a) + np.abs(floor))
+    return floor + eig_rounding(np.shape(a)[-1], fro_norm(a) + np.abs(floor))
 
 
 def cholesky_proves(a: np.ndarray, floor: np.ndarray | float) -> np.ndarray:
@@ -547,8 +555,8 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     H and one ``eigvalsh`` of the congruence.  The sector is the
     intersection of the rotated half-planes {Re(e^{+-i(pi/2 - alpha)} z)
     >= 0}, so alpha is certified when lambda_min of both rotated real parts
-    is at least -32 n^2 eps ||A||_F, their rounding allowance (as in
-    ``cholesky_shift``), which scales with A.  Returns (alphas, margins) with
+    is at least -``eig_rounding(n, ||A||_F)``, their rounding allowance,
+    which scales with A.  Returns (alphas, margins) with
     margin = lambda_min(H); a member with margin <= 0 or an uncertified
     angle gets alpha = pi/2, and one with a non-finite entry margin -inf
     (the identity is factored in its place).
@@ -565,7 +573,7 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     alphas = np.arctan(np.abs(np.linalg.eigvalsh(congruence)).max(axis=-1))
     phases = np.exp(1j * np.multiply.outer([1.0, -1.0], np.pi / 2 - alphas))
     edges = np.linalg.eigvalsh(herm_part(phases[..., None, None] * a))[..., 0].min(axis=0)
-    certified = (margins > 0) & (edges >= -32 * a.shape[-1] ** 2 * np.finfo(float).eps * fro_norm(a))
+    certified = (margins > 0) & (edges >= -eig_rounding(a.shape[-1], fro_norm(a)))
     return np.where(certified, alphas, np.pi / 2), margins
 
 

@@ -99,9 +99,6 @@ class RawPencil:
     def bi(self) -> tuple[np.ndarray, ...]:
         return self.coeffs[1:]
 
-    def coeff_sum(self) -> np.ndarray:
-        return sum(self.coeffs[1:])
-
     @cached_property
     def cores(self) -> weakref.WeakSet:
         """This pencil's live ``schur.SchurCore``s (``schur.shared_core``).
@@ -238,6 +235,6 @@ def pencil_sectorial_check(
             sector_estimate(xi, tol)
         except NotSectorial as exc:
             raise InputNotSectorial(f"argument {idx + 1} is not sectorial: {exc}") from exc
-    q = range_basis(pencil.coeff_sum())
+    q = range_basis(sum(pencil.bi))
     compressed = kron_sum(dagger(q) @ np.stack(pencil.coeffs) @ q, args)
     return sector_estimate(compressed, tol)

@@ -41,8 +41,8 @@ from .errors import (
     VerificationFailed,
 )
 from .freefun import FreeFn, _eigh, lift_scalar
-from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, check_interval, dagger, exact_blocks, fro_norm,
-                      herm_part, is_count, min_eig, require_psd, unit_vector)
+from .matcore import (DEFAULT_TOL, Tolerances, block_diag, check_args, check_interval, dagger, eig_rounding,
+                      exact_blocks, fro_norm, herm_part, is_count, min_eig, require_psd, unit_vector)
 from .pencil import LinearPencil, kron_sum, pencil_new
 from .sampling import draw, finish_frame, frame_plan, from_frame, generator, slots
 from .schur import PivotSubspace, SchurCore, shared_core
@@ -210,9 +210,9 @@ def _lift_margins(b0, g, v, basis, lam, d) -> np.ndarray:
       ||W* W - I||_2, and |lambda_min W* M W| <= (1 + delta) s, so for
       delta <= 1/8 lambda_min M >= lambda_min W* M W - (9/7) delta s.  A
       basis with a larger delta gives -inf;
-    - rounding, 32 n^2 eps (s + ||R_j||_F): ``eigvalsh`` of R_j,
-      32 n^2 eps ||R_j||_F as everywhere in the library, and the rest
-      within 24 n^2 eps s.  The rotation fl(fl(W* C_k) W) and its Hermitian
+    - rounding, ``matcore.eig_rounding(n, s + ||R_j||_F)``: ``eigvalsh``
+      of R_j, ``eig_rounding(n, ||R_j||_F)``, and the rest within
+      24 n^2 eps s.  The rotation fl(fl(W* C_k) W) and its Hermitian
       part lie within 2 sqrt(2) gamma_{n+2} ||W||_F^2 ||C_k||_F +
       eps ||C_k||_F <= 11 n^2 eps ||C_k||_F of W* C_k W (Higham, *Accuracy
       and Stability of Numerical Algorithms*, sec. 3.6); fl(W* W) moves
@@ -221,7 +221,7 @@ def _lift_margins(b0, g, v, basis, lam, d) -> np.ndarray:
 
     d is taken as the graph value, as ``_congruence_margins`` takes f(w).
     """
-    eps, n = np.finfo(float).eps, v.size
+    n = v.size
     r = dagger(basis) @ v
     mag = np.abs(r)
     w = basis * np.divide(r, mag, out=np.ones_like(r), where=mag > 0)
@@ -240,7 +240,7 @@ def _lift_margins(b0, g, v, basis, lam, d) -> np.ndarray:
         blocks[~finite] = np.eye(n)
     mu = np.where(finite, np.linalg.eigvalsh(blocks)[..., 0], -np.inf)
     weyl = imag[0] + a1 * imag[1] + a2 * imag[2]
-    return np.min(mu - weyl - 2 * defect * scale - 32 * n**2 * eps * (scale + fro_norm(blocks)), axis=-1)
+    return np.min(mu - weyl - 2 * defect * scale - eig_rounding(n, scale + fro_norm(blocks)), axis=-1)
 
 
 def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
@@ -268,26 +268,28 @@ def _congruence_margins(b0, grads, v, w, d, lam1) -> np.ndarray:
     sum G_i A_i = vv* F(A), so B_0 = G_1 + G_2 and E is zero but for
     rounding.  Each rounding allowance is taken off:
 
-    - a block's lambda_min: 32 n^2 eps (||G_1||_F + w ||G_2||_F + |f(w)|),
-      the rounding of forming N(w) from G_i, vv* and f(w), and of ``eigvalsh``;
+    - a block's lambda_min: ``matcore.eig_rounding(n, ||G_1||_F + w
+      ||G_2||_F + |f(w)|)``, the rounding of forming N(w) from G_i, vv*
+      and f(w), and of ``eigvalsh``;
     - theta: the drawn spectrum ``lam1`` of X_1, widened by
-      32 ns^2 eps lambda_max, which covers C C* against the drawn X_1.
+      ``eig_rounding(ns, lambda_max)``, which covers C C* against the drawn X_1.
       Since C C* = X_1 = diag(lam1) exactly, the widening is slack here; it
       is kept so that the bound stays sound for any C whose C C* lies that
       close to X_1;
-    - lambda_min E: 32 n^2 eps ||E||_F + 4 eps (||B_0||_F + ||G_1||_F + ||G_2||_F),
-      the rounding of ``eigvalsh`` on the computed E and of its two differences.
+    - lambda_min E: ``eig_rounding(n, ||E||_F)`` + 4 eps (||B_0||_F +
+      ||G_1||_F + ||G_2||_F), the rounding of ``eigvalsh`` on the computed
+      E and of its two differences.
     """
-    eps, n, ns = np.finfo(float).eps, v.size, w.shape[-1]
+    n, ns = v.size, w.shape[-1]
     g1, g2 = grads
     norms = fro_norm(np.stack([b0, g1, g2]))
     blocks = g1 + w[..., None, None] * g2 - d[..., None, None] * np.outer(v, np.conj(v))
-    mu = np.min(min_eig(blocks) - 32 * n**2 * eps * (norms[1] + w * norms[2] + np.abs(d)), axis=-1)
+    mu = np.min(min_eig(blocks) - eig_rounding(n, norms[1] + w * norms[2] + np.abs(d)), axis=-1)
     top = np.max(lam1, axis=-1)
-    spread = 32 * ns**2 * eps * top
+    spread = eig_rounding(ns, top)
     theta = np.where(mu >= 0, np.maximum(np.min(lam1, axis=-1) - spread, 0.0), top + spread)
     e = b0 - g1 - g2
-    return min_eig(e) - 32 * n**2 * eps * fro_norm(e) - 4 * eps * np.sum(norms) + theta * mu
+    return min_eig(e) - eig_rounding(n, fro_norm(e)) - 4 * np.finfo(float).eps * np.sum(norms) + theta * mu
 
 
 def support_pencil(
@@ -427,7 +429,7 @@ def reconstruct(cert: SupportCertificate) -> ReconstructionResult:
     ``tol``) and no floor is compared, so no tolerance is taken.
     """
     a, v = cert.base_point, cert.v
-    value_op = herm_part(cert.rep.core().evaluate(a))
+    value_op = herm_part(cert.rep.core.evaluate(a))
     excess = float((np.conj(v) @ value_op @ v).real) - (cert.c + _tangent(cert.gradients, a))
     return ReconstructionResult(value=value_op @ v, residual=float(np.sqrt(abs(excess))), value_op=value_op)
 
@@ -484,12 +486,9 @@ class PencilRepresentation:
         return FreeFn(name, self.arity, partial(rep_eval, self), partial(rep_eval_complex, self))
 
     @cached_property
-    def _core(self) -> SchurCore:
-        return shared_core(self.pencil, self.pivot)
-
     def core(self) -> SchurCore:
         """The pencil partitioned against the pivot, held once (``schur.shared_core``)."""
-        return self._core
+        return shared_core(self.pencil, self.pivot)
 
 
 def rep_eval(rep: PencilRepresentation, x: MatTuple) -> np.ndarray:
@@ -505,7 +504,7 @@ def rep_eval(rep: PencilRepresentation, x: MatTuple) -> np.ndarray:
     xs = check_args(x, rep.arity, "rep_eval")
     if any(np.any(min_eig(xi) <= 0) for xi in xs):
         raise DomainViolation("representation arguments must be positive definite")
-    return herm_part(rep.core().evaluate(xs, state=rep.state))
+    return herm_part(rep.core.evaluate(xs, state=rep.state))
 
 
 def rep_eval_complex(
@@ -520,7 +519,7 @@ def rep_eval_complex(
     (HalfPlaneViolated) are ``SchurCore.evaluate``'s, at the floors of
     ``tol``.
     """
-    return rep.core().evaluate(x, state=rep.state, tol=tol)
+    return rep.core.evaluate(x, state=rep.state, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .matcore import (
     check_args,
     components,
     dagger,
+    eig_rounding,
     fro_norm,
     herm_part,
     im_part,
@@ -255,16 +256,6 @@ def _in_halfspace(part, x: tuple[np.ndarray, ...], floors: list) -> np.ndarray:
     return np.logical_and.reduce([min_eig(part(m)) > f for m, f in zip(x, floors)])
 
 
-def in_right_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Per member of the stacked tuple: all components have positive definite real part."""
-    return _in_halfspace(re_part, x, [psd_floor(m, tol) for m in x])
-
-
-def in_upper_halfspace(x: tuple[np.ndarray, ...], tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Per member of the stacked tuple: all components have positive definite imaginary part."""
-    return _in_halfspace(im_part, x, [psd_floor(m, tol) for m in x])
-
-
 def _eliminate(d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the stacked systems D sol = rhs, cut at ``RANK_CUT``, and check their residual."""
     try:
@@ -298,8 +289,9 @@ def _aim(z: np.ndarray) -> np.ndarray:
     numerical range of each essential block, normalized or not, lies in the
     cone spanned by 1 and the W(Z_i), which rotating by -beta/2 centres on
     the positive real axis.  All NaN, so no angle, when some Im Z_i has no
-    Cholesky factor, which passing ``in_upper_halfspace`` leaves possible
-    only at rounding level.
+    Cholesky factor, which passing ``SchurCore.evaluate``'s upper
+    half-space floor (``_in_halfspace``) leaves possible only at rounding
+    level.
     """
     try:
         low = np.linalg.cholesky(im_part(z))
@@ -313,14 +305,14 @@ def _cone_margin(args: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.nd
     """Per member of the shifted stack ``args`` (..., K, n, n): the norms ||Y_j||_F and the margin m.
 
     m = min(cos theta, min_i lambda_min Re(e^{i theta} X_i)), X_i = Y_i + I,
-    from one batched ``eigvalsh``, less 32 n^2 eps max_i (||Y_i||_F +
-    sqrt n), more than the rounding of cos theta, of e^{i theta} X_i and of
-    ``eigvalsh`` (``SchurCore.evaluate``).  NaN for a NaN aim.
+    from one batched ``eigvalsh``, less ``eig_rounding(n, max_i (||Y_i||_F
+    + sqrt n))``, more than the rounding of cos theta, of e^{i theta} X_i
+    and of ``eigvalsh`` (``SchurCore.evaluate``).  NaN for a NaN aim.
     """
     n = args.shape[-1]
     norms = fro_norm(args)  # ||I||_F = sqrt(n) first
     lam = min_eig(np.exp(1j * theta)[..., None, None, None] * (args[..., 1:, :, :] + np.eye(n)))
-    slack = 32 * n * n * np.finfo(float).eps * (norms[..., 1:] + norms[..., :1]).max(axis=-1)
+    slack = eig_rounding(n, (norms[..., 1:] + norms[..., :1]).max(axis=-1))
     return norms, np.minimum(np.cos(theta), lam.min(axis=-1)) - slack
 
 
@@ -330,13 +322,13 @@ def _cone_constants(essential: np.ndarray) -> tuple[np.ndarray, ...]:
     Per member: lambda_min(H_0); the weight ||Z_j||_F + p_j of each
     ||Y_j||_F in the allowance (p_0 = 0); d + sum_i p_i; and the norms
     ||A_j||_F.  The eigenvalues come from one ``eigvalsh`` and are moved
-    towards the safe side by 32 (r + K)^2 eps sum_j ||A_j||_F, more than
-    their rounding and that of the Hermitian parts and of D.
+    towards the safe side by ``eig_rounding(r + K, sum_j ||A_j||_F)``, more
+    than their rounding and that of the Hermitian parts and of D.
     """
     g, terms, rank = essential.shape[:2] + essential.shape[-1:]
     herm = herm_part(essential)
     sizes = fro_norm(essential)
-    err = 32 * (rank + terms) ** 2 * np.finfo(float).eps * sizes.sum(axis=-1, keepdims=True)
+    err = eig_rounding(rank + terms, sizes.sum(axis=-1, keepdims=True))
     lam = min_eig(np.concatenate([herm, herm[:, :1] - herm[:, 1:].sum(axis=1, keepdims=True)], axis=1))
     deficit = np.maximum(err - lam, 0.0)  # of Herm A_i at 1..K-1, of the dominance at K
     dev = fro_norm(essential - herm) + np.concatenate([np.zeros((g, 1)), deficit[:, 1:terms]], axis=1)
@@ -549,7 +541,7 @@ class SchurCore:
             self._cone = [None if group[3] is None else _cone_constants(group[3]) for group in self.groups]
         lam0, dev, const, sizes = self._cone[i]
         terms, rank = sizes.shape[-1], self.groups[i][3].shape[-1]
-        u = 32 * (rank * n + terms) ** 2 * np.finfo(float).eps
+        u = eig_rounding(rank * n + terms, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):  # a bound or floor that is not finite settles nothing
             s = norms @ sizes.T  # >= ||L~||_F
             top = s * (1.0 + u)
@@ -615,11 +607,12 @@ class SchurCore:
         lambda_min Re(e^{i theta} L~) >= m lambda_min(H_0) - d
         - sum_i p_i (||Y_i||_F + 1) - sum_j ||Z_j||_F ||Y_j||_F.
         ``_cone_bound`` subtracts u s more, s = sum_j ||A_j||_F ||Y_j||_F >=
-        ||L~||_F, u = 32 (r n + K)^2 eps, for the rounding of forming,
-        rotating and symmetrizing L~ and of the ``eigvalsh`` deciding it;
-        lambda_min(H_0), d and the p_i move by 32 (r + K)^2 eps
-        sum_j ||A_j||_F (``_cone_constants``), m by 32 n^2 eps
-        max_i (||Y_i||_F + sqrt n) (``_cone_margin``), each to the safe side.
+        ||L~||_F, u = ``eig_rounding(r n + K, 1)``, for the rounding of
+        forming, rotating and symmetrizing L~ and of the ``eigvalsh``
+        deciding it; lambda_min(H_0), d and the p_i move by
+        ``eig_rounding(r + K, sum_j ||A_j||_F)`` (``_cone_constants``), m by
+        ``eig_rounding(n, max_i (||Y_i||_F + sqrt n))`` (``_cone_margin``),
+        each to the safe side.
         A member is settled when the bound exceeds tol.psd_floor_at(s (1 +
         u)) + 16 eps kappa s (1 + u), at least its floor; m <= 0, so a NaN
         aim, settles nothing.  It costs one batched ``eigvalsh`` of the
@@ -643,7 +636,8 @@ class SchurCore:
         all of them take ``_check_sector_bound``, as every member did before,
         so every outcome and message is unchanged.  Last, every upper
         member's output must keep a PSD imaginary part (else
-        HalfPlaneViolated).  Neither the angle nor the scaling enters the
+        HalfPlaneViolated), a check that an evaluation without an upper
+        member does not take.  Neither the angle nor the scaling enters the
         complement, so the result equals that without ``tol``.
         """
         args = pencil_arguments(self.pencil, x, shifted=True, one=state is None)
@@ -703,11 +697,11 @@ class SchurCore:
                         raise RotationNotFound("the aimed rotation leaves an eliminated component unsectorial")
                 root = _pick(np.repeat(root, n, axis=-1), pick, 1)
                 _check_sector_bound(rotated, root[..., :, None] * normalized * root[..., None, :], comp, tol)
-            upper = out[~right]  # right is 0-d for a whole complement, so this adds an axis
-            floor = -psd_floor(upper, tol)
-            lam = min_eig(im_part(upper))
-            if np.any(lam < floor):
-                raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
+            if not right.all():
+                upper = out[~right]  # right is 0-d for a whole complement, so this adds an axis
+                lam = min_eig(im_part(upper))
+                if np.any(lam < -psd_floor(upper, tol)):
+                    raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
         return out
 
 

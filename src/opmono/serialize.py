@@ -28,8 +28,8 @@ from typing import Any
 import numpy as np
 
 from .cert import CertReport
-from .errors import DataError, DimensionMismatch, OpmonoError
-from .matcore import is_count
+from .errors import BadConfig, DataError, DimensionMismatch, OpmonoError
+from .matcore import check_interval, is_count
 from .pencil import LinearPencil, pencil_new
 from .represent import PencilRepresentation, SupportCertificate
 from .schur import PivotSubspace
@@ -224,15 +224,24 @@ def certificate_payload(cert: SupportCertificate) -> dict:
 
 @_decoder
 def certificate_from_payload(obj: Any) -> SupportCertificate:
-    """``gradients`` and ``trace_slack`` entries are ignored: both follow from the pencil (``SupportCertificate``)."""
+    """``gradients`` and ``trace_slack`` entries are ignored: both follow from the pencil (``SupportCertificate``).
+
+    The seed, sample count and interval are refused as ``support_pencil``
+    refuses them: a seed or count that fails ``matcore.is_count`` (at 0 and
+    1), or an interval that fails ``matcore.check_interval``, is a DataError.
+    """
     _check_declared([*obj["base_point"], *obj["pencil"]["coefficients"]])
+    interval = tuple(float(end) for end in obj["interval"])
+    check_interval(interval)
+    if not (is_count(obj["seed"], 0) and is_count(obj["samples"], 1)):
+        raise BadConfig(f"seed {obj['seed']!r} and samples {obj['samples']!r} must be integers >= 0 and >= 1")
     cert = SupportCertificate(
         function=obj["function"],
         base_point=decode_tuple(obj["base_point"]),
         v=decode_vector(obj["v"]),
         pencil=pencil_from_payload(obj["pencil"]),
         c=float(obj["c"]),
-        interval=(float(obj["interval"][0]), float(obj["interval"][1])),
+        interval=interval,
         support_margin=float(obj["support_margin"]),
         scalar_margin=float(obj["scalar_margin"]),
         trace_bound=float(obj["trace_bound"]),

@@ -325,6 +325,17 @@ MALFORMED = {
     "state_1x1": ("representation", ("state",), [[[1.0, 0.0]]]),
     "no_c": ("certificate", ("c",), None),
     "v_one_entry": ("certificate", ("v",), [[1.0, 0.0]]),
+    # a seed, sample count or interval that support_pencil would refuse
+    "seed_fractional": ("certificate", ("seed",), 2.5),
+    "seed_bool": ("certificate", ("seed",), True),
+    "seed_string": ("certificate", ("seed",), "7"),
+    "seed_negative": ("certificate", ("seed",), -3),
+    "samples_zero": ("certificate", ("samples",), 0),
+    "samples_negative": ("certificate", ("samples",), -4),
+    "interval_reversed": ("certificate", ("interval",), [2, 1]),
+    "interval_at_zero": ("certificate", ("interval",), [0, 2]),
+    "interval_negative": ("certificate", ("interval",), [-1, 3]),
+    "interval_three_ends": ("certificate", ("interval",), [0.5, 2, 7]),
 }
 
 
@@ -422,7 +433,9 @@ class TestUsageErrors:
         ("check", "sqrt", "hypograph", "--n", "2", "--m", "0"),
         ("check", "sqrt", "monotone", "--n", "2", "--trials", "0"),
         ("check", "sqrt", "monotone", "--n", "2", "--interval", "0.5,inf"),
-    ], ids=["m-above-n", "m-zero", "no-trials", "infinite-interval"])
+        ("check", "sqrt", "doubling", "--n", "2", "--trials", "0"),
+        ("check", "sqrt", "doubling", "--n", "2", "--trials", "-7"),
+    ], ids=["m-above-n", "m-zero", "no-trials", "infinite-interval", "doubling-no-trials", "doubling-negative-trials"])
     def test_bad_check_options_exit_64(self, argv, capsys):
         code, _ = run_cli(*argv)
         err = capsys.readouterr().err

@@ -47,6 +47,13 @@ The one Cholesky screen, ``matcore.cholesky_proves``, serves the testers' scan a
 (``cert._screened``): every other check that compares a smallest eigenvalue with a floor
 reads ``min_eig``, so a second screen beside it would be a second decision path.
 
+The rounding allowance of a smallest eigenvalue, 32 k^2 eps times a norm, is formed only in
+``matcore.eig_rounding``: every certificate, floor and Cholesky shift that allows for the
+rounding of ``eigvalsh`` calls it, so no site keeps a constant of its own.
+
+A representation's Schur core is one cached property, ``PencilRepresentation.core``: no
+method and no second name return it, and no module calls a ``core()``.
+
 The rank cut is one constant, ``matcore.RANK_CUT``, read where an elimination, a range cut, a
 coupling cut, a truncated pseudoinverse or a pole test takes it, and no module reads a ``rank``
 attribute: a second rank threshold, or a settable one, would be a second policy.
@@ -58,11 +65,13 @@ calls then has a fixed list of sites, and a new kernel call fails here until it 
 
 import ast
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
 import opmono
+from opmono.represent import PencilRepresentation
 
 PACKAGE = Path(opmono.__file__).parent
 ALLOWED = {
@@ -151,6 +160,28 @@ def test_the_rank_cut_is_read_only_in_its_sites():
 
     assert sites(reads) == {"schur._eliminate", "matcore.truncated_pinv", "pencil.range_cut",
                             "freefun.mobius_apply", "schur.SchurCore.__init__"}
+
+
+def test_the_eigenvalue_rounding_factor_is_formed_only_in_its_function():
+    def leaves(node):  # the operands of a chain of products
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return leaves(node.left) + leaves(node.right)
+        return [node]
+
+    def forms(node):  # a product with the constant 32 and an eps among its factors
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            return False
+        factors = leaves(node)
+        return any(isinstance(f, ast.Constant) and f.value == 32 for f in factors) and \
+            any(getattr(f, "id", getattr(f, "attr", None)) == "eps" for f in factors)
+
+    assert sites(forms) == {"matcore.eig_rounding"}
+
+
+def test_a_representation_has_one_core_property():
+    assert isinstance(PencilRepresentation.__dict__["core"], cached_property)
+    assert "_core" not in PencilRepresentation.__dict__
+    assert construction_sites("core") == set()
 
 
 def test_no_module_reads_a_rank_attribute():

@@ -106,7 +106,7 @@ def test_direct_sum_pencil_generic_pivot():
 def test_quadrature_representation():
     # sixteen (1, 2) cells, one per node, in one stacked group
     rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
-    assert [index.shape for _, index, *_ in rep.core().groups] == [(16, 2)]
+    assert [index.shape for _, index, *_ in rep.core.groups] == [(16, 2)]
     rng = np.random.default_rng(4)
     for n in (2, 3):
         check_representation(rep, rng, n)

@@ -137,7 +137,7 @@ class TestPencilEval:
         rng = np.random.default_rng(0)
         p = valid_pencil(rng, 2, 3)
         out = pencil_eval(p, (np.eye(2), np.eye(2)))
-        expected = tensor(p.b0 + p.coeff_sum(), np.eye(2))
+        expected = tensor(p.b0 + sum(p.bi), np.eye(2))
         assert np.allclose(out, expected)
 
     def test_scalar_substitution_oracle(self):
@@ -190,7 +190,7 @@ class TestPencilEvalShifted:
         rng = np.random.default_rng(6)
         p = valid_pencil(rng, 2, 3)
         out = pencil_eval_shifted(p, (2 * np.eye(2), 2 * np.eye(2)))
-        assert np.allclose(out, tensor(p.b0 + p.coeff_sum(), np.eye(2)))
+        assert np.allclose(out, tensor(p.b0 + sum(p.bi), np.eye(2)))
 
     def test_matches_eval_on_shifted_tuple(self):
         rng = np.random.default_rng(7)

@@ -551,6 +551,19 @@ class TestLiftAllowances:
         assert Fraction(float(bound[0])) <= -2
         assert -2 - Fraction(float(bound[0])) <= 2.0**-26
 
+    def test_a_basis_far_from_unitary_gives_no_bound(self):
+        # W = 2 I has unitarity defect ||4 I - I||_F = 3 sqrt 2 > 1/8, past which Ostrowski's factor is not
+        # bounded, so every sample reads -inf, and so takes the whole pencil
+        lam = np.array([[1.5, 1.0], [0.7, 2.0]])
+        bound = _lift_margins(np.eye(2), np.eye(2) / 2, np.ones(2) / np.sqrt(2), 2 * np.eye(2), lam, np.sqrt(lam))
+        assert np.array_equal(bound, [-np.inf, -np.inf])
+
+    def test_a_sample_past_1e300_gives_no_bound(self):
+        # lam = 1e301 puts the scale s past 1e300, where a block could overflow: that sample reads -inf
+        lam = np.array([[1.5, 1.0], [1e301, 1.0]])
+        bound = _lift_margins(np.eye(2), np.eye(2) / 2, np.ones(2) / np.sqrt(2), np.eye(2), lam, np.sqrt(lam))
+        assert np.isfinite(bound[0]) and bound[1] == -np.inf
+
     def test_the_rounding_is_taken_off(self):
         # 1 - 2^-60 rounds to 1, so the block 1 + (0.5 - 1) 2^-59 - (1 - 2^-53) is formed as 2^-53 where it is
         # 2^-53 - 2^-60: only the rounding allowance, 32 eps s with s about 2, keeps the bound below
@@ -652,7 +665,7 @@ class TestCertificateRepresentation:
 
         rng = np.random.default_rng(64)
         for fn, cert in self.certificates(ident, 65):
-            core, pivot = cert.rep.core(), PivotSubspace.from_vector(cert.v)
+            core, pivot = cert.rep.core, PivotSubspace.from_vector(cert.v)
             z = tuple(rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)) for _ in range(fn.arity))
             out = schur_pencil(cert.pencil, z, pivot)
             assert set(cert.pencil.cores) == {core}
@@ -665,12 +678,12 @@ class TestCertificateRepresentation:
 
         rng = np.random.default_rng(66)
         for _, cert in self.certificates("sqrt", 67):
-            core = cert.rep.core()
+            core = cert.rep.core
             z = (rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)),)
             built = count_calls(schur, "_pivot_blocks")
             for tol in (DEFAULT_TOL, Tolerances(psd=1e-8)):
                 schur.schur_pencil(cert.pencil, z, PivotSubspace.from_vector(cert.v), tol)
-            assert built == [] and set(cert.pencil.cores) == {cert.rep.core()} == {core}
+            assert built == [] and set(cert.pencil.cores) == {cert.rep.core} == {core}
 
 
 class TestDirectSum:
@@ -784,6 +797,13 @@ class TestRepEval:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(errors.QuadratureInaccurate):
             rep_from_quadrature("sqrt", nodes=2)
+
+    @pytest.mark.parametrize("name, kwargs", [("sqrt", dict(nodes=4, target=1e-12)), ("identity", {})],
+                             ids=["four-nodes-at-1e-12", "unsupported-function"])
+    def test_an_inaccurate_or_unsupported_rule_is_refused(self, name, kwargs):
+        # four nodes miss sqrt by about 1e-2 on (0.1, 10); the identity has no rational rule here
+        with pytest.raises(errors.QuadratureInaccurate):
+            rep_from_quadrature(name, **kwargs)
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, 0.0, -1.0])
     def test_a_target_that_is_not_finite_and_positive_is_refused(self, target):
@@ -1080,9 +1100,9 @@ class TestStateWeightsOncePerCore:
         z = (rand_herm(rng, 3) + 1j * (rand_psd(rng, 3) + 0.1 * np.eye(3)),)
         fresh = SchurCore(rep.pencil, rep.pivot)
         assert np.array_equal(rep_eval_complex(rep, z, tight), fresh.evaluate(z, state=rep.state.copy(), tol=tight))
-        core = rep.core()
+        core = rep.core
         rep_eval_complex(rep, z)
-        assert rep.core() is core and set(rep.pencil.cores) == {core}
+        assert rep.core is core and set(rep.pencil.cores) == {core}
         # above the default floors and below the tight ones: each call reads its own
         between = (8e-9 * (1 + 1j) * np.eye(3),)
         for evaluate in (partial(rep_eval_complex, rep), partial(fresh.evaluate, state=rep.state.copy())):
@@ -1090,11 +1110,11 @@ class TestStateWeightsOncePerCore:
                 evaluate(between, tol=tight)
         assert np.array_equal(rep_eval_complex(rep, between), fresh.evaluate(between, state=rep.state.copy(),
                                                                              tol=DEFAULT_TOL))
-        assert rep.core() is core and set(rep.pencil.cores) == {core}
+        assert rep.core is core and set(rep.pencil.cores) == {core}
 
     def test_a_representation_compresses_its_state_once(self, monkeypatch):
         rep = rep_from_quadrature("sqrt", nodes=16, interval=(0.25, 4.0), target=1e-2)
-        core = rep.core()
+        core = rep.core
         returned = []
         weights = SchurCore.state_weights
         monkeypatch.setattr(SchurCore, "state_weights",
@@ -1106,7 +1126,7 @@ class TestStateWeightsOncePerCore:
             rep_eval(rep, (p,))
             rep_eval_complex(rep, (h + 1j * p,))
             rep_eval_complex(rep, (p + 1j * h,))
-        assert len(returned) == 9 and rep.core() is core
+        assert len(returned) == 9 and rep.core is core
         assert all(w is returned[0] for w in returned)  # one compression, read nine times
 
     def test_each_state_gets_its_own_weights(self):
@@ -1133,17 +1153,18 @@ class TestStateWeightsOncePerCore:
 
     def test_each_slot_floor_is_taken_once(self, count_calls, workload_reps):
         # one psd_floor of the slot serves both half-space tests and one
-        # serves the output's imaginary part; each eliminated component's
-        # floor reads the norm its kappa term takes (Tolerances.psd_floor_at)
+        # serves an upper member's output's imaginary part, which a right
+        # member does not check; each eliminated component's floor reads
+        # the norm its kappa term takes (Tolerances.psd_floor_at)
         from opmono import schur
 
         rep = workload_reps["log1p"]
         rng = np.random.default_rng(63)
         h, p = rand_herm(rng, 3), rand_psd(rng, 3) + 0.1 * np.eye(3)
-        for z, upper_members in ((h + 1j * p, 1), (p + 1j * h, 0)):
+        for z, expected in ((h + 1j * p, [(3, 3), (1, 3, 3)]), (p + 1j * h, [(3, 3)])):
             calls = count_calls(schur, "psd_floor")
             rep_eval_complex(rep, (z,))
-            assert calls == [(3, 3), (upper_members, 3, 3)]
+            assert calls == expected
 
 
 def half_space_tuples(rng, n):
@@ -1161,7 +1182,7 @@ class TestContinuationCost:
         from opmono import schur
 
         rep = workload_reps[which]
-        rep.core()  # the core's construction takes its own eigh
+        rep.core  # the core's construction takes its own eigh
         angles = []
         exact = schur.sector_certified_alpha
         monkeypatch.setattr(schur, "sector_certified_alpha", lambda m: angles.append(m) or exact(m))
@@ -1170,7 +1191,7 @@ class TestContinuationCost:
         for n in range(2, 7):
             for z in half_space_tuples(rng, n).values():
                 out = rep_eval_complex(rep, (z,))
-                assert np.array_equal(out, rep.core().evaluate((z,), state=rep.state))
+                assert np.array_equal(out, rep.core.evaluate((z,), state=rep.state))
         assert svd == [] and eigh == [] and angles == []
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -1224,6 +1245,14 @@ class TestBlockwiseSetUp:
         assert np.array_equal(rep_eval_complex(loaded, (z,)), rep_eval_complex(rep, (z,)))
         large = [shape for shape in eigh + eigvalsh if shape[-1] > 2]
         assert large == [(128, 128)] and eigh.count((128, 128)) == 1
+
+    @pytest.mark.parametrize("state, pivot, error", [
+        (np.eye(2), PivotSubspace.from_indices(2, [0]), errors.DomainViolation),
+        (np.eye(2) / 2, PivotSubspace.from_indices(3, [0]), errors.DimensionMismatch),
+    ], ids=["state-of-trace-two", "pivot-on-another-space"])
+    def test_a_state_or_pivot_that_does_not_fit_the_pencil_is_refused(self, state, pivot, error):
+        with pytest.raises(error):
+            PencilRepresentation(pencil_new([2 * np.eye(2), np.eye(2)]), pivot, state)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_state_with_one_negative_block_is_refused(self, seed):

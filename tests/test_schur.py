@@ -42,13 +42,21 @@ from opmono.schur import (
     PivotSubspace,
     SchurCore,
     _check_sector_bound,
-    in_right_halfspace,
-    in_upper_halfspace,
     schur_generic,
     schur_pencil,
     sector_bound_check,
     shorted_psd,
 )
+
+
+def in_right_halfspace(x, tol=DEFAULT_TOL):
+    """Per member of a stacked tuple: each component's real part is above its PSD floor, as ``SchurCore.evaluate`` tests."""
+    return schur._in_halfspace(re_part, x, [psd_floor(m, tol) for m in x])
+
+
+def in_upper_halfspace(x, tol=DEFAULT_TOL):
+    """Per member of a stacked tuple: each component's imaginary part is above its PSD floor."""
+    return schur._in_halfspace(im_part, x, [psd_floor(m, tol) for m in x])
 
 
 def rand_psd(rng, n, rank=None):
@@ -466,7 +474,7 @@ class TestAimedRotation:
         # block takes a cholesky or an eigvalsh; the aim's eigvalsh and the
         # cone margin's are each one call over (members, slots, n, n)
         rng = np.random.default_rng(120)
-        core = sqrt_rep.core()
+        core = sqrt_rep.core
         for n in range(2, 7):
             draws = (rand_herm(rng, n) + 1j * (rand_psd(rng, n) + 0.1 * np.eye(n)) for _ in range(100))
             z = np.stack([d for d in draws if not in_right_halfspace((d,))][:10])
@@ -750,7 +758,7 @@ class TestSectorBoundCheck:
         x = np.stack([np.diag([1.0, 2.0]) + 1j * np.diag([1.0, 0.5]),
                       np.array([[0.3, 1.0], [1.0, -0.2]]) + 1j * np.array([[1.0, 0.5], [0.5, 2.0]]),
                       np.diag([1.0, 2.0]) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])])
-        small_rep.core()
+        small_rep.core
         svd, eigh = (count_calls(np.linalg, name) for name in ("svd", "eigh"))
         rep_eval_complex(small_rep, (x,))
         assert svd == [] and eigh == []

@@ -224,6 +224,8 @@ REJECTED = {
     "vector-too-deep": lambda: io.decode_vector([[[1.0, 0.0]]]),
     "vector-of-reals": lambda: io.decode_vector([1.0, 2.0]),
     "not-a-list": lambda: io.decode_matrix({"re": 1.0}),
+    "envelope-a-list": lambda: io.parse_envelope([]),
+    "envelope-schema-2": lambda: io.parse_envelope({"schema_version": "2", "kind": "matrix", "payload": []}),
 }
 
 
