@@ -70,7 +70,7 @@ from .errors import (
     StepUnderflow,
     UnknownFunction,
 )
-from .gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
+from .gradients import dk_map, loewner_matrix, solve_linear_map
 from .matcore import (
     DEFAULT_TOL,
     RANK_CUT,
@@ -166,10 +166,11 @@ class FreeFn:
     present, extends the function to non-Hermitian arguments.  ``vgrad``,
     when present, is the exact adjoint gradient: given one argument tuple
     and a Hermitian seed W it returns the matrices G_i representing the
-    slot derivatives of X -> tr(W F(X)); ``gradient`` falls back on finite
-    differences without it.  A call, ``eval_complex`` and ``gradient``
-    check the arguments by ``matcore.check_args``, the check of every entry
-    point that takes a matrix tuple, and hand them on as complex arrays.
+    slot derivatives of X -> tr(W F(X)); ``gradient`` raises UnknownFunction
+    without it, as ``eval_complex`` does without a complex evaluator.  A
+    call, ``eval_complex`` and ``gradient`` check the arguments by
+    ``matcore.check_args``, the check of every entry point that takes a
+    matrix tuple, and hand them on as complex arrays.
     ``monotone`` is what the catalogue *claims*: F is operator monotone on
     the positive matrices, and so operator concave, as the paper's
     representation formula covers both as one class.  The cert module
@@ -240,11 +241,11 @@ class FreeFn:
         return self.complex_evaluator(self._args(mats))
 
     def gradient(self, xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
-        """The G_i of X -> tr(W F(X)) at one argument tuple (a stack is refused): ``vgrad``, else ``_fd_gradient``."""
+        """The G_i of X -> tr(W F(X)) at one argument tuple (a stack is refused): ``vgrad``, or UnknownFunction."""
         xs = self._args(tuple(xs), one=True)
-        if self.vgrad is not None:
-            return self.vgrad(xs, seed)
-        return _fd_gradient(self, xs, seed)
+        if self.vgrad is None:
+            raise UnknownFunction(f"{self.name} has no gradient")
+        return self.vgrad(xs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -873,19 +874,6 @@ def frechet_many(
     return list(herm_part((4.0 * d_h2 - d_h) / 3.0))
 
 
-def _fd_gradient(fn: FreeFn, xs: MatTuple, seed: np.ndarray) -> list[np.ndarray]:
-    """``FreeFn.gradient`` without an adjoint: G_i = sum_S tr(W D_i F(X)[S]) S over the Hermitian basis S."""
-    n = xs[0].shape[-1]
-    basis, zero = hermitian_basis(n), np.zeros((n, n), dtype=complex)
-    h = 1e-3 * (1.0 + max(float(fro_norm(m)) for m in xs))
-    grads = []
-    for i in range(fn.arity):
-        slot = [tuple(s if j == i else zero for j in range(fn.arity)) for s in basis]
-        derivs = frechet_many(fn, xs, slot, h)
-        grads.append(herm_part(sum(float(np.trace(seed @ d).real) * s for d, s in zip(derivs, basis))))
-    return grads
-
-
 _MAX_HALVINGS = 20
 
 
@@ -897,11 +885,11 @@ def frechet_derivative(
 ) -> np.ndarray:
     """Central-difference Frechet derivative DF(X)(H) with step validation.
 
-    The step starts at 1e-3 (1 + max_i ||X_i||_F), as ``_fd_gradient``'s
-    does, and is halved, at most ``_MAX_HALVINGS`` times, until two
-    successive Richardson-refined estimates agree within the relative ``eq``
-    tolerance; StepUnderflow is raised when the step degrades to the
-    vicinity of roundoff or the halvings run out without agreement.  Both
+    The step starts at 1e-3 (1 + max_i ||X_i||_F) and is halved, at most
+    ``_MAX_HALVINGS`` times, until two successive Richardson-refined
+    estimates agree within the relative ``eq`` tolerance; StepUnderflow is
+    raised when the step degrades to the vicinity of roundoff or the
+    halvings run out without agreement.  Both
     ``x`` and ``direction`` take ``matcore.check_args`` against ``fn``'s
     arity as one tuple, not a stack, and must be of one size
     (DimensionMismatch).

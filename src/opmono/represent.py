@@ -304,9 +304,9 @@ def support_pencil(
     """Construct and validate a supporting pencil at (F(A), A).
 
     The gradient matrices G_i of X -> v* F(X) v at A are
-    ``fn.gradient(A, vv*)``: the exact adjoint when the function provides
-    one, otherwise Richardson central differences along the Hermitian
-    basis.  The leading coefficient is the first-order matched completion
+    ``fn.gradient(A, vv*)``, the function's exact adjoint (UnknownFunction
+    for a function without one).  The leading coefficient is the
+    first-order matched completion
 
         B_0 = Herm(F(A) vv*) - sum Herm(G_i (A_i - I)),
 
@@ -481,9 +481,13 @@ class PencilRepresentation:
 
     @cached_property
     def fn(self) -> FreeFn:
-        """``rep_eval``, continued by ``rep_eval_complex``."""
+        """``rep_eval``, continued by ``rep_eval_complex``, with the exact adjoint ``SchurCore.adjoint`` as ``vgrad``.
+
+        The adjoint takes ``rep_eval``'s positive-definite check first.
+        """
         name = f"{self.meta.get('function', 'pencil')}-rep"
-        return FreeFn(name, self.arity, partial(rep_eval, self), partial(rep_eval_complex, self))
+        return FreeFn(name, self.arity, partial(rep_eval, self), partial(rep_eval_complex, self),
+                      lambda xs, seed: self.core.adjoint(_positive(self, xs), self.state, seed))
 
     @cached_property
     def core(self) -> SchurCore:
@@ -501,10 +505,15 @@ def rep_eval(rep: PencilRepresentation, x: MatTuple) -> np.ndarray:
     (``SchurCore.evaluate`` without ``tol``) compares a floor, so no
     tolerance is taken.
     """
+    return herm_part(rep.core.evaluate(_positive(rep, x), state=rep.state))
+
+
+def _positive(rep: PencilRepresentation, x: MatTuple) -> MatTuple:
+    """``x`` after ``matcore.check_args``, each member positive definite (else DomainViolation)."""
     xs = check_args(x, rep.arity, "rep_eval")
     if any(np.any(min_eig(xi) <= 0) for xi in xs):
         raise DomainViolation("representation arguments must be positive definite")
-    return herm_part(rep.core.evaluate(xs, state=rep.state))
+    return xs
 
 
 def rep_eval_complex(

@@ -167,9 +167,15 @@ def _complement(a: np.ndarray, s: PivotSubspace, keep: str) -> tuple[np.ndarray,
     hold exactly when K - B D^- C is the same for every generalized inverse
     D^- (EliminatedBlockDefective otherwise).  With nothing eliminated the
     complement is K itself.  Its callers have checked ``a`` by
-    ``matcore.check_args``.
+    ``matcore.check_args``, but a block of a finite ``a`` can overflow: a
+    block that is not finite raises DomainViolation, the refusal of a
+    non-finite argument.
     """
-    a11, a12, a21, a22 = _blocks(a, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _blocks(a, s)
+    if not all(np.isfinite(x).all() for x in blocks):
+        raise DomainViolation("a block of the matrix against the pivot has a non-finite entry")
+    a11, a12, a21, a22 = blocks
     if keep == "s":
         k, b, c, d = a11, a12, a21, a22
     elif keep == "perp":
@@ -193,7 +199,8 @@ def shorted_psd(
     takes ``matcore.check_args``.
     """
     (a,) = check_args((a,), 1, "shorted_psd")
-    a = herm_part(np.asarray(a, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a block _complement refuses
+        a = herm_part(np.asarray(a, dtype=complex))
     require_psd(a, NotPSD, "input", tol)
     _, comp, residual = _complement(a, s, "s")
     return ShortedResult(shorted=herm_part(comp), defect=residual)
@@ -703,6 +710,31 @@ class SchurCore:
                 if np.any(lam < -psd_floor(upper, tol)):
                     raise HalfPlaneViolated(f"imaginary part of the complement dips to {np.min(lam):.3e}")
         return out
+
+    def adjoint(self, x: tuple[np.ndarray, ...], state: np.ndarray, seed: np.ndarray) -> list[np.ndarray]:
+        """The G_i with sum_i tr(G_i H_i) = tr(W D R(X)[H]), R ``evaluate``'s traced complement at one Hermitian tuple.
+
+        Per group, the complement S = K* L K of the shifted evaluation L has
+        the elimination map K = [I; -sol], from ``evaluate``'s ``_eliminate``
+        call (K = [I; 0] where nothing is eliminated), and the trace
+        tr(W R) = tr((w (x) W) S), w the group's ``state_weights`` and
+        (w (x) W)[(s, j), (r, i)] = w_sr W_ji.  Since L is Hermitian, DS[H] =
+        K* (sum_i C_i (x) H_i) K, so with P = K (w (x) W) K* each G_i sums
+        (C_i)_ba P_ab, P_ab its n x n block (a, b), over the groups' members
+        (Kaliuzhnyi-Verbovetskyi and Vinnikov, *Foundations of Free
+        Noncommutative Function Theory*, 2014).
+        """
+        args = pencil_arguments(self.pencil, x, shifted=True, one=True)
+        n = args.shape[-1]
+        grads = np.zeros(args.shape, dtype=complex)
+        for (kept, _, coeffs, essential, _), w in zip(self.groups, self.state_weights(state)):
+            full, k = kron_sum(coeffs, args), kept * n
+            elim = np.tile(np.eye(full.shape[-1], k, dtype=complex), (len(coeffs), 1, 1))  # [I; 0]
+            if essential is not None:
+                elim[:, k:] = -_eliminate(full[:, k:, k:], full[:, k:, :k])
+            p = elim @ kron_sum(w[:, None], [seed]) @ dagger(elim)
+            grads += np.einsum("gkba,gapbq->kpq", coeffs, p.reshape((len(coeffs),) + (coeffs.shape[-1], n) * 2))
+        return list(herm_part(grads[1:]))
 
 
 def shared_core(pencil: RawPencil, pivot: PivotSubspace) -> SchurCore:

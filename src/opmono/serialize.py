@@ -229,8 +229,13 @@ def certificate_from_payload(obj: Any) -> SupportCertificate:
     The seed, sample count and interval are refused as ``support_pencil``
     refuses them: a seed or count that fails ``matcore.is_count`` (at 0 and
     1), or an interval that fails ``matcore.check_interval``, is a DataError.
+    So is a ``function`` that is not a non-empty string.  The name is not
+    resolved: a representation's certificate is named ``<function>-rep``,
+    which no catalogue identifier is.
     """
     _check_declared([*obj["base_point"], *obj["pencil"]["coefficients"]])
+    if not (isinstance(obj["function"], str) and obj["function"]):
+        raise DataError(f"certificate function must be a non-empty name, got {obj['function']!r}")
     interval = tuple(float(end) for end in obj["interval"])
     check_interval(interval)
     if not (is_count(obj["seed"], 0) and is_count(obj["samples"], 1)):

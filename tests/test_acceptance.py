@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -34,7 +33,6 @@ from opmono.freefun import (
     lift_scalar,
     mobius_fn,
     power_mean_fn,
-    resolve_function,
 )
 from opmono.matcore import (
     fro_norm,

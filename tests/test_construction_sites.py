@@ -29,6 +29,11 @@ validation's graph samples, and ``FreeFn._loewner`` reads the Loewner matrices o
 the adjoint does (``freefun._loewner_pair``).  A declared lift's graph samples take their real
 blocks from ``represent._lift_margins`` alone.
 
+Central differences, ``freefun.frechet_many``, serve the derivative test and
+``freefun.frechet_derivative`` alone: every gradient is a function's exact adjoint
+(``FreeFn.vgrad``, a representation's ``schur.SchurCore.adjoint``), so no
+finite-difference gradient can grow back.
+
 A seed becomes a generator only in ``sampling.generator``, which refuses a seed that is not a
 non-negative integer (BadConfig), so every tester and the support validation refuse it alike.
 
@@ -92,6 +97,7 @@ ALLOWED = {
     "components": {"matcore.exact_blocks", "schur._pivot_blocks", "schur.SchurCore.__init__"},
     "finish_unitary": {"sampling.finish_frame", "sampling.finish_spd", "sampling.rand_unitary", "cert.nc_axiom_check"},
     "default_rng": {"sampling.generator"},
+    "frechet_many": {"cert.derivative_monotone_test", "freefun.frechet_derivative"},
 }
 
 # every numpy.linalg call in the package, by kernel: the functions that make it

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from opmono.freefun import (
 from opmono.gradients import dk_map, hermitian_basis, loewner_matrix, solve_linear_map
 from opmono.matcore import DEFAULT_TOL, dagger, fro_norm, funcalc, herm_part, im_part, min_eig
 from opmono.pencil import pencil_eval, pencil_eval_shifted, pencil_new, pencil_sectorial_check
-from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex, support_pencil
+from opmono.represent import PencilRepresentation, rep_eval, rep_eval_complex, rep_from_quadrature, support_pencil
 from opmono.sampling import (draw, finish_spd, finish_unitary, rand_herm, rand_psd, rand_spd_interval,
-                             rand_tuple_interval, rand_unitary, spd_plan)
+                             rand_tuple_interval, rand_unit_vector, rand_unitary, spd_plan)
 from opmono.schur import PivotSubspace, SchurCore, schur_pencil
 
 
@@ -802,6 +803,23 @@ def two_factorization_vgrad(fn, xs, seed):
             second_slot(a, b, f, fp)]
 
 
+def support_rep(ident):
+    """The representation of a support certificate of ``ident`` at a random base point, n = 3."""
+    fn, rng = resolve_function(ident), np.random.default_rng(5)
+    a = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0)
+    return support_pencil(fn, a, rand_unit_vector(rng, 3), seed=1, validation_samples=40).rep
+
+
+# representations at arity 1, 2 and 3, whose vgrad is SchurCore.adjoint
+REPRESENTATIONS = {
+    "sqrt-quadrature-rep": lambda: rep_from_quadrature("sqrt", nodes=8, target=1.0),
+    "log1p-quadrature-rep": lambda: rep_from_quadrature("log1p", nodes=32, target=1.0),
+    "sqrt-rep": partial(support_rep, "sqrt"),
+    "geomean2-rep": partial(support_rep, "geomean2"),
+    "karcher:w=0.2,0.3,0.5-rep": partial(support_rep, "karcher:w=0.2,0.3,0.5"),
+}
+
+
 class TestOneAdjoint:
     """Every declared function's adjoint is P (Theta o C* W C) P* on the Loewner matrices Theta of its (f, f')."""
 
@@ -815,10 +833,10 @@ class TestOneAdjoint:
             for g, ref in zip(fn.gradient(x, seed), two_factorization_vgrad(fn, x, seed)):
                 assert fro_norm(g - ref) <= 1e-12 * fro_norm(ref), (ident, n)
 
-    @pytest.mark.parametrize("ident", SCALAR_LIFTS + DECLARED_MEANS + ("mobius:1,0,1,1",))
+    @pytest.mark.parametrize("ident", SCALAR_LIFTS + DECLARED_MEANS + ("mobius:1,0,1,1",) + tuple(REPRESENTATIONS))
     def test_the_pairing_is_the_directional_derivative(self, ident):
         # sum_i tr(G_i H_i) = tr(W DF(X)[H]) for every direction H
-        fn = resolve_function(ident)
+        fn = REPRESENTATIONS[ident]().fn if ident in REPRESENTATIONS else resolve_function(ident)
         rng = np.random.default_rng(62)
         x, seed = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0), rand_herm(rng, 3)
         directions = [tuple(rand_herm(rng, 3) for _ in range(fn.arity)) for _ in range(6)]
@@ -1376,15 +1394,13 @@ def test_gradient_checks_its_arguments(ident, bad, exact):
         fn.gradient([np.eye(3)] * (fn.arity + 1), np.eye(3))
 
 
-@pytest.mark.parametrize("ident", ["sqrt", "geomean2", "harmonic", "power:t=0.5", "karcher:w=0.2,0.3,0.5"])
-def test_gradient_falls_back_on_differences(ident):
-    fn = resolve_function(ident)
-    rng = np.random.default_rng(41)
-    x = rand_tuple_interval(rng, fn.arity, 3, 0.5, 2.0)
-    seed = rand_herm(rng, 3)
-    assert all(np.array_equal(g, e) for g, e in zip(fn.gradient(x, seed), fn.vgrad(x, seed)))
-    for g, e in zip(replace(fn, vgrad=None).gradient(x, seed), fn.vgrad(x, seed)):
-        assert fro_norm(g - e) <= 1e-8 * (1 + fro_norm(e)), ident
+@pytest.mark.parametrize("fn", [fake_trace_fn(), replace(resolve_function("geomean2"), vgrad=None)],
+                         ids=["faketrace", "geomean2-without-vgrad"])
+def test_a_gradient_without_an_adjoint_is_unknown(fn):
+    # the rule of eval_complex without a complex evaluator
+    x = rand_tuple_interval(np.random.default_rng(41), fn.arity, 3, 0.5, 2.0)
+    with pytest.raises(errors.UnknownFunction, match="has no gradient"):
+        fn.gradient(x, np.eye(3))
 
 
 def test_geomean2_is_the_karcher_mean_at_equal_weights():

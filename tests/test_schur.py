@@ -135,6 +135,12 @@ class TestShortedPsd:
         with pytest.raises(errors.NotPSD):
             shorted_psd(np.diag([1.0, -1.0]), s)
 
+    @pytest.mark.parametrize("complement", [shorted_psd, schur_generic], ids=["shorted_psd", "schur_generic"])
+    def test_an_overflowing_block_is_refused(self, complement):
+        # every entry is finite, but A + A* and the blocks against the line of ones overflow, warning first
+        with pytest.raises(errors.DomainViolation, match="against the pivot has a non-finite entry"):
+            complement(np.full((3, 3), 1e308), PivotSubspace.from_vector(np.ones(3)))
+
     def test_identity_block(self):
         rng = np.random.default_rng(9)
         a21 = rng.normal(size=(3, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from opmono import errors
 from opmono import serialize as io
-from opmono.freefun import lift_scalar
+from opmono.freefun import lift_scalar, resolve_function
 from opmono.pencil import pencil_new
 from opmono.represent import PencilRepresentation, reconstruct, rep_from_quadrature, support_pencil
 from opmono.sampling import rand_complex, rand_psd, rand_tuple_interval, rand_unit_vector
@@ -106,6 +106,28 @@ class TestStructuredPayloads:
         assert np.array_equal(back.v, cert.v)
         for g1, g2 in zip(back.gradients, cert.gradients):
             assert np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("function", [5, None, "", ["x"]], ids=["int", "none", "empty", "list"])
+    def test_certificate_function_must_be_a_name(self, function):
+        rng = np.random.default_rng(4)
+        a = rand_tuple_interval(rng, 1, 3, 0.5, 2.0)
+        cert = support_pencil(lift_scalar("sqrt"), a, rand_unit_vector(rng, 3), seed=5, validation_samples=40)
+        payload = io.certificate_payload(cert)
+        payload["function"] = function
+        with pytest.raises(errors.DataError, match="certificate function must be a non-empty name"):
+            io.certificate_from_payload(json.loads(io.dumps(payload)))
+
+    def test_a_representation_certificate_keeps_its_name(self):
+        # a representation's fn is named "sqrt-rep", which resolve_function refuses: the name is stored, not resolved
+        rng = np.random.default_rng(4)
+        a = rand_tuple_interval(rng, 1, 3, 0.5, 2.0)
+        rep = rep_from_quadrature("sqrt", nodes=8, target=1.0)
+        cert = support_pencil(rep.fn, a, rand_unit_vector(rng, 3), seed=5, validation_samples=40)
+        with pytest.raises(errors.UnknownFunction):
+            resolve_function(cert.function)
+        back = io.certificate_from_payload(json.loads(io.dumps(io.certificate_payload(cert))))
+        assert back.function == cert.function == "sqrt-rep"
+        assert np.array_equal(reconstruct(back).value, reconstruct(cert).value)
 
     def test_certificate_stores_its_gradients_once(self):
         # the gradients are the pencil's B_1, ..., B_k: the file holds them

@@ -59,7 +59,7 @@ FIELDS = {
         "arity",  # 1 for the lifts, the weight count for the means
         "evaluator",  # every catalogue constructor
         "complex_evaluator",  # freefun._declared_fn's lifts and mobius_fn; None for the means
-        "vgrad",  # freefun._declared_fn and freefun._mean_fn; None for fake_trace_fn
+        "vgrad",  # freefun._declared_fn, freefun._mean_fn and PencilRepresentation.fn; None for fake_trace_fn
         "monotone",  # False for xsq, faketrace and a Moebius map with a pole in (0, inf)
         "scalar",  # freefun._declared_fn and freefun._mean_fn at t = 1; None elsewhere
     ),
