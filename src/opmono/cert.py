@@ -34,9 +34,9 @@ derivative stencil in blocks of 256 trials).  A function that declares
 ``FreeFn.scalar`` is evaluated less where ``FreeFn._declared_at`` lets its
 declaration be read: a lift's values at the drawn points X = U diag(lam) U*
 are U f(diag(lam)) U*, so the monotone, concave and hypograph tests
-evaluate only the points they do not draw (B, the mixtures, the
-compressions and the combinations), and a two-argument mean's derivative
-test takes one ``eigvalsh`` of M per stack and no evaluation.
+evaluate only the points they do not draw (B, the mixtures and the
+compressions), and a two-argument mean's derivative test takes one
+``eigvalsh`` of M per stack and no evaluation.
 Every check of a trial has a margin and a bound.  The Loewner testers'
 differences P - Q that must be positive semidefinite come as pairs of
 ``(T, C, d, d)`` stacks, C checks per trial, and one scan (``_scan``)
@@ -463,44 +463,44 @@ def hypograph_convexity_test(
     tol: Tolerances = DEFAULT_TOL,
     interval: tuple[float, float] = DEFAULT_INTERVAL,
 ) -> CertReport:
-    """Isometry compressions and convex combinations of hypograph members.
+    """Matrix convexity of the hypograph: one compression V*(X (+) X2)V of two members per trial.
 
-    Compressions by random isometries V : C^m -> C^n and scalar convex
-    combinations of two members must stay members.  The NC axioms are taken
-    as given (``nc_axiom_check``): a trial is drawn in the eigenbasis of
-    X_1, so X_1 = diag(lam).  The members are graph points (F(X), X): a PSD
-    slack below the graph only adds a PSD term to each checked difference,
-    so the graph is the worst member (the Jensen operator inequality;
-    Hansen & Pedersen, *Math. Ann.* 258, 1982).  A
-    declared lift reads the graph values F(X) and F(X2) from the drawn
-    spectra (``_lift_values``) and evaluates only the compressions and the
-    combinations.  ``m`` must be an integer in 1..n (``matcore.is_count``),
-    else BadConfig, as must every tester's ``n`` and ``trials`` be integers
-    of at least 1, which ``sampling`` refuses where it draws.
+    A set of tuples is matrix convex when it holds V*(X (+) X2)V for each
+    two of its members X, X2 at size n and each isometry V : C^m -> C^2n,
+    and a free function is operator concave exactly when its hypograph is
+    matrix convex (Effros & Winkler, *J. Funct. Anal.* 144, 1997).  With
+    V = [V1; V2] drawn Haar (``sampling.finish_isometry``), each trial
+    checks, slot by slot, F(V*(X (+) X2)V) >= V*(F(X) (+) F(X2))V, that is
+    F(V1* X V1 + V2* X2 V2) >= V1* F(X) V1 + V2* F(X2) V2.  The compressions of one member (V2 = 0) and, at m = n,
+    the convex combinations of two (V1 = sqrt(1 - lam) I, V2 = sqrt(lam) I)
+    are the special cases.  The NC axioms are taken as given
+    (``nc_axiom_check``): a trial is drawn in the eigenbasis of X_1, so
+    X_1 = diag(lam).  The members are graph points (F(X), X): a PSD slack
+    below the graph only adds a PSD term to the checked difference, so the
+    graph is the worst member (the Jensen operator inequality; Hansen &
+    Pedersen, *Math. Ann.* 258, 1982).  A declared lift reads the graph
+    values F(X) and F(X2) from the drawn spectra (``_lift_values``) and
+    evaluates only the compressions.  ``m`` must be an integer in 1..n
+    (``matcore.is_count``), else BadConfig, as must every tester's ``n``
+    and ``trials`` be integers of at least 1, which ``sampling`` refuses
+    where it draws.
     """
     if not (is_count(m, 1) and m <= n):
         raise BadConfig(f"isometry target dimension m = {m} must lie in 1..{n}")
     rng = generator(seed)
     k = fn.arity
-    # per trial, in stream order: the frame of X and X2, V, lambda
-    plan = frame_plan(n, *interval, 2 * k) + [normal(2, n, m), uniform(0.0, 1.0)]
-    u, spec, (iso, mix) = finish_frame(2 * k, draw(rng, trials, plan))
+    # per trial, in stream order: the frame of X and X2, then V
+    u, spec, (iso,) = finish_frame(2 * k, draw(rng, trials, frame_plan(n, *interval, 2 * k) + [normal(2, 2 * n, m)]))
     both = slots(from_frame(u, spec), 2 * k)
     x, x2 = both[:k], both[k:]
-    lam = mix[:, None, None]
     v = finish_isometry(iso)
     graph = _lift_values(fn, u, spec)
     y, y2 = (_chunked_eval(fn, x), _chunked_eval(fn, x2)) if graph is None else slots(graph, 2)
-    fcomp = _chunked_eval(fn, tuple(dagger(v) @ xi @ v for xi in x))
-    fmix = _chunked_eval(fn, tuple((1 - lam) * ai + lam * bi for ai, bi in zip(x, x2)))
+    fcomp = _chunked_eval(fn, tuple(dagger(v) @ block_diag(a, b) @ v for a, b in zip(x, x2)))
     return _scan(
-        "hypograph", seed, tol, [(fcomp[:, None], (dagger(v) @ y @ v)[:, None]),
-                                 (fmix[:, None], ((1 - lam) * y + lam * y2)[:, None])],
-        lambda t, c, m: [
-            {"X": _at(x, t), "Y": y[t].copy(), "V": v[t].copy(), "margin": m, "kind": "isometry"},
-            {"X": _at(x, t), "Y": y[t].copy(), "X2": _at(x2, t), "Y2": y2[t].copy(), "lambda": float(lam[t, 0, 0]),
-             "margin": m, "kind": "combination"},
-        ][c],
+        "hypograph", seed, tol, [(fcomp[:, None], (dagger(v) @ block_diag(y, y2) @ v)[:, None])],
+        lambda t, c, m: {"X": _at(x, t), "Y": y[t].copy(), "X2": _at(x2, t), "Y2": y2[t].copy(), "V": v[t].copy(),
+                         "margin": m},
     )
 
 

@@ -33,8 +33,8 @@ tolerance, and the equality tolerance follows it (``Tolerances.eq``).  Exit
 codes: 0 pass, 2 property counterexample, 3 inconclusive, and for a
 refusal, printed as one ``error:`` line, the first of ``_EXITS`` that
 its class matches: 64 usage error (``UnknownFunction``, ``BadConfig``), 65
-data error (``DataError``, a missing file), 1 any other ``OpmonoError``, a
-math error.
+data error (``DataError``, a missing file, a file of another kind than its
+argument takes), 1 any other ``OpmonoError``, a math error.
 """
 
 from __future__ import annotations
@@ -171,12 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_tuple(path: str) -> tuple[np.ndarray, ...]:
+    """A matrix or tuple file as a tuple; a file of another kind is a DataError, as for every other loader."""
     kind, payload = io.load(path)
     if kind == "matrix":
         return (io.decode_matrix(payload),)
     if kind == "tuple":
         return io.decode_tuple(payload)
-    raise BadConfig(f"expected a matrix or tuple file, found {kind}")
+    raise DataError(f"expected a matrix or tuple file, found {kind}")
 
 
 def _pivot_from_args(args, dim: int) -> PivotSubspace:

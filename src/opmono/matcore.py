@@ -241,6 +241,15 @@ def herm_part(a: np.ndarray) -> np.ndarray:
     return h
 
 
+def _finite_herm(a: np.ndarray, name: str) -> np.ndarray:
+    """Herm(a) of a finite ``a``; DomainViolation, the refusal of a non-finite argument, where A + A* overflows."""
+    with np.errstate(over="ignore"):
+        h = herm_part(a)
+    if not np.isfinite(h).all():
+        raise DomainViolation(f"{name} argument has a Hermitian part that is not finite")
+    return h
+
+
 def fro_norm(a: np.ndarray) -> np.ndarray | float:
     """Frobenius norm over the last two axes.
 
@@ -332,15 +341,17 @@ def herm_certify(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Certify that ``m`` is Hermitian within tolerance and symmetrize it.
 
     Returns (M + M*)/2.  ``m`` takes ``check_args``; raises NotHermitian
-    when the defect of a member exceeds its ``psd_floor``.
+    when the defect of a member exceeds its ``psd_floor``, and
+    DomainViolation where (M + M*)/2 of a finite M overflows.
     """
     (m,) = check_args((np.asarray(m, dtype=complex),), 1, "herm_certify")
-    defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1)).ravel()
+    with np.errstate(over="ignore"):  # an infinite defect exceeds every floor
+        defect = np.max(np.abs(m - dagger(m)), axis=(-2, -1)).ravel()
     bound = np.ravel(psd_floor(m, tol))
     bad = np.flatnonzero(defect > bound)
     if bad.size:
         raise NotHermitian(f"Hermitian defect {defect[bad[0]]:.3e} exceeds {bound[bad[0]]:.3e}")
-    return herm_part(m)
+    return _finite_herm(m, "herm_certify")
 
 
 def components(pattern: np.ndarray) -> np.ndarray:
@@ -392,7 +403,10 @@ def exact_blocks(mats) -> list[np.ndarray] | None:
 
 
 def min_eig(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np.ndarray | float:
-    """Smallest eigenvalue of the Hermitian part, batched; -inf where an entry is not finite.
+    """Smallest eigenvalue of the Hermitian part, batched; -inf where an entry of it is not finite.
+
+    A finite ``a`` can have a Hermitian part that is not finite, where
+    A + A* overflows; that member too gets -inf.
 
     ``blocks`` (``block_index``), when given, must hold every nonzero entry
     of ``a``, whose eigenvalues are then those of its blocks: each block
@@ -402,11 +416,12 @@ def min_eig(a: np.ndarray, blocks: list[np.ndarray] | None = None) -> np.ndarray
     if blocks is not None and (len(blocks) > 1 or len(blocks[0]) > 1):
         out = np.minimum.reduce([min_eig(a[..., b[:, :, None], b[:, None, :]]).min(axis=-1) for b in blocks])
         return float(out) if np.ndim(out) == 0 else out
-    a = np.asarray(a, dtype=complex)
-    finite = np.isfinite(a).all(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = herm_part(np.asarray(a, dtype=complex))
+    finite = np.isfinite(h).all(axis=(-2, -1))
     if not finite.all():
-        a = np.where(finite[..., None, None], a, np.eye(a.shape[-1]))
-    out = np.where(finite, np.linalg.eigvalsh(herm_part(a))[..., 0], -np.inf)
+        h = np.where(finite[..., None, None], h, np.eye(h.shape[-1]))
+    out = np.where(finite, np.linalg.eigvalsh(h)[..., 0], -np.inf)
     return float(out) if out.ndim == 0 else out
 
 
@@ -498,11 +513,12 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> 
 def funcalc(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
     """Hermitian functional calculus ``U f(Lambda) U*``.
 
-    ``a`` takes ``check_args``, and ``f`` must be finite on the spectrum of
-    each member (SpectrumOutOfDomain otherwise).
+    ``a`` takes ``check_args``, and its Hermitian part must be finite
+    (``_finite_herm``).  ``f`` must be finite on the spectrum of each member
+    (SpectrumOutOfDomain otherwise).
     """
     (a,) = check_args((a,), 1, "funcalc")
-    a = herm_part(np.asarray(a, dtype=complex))
+    a = _finite_herm(np.asarray(a, dtype=complex), "funcalc")
     w, u = np.linalg.eigh(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         fw = np.asarray(f(w))
@@ -580,13 +596,15 @@ def sector_certified_alpha(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sector_estimate(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SectorEstimate:
     """Certified sector of the numerical range of one matrix.
 
-    ``a`` takes ``check_args`` as one matrix, not a stack.
+    ``a`` takes ``check_args`` as one matrix, not a stack, and its
+    Hermitian part must be finite (``_finite_herm``).
     ``alpha`` and ``margin`` = lambda_min(Re A) are those of
     ``sector_certified_alpha``.  Raises NotSectorial when the margin is not
     positive (within the relative PSD tolerance): W(A) then meets the
     closed left half-plane.
     """
     (a,) = check_args((a,), 1, "sector_estimate", one=True)
+    _finite_herm(a, "sector_estimate")
     alphas, margins = sector_certified_alpha(a[None])
     margin = float(margins[0])
     if not margin > psd_floor(a, tol):

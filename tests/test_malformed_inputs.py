@@ -1,7 +1,9 @@
 """Every public entry point that takes one matrix, a coefficient list or a state
 refuses a malformed one with a typed error, through ``matcore.check_args``.  Every count
 or index a public entry point takes must pass ``matcore.is_count`` (an integer, not a bool),
-else BadConfig, and a numpy integer count gives the bytes of the same ``int``.
+else BadConfig, and a numpy integer count gives the bytes of the same ``int``.  A finite
+matrix whose Hermitian part overflows is refused where that part is formed, and every
+other typed refusal of the package is reached by at least one input here or elsewhere.
 
 The matrix-tuple entry points have their own sweep in ``test_freefun.py``; the algebra
 primitives ``re_part``, ``im_part`` and ``tensor`` pass through what they are given and
@@ -9,9 +11,12 @@ are left out, and ``loewner_leq``, a predicate that reads a non-finite member as
 is tested in ``test_matcore.py``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from opmono import cli
 from opmono import (
     LinearPencil,
     PencilRepresentation,
@@ -37,7 +42,11 @@ from opmono import (
     support_pencil,
 )
 from opmono import serialize as io
+from opmono.freefun import resolve_function
+from opmono.matcore import min_eig
+from opmono.pencil import pencil_direct_sum
 from opmono.sampling import rand_tuple_interval
+from opmono.schur import schur_pencil
 
 
 def _spoiled(bad):
@@ -127,3 +136,81 @@ def test_numpy_integer_counts_give_the_certificate_of_python_ints(counts):
     ref = support_pencil(SQRT, A3, V3, seed=3, validation_samples=20)
     got = support_pencil(SQRT, A3, V3, **{"seed": 3, "validation_samples": 20, **counts})
     assert io.dumps(io.certificate_payload(got)) == io.dumps(io.certificate_payload(ref))
+
+
+OVERFLOWS = np.full((3, 3), 1e308)  # finite, but A + A* overflows to inf in every entry
+HERMITIAN_PART = {
+    "funcalc": lambda: funcalc(np.sqrt, OVERFLOWS),
+    "sector_estimate": lambda: sector_estimate(OVERFLOWS),
+    "sector_bound_check": lambda: sector_bound_check(OVERFLOWS, PivotSubspace.from_vector(np.ones(3))),
+    "identity-lift": lambda: lift_scalar("identity")(OVERFLOWS),
+    "herm_certify": lambda: herm_certify(OVERFLOWS),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["min_eig", *HERMITIAN_PART])
+def test_a_hermitian_part_that_overflows_is_refused_without_a_warning(name):
+    if name == "min_eig":  # -inf, the value of a non-finite member; the other members keep their bits
+        finite = A3[0]
+        assert np.array_equal(min_eig(np.stack([OVERFLOWS, finite])), [-np.inf, min_eig(finite)])
+        return
+    with pytest.raises(errors.DomainViolation, match="Hermitian part that is not finite"):
+        HERMITIAN_PART[name]()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_hermitian_defect_that_overflows_is_refused_without_a_warning():
+    a = np.array([[0.0, 1e308], [-1e308, 0.0]])  # (A + A*)/2 = 0, but A - A* overflows
+    with pytest.raises(errors.NotHermitian, match="defect inf"):
+        herm_certify(a)
+
+
+I2 = np.eye(2)
+FILES = {"matrix": ("matrix", io.encode_matrix(I2)),
+         "triple": ("tuple", io.encode_tuple((I2, I2, I2))),
+         "pencil": ("pencil", io.pencil_payload(pencil_new([2 * I2, I2])))}
+
+
+def _cli(*argv):
+    """A CLI run with ``{name}`` read as the path of that entry of FILES: its exit code."""
+    return lambda paths: cli.main([arg.format(**paths) for arg in argv])
+
+
+# name: (the call on the paths of FILES, its error, or the CLI's exit code and the error it prints)
+REFUSALS = {
+    "mean-without-complex-evaluator": (lambda p: resolve_function("geomean2").eval_complex(I2, I2),
+                                       errors.UnknownFunction),
+    "unknown-lift": (lambda p: lift_scalar("nope"), errors.UnknownFunction),
+    "mobius-with-two-coefficients": (lambda p: resolve_function("mobius:1,2"), errors.UnknownFunction),
+    "raw-pencil-without-b1": (lambda p: RawPencil((I2,)), errors.ArityMismatch),
+    "empty-direct-sum": (lambda p: pencil_direct_sum([]), errors.ArityMismatch),
+    "support-vector-of-another-size": (lambda p: support_pencil(SQRT, (I2,), np.ones(3)), errors.DimensionMismatch),
+    "pivot-basis-not-a-matrix": (lambda p: PivotSubspace(np.ones(3)), errors.DimensionMismatch),
+    "schur-pivot-of-another-dimension": (
+        lambda p: schur_pencil(pencil_new([2 * I2, I2]), (I2,), PivotSubspace.from_indices(3, [0])),
+        errors.DimensionMismatch),
+    "unknown-file-kind": (lambda p: io.envelope("bogus", {}), errors.DataError),
+    "certificate-with-nan-margin": (
+        lambda p: io.certificate_payload(replace(support_pencil(SQRT, (I2,), np.ones(2)), support_margin=np.nan)),
+        errors.DataError),
+    "cli-interval-not-numbers": (_cli("check", "sqrt", "monotone", "--interval", "a,b"), (64, "BadConfig")),
+    "cli-schur-without-pivot": (_cli("schur", "{matrix}"), (64, "BadConfig")),
+    "cli-mean-on-a-triple": (_cli("mean", "geomean2", "{triple}"), (64, "BadConfig")),
+    "cli-tuple-of-another-kind": (_cli("mean", "geomean2", "{pencil}"), (65, "DataError")),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_is_typed(case, tmp_path, capsys):
+    call, expected = REFUSALS[case]
+    paths = {name: str(tmp_path / f"{name}.json") for name in FILES}
+    if not isinstance(expected, tuple):
+        with pytest.raises(expected):
+            call(paths)
+        return
+    for name, (kind, payload) in FILES.items():
+        io.save(paths[name], kind, payload)
+    code, error = expected
+    assert call(paths) == code
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")

@@ -437,9 +437,10 @@ class TestQrCallsPerTester:
         assert qr_calls == ([] if fn.arity == 1 else [((fn.arity - 1) * 50, 3, 3)])
 
     def test_hypograph_factors_twice(self, qr_calls):
+        # the frame's unitaries, then the isometries V : C^m -> C^2n
         fn = resolve_function("geomean2")
         hypograph_convexity_test(fn, n=3, m=2, trials=50, seed=1)
-        assert qr_calls == [((2 * 2 - 1) * 50, 3, 3), (50, 3, 2)]
+        assert qr_calls == [((2 * 2 - 1) * 50, 3, 3), (50, 6, 2)]
 
     def test_hypograph_rejects_large_m_before_drawing(self, qr_calls):
         with pytest.raises(BadConfig):
