@@ -417,6 +417,17 @@ class TestHypograph:
         rep = hypograph_convexity_test(fake_trace_fn(), n=2, m=2, trials=1000, seed=15)
         assert rep.verdict == "counterexample"
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_fake_trace_caught_on_the_graph_at_every_seed(self, seed):
+        # graph members are the worst case: no random slack can hide the violation, and the
+        # counterexample's members are the graph points (F(X), X) and (F(X2), X2) themselves
+        fn = fake_trace_fn()
+        rep = hypograph_convexity_test(fn, n=2, m=2, trials=512, seed=seed)
+        assert rep.verdict == "counterexample"
+        ce = rep.counterexample
+        np.testing.assert_allclose(ce["Y"], fn(ce["X"]), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ce["Y2"], fn(ce["X2"]), rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("fn", [lift_scalar("xsq"), fake_trace_fn()], ids=["xsq", "faketrace"])
     def test_the_one_compression_catches_a_control_at_every_seed(self, fn, seed):
